@@ -420,8 +420,8 @@ JOB SERVICE (`eureka serve`):
   --flightrec-dir <dir> where the always-armed flight recorder (a
                        fixed-capacity in-memory ring of job lifecycle
                        records, schema eureka-flightrec-v1) dumps its
-                       contents: after every connection, on SIGTERM
-                       drain, on panic, and on the `dump` wire verb —
+                       contents: after every connection that recorded
+                       something new, on SIGTERM drain, on panic, and on the `dump` wire verb —
                        a SIGKILL'd daemon leaves a replayable
                        flightrec-<pid>.jsonl behind (default: results)
   --sla-budget-us <N>  print an exit SLA summary (completed-job p99

@@ -4,14 +4,17 @@
 //! The service itself is transport-free (`handle_request` maps one
 //! JSON request line to one response line); this module owns the
 //! socket listener, the SIGTERM/SIGINT drain loop, and the client
-//! side. The server additionally owns the observability exhaust: a
-//! Prometheus text exposition rewritten after every connection
-//! (`--metrics-out`), the always-armed flight recorder dumped on
-//! drain, panic, and after every connection, and the exit-time SLA
-//! summary appended to the run ledger (`--sla-budget-us`) so `bench
-//! diff` gates service-latency regressions. Everything socket-shaped
-//! is Unix-only; on other targets the commands fail with a clear
-//! message instead of failing to compile.
+//! side. The listener blocks in `accept`; on SIGTERM/SIGINT a small
+//! waker thread connects to the daemon's own socket so the loop sees
+//! the termination latch. The server additionally owns the
+//! observability exhaust: a Prometheus text exposition rewritten after
+//! every connection (`--metrics-out`), the always-armed flight recorder
+//! dumped on drain, panic, and after every connection that recorded
+//! something new, and the exit-time SLA summary appended to the run
+//! ledger (`--sla-budget-us`) so `bench diff` gates service-latency
+//! regressions. Everything socket-shaped is Unix-only; on other targets
+//! the commands fail with a clear message instead of failing to
+//! compile.
 
 use eureka_sim::JobSpec;
 
@@ -75,28 +78,20 @@ mod imp {
         }
         let listener = UnixListener::bind(socket)
             .map_err(|e| format!("cannot bind {}: {e}", socket.display()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set the listener non-blocking: {e}"))?;
+        spawn_termination_waker(socket.to_path_buf())?;
         eureka_obs::info!("serve: listening on {}", socket.display());
 
         let mut shutdown_requested = false;
+        let mut dumped = 0;
         while !shutdown_requested && !eureka_signal::termination_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    shutdown_requested = serve_connection(&service, stream);
-                    // Refresh the on-disk exhaust while the daemon is
-                    // alive, so a later SIGKILL still leaves a recent
-                    // scrape and a replayable recorder dump behind.
-                    export_observability(opts, &service);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Idle: poll the termination latch at a human-scale
-                    // cadence without burning a core.
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(format!("accept failed: {e}")),
-            }
+            let (stream, _) = listener
+                .accept()
+                .map_err(|e| format!("accept failed: {e}"))?;
+            shutdown_requested = serve_connection(&service, stream);
+            // Refresh the on-disk exhaust while the daemon is alive, so a
+            // later SIGKILL still leaves a recent scrape and a replayable
+            // recorder dump behind.
+            export_observability(opts, &service, &mut dumped);
         }
 
         // SIGTERM/SIGINT or a `shutdown` request: finish in-flight
@@ -104,7 +99,7 @@ mod imp {
         // store tiles are already durable (written in-line), so the
         // drain needs no extra flush.
         let drained = service.drain();
-        export_observability(opts, &service);
+        export_observability(opts, &service, &mut dumped);
         service.shutdown();
         std::fs::remove_file(socket).ok();
         let stats = service_stats();
@@ -146,11 +141,30 @@ mod imp {
         }));
     }
 
+    /// Wakes the blocking `accept` once SIGTERM/SIGINT sets the latch.
+    /// The latch handler restarts interrupted syscalls (SA_RESTART), so
+    /// the signal alone never returns `accept`; one self-connection
+    /// does, and the loop then re-checks the latch.
+    fn spawn_termination_waker(socket: PathBuf) -> Result<(), String> {
+        std::thread::Builder::new()
+            .name("serve-waker".into())
+            .spawn(move || {
+                while !eureka_signal::termination_requested() {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                let _ = UnixStream::connect(socket);
+            })
+            .map(drop)
+            .map_err(|e| format!("cannot spawn the termination waker: {e}"))
+    }
+
     /// Best-effort refresh of the observability exhaust: the
     /// Prometheus exposition (tmp + rename, so scrapers never read a
-    /// torn file) and the flight-recorder dump. Failures degrade to a
-    /// log line — the daemon's job is serving, not exporting.
-    fn export_observability(opts: &ServeOpts, service: &JobService) {
+    /// torn file) and the flight-recorder dump, skipped while the ring
+    /// holds nothing newer than the `dumped` count (the file would come
+    /// out identical). Failures degrade to a log line — the daemon's
+    /// job is serving, not exporting.
+    fn export_observability(opts: &ServeOpts, service: &JobService, dumped: &mut u64) {
         if let Some(path) = &opts.metrics_out {
             let text = eureka_obs::metrics::prometheus_text();
             let tmp = format!("{path}.tmp");
@@ -161,9 +175,11 @@ mod imp {
                 eureka_obs::info!("serve: cannot write metrics to {path}");
             }
         }
-        if eureka_obs::flightrec::recorded_count() > 0 {
-            if let Err(e) = service.dump_flightrec() {
-                eureka_obs::info!("serve: flight recorder dump failed: {e}");
+        let recorded = eureka_obs::flightrec::recorded_count();
+        if recorded > *dumped {
+            match service.dump_flightrec() {
+                Ok(_) => *dumped = recorded,
+                Err(e) => eureka_obs::info!("serve: flight recorder dump failed: {e}"),
             }
         }
     }
@@ -202,11 +218,6 @@ mod imp {
     /// One client connection: JSON lines in, JSON lines out. Returns
     /// `true` when the client asked the whole service to shut down.
     fn serve_connection(service: &JobService, stream: UnixStream) -> bool {
-        // Blocking I/O per connection; the accept loop's non-blocking
-        // mode is inherited and must be undone.
-        if stream.set_nonblocking(false).is_err() {
-            return false;
-        }
         stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
@@ -289,8 +300,12 @@ mod imp {
             .get("job")
             .and_then(Value::as_f64)
             .ok_or("malformed response: missing job id")? as u64;
+        // Cached jobs finish in well under a millisecond: poll early,
+        // then back off to the 50 ms cap for long simulations.
+        let mut poll = Duration::from_millis(2);
         loop {
-            std::thread::sleep(Duration::from_millis(50));
+            std::thread::sleep(poll);
+            poll = (poll * 2).min(Duration::from_millis(50));
             let status_line = request(socket, &format!("{{\"cmd\":\"status\",\"job\":{id}}}"))?;
             let sv = json::parse(&status_line).map_err(|e| format!("malformed response: {e}"))?;
             match sv.get("status").and_then(Value::as_str) {

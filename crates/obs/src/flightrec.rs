@@ -19,7 +19,8 @@
 //! [`dump_to`] renders the ring oldest-to-newest as JSONL and writes it
 //! atomically (temp file + rename, the same idiom as the journal and
 //! tile store), so a reader never observes a torn dump. The serve loop
-//! dumps after every connection and on SIGTERM/panic; a SIGKILL leaves
+//! dumps after every connection that recorded something new and on
+//! SIGTERM/panic; a SIGKILL leaves
 //! the last complete dump on disk.
 
 use std::path::{Path, PathBuf};

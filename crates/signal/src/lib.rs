@@ -7,7 +7,10 @@
 //! libc `signal(2)` already linked by `std`) whose only action is a
 //! relaxed atomic store — the strictest reading of async-signal-safety.
 //! Everything else (drain, flush, journal writes) happens on ordinary
-//! threads that poll [`termination_requested`].
+//! threads that poll [`termination_requested`]. Handlers get BSD
+//! `signal(2)` semantics (SA_RESTART), so blocking syscalls restart
+//! rather than fail with EINTR; a thread blocked in one must be woken
+//! some other way.
 //!
 //! On non-Unix targets the latch degrades to a plain process-local
 //! flag: [`install_termination_latch`] is a no-op and only
