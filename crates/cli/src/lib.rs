@@ -333,15 +333,18 @@ FAULT TOLERANCE:
                         (deterministic; unsupported combinations are never
                         retried)
   --checkpoint-dir <dir> persist each completed unit result, keyed by its
-                        content hash, for crash recovery
+                        content hash, for crash recovery; takes the unit
+                        records over from --store-dir
   --resume              replay completed units from --checkpoint-dir
                         bit-identically instead of recomputing them
 
 RESULT STORE:
-  --store-dir <dir>     persist canonical tile results (content-addressed by
-                        row-length signature) across runs: a warmed store
-                        replays every tile of a repeated sweep with zero
-                        re-simulation and byte-identical reports
+  --store-dir <dir>     persist results across runs: a record of every
+                        completed unit (one batch file per run), which a
+                        rerun replays before sampling a single tile, plus
+                        canonical tile results (content-addressed by
+                        row-length signature) for units without a record
+                        and for `profile`; reports stay byte-identical
   --no-store            disable the tile-result store entirely, including
                         the in-process hot tier (output is identical either
                         way; the store only removes redundant work)
@@ -2633,17 +2636,21 @@ mod tests {
         // Drop every in-process tier (flushing dirty records to `dir`
         // first), so the warm run below can only be served from disk.
         eureka_sim::runner::cache_reset();
-        let shards = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "tiles")
-            })
-            .count();
-        assert!(shards > 0, "tile shard files written under --store-dir");
+        let files_with = |ext: &str| -> Vec<std::path::PathBuf> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == ext))
+                .collect()
+        };
+        assert!(!files_with("tiles").is_empty(), "tile shards written");
+        let units = files_with("units");
+        assert!(!units.is_empty(), "unit records written beside them");
+        // Without the unit records the warm run re-executes every unit
+        // and can only be served by the tile shards.
+        for unit in units {
+            std::fs::remove_file(unit).unwrap();
+        }
         let warm = run(&parse(args).unwrap()).unwrap();
         assert_eq!(cold, warm, "a store-warmed run must be bit-identical");
         std::fs::remove_dir_all(&dir).ok();

@@ -27,7 +27,7 @@ pub struct ServeOpts {
     pub journal_dir: String,
     /// Unit checkpoint directory (resume across restarts).
     pub checkpoint_dir: Option<String>,
-    /// Tile result store directory.
+    /// Result store directory (unit records and tile shards).
     pub store_dir: Option<String>,
     /// Admission queue bound.
     pub capacity: usize,

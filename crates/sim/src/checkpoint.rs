@@ -1,27 +1,43 @@
-//! Sweep checkpointing: persist completed work-unit results so an
-//! interrupted run can resume without recomputing.
+//! Per-unit result records: persist completed work-unit results so an
+//! interrupted run can resume, and a warm rerun can replay whole units,
+//! without recomputing.
 //!
-//! Each successfully executed unit is serialized to one file under the
-//! checkpoint directory, named by the FNV-1a hash of the unit's canonical
-//! content key (the same identity the in-memory cache uses, rendered as a
-//! stable string). A resuming runner consults the directory before
-//! executing a unit and replays the stored [`LayerReport`] bit-identically
-//! — every field is an exact integer or string, so the text round-trip is
-//! lossless.
+//! Each successfully executed unit is serialized to one record keyed by
+//! the unit's canonical content key (the same identity the in-memory
+//! cache uses, rendered as a stable string). A resuming runner consults
+//! the directory before executing a unit and replays the stored
+//! [`LayerReport`] bit-identically — every field is an exact integer or
+//! string, so the text round-trip is lossless. Records are laid out one
+//! of two ways:
+//!
+//! * **per unit** ([`CheckpointStore::new`], `--checkpoint-dir`): one
+//!   `<fnv1a64(key)>.unit` file, written as soon as its unit completes,
+//!   so a killed run keeps every unit it finished;
+//! * **batched** ([`CheckpointStore::batched`], `--store-dir`): the
+//!   records a run computes are staged and written by
+//!   [`CheckpointStore::flush`] as one `<fnv1a64(bytes)>.units` file
+//!   beside the tile shards. A run creates one file instead of one per
+//!   unit: on a 2-vCPU VM (ext4), creating a paper Figure 11 sweep's
+//!   4,240 per-unit files right after a similar directory was deleted
+//!   cost 1–3 s of kernel time and raised the sweep's median wall time
+//!   from 5.5 s to 7.2 s. A run killed before its flush leaves no
+//!   records.
 //!
 //! # Crash safety
 //!
-//! Files are written to a temporary name and atomically renamed into
-//! place, so a unit killed mid-write never leaves a readable (and thus
-//! never a poisonous) entry. Failed units are never written at all. On
-//! load, the stored key line is compared against the requesting unit's
-//! canonical key: a mismatch (hash collision, stale directory from an
-//! incompatible run) is treated as a miss, never as data.
+//! Files are written through [`crate::atomic::write_atomic`], so a unit
+//! killed mid-write never leaves a readable (and thus never a poisonous)
+//! entry. Failed units are never written at all. On load, the stored key
+//! line is compared against the requesting unit's canonical key: a
+//! mismatch (hash collision, stale directory from an incompatible run) is
+//! treated as a miss, never as data.
 
+use crate::hash::fnv1a64;
 use crate::report::{LayerReport, OpCounts};
 use eureka_obs::metrics::{self, Class};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Largest checkpoint entry `load` will even read. Real entries are a
 /// few hundred bytes; anything bigger is filesystem corruption or a
@@ -29,25 +45,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// trade a bounded recompute for an unbounded allocation.
 const MAX_ENTRY_BYTES: u64 = 1 << 20;
 
+/// Largest batch file (`*.units`) a batched store will read: room for
+/// over a million records, and still a bound on the allocation.
+const MAX_BATCH_BYTES: u64 = 1 << 30;
+
 /// Format marker; bump when the serialization changes incompatibly.
 /// Readers ignore entries with any other header, so mixing versions in
 /// one directory degrades to recomputation, never to wrong data.
 /// (v2 added `bubble_cycles` as the ninth field; v1 entries are
 /// recomputed.)
 const HEADER: &str = "eureka-checkpoint v2";
-
-/// FNV-1a 64-bit over `bytes` — stable across processes and platforms
-/// (unlike `DefaultHasher`, whose keys are unspecified), so checkpoint
-/// file names survive a restart.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Escapes newlines and backslashes so arbitrary layer names fit the
 /// line-oriented format. Shared with the job journal, which uses the
@@ -158,17 +165,109 @@ pub fn decode(text: &str, expected_key: &str) -> Option<LayerReport> {
     })
 }
 
-/// A directory of per-unit checkpoint files.
+/// [`decode`] for a record whose key is not known in advance: the key
+/// comes from the record's own key line.
+fn decode_keyed(text: &str) -> Option<(String, LayerReport)> {
+    let key = unescape(text.lines().nth(1)?.strip_prefix("key ")?);
+    let report = decode(text, &key)?;
+    Some((key, report))
+}
+
+/// A directory of unit records, per unit or batched (see the
+/// [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
+    /// `Some` for the batched layout; clones share the staged records.
+    batch: Option<Arc<Batch>>,
+}
+
+/// The batched layout's state.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Every record in the directory's `*.units` files, read on the
+    /// first load.
+    on_disk: OnceLock<HashMap<String, LayerReport>>,
+    /// Encoded records stored since the last flush, by unit key (so a
+    /// flushed batch's bytes do not depend on completion order). Every
+    /// update is one map operation, so a poisoned lock still guards a
+    /// valid map.
+    staged: Mutex<BTreeMap<String, String>>,
+}
+
+impl Batch {
+    fn staged(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, String>> {
+        self.staged.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Every decodable record in `dir`'s `*.units` files. Fail-soft like
+/// [`CheckpointStore::load`]: an oversized or unreadable file, and each
+/// malformed record, ticks `checkpoint.errors`; the records around a
+/// damaged one still load.
+fn read_batches(dir: &Path) -> HashMap<String, LayerReport> {
+    let errors = metrics::counter("checkpoint.errors", Class::Deterministic);
+    let header_line = format!("{HEADER}\n");
+    let mut records = HashMap::new();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return records; // no directory yet: nothing stored
+    };
+    for path in entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "units"))
+    {
+        let text = std::fs::metadata(&path)
+            .ok()
+            .filter(|m| m.len() <= MAX_BATCH_BYTES)
+            .and_then(|_| std::fs::read(&path).ok())
+            .and_then(|bytes| String::from_utf8(bytes).ok());
+        let Some(text) = text else {
+            errors.inc();
+            continue;
+        };
+        // A record runs from its header line to the next one, so damage
+        // stays inside the record it hit.
+        let mut starts: Vec<usize> = text
+            .match_indices(&header_line)
+            .map(|(i, _)| i)
+            .filter(|&i| i == 0 || text.as_bytes()[i - 1] == b'\n')
+            .collect();
+        if starts.first() != Some(&0) {
+            starts.insert(0, 0);
+        }
+        starts.push(text.len());
+        for span in starts.windows(2) {
+            let record = &text[span[0]..span[1]];
+            match decode_keyed(record) {
+                Some((key, report)) if record.ends_with('\n') && !record.contains('\0') => {
+                    records.insert(key, report);
+                }
+                _ => errors.inc(),
+            }
+        }
+    }
+    records
 }
 
 impl CheckpointStore {
-    /// A store rooted at `dir` (created on first write).
+    /// A per-unit store rooted at `dir` (created on first write).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointStore { dir: dir.into() }
+        CheckpointStore {
+            dir: dir.into(),
+            batch: None,
+        }
+    }
+
+    /// A batched store rooted at `dir` (created on first flush): stored
+    /// records reach the disk only through [`CheckpointStore::flush`].
+    #[must_use]
+    pub fn batched(dir: impl Into<PathBuf>) -> Self {
+        CheckpointStore {
+            dir: dir.into(),
+            batch: Some(Arc::default()),
+        }
     }
 
     /// The store's directory.
@@ -189,8 +288,15 @@ impl CheckpointStore {
     /// NUL-bearing, non-UTF-8, truncated, or otherwise undecodable —
     /// ticks `checkpoint.errors` and is *also* a miss. Resume never
     /// aborts on a corrupt directory; it recomputes the damaged units.
+    /// A batched store reads all its batch files on the first load,
+    /// ticking the counter once per damaged record, and answers from
+    /// memory after that.
     #[must_use]
     pub fn load(&self, key: &str) -> Option<LayerReport> {
+        if let Some(batch) = &self.batch {
+            let on_disk = batch.on_disk.get_or_init(|| read_batches(&self.dir));
+            return on_disk.get(key).cloned();
+        }
         let path = self.path_for(key);
         let oversized = std::fs::metadata(&path)
             .map(|m| m.len() > MAX_ENTRY_BYTES)
@@ -211,8 +317,9 @@ impl CheckpointStore {
         report
     }
 
-    /// Persists a completed unit result atomically (temp file + rename):
-    /// a crash mid-write leaves no readable entry.
+    /// Persists a completed unit result atomically: a crash mid-write
+    /// leaves no readable entry. A batched store only stages the record
+    /// for the next [`CheckpointStore::flush`].
     ///
     /// # Errors
     ///
@@ -220,21 +327,43 @@ impl CheckpointStore {
     /// should treat these as non-fatal (the run still holds the result in
     /// memory).
     pub fn store(&self, key: &str, report: &LayerReport) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_for(key);
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp-{}-{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, encode(key, report))?;
-        std::fs::rename(&tmp, &target)
+        let text = encode(key, report);
+        match &self.batch {
+            Some(batch) => {
+                batch.staged().insert(key.to_string(), text);
+                Ok(())
+            }
+            None => crate::atomic::write_atomic(&self.path_for(key), text.as_bytes()),
+        }
     }
 
-    /// Number of completed-unit entries currently on disk (`.unit` files
-    /// only; in-flight temporaries are excluded).
+    /// Writes a batched store's staged records as one `*.units` file,
+    /// named by the hash of its bytes (so rewriting an equal batch is
+    /// idempotent). A no-op for the per-unit layout, which writes as it
+    /// goes, and when nothing is staged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write failure; the records stay staged.
+    pub fn flush(&self) -> std::io::Result<()> {
+        let Some(batch) = &self.batch else {
+            return Ok(());
+        };
+        let mut staged = batch.staged();
+        if staged.is_empty() {
+            return Ok(());
+        }
+        let text: String = staged.values().map(String::as_str).collect();
+        let path = self
+            .dir
+            .join(format!("{:016x}.units", fnv1a64(text.as_bytes())));
+        crate::atomic::write_atomic(&path, text.as_bytes())?;
+        staged.clear();
+        Ok(())
+    }
+
+    /// Number of per-unit entries currently on disk (`.unit` files
+    /// only; in-flight temporaries and batches are excluded).
     #[must_use]
     pub fn entry_count(&self) -> usize {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -319,6 +448,40 @@ mod tests {
     }
 
     #[test]
+    fn batched_records_flush_as_one_file_and_survive_a_damaged_neighbour() {
+        let dir = std::env::temp_dir().join(format!("eureka-ckpt-batch-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CheckpointStore::batched(&dir);
+        let mut r = sample();
+        for key in ["a", "b", "c"] {
+            r.name = format!("layer-{key}");
+            store.store(key, &r).expect("staging cannot fail");
+        }
+        assert!(!dir.exists(), "nothing reaches the disk before a flush");
+        store.flush().expect("flush writes");
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "one file per flush: {files:?}");
+        assert!(files[0].extension().is_some_and(|x| x == "units"));
+
+        // Damage the middle record: its neighbours still load.
+        let text = std::fs::read_to_string(&files[0]).unwrap();
+        let damaged = text.replace("layer-b\nfields", "layer-b\nfieldz");
+        assert_ne!(damaged, text);
+        std::fs::write(&files[0], damaged).unwrap();
+        let errors = || metrics::counter("checkpoint.errors", Class::Deterministic).get();
+        let before = errors();
+        let fresh = CheckpointStore::batched(&dir);
+        assert_eq!(fresh.load("a").map(|r| r.name), Some("layer-a".into()));
+        assert_eq!(fresh.load("b"), None, "the damaged record is a miss");
+        assert_eq!(fresh.load("c").map(|r| r.name), Some("layer-c".into()));
+        assert!(errors() > before, "damage ticks checkpoint.errors");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_entries_are_skipped_with_an_error_tick_not_an_abort() {
         let dir = std::env::temp_dir().join(format!("eureka-ckpt-corrupt-{}", std::process::id()));
         let store = CheckpointStore::new(&dir);
@@ -360,13 +523,5 @@ mod tests {
         assert_eq!(errors(), before, "a missing file is not an error");
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Pinned values: file names must survive process restarts.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
     }
 }

@@ -21,10 +21,10 @@
 //! state <accepted|completed|cancelled|failed|deadline-exceeded>
 //! ```
 
-use crate::checkpoint::{escape, fnv1a64, unescape};
+use crate::checkpoint::{escape, unescape};
+use crate::hash::fnv1a64;
 use eureka_obs::metrics::{self, Class};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format marker; bump on incompatible changes. Entries with a foreign
 /// header are skipped (with an error tick), never misread.
@@ -121,18 +121,8 @@ impl Journal {
     /// (the durability promise would be a lie), but failed terminal
     /// records as non-fatal (worst case the job is replayed once).
     pub fn record(&self, spec: &str, state: JournalState) -> std::io::Result<()> {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_for(spec);
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp-{}-{}",
-            fnv1a64(spec.as_bytes()),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let text = format!("{HEADER}\nspec {}\nstate {}\n", escape(spec), state.label());
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &target)
+        crate::atomic::write_atomic(&self.path_for(spec), text.as_bytes())
     }
 
     /// Parses one journal entry.

@@ -8,8 +8,8 @@
 //! metrics outcome (`metrics_digest` — the FNV-1a digest of
 //! [`eureka_obs::metrics::snapshot_json`]`(false)`), how long it took,
 //! and how many run events the bus emitted. Records are single JSON
-//! files written via the same tmp+rename idiom as
-//! [`crate::checkpoint`], so a killed run never leaves a torn record.
+//! files written through [`crate::atomic::write_atomic`], so a killed
+//! run never leaves a torn record.
 //!
 //! [`diff`] compares two snapshots field-by-field under a regression
 //! threshold. It understands both record families:
@@ -28,7 +28,7 @@
 //! The CLI's `eureka bench diff` exits non-zero when any regression is
 //! found, which is exactly the CI perf gate.
 
-use crate::checkpoint::fnv1a64;
+use crate::hash::fnv1a64;
 use eureka_obs::json::{self, Value};
 use std::path::{Path, PathBuf};
 
@@ -139,12 +139,8 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
             return Err("ledger sequence exhausted".to_string());
         }
     };
-    let tmp = dir.join(format!(".{key}-{n}.json.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("rename {}: {e}", path.display())
-    })?;
+    crate::atomic::write_atomic(&path, body.as_bytes())
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok(path)
 }
 

@@ -40,12 +40,14 @@
 #![warn(missing_docs)]
 
 pub mod arch;
+pub mod atomic;
 pub mod backoff;
 pub mod cachesim;
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod faults;
+pub mod hash;
 pub mod journal;
 pub mod ledger;
 pub mod memory;

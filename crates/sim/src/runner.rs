@@ -49,8 +49,12 @@
 //! identify simulation behaviour — an invariant the registry upholds and
 //! [`Architecture::name`] documents. Cached replays are bit-identical to
 //! cold misses because unit execution is deterministic. The same content
-//! key, rendered canonically as text, names on-disk checkpoint entries
-//! ([`crate::checkpoint`]) so interrupted sweeps resume bit-identically.
+//! key, rendered canonically as text, names on-disk unit records
+//! ([`crate::checkpoint`]), so interrupted sweeps resume and warm reruns
+//! replay bit-identically: a unit with a record never samples, keys or
+//! times a tile. [`Runner::with_checkpoint`] and
+//! [`Runner::with_store_dir`] both attach a record directory; the
+//! records count as `checkpoint.hits`.
 //!
 //! Below the unit cache sits a second, finer memoization layer: the
 //! content-addressed tile store ([`crate::store`]). Planning plants a
@@ -58,10 +62,12 @@
 //! resolve each sampled tile through it, so tiles with equal canonical
 //! row-length signatures are simulated once per process (hot tier) — or
 //! once *ever*, when [`Runner::with_store_dir`] persists outcomes across
-//! runs. A unit whose tiles all came from the store still executes (its
-//! RNG streams advance identically, keeping reports bit-identical to a
-//! cold run) but performs zero tile simulations; such units count toward
-//! `runner.units_from_store` instead of `cache.misses`.
+//! runs. It serves the units that do execute: those without a record
+//! and every profiled unit. A unit whose tiles all came from the store
+//! still executes (its RNG streams advance identically, keeping reports
+//! bit-identical to a cold run) but performs zero tile simulations; such
+//! units count toward `runner.units_from_store` instead of
+//! `cache.misses`.
 //!
 //! # Telemetry
 //!
@@ -90,8 +96,9 @@
 
 use crate::arch::{Architecture, LayerCtx, SimError};
 use crate::backoff::BackoffPolicy;
-use crate::checkpoint::{fnv1a64, CheckpointStore};
+use crate::checkpoint::CheckpointStore;
 use crate::config::SimConfig;
+use crate::hash::fnv1a64;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
@@ -167,9 +174,12 @@ struct UnitKey {
 
 impl UnitKey {
     /// Stable single-line text rendering of the full content key; names
-    /// on-disk checkpoint entries, so it must be identical across
-    /// processes and platforms for identical units (floats are rendered
-    /// as raw bits, never formatted).
+    /// on-disk unit records, so it must be identical across processes
+    /// and platforms for identical units (floats are rendered as raw
+    /// bits, never formatted). Records outlive the binary that wrote
+    /// them: any change that alters a unit's [`LayerReport`] for the same
+    /// key (timing model, sampling, report fields) must bump the `v1|`
+    /// tag, or `--store-dir` and `--resume` replay stale results.
     fn canonical(&self) -> String {
         fn opt(v: Option<u64>) -> String {
             v.map_or_else(|| "-".to_string(), |b| format!("{b:016x}"))
@@ -774,7 +784,8 @@ impl Runner {
     /// Enables checkpointing under `dir`: every successfully executed
     /// unit is persisted, and with `resume` existing entries are replayed
     /// instead of recomputed (bit-identically — entries are keyed by the
-    /// unit's full content key).
+    /// unit's full content key). Takes precedence over the unit records
+    /// of [`Runner::with_store_dir`].
     #[must_use]
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, resume: bool) -> Self {
         self.checkpoint = Some(CheckpointCfg {
@@ -795,14 +806,33 @@ impl Runner {
         self
     }
 
-    /// Persists tile outcomes under `dir` ([`crate::store`] shard
-    /// files): cold runs record every computed tile, and later runs —
-    /// including fresh processes — replay them instead of re-simulating.
+    /// Persists results under `dir`, for later runs — including fresh
+    /// processes — to replay instead of recomputing. Whole units go to
+    /// batched `.units` records ([`crate::checkpoint`], in resume mode,
+    /// one file per run): a stored unit replays before any tile
+    /// sampling, keying or timing runs. Tile outcomes go to
+    /// [`crate::store`] shard files beside them, serving units without a
+    /// record and [`Runner::run_profiled`], which bypasses unit records.
+    /// An explicit [`Runner::with_checkpoint`] takes over the unit
+    /// records, with its own directory, layout and resume setting,
+    /// whichever is called first.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_enabled = true;
         self.store_dir = Some(dir.into());
         self
+    }
+
+    /// Where this run's unit records live: the explicit checkpoint
+    /// configuration, else the store directory, batched, in resume mode.
+    fn unit_records(&self) -> Option<CheckpointCfg> {
+        self.checkpoint.clone().or_else(|| {
+            let dir = self.store_dir.as_ref().filter(|_| self.store_enabled)?;
+            Some(CheckpointCfg {
+                store: CheckpointStore::batched(dir.clone()),
+                resume: true,
+            })
+        })
     }
 
     /// Resolves this runner's store configuration into the broker source
@@ -945,7 +975,12 @@ impl Runner {
 
     /// Executes planned units, returning results in unit order.
     fn execute(&self, units: &[WorkUnit<'_>]) -> Vec<Result<LayerReport, UnitError>> {
-        self.execute_with(units, |unit| self.run_unit(unit))
+        let records = self.unit_records();
+        let results = self.execute_with(units, |unit| self.run_unit(unit, records.as_ref()));
+        if records.is_some_and(|ck| ck.store.flush().is_err()) {
+            telemetry().ckpt_errors.inc();
+        }
+        results
     }
 
     /// The shared execute phase: runs `run` over every unit — serially or
@@ -1018,14 +1053,18 @@ impl Runner {
     }
 
     /// Executes one unit: in-memory cache first, then (when resuming) the
-    /// on-disk checkpoint, then real execution under panic isolation and
-    /// the retry policy. Exactly one of `cache.hits`, `checkpoint.hits`,
-    /// `runner.units_from_store` (successful execution with every tile
-    /// served by the store), `cache.misses` (successful execution that
-    /// simulated at least one tile, or looked none up) or
-    /// `runner.failures.*` (final failure) fires per call, for cached
-    /// runners.
-    fn run_unit(&self, unit: &WorkUnit<'_>) -> Result<LayerReport, UnitError> {
+    /// on-disk unit records `ck` from [`Runner::unit_records`], then real
+    /// execution under panic isolation and the retry policy. Exactly one
+    /// of `cache.hits`, `checkpoint.hits`, `runner.units_from_store`
+    /// (successful execution with every tile served by the store),
+    /// `cache.misses` (successful execution that simulated at least one
+    /// tile, or looked none up) or `runner.failures.*` (final failure)
+    /// fires per call, for cached runners.
+    fn run_unit(
+        &self,
+        unit: &WorkUnit<'_>,
+        ck: Option<&CheckpointCfg>,
+    ) -> Result<LayerReport, UnitError> {
         let t = telemetry();
         let _span = eureka_obs::span!("unit.exec", "{} {}", unit.key.arch, unit.gemm.name);
         let events_on = events::enabled();
@@ -1064,7 +1103,7 @@ impl Runner {
             if let Some(hit) = lock(&cache().map).get(&unit.key).cloned() {
                 t.cache_hits.inc();
                 t.units_cached.inc();
-                if let Some(ck) = &self.checkpoint {
+                if let Some(ck) = ck {
                     // Keep the checkpoint directory complete even when
                     // the unit never re-executes in this process.
                     let key = unit.key.canonical();
@@ -1089,7 +1128,7 @@ impl Runner {
                 return Ok(hit);
             }
         }
-        if let Some(ck) = &self.checkpoint {
+        if let Some(ck) = ck {
             if ck.resume {
                 let key = unit.key.canonical();
                 if let Some(report) = ck.store.load(&key) {
@@ -1151,7 +1190,7 @@ impl Runner {
                         lock(&cache().map).insert(unit.key.clone(), report.clone());
                         t.cache_inserts.inc();
                     }
-                    if let Some(ck) = &self.checkpoint {
+                    if let Some(ck) = ck {
                         match ck.store.store(&unit.key.canonical(), &report) {
                             Ok(()) => {
                                 t.ckpt_writes.inc();

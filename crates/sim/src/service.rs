@@ -47,8 +47,8 @@
 
 use crate::arch;
 use crate::backoff::BackoffPolicy;
-use crate::checkpoint::fnv1a64;
 use crate::config::SimConfig;
+use crate::hash::fnv1a64;
 use crate::journal::{Journal, JournalState};
 use crate::outcome::{JobOutcome, RetryPolicy};
 use crate::runner::{self, CancelToken, Runner, SimJob};
@@ -291,7 +291,9 @@ pub struct ServiceConfig {
     /// Checkpoint directory; when set, completed units persist and a
     /// replayed job resumes instead of recomputing them.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Tile-store directory (passed through to the runner).
+    /// Result-store directory, passed through to
+    /// [`Runner::with_store_dir`]: tile shards, plus whole-unit records
+    /// unless `checkpoint_dir` is set.
     pub store_dir: Option<PathBuf>,
     /// Runner worker threads per job (`0` = auto).
     pub jobs: usize,

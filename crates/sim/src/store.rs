@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::checkpoint::fnv1a64;
+use crate::hash::fnv1a64;
 
 /// Format marker for shard files; bump on incompatible record changes.
 /// Readers treat any other header as an empty shard (recompute, never
@@ -465,7 +465,6 @@ impl DiskTier {
     /// content leaves the shard bytes untouched. IO failures count as
     /// `store.errors` and leave the records dirty for a later flush.
     pub fn flush(&self) {
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         for idx in 0..SHARDS {
             let mut shard = lock(&self.shards[idx]);
             if shard.dirty.is_empty() {
@@ -496,15 +495,7 @@ impl DiskTier {
                 let mut whole = String::from(HEADER);
                 whole.push('\n');
                 whole.push_str(&text);
-                std::fs::create_dir_all(&self.dir).is_ok() && {
-                    let tmp = self.dir.join(format!(
-                        "{idx:02x}.tmp-{}-{}",
-                        std::process::id(),
-                        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-                    ));
-                    std::fs::write(&tmp, &whole).is_ok()
-                        && std::fs::rename(&tmp, self.shard_path(idx)).is_ok()
-                }
+                crate::atomic::write_atomic(&self.shard_path(idx), whole.as_bytes()).is_ok()
             } else {
                 // Readable shard on disk: append only the new records.
                 // A crash mid-append at worst truncates the final line,

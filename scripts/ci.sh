@@ -21,24 +21,46 @@ set +e
 cargo run --release -q -p eureka-cli -- bench diff /nonexistent.json /nonexistent.json 2>/dev/null
 [ $? -eq 2 ] || { echo "bench diff on a missing snapshot must exit 2" >&2; exit 1; }
 set -e
-# Store persistence: a second run against a warmed --store-dir performs
-# zero tile simulations and emits byte-identical reports.
+# Store persistence: a second run against a warmed --store-dir replays
+# every unit from its record, executing none, and emits byte-identical
+# reports.
 store_dir=$(mktemp -d)
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$store_dir" "$obs_dir"' EXIT
 cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
     --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
-    > /tmp/eureka-store-cold.csv
+    > "$store_dir/cold.csv"
 cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
     --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
-    --metrics-out /tmp/eureka-store-warm.json > /tmp/eureka-store-warm.csv
-cmp /tmp/eureka-store-cold.csv /tmp/eureka-store-warm.csv
-python3 - <<'EOF'
-import json
-c = json.load(open("/tmp/eureka-store-warm.json"))["counters"]
-assert c["store.misses"] == 0, f"warm run re-simulated tiles: {c}"
-assert c["store.hits"] == c["store.lookups"] > 0, c
+    --metrics-out "$store_dir/warm.json" > "$store_dir/warm.csv"
+cmp "$store_dir/cold.csv" "$store_dir/warm.csv"
+python3 - "$store_dir/warm.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c["checkpoint.hits"] == c["runner.units_planned"] > 0, c
+assert c["runner.units_executed"] == 0, f"warm run executed units: {c}"
 assert c["cache.misses"] == 0, f"units escaped the store: {c}"
+assert c.get("store.lookups", 0) == 0, f"warm run looked tiles up: {c}"
+EOF
+# The profiler bypasses unit records, so a warm `profile --store-dir`
+# is served by the tile shards alone and its export is byte-identical.
+# `profile` has no --metrics-out; its events say the same per unit:
+# source "store" means every lookup hit (store.misses == 0, store.hits
+# == store.lookups > 0).
+cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
+    --arch eureka-p4 --fast --no-ledger --json "$store_dir/profile-cold.json" > /dev/null
+for run in fill warm; do
+    cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
+        --arch eureka-p4 --fast --no-ledger --store-dir "$store_dir/profile" \
+        --json "$store_dir/profile-$run.json" \
+        --events-out "$store_dir/profile-$run.jsonl" > /dev/null
+done
+cmp "$store_dir/profile-cold.json" "$store_dir/profile-warm.json"
+python3 - "$store_dir/profile-warm.jsonl" <<'EOF'
+import json, sys
+done = [e["det"] for e in map(json.loads, open(sys.argv[1]))
+        if e["event"] == "unit-finished"]
+assert done and all(d["source"] == "store" for d in done), done
 EOF
 # Profile smoke: the cycle-attribution export must be byte-identical
 # across runs (determinism is part of the profiler's contract).

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Kill-and-warm-resume smoke test for the persistent tile store: a
+# Kill-and-warm-resume smoke test for the persistent result store: a
 # `simulate` pointed at a --store-dir and killed mid-run leaves behind
-# whatever shards it managed to flush. Re-running against that partial
-# store must complete, produce output byte-identical to an uninterrupted
-# run, and leave the store warm enough that a third run performs zero
-# tile simulations (store.misses == 0). Also passes when the run
-# finishes before the kill lands (fast machines) — the resume is then a
-# pure warm replay.
+# whatever it managed to flush (unit records and tile shards are both
+# written once, after the run's execute phase). Re-running
+# against that partial store must complete, produce output
+# byte-identical to an uninterrupted run, and leave the store warm enough
+# that a third run replays every unit from its record and executes none
+# (checkpoint.hits == runner.units_planned, no tile looked up). Also
+# passes when the run finishes before the kill lands (fast machines) —
+# the resume is then a pure warm replay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,20 +29,22 @@ sleep 0.2
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
-# Warm-resume from whatever shards survived. Must complete and match
-# the uninterrupted output byte for byte.
+# Warm-resume from whatever survived. Must complete and match the
+# uninterrupted output byte for byte.
 "$BIN" "${args[@]}" --store-dir "$dir/store" > "$dir/resumed.csv"
 cmp "$dir/reference.csv" "$dir/resumed.csv"
 
-# By now the store holds every tile this workload needs: a third run
-# must be all hits (store.misses == 0, store.hits == store.lookups > 0).
+# By now the store holds a record of every unit this workload plans: a
+# third run replays them all and executes nothing.
 "$BIN" "${args[@]}" --store-dir "$dir/store" \
     --metrics-out "$dir/metrics.json" > "$dir/warm.csv"
 cmp "$dir/reference.csv" "$dir/warm.csv"
 python3 - "$dir/metrics.json" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
-assert c["store.misses"] == 0, f"warm run re-simulated tiles: {c['store.misses']}"
-assert c["store.hits"] == c["store.lookups"] > 0, (c["store.hits"], c["store.lookups"])
+assert c["checkpoint.hits"] == c["runner.units_planned"] > 0, c
+assert c["runner.units_executed"] == 0, f"warm run executed units: {c}"
+assert c["cache.misses"] == 0, f"units escaped the store: {c}"
+assert c.get("store.lookups", 0) == 0, f"warm run looked tiles up: {c}"
 EOF
-echo "store kill-and-warm-resume smoke OK ($(ls "$dir/store" | wc -l) shard file(s))"
+echo "store kill-and-warm-resume smoke OK ($(ls "$dir/store" | wc -l) file(s))"

@@ -1,15 +1,16 @@
-//! Durability guarantees of the persistent tile store: a store directory
-//! is an optimization, never a source of truth. Whatever is on disk —
-//! misplaced records, foreign versions, truncated shards, binary garbage,
-//! files deleted out from under a warm run — the simulator must produce
-//! the same bytes it would have produced with no store at all, recovering
-//! by re-simulation and ticking `store.errors`, never by panicking and
-//! never by serving a damaged record.
+//! Durability guarantees of the persistent result store: a store
+//! directory is an optimization, never a source of truth. Whatever is on
+//! disk — misplaced records, foreign versions, truncated shards or unit
+//! records, binary garbage, files deleted out from under a warm run — the
+//! simulator must produce the same bytes it would have produced with no
+//! store at all, recovering by re-simulation and ticking `store.errors`
+//! or `checkpoint.errors`, never by panicking and never by serving a
+//! damaged record.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::store::{self, DiskTier, TileKey, TileOutcome};
 use eureka_sim::{arch, runner, Runner, SimConfig, SimJob};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The tile store, unit cache and metrics registry are process-global;
@@ -29,17 +30,30 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn shard_files(dir: &PathBuf) -> Vec<PathBuf> {
+/// The `*.<ext>` files in `dir`, sorted.
+fn files_with(dir: &Path, ext: &str) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(Result::ok)
                 .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == "tiles"))
+                .filter(|p| p.extension().is_some_and(|e| e == ext))
                 .collect()
         })
         .unwrap_or_default();
     files.sort();
     files
+}
+
+fn shard_files(dir: &Path) -> Vec<PathBuf> {
+    files_with(dir, "tiles")
+}
+
+/// Deletes the whole-unit records, so the next run re-executes every
+/// unit and can only be served by the tile shards.
+fn drop_unit_records(dir: &Path) {
+    for file in files_with(dir, "units") {
+        std::fs::remove_file(file).unwrap();
+    }
 }
 
 /// Misplaced records (a key whose hash does not belong in the shard file
@@ -139,8 +153,10 @@ fn corrupt_shards_recover_by_resimulation() {
     // ignore (only `*.tiles` paths are ever read).
     std::fs::write(dir.join("00.tmp-99999-0"), "partial write").unwrap();
 
-    // Cold-start the process state so the warm run can only see disk.
+    // Cold-start the process state so the warm run can only see the
+    // tile shards on disk.
     runner::cache_reset();
+    drop_unit_records(&dir);
     let before = errors();
     let warm = Runner::serial()
         .with_store_dir(&dir)
@@ -187,6 +203,7 @@ fn killed_run_store_warm_resumes_and_heals() {
     std::fs::remove_file(&files[0]).unwrap();
 
     runner::cache_reset();
+    drop_unit_records(&dir);
     let warm = Runner::serial()
         .with_store_dir(&dir)
         .run(&job)
@@ -203,6 +220,7 @@ fn killed_run_store_warm_resumes_and_heals() {
 
     // Third run: the healed store now serves every tile.
     runner::cache_reset();
+    drop_unit_records(&dir);
     let healed = Runner::serial()
         .with_store_dir(&dir)
         .run(&job)
@@ -212,4 +230,105 @@ fn killed_run_store_warm_resumes_and_heals() {
     assert_eq!(misses, 0, "a healed store has no holes");
     assert_eq!(hits, lookups, "every lookup is served from the store");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store directory also holds a record of every computed unit, batched
+/// into one `.units` file per run: a warm run replays every unit from
+/// them without sampling or looking up a single tile, and a damaged
+/// record costs exactly that unit's recomputation, which rewrites it.
+#[test]
+fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
+    let _x = exclusive();
+    let dir = fresh_dir("units");
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = SimConfig {
+        rowgroup_samples: 20, // distinctive: this test owns its entries
+        ..SimConfig::paper_default()
+    };
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let layers = w.layer_count() as u64;
+    let run = || {
+        Runner::serial()
+            .with_store_dir(&dir)
+            .run(&job)
+            .expect("supported")
+    };
+
+    runner::cache_reset();
+    let cold = run();
+    let batches = files_with(&dir, "units");
+    assert_eq!(batches.len(), 1, "one batch of records per run");
+    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+
+    runner::cache_reset();
+    let warm = run();
+    assert_eq!(cold, warm, "unit replay must be bit-identical");
+    assert_eq!(runner::checkpoint_stats(), (layers, 0, 0));
+    assert_eq!(store::store_stats().0, 0, "no tile is looked up");
+    assert_eq!(files_with(&dir, "units"), batches, "nothing new to write");
+
+    // Truncate the last record: only its unit recomputes, and the run
+    // writes its record back.
+    let intact = std::fs::read(&batches[0]).unwrap();
+    std::fs::write(&batches[0], &intact[..intact.len() - 10]).unwrap();
+    runner::cache_reset();
+    let healed = run();
+    assert_eq!(cold, healed, "damage costs time, never correctness");
+    assert_eq!(runner::checkpoint_stats(), (layers - 1, 1, 1));
+    assert_eq!(
+        files_with(&dir, "units").len(),
+        2,
+        "the record is rewritten"
+    );
+
+    // The rewritten record serves the next run; the damaged tail still
+    // counts as an error until its file is deleted.
+    runner::cache_reset();
+    assert_eq!(cold, run());
+    assert_eq!(runner::checkpoint_stats(), (layers, 0, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An explicit checkpoint directory takes the unit records over from the
+/// store directory, with its own resume setting, in either builder order.
+#[test]
+fn explicit_checkpoint_dir_keeps_precedence_over_store_dir() {
+    let _x = exclusive();
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
+    let cfg = SimConfig {
+        rowgroup_samples: 21, // distinctive: this test owns its entries
+        ..SimConfig::paper_default()
+    };
+    let a = arch::by_name("eureka-p2").expect("registered");
+    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let layers = w.layer_count();
+    let (dir, other) = (fresh_dir("precedence-store"), fresh_dir("precedence-ckpt"));
+
+    runner::cache_reset();
+    let cold = Runner::serial()
+        .with_store_dir(&dir)
+        .with_checkpoint(&other, false)
+        .run(&job)
+        .expect("supported");
+    assert_eq!(files_with(&other, "unit").len(), layers, "per-unit layout");
+    assert!(
+        files_with(&dir, "units").is_empty(),
+        "no records in the store"
+    );
+    assert!(!shard_files(&dir).is_empty(), "tiles still go to the store");
+
+    // Resume off: the records are written, never read back.
+    runner::cache_reset();
+    let rerun = Runner::serial()
+        .with_checkpoint(&other, false)
+        .with_store_dir(&dir)
+        .run(&job)
+        .expect("supported");
+    assert_eq!(cold, rerun);
+    let (hits, writes, _) = runner::checkpoint_stats();
+    assert_eq!((hits, writes), (0, layers as u64));
+    assert!(files_with(&dir, "units").is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&other);
 }
