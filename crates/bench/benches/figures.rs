@@ -5,7 +5,7 @@
 //! fast; the `src/bin/*` binaries run the paper-scale configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eureka_sim::SimConfig;
+use eureka_sim::{Runner, SimConfig};
 use std::hint::black_box;
 
 /// Reduced-sampling configuration for benchmarking the harness itself.
@@ -39,53 +39,58 @@ fn bench_fig09(c: &mut Criterion) {
 
 fn bench_fig11(c: &mut Criterion) {
     let cfg = bench_cfg();
+    let runner = Runner::parallel();
     let mut group = c.benchmark_group("fig11_performance");
     group.sample_size(10);
     group.bench_function("all_archs_all_benchmarks", |b| {
-        b.iter(|| black_box(eureka_bench::figure11(&cfg)));
+        b.iter(|| black_box(eureka_bench::figure11(&runner, &cfg)));
     });
     group.finish();
 }
 
 fn bench_fig12(c: &mut Criterion) {
     let cfg = bench_cfg();
+    let runner = Runner::parallel();
     let mut group = c.benchmark_group("fig12_isolation");
     group.sample_size(10);
     group.bench_function("technique_progression", |b| {
-        b.iter(|| black_box(eureka_bench::figure12(&cfg)));
+        b.iter(|| black_box(eureka_bench::figure12(&runner, &cfg)));
     });
     group.finish();
 }
 
 fn bench_fig13(c: &mut Criterion) {
     let cfg = bench_cfg();
+    let runner = Runner::parallel();
     let mut group = c.benchmark_group("fig13_energy");
     group.sample_size(10);
     group.bench_function("all_archs_all_benchmarks", |b| {
-        b.iter(|| black_box(eureka_bench::figure13(&cfg)));
+        b.iter(|| black_box(eureka_bench::figure13(&runner, &cfg)));
     });
     group.finish();
 }
 
 fn bench_fig14(c: &mut Criterion) {
     let cfg = bench_cfg();
+    let runner = Runner::parallel();
     let mut group = c.benchmark_group("fig14_array_size");
     group.sample_size(10);
     group.bench_function("five_geometries", |b| {
-        b.iter(|| black_box(eureka_bench::figure14(&cfg)));
+        b.iter(|| black_box(eureka_bench::figure14(&runner, &cfg)));
     });
     group.finish();
 }
 
 fn bench_ablations(c: &mut Criterion) {
     let cfg = bench_cfg();
+    let runner = Runner::parallel();
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
     group.bench_function("reach_sweep", |b| {
-        b.iter(|| black_box(eureka_bench::ablations::reach_sweep(&cfg)));
+        b.iter(|| black_box(eureka_bench::ablations::reach_sweep(&runner, &cfg)));
     });
     group.bench_function("compaction_sweep", |b| {
-        b.iter(|| black_box(eureka_bench::ablations::compaction_sweep(&cfg)));
+        b.iter(|| black_box(eureka_bench::ablations::compaction_sweep(&runner, &cfg)));
     });
     group.finish();
 }

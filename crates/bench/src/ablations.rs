@@ -27,6 +27,7 @@ fn probe_workloads() -> Vec<Workload> {
 }
 
 fn speedup_table(
+    runner: &Runner,
     title: &str,
     archs: Vec<(String, Box<dyn Architecture>)>,
     cfg_for: impl Fn(usize) -> SimConfig,
@@ -49,7 +50,7 @@ fn speedup_table(
             jobs.push(SimJob::new(a.as_ref(), w, cfg));
         }
     }
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     for w in &workloads {
         let cells = archs
             .iter()
@@ -73,7 +74,7 @@ fn speedup_table(
 /// Displacement-reach sweep: no displacement, single-step (SUDS), reach 2
 /// and reach 3 (the full-balance limit for 4-row tiles).
 #[must_use]
-pub fn reach_sweep(cfg: &SimConfig) -> FigTable {
+pub fn reach_sweep(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let archs: Vec<(String, Box<dyn Architecture>)> = vec![
         ("no disp".into(), Box::new(arch::eureka_no_suds_p4())),
         ("reach 1 (SUDS)".into(), Box::new(arch::eureka_p4())),
@@ -82,6 +83,7 @@ pub fn reach_sweep(cfg: &SimConfig) -> FigTable {
     ];
     let cfg = *cfg;
     speedup_table(
+        runner,
         "Ablation: displacement reach (speedup over Dense). Hardware cost grows \
          with reach: R return wires + an (R+2)-input adder per MAC.",
         archs,
@@ -91,7 +93,7 @@ pub fn reach_sweep(cfg: &SimConfig) -> FigTable {
 
 /// Systolic-scheduling look-ahead window sweep.
 #[must_use]
-pub fn window_sweep(cfg: &SimConfig) -> FigTable {
+pub fn window_sweep(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let windows = [1usize, 2, 4, 8];
     let archs: Vec<(String, Box<dyn Architecture>)> = windows
         .iter()
@@ -104,6 +106,7 @@ pub fn window_sweep(cfg: &SimConfig) -> FigTable {
         .collect();
     let base = *cfg;
     speedup_table(
+        runner,
         "Ablation: scheduling look-ahead window (speedup over Dense). Larger \
          windows raise register-file pressure (§3.3).",
         archs,
@@ -118,7 +121,7 @@ pub fn window_sweep(cfg: &SimConfig) -> FigTable {
 /// Compaction-factor sweep (P = 1 disables compaction; P = 16 saturates
 /// the 64-wide mask datapath at p = 4).
 #[must_use]
-pub fn compaction_sweep(cfg: &SimConfig) -> FigTable {
+pub fn compaction_sweep(runner: &Runner, cfg: &SimConfig) -> FigTable {
     use eureka_sim::arch::{OneSided, ScheduleMode, TileTimer};
     let factors = [1usize, 2, 4, 8, 16];
     let archs: Vec<(String, Box<dyn Architecture>)> = factors
@@ -137,6 +140,7 @@ pub fn compaction_sweep(cfg: &SimConfig) -> FigTable {
         .collect();
     let cfg = *cfg;
     speedup_table(
+        runner,
         "Ablation: compaction factor (speedup over Dense). Metadata grows \
          log2(4P)+1 bits per value; the operand mux grows 4P-to-1.",
         archs,
@@ -148,7 +152,7 @@ pub fn compaction_sweep(cfg: &SimConfig) -> FigTable {
 /// model parameter, not a hardware knob; shows how load imbalance drives
 /// every sparse scheme.
 #[must_use]
-pub fn sigma_sweep(cfg: &SimConfig) -> FigTable {
+pub fn sigma_sweep(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let sigmas = [0.0f64, 0.4, 0.8, 1.2];
     let archs: Vec<(String, Box<dyn Architecture>)> = sigmas
         .iter()
@@ -161,6 +165,7 @@ pub fn sigma_sweep(cfg: &SimConfig) -> FigTable {
         .collect();
     let base = *cfg;
     speedup_table(
+        runner,
         "Ablation: filter-row density heterogeneity (Eureka P=4 speedup over \
          Dense). More heterogeneous rows are harder to balance.",
         archs,
@@ -176,7 +181,7 @@ pub fn sigma_sweep(cfg: &SimConfig) -> FigTable {
 /// reproduction's only fitted baseline parameter; this table shows how
 /// the SparTen bars move with it (the Eureka results are untouched).
 #[must_use]
-pub fn sparten_calibration(cfg: &SimConfig) -> FigTable {
+pub fn sparten_calibration(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let mins = [2.0f64, 3.0, 4.0, 6.0];
     let mut table = FigTable {
         title: "Calibration: SparTen speedup over Dense vs its chunk-refill floor \
@@ -206,7 +211,7 @@ pub fn sparten_calibration(cfg: &SimConfig) -> FigTable {
         jobs.push(SimJob::new(&dense, w, *cfg));
         jobs.push(SimJob::new(&eureka, w, *cfg));
     }
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     let mut next = || {
         results
             .next()
@@ -236,7 +241,7 @@ pub fn sparten_calibration(cfg: &SimConfig) -> FigTable {
 /// `pixels·batch`), so per-input throughput grows with batch until the
 /// device saturates.
 #[must_use]
-pub fn batch_sweep(cfg: &SimConfig) -> FigTable {
+pub fn batch_sweep(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let batches = [1usize, 4, 16, 32, 64];
     let mut table = FigTable {
         title: "Sweep: Eureka P=4 throughput (inputs/s at 1 GHz) vs batch size".to_string(),
@@ -257,7 +262,7 @@ pub fn batch_sweep(cfg: &SimConfig) -> FigTable {
         .iter()
         .map(|w| SimJob::new(&eureka, w, *cfg))
         .collect();
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     for bench in benches {
         let cells = batches
             .iter()
@@ -279,7 +284,7 @@ pub fn batch_sweep(cfg: &SimConfig) -> FigTable {
 /// commercial tools and pipelining close the gap. This table shows the
 /// speedup with and without charging the 11% slower clock.
 #[must_use]
-pub fn clock_penalty(cfg: &SimConfig) -> FigTable {
+pub fn clock_penalty(runner: &Runner, cfg: &SimConfig) -> FigTable {
     use eureka_energy::components::{AMPERE_DELAY_NS, EUREKA_DELAY_NS};
     let penalty = EUREKA_DELAY_NS / AMPERE_DELAY_NS;
     let mut table = FigTable {
@@ -298,7 +303,7 @@ pub fn clock_penalty(cfg: &SimConfig) -> FigTable {
         .iter()
         .flat_map(|w| [SimJob::new(&dense, w, *cfg), SimJob::new(&eureka, w, *cfg)])
         .collect();
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     for w in &workloads {
         let d = results.next().expect("dense job").expect("Dense runs");
         let e = results.next().expect("eureka job").expect("Eureka runs");
@@ -315,7 +320,7 @@ pub fn clock_penalty(cfg: &SimConfig) -> FigTable {
 /// clock gating. Energy normalized to Dense; timing is identical to
 /// Eureka P=4 by construction.
 #[must_use]
-pub fn two_sided_energy(cfg: &SimConfig) -> FigTable {
+pub fn two_sided_energy(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let model = calibrate::calibrated_model(cfg);
     let archs: Vec<(String, Box<dyn Architecture>)> = vec![
         ("Eureka P=4".into(), Box::new(arch::eureka_p4())),
@@ -338,7 +343,7 @@ pub fn two_sided_energy(cfg: &SimConfig) -> FigTable {
             jobs.push(SimJob::new(a.as_ref(), w, *cfg));
         }
     }
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     for w in &workloads {
         let dense_r = results.next().expect("dense job").expect("Dense runs");
         let dense_e = model.energy(&dense_r, cfg);
@@ -375,7 +380,7 @@ mod tests {
 
     #[test]
     fn reach_has_diminishing_returns() {
-        let t = reach_sweep(&cfg());
+        let t = reach_sweep(&Runner::parallel(), &cfg());
         let row = "ResNet50 (mod)";
         let none = t.value(row, "no disp").unwrap();
         let r1 = t.value(row, "reach 1 (SUDS)").unwrap();
@@ -392,7 +397,7 @@ mod tests {
 
     #[test]
     fn compaction_grows_then_saturates() {
-        let t = compaction_sweep(&cfg());
+        let t = compaction_sweep(&Runner::parallel(), &cfg());
         let row = "ResNet50 (mod)";
         let p1 = t.value(row, "P=1").unwrap();
         let p4 = t.value(row, "P=4").unwrap();
@@ -404,7 +409,7 @@ mod tests {
 
     #[test]
     fn sigma_hurts_balance() {
-        let t = sigma_sweep(&cfg());
+        let t = sigma_sweep(&Runner::parallel(), &cfg());
         let row = "ResNet50 (mod)";
         let s0 = t.value(row, "sigma 0").unwrap();
         let s12 = t.value(row, "sigma 1.2").unwrap();
@@ -413,7 +418,7 @@ mod tests {
 
     #[test]
     fn sparten_calibration_is_monotone() {
-        let t = sparten_calibration(&cfg());
+        let t = sparten_calibration(&Runner::parallel(), &cfg());
         let row = "ResNet50 (mod)";
         let vals: Vec<f64> = ["min=2", "min=3", "min=4", "min=6"]
             .iter()
@@ -433,7 +438,7 @@ mod tests {
 
     #[test]
     fn batch_amortizes_throughput() {
-        let t = batch_sweep(&cfg());
+        let t = batch_sweep(&Runner::parallel(), &cfg());
         let b1 = t.value("ResNet50 (mod)", "batch 1").unwrap();
         let b32 = t.value("ResNet50 (mod)", "batch 32").unwrap();
         assert!(b32 > b1, "batch 32 {b32} vs batch 1 {b1}");
@@ -441,7 +446,7 @@ mod tests {
 
     #[test]
     fn clock_penalty_scales_speedup() {
-        let t = clock_penalty(&cfg());
+        let t = clock_penalty(&Runner::parallel(), &cfg());
         let iso = t.value("ResNet50 (mod)", "iso-clock").unwrap();
         let pen = t.value("ResNet50 (mod)", "with delay penalty").unwrap();
         assert!((pen / iso - 1.66 / 1.84).abs() < 1e-9);
@@ -449,7 +454,7 @@ mod tests {
 
     #[test]
     fn gating_helps_cnn_not_bert() {
-        let t = two_sided_energy(&cfg());
+        let t = two_sided_energy(&Runner::parallel(), &cfg());
         let cnn_base = t.value("ResNet50 (mod)", "Eureka P=4").unwrap();
         let cnn_gated = t.value("ResNet50 (mod)", "+act gating").unwrap();
         assert!(cnn_gated < cnn_base);

@@ -1,16 +1,17 @@
 //! Runs the design-choice ablations (see `eureka_bench::ablations`).
 
 use eureka_bench::ablations;
-use eureka_sim::SimConfig;
+use eureka_sim::{Runner, SimConfig};
 
 fn main() {
     let cfg = SimConfig::paper_default();
-    println!("{}", ablations::reach_sweep(&cfg).render());
-    println!("{}", ablations::window_sweep(&cfg).render());
-    println!("{}", ablations::compaction_sweep(&cfg).render());
-    println!("{}", ablations::sigma_sweep(&cfg).render());
-    println!("{}", ablations::two_sided_energy(&cfg).render());
-    println!("{}", ablations::clock_penalty(&cfg).render());
-    println!("{}", ablations::sparten_calibration(&cfg).render());
-    println!("{}", ablations::batch_sweep(&cfg).render());
+    let runner = Runner::parallel();
+    println!("{}", ablations::reach_sweep(&runner, &cfg).render());
+    println!("{}", ablations::window_sweep(&runner, &cfg).render());
+    println!("{}", ablations::compaction_sweep(&runner, &cfg).render());
+    println!("{}", ablations::sigma_sweep(&runner, &cfg).render());
+    println!("{}", ablations::two_sided_energy(&runner, &cfg).render());
+    println!("{}", ablations::clock_penalty(&runner, &cfg).render());
+    println!("{}", ablations::sparten_calibration(&runner, &cfg).render());
+    println!("{}", ablations::batch_sweep(&runner, &cfg).render());
 }

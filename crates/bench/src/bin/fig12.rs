@@ -2,11 +2,12 @@
 //!
 //! Pass `--csv` for machine-readable output.
 
-use eureka_sim::SimConfig;
+use eureka_sim::{Runner, SimConfig};
 
 fn main() {
     let cfg = SimConfig::paper_default();
-    let table = eureka_bench::figure12(&cfg);
+    let runner = Runner::parallel();
+    let table = eureka_bench::figure12(&runner, &cfg);
     if std::env::args().any(|a| a == "--csv") {
         print!("{}", table.to_csv());
     } else {

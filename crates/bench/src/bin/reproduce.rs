@@ -6,7 +6,7 @@
 //! ```
 
 use eureka_bench::{ablations, figure11, figure12, figure13, figure14, figure9, table1, table2};
-use eureka_sim::SimConfig;
+use eureka_sim::{Runner, SimConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -16,6 +16,7 @@ fn main() -> std::io::Result<()> {
         .map_or_else(|| PathBuf::from("results"), PathBuf::from);
     fs::create_dir_all(&out_dir)?;
     let cfg = SimConfig::paper_default();
+    let runner = Runner::parallel();
 
     let write = |name: &str, text: &str| -> std::io::Result<()> {
         fs::write(out_dir.join(name), text)?;
@@ -30,36 +31,36 @@ fn main() -> std::io::Result<()> {
     write("fig09.txt", &fig9.render())?;
     write("fig09.csv", &fig9.to_csv())?;
 
-    let fig11 = figure11(&cfg);
+    let fig11 = figure11(&runner, &cfg);
     write("fig11.txt", &fig11.render())?;
     write("fig11.csv", &fig11.to_csv())?;
     write("fig11.svg", &eureka_bench::svg::to_svg(&fig11))?;
 
-    let fig12 = figure12(&cfg);
+    let fig12 = figure12(&runner, &cfg);
     write("fig12.txt", &fig12.render())?;
     write("fig12.csv", &fig12.to_csv())?;
     write("fig12.svg", &eureka_bench::svg::to_svg(&fig12))?;
 
-    let fig13 = figure13(&cfg);
+    let fig13 = figure13(&runner, &cfg);
     write("fig13.txt", &fig13.render())?;
     write("fig13.csv", &fig13.to_csv())?;
     write("fig13.svg", &eureka_bench::svg::to_svg(&fig13))?;
 
-    let fig14 = figure14(&cfg);
+    let fig14 = figure14(&runner, &cfg);
     write("fig14.txt", &fig14.render())?;
     write("fig14.csv", &fig14.to_csv())?;
     write("fig14.svg", &eureka_bench::svg::to_svg(&fig14))?;
 
     let mut abl = String::new();
     for t in [
-        ablations::reach_sweep(&cfg),
-        ablations::window_sweep(&cfg),
-        ablations::compaction_sweep(&cfg),
-        ablations::sigma_sweep(&cfg),
-        ablations::two_sided_energy(&cfg),
-        ablations::clock_penalty(&cfg),
-        ablations::sparten_calibration(&cfg),
-        ablations::batch_sweep(&cfg),
+        ablations::reach_sweep(&runner, &cfg),
+        ablations::window_sweep(&runner, &cfg),
+        ablations::compaction_sweep(&runner, &cfg),
+        ablations::sigma_sweep(&runner, &cfg),
+        ablations::two_sided_energy(&runner, &cfg),
+        ablations::clock_penalty(&runner, &cfg),
+        ablations::sparten_calibration(&runner, &cfg),
+        ablations::batch_sweep(&runner, &cfg),
     ] {
         abl.push_str(&t.render());
         abl.push('\n');

@@ -173,6 +173,7 @@ fn row_label(w: &Workload) -> String {
 /// to row cells. Architectures that cannot run a workload (S2TA on
 /// InceptionV3) yield `None` reports, matching the paper's blank cells.
 fn rows_over_grid<F>(
+    runner: &Runner,
     archs: &[Box<dyn Architecture>],
     cfg: &SimConfig,
     per_row: F,
@@ -189,7 +190,7 @@ where
             jobs.push(SimJob::new(a.as_ref(), w, *cfg));
         }
     }
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     grid.iter()
         .map(|w| {
             let dense_r = results
@@ -289,7 +290,7 @@ pub fn figure11_archs() -> Vec<Box<dyn Architecture>> {
 /// Figure 11: speedup over Dense for every architecture × benchmark ×
 /// pruning level, plus the mean and representative-mean rows.
 #[must_use]
-pub fn figure11(cfg: &SimConfig) -> FigTable {
+pub fn figure11(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let _span = eureka_obs::span!("bench.figure11");
     let archs = figure11_archs();
     let mut table = FigTable {
@@ -297,7 +298,7 @@ pub fn figure11(cfg: &SimConfig) -> FigTable {
         columns: archs.iter().map(|a| a.name().to_string()).collect(),
         rows: Vec::new(),
     };
-    table.rows = rows_over_grid(&archs, cfg, |_, dense, reports| {
+    table.rows = rows_over_grid(runner, &archs, cfg, |_, dense, reports| {
         reports
             .iter()
             .map(|r| r.as_ref().map(|r| engine::speedup(dense, r)))
@@ -324,7 +325,7 @@ pub fn figure12_archs() -> Vec<Box<dyn Architecture>> {
 /// Figure 12: isolating compaction, SUDS (greedy/optimal) and systolic
 /// scheduling; speedups over Dense.
 #[must_use]
-pub fn figure12(cfg: &SimConfig) -> FigTable {
+pub fn figure12(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let _span = eureka_obs::span!("bench.figure12");
     let archs = figure12_archs();
     let mut table = FigTable {
@@ -332,7 +333,7 @@ pub fn figure12(cfg: &SimConfig) -> FigTable {
         columns: archs.iter().map(|a| a.name().to_string()).collect(),
         rows: Vec::new(),
     };
-    table.rows = rows_over_grid(&archs, cfg, |_, dense, reports| {
+    table.rows = rows_over_grid(runner, &archs, cfg, |_, dense, reports| {
         reports
             .iter()
             .map(|r| r.as_ref().map(|r| engine::speedup(dense, r)))
@@ -346,7 +347,7 @@ pub fn figure12(cfg: &SimConfig) -> FigTable {
 /// including the unpruned *Dense Bench* row showing each scheme's
 /// sparsity-hardware overhead on dense models.
 #[must_use]
-pub fn figure13(cfg: &SimConfig) -> FigTable {
+pub fn figure13(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let _span = eureka_obs::span!("bench.figure13");
     let model = calibrate::calibrated_model(cfg);
     let archs = figure11_archs();
@@ -355,7 +356,7 @@ pub fn figure13(cfg: &SimConfig) -> FigTable {
         columns: archs.iter().map(|a| a.name().to_string()).collect(),
         rows: Vec::new(),
     };
-    table.rows = rows_over_grid(&archs, cfg, |_, dense, reports| {
+    table.rows = rows_over_grid(runner, &archs, cfg, |_, dense, reports| {
         let dense = model.energy(dense, cfg);
         reports
             .iter()
@@ -371,7 +372,9 @@ pub fn figure13(cfg: &SimConfig) -> FigTable {
     // Dense Bench: unpruned model, dense-mode timing, each scheme paying
     // for its sparsity hardware.
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Dense, 32);
-    let dense_r = engine::simulate(&arch::dense(), &w, cfg);
+    let dense_r = runner
+        .run(&SimJob::new(&arch::dense(), &w, *cfg))
+        .expect("invariant: Dense supports every workload");
     let base = model
         .dense_mode_energy(&dense_r, MacVariant::Dense, cfg)
         .total_pj();
@@ -449,7 +452,7 @@ pub fn table2() -> String {
 /// Figure 14: mean and representative-mean Eureka speedup over Dense
 /// across MAC-array geometries, at a constant device MAC budget.
 #[must_use]
-pub fn figure14(cfg: &SimConfig) -> FigTable {
+pub fn figure14(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let _span = eureka_obs::span!("bench.figure14");
     let variants = sweep::figure14_variants();
     let mut table = FigTable {
@@ -470,7 +473,7 @@ pub fn figure14(cfg: &SimConfig) -> FigTable {
             jobs.push(SimJob::new(a, w, c));
         }
     }
-    let mut results = Runner::default().run_all(&jobs).into_iter();
+    let mut results = runner.run_all(&jobs).into_iter();
     table.rows = grid
         .iter()
         .map(|w| {

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::{arch, engine, SimConfig};
+use eureka_sim::{arch, engine, RetryPolicy, Runner, SimConfig, SimJob};
 
 pub mod serve;
 
@@ -33,34 +33,10 @@ pub enum Command {
         name: String,
         /// Emit CSV instead of the text table.
         csv: bool,
-        /// Use reduced sampling.
-        fast: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
-        /// Write a Chrome-trace JSON of the run here.
-        trace_out: Option<String>,
-        /// Write a metrics-registry JSON snapshot here.
-        metrics_out: Option<String>,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
-        /// Extra attempts per failed work unit (0 = fail immediately).
-        retries: u32,
-        /// Persist completed unit results under this directory.
-        checkpoint_dir: Option<String>,
-        /// Replay completed units from `checkpoint_dir` before executing.
-        resume: bool,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
+        /// Runner and sampling settings.
+        run: RunOpts,
+        /// Telemetry, events, progress and ledger settings.
+        obs: ObsOpts,
     },
     /// Compile one layer's (synthetic) pruned weights to the offline
     /// format and report compression/cycle statistics.
@@ -89,42 +65,18 @@ pub enum Command {
         arch: String,
         /// Batch size.
         batch: usize,
-        /// Use reduced sampling.
-        fast: bool,
         /// Emit the per-layer CSV.
         csv: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
-        /// Write a Chrome-trace JSON of the run here.
-        trace_out: Option<String>,
-        /// Write a metrics-registry JSON snapshot here.
-        metrics_out: Option<String>,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
         /// Keep going past failed layers: emit the surviving layers plus
         /// a structured failure report instead of aborting.
         keep_going: bool,
         /// With `keep_going`, fail anyway once more than this many layers
         /// failed.
         max_failures: Option<u64>,
-        /// Extra attempts per failed work unit (0 = fail immediately).
-        retries: u32,
-        /// Persist completed unit results under this directory.
-        checkpoint_dir: Option<String>,
-        /// Replay completed units from `checkpoint_dir` before executing.
-        resume: bool,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
+        /// Runner and sampling settings.
+        run: RunOpts,
+        /// Telemetry, events, progress and ledger settings.
+        obs: ObsOpts,
     },
     /// Profile one workload on one architecture: cycle attribution
     /// (stall taxonomy, per-row heatmap, worst tiles, SUDS displacement)
@@ -138,10 +90,6 @@ pub enum Command {
         arch: String,
         /// Batch size.
         batch: usize,
-        /// Use reduced sampling.
-        fast: bool,
-        /// Simulation worker threads (`None` = all cores).
-        jobs: Option<usize>,
         /// Write the profile JSON here (`-` = stdout).
         json_out: Option<String>,
         /// Write the per-row utilization heatmap CSV here (`-` = stdout).
@@ -152,20 +100,11 @@ pub enum Command {
         bench_json: Option<String>,
         /// How many worst tiles to keep per layer.
         top_tiles: usize,
-        /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
-        verbose: u8,
-        /// Persist canonical tile results under this directory.
-        store_dir: Option<String>,
-        /// Disable the tile-result store (even the in-process hot tier).
-        no_store: bool,
-        /// Stream the run-event JSONL here (`-` = stdout).
-        events_out: Option<String>,
-        /// Progress-line policy (`None` = auto: on iff stderr is a tty).
-        progress: Option<bool>,
-        /// Append the run-ledger record under this directory.
-        ledger_dir: Option<String>,
-        /// Skip the run-ledger append entirely.
-        no_ledger: bool,
+        /// Runner and sampling settings (no retries or checkpoints).
+        run: RunOpts,
+        /// Events, progress and ledger settings (no run trace or
+        /// metrics export).
+        obs: ObsOpts,
     },
     /// List the recorded run-ledger trajectory.
     BenchList {
@@ -451,24 +390,262 @@ fn parse_benchmark(s: &str) -> Result<Benchmark, String> {
     }
 }
 
-fn parse_jobs(s: &str) -> Result<usize, String> {
-    let n: usize = s.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-    if n == 0 {
-        return Err("--jobs must be positive".into());
-    }
-    Ok(n)
-}
-
-fn parse_retries(s: &str) -> Result<u32, String> {
-    s.parse().map_err(|e| format!("bad --retries: {e}"))
-}
-
 fn parse_pruning(s: &str) -> Result<PruningLevel, String> {
     match s.to_ascii_lowercase().as_str() {
         "dense" => Ok(PruningLevel::Dense),
         "cons" | "conservative" => Ok(PruningLevel::Conservative),
         "mod" | "moderate" => Ok(PruningLevel::Moderate),
         other => Err(format!("unknown pruning level '{other}'")),
+    }
+}
+
+/// The arguments after a command word, consumed left to right.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl Args<'_> {
+    /// The argument following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The argument following `flag`, parsed as a `T`.
+    fn parsed<T>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?
+            .parse()
+            .map_err(|e| format!("bad {flag}: {e}"))
+    }
+
+    /// A `--jobs` worker count: a positive integer.
+    fn jobs(&mut self) -> Result<usize, String> {
+        match self.parsed("--jobs")? {
+            0 => Err("--jobs must be positive".into()),
+            n => Ok(n),
+        }
+    }
+}
+
+/// Feeds every argument of `args` to `handle`, which consumes any value
+/// the flag takes and returns `Ok(false)` for a flag `cmd` does not know.
+fn each_flag(
+    args: &[String],
+    cmd: &str,
+    mut handle: impl FnMut(&str, &mut Args<'_>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut rest = Args(args.iter());
+    while let Some(flag) = rest.0.next() {
+        if !handle(flag, &mut rest)? {
+            return Err(format!("unknown flag '{flag}' for {cmd}"));
+        }
+    }
+    Ok(())
+}
+
+/// The run settings `figure`, `simulate` and `profile` share. They build
+/// the command's one [`Runner`], which every simulation of the command
+/// runs on, and its [`SimConfig`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RunOpts {
+    /// Use reduced sampling.
+    pub fast: bool,
+    /// Simulation worker threads (`None` = all cores).
+    pub jobs: Option<usize>,
+    /// Extra attempts per failed work unit (0 = fail immediately).
+    pub retries: u32,
+    /// Persist completed unit results under this directory.
+    pub checkpoint_dir: Option<String>,
+    /// Replay completed units from `checkpoint_dir` before executing.
+    pub resume: bool,
+    /// Persist unit records and canonical tile results under this
+    /// directory.
+    pub store_dir: Option<String>,
+    /// Disable the tile-result store (even the in-process hot tier).
+    pub no_store: bool,
+}
+
+impl RunOpts {
+    /// The simulator configuration: paper sampling, or reduced sampling
+    /// with `--fast`.
+    #[must_use]
+    fn sim_config(&self) -> SimConfig {
+        if self.fast {
+            SimConfig::fast()
+        } else {
+            SimConfig::paper_default()
+        }
+    }
+
+    /// The command's runner: `--jobs` workers (default all cores),
+    /// `--retries` extra attempts per unit, and the checkpoint and store
+    /// directories.
+    #[must_use]
+    fn runner(&self) -> Runner {
+        let mut runner = self
+            .jobs
+            .map_or_else(Runner::parallel, Runner::with_jobs)
+            .with_retry(RetryPolicy::transient(self.retries.saturating_add(1)));
+        if let Some(dir) = &self.checkpoint_dir {
+            runner = runner.with_checkpoint(dir, self.resume);
+        }
+        if self.no_store {
+            runner.without_store()
+        } else if let Some(dir) = &self.store_dir {
+            runner.with_store_dir(dir)
+        } else {
+            runner
+        }
+    }
+}
+
+/// The observability settings `figure`, `simulate` and `profile` share.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ObsOpts {
+    /// Diagnostic verbosity (0, 1 = `-v`, 2 = `-vv`).
+    pub verbose: u8,
+    /// Stream the run-event JSONL here (`-` = stdout).
+    pub events_out: Option<String>,
+    /// Progress-line policy (`None` = auto: on iff stderr is a tty).
+    pub progress: Option<bool>,
+    /// Append the run-ledger record under this directory.
+    pub ledger_dir: Option<String>,
+    /// Skip the run-ledger append entirely.
+    pub no_ledger: bool,
+    /// Write a Chrome-trace JSON of the run here (`figure`, `simulate`).
+    pub trace_out: Option<String>,
+    /// Write a metrics-registry JSON snapshot here (`figure`,
+    /// `simulate`).
+    pub metrics_out: Option<String>,
+}
+
+impl ObsOpts {
+    /// Whether the event stream claims stdout, which suppresses the
+    /// human report.
+    fn events_to_stdout(&self) -> bool {
+        self.events_out.as_deref() == Some("-")
+    }
+}
+
+/// The shared flag groups of `figure`, `simulate` and `profile`, parsed
+/// by one handler with one copy of each conflict rule.
+struct SharedFlags {
+    run: RunOpts,
+    obs: ObsOpts,
+    /// Whether the command also takes `--retries`, `--checkpoint-dir`,
+    /// `--resume`, `--trace-out` and `--metrics-out` (`figure` and
+    /// `simulate`; `profile` has an export of its own named
+    /// `--trace-out`).
+    full: bool,
+}
+
+impl SharedFlags {
+    fn new(full: bool) -> Self {
+        SharedFlags {
+            run: RunOpts::default(),
+            obs: ObsOpts::default(),
+            full,
+        }
+    }
+
+    /// Parses `flag` if it belongs to a shared group; `Ok(false)` if not.
+    fn flag(&mut self, flag: &str, args: &mut Args<'_>) -> Result<bool, String> {
+        let (run, obs) = (&mut self.run, &mut self.obs);
+        match flag {
+            "--fast" => run.fast = true,
+            "--jobs" => run.jobs = Some(args.jobs()?),
+            "--store-dir" => run.store_dir = Some(args.value(flag)?),
+            "--no-store" => run.no_store = true,
+            "-v" | "--verbose" => obs.verbose = obs.verbose.saturating_add(1),
+            "-vv" => obs.verbose = obs.verbose.saturating_add(2),
+            "--events-out" => obs.events_out = Some(args.value(flag)?),
+            "--progress" => obs.progress = Some(true),
+            "--no-progress" => obs.progress = Some(false),
+            "--ledger-dir" => obs.ledger_dir = Some(args.value(flag)?),
+            "--no-ledger" => obs.no_ledger = true,
+            "--retries" if self.full => run.retries = args.parsed(flag)?,
+            "--checkpoint-dir" if self.full => run.checkpoint_dir = Some(args.value(flag)?),
+            "--resume" if self.full => run.resume = true,
+            "--trace-out" if self.full => obs.trace_out = Some(args.value(flag)?),
+            "--metrics-out" if self.full => obs.metrics_out = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks the conflict rules; `csv` is whether the command's report
+    /// claims stdout as CSV.
+    fn finish(self, csv: bool) -> Result<(RunOpts, ObsOpts), String> {
+        if self.run.resume && self.run.checkpoint_dir.is_none() {
+            return Err("--resume requires --checkpoint-dir".into());
+        }
+        if self.run.no_store && self.run.store_dir.is_some() {
+            return Err("--no-store conflicts with --store-dir".into());
+        }
+        if self.obs.no_ledger && self.obs.ledger_dir.is_some() {
+            return Err("--no-ledger conflicts with --ledger-dir".into());
+        }
+        if csv && self.obs.events_to_stdout() {
+            return Err("--events-out - conflicts with --csv (both claim stdout)".into());
+        }
+        Ok((self.run, self.obs))
+    }
+}
+
+/// The workload flags of `simulate`, `profile` and `submit`.
+struct WorkloadFlags {
+    benchmark: Option<Benchmark>,
+    pruning: PruningLevel,
+    arch: String,
+    batch: usize,
+}
+
+impl WorkloadFlags {
+    fn new() -> Self {
+        WorkloadFlags {
+            benchmark: None,
+            pruning: PruningLevel::Moderate,
+            arch: "eureka-p4".to_string(),
+            batch: 32,
+        }
+    }
+
+    /// Parses `flag` if it is a workload flag; `Ok(false)` if not.
+    fn flag(&mut self, flag: &str, args: &mut Args<'_>) -> Result<bool, String> {
+        match flag {
+            "--benchmark" => self.benchmark = Some(parse_benchmark(&args.value(flag)?)?),
+            "--pruning" => self.pruning = parse_pruning(&args.value(flag)?)?,
+            "--arch" => self.arch = args.value(flag)?,
+            "--batch" => self.batch = args.parsed(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The benchmark, which `cmd` requires.
+    fn benchmark(&self, cmd: &str) -> Result<Benchmark, String> {
+        self.benchmark
+            .ok_or_else(|| format!("{cmd} requires --benchmark"))
+    }
+
+    /// Checks what `simulate` and `profile` require: a benchmark, a
+    /// registry architecture and a positive batch.
+    fn check(&self, cmd: &str) -> Result<Benchmark, String> {
+        let benchmark = self.benchmark(cmd)?;
+        if arch::by_name(&self.arch).is_none() {
+            return Err(format!(
+                "unknown architecture '{}'; run `eureka archs`",
+                self.arch
+            ));
+        }
+        if self.batch == 0 {
+            return Err("--batch must be positive".into());
+        }
+        Ok(benchmark)
     }
 }
 
@@ -512,101 +689,35 @@ where
                 ));
             }
             let mut csv = false;
-            let mut fast = false;
-            let mut jobs = None;
-            let mut trace_out = None;
-            let mut metrics_out = None;
-            let mut verbose = 0u8;
-            let mut retries = 0u32;
-            let mut checkpoint_dir = None;
-            let mut resume = false;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--csv" => csv = true,
-                    "--fast" => fast = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--resume" => resume = true,
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for figure")),
+            let mut shared = SharedFlags::new(true);
+            each_flag(&args[2..], "figure", |flag, rest| match flag {
+                "--csv" => {
+                    csv = true;
+                    Ok(true)
                 }
-            }
-            if resume && checkpoint_dir.is_none() {
-                return Err("--resume requires --checkpoint-dir".into());
-            }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
-            if csv && events_out.as_deref() == Some("-") {
-                return Err("--events-out - conflicts with --csv (both claim stdout)".into());
-            }
+                _ => shared.flag(flag, rest),
+            })?;
+            let (run, obs) = shared.finish(csv)?;
             Ok(Command::Figure {
                 name,
                 csv,
-                fast,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
+                run,
+                obs,
             })
         }
         "compile" => {
             let mut benchmark = None;
             let mut layer = None;
             let mut factor = 4usize;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--layer" => layer = Some(value("--layer")?),
-                    "--factor" => {
-                        factor = value("--factor")?
-                            .parse()
-                            .map_err(|e| format!("bad --factor: {e}"))?;
-                    }
-                    other => return Err(format!("unknown flag '{other}' for compile")),
+            each_flag(&args[1..], "compile", |flag, rest| {
+                match flag {
+                    "--benchmark" => benchmark = Some(parse_benchmark(&rest.value(flag)?)?),
+                    "--layer" => layer = Some(rest.value(flag)?),
+                    "--factor" => factor = rest.parsed(flag)?,
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             if !(1..=16).contains(&factor) {
                 return Err("--factor must be in 1..=16".into());
             }
@@ -619,211 +730,77 @@ where
         "trace" => {
             let mut benchmark = None;
             let mut layer = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--layer" => layer = Some(value("--layer")?),
-                    other => return Err(format!("unknown flag '{other}' for trace")),
+            each_flag(&args[1..], "trace", |flag, rest| {
+                match flag {
+                    "--benchmark" => benchmark = Some(parse_benchmark(&rest.value(flag)?)?),
+                    "--layer" => layer = Some(rest.value(flag)?),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Trace {
                 benchmark: benchmark.ok_or("trace requires --benchmark")?,
                 layer: layer.ok_or("trace requires --layer")?,
             })
         }
         "simulate" => {
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
-            let mut fast = false;
+            let mut workload = WorkloadFlags::new();
             let mut csv = false;
-            let mut jobs = None;
-            let mut trace_out = None;
-            let mut metrics_out = None;
-            let mut verbose = 0u8;
             let mut keep_going = false;
-            let mut max_failures = None;
-            let mut retries = 0u32;
-            let mut checkpoint_dir = None;
-            let mut resume = false;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--fast" => fast = true,
+            let mut max_failures: Option<u64> = None;
+            let mut shared = SharedFlags::new(true);
+            each_flag(&args[1..], "simulate", |flag, rest| {
+                match flag {
                     "--csv" => csv = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
                     "--keep-going" => keep_going = true,
-                    "--max-failures" => {
-                        max_failures = Some(
-                            value("--max-failures")?
-                                .parse()
-                                .map_err(|e| format!("bad --max-failures: {e}"))?,
-                        );
-                    }
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--resume" => resume = true,
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for simulate")),
+                    "--max-failures" => max_failures = Some(rest.parsed(flag)?),
+                    _ => return Ok(workload.flag(flag, rest)? || shared.flag(flag, rest)?),
                 }
-            }
-            let benchmark = benchmark.ok_or("simulate requires --benchmark")?;
-            if arch::by_name(&arch_name).is_none() {
-                return Err(format!(
-                    "unknown architecture '{arch_name}'; run `eureka archs`"
-                ));
-            }
-            if batch == 0 {
-                return Err("--batch must be positive".into());
-            }
+                Ok(true)
+            })?;
+            let benchmark = workload.check("simulate")?;
             if max_failures.is_some() && !keep_going {
                 return Err("--max-failures requires --keep-going".into());
             }
-            if resume && checkpoint_dir.is_none() {
-                return Err("--resume requires --checkpoint-dir".into());
-            }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
-            if csv && events_out.as_deref() == Some("-") {
-                return Err("--events-out - conflicts with --csv (both claim stdout)".into());
-            }
+            let (run, obs) = shared.finish(csv)?;
             Ok(Command::Simulate {
                 benchmark,
-                pruning,
-                arch: arch_name,
-                batch,
-                fast,
+                pruning: workload.pruning,
+                arch: workload.arch,
+                batch: workload.batch,
                 csv,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
                 keep_going,
                 max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
+                run,
+                obs,
             })
         }
         "profile" => {
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
-            let mut fast = false;
-            let mut jobs = None;
+            let mut workload = WorkloadFlags::new();
             let mut json_out = None;
             let mut heatmap_out = None;
             let mut trace_out = None;
             let mut bench_json = None;
             let mut top_tiles = 5usize;
-            let mut verbose = 0u8;
-            let mut store_dir = None;
-            let mut no_store = false;
-            let mut events_out = None;
-            let mut progress = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--fast" => fast = true,
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--json" => json_out = Some(value("--json")?),
-                    "--heatmap" => heatmap_out = Some(value("--heatmap")?),
-                    "--trace-out" => trace_out = Some(value("--trace-out")?),
-                    "--bench-json" => bench_json = Some(value("--bench-json")?),
-                    "--top-tiles" => {
-                        top_tiles = value("--top-tiles")?
-                            .parse()
-                            .map_err(|e| format!("bad --top-tiles: {e}"))?;
-                    }
-                    "-v" | "--verbose" => verbose = verbose.saturating_add(1),
-                    "-vv" => verbose = verbose.saturating_add(2),
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
-                    "--no-store" => no_store = true,
-                    "--events-out" => events_out = Some(value("--events-out")?),
-                    "--progress" => progress = Some(true),
-                    "--no-progress" => progress = Some(false),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                    "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for profile")),
+            let mut shared = SharedFlags::new(false);
+            each_flag(&args[1..], "profile", |flag, rest| {
+                match flag {
+                    "--json" => json_out = Some(rest.value(flag)?),
+                    "--heatmap" => heatmap_out = Some(rest.value(flag)?),
+                    "--trace-out" => trace_out = Some(rest.value(flag)?),
+                    "--bench-json" => bench_json = Some(rest.value(flag)?),
+                    "--top-tiles" => top_tiles = rest.parsed(flag)?,
+                    _ => return Ok(workload.flag(flag, rest)? || shared.flag(flag, rest)?),
                 }
-            }
-            let benchmark = benchmark.ok_or("profile requires --benchmark")?;
-            if arch::by_name(&arch_name).is_none() {
-                return Err(format!(
-                    "unknown architecture '{arch_name}'; run `eureka archs`"
-                ));
-            }
-            if batch == 0 {
-                return Err("--batch must be positive".into());
-            }
+                Ok(true)
+            })?;
+            let benchmark = workload.check("profile")?;
             let stdout_exports = [
                 &json_out,
                 &heatmap_out,
                 &trace_out,
                 &bench_json,
-                &events_out,
+                &shared.obs.events_out,
             ]
             .iter()
             .filter(|o| o.as_deref() == Some("-"))
@@ -831,75 +808,49 @@ where
             if stdout_exports > 1 {
                 return Err("at most one profile export may write to stdout ('-')".into());
             }
-            if no_store && store_dir.is_some() {
-                return Err("--no-store conflicts with --store-dir".into());
-            }
-            if no_ledger && ledger_dir.is_some() {
-                return Err("--no-ledger conflicts with --ledger-dir".into());
-            }
+            let (run, obs) = shared.finish(false)?;
             Ok(Command::Profile {
                 benchmark,
-                pruning,
-                arch: arch_name,
-                batch,
-                fast,
-                jobs,
+                pruning: workload.pruning,
+                arch: workload.arch,
+                batch: workload.batch,
                 json_out,
                 heatmap_out,
                 trace_out,
                 bench_json,
                 top_tiles,
-                verbose,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
+                run,
+                obs,
             })
         }
         "bench" => match args.get(1).map(String::as_str) {
             Some("list") => {
                 let mut ledger_dir = None;
-                let mut it = args[2..].iter();
-                while let Some(a) = it.next() {
-                    let mut value = |flag: &str| {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{flag} requires a value"))
-                    };
-                    match a.as_str() {
-                        "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
-                        other => return Err(format!("unknown flag '{other}' for bench list")),
+                each_flag(&args[2..], "bench list", |flag, rest| {
+                    if flag != "--ledger-dir" {
+                        return Ok(false);
                     }
-                }
+                    ledger_dir = Some(rest.value(flag)?);
+                    Ok(true)
+                })?;
                 Ok(Command::BenchList { ledger_dir })
             }
             Some("diff") => {
                 let mut paths = Vec::new();
                 let mut max_regress = 2.0f64;
-                let mut it = args[2..].iter();
-                while let Some(a) = it.next() {
-                    let mut value = |flag: &str| {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| format!("{flag} requires a value"))
-                    };
-                    match a.as_str() {
+                each_flag(&args[2..], "bench diff", |flag, rest| {
+                    match flag {
                         "--max-regress" => {
-                            max_regress = value("--max-regress")?
-                                .parse()
-                                .map_err(|e| format!("bad --max-regress: {e}"))?;
+                            max_regress = rest.parsed(flag)?;
                             if !max_regress.is_finite() || max_regress < 0.0 {
                                 return Err("--max-regress must be a non-negative percent".into());
                             }
                         }
-                        flag if flag.starts_with("--") => {
-                            return Err(format!("unknown flag '{flag}' for bench diff"));
-                        }
+                        flag if flag.starts_with("--") => return Ok(false),
                         path => paths.push(path.to_string()),
                     }
-                }
+                    Ok(true)
+                })?;
                 let [baseline, candidate] = <[String; 2]>::try_from(paths).map_err(|_| {
                     "bench diff requires exactly two snapshot paths: \
                      `eureka bench diff <baseline.json> <candidate.json>`"
@@ -921,32 +872,19 @@ where
             let mut replay = None;
             let mut fault_matrix = false;
             let mut chaos = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--cases" => {
-                        cases = value("--cases")?
-                            .parse()
-                            .map_err(|e| format!("bad --cases: {e}"))?;
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--arch" => arch_name = Some(value("--arch")?),
-                    "--corpus-dir" => corpus_dir = Some(value("--corpus-dir")?),
-                    "--replay" => replay = Some(value("--replay")?),
+            each_flag(&args[1..], "verify", |flag, rest| {
+                match flag {
+                    "--cases" => cases = rest.parsed(flag)?,
+                    "--seed" => seed = rest.parsed(flag)?,
+                    "--arch" => arch_name = Some(rest.value(flag)?),
+                    "--corpus-dir" => corpus_dir = Some(rest.value(flag)?),
+                    "--replay" => replay = Some(rest.value(flag)?),
                     "--fault-matrix" => fault_matrix = true,
                     "--chaos" => chaos = true,
-                    other => return Err(format!("unknown flag '{other}' for verify")),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             if cases == 0 && replay.is_none() && !fault_matrix {
                 return Err("--cases must be positive".into());
             }
@@ -975,53 +913,37 @@ where
             let mut jobs = None;
             let mut fast = false;
             let mut metrics_out = None;
-            let mut sla_budget_us = None;
+            let mut sla_budget_us: Option<u64> = None;
             let mut flightrec_dir = None;
             let mut ledger_dir = None;
             let mut no_ledger = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
-                    "--journal-dir" => journal_dir = value("--journal-dir")?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")?),
-                    "--store-dir" => store_dir = Some(value("--store-dir")?),
+            each_flag(&args[1..], "serve", |flag, rest| {
+                match flag {
+                    "--socket" => socket = rest.value(flag)?,
+                    "--journal-dir" => journal_dir = rest.value(flag)?,
+                    "--checkpoint-dir" => checkpoint_dir = Some(rest.value(flag)?),
+                    "--store-dir" => store_dir = Some(rest.value(flag)?),
                     "--capacity" => {
-                        capacity = value("--capacity")?
-                            .parse()
-                            .map_err(|e| format!("bad --capacity: {e}"))?;
+                        capacity = rest.parsed(flag)?;
                         if capacity == 0 {
                             return Err("--capacity must be positive".into());
                         }
                     }
-                    "--deadline-ms" => {
-                        deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("bad --deadline-ms: {e}"))?;
-                    }
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
+                    "--deadline-ms" => deadline_ms = rest.parsed(flag)?,
+                    "--jobs" => jobs = Some(rest.jobs()?),
                     "--fast" => fast = true,
-                    "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-                    "--sla-budget-us" => {
-                        let budget: u64 = value("--sla-budget-us")?
-                            .parse()
-                            .map_err(|e| format!("bad --sla-budget-us: {e}"))?;
-                        if budget == 0 {
-                            return Err("--sla-budget-us must be positive".into());
-                        }
-                        sla_budget_us = Some(budget);
-                    }
-                    "--flightrec-dir" => flightrec_dir = Some(value("--flightrec-dir")?),
-                    "--ledger-dir" => ledger_dir = Some(value("--ledger-dir")?),
+                    "--metrics-out" => metrics_out = Some(rest.value(flag)?),
+                    "--sla-budget-us" => match rest.parsed(flag)? {
+                        0 => return Err("--sla-budget-us must be positive".into()),
+                        budget => sla_budget_us = Some(budget),
+                    },
+                    "--flightrec-dir" => flightrec_dir = Some(rest.value(flag)?),
+                    "--ledger-dir" => ledger_dir = Some(rest.value(flag)?),
                     "--no-ledger" => no_ledger = true,
-                    other => return Err(format!("unknown flag '{other}' for serve")),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Serve {
                 socket,
                 journal_dir,
@@ -1040,47 +962,26 @@ where
         }
         "submit" => {
             let mut socket = "eureka.sock".to_string();
-            let mut benchmark = None;
-            let mut pruning = PruningLevel::Moderate;
-            let mut arch_name = "eureka-p4".to_string();
-            let mut batch = 32usize;
+            let mut workload = WorkloadFlags::new();
             let mut deadline_ms = 0u64;
             let mut retries = 0u32;
             let mut wait = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
-                    "--benchmark" => benchmark = Some(parse_benchmark(&value("--benchmark")?)?),
-                    "--pruning" => pruning = parse_pruning(&value("--pruning")?)?,
-                    "--arch" => arch_name = value("--arch")?,
-                    "--batch" => {
-                        batch = value("--batch")?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = value("--deadline-ms")?
-                            .parse()
-                            .map_err(|e| format!("bad --deadline-ms: {e}"))?;
-                    }
-                    "--retries" => retries = parse_retries(&value("--retries")?)?,
+            each_flag(&args[1..], "submit", |flag, rest| {
+                match flag {
+                    "--socket" => socket = rest.value(flag)?,
+                    "--deadline-ms" => deadline_ms = rest.parsed(flag)?,
+                    "--retries" => retries = rest.parsed(flag)?,
                     "--wait" => wait = true,
-                    other => return Err(format!("unknown flag '{other}' for submit")),
+                    _ => return workload.flag(flag, rest),
                 }
-            }
-            let benchmark = benchmark.ok_or("submit requires --benchmark")?;
+                Ok(true)
+            })?;
             Ok(Command::Submit {
                 socket,
-                benchmark,
-                pruning,
-                arch: arch_name,
-                batch,
+                benchmark: workload.benchmark("submit")?,
+                pruning: workload.pruning,
+                arch: workload.arch,
+                batch: workload.batch,
                 deadline_ms,
                 retries,
                 wait,
@@ -1089,37 +990,27 @@ where
         "drain" => {
             let mut socket = "eureka.sock".to_string();
             let mut shutdown = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
+            each_flag(&args[1..], "drain", |flag, rest| {
+                match flag {
+                    "--socket" => socket = rest.value(flag)?,
                     "--shutdown" => shutdown = true,
-                    other => return Err(format!("unknown flag '{other}' for drain")),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Drain { socket, shutdown })
         }
         "stats" => {
             let mut socket = "eureka.sock".to_string();
             let mut json = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} requires a value"))
-                };
-                match a.as_str() {
-                    "--socket" => socket = value("--socket")?,
+            each_flag(&args[1..], "stats", |flag, rest| {
+                match flag {
+                    "--socket" => socket = rest.value(flag)?,
                     "--json" => json = true,
-                    other => return Err(format!("unknown flag '{other}' for stats")),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Stats { socket, json })
         }
         other => Err(format!("unknown command '{other}'; try `eureka help`")),
@@ -1130,91 +1021,38 @@ where
 /// process verbosity, arms span recording when a trace is requested,
 /// and writes the `--trace-out` / `--metrics-out` exports afterwards.
 struct Telemetry<'a> {
-    trace_out: Option<&'a str>,
-    metrics_out: Option<&'a str>,
-    verbose: u8,
+    obs: &'a ObsOpts,
 }
 
 impl<'a> Telemetry<'a> {
-    fn begin(trace_out: Option<&'a str>, metrics_out: Option<&'a str>, verbose: u8) -> Self {
-        eureka_obs::log::set_verbosity(verbose);
+    fn begin(obs: &'a ObsOpts) -> Self {
+        eureka_obs::log::set_verbosity(obs.verbose);
         eureka_obs::metrics::reset();
-        if trace_out.is_some() {
+        if obs.trace_out.is_some() {
             eureka_obs::span::clear();
             eureka_obs::span::set_enabled(true);
         }
-        Telemetry {
-            trace_out,
-            metrics_out,
-            verbose,
-        }
+        Telemetry { obs }
     }
 
     fn finish(self) -> Result<(), String> {
-        if let Some(path) = self.trace_out {
+        if let Some(path) = &self.obs.trace_out {
             eureka_obs::span::set_enabled(false);
             let json = eureka_obs::chrome::export_trace_json();
             std::fs::write(path, &json)
                 .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
             eureka_obs::info!("trace: {} bytes to {path}", json.len());
         }
-        if let Some(path) = self.metrics_out {
+        if let Some(path) = &self.obs.metrics_out {
             let json = eureka_obs::metrics::snapshot_json(true);
             std::fs::write(path, &json)
                 .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
             eureka_obs::info!("metrics: {} bytes to {path}", json.len());
         }
-        if self.verbose >= 1 {
+        if self.obs.verbose >= 1 {
             eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
         }
         Ok(())
-    }
-}
-
-/// RAII guard for the process-wide retry/checkpoint/store settings
-/// consumed by `Runner::default()`. Armed only when the user asked for
-/// fault tolerance or a non-default store configuration; resets every
-/// setting on drop so one command's flags never leak into library
-/// callers or tests running in the same process.
-struct RunnerGlobals {
-    armed: bool,
-}
-
-impl RunnerGlobals {
-    fn apply(
-        retries: u32,
-        checkpoint_dir: Option<&str>,
-        resume: bool,
-        store_dir: Option<&str>,
-        no_store: bool,
-    ) -> Self {
-        let armed = retries > 0 || checkpoint_dir.is_some() || store_dir.is_some() || no_store;
-        if retries > 0 {
-            eureka_sim::runner::set_global_retry(eureka_sim::RetryPolicy::transient(retries + 1));
-        }
-        if let Some(dir) = checkpoint_dir {
-            eureka_sim::runner::set_global_checkpoint(Some((
-                std::path::PathBuf::from(dir),
-                resume,
-            )));
-        }
-        if store_dir.is_some() || no_store {
-            eureka_sim::runner::set_global_store(
-                store_dir.map(std::path::PathBuf::from),
-                !no_store,
-            );
-        }
-        Self { armed }
-    }
-}
-
-impl Drop for RunnerGlobals {
-    fn drop(&mut self) {
-        if self.armed {
-            eureka_sim::runner::set_global_retry(eureka_sim::RetryPolicy::NONE);
-            eureka_sim::runner::set_global_checkpoint(None);
-            eureka_sim::runner::set_global_store(None, true);
-        }
     }
 }
 
@@ -1227,8 +1065,8 @@ impl Drop for RunnerGlobals {
 struct EventsGuard;
 
 impl EventsGuard {
-    fn begin(events_out: Option<&str>, progress: Option<bool>) -> Result<Self, String> {
-        let writer: Option<Box<dyn std::io::Write + Send>> = match events_out {
+    fn begin(obs: &ObsOpts) -> Result<Self, String> {
+        let writer: Option<Box<dyn std::io::Write + Send>> = match obs.events_out.as_deref() {
             None => None,
             Some("-") => Some(Box::new(std::io::stdout())),
             Some(path) => {
@@ -1238,7 +1076,7 @@ impl EventsGuard {
             }
         };
         eureka_obs::events::arm(writer);
-        eureka_obs::progress::set_mode(match progress {
+        eureka_obs::progress::set_mode(match obs.progress {
             None => eureka_obs::progress::Mode::Auto,
             Some(true) => eureka_obs::progress::Mode::On,
             Some(false) => eureka_obs::progress::Mode::Off,
@@ -1276,15 +1114,14 @@ fn resolve_ledger_dir(ledger_dir: Option<&str>, no_ledger: bool) -> Option<std::
 /// yields nothing). Reads the event count off the bus, so call it after
 /// the run finished but within the same command.
 fn append_ledger(
-    ledger_dir: Option<&str>,
-    no_ledger: bool,
+    obs: &ObsOpts,
     kind: &str,
     label: String,
     total_cycles: Option<u64>,
     speedup_vs_dense: Option<f64>,
     started: std::time::Instant,
 ) -> Result<(), String> {
-    let Some(dir) = resolve_ledger_dir(ledger_dir, no_ledger) else {
+    let Some(dir) = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger) else {
         return Ok(());
     };
     let record = eureka_sim::LedgerRecord {
@@ -1446,85 +1283,52 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         Command::Figure {
             name,
             csv,
-            fast,
-            jobs,
-            trace_out,
-            metrics_out,
-            verbose,
-            retries,
-            checkpoint_dir,
-            resume,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
+            run: opts,
+            obs,
         } => {
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(
-                *retries,
-                checkpoint_dir.as_deref(),
-                *resume,
-                store_dir.as_deref(),
-                *no_store,
-            );
+            let runner = opts.runner();
+            let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            let tel = Telemetry::begin(trace_out.as_deref(), metrics_out.as_deref(), *verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
-            };
+            let _events = EventsGuard::begin(obs)?;
+            let tel = Telemetry::begin(obs);
+            let render = |t: eureka_bench::FigTable| if *csv { t.to_csv() } else { t.render() };
             let out = match name.as_str() {
                 "table1" => eureka_bench::table1(),
                 "table2" => eureka_bench::table2(),
                 "ablations" => {
+                    use eureka_bench::ablations;
                     let mut out = String::new();
                     for t in [
-                        eureka_bench::ablations::reach_sweep(&cfg),
-                        eureka_bench::ablations::window_sweep(&cfg),
-                        eureka_bench::ablations::compaction_sweep(&cfg),
-                        eureka_bench::ablations::sigma_sweep(&cfg),
-                        eureka_bench::ablations::two_sided_energy(&cfg),
+                        ablations::reach_sweep(&runner, &cfg),
+                        ablations::window_sweep(&runner, &cfg),
+                        ablations::compaction_sweep(&runner, &cfg),
+                        ablations::sigma_sweep(&runner, &cfg),
+                        ablations::two_sided_energy(&runner, &cfg),
                     ] {
-                        out.push_str(&if *csv { t.to_csv() } else { t.render() });
+                        out.push_str(&render(t));
                         out.push('\n');
                     }
                     out
                 }
-                fig => {
-                    let table = match fig {
-                        "fig09" => eureka_bench::figure9(&cfg),
-                        "fig11" => eureka_bench::figure11(&cfg),
-                        "fig12" => eureka_bench::figure12(&cfg),
-                        "fig13" => eureka_bench::figure13(&cfg),
-                        "fig14" => eureka_bench::figure14(&cfg),
-                        other => return Err(format!("unknown figure '{other}'")),
-                    };
-                    if *csv {
-                        table.to_csv()
-                    } else {
-                        table.render()
-                    }
-                }
+                "fig09" => render(eureka_bench::figure9(&cfg)),
+                "fig11" => render(eureka_bench::figure11(&runner, &cfg)),
+                "fig12" => render(eureka_bench::figure12(&runner, &cfg)),
+                "fig13" => render(eureka_bench::figure13(&runner, &cfg)),
+                "fig14" => render(eureka_bench::figure14(&runner, &cfg)),
+                other => return Err(format!("unknown figure '{other}'")),
             };
             tel.finish()?;
             append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
+                obs,
                 "figure",
-                format!("{name}|{}", if *fast { "fast" } else { "paper" }),
+                format!("{name}|{}", if opts.fast { "fast" } else { "paper" }),
                 None,
                 None,
                 wall_start,
             )?;
             // With events streaming to stdout, the human output is
             // suppressed to keep stdout machine-readable.
-            if events_out.as_deref() == Some("-") {
+            if obs.events_to_stdout() {
                 return Ok(String::new());
             }
             Ok(out)
@@ -1600,47 +1404,23 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             pruning,
             arch: arch_name,
             batch,
-            fast,
             csv,
-            jobs,
-            trace_out,
-            metrics_out,
-            verbose,
             keep_going,
             max_failures,
-            retries,
-            checkpoint_dir,
-            resume,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
+            run: opts,
+            obs,
         } => {
             use eureka_sim::{render_failure_report, JobOutcome};
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(
-                *retries,
-                checkpoint_dir.as_deref(),
-                *resume,
-                store_dir.as_deref(),
-                *no_store,
-            );
+            let runner = opts.runner();
+            let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            let tel = Telemetry::begin(trace_out.as_deref(), metrics_out.as_deref(), *verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
-            };
+            let _events = EventsGuard::begin(obs)?;
+            let tel = Telemetry::begin(obs);
             let workload = Workload::new(*benchmark, *pruning, *batch);
             let a = arch::by_name(arch_name)
                 .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
-            let (report, failures) = match engine::simulate_outcome(a.as_ref(), &workload, &cfg) {
+            let job = SimJob::new(a.as_ref(), &workload, cfg);
+            let (report, failures) = match runner.run_outcome(&job) {
                 JobOutcome::Complete(report) => (report, Vec::new()),
                 JobOutcome::Degraded {
                     report,
@@ -1674,7 +1454,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 }
             };
             report.log_layers();
-            let label = run_label(*benchmark, *pruning, *batch, *fast, arch_name);
+            let label = run_label(*benchmark, *pruning, *batch, opts.fast, arch_name);
             if *csv {
                 // Keep stdout machine-readable: survivors go to the CSV,
                 // the failure report goes to stderr.
@@ -1683,8 +1463,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 }
                 tel.finish()?;
                 append_ledger(
-                    ledger_dir.as_deref(),
-                    *no_ledger,
+                    obs,
                     "simulate",
                     label,
                     Some(report.total_cycles()),
@@ -1701,7 +1480,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             ));
             let mut speedup_vs_dense = None;
             if failures.is_empty() {
-                let dense = engine::simulate(&arch::dense(), &workload, &cfg);
+                let dense = runner
+                    .run(&SimJob::new(&arch::dense(), &workload, cfg))
+                    .map_err(|e| e.to_string())?;
                 let speedup = engine::speedup(&dense, &report);
                 speedup_vs_dense = Some(speedup);
                 out.push_str(&format!("  speedup vs Dense: {speedup:.2}x\n"));
@@ -1729,15 +1510,14 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             tel.finish()?;
             append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
+                obs,
                 "simulate",
                 label,
                 Some(report.total_cycles()),
                 speedup_vs_dense,
                 wall_start,
             )?;
-            if events_out.as_deref() == Some("-") {
+            if obs.events_to_stdout() {
                 return Ok(String::new());
             }
             Ok(out)
@@ -1747,40 +1527,27 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             pruning,
             arch: arch_name,
             batch,
-            fast,
-            jobs,
             json_out,
             heatmap_out,
             trace_out,
             bench_json,
             top_tiles,
-            verbose,
-            store_dir,
-            no_store,
-            events_out,
-            progress,
-            ledger_dir,
-            no_ledger,
+            run: opts,
+            obs,
         } => {
-            if let Some(n) = jobs {
-                eureka_sim::runner::set_global_jobs(*n);
-            }
-            let _globals = RunnerGlobals::apply(0, None, false, store_dir.as_deref(), *no_store);
+            let runner = opts.runner();
+            let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(events_out.as_deref(), *progress)?;
-            eureka_obs::log::set_verbosity(*verbose);
-            let cfg = if *fast {
-                SimConfig::fast()
-            } else {
-                SimConfig::paper_default()
-            };
+            let _events = EventsGuard::begin(obs)?;
+            eureka_obs::log::set_verbosity(obs.verbose);
             let workload = Workload::new(*benchmark, *pruning, *batch);
             let a = arch::by_name(arch_name)
                 .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
             let pcfg = eureka_sim::ProfileConfig {
                 top_tiles: *top_tiles,
             };
-            let (report, profile) = engine::try_profile(a.as_ref(), &workload, &cfg, &pcfg)
+            let (report, profile) = runner
+                .run_profiled(&SimJob::new(a.as_ref(), &workload, cfg), &pcfg)
                 .map_err(|e| e.to_string())?;
             debug_assert_eq!(profile.total_attributed_cycles(), report.total_cycles());
             let mut stdout_payload: Option<String> = None;
@@ -1814,7 +1581,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 for name in &names {
                     let a = arch::by_name(name)
                         .expect("invariant: the snapshot matrix only names registry entries");
-                    let r = engine::try_simulate(a.as_ref(), &workload, &cfg)
+                    let r = runner
+                        .run(&SimJob::new(a.as_ref(), &workload, cfg))
                         .map_err(|e| e.to_string())?;
                     reports.push(r);
                 }
@@ -1824,16 +1592,15 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     benchmark.name(),
                     pruning.label(),
                     *batch,
-                    if *fast { "fast" } else { "paper" },
+                    if opts.fast { "fast" } else { "paper" },
                     &entries,
                 );
                 emit(path, json, "BENCH snapshot")?;
             }
             append_ledger(
-                ledger_dir.as_deref(),
-                *no_ledger,
+                obs,
                 "profile",
-                run_label(*benchmark, *pruning, *batch, *fast, arch_name),
+                run_label(*benchmark, *pruning, *batch, opts.fast, arch_name),
                 Some(report.total_cycles()),
                 None,
                 wall_start,
@@ -1842,7 +1609,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 Some(payload) => payload,
                 // Events streamed to stdout: the human report is
                 // suppressed, same as any other stdout export.
-                None if events_out.as_deref() == Some("-") => String::new(),
+                None if obs.events_to_stdout() => String::new(),
                 None => profile.bottleneck_report(5),
             })
         }
@@ -1982,20 +1749,8 @@ mod tests {
             Command::Figure {
                 name: "fig11".into(),
                 csv: true,
-                fast: false,
-                jobs: None,
-                trace_out: None,
-                metrics_out: None,
-                verbose: 0,
-                retries: 0,
-                checkpoint_dir: None,
-                resume: false,
-                store_dir: None,
-                no_store: false,
-                events_out: None,
-                progress: None,
-                ledger_dir: None,
-                no_ledger: false,
+                run: RunOpts::default(),
+                obs: ObsOpts::default(),
             }
         );
         assert!(parse(["figure", "fig99"]).is_err());
@@ -2011,78 +1766,61 @@ mod tests {
             Command::Figure {
                 name: "fig11".into(),
                 csv: false,
-                fast: false,
-                jobs: Some(4),
-                trace_out: None,
-                metrics_out: None,
-                verbose: 0,
-                retries: 0,
-                checkpoint_dir: None,
-                resume: false,
-                store_dir: None,
-                no_store: false,
-                events_out: None,
-                progress: None,
-                ledger_dir: None,
-                no_ledger: false,
+                run: RunOpts {
+                    jobs: Some(4),
+                    ..RunOpts::default()
+                },
+                obs: ObsOpts::default(),
             }
         );
         let cmd = parse(["simulate", "--benchmark", "bert", "--jobs", "2"]).unwrap();
-        assert!(matches!(cmd, Command::Simulate { jobs: Some(2), .. }));
+        assert!(matches!(
+            cmd,
+            Command::Simulate {
+                run: RunOpts { jobs: Some(2), .. },
+                ..
+            }
+        ));
         assert!(parse(["figure", "fig11", "--jobs"]).is_err());
         assert!(parse(["figure", "fig11", "--jobs", "0"]).is_err());
         assert!(parse(["simulate", "--benchmark", "bert", "--jobs", "x"]).is_err());
     }
 
     #[test]
+    fn run_opts_build_the_commands_runner() {
+        let runner = |args: &[&str]| match parse(args.iter().copied()).unwrap() {
+            Command::Figure { run, .. }
+            | Command::Simulate { run, .. }
+            | Command::Profile { run, .. } => run.runner(),
+            other => panic!("unexpected {other:?}"),
+        };
+        let all_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(runner(&["figure", "fig11"]).effective_jobs(), all_cores);
+        let pinned = runner(&["profile", "--benchmark", "bert", "--jobs", "3"]);
+        assert_eq!(pinned.effective_jobs(), 3);
+        let fast = parse(["simulate", "--benchmark", "bert", "--fast"]).unwrap();
+        assert!(
+            matches!(fast, Command::Simulate { run, .. } if run.sim_config() == SimConfig::fast())
+        );
+    }
+
+    #[test]
     fn parse_simulate_defaults_and_flags() {
         let cmd = parse(["simulate", "--benchmark", "bert"]).unwrap();
-        match cmd {
+        assert_eq!(
+            cmd,
             Command::Simulate {
-                benchmark,
-                pruning,
-                arch,
-                batch,
-                fast,
-                csv,
-                jobs,
-                trace_out,
-                metrics_out,
-                verbose,
-                keep_going,
-                max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
-            } => {
-                assert_eq!(benchmark, Benchmark::BertSquad);
-                assert_eq!(pruning, PruningLevel::Moderate);
-                assert_eq!(arch, "eureka-p4");
-                assert_eq!(batch, 32);
-                assert!(!fast && !csv);
-                assert_eq!(jobs, None);
-                assert_eq!(trace_out, None);
-                assert_eq!(metrics_out, None);
-                assert_eq!(verbose, 0);
-                assert!(!keep_going && !resume);
-                assert_eq!(max_failures, None);
-                assert_eq!(retries, 0);
-                assert_eq!(checkpoint_dir, None);
-                assert_eq!(store_dir, None);
-                assert!(!no_store);
-                assert_eq!(events_out, None);
-                assert_eq!(progress, None);
-                assert_eq!(ledger_dir, None);
-                assert!(!no_ledger);
+                benchmark: Benchmark::BertSquad,
+                pruning: PruningLevel::Moderate,
+                arch: "eureka-p4".into(),
+                batch: 32,
+                csv: false,
+                keep_going: false,
+                max_failures: None,
+                run: RunOpts::default(),
+                obs: ObsOpts::default(),
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert!(parse(["simulate"]).is_err());
         assert!(parse(["simulate", "--benchmark", "vgg"]).is_err());
         assert!(parse(["simulate", "--benchmark", "bert", "--arch", "nope"]).is_err());
@@ -2184,15 +1922,10 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Simulate {
-                trace_out,
-                metrics_out,
-                verbose,
-                ..
-            } => {
-                assert_eq!(trace_out.as_deref(), Some("t.json"));
-                assert_eq!(metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(verbose, 1);
+            Command::Simulate { obs, .. } => {
+                assert_eq!(obs.trace_out.as_deref(), Some("t.json"));
+                assert_eq!(obs.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(obs.verbose, 1);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2200,8 +1933,11 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Figure {
-                verbose: 2,
-                metrics_out: Some(_),
+                obs: ObsOpts {
+                    verbose: 2,
+                    metrics_out: Some(_),
+                    ..
+                },
                 ..
             }
         ));
@@ -2261,48 +1997,22 @@ mod tests {
     #[test]
     fn parse_profile_defaults_and_flags() {
         let cmd = parse(["profile", "--benchmark", "mobilenetv1"]).unwrap();
-        match cmd {
+        assert_eq!(
+            cmd,
             Command::Profile {
-                benchmark,
-                pruning,
-                arch,
-                batch,
-                fast,
-                jobs,
-                json_out,
-                heatmap_out,
-                trace_out,
-                bench_json,
-                top_tiles,
-                verbose,
-                store_dir,
-                no_store,
-                events_out,
-                progress,
-                ledger_dir,
-                no_ledger,
-            } => {
-                assert_eq!(benchmark, Benchmark::MobileNetV1);
-                assert_eq!(pruning, PruningLevel::Moderate);
-                assert_eq!(arch, "eureka-p4");
-                assert_eq!(batch, 32);
-                assert!(!fast);
-                assert_eq!(jobs, None);
-                assert_eq!(json_out, None);
-                assert_eq!(heatmap_out, None);
-                assert_eq!(trace_out, None);
-                assert_eq!(bench_json, None);
-                assert_eq!(top_tiles, 5);
-                assert_eq!(verbose, 0);
-                assert_eq!(store_dir, None);
-                assert!(!no_store);
-                assert_eq!(events_out, None);
-                assert_eq!(progress, None);
-                assert_eq!(ledger_dir, None);
-                assert!(!no_ledger);
+                benchmark: Benchmark::MobileNetV1,
+                pruning: PruningLevel::Moderate,
+                arch: "eureka-p4".into(),
+                batch: 32,
+                json_out: None,
+                heatmap_out: None,
+                trace_out: None,
+                bench_json: None,
+                top_tiles: 5,
+                run: RunOpts::default(),
+                obs: ObsOpts::default(),
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         let cmd = parse([
             "profile",
             "--benchmark",
@@ -2320,16 +2030,23 @@ mod tests {
             "-",
             "--bench-json",
             "b.json",
+            "--trace-out",
+            "t.json",
         ])
         .unwrap();
         assert!(matches!(
             cmd,
             Command::Profile {
-                fast: true,
-                jobs: Some(2),
+                run: RunOpts {
+                    fast: true,
+                    jobs: Some(2),
+                    ..
+                },
                 top_tiles: 3,
+                ref trace_out,
+                obs: ObsOpts { trace_out: None, .. },
                 ..
-            }
+            } if trace_out.as_deref() == Some("t.json")
         ));
         assert!(parse(["profile"]).is_err());
         assert!(parse(["profile", "--benchmark", "bert", "--arch", "nope"]).is_err());
@@ -2386,7 +2103,6 @@ mod tests {
         let mut serial: Vec<String> = args.iter().map(ToString::to_string).collect();
         serial.extend(["--jobs".to_string(), "1".to_string()]);
         let s = run(&parse(serial).unwrap()).unwrap();
-        eureka_sim::runner::set_global_jobs(0);
         assert_eq!(a, s, "profile JSON must not depend on --jobs");
     }
 
@@ -2499,22 +2215,27 @@ mod tests {
             Command::Simulate {
                 keep_going,
                 max_failures,
-                retries,
-                checkpoint_dir,
-                resume,
+                run,
                 ..
             } => {
-                assert!(keep_going && resume);
+                assert!(keep_going && run.resume);
                 assert_eq!(max_failures, Some(3));
-                assert_eq!(retries, 2);
-                assert_eq!(checkpoint_dir.as_deref(), Some("ckpt"));
+                assert_eq!(run.retries, 2);
+                assert_eq!(run.checkpoint_dir.as_deref(), Some("ckpt"));
             }
             other => panic!("unexpected {other:?}"),
         }
         // Validation: each dependent flag needs its anchor.
-        assert!(parse(["simulate", "--benchmark", "bert", "--max-failures", "1"]).is_err());
-        assert!(parse(["simulate", "--benchmark", "bert", "--resume"]).is_err());
-        assert!(parse(["figure", "fig11", "--resume"]).is_err());
+        assert_eq!(
+            parse_err(SIMULATE, &["--max-failures", "1"]),
+            "--max-failures requires --keep-going"
+        );
+        for cmd in [FIGURE, SIMULATE] {
+            assert_eq!(
+                parse_err(cmd, &["--resume"]),
+                "--resume requires --checkpoint-dir"
+            );
+        }
         assert!(parse(["simulate", "--benchmark", "bert", "--retries", "x"]).is_err());
         // Figures accept retry/checkpoint flags (no keep-going: figures
         // aggregate, a missing layer would corrupt the table).
@@ -2522,12 +2243,31 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Figure {
-                retries: 1,
-                checkpoint_dir: Some(_),
+                run: RunOpts {
+                    retries: 1,
+                    checkpoint_dir: Some(_),
+                    ..
+                },
                 ..
             }
         ));
-        assert!(parse(["figure", "fig11", "--keep-going"]).is_err());
+        assert_eq!(
+            parse_err(FIGURE, &["--keep-going"]),
+            "unknown flag '--keep-going' for figure"
+        );
+        // Profiles take neither the fault-tolerance flags nor a metrics
+        // export.
+        for flag in [
+            &["--retries", "1"][..],
+            &["--checkpoint-dir", "d"],
+            &["--resume"],
+            &["--metrics-out", "m.json"],
+        ] {
+            assert_eq!(
+                parse_err(PROFILE, flag),
+                format!("unknown flag '{}' for profile", flag[0])
+            );
+        }
         // Verify gains --fault-matrix, which needs no case budget.
         assert!(matches!(
             parse(["verify", "--fault-matrix"]).unwrap(),
@@ -2586,29 +2326,31 @@ mod tests {
     #[test]
     fn parse_store_flags_and_conflicts() {
         let cmd = parse(["simulate", "--benchmark", "bert", "--store-dir", "tiles"]).unwrap();
-        assert!(
-            matches!(cmd, Command::Simulate { ref store_dir, no_store: false, .. }
-                if store_dir.as_deref() == Some("tiles"))
-        );
+        assert!(matches!(
+            cmd,
+            Command::Simulate { ref run, .. }
+                if run.store_dir.as_deref() == Some("tiles") && !run.no_store
+        ));
         let cmd = parse(["profile", "--benchmark", "bert", "--no-store"]).unwrap();
         assert!(matches!(
             cmd,
             Command::Profile {
-                store_dir: None,
-                no_store: true,
+                run: RunOpts {
+                    store_dir: None,
+                    no_store: true,
+                    ..
+                },
                 ..
             }
         ));
         let cmd = parse(["figure", "fig11", "--store-dir", "t"]).unwrap();
-        assert!(matches!(cmd, Command::Figure { ref store_dir, .. }
-                if store_dir.as_deref() == Some("t")));
-        for sub in [
-            &["simulate", "--benchmark", "bert"][..],
-            &["figure", "fig11"][..],
-        ] {
-            let mut v: Vec<String> = sub.iter().map(ToString::to_string).collect();
-            v.extend(["--store-dir", "t", "--no-store"].map(String::from));
-            assert!(parse(v).is_err(), "--no-store conflicts with --store-dir");
+        assert!(matches!(cmd, Command::Figure { ref run, .. }
+                if run.store_dir.as_deref() == Some("t")));
+        for cmd in [FIGURE, SIMULATE, PROFILE] {
+            assert_eq!(
+                parse_err(cmd, &["--store-dir", "t", "--no-store"]),
+                "--no-store conflicts with --store-dir"
+            );
         }
     }
 
@@ -2671,46 +2413,69 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Simulate {
-                ref events_out,
+            Command::Simulate { ref obs, .. } if *obs == ObsOpts {
+                events_out: Some("ev.jsonl".into()),
                 progress: Some(false),
-                ref ledger_dir,
-                no_ledger: false,
-                ..
-            } if events_out.as_deref() == Some("ev.jsonl") && ledger_dir.as_deref() == Some("ld")
+                ledger_dir: Some("ld".into()),
+                ..ObsOpts::default()
+            }
         ));
         let cmd = parse(["figure", "fig11", "--progress", "--no-ledger"]).unwrap();
         assert!(matches!(
             cmd,
             Command::Figure {
-                progress: Some(true),
-                no_ledger: true,
+                obs: ObsOpts {
+                    progress: Some(true),
+                    no_ledger: true,
+                    ..
+                },
                 ..
             }
         ));
         // Conflicts.
-        assert!(parse(["figure", "fig11", "--ledger-dir", "d", "--no-ledger"]).is_err());
-        assert!(parse([
-            "simulate",
-            "--benchmark",
-            "bert",
-            "--csv",
-            "--events-out",
-            "-"
-        ])
-        .is_err());
+        for cmd in [FIGURE, SIMULATE, PROFILE] {
+            assert_eq!(
+                parse_err(cmd, &["--ledger-dir", "d", "--no-ledger"]),
+                "--no-ledger conflicts with --ledger-dir"
+            );
+        }
+        for cmd in [FIGURE, SIMULATE] {
+            assert_eq!(
+                parse_err(cmd, &["--csv", "--events-out", "-"]),
+                "--events-out - conflicts with --csv (both claim stdout)"
+            );
+        }
+        assert_eq!(
+            parse_err(PROFILE, &["--csv"]),
+            "unknown flag '--csv' for profile"
+        );
         // Events to stdout count toward profile's one-stdout-export rule.
-        assert!(parse([
-            "profile",
-            "--benchmark",
-            "bert",
-            "--json",
-            "-",
-            "--events-out",
-            "-"
-        ])
-        .is_err());
+        assert_eq!(
+            parse_err(PROFILE, &["--json", "-", "--events-out", "-"]),
+            "at most one profile export may write to stdout ('-')"
+        );
         assert!(parse(["profile", "--benchmark", "bert", "--events-out", "-"]).is_ok());
+    }
+
+    /// The parse error of the command line `cmd` followed by `flags`.
+    fn parse_err(cmd: &[&str], flags: &[&str]) -> String {
+        parse(cmd.iter().chain(flags).copied()).unwrap_err()
+    }
+
+    const FIGURE: &[&str] = &["figure", "fig11"];
+    const SIMULATE: &[&str] = &["simulate", "--benchmark", "bert"];
+    const PROFILE: &[&str] = &["profile", "--benchmark", "bert"];
+
+    #[test]
+    fn help_is_the_pinned_usage_text() {
+        // The argv surface is an interface: a deliberate change to USAGE
+        // updates this pin, an accidental one fails here.
+        let help = run(&parse(["help"]).unwrap()).unwrap();
+        assert_eq!(help, USAGE);
+        assert_eq!(
+            (help.len(), eureka_sim::hash::fnv1a64(help.as_bytes())),
+            (9930, 0x8963_d05d_7ff9_2afc)
+        );
     }
 
     #[test]

@@ -159,19 +159,15 @@ mod imp {
     }
 
     /// Best-effort refresh of the observability exhaust: the
-    /// Prometheus exposition (tmp + rename, so scrapers never read a
-    /// torn file) and the flight-recorder dump, skipped while the ring
+    /// Prometheus exposition (written atomically, so scrapers never read
+    /// a torn file) and the flight-recorder dump, skipped while the ring
     /// holds nothing newer than the `dumped` count (the file would come
     /// out identical). Failures degrade to a log line — the daemon's
     /// job is serving, not exporting.
     fn export_observability(opts: &ServeOpts, service: &JobService, dumped: &mut u64) {
         if let Some(path) = &opts.metrics_out {
             let text = eureka_obs::metrics::prometheus_text();
-            let tmp = format!("{path}.tmp");
-            let failed = std::fs::write(&tmp, &text)
-                .and_then(|()| std::fs::rename(&tmp, path))
-                .is_err();
-            if failed {
+            if eureka_obs::atomic::write_atomic(Path::new(path), text.as_bytes()).is_err() {
                 eureka_obs::info!("serve: cannot write metrics to {path}");
             }
         }

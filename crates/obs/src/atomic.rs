@@ -1,6 +1,7 @@
 //! The one crash-safe file writer behind every persistent record: unit
-//! checkpoints, tile-store shard creation, job journal entries and run
-//! ledger records.
+//! checkpoints, tile-store shard creation, job journal entries, run
+//! ledger records, flight-recorder dumps and the service's Prometheus
+//! export.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

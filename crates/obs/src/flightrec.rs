@@ -17,14 +17,13 @@
 //! µs for dequeues, outcome class for finishes).
 //!
 //! [`dump_to`] renders the ring oldest-to-newest as JSONL and writes it
-//! atomically (temp file + rename, the same idiom as the journal and
-//! tile store), so a reader never observes a torn dump. The serve loop
+//! through [`crate::atomic::write_atomic`], the writer the journal and
+//! tile store use too, so a reader never observes a torn dump. The serve loop
 //! dumps after every connection that recorded something new and on
 //! SIGTERM/panic; a SIGKILL leaves
 //! the last complete dump on disk.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -168,24 +167,16 @@ pub fn dump_path(dir: &Path) -> PathBuf {
 }
 
 /// Dumps the ring atomically to `flightrec-<pid>.jsonl` under `dir`
-/// (created if missing): the full JSONL is written to a temp file and
-/// renamed into place, so a concurrent reader — or a crash mid-dump —
-/// never sees a torn file. Returns the path written.
+/// (created if missing) through [`crate::atomic::write_atomic`], so a
+/// concurrent reader — or a crash mid-dump — never sees a torn file.
+/// Returns the path written.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation, write, or rename failures.
 pub fn dump_to(dir: &Path) -> std::io::Result<PathBuf> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    std::fs::create_dir_all(dir)?;
     let target = dump_path(dir);
-    let tmp = dir.join(format!(
-        ".flightrec-{}.tmp-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&tmp, dump_jsonl())?;
-    std::fs::rename(&tmp, &target)?;
+    crate::atomic::write_atomic(&target, dump_jsonl().as_bytes())?;
     Ok(target)
 }
 

@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod atomic;
 pub mod chrome;
 pub mod events;
 pub mod flightrec;

@@ -25,7 +25,7 @@
 //!
 //! # Crash safety
 //!
-//! Files are written through [`crate::atomic::write_atomic`], so a unit
+//! Files are written through [`eureka_obs::atomic::write_atomic`], so a unit
 //! killed mid-write never leaves a readable (and thus never a poisonous)
 //! entry. Failed units are never written at all. On load, the stored key
 //! line is compared against the requesting unit's canonical key: a
@@ -333,7 +333,7 @@ impl CheckpointStore {
                 batch.staged().insert(key.to_string(), text);
                 Ok(())
             }
-            None => crate::atomic::write_atomic(&self.path_for(key), text.as_bytes()),
+            None => eureka_obs::atomic::write_atomic(&self.path_for(key), text.as_bytes()),
         }
     }
 
@@ -357,7 +357,7 @@ impl CheckpointStore {
         let path = self
             .dir
             .join(format!("{:016x}.units", fnv1a64(text.as_bytes())));
-        crate::atomic::write_atomic(&path, text.as_bytes())?;
+        eureka_obs::atomic::write_atomic(&path, text.as_bytes())?;
         staged.clear();
         Ok(())
     }

@@ -1,8 +1,10 @@
 //! Workload-level simulation entry points.
 //!
 //! These are thin wrappers over the [`crate::runner`] drive path — one
-//! job, default runner — kept for API continuity and for callers that
-//! simulate a single `(architecture, workload)` pair.
+//! job on a fresh [`Runner::parallel`] — kept for API continuity and for
+//! callers that simulate a single `(architecture, workload)` pair.
+//! Callers that need retries, checkpoints, a store directory or a
+//! worker count build their own [`Runner`] and call it directly.
 
 use crate::arch::{Architecture, SimError};
 use crate::config::SimConfig;
@@ -14,7 +16,7 @@ use eureka_models::Workload;
 
 /// Simulates every layer of a workload under an architecture.
 ///
-/// Equivalent to submitting one [`SimJob`] to the default [`Runner`];
+/// Equivalent to submitting one [`SimJob`] to [`Runner::parallel`];
 /// sweeps over many pairs should batch jobs through
 /// [`Runner::run_all`] instead of calling this in a loop.
 ///
@@ -33,13 +35,12 @@ pub fn try_simulate(
         arch.name(),
         workload.benchmark().name()
     );
-    Runner::default().run(&SimJob::new(arch, workload, *cfg))
+    Runner::parallel().run(&SimJob::new(arch, workload, *cfg))
 }
 
 /// Like [`try_simulate`] but surfaces the full [`JobOutcome`] taxonomy:
 /// layers untouched by a failure survive as a partial report instead of
-/// being discarded with the whole job. Uses the default runner, so the
-/// process-wide retry/checkpoint settings apply.
+/// being discarded with the whole job.
 #[must_use]
 pub fn simulate_outcome(
     arch: &dyn Architecture,
@@ -52,14 +53,13 @@ pub fn simulate_outcome(
         arch.name(),
         workload.benchmark().name()
     );
-    Runner::default().run_outcome(&SimJob::new(arch, workload, *cfg))
+    Runner::parallel().run_outcome(&SimJob::new(arch, workload, *cfg))
 }
 
 /// Like [`try_simulate`] but with cycle-attribution profiling: returns
 /// the report (bit-identical to an unprofiled run) together with its
-/// [`SimProfile`]. Uses the default runner, so `--jobs` applies; the
-/// profile is assembled in layer-index order and serializes to identical
-/// bytes regardless of worker count.
+/// [`SimProfile`]. The profile is assembled in layer-index order and
+/// serializes to identical bytes regardless of worker count.
 ///
 /// # Errors
 ///
@@ -77,7 +77,7 @@ pub fn try_profile(
         arch.name(),
         workload.benchmark().name()
     );
-    Runner::default().run_profiled(&SimJob::new(arch, workload, *cfg), pcfg)
+    Runner::parallel().run_profiled(&SimJob::new(arch, workload, *cfg), pcfg)
 }
 
 /// Like [`try_simulate`] but panics on unsupported combinations.

@@ -122,7 +122,7 @@ impl Journal {
     /// records as non-fatal (worst case the job is replayed once).
     pub fn record(&self, spec: &str, state: JournalState) -> std::io::Result<()> {
         let text = format!("{HEADER}\nspec {}\nstate {}\n", escape(spec), state.label());
-        crate::atomic::write_atomic(&self.path_for(spec), text.as_bytes())
+        eureka_obs::atomic::write_atomic(&self.path_for(spec), text.as_bytes())
     }
 
     /// Parses one journal entry.

@@ -8,7 +8,7 @@
 //! metrics outcome (`metrics_digest` — the FNV-1a digest of
 //! [`eureka_obs::metrics::snapshot_json`]`(false)`), how long it took,
 //! and how many run events the bus emitted. Records are single JSON
-//! files written through [`crate::atomic::write_atomic`], so a killed
+//! files written through [`eureka_obs::atomic::write_atomic`], so a killed
 //! run never leaves a torn record.
 //!
 //! [`diff`] compares two snapshots field-by-field under a regression
@@ -139,7 +139,7 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
             return Err("ledger sequence exhausted".to_string());
         }
     };
-    crate::atomic::write_atomic(&path, body.as_bytes())
+    eureka_obs::atomic::write_atomic(&path, body.as_bytes())
         .map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok(path)
 }

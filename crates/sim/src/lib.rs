@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod atomic;
 pub mod backoff;
 pub mod cachesim;
 pub mod checkpoint;

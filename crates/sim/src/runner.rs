@@ -4,7 +4,10 @@
 //! Every consumer of the simulator — [`crate::engine`], the figure drivers
 //! in `eureka-bench`, the ablation sweeps and the CLI — submits
 //! [`SimJob`]s to a [`Runner`] instead of hand-rolling a serial loop over
-//! `(architecture × workload × layer)`. The runner
+//! `(architecture × workload × layer)`. A runner carries all of its
+//! settings (workers, retries, checkpoint and store directories) as
+//! fields: a caller builds one per command and passes it to every
+//! simulation that command runs. The runner
 //!
 //! 1. **plans** each job into independent per-layer [work units](`WorkUnit`)
 //!    (every unit owns its forked [`DetRng`] stream, so units are
@@ -274,61 +277,11 @@ impl CfgKey {
 /// Requested worker count when the runner should use every available core.
 const AUTO: usize = 0;
 
-/// Process-wide default worker count override (0 = auto-detect), set by
-/// [`set_global_jobs`] — the CLI's `--jobs` flag lands here.
-static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(AUTO);
-
-/// Process-wide default retry policy, consumed only by
-/// [`Runner::default`] — the CLI's `--retries` flag lands here.
-static GLOBAL_RETRY: Mutex<RetryPolicy> = Mutex::new(RetryPolicy::NONE);
-
-/// Process-wide default checkpoint configuration `(dir, resume)`,
-/// consumed only by [`Runner::default`] — the CLI's `--checkpoint-dir` /
-/// `--resume` flags land here.
-static GLOBAL_CHECKPOINT: Mutex<Option<(PathBuf, bool)>> = Mutex::new(None);
-
-/// Process-wide default tile-store configuration `(dir, enabled)`,
-/// consumed only by [`Runner::default`] — the CLI's `--store-dir` /
-/// `--no-store` flags land here. The in-memory hot tier defaults to
-/// enabled with no persistence directory.
-static GLOBAL_STORE: Mutex<(Option<PathBuf>, bool)> = Mutex::new((None, true));
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // The runner must stay usable after a unit panic was caught while
     // some other thread held a shared lock: recover the data instead of
     // propagating poisoning forever.
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Sets the process-wide default worker count for runners constructed with
-/// [`Runner::parallel`] / [`Runner::default`]. `0` restores auto-detection
-/// (all available cores). Runners built with [`Runner::with_jobs`] or
-/// [`Runner::serial`] are unaffected.
-pub fn set_global_jobs(jobs: usize) {
-    GLOBAL_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Sets the process-wide default [`RetryPolicy`], consumed only by
-/// [`Runner::default`] (explicitly constructed runners are unaffected, so
-/// tests composing their own runners stay isolated).
-pub fn set_global_retry(policy: RetryPolicy) {
-    *lock(&GLOBAL_RETRY) = policy;
-}
-
-/// Sets (or clears) the process-wide default checkpoint configuration,
-/// consumed only by [`Runner::default`]: the directory for completed-unit
-/// files and whether to resume from entries already present.
-pub fn set_global_checkpoint(cfg: Option<(PathBuf, bool)>) {
-    *lock(&GLOBAL_CHECKPOINT) = cfg;
-}
-
-/// Sets the process-wide default tile-store configuration, consumed only
-/// by [`Runner::default`]: an optional persistence directory for tile
-/// outcomes and whether the store participates at all (`enabled =
-/// false` disables even the in-memory hot tier). Explicitly constructed
-/// runners are unaffected.
-pub fn set_global_store(dir: Option<PathBuf>, enabled: bool) {
-    *lock(&GLOBAL_STORE) = (dir, enabled);
 }
 
 /// The process-wide unit cache. Hit/miss/insert counts live in the
@@ -675,61 +628,22 @@ impl BrokerSource {
     }
 }
 
-impl Default for Runner {
-    /// The standard drive path: parallel across all cores (or the
-    /// [`set_global_jobs`] override), with the unit cache enabled, and the
-    /// process-wide [`set_global_retry`] / [`set_global_checkpoint`] /
-    /// [`set_global_store`] settings applied (explicit constructors
-    /// ignore those, so tests composing their own runners stay isolated).
-    fn default() -> Self {
-        let mut runner = Runner::parallel();
-        runner.retry = *lock(&GLOBAL_RETRY);
-        runner.checkpoint = lock(&GLOBAL_CHECKPOINT)
-            .clone()
-            .map(|(dir, resume)| CheckpointCfg {
-                store: CheckpointStore::new(dir),
-                resume,
-            });
-        let (store_dir, store_enabled) = lock(&GLOBAL_STORE).clone();
-        runner.store_dir = store_dir;
-        runner.store_enabled = store_enabled;
-        runner
-    }
-}
-
 impl Runner {
     /// A runner executing units one at a time, in plan order.
     #[must_use]
     pub fn serial() -> Self {
-        Runner {
-            jobs: 1,
-            cached: true,
-            retry: RetryPolicy::NONE,
-            backoff: BackoffPolicy::NONE,
-            cancel: None,
-            checkpoint: None,
-            store_enabled: true,
-            store_dir: None,
-        }
+        Runner::with_jobs(1)
     }
 
-    /// A runner fanning units out across all available cores (or the
-    /// process-wide [`set_global_jobs`] override).
+    /// A runner fanning units out across all available cores.
     #[must_use]
     pub fn parallel() -> Self {
-        Runner {
-            jobs: AUTO,
-            cached: true,
-            retry: RetryPolicy::NONE,
-            backoff: BackoffPolicy::NONE,
-            cancel: None,
-            checkpoint: None,
-            store_enabled: true,
-            store_dir: None,
-        }
+        Runner::with_jobs(AUTO)
     }
 
-    /// A runner with an explicit worker count (`0` = auto-detect).
+    /// A runner with an explicit worker count (`0` = all available
+    /// cores), the unit cache and the in-process tile store enabled, and
+    /// no retries, backoff, cancellation, checkpoint or store directory.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
@@ -848,11 +762,7 @@ impl Runner {
     /// The worker count this runner would use right now.
     #[must_use]
     pub fn effective_jobs(&self) -> usize {
-        let requested = match self.jobs {
-            AUTO => GLOBAL_JOBS.load(Ordering::Relaxed),
-            n => n,
-        };
-        match requested {
+        match self.jobs {
             AUTO => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         }
@@ -1677,16 +1587,6 @@ mod tests {
     }
 
     #[test]
-    fn global_jobs_override_applies_to_auto_runners() {
-        set_global_jobs(3);
-        assert_eq!(Runner::parallel().effective_jobs(), 3);
-        assert_eq!(Runner::serial().effective_jobs(), 1);
-        assert_eq!(Runner::with_jobs(5).effective_jobs(), 5);
-        set_global_jobs(0);
-        assert!(Runner::parallel().effective_jobs() >= 1);
-    }
-
-    #[test]
     fn attention_aux_reduces_identically_in_both_modes() {
         let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 8);
         let cfg = SimConfig {
@@ -1762,43 +1662,6 @@ mod tests {
             .with_retry(RetryPolicy::transient(2))
             .run_outcome(&job);
         assert!(outcome.is_complete(), "{outcome:?}");
-    }
-
-    #[test]
-    fn global_retry_and_checkpoint_only_affect_default_runners() {
-        set_global_retry(RetryPolicy::transient(3));
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-glob-{}", std::process::id()));
-        set_global_checkpoint(Some((dir.clone(), true)));
-        let d = Runner::default();
-        assert_eq!(d.retry.max_attempts, 3);
-        assert!(d.checkpoint.as_ref().is_some_and(|c| c.resume));
-        // Explicit constructors are unaffected (test isolation).
-        assert_eq!(Runner::serial().retry, RetryPolicy::NONE);
-        assert!(Runner::parallel().checkpoint.is_none());
-        set_global_retry(RetryPolicy::NONE);
-        set_global_checkpoint(None);
-        assert_eq!(Runner::default().retry, RetryPolicy::NONE);
-        assert!(Runner::default().checkpoint.is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn global_store_settings_only_affect_default_runners() {
-        let dir = std::env::temp_dir().join(format!("eureka-store-glob-{}", std::process::id()));
-        set_global_store(Some(dir.clone()), true);
-        let d = Runner::default();
-        assert!(d.store_enabled);
-        assert_eq!(d.store_dir.as_deref(), Some(dir.as_path()));
-        set_global_store(None, false);
-        let d = Runner::default();
-        assert!(!d.store_enabled);
-        assert!(d.store_dir.is_none());
-        // Explicit constructors keep the hot tier on, with no directory,
-        // regardless of the globals (test isolation).
-        assert!(Runner::serial().store_enabled);
-        assert!(Runner::serial().store_dir.is_none());
-        assert!(Runner::with_jobs(2).without_store().store_dir.is_none());
-        set_global_store(None, true);
     }
 
     #[test]

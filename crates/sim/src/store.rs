@@ -495,7 +495,7 @@ impl DiskTier {
                 let mut whole = String::from(HEADER);
                 whole.push('\n');
                 whole.push_str(&text);
-                crate::atomic::write_atomic(&self.shard_path(idx), whole.as_bytes()).is_ok()
+                eureka_obs::atomic::write_atomic(&self.shard_path(idx), whole.as_bytes()).is_ok()
             } else {
                 // Readable shard on disk: append only the new records.
                 // A crash mid-append at worst truncates the final line,

@@ -64,9 +64,14 @@ pub fn variant_arch(variant: &ArrayVariant) -> onesided::OneSided {
 }
 
 /// Eureka-P=4-over-Dense speedup for one workload under one geometry
-/// (device MAC budget held constant).
+/// (device MAC budget held constant), simulated on `runner`.
 #[must_use]
-pub fn speedup_at(variant: &ArrayVariant, workload: &Workload, base_cfg: &SimConfig) -> f64 {
+pub fn speedup_at(
+    runner: &Runner,
+    variant: &ArrayVariant,
+    workload: &Workload,
+    base_cfg: &SimConfig,
+) -> f64 {
     let _span = eureka_obs::span!("sweep.speedup_at", "{}", variant.label);
     let cfg = base_cfg.with_core(variant.core);
     let dense = onesided::dense();
@@ -75,7 +80,7 @@ pub fn speedup_at(variant: &ArrayVariant, workload: &Workload, base_cfg: &SimCon
         SimJob::new(&dense, workload, cfg),
         SimJob::new(&eureka, workload, cfg),
     ];
-    let mut out = Runner::default().run_all(&jobs).into_iter();
+    let mut out = runner.run_all(&jobs).into_iter();
     let dense = out
         .next()
         .expect("invariant: run_all returns one result per submitted job")
@@ -90,9 +95,11 @@ pub fn speedup_at(variant: &ArrayVariant, workload: &Workload, base_cfg: &SimCon
 /// Runtime (total cycles) of a workload under Eureka P=4 across device
 /// scales — compute-bound workloads scale near-linearly with core count
 /// until the fixed memory traffic dominates (the regime boundary behind
-/// the paper's "251 GB/s maximum demand vs 1.5 TB/s available").
+/// the paper's "251 GB/s maximum demand vs 1.5 TB/s available"),
+/// simulated on `runner`.
 #[must_use]
 pub fn core_count_sweep(
+    runner: &Runner,
     workload: &Workload,
     core_counts: &[usize],
     base_cfg: &SimConfig,
@@ -114,7 +121,7 @@ pub fn core_count_sweep(
         .collect();
     core_counts
         .iter()
-        .zip(Runner::default().run_all(&jobs))
+        .zip(runner.run_all(&jobs))
         .map(|(&cores, r)| {
             (
                 cores,
@@ -137,7 +144,7 @@ mod tests {
         let variants = figure14_variants();
         let get = |label: &str| {
             let v = variants.iter().find(|v| v.label == label).unwrap();
-            speedup_at(v, &w, &cfg)
+            speedup_at(&Runner::parallel(), v, &w, &cfg)
         };
         let base = get("4x4");
         let plain16 = get("16x16-plain");
@@ -158,7 +165,7 @@ mod tests {
     fn core_scaling_is_sublinear_but_monotone() {
         let cfg = SimConfig::fast();
         let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
-        let pts = core_count_sweep(&w, &[108, 432, 1728], &cfg);
+        let pts = core_count_sweep(&Runner::parallel(), &w, &[108, 432, 1728], &cfg);
         // More cores never slows things down.
         assert!(pts.windows(2).all(|p| p[1].1 <= p[0].1), "{pts:?}");
         // 4x the cores from the baseline buys real speedup...

@@ -6,14 +6,16 @@
 use eureka::prelude::*;
 use eureka::sim::config::TensorCoreConfig;
 use eureka::sim::sweep::{self, ArrayVariant};
+use eureka::sim::Runner;
 
 fn main() {
     let cfg = SimConfig::paper_default();
     let workload = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
+    let runner = Runner::parallel();
 
     println!("Eureka speedup over Dense, ResNet50 (mod), equal MAC budget:\n");
     for v in sweep::figure14_variants() {
-        let s = sweep::speedup_at(&v, &workload, &cfg);
+        let s = sweep::speedup_at(&runner, &v, &workload, &cfg);
         println!("  {:<16}{:>6.2}x", v.label, s);
     }
 
@@ -27,7 +29,7 @@ fn main() {
             window: 2,
         },
     };
-    let s = sweep::speedup_at(&custom, &workload, &cfg);
+    let s = sweep::speedup_at(&runner, &custom, &workload, &cfg);
     println!(
         "  {:<16}{:>6.2}x   (custom: deep single-row pipeline)",
         custom.label, s

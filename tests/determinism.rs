@@ -7,9 +7,10 @@ use eureka::prelude::*;
 #[test]
 fn figure_tables_are_byte_identical_across_runs() {
     let cfg = SimConfig::fast();
+    let runner = eureka::sim::Runner::parallel();
     assert_eq!(
-        eureka_bench::figure12(&cfg).to_csv(),
-        eureka_bench::figure12(&cfg).to_csv()
+        eureka_bench::figure12(&runner, &cfg).to_csv(),
+        eureka_bench::figure12(&runner, &cfg).to_csv()
     );
     assert_eq!(
         eureka_bench::figure9(&cfg).to_csv(),

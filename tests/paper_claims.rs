@@ -5,7 +5,7 @@
 //! breaks one of the paper's shapes, this suite catches it.
 
 use eureka_bench::{table2, FigTable};
-use eureka_sim::SimConfig;
+use eureka_sim::{Runner, SimConfig};
 use std::sync::OnceLock;
 
 fn cfg() -> SimConfig {
@@ -22,22 +22,22 @@ fn cfg() -> SimConfig {
 
 fn figure11(_: &SimConfig) -> &'static FigTable {
     static T: OnceLock<FigTable> = OnceLock::new();
-    T.get_or_init(|| eureka_bench::figure11(&cfg()))
+    T.get_or_init(|| eureka_bench::figure11(&Runner::parallel(), &cfg()))
 }
 
 fn figure12(_: &SimConfig) -> &'static FigTable {
     static T: OnceLock<FigTable> = OnceLock::new();
-    T.get_or_init(|| eureka_bench::figure12(&cfg()))
+    T.get_or_init(|| eureka_bench::figure12(&Runner::parallel(), &cfg()))
 }
 
 fn figure13(_: &SimConfig) -> &'static FigTable {
     static T: OnceLock<FigTable> = OnceLock::new();
-    T.get_or_init(|| eureka_bench::figure13(&cfg()))
+    T.get_or_init(|| eureka_bench::figure13(&Runner::parallel(), &cfg()))
 }
 
 fn figure14(_: &SimConfig) -> &'static FigTable {
     static T: OnceLock<FigTable> = OnceLock::new();
-    T.get_or_init(|| eureka_bench::figure14(&cfg()))
+    T.get_or_init(|| eureka_bench::figure14(&Runner::parallel(), &cfg()))
 }
 
 #[test]
