@@ -15,6 +15,8 @@
 #![warn(missing_docs)]
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
+use eureka_obs::events::Events;
+use eureka_obs::progress;
 use eureka_sim::{arch, engine, RetryPolicy, Runner, SimConfig, SimJob};
 
 pub mod serve;
@@ -528,6 +530,27 @@ impl ObsOpts {
     /// human report.
     fn events_to_stdout(&self) -> bool {
         self.events_out.as_deref() == Some("-")
+    }
+
+    /// The command's event sink: the `--events-out` JSONL writer (file,
+    /// or stdout for `-`) and the progress policy. Dropping its last
+    /// clone flushes the file and ends the progress line.
+    fn events(&self) -> Result<Events, String> {
+        let writer: Option<Box<dyn std::io::Write + Send>> = match self.events_out.as_deref() {
+            None => None,
+            Some("-") => Some(Box::new(std::io::stdout())),
+            Some(path) => {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| format!("cannot open events file {path}: {e}"))?;
+                Some(Box::new(std::io::BufWriter::new(file)))
+            }
+        };
+        let progress = match self.progress {
+            None => progress::Mode::Auto,
+            Some(true) => progress::Mode::On,
+            Some(false) => progress::Mode::Off,
+        };
+        Ok(Events::new(writer, progress))
     }
 }
 
@@ -1056,42 +1079,6 @@ impl<'a> Telemetry<'a> {
     }
 }
 
-/// RAII guard for the run-event bus and the progress reporter: arms the
-/// JSONL writer (file or stdout for `-`) and applies the progress
-/// policy on construction, then finalizes the progress line and
-/// flushes/detaches the writer on drop — including every early-return
-/// error path. The emitted-event count survives the drop (until the
-/// next arm), so the ledger append can read it afterwards.
-struct EventsGuard;
-
-impl EventsGuard {
-    fn begin(obs: &ObsOpts) -> Result<Self, String> {
-        let writer: Option<Box<dyn std::io::Write + Send>> = match obs.events_out.as_deref() {
-            None => None,
-            Some("-") => Some(Box::new(std::io::stdout())),
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot open events file {path}: {e}"))?;
-                Some(Box::new(std::io::BufWriter::new(file)))
-            }
-        };
-        eureka_obs::events::arm(writer);
-        eureka_obs::progress::set_mode(match obs.progress {
-            None => eureka_obs::progress::Mode::Auto,
-            Some(true) => eureka_obs::progress::Mode::On,
-            Some(false) => eureka_obs::progress::Mode::Off,
-        });
-        Ok(EventsGuard)
-    }
-}
-
-impl Drop for EventsGuard {
-    fn drop(&mut self) {
-        eureka_obs::progress::set_mode(eureka_obs::progress::Mode::Off);
-        eureka_obs::events::disarm();
-    }
-}
-
 /// Where to append the run ledger: an explicit `--ledger-dir` always
 /// wins, `--no-ledger` always disables, and the `results/ledger`
 /// default applies only when that directory already exists — so library
@@ -1111,10 +1098,12 @@ fn resolve_ledger_dir(ledger_dir: Option<&str>, no_ledger: bool) -> Option<std::
 }
 
 /// Appends one run-ledger record (a no-op when [`resolve_ledger_dir`]
-/// yields nothing). Reads the event count off the bus, so call it after
-/// the run finished but within the same command.
+/// yields nothing), with the count of the command's `events` and the
+/// digest of the deterministic metrics, so call it after the run
+/// finished.
 fn append_ledger(
     obs: &ObsOpts,
+    events: &Events,
     kind: &str,
     label: String,
     total_cycles: Option<u64>,
@@ -1130,7 +1119,10 @@ fn append_ledger(
         total_cycles,
         speedup_vs_dense,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        events: eureka_obs::events::emitted_count(),
+        events: events.count(),
+        metrics_digest: eureka_sim::ledger::metrics_digest(&eureka_obs::metrics::snapshot_json(
+            false,
+        )),
         sla: None,
     };
     let path = eureka_sim::ledger::append(&dir, &record)?;
@@ -1286,10 +1278,10 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             run: opts,
             obs,
         } => {
-            let runner = opts.runner();
+            let events = obs.events()?;
+            let runner = opts.runner().with_events(events.clone());
             let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(obs)?;
             let tel = Telemetry::begin(obs);
             let render = |t: eureka_bench::FigTable| if *csv { t.to_csv() } else { t.render() };
             let out = match name.as_str() {
@@ -1320,6 +1312,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             tel.finish()?;
             append_ledger(
                 obs,
+                &events,
                 "figure",
                 format!("{name}|{}", if opts.fast { "fast" } else { "paper" }),
                 None,
@@ -1411,10 +1404,10 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             obs,
         } => {
             use eureka_sim::{render_failure_report, JobOutcome};
-            let runner = opts.runner();
+            let events = obs.events()?;
+            let runner = opts.runner().with_events(events.clone());
             let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(obs)?;
             let tel = Telemetry::begin(obs);
             let workload = Workload::new(*benchmark, *pruning, *batch);
             let a = arch::by_name(arch_name)
@@ -1464,6 +1457,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 tel.finish()?;
                 append_ledger(
                     obs,
+                    &events,
                     "simulate",
                     label,
                     Some(report.total_cycles()),
@@ -1511,6 +1505,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             tel.finish()?;
             append_ledger(
                 obs,
+                &events,
                 "simulate",
                 label,
                 Some(report.total_cycles()),
@@ -1535,10 +1530,10 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             run: opts,
             obs,
         } => {
-            let runner = opts.runner();
+            let events = obs.events()?;
+            let runner = opts.runner().with_events(events.clone());
             let cfg = opts.sim_config();
             let wall_start = std::time::Instant::now();
-            let _events = EventsGuard::begin(obs)?;
             eureka_obs::log::set_verbosity(obs.verbose);
             let workload = Workload::new(*benchmark, *pruning, *batch);
             let a = arch::by_name(arch_name)
@@ -1599,6 +1594,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             append_ledger(
                 obs,
+                &events,
                 "profile",
                 run_label(*benchmark, *pruning, *batch, opts.fast, arch_name),
                 Some(report.total_cycles()),

@@ -203,7 +203,11 @@ mod imp {
             total_cycles: None,
             speedup_vs_dense: None,
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            events: eureka_obs::events::emitted_count(),
+            // A service process emits no run events.
+            events: 0,
+            metrics_digest: eureka_sim::ledger::metrics_digest(
+                &eureka_obs::metrics::snapshot_json(false),
+            ),
             sla: Some(sla),
         };
         let path = eureka_sim::ledger::append(&dir, &record)?;

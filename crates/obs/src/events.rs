@@ -1,6 +1,6 @@
 //! Structured run-event stream (`eureka-events-v1`).
 //!
-//! A process-wide JSONL event bus mirroring the metrics registry's
+//! A run's JSONL event sink, mirroring the metrics registry's
 //! deterministic/timing split at the *field* level: every event line
 //! carries a `det` object (fields that are byte-identical across
 //! reruns and across `--jobs 1` vs `--jobs N`, given the runner's
@@ -21,16 +21,20 @@
 //! this projection regardless of parallelism (`scripts/check_events.py`
 //! implements the same projection for CI).
 //!
-//! The bus is **off by default**: every emit site is guarded by a
-//! single relaxed atomic load ([`enabled`]), so instrumented code pays
-//! ~nothing until a writer is armed or the progress reporter is active.
+//! A command builds one [`Events`] handle and hands it to the runner
+//! that emits into it, so two runs in one process never share a
+//! stream, a clock or a count. The default handle is **off**:
+//! [`Events::emit`] takes a closure and never calls it, so instrumented
+//! code pays one branch per emit site until a writer or the progress
+//! reporter is attached.
 
+use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::json;
+use crate::progress::{Mode, Reporter};
 
 /// Schema identifier stamped on every line.
 pub const SCHEMA: &str = "eureka-events-v1";
@@ -48,21 +52,6 @@ pub const KINDS: &[(&str, &[&str])] = &[
     ("checkpoint-written", &["unit"]),
     ("store-flush", &[]),
     ("run-finished", &["units", "failures"]),
-    // Job-service lifecycle (eureka serve).
-    ("job-accepted", &["job", "key"]),
-    ("job-queued", &["job"]),
-    ("job-started", &["job"]),
-    ("job-retried", &["job", "attempts"]),
-    ("job-completed", &["job", "ok"]),
-    ("job-cancelled", &["job"]),
-    ("job-deadline-exceeded", &["job"]),
-    ("job-shed", &["capacity"]),
-    ("job-recovered", &["job", "key"]),
-    // SLA lifecycle tracing (admission → dequeue → terminal outcome).
-    ("job-admitted", &["job", "key"]),
-    ("job-dequeued", &["job"]),
-    ("job-finished", &["job", "outcome"]),
-    ("service-drained", &[]),
 ];
 
 /// A single field value (events only need these three shapes).
@@ -91,7 +80,8 @@ impl FieldValue {
 }
 
 /// One event under construction. Build with [`Event::new`] and the
-/// `det_*`/`wall_*` field adders, then pass to [`emit`].
+/// `det_*`/`wall_*` field adders, and return it from the closure passed
+/// to [`Events::emit`].
 #[derive(Debug, Clone)]
 pub struct Event {
     kind: &'static str,
@@ -132,7 +122,7 @@ impl Event {
     }
 
     /// Adds a wall-clock/environment unsigned-integer field (appended
-    /// after the bus-assigned `seq` and `t_us`).
+    /// after the sink-assigned `seq` and `t_us`).
     #[must_use]
     pub fn wall_u64(mut self, key: &'static str, v: u64) -> Self {
         self.wall.push((key, FieldValue::U64(v)));
@@ -182,107 +172,107 @@ impl Event {
     }
 }
 
-struct Bus {
-    writer: Option<Box<dyn Write + Send>>,
-    seq: u64,
+/// A run's event sink: off (the [`Default`]) or one shared JSONL
+/// writer, `seq`/`t_us` clock, emitted count and progress tally. Clones
+/// are cheap and share all four, so a runner's worker threads emit into
+/// one stream. Dropping the last clone flushes the writer and ends the
+/// progress line.
+#[derive(Clone, Default)]
+pub struct Events(Option<Arc<Sink>>);
+
+struct Sink {
     start: Instant,
+    stream: Mutex<Stream>,
+    progress: Option<Reporter>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EMITTED: AtomicU64 = AtomicU64::new(0);
-
-fn bus() -> MutexGuard<'static, Bus> {
-    static BUS: OnceLock<Mutex<Bus>> = OnceLock::new();
-    BUS.get_or_init(|| {
-        Mutex::new(Bus {
-            writer: None,
-            seq: 0,
-            start: Instant::now(),
-        })
-    })
-    .lock()
-    .unwrap_or_else(std::sync::PoisonError::into_inner)
+struct Stream {
+    writer: Option<Box<dyn Write + Send>>,
+    /// The next line's `seq`, which is also the emitted count.
+    seq: u64,
 }
 
-/// Whether any consumer (JSONL writer or progress reporter) is
-/// attached. Emit sites check this first; when `false`, [`emit`]
-/// returns immediately.
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn refresh_enabled() {
-    let has_writer = bus().writer.is_some();
-    ENABLED.store(has_writer || crate::progress::active(), Ordering::Release);
-}
-
-/// Arms the bus for a run: installs the JSONL writer (if any), zeroes
-/// the sequence and emitted counters, and restarts the `t_us` clock.
-/// Call with `None` to reset counters for a progress-only run.
-pub fn arm(writer: Option<Box<dyn Write + Send>>) {
-    {
-        let mut bus = bus();
-        bus.writer = writer;
-        bus.seq = 0;
-        bus.start = Instant::now();
+impl Sink {
+    fn stream(&self) -> MutexGuard<'_, Stream> {
+        // Every update leaves the stream valid (a bumped counter, a
+        // dropped writer), so a panicking emitter poisons nothing.
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    EMITTED.store(0, Ordering::Release);
-    refresh_enabled();
 }
 
-/// Flushes and detaches the writer. The emitted-line count survives
-/// until the next [`arm`] so callers (the run ledger) can read it
-/// after the run completes.
-pub fn disarm() {
-    {
-        let mut bus = bus();
-        if let Some(w) = bus.writer.as_mut() {
+impl Drop for Sink {
+    fn drop(&mut self) {
+        if let Some(progress) = &self.progress {
+            progress.finish();
+        }
+        if let Some(w) = self.stream().writer.as_mut() {
             let _ = w.flush();
         }
-        bus.writer = None;
     }
-    refresh_enabled();
 }
 
-/// Number of events emitted since the bus was last armed.
-#[must_use]
-pub fn emitted_count() -> u64 {
-    EMITTED.load(Ordering::Acquire)
-}
-
-/// Emits one event: assigns `seq`/`t_us` under the bus lock, writes
-/// the JSONL line to the armed writer (if any), and feeds the progress
-/// reporter. A no-op unless [`enabled`] — emit sites may call this
-/// unconditionally, but hot paths should check [`enabled`] first to
-/// skip event construction entirely.
-pub fn emit(ev: Event) {
-    if !enabled() {
-        return;
+impl Events {
+    /// A sink writing JSONL to `writer` (if any) and feeding the
+    /// progress reporter when `progress` resolves on. Off — emitting
+    /// and counting nothing — when it has neither consumer. The
+    /// `t_us` clock starts now.
+    #[must_use]
+    pub fn new(writer: Option<Box<dyn Write + Send>>, progress: Mode) -> Self {
+        let progress = progress.is_on().then(Reporter::new);
+        if writer.is_none() && progress.is_none() {
+            return Events::default();
+        }
+        Events(Some(Arc::new(Sink {
+            start: Instant::now(),
+            stream: Mutex::new(Stream { writer, seq: 0 }),
+            progress,
+        })))
     }
-    let mut bus = bus();
-    let seq = bus.seq;
-    bus.seq += 1;
-    let t_us = u64::try_from(bus.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    if bus.writer.is_some() {
-        let line = ev.to_line(seq, t_us);
-        if let Some(w) = bus.writer.as_mut() {
-            if writeln!(w, "{line}").is_err() {
-                // A broken pipe must not take the run down; drop the
-                // writer and keep simulating.
-                bus.writer = None;
+
+    /// Number of events emitted into this sink (by any clone).
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.0.as_ref().map_or(0, |sink| sink.stream().seq)
+    }
+
+    /// Emits the event `make` builds: assigns `seq`/`t_us` under the
+    /// sink lock, writes the JSONL line to the writer (if any), and
+    /// feeds the progress reporter. An off handle never calls `make`.
+    pub fn emit(&self, make: impl FnOnce() -> Event) {
+        let Some(sink) = &self.0 else { return };
+        let ev = make();
+        {
+            let mut stream = sink.stream();
+            let seq = stream.seq;
+            stream.seq += 1;
+            if let Some(w) = stream.writer.as_mut() {
+                let t_us = u64::try_from(sink.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                if writeln!(w, "{}", ev.to_line(seq, t_us)).is_err() {
+                    // A broken pipe must not take the run down; drop
+                    // the writer and keep simulating.
+                    stream.writer = None;
+                }
             }
         }
+        if let Some(progress) = &sink.progress {
+            progress.observe(&ev);
+        }
     }
-    EMITTED.fetch_add(1, Ordering::AcqRel);
-    drop(bus);
-    crate::progress::observe(&ev);
+}
+
+impl fmt::Debug for Events {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "Events(on)"
+        } else {
+            "Events(off)"
+        })
+    }
 }
 
 /// Validates a single JSONL line against the v1 schema: the `schema`
 /// stamp, a known `event` kind, its required `det` fields, and the
-/// bus-assigned `wall.seq`/`wall.t_us` numbers.
+/// sink-assigned `wall.seq`/`wall.t_us` numbers.
 pub fn validate_line(line: &str) -> Result<(), String> {
     let v = json::parse(line)?;
     if v.get("schema").and_then(json::Value::as_str) != Some(SCHEMA) {
@@ -340,14 +330,6 @@ pub fn deterministic_projection(stream: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    /// Events tests share the process-wide bus; serialize them.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     /// A Vec<u8> sink shareable across the `Box<dyn Write + Send>`
     /// boundary.
@@ -371,41 +353,45 @@ mod tests {
     }
 
     #[test]
-    fn disabled_bus_emits_nothing() {
-        let _gate = exclusive();
-        disarm();
-        assert!(!enabled());
-        emit(Event::new("run-started"));
-        // No writer armed since the last arm(None) — nothing counted.
+    fn off_handle_emits_nothing() {
+        for events in [Events::default(), Events::new(None, Mode::Off)] {
+            events.emit(|| unreachable!("an off handle builds no event"));
+            assert_eq!(events.count(), 0);
+        }
     }
 
     #[test]
     fn emits_schema_valid_lines_in_sequence() {
-        let _gate = exclusive();
         let sink = Sink::default();
-        arm(Some(Box::new(sink.clone())));
-        emit(Event::new("run-started").wall_u64("jobs", 2));
-        emit(
+        let events = Events::new(
+            Some(Box::new(std::io::BufWriter::new(sink.clone()))),
+            Mode::Off,
+        );
+        let clone = events.clone();
+        events.emit(|| Event::new("run-started").wall_u64("jobs", 2));
+        clone.emit(|| {
             Event::new("unit-planned")
                 .det_u64("unit", 0)
                 .det_u64("job", 0)
                 .det_str("arch", "Dense")
                 .det_str("gemm", "conv1")
-                .det_str("key", "00ff"),
-        );
-        emit(
+                .det_str("key", "00ff")
+        });
+        drop(clone);
+        events.emit(|| {
             Event::new("unit-finished")
                 .det_u64("unit", 0)
                 .det_str("source", "computed")
                 .det_bool("ok", true)
                 .det_u64("cycles", 123)
-                .wall_u64("exec_us", 9),
-        );
-        disarm();
+                .wall_u64("exec_us", 9)
+        });
+        assert_eq!(events.count(), 3, "clones share one count");
+        assert!(sink.contents().is_empty(), "buffered until the last drop");
+        drop(events);
         let out = sink.contents();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert_eq!(emitted_count(), 3);
         for (i, line) in lines.iter().enumerate() {
             validate_line(line).unwrap_or_else(|e| panic!("line {i}: {e}\n{line}"));
             let v = json::parse(line).unwrap();
@@ -417,8 +403,14 @@ mod tests {
     }
 
     #[test]
+    fn progress_alone_turns_the_sink_on_and_counts() {
+        let events = Events::new(None, Mode::On);
+        events.emit(|| Event::new("run-started"));
+        assert_eq!(events.count(), 1);
+    }
+
+    #[test]
     fn projection_is_order_insensitive_and_drops_wall_fields() {
-        let _gate = exclusive();
         let a = concat!(
             r#"{"schema":"eureka-events-v1","event":"unit-started","det":{"unit":1},"wall":{"seq":0,"t_us":5}}"#,
             "\n",
@@ -452,7 +444,6 @@ mod tests {
 
     #[test]
     fn broken_writer_does_not_poison_the_run() {
-        let _gate = exclusive();
         struct Broken;
         impl Write for Broken {
             fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
@@ -462,14 +453,13 @@ mod tests {
                 Ok(())
             }
         }
-        arm(Some(Box::new(Broken)));
-        emit(Event::new("run-started"));
-        emit(
+        let events = Events::new(Some(Box::new(Broken)), Mode::Off);
+        events.emit(|| Event::new("run-started"));
+        events.emit(|| {
             Event::new("run-finished")
                 .det_u64("units", 0)
-                .det_u64("failures", 0),
-        );
-        disarm();
-        assert_eq!(emitted_count(), 2);
+                .det_u64("failures", 0)
+        });
+        assert_eq!(events.count(), 2);
     }
 }

@@ -1,9 +1,9 @@
 //! Crash-safe flight recorder (`eureka-flightrec-v1`).
 //!
 //! A fixed-capacity, allocation-free ring buffer holding the most
-//! recent job-lifecycle records, **armed always**: unlike the event
-//! bus ([`crate::events`]), which is off unless a writer is attached,
-//! the recorder captures every record so a post-mortem of a crashed or
+//! recent job-lifecycle records, **armed always**: unlike a run's
+//! event sink ([`crate::events::Events`]), which is off unless a
+//! command attaches one, the recorder captures every record so a post-mortem of a crashed or
 //! overloaded daemon is possible without having opted into anything.
 //! Recording is one short mutex-guarded write into a pre-allocated
 //! slot — no allocation, no I/O, no formatting on the hot path.

@@ -1,22 +1,22 @@
-//! Throttled terminal progress reporter fed by the event bus.
+//! Throttled terminal progress reporter fed by a run's event sink.
 //!
-//! A passive consumer of [`crate::events`]: it keeps a small tally of
-//! planned/started/finished units, retries and failures, and redraws a
-//! single `\r`-rewritten stderr line at most every ~100 ms. It writes
-//! **only to stderr** and reads metrics exclusively through
-//! [`crate::metrics::counter_value`] (which never registers names), so
-//! enabling it cannot change a report, a metrics snapshot, or any
-//! cache/store counter — the zero-impact contract `tests/events.rs`
-//! enforces.
+//! A passive consumer of one [`crate::events::Events`] handle: it keeps
+//! a small tally of planned/started/finished units, retries and
+//! failures, and redraws a single `\r`-rewritten stderr line at most
+//! every ~100 ms. It writes **only to stderr** and reads metrics
+//! exclusively through [`crate::metrics::counter_value`] (which never
+//! registers names), so enabling it cannot change a report, a metrics
+//! snapshot, or any cache/store counter — the zero-impact contract
+//! `tests/events.rs` enforces.
 //!
 //! Activation follows the CLI convention: [`Mode::Auto`] turns the
 //! reporter on only when stderr is a terminal (so tests, CI, and
 //! redirected runs stay silent), `--progress` forces [`Mode::On`],
-//! `--no-progress` forces [`Mode::Off`].
+//! `--no-progress` forces [`Mode::Off`]. The mode is passed to
+//! [`crate::events::Events::new`], which owns the reporter it turns on.
 
 use std::io::{IsTerminal, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::events::{Event, FieldValue};
@@ -33,11 +33,21 @@ pub enum Mode {
     Off,
 }
 
+impl Mode {
+    /// Whether this policy turns the reporter on in this process.
+    #[must_use]
+    pub(crate) fn is_on(self) -> bool {
+        match self {
+            Mode::On => true,
+            Mode::Off => false,
+            Mode::Auto => std::io::stderr().is_terminal(),
+        }
+    }
+}
+
 /// Minimum interval between redraws (the final `run-finished` redraw is
 /// never throttled).
 const RENDER_INTERVAL: Duration = Duration::from_millis(100);
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 struct State {
     planned: u64,
@@ -80,83 +90,64 @@ impl State {
     }
 }
 
-fn state() -> MutexGuard<'static, State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE
-        .get_or_init(|| Mutex::new(State::new()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// One run's progress line: the tally behind it and its redraw
+/// throttle.
+pub(crate) struct Reporter(Mutex<State>);
 
-/// Whether the reporter is currently consuming events.
-#[must_use]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
+impl Reporter {
+    pub(crate) fn new() -> Self {
+        Reporter(Mutex::new(State::new()))
+    }
 
-/// Applies an activation policy. Activating resets the tally;
-/// deactivating finalizes any partially drawn line (see [`finish`]).
-pub fn set_mode(mode: Mode) {
-    let on = match mode {
-        Mode::On => true,
-        Mode::Off => false,
-        Mode::Auto => std::io::stderr().is_terminal(),
-    };
-    let was = ACTIVE.swap(on, Ordering::Release);
-    if on && !was {
-        state().reset();
+    fn state(&self) -> MutexGuard<'_, State> {
+        // Every update leaves the tally valid, so a poisoned lock still
+        // holds a usable one.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    if !on && was {
-        finish();
-    }
-    crate::events::refresh_enabled();
-}
 
-/// Ends the current progress line: if anything was drawn, redraws the
-/// final tally and emits the trailing newline so subsequent stderr
-/// output starts on a fresh line.
-pub fn finish() {
-    let mut st = state();
-    if st.rendered {
-        render(&mut st, true);
-        let _ = writeln!(std::io::stderr());
-        st.rendered = false;
-        st.last_len = 0;
+    /// Ends the progress line: if anything was drawn, redraws the final
+    /// tally and emits the trailing newline so subsequent stderr output
+    /// starts on a fresh line.
+    pub(crate) fn finish(&self) {
+        let mut st = self.state();
+        if st.rendered {
+            render(&mut st, true);
+            let _ = writeln!(std::io::stderr());
+            st.rendered = false;
+            st.last_len = 0;
+        }
     }
-}
 
-/// Feeds one event to the reporter (called by [`crate::events::emit`]
-/// after the bus lock is released). A no-op unless [`active`].
-pub(crate) fn observe(ev: &Event) {
-    if !active() {
-        return;
-    }
-    let mut st = state();
-    match ev.kind() {
-        "run-started" => st.reset(),
-        "unit-planned" => st.planned += 1,
-        "unit-started" => st.started += 1,
-        "unit-finished" => {
-            st.finished += 1;
-            if let Some(FieldValue::Str(source)) = ev.det_field("source") {
-                match source.as_str() {
-                    "cache" => st.from_cache += 1,
-                    "store" => st.from_store += 1,
-                    "checkpoint" => st.from_checkpoint += 1,
-                    _ => {}
+    /// Feeds one event to the reporter (called by
+    /// [`crate::events::Events::emit`] after the sink lock is released).
+    pub(crate) fn observe(&self, ev: &Event) {
+        let mut st = self.state();
+        match ev.kind() {
+            "run-started" => st.reset(),
+            "unit-planned" => st.planned += 1,
+            "unit-started" => st.started += 1,
+            "unit-finished" => {
+                st.finished += 1;
+                if let Some(FieldValue::Str(source)) = ev.det_field("source") {
+                    match source.as_str() {
+                        "cache" => st.from_cache += 1,
+                        "store" => st.from_store += 1,
+                        "checkpoint" => st.from_checkpoint += 1,
+                        _ => {}
+                    }
                 }
             }
+            "retry" => st.retries += 1,
+            "failure" => st.failures += 1,
+            _ => {}
         }
-        "retry" => st.retries += 1,
-        "failure" => st.failures += 1,
-        _ => {}
-    }
-    let force = ev.kind() == "run-finished";
-    let due = st
-        .last_render
-        .is_none_or(|t| t.elapsed() >= RENDER_INTERVAL);
-    if force || (due && st.planned > 0) {
-        render(&mut st, force);
+        let force = ev.kind() == "run-finished";
+        let due = st
+            .last_render
+            .is_none_or(|t| t.elapsed() >= RENDER_INTERVAL);
+        if force || (due && st.planned > 0) {
+            render(&mut st, force);
+        }
     }
 }
 
@@ -204,48 +195,41 @@ fn render(st: &mut State, force: bool) {
 mod tests {
     use super::*;
 
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn planned(unit: u64) -> Event {
+        Event::new("unit-planned")
+            .det_u64("unit", unit)
+            .det_u64("job", 0)
+            .det_str("arch", "Dense")
+            .det_str("gemm", "g")
+            .det_str("key", "00")
     }
 
     #[test]
     fn auto_mode_is_off_under_test_harness() {
-        let _gate = exclusive();
         // cargo test captures stderr through a pipe, so Auto stays off
         // and the reporter is inert by default.
-        set_mode(Mode::Auto);
-        assert!(!active());
-        set_mode(Mode::Off);
+        assert!(!Mode::Auto.is_on());
+        assert!(Mode::On.is_on());
+        assert!(!Mode::Off.is_on());
     }
 
     #[test]
     fn observe_tallies_unit_lifecycle() {
-        let _gate = exclusive();
-        set_mode(Mode::On);
-        assert!(active());
-        observe(&Event::new("run-started"));
+        let reporter = Reporter::new();
+        reporter.observe(&Event::new("run-started"));
         for unit in 0..3u64 {
-            observe(
-                &Event::new("unit-planned")
-                    .det_u64("unit", unit)
-                    .det_u64("job", 0)
-                    .det_str("arch", "Dense")
-                    .det_str("gemm", "g")
-                    .det_str("key", "00"),
-            );
+            reporter.observe(&planned(unit));
         }
-        observe(&Event::new("unit-started").det_u64("unit", 0));
-        observe(
+        reporter.observe(&Event::new("unit-started").det_u64("unit", 0));
+        reporter.observe(
             &Event::new("unit-finished")
                 .det_u64("unit", 0)
                 .det_str("source", "cache")
                 .det_bool("ok", true)
                 .det_u64("cycles", 7),
         );
-        observe(&Event::new("retry").det_u64("unit", 1).det_u64("attempt", 1));
-        observe(
+        reporter.observe(&Event::new("retry").det_u64("unit", 1).det_u64("attempt", 1));
+        reporter.observe(
             &Event::new("failure")
                 .det_u64("unit", 1)
                 .det_str("kind", "panic")
@@ -253,37 +237,27 @@ mod tests {
                 .det_str("payload", "boom"),
         );
         {
-            let st = state();
+            let st = reporter.state();
             assert_eq!(st.planned, 3);
             assert_eq!(st.finished, 1);
             assert_eq!(st.from_cache, 1);
             assert_eq!(st.retries, 1);
             assert_eq!(st.failures, 1);
         }
-        observe(
+        reporter.observe(
             &Event::new("run-finished")
                 .det_u64("units", 3)
                 .det_u64("failures", 1),
         );
-        set_mode(Mode::Off);
-        assert!(!active());
+        reporter.finish();
+        assert!(!reporter.state().rendered, "finish ends the line");
     }
 
     #[test]
-    fn activation_resets_the_tally() {
-        let _gate = exclusive();
-        set_mode(Mode::On);
-        observe(
-            &Event::new("unit-planned")
-                .det_u64("unit", 0)
-                .det_u64("job", 0)
-                .det_str("arch", "Dense")
-                .det_str("gemm", "g")
-                .det_str("key", "00"),
-        );
-        set_mode(Mode::Off);
-        set_mode(Mode::On);
-        assert_eq!(state().planned, 0);
-        set_mode(Mode::Off);
+    fn run_started_resets_the_tally() {
+        let reporter = Reporter::new();
+        reporter.observe(&planned(0));
+        reporter.observe(&Event::new("run-started"));
+        assert_eq!(reporter.state().planned, 0);
     }
 }

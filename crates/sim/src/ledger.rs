@@ -5,9 +5,9 @@
 //! directory (by default `results/ledger/` when run from the repo
 //! root): what ran (`kind` + `label`, hashed into the record `key`),
 //! at which source revision (`git describe`), with which deterministic
-//! metrics outcome (`metrics_digest` — the FNV-1a digest of
-//! [`eureka_obs::metrics::snapshot_json`]`(false)`), how long it took,
-//! and how many run events the bus emitted. Records are single JSON
+//! metrics outcome (`metrics_digest`, which the caller computes with
+//! [`metrics_digest`] from its run's deterministic snapshot), how long
+//! it took, and how many run events it emitted. Records are single JSON
 //! files written through [`eureka_obs::atomic::write_atomic`], so a killed
 //! run never leaves a torn record.
 //!
@@ -36,8 +36,7 @@ use std::path::{Path, PathBuf};
 pub const SCHEMA: &str = "eureka-ledger-v1";
 
 /// One run summary, as assembled by the caller before [`append`] stamps
-/// the environment fields (key, git revision, metrics digest, creation
-/// time).
+/// the environment fields (key, git revision, creation time).
 #[derive(Clone, Debug)]
 pub struct LedgerRecord {
     /// Which drive path ran: `simulate`, `figure`, or `profile`.
@@ -53,8 +52,11 @@ pub struct LedgerRecord {
     pub speedup_vs_dense: Option<f64>,
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: f64,
-    /// Events emitted on the run-event bus (0 when the bus was off).
+    /// Events the run emitted (0 when its event sink was off).
     pub events: u64,
+    /// Digest of the run's deterministic metrics ([`metrics_digest`]);
+    /// equal keys with unequal digests gate as a regression.
+    pub metrics_digest: String,
     /// Service SLA summary (`eureka serve --sla-budget-us`); `None` for
     /// batch runs. Serialized as flat `sla_*` fields so `bench diff`
     /// gates p99 / throughput / shed-rate like any other metric.
@@ -68,6 +70,14 @@ pub struct LedgerRecord {
 #[must_use]
 pub fn record_key(kind: &str, label: &str) -> String {
     format!("{:016x}", fnv1a64(format!("{kind}|{label}").as_bytes()))
+}
+
+/// The `metrics_digest` of a deterministic metrics snapshot (such as
+/// [`eureka_obs::metrics::snapshot_json`]`(false)`): FNV-1a, rendered
+/// as 16 hex digits.
+#[must_use]
+pub fn metrics_digest(snapshot: &str) -> String {
+    format!("{:016x}", fnv1a64(snapshot.as_bytes()))
 }
 
 /// Best-effort `git describe --always --dirty` of the working tree;
@@ -97,10 +107,6 @@ pub fn git_describe() -> String {
 pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let key = record_key(&record.kind, &record.label);
-    let metrics_digest = format!(
-        "{:016x}",
-        fnv1a64(eureka_obs::metrics::snapshot_json(false).as_bytes())
-    );
     let created_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u128::min(d.as_millis(), u128::from(u64::MAX)) as u64);
@@ -115,10 +121,11 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
         )
     });
     let body = format!(
-        "{{\"schema\":\"{SCHEMA}\",\"key\":\"{key}\",\"kind\":\"{}\",\"label\":\"{}\",\"git\":\"{}\",\"metrics_digest\":\"{metrics_digest}\",\"total_cycles\":{},\"speedup_vs_dense\":{},\"wall_ms\":{},\"events\":{}{sla_fields},\"created_ms\":{created_ms}}}\n",
+        "{{\"schema\":\"{SCHEMA}\",\"key\":\"{key}\",\"kind\":\"{}\",\"label\":\"{}\",\"git\":\"{}\",\"metrics_digest\":\"{}\",\"total_cycles\":{},\"speedup_vs_dense\":{},\"wall_ms\":{},\"events\":{}{sla_fields},\"created_ms\":{created_ms}}}\n",
         json::escape(&record.kind),
         json::escape(&record.label),
         json::escape(&git_describe()),
+        json::escape(&record.metrics_digest),
         record
             .total_cycles
             .map_or_else(|| "null".to_string(), |v| v.to_string()),
@@ -531,6 +538,7 @@ mod tests {
             speedup_vs_dense: Some(3.07),
             wall_ms: 12.5,
             events: 42,
+            metrics_digest: metrics_digest("{\"runner.jobs\":1}"),
             sla: None,
         };
         let p1 = append(&dir, &record).unwrap();
@@ -547,8 +555,12 @@ mod tests {
         );
         assert_eq!(num(v, "total_cycles"), Some(252_211.0));
         assert_eq!(num(v, "events"), Some(42.0));
-        // Same-process records share git revision and metrics digest, so
-        // the self-diff passes.
+        assert_eq!(
+            v.get("metrics_digest").and_then(Value::as_str),
+            Some(record.metrics_digest.as_str())
+        );
+        // Records of identical work share git revision and metrics
+        // digest, so the self-diff passes.
         let report = diff(&records[0].1, &records[1].1, 2.0).unwrap();
         assert!(report.ok(), "{}", report.render());
         // An injected cycle regression fails the gate.
@@ -561,6 +573,21 @@ mod tests {
             }
         }
         assert!(!diff(&records[0].1, &worse, 2.0).unwrap().ok());
+        // So does a changed deterministic-metrics digest under one key.
+        let changed = LedgerRecord {
+            metrics_digest: metrics_digest("{\"runner.jobs\":2}"),
+            ..record
+        };
+        let p3 = append(&dir, &changed).unwrap();
+        let records = read_dir(&dir).unwrap();
+        let (_, v3) = records.iter().find(|(p, _)| *p == p3).unwrap();
+        let drift = diff(&records[0].1, v3, 2.0).unwrap();
+        assert!(!drift.ok());
+        assert!(
+            drift.render().contains("REGRESSION: metrics_digest"),
+            "{}",
+            drift.render()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -575,6 +602,7 @@ mod tests {
             speedup_vs_dense: None,
             wall_ms: 500.0,
             events: 0,
+            metrics_digest: metrics_digest("{}"),
             sla: Some(crate::service::SlaReport {
                 budget_us: 1_000_000,
                 p99_e2e_us: 45_000,
@@ -641,6 +669,7 @@ mod tests {
             speedup_vs_dense: None,
             wall_ms: 1.0,
             events: 0,
+            metrics_digest: metrics_digest("{}"),
             sla: None,
         };
         append(&dir, &record).unwrap();

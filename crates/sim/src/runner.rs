@@ -88,14 +88,16 @@
 //! plain atomics, and no measured time influences any unit's result, so
 //! instrumented output stays bit-identical to uninstrumented output.
 //!
-//! When the [`eureka_obs::events`] bus is armed (`--events-out` /
-//! `--progress`), the drive path additionally emits the
-//! `eureka-events-v1` stream — `run-started`, `unit-planned` per unit,
-//! `unit-started` / `unit-finished` (with its `cache` / `checkpoint` /
-//! `store` / `computed` source classification), `retry` / `failure`,
-//! `checkpoint-written`, `store-flush`, `run-finished`. Every emit site
-//! is guarded by one relaxed atomic load and feeds nothing back into
-//! simulation, so event-instrumented runs stay bit-identical too.
+//! A runner built with [`Runner::with_events`] additionally emits the
+//! `eureka-events-v1` stream into that one [`Events`] handle —
+//! `run-started`, `unit-planned` per unit, `unit-started` /
+//! `unit-finished` (with its `cache` / `checkpoint` / `store` /
+//! `computed` source classification), `retry` / `failure`,
+//! `checkpoint-written`, `store-flush`, `run-finished`. It is the only
+//! emitter: a command's ledger reads the handle's count, and two
+//! runners with their own handles never mix streams. Events are built
+//! lazily — an off handle never constructs one — and feed nothing back
+//! into simulation, so event-instrumented runs stay bit-identical too.
 
 use crate::arch::{Architecture, LayerCtx, SimError};
 use crate::backoff::BackoffPolicy;
@@ -107,7 +109,7 @@ use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
 use crate::store::{self, TileBroker};
 use eureka_models::{activation, workload::LayerGemm, Workload};
-use eureka_obs::events::{self, Event};
+use eureka_obs::events::{Event, Events};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram};
 use eureka_sparse::rng::DetRng;
 use std::collections::HashMap;
@@ -396,21 +398,29 @@ fn unit_key_digest(key: &UnitKey) -> String {
     format!("{:016x}", fnv1a64(key.canonical().as_bytes()))
 }
 
-/// Emits the `unit-finished` event for a successful unit. `exec_us` is
-/// `0` for cache/checkpoint replays (nothing executed). The `source`
+/// The `unit-planned` event of a unit of the `job`-th submitted job.
+fn unit_planned(unit: &WorkUnit<'_>, job: usize) -> Event {
+    Event::new("unit-planned")
+        .det_u64("unit", unit.index as u64)
+        .det_u64("job", job as u64)
+        .det_str("arch", unit.key.arch.clone())
+        .det_str("gemm", unit.gemm.name.clone())
+        .det_str("key", unit_key_digest(&unit.key))
+}
+
+/// The `unit-finished` event of a successful unit. `exec_us` is `0`
+/// for cache/checkpoint replays (nothing executed). The `source`
 /// classification (`cache` / `checkpoint` / `store` / `computed`) is a
 /// deterministic field: unit keys within a shipped plan are distinct,
 /// so which memoization layer serves a unit never depends on worker
 /// scheduling.
-fn emit_unit_finished(unit: &WorkUnit<'_>, source: &str, report: &LayerReport, exec_us: u64) {
-    events::emit(
-        Event::new("unit-finished")
-            .det_u64("unit", unit.index as u64)
-            .det_str("source", source)
-            .det_bool("ok", true)
-            .det_u64("cycles", report.total_cycles())
-            .wall_u64("exec_us", exec_us),
-    );
+fn unit_finished(unit: &WorkUnit<'_>, source: &str, report: &LayerReport, exec_us: u64) -> Event {
+    Event::new("unit-finished")
+        .det_u64("unit", unit.index as u64)
+        .det_str("source", source)
+        .det_bool("ok", true)
+        .det_u64("cycles", report.total_cycles())
+        .wall_u64("exec_us", exec_us)
 }
 
 /// Empties the process-wide unit cache (for cold-start measurements).
@@ -594,6 +604,7 @@ pub struct Runner {
     checkpoint: Option<CheckpointCfg>,
     store_enabled: bool,
     store_dir: Option<PathBuf>,
+    events: Events,
 }
 
 /// How the plan phase wires work units to the tile store, resolved once
@@ -655,6 +666,7 @@ impl Runner {
             checkpoint: None,
             store_enabled: true,
             store_dir: None,
+            events: Events::default(),
         }
     }
 
@@ -737,6 +749,14 @@ impl Runner {
         self
     }
 
+    /// Emits this runner's `eureka-events-v1` stream into `events` (see
+    /// the [module docs](self)). Results stay bit-identical.
+    #[must_use]
+    pub fn with_events(mut self, events: Events) -> Self {
+        self.events = events;
+        self
+    }
+
     /// Where this run's unit records live: the explicit checkpoint
     /// configuration, else the store directory, batched, in resume mode.
     fn unit_records(&self) -> Option<CheckpointCfg> {
@@ -813,9 +833,8 @@ impl Runner {
         let _run_span = eureka_obs::span!("runner.run_all", "{} job(s)", jobs.len());
         t.jobs.add(jobs.len() as u64);
         let run_started = Instant::now();
-        if events::enabled() {
-            events::emit(Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
-        }
+        self.events
+            .emit(|| Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
         // Plan: enumerate every job's per-layer units.
         let tiles = self.broker_source();
         let mut units = Vec::new();
@@ -829,18 +848,9 @@ impl Runner {
             }
         }
         t.units_planned.add(units.len() as u64);
-        if events::enabled() {
-            for (job_idx, range) in ranges.iter().enumerate() {
-                for unit in &units[range.clone()] {
-                    events::emit(
-                        Event::new("unit-planned")
-                            .det_u64("unit", unit.index as u64)
-                            .det_u64("job", job_idx as u64)
-                            .det_str("arch", unit.key.arch.clone())
-                            .det_str("gemm", unit.gemm.name.clone())
-                            .det_str("key", unit_key_digest(&unit.key)),
-                    );
-                }
+        for (job_idx, range) in ranges.iter().enumerate() {
+            for unit in &units[range.clone()] {
+                self.events.emit(|| unit_planned(unit, job_idx));
             }
         }
         // Execute: serial order or index-claimed pool, cache-first.
@@ -848,8 +858,8 @@ impl Runner {
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
         tiles.flush();
-        if events::enabled() && tiles.has_disk() {
-            events::emit(Event::new("store-flush"));
+        if tiles.has_disk() {
+            self.events.emit(|| Event::new("store-flush"));
         }
         // Reduce: reassemble per job, in layer-index order.
         let _reduce_span = eureka_obs::span!("runner.reduce");
@@ -863,7 +873,7 @@ impl Runner {
             })
             .collect();
         t.reduce_micros.record(micros(reduce_started.elapsed()));
-        if events::enabled() {
+        self.events.emit(|| {
             let failures: u64 = out
                 .iter()
                 .map(|o| match o {
@@ -872,14 +882,12 @@ impl Runner {
                     JobOutcome::Failed { failures } => failures.len() as u64,
                 })
                 .sum();
-            events::emit(
-                Event::new("run-finished")
-                    .det_u64("units", units.len() as u64)
-                    .det_u64("failures", failures)
-                    .wall_u64("jobs", jobs.len() as u64)
-                    .wall_u64("wall_us", micros(run_started.elapsed())),
-            );
-        }
+            Event::new("run-finished")
+                .det_u64("units", units.len() as u64)
+                .det_u64("failures", failures)
+                .wall_u64("jobs", jobs.len() as u64)
+                .wall_u64("wall_us", micros(run_started.elapsed()))
+        });
         out
     }
 
@@ -977,10 +985,8 @@ impl Runner {
     ) -> Result<LayerReport, UnitError> {
         let t = telemetry();
         let _span = eureka_obs::span!("unit.exec", "{} {}", unit.key.arch, unit.gemm.name);
-        let events_on = events::enabled();
-        if events_on {
-            events::emit(Event::new("unit-started").det_u64("unit", unit.index as u64));
-        }
+        self.events
+            .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
         // Cooperative cancellation: the unit boundary is the only place
         // the runner looks at the token, so a unit either never starts
         // or runs to its own conclusion. Checked before the cache so a
@@ -993,15 +999,13 @@ impl Runner {
                 } else {
                     "deadline exceeded before execution"
                 };
-                if events_on {
-                    events::emit(
-                        Event::new("failure")
-                            .det_u64("unit", unit.index as u64)
-                            .det_str("kind", FailureKind::Cancelled.label())
-                            .det_u64("attempts", 0)
-                            .det_str("payload", payload),
-                    );
-                }
+                self.events.emit(|| {
+                    Event::new("failure")
+                        .det_u64("unit", unit.index as u64)
+                        .det_str("kind", FailureKind::Cancelled.label())
+                        .det_u64("attempts", 0)
+                        .det_str("payload", payload)
+                });
                 return Err(UnitError {
                     kind: FailureKind::Cancelled,
                     payload: payload.to_string(),
@@ -1021,20 +1025,16 @@ impl Runner {
                         match ck.store.store(&key, &hit) {
                             Ok(()) => {
                                 t.ckpt_writes.inc();
-                                if events_on {
-                                    events::emit(
-                                        Event::new("checkpoint-written")
-                                            .det_u64("unit", unit.index as u64),
-                                    );
-                                }
+                                self.events.emit(|| {
+                                    Event::new("checkpoint-written")
+                                        .det_u64("unit", unit.index as u64)
+                                });
                             }
                             Err(_) => t.ckpt_errors.inc(),
                         }
                     }
                 }
-                if events_on {
-                    emit_unit_finished(unit, "cache", &hit, 0);
-                }
+                self.events.emit(|| unit_finished(unit, "cache", &hit, 0));
                 return Ok(hit);
             }
         }
@@ -1048,9 +1048,8 @@ impl Runner {
                         lock(&cache().map).insert(unit.key.clone(), report.clone());
                         t.cache_inserts.inc();
                     }
-                    if events_on {
-                        emit_unit_finished(unit, "checkpoint", &report, 0);
-                    }
+                    self.events
+                        .emit(|| unit_finished(unit, "checkpoint", &report, 0));
                     return Ok(report);
                 }
             }
@@ -1104,19 +1103,16 @@ impl Runner {
                         match ck.store.store(&unit.key.canonical(), &report) {
                             Ok(()) => {
                                 t.ckpt_writes.inc();
-                                if events_on {
-                                    events::emit(
-                                        Event::new("checkpoint-written")
-                                            .det_u64("unit", unit.index as u64),
-                                    );
-                                }
+                                self.events.emit(|| {
+                                    Event::new("checkpoint-written")
+                                        .det_u64("unit", unit.index as u64)
+                                });
                             }
                             Err(_) => t.ckpt_errors.inc(),
                         }
                     }
-                    if events_on {
-                        emit_unit_finished(unit, source, &report, exec_us);
-                    }
+                    self.events
+                        .emit(|| unit_finished(unit, source, &report, exec_us));
                     return Ok(report);
                 }
                 Ok(Err(e)) => UnitError {
@@ -1147,15 +1143,13 @@ impl Runner {
                     failure.kind.label(),
                     failure.attempts
                 );
-                if events_on {
-                    events::emit(
-                        Event::new("failure")
-                            .det_u64("unit", unit.index as u64)
-                            .det_str("kind", failure.kind.label())
-                            .det_u64("attempts", u64::from(failure.attempts))
-                            .det_str("payload", failure.payload.clone()),
-                    );
-                }
+                self.events.emit(|| {
+                    Event::new("failure")
+                        .det_u64("unit", unit.index as u64)
+                        .det_str("kind", failure.kind.label())
+                        .det_u64("attempts", u64::from(failure.attempts))
+                        .det_str("payload", failure.payload.clone())
+                });
                 return Err(failure);
             }
             // Space the next attempt out: deterministic exponential
@@ -1164,15 +1158,13 @@ impl Runner {
             let delay_us = self
                 .backoff
                 .delay_us(unit.key.rng_seed ^ unit.key.rng_stream, attempt);
-            if events_on {
-                events::emit(
-                    Event::new("retry")
-                        .det_u64("unit", unit.index as u64)
-                        .det_u64("attempt", u64::from(attempt))
-                        .det_str("kind", failure.kind.label())
-                        .wall_u64("backoff_us", delay_us),
-                );
-            }
+            self.events.emit(|| {
+                Event::new("retry")
+                    .det_u64("unit", unit.index as u64)
+                    .det_u64("attempt", u64::from(attempt))
+                    .det_str("kind", failure.kind.label())
+                    .wall_u64("backoff_us", delay_us)
+            });
             if delay_us > 0 {
                 t.backoff_slept_us.add(delay_us);
                 std::thread::sleep(std::time::Duration::from_micros(delay_us));
@@ -1217,24 +1209,14 @@ impl Runner {
         let mut units = Vec::new();
         plan(job, &mut units, &tiles);
         let run_started = Instant::now();
-        let events_on = events::enabled();
-        if events_on {
-            events::emit(Event::new("run-started").wall_u64("jobs", 1));
-            for unit in &units {
-                events::emit(
-                    Event::new("unit-planned")
-                        .det_u64("unit", unit.index as u64)
-                        .det_u64("job", 0)
-                        .det_str("arch", unit.key.arch.clone())
-                        .det_str("gemm", unit.gemm.name.clone())
-                        .det_str("key", unit_key_digest(&unit.key)),
-                );
-            }
+        self.events
+            .emit(|| Event::new("run-started").wall_u64("jobs", 1));
+        for unit in &units {
+            self.events.emit(|| unit_planned(unit, 0));
         }
         let results = self.execute_with(&units, |unit| {
-            if events::enabled() {
-                events::emit(Event::new("unit-started").det_u64("unit", unit.index as u64));
-            }
+            self.events
+                .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
             let started = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 execute_unit_profiled(unit, pcfg)
@@ -1248,49 +1230,45 @@ impl Runner {
                     payload: panic_message(panic.as_ref()),
                 }),
             };
-            if events::enabled() {
-                match &result {
-                    Ok((report, _)) => {
-                        let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
-                        let source = if tile_lookups > 0 && tile_computes == 0 {
-                            "store"
-                        } else {
-                            "computed"
-                        };
-                        emit_unit_finished(unit, source, report, exec_us);
-                    }
-                    Err(e) => {
-                        let kind = if matches!(e, SimError::UnitPanic { .. }) {
-                            "panic"
-                        } else {
-                            "sim-error"
-                        };
-                        events::emit(
-                            Event::new("failure")
-                                .det_u64("unit", unit.index as u64)
-                                .det_str("kind", kind)
-                                .det_u64("attempts", 1)
-                                .det_str("payload", e.to_string()),
-                        );
-                    }
+            self.events.emit(|| match &result {
+                Ok((report, _)) => {
+                    let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
+                    let source = if tile_lookups > 0 && tile_computes == 0 {
+                        "store"
+                    } else {
+                        "computed"
+                    };
+                    unit_finished(unit, source, report, exec_us)
                 }
-            }
+                Err(e) => {
+                    let kind = if matches!(e, SimError::UnitPanic { .. }) {
+                        "panic"
+                    } else {
+                        "sim-error"
+                    };
+                    Event::new("failure")
+                        .det_u64("unit", unit.index as u64)
+                        .det_str("kind", kind)
+                        .det_u64("attempts", 1)
+                        .det_str("payload", e.to_string())
+                }
+            });
             result
         });
         tiles.flush();
-        if events_on && tiles.has_disk() {
-            events::emit(Event::new("store-flush"));
+        if tiles.has_disk() {
+            self.events.emit(|| Event::new("store-flush"));
         }
-        if events_on {
-            let failures = results.iter().filter(|r| r.is_err()).count() as u64;
-            events::emit(
-                Event::new("run-finished")
-                    .det_u64("units", units.len() as u64)
-                    .det_u64("failures", failures)
-                    .wall_u64("jobs", 1)
-                    .wall_u64("wall_us", micros(run_started.elapsed())),
-            );
-        }
+        self.events.emit(|| {
+            Event::new("run-finished")
+                .det_u64("units", units.len() as u64)
+                .det_u64(
+                    "failures",
+                    results.iter().filter(|r| r.is_err()).count() as u64,
+                )
+                .wall_u64("jobs", 1)
+                .wall_u64("wall_us", micros(run_started.elapsed()))
+        });
         let mut layers = Vec::with_capacity(results.len() + 1);
         let mut profiles = Vec::with_capacity(results.len() + 1);
         for result in results {

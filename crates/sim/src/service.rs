@@ -16,19 +16,18 @@
 //! replayed job never recomputes units it completed in a previous life,
 //! and a terminal journal record when the job leaves the system.
 //!
-//! Every lifecycle transition is emitted on the event bus
-//! (`job-accepted`, `job-admitted`, `job-queued`, `job-dequeued`,
-//! `job-started`, `job-retried`, `job-completed`, `job-finished`,
-//! `job-cancelled`, `job-deadline-exceeded`, `job-shed`,
-//! `job-recovered`, `service-drained`), counted in the `service.*`
-//! metrics, and stamped with monotonic admission / dequeue / start /
-//! finish timestamps that feed the timing-class latency histograms
+//! Every lifecycle transition is written twice: to the always-armed
+//! flight recorder ([`eureka_obs::flightrec`]: `job-admitted`,
+//! `job-dequeued`, `job-finished`, `job-shed`) and to the `service.*`
+//! counters. Monotonic admission / dequeue / start / finish timestamps
+//! feed the timing-class latency histograms
 //! `service.{queue_wait_us,exec_us,e2e_us}.<outcome>` (one per
-//! [`OUTCOME_CLASSES`] entry) plus the always-armed flight recorder
-//! ([`eureka_obs::flightrec`]). Latencies are recorded only at terminal
-//! transitions — when the outcome class is finally known — so at
-//! quiescence each class's histogram `count` equals its counter
-//! exactly ([`latency_counts`]), and the counters reconcile:
+//! [`OUTCOME_CLASSES`] entry). Latencies are recorded only at terminal
+//! transitions — when the outcome class is finally known — and a job
+//! is published as terminal (its status, and the service idle) only
+//! after all of its records are written, so once [`JobService::wait_idle`]
+//! returns each class's histogram `count` equals its counter exactly
+//! ([`latency_counts`]), and the counters reconcile:
 //!
 //! ```text
 //! service.served == service.completed + service.shed
@@ -53,7 +52,6 @@ use crate::journal::{Journal, JournalState};
 use crate::outcome::{JobOutcome, RetryPolicy};
 use crate::runner::{self, CancelToken, Runner, SimJob};
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_obs::events::{self, Event};
 use eureka_obs::flightrec;
 use eureka_obs::json::Value;
 use eureka_obs::metrics::{self, Class, Counter, Histogram};
@@ -196,7 +194,7 @@ impl JobSpec {
     }
 
     /// 16-hex-digit content digest of the canonical spec (the journal
-    /// file stem; also the `key` field of job events).
+    /// file stem; also the `key` field of a `submit` response).
     #[must_use]
     pub fn digest(&self) -> String {
         format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
@@ -628,9 +626,8 @@ pub struct JobService {
 
 impl JobService {
     /// Starts the service: replays accepted-but-unfinished jobs from
-    /// the journal (emitting `job-recovered` and ticking
-    /// `service.recovered` + `service.served` per replayed job), then
-    /// spawns the worker thread.
+    /// the journal (ticking `service.recovered` + `service.served` per
+    /// replayed job), then spawns the worker thread.
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Self {
         let journal = Journal::new(cfg.journal_dir.clone());
@@ -658,7 +655,6 @@ impl JobService {
         let recovered_specs = inner.journal.recover();
         if !recovered_specs.is_empty() {
             let m = service_metrics();
-            let events_on = events::enabled();
             let mut st = lock(&inner.state);
             for spec_text in recovered_specs {
                 let Some(spec) = JobSpec::parse(&spec_text) else {
@@ -669,19 +665,6 @@ impl JobService {
                 };
                 let id = st.next_id;
                 st.next_id += 1;
-                if events_on {
-                    events::emit(
-                        Event::new("job-recovered")
-                            .det_u64("job", id)
-                            .det_str("key", spec.digest()),
-                    );
-                    events::emit(
-                        Event::new("job-admitted")
-                            .det_u64("job", id)
-                            .det_str("key", spec.digest()),
-                    );
-                    events::emit(Event::new("job-queued").det_u64("job", id));
-                }
                 flightrec::record("job-admitted", id, fnv1a64(spec.canonical().as_bytes()));
                 st.jobs.insert(
                     id,
@@ -725,7 +708,6 @@ impl JobService {
     /// written.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
         let m = service_metrics();
-        let events_on = events::enabled();
         if spec.batch == 0 {
             return Err(SubmitError::Invalid("batch must be >= 1".into()));
         }
@@ -744,9 +726,6 @@ impl JobService {
             m.shed.inc();
             latency_metrics().classes[1].e2e.record(0);
             flightrec::record("job-shed", 0, capacity as u64);
-            if events_on {
-                events::emit(Event::new("job-shed").det_u64("capacity", capacity as u64));
-            }
         };
         let mut st = lock(&self.inner.state);
         if st.draining || st.stopping {
@@ -768,19 +747,6 @@ impl JobService {
         }
         let id = st.next_id;
         st.next_id += 1;
-        if events_on {
-            events::emit(
-                Event::new("job-accepted")
-                    .det_u64("job", id)
-                    .det_str("key", spec.digest()),
-            );
-            events::emit(
-                Event::new("job-admitted")
-                    .det_u64("job", id)
-                    .det_str("key", spec.digest()),
-            );
-            events::emit(Event::new("job-queued").det_u64("job", id));
-        }
         flightrec::record("job-admitted", id, fnv1a64(spec.canonical().as_bytes()));
         st.jobs.insert(
             id,
@@ -855,7 +821,6 @@ impl JobService {
     /// already-terminal jobs.
     pub fn cancel(&self, id: u64) -> bool {
         let m = service_metrics();
-        let events_on = events::enabled();
         let mut st = lock(&self.inner.state);
         if let Some((running_id, token)) = &st.running {
             if *running_id == id {
@@ -891,15 +856,6 @@ impl JobService {
             metrics::counter("journal.errors", Class::Deterministic).inc();
         }
         m.cancelled.inc();
-        if events_on {
-            events::emit(Event::new("job-cancelled").det_u64("job", id));
-            events::emit(
-                Event::new("job-finished")
-                    .det_u64("job", id)
-                    .det_str("outcome", JobStatus::Cancelled.label())
-                    .wall_u64("e2e_us", waited),
-            );
-        }
         true
     }
 
@@ -931,8 +887,8 @@ impl JobService {
     }
 
     /// Graceful drain: stop admitting (subsequent submissions shed with
-    /// [`SubmitError::Draining`]), finish everything in flight, then
-    /// emit `service-drained`. The store and journal need no extra
+    /// [`SubmitError::Draining`]) and finish everything in flight. The
+    /// store and journal need no extra
     /// flush — the runner flushes tiles after every job and journal
     /// records are individually atomic. Returns `false` if the drain
     /// timed out.
@@ -943,11 +899,7 @@ impl JobService {
             st.paused = false; // a held service still finishes its work
         }
         self.inner.work.notify_all();
-        let ok = self.wait_idle();
-        if events::enabled() {
-            events::emit(Event::new("service-drained"));
-        }
-        ok
+        self.wait_idle()
     }
 
     /// `(queued, running, draining)` — the health-endpoint snapshot.
@@ -1013,7 +965,7 @@ fn worker_loop(inner: &ServiceInner) {
     let m = service_metrics();
     loop {
         // Claim the next job (or exit / go idle).
-        let (id, spec, token, wait_us) = {
+        let (id, spec, token, admitted_at, wait_us) = {
             let mut st = lock(&inner.state);
             loop {
                 if st.stopping {
@@ -1028,7 +980,8 @@ fn worker_loop(inner: &ServiceInner) {
                         record.status = JobStatus::Running;
                         let dequeued = Instant::now();
                         record.dequeued_at = Some(dequeued);
-                        let wait_us = us(dequeued.saturating_duration_since(record.admitted_at));
+                        let admitted_at = record.admitted_at;
+                        let wait_us = us(dequeued.saturating_duration_since(admitted_at));
                         let spec = record.spec.clone();
                         let deadline_ms = if spec.deadline_ms > 0 {
                             spec.deadline_ms
@@ -1041,7 +994,7 @@ fn worker_loop(inner: &ServiceInner) {
                             CancelToken::new()
                         };
                         st.running = Some((id, token.clone()));
-                        break (id, spec, token, wait_us);
+                        break (id, spec, token, admitted_at, wait_us);
                     }
                     inner.idle.notify_all();
                 }
@@ -1050,15 +1003,6 @@ fn worker_loop(inner: &ServiceInner) {
         };
 
         flightrec::record("job-dequeued", id, wait_us);
-        let events_on = events::enabled();
-        if events_on {
-            events::emit(
-                Event::new("job-dequeued")
-                    .det_u64("job", id)
-                    .wall_u64("wait_us", wait_us),
-            );
-            events::emit(Event::new("job-started").det_u64("job", id));
-        }
         let started = Instant::now();
 
         // Run under retries + backoff + cancellation + checkpoint dedup.
@@ -1068,15 +1012,16 @@ fn worker_loop(inner: &ServiceInner) {
         let outcome = run_job(inner, &spec, &token);
         let retried = runner::retry_stats().0.saturating_sub(retries_before);
 
-        // Record the terminal state — unless we are emulating SIGKILL,
-        // in which case the job is abandoned exactly as a dead process
+        // Emulating SIGKILL abandons the job exactly as a dead process
         // would leave it: accepted in the journal, nothing else (no
         // terminal latency sample either: the class is never known).
         let finished = Instant::now();
-        let mut st = lock(&inner.state);
-        if st.crashed {
-            st.running = None;
-            return;
+        {
+            let mut st = lock(&inner.state);
+            if st.crashed {
+                st.running = None;
+                return;
+            }
         }
         let status = match &outcome {
             Some(o) if o.is_complete() => JobStatus::Completed,
@@ -1084,36 +1029,20 @@ fn worker_loop(inner: &ServiceInner) {
             _ if token.deadline_exceeded() => JobStatus::DeadlineExceeded,
             _ => JobStatus::Failed,
         };
-        let mut e2e_us = 0;
-        if let Some(record) = st.jobs.get_mut(&id) {
-            record.status = status;
-            record.outcome = outcome;
-            record.started_at = Some(started);
-            record.finished_at = Some(finished);
-            e2e_us = us(finished.saturating_duration_since(record.admitted_at));
-        }
-        st.running = None;
-        drop(st);
 
-        // The outcome class is only known here, so all three latency
-        // samples land now — keeping per-class histogram counts in
-        // lockstep with the per-class counters below.
+        // Write every record of the terminal transition before the job
+        // is published as terminal: a caller that sees it finished (via
+        // `status` or `wait_idle`) then reads complete `service.*`
+        // counters and histograms. The outcome class is only known
+        // here, so all three latency samples land now — keeping
+        // per-class histogram counts in lockstep with the counters.
         let exec_us = us(finished.saturating_duration_since(started));
+        let e2e_us = us(finished.saturating_duration_since(admitted_at));
         let class = &latency_metrics().classes[class_index(status)];
         class.queue_wait.record(wait_us);
         class.exec.record(exec_us);
         class.e2e.record(e2e_us);
         flightrec::record("job-finished", id, class_index(status) as u64);
-        if events_on {
-            events::emit(
-                Event::new("job-finished")
-                    .det_u64("job", id)
-                    .det_str("outcome", status.label())
-                    .wall_u64("exec_us", exec_us)
-                    .wall_u64("e2e_us", e2e_us),
-            );
-        }
-
         let journal_state = match status {
             JobStatus::Completed => JournalState::Completed,
             JobStatus::Cancelled => JournalState::Cancelled,
@@ -1129,47 +1058,23 @@ fn worker_loop(inner: &ServiceInner) {
         }
         if retried > 0 {
             m.retried.inc();
-            if events_on {
-                events::emit(
-                    Event::new("job-retried")
-                        .det_u64("job", id)
-                        .det_u64("attempts", retried),
-                );
-            }
         }
         match status {
-            JobStatus::Completed => {
-                m.completed.inc();
-                if events_on {
-                    events::emit(
-                        Event::new("job-completed")
-                            .det_u64("job", id)
-                            .det_bool("ok", true),
-                    );
-                }
+            JobStatus::Completed => m.completed.inc(),
+            JobStatus::Cancelled => m.cancelled.inc(),
+            JobStatus::DeadlineExceeded => m.deadline_exceeded.inc(),
+            _ => m.failed.inc(),
+        }
+
+        {
+            let mut st = lock(&inner.state);
+            if let Some(record) = st.jobs.get_mut(&id) {
+                record.status = status;
+                record.outcome = outcome;
+                record.started_at = Some(started);
+                record.finished_at = Some(finished);
             }
-            JobStatus::Cancelled => {
-                m.cancelled.inc();
-                if events_on {
-                    events::emit(Event::new("job-cancelled").det_u64("job", id));
-                }
-            }
-            JobStatus::DeadlineExceeded => {
-                m.deadline_exceeded.inc();
-                if events_on {
-                    events::emit(Event::new("job-deadline-exceeded").det_u64("job", id));
-                }
-            }
-            _ => {
-                m.failed.inc();
-                if events_on {
-                    events::emit(
-                        Event::new("job-completed")
-                            .det_u64("job", id)
-                            .det_bool("ok", false),
-                    );
-                }
-            }
+            st.running = None;
         }
         inner.idle.notify_all();
     }

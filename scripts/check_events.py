@@ -36,21 +36,6 @@ KINDS = {
     "checkpoint-written": ["unit"],
     "store-flush": [],
     "run-finished": ["units", "failures"],
-    # Job-service lifecycle (eureka serve).
-    "job-accepted": ["job", "key"],
-    "job-queued": ["job"],
-    "job-started": ["job"],
-    "job-retried": ["job", "attempts"],
-    "job-completed": ["job", "ok"],
-    "job-cancelled": ["job"],
-    "job-deadline-exceeded": ["job"],
-    "job-shed": ["capacity"],
-    "job-recovered": ["job", "key"],
-    # SLA lifecycle tracing (admission -> dequeue -> terminal outcome).
-    "job-admitted": ["job", "key"],
-    "job-dequeued": ["job"],
-    "job-finished": ["job", "outcome"],
-    "service-drained": [],
 }
 
 

@@ -71,7 +71,7 @@ cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
 cmp /tmp/eureka-profile-a.json /tmp/eureka-profile-b.json
 # Run-event stream: every line is schema-valid and the deterministic
 # projection is byte-identical across --jobs 1 and --jobs 4. Reports
-# must be unaffected by arming the bus and forcing the reporter on.
+# must be unaffected by streaming events and forcing the reporter on.
 cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
     --arch eureka-p4 --fast --csv --jobs 1 --no-ledger \
     --events-out "$obs_dir/ev-j1.jsonl" > "$obs_dir/report-j1.csv"

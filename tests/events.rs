@@ -2,18 +2,21 @@
 //! every emitted line is schema-valid, the deterministic projection is
 //! byte-identical across `--jobs` settings and across reruns, failures
 //! and retries surface as typed events, memoization sources are visible
-//! per unit, and — above all — arming the bus and the progress reporter
-//! changes no report and no deterministic metric.
+//! per unit, each runner's stream lands only in its own sink, and —
+//! above all — attaching a sink and the progress reporter changes no
+//! report and no deterministic metric.
 
 use eureka::obs;
+use eureka::obs::events::Events;
+use eureka::obs::progress::Mode;
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::faults::{self, FaultKind, FaultPlan, FaultSpec, FaultyArch};
 use eureka_sim::{arch, runner, JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-/// The event bus, the unit cache and the metrics registry are
-/// process-global; serialize the tests that arm or reset them.
+/// The unit cache and the metrics registry are process-global;
+/// serialize the tests that reset or compare them.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -31,7 +34,7 @@ fn test_cfg() -> SimConfig {
 }
 
 /// An in-memory JSONL sink shareable across the `Box<dyn Write + Send>`
-/// boundary the bus requires.
+/// boundary an [`Events`] writer requires.
 #[derive(Clone, Default)]
 struct Sink(Arc<Mutex<Vec<u8>>>);
 
@@ -51,13 +54,11 @@ impl Write for Sink {
     }
 }
 
-/// Runs `f` with the bus armed into a fresh sink and returns the
-/// captured stream.
-fn capture<F: FnOnce()>(f: F) -> String {
+/// Runs `f` with an event handle writing into a fresh sink and returns
+/// the captured stream.
+fn capture<F: FnOnce(&Events)>(f: F) -> String {
     let sink = Sink::default();
-    obs::events::arm(Some(Box::new(sink.clone())));
-    f();
-    obs::events::disarm();
+    f(&Events::new(Some(Box::new(sink.clone())), Mode::Off));
     sink.contents()
 }
 
@@ -76,13 +77,11 @@ fn deterministic_projection_is_identical_across_jobs_and_reruns() {
 
     let run = |jobs: usize| {
         runner::cache_reset();
-        capture(|| {
-            let runner = if jobs == 1 {
-                Runner::serial()
-            } else {
-                Runner::with_jobs(jobs)
-            };
-            runner.run(&job).expect("supported");
+        capture(|events| {
+            Runner::with_jobs(jobs)
+                .with_events(events.clone())
+                .run(&job)
+                .expect("supported");
         })
     };
     let serial = run(1);
@@ -128,21 +127,20 @@ fn events_and_progress_have_zero_impact_on_reports_and_metrics() {
     let a = arch::by_name("eureka-p2").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    // Baseline: bus off, progress off.
+    // Baseline: no sink, progress off.
     runner::cache_reset();
     obs::metrics::reset();
     let plain_report = Runner::with_jobs(4).run(&job).expect("supported");
     let plain_metrics = obs::metrics::snapshot_json(false);
 
-    // Instrumented: bus armed AND progress forced on.
+    // Instrumented: a JSONL sink AND progress forced on.
     runner::cache_reset();
     obs::metrics::reset();
-    obs::progress::set_mode(obs::progress::Mode::On);
     let sink = Sink::default();
-    obs::events::arm(Some(Box::new(sink.clone())));
-    let instr_report = Runner::with_jobs(4).run(&job).expect("supported");
-    obs::progress::set_mode(obs::progress::Mode::Off);
-    obs::events::disarm();
+    let instr_report = Runner::with_jobs(4)
+        .with_events(Events::new(Some(Box::new(sink.clone())), Mode::On))
+        .run(&job)
+        .expect("supported");
     let instr_metrics = obs::metrics::snapshot_json(false);
 
     assert!(!sink.contents().is_empty(), "events were streamed");
@@ -154,6 +152,69 @@ fn events_and_progress_have_zero_impact_on_reports_and_metrics() {
         plain_metrics, instr_metrics,
         "deterministic metrics must be byte-identical"
     );
+}
+
+/// Two runners emitting at the same time, each into its own handle:
+/// every stream holds exactly its own runner's events — the same
+/// deterministic projection as that runner's solo run — and every
+/// handle counts exactly the lines its stream holds.
+#[test]
+fn concurrent_runners_keep_their_sinks_apart() {
+    let _x = exclusive();
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = test_cfg();
+    let archs = [
+        arch::by_name("eureka-p4").expect("registered"),
+        arch::by_name("cnvlutin").expect("registered"),
+    ];
+    // Cache- and store-free runners compute every unit, so a unit's
+    // `source` field is the same solo and side by side.
+    let run = |a: &dyn arch::Architecture, events: &Events| {
+        Runner::with_jobs(2)
+            .without_cache()
+            .without_store()
+            .with_events(events.clone())
+            .run(&SimJob::new(a, &w, cfg))
+            .expect("supported");
+    };
+    let solo: Vec<String> = archs
+        .iter()
+        .map(|a| {
+            let stream = capture(|events| run(a.as_ref(), events));
+            obs::events::deterministic_projection(&stream).unwrap()
+        })
+        .collect();
+    assert_ne!(solo[0], solo[1], "the two runs are distinguishable");
+
+    let start = Barrier::new(archs.len());
+    let side_by_side: Vec<(String, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = archs
+            .iter()
+            .map(|a| {
+                let start = &start;
+                let run = &run;
+                scope.spawn(move || {
+                    let sink = Sink::default();
+                    let events = Events::new(Some(Box::new(sink.clone())), Mode::Off);
+                    start.wait();
+                    run(a.as_ref(), &events);
+                    (sink.contents(), events.count())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|h| h.join().expect("runner thread"))
+            .collect()
+    });
+    for ((stream, count), want) in side_by_side.iter().zip(&solo) {
+        assert_eq!(
+            &obs::events::deterministic_projection(stream).unwrap(),
+            want,
+            "a concurrent runner's stream equals its solo run"
+        );
+        assert_eq!(stream.lines().count() as u64, *count);
+    }
 }
 
 #[test]
@@ -173,10 +234,11 @@ fn failures_and_retries_surface_as_events() {
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "ev-retry");
     let job = SimJob::new(&faulty, &w, cfg);
     runner::cache_reset();
-    let stream = capture(|| {
+    let stream = capture(|events| {
         let outcome = Runner::serial()
             .without_cache()
             .with_retry(RetryPolicy::transient(3))
+            .with_events(events.clone())
             .run_outcome(&job);
         assert!(matches!(outcome, JobOutcome::Complete(_)), "retry recovers");
     });
@@ -195,8 +257,11 @@ fn failures_and_retries_surface_as_events() {
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "ev-fail");
     let job = SimJob::new(&faulty, &w, cfg);
     runner::cache_reset();
-    let stream = capture(|| {
-        let outcome = Runner::serial().without_cache().run_outcome(&job);
+    let stream = capture(|events| {
+        let outcome = Runner::serial()
+            .without_cache()
+            .with_events(events.clone())
+            .run_outcome(&job);
         assert!(matches!(outcome, JobOutcome::Degraded { .. }));
     });
     assert_eq!(count(&stream, "retry"), 0);
@@ -225,9 +290,10 @@ fn unit_source_classification_tracks_memoization() {
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
     runner::cache_reset();
-    let stream = capture(|| {
-        Runner::serial().run(&job).expect("supported");
-        Runner::serial().run(&job).expect("supported");
+    let stream = capture(|events| {
+        let runner = Runner::serial().with_events(events.clone());
+        runner.run(&job).expect("supported");
+        runner.run(&job).expect("supported");
     });
     // First pass computes (or replays store tiles); the repeat is served
     // entirely from the unit cache.
@@ -260,10 +326,11 @@ fn checkpoint_writes_surface_as_events() {
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
     runner::cache_reset();
-    let cold = capture(|| {
+    let cold = capture(|events| {
         Runner::serial()
             .without_cache()
             .with_checkpoint(&dir, false)
+            .with_events(events.clone())
             .run(&job)
             .expect("supported");
     });
@@ -271,10 +338,11 @@ fn checkpoint_writes_surface_as_events() {
 
     // A resumed run replays every unit from the checkpoint store.
     runner::cache_reset();
-    let warm = capture(|| {
+    let warm = capture(|events| {
         Runner::serial()
             .without_cache()
             .with_checkpoint(&dir, true)
+            .with_events(events.clone())
             .run(&job)
             .expect("supported");
     });

@@ -188,6 +188,41 @@ fn latency_histogram_counts_reconcile_with_service_stats_per_class() {
     service::service_reset();
 }
 
+/// A job is published as finished only after every record of its
+/// terminal transition: the moment a client sees it terminal — by
+/// polling `status`, and again once `wait_idle` returns — the counters
+/// reconcile, `completed` counts every job so far, and each outcome
+/// class's latency count equals its counter.
+#[test]
+fn a_finished_job_is_published_after_its_records() {
+    const JOBS: u32 = 20;
+    let _x = exclusive();
+    let sb = Sandbox::new("publish");
+    service::service_reset();
+    let svc = JobService::start(sb.config(false));
+    let check = |done: u32, when: &str| {
+        let stats = service::service_stats();
+        assert!(stats.reconciled(), "job {done} {when}: {stats:?}");
+        assert_eq!(stats.completed, u64::from(done), "job {done} {when}");
+        assert_eq!(
+            service::latency_counts(),
+            [u64::from(done), 0, 0, 0, 0],
+            "job {done} {when}"
+        );
+    };
+    for n in 1..=JOBS {
+        let id = svc.submit(spec(n)).expect("admitted");
+        while !svc.status(id).is_some_and(JobStatus::is_terminal) {
+            std::thread::yield_now();
+        }
+        check(n, "when its status turned terminal");
+        assert!(svc.wait_idle());
+        check(n, "after wait_idle");
+    }
+    svc.shutdown();
+    service::service_reset();
+}
+
 /// SIGKILL emulation: the crashed generation journals nothing terminal,
 /// the restarted generation replays exactly the unfinished jobs and
 /// completes them, and a third generation finds a clean journal.
