@@ -8,14 +8,34 @@
 //! * **filter-row heterogeneity** — model sensitivity ([`sigma_sweep`])
 //! * **two-sided gating** — the extension the paper declined
 //!   ([`two_sided_energy`])
+//! * **clock penalty** — the §5.4 critical-path caveat ([`clock_penalty`])
+//! * **SparTen calibration** — the one fitted baseline parameter
+//!   ([`sparten_calibration`])
+//! * **batch size** — latency amortization ([`batch_sweep`])
 //!
-//! Run them all with `cargo run -p eureka-bench --release --bin ablations`.
+//! Run them all with `eureka figure ablations` ([`all`]).
 
 use crate::FigTable;
 use eureka_energy::calibrate;
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, Architecture};
 use eureka_sim::{engine, Runner, SimConfig, SimJob};
+
+/// Every ablation table, in the order `eureka figure ablations` prints
+/// them.
+#[must_use]
+pub fn all(runner: &Runner, cfg: &SimConfig) -> Vec<FigTable> {
+    vec![
+        reach_sweep(runner, cfg),
+        window_sweep(runner, cfg),
+        compaction_sweep(runner, cfg),
+        sigma_sweep(runner, cfg),
+        two_sided_energy(runner, cfg),
+        clock_penalty(runner, cfg),
+        sparten_calibration(runner, cfg),
+        batch_sweep(runner, cfg),
+    ]
+}
 
 /// The two workloads the ablations sweep: a sparsity-friendly CNN and the
 /// clustered transformer.

@@ -2,9 +2,11 @@
 //! paper's evaluation (§5).
 //!
 //! Each `figure*` / `table*` function computes the corresponding result as
-//! a structured [`FigTable`]; the `src/bin/*` binaries print them, the
-//! Criterion benches in `benches/` time them, and the workspace
-//! integration tests assert the paper's qualitative claims on them.
+//! a structured [`FigTable`]; [`figure`] maps each name in [`FIGURES`] to
+//! its output, which `eureka figure <name>` prints, the `reproduce` binary
+//! writes to disk, the Criterion benches in `benches/` time, and the
+//! golden tests pin. The workspace integration tests assert the paper's
+//! qualitative claims on the tables.
 //!
 //! | Function | Paper content |
 //! |---|---|
@@ -148,6 +150,111 @@ impl FigTable {
             .collect();
         self.rows.push((label.to_string(), means));
     }
+}
+
+/// Every table and figure the reproduction prints, by name, in the
+/// order `reproduce` writes them.
+pub const FIGURES: [&str; 8] = [
+    "table1",
+    "table2",
+    "fig09",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "ablations",
+];
+
+/// One named figure's output (see [`figure`]).
+#[derive(Clone, Debug, Default)]
+pub struct Figure {
+    /// The result grids; empty for the prepared-text Tables 1 and 2.
+    pub tables: Vec<FigTable>,
+    /// The prepared text of Tables 1 and 2, printed for text and CSV alike.
+    text: Option<String>,
+    /// Whether the figure reads as a grouped bar chart ([`svg::to_svg`]).
+    pub chart: bool,
+    /// One line per headline number, set against the paper's.
+    pub headlines: Vec<String>,
+}
+
+impl Figure {
+    /// The fixed-width text rendering.
+    #[must_use]
+    pub fn render(&self) -> String {
+        self.join(FigTable::render)
+    }
+
+    /// The CSV rendering (Tables 1 and 2 print their text).
+    #[must_use]
+    pub fn to_csv(&self) -> String {
+        self.join(FigTable::to_csv)
+    }
+
+    /// A single table as it is; several each followed by a blank line.
+    fn join(&self, each: fn(&FigTable) -> String) -> String {
+        match (&self.text, self.tables.as_slice()) {
+            (Some(text), _) => text.clone(),
+            (None, [table]) => each(table),
+            (None, tables) => tables.iter().map(|t| each(t) + "\n").collect(),
+        }
+    }
+}
+
+/// Computes the figure `name` (one of [`FIGURES`]) on `runner` under
+/// `cfg`; `None` for any other name.
+#[must_use]
+pub fn figure(name: &str, runner: &Runner, cfg: &SimConfig) -> Option<Figure> {
+    let text = |text| Figure {
+        text: Some(text),
+        ..Figure::default()
+    };
+    let grids = |tables, chart| Figure {
+        tables,
+        chart,
+        ..Figure::default()
+    };
+    let mean = |t: &FigTable, c: &str| t.value("mean", c).unwrap_or(f64::NAN);
+    Some(match name {
+        "table1" => text(table1()),
+        "table2" => text(table2()),
+        "fig09" => grids(vec![figure9(cfg)], false),
+        "fig11" => {
+            let t = figure11(runner, cfg);
+            let (eureka, ampere) = (mean(&t, "Eureka P=4"), mean(&t, "Ampere/STC"));
+            Figure {
+                headlines: vec![
+                    format!("Eureka P=4 mean speedup over Dense : {eureka:.2}x (paper 4.8x)"),
+                    format!(
+                        "Eureka P=4 over Ampere             : {:.2}x (paper 2.4x)",
+                        eureka / ampere
+                    ),
+                ],
+                ..grids(vec![t], true)
+            }
+        }
+        "fig12" => grids(vec![figure12(runner, cfg)], true),
+        "fig13" => {
+            let t = figure13(runner, cfg);
+            let (eureka, ampere) = (mean(&t, "Eureka P=4"), mean(&t, "Ampere/STC"));
+            Figure {
+                headlines: vec![
+                    format!(
+                        "Eureka P=4 mean energy vs Dense    : {:.2}x less (paper 3.1x)",
+                        1.0 / eureka
+                    ),
+                    format!(
+                        "Eureka P=4 energy vs Ampere        : {:.2}x less (paper 1.8x)",
+                        ampere / eureka
+                    ),
+                ],
+                ..grids(vec![t], true)
+            }
+        }
+        "fig14" => grids(vec![figure14(runner, cfg)], true),
+        "ablations" => grids(ablations::all(runner, cfg), false),
+        _ => return None,
+    })
 }
 
 /// The benchmark × pruning grid of Figures 11–13, in the paper's order of

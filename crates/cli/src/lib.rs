@@ -17,7 +17,8 @@
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_obs::events::Events;
 use eureka_obs::progress;
-use eureka_sim::{arch, engine, RetryPolicy, Runner, SimConfig, SimJob};
+use eureka_sim::{arch, engine, JobSpec, RetryPolicy, Runner, SimConfig, SimJob};
+use eureka_verify::VerifyOptions;
 
 pub mod serve;
 
@@ -30,8 +31,7 @@ pub enum Command {
     Archs,
     /// Regenerate one of the paper's tables/figures.
     Figure {
-        /// `table1`, `table2`, `fig09`, `fig11`, `fig12`, `fig13`,
-        /// `fig14` or `ablations`.
+        /// One of [`eureka_bench::FIGURES`].
         name: String,
         /// Emit CSV instead of the text table.
         csv: bool,
@@ -59,14 +59,9 @@ pub enum Command {
     },
     /// Simulate one workload on one architecture.
     Simulate {
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
+        /// The workload and architecture (deadline and retry budget stay
+        /// 0: `--retries` belongs to `run`).
+        spec: JobSpec,
         /// Emit the per-layer CSV.
         csv: bool,
         /// Keep going past failed layers: emit the surviving layers plus
@@ -84,14 +79,9 @@ pub enum Command {
     /// (stall taxonomy, per-row heatmap, worst tiles, SUDS displacement)
     /// plus optional machine-readable exports.
     Profile {
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
+        /// The workload and architecture (deadline and retry budget stay
+        /// 0).
+        spec: JobSpec,
         /// Write the profile JSON here (`-` = stdout).
         json_out: Option<String>,
         /// Write the per-row utilization heatmap CSV here (`-` = stdout).
@@ -126,74 +116,22 @@ pub enum Command {
     },
     /// Run the differential verification suite (dense-GEMM oracle,
     /// brute-force SUDS checker, metamorphic invariants) over seeded
-    /// random cases.
+    /// random cases, or one of the suites `mode` names.
     Verify {
-        /// Seeded cases per architecture.
-        cases: u32,
-        /// Master seed for the case stream.
-        seed: u64,
-        /// Restrict to one registry architecture (`None` = all).
-        arch: Option<String>,
-        /// Persist shrunk failing cases under this directory.
-        corpus_dir: Option<String>,
-        /// Replay this corpus directory instead of fuzzing.
-        replay: Option<String>,
-        /// Run the seeded fault-injection matrix (panic, error, stall ×
-        /// serial, parallel) instead of fuzzing.
-        fault_matrix: bool,
-        /// Run the service chaos harness (panics, stalls crossing
-        /// deadlines, mid-job crash + journal replay, shard corruption,
-        /// overload shedding) instead of fuzzing.
-        chaos: bool,
+        /// Case budget, seed, architecture filter and corpus directory.
+        opts: VerifyOptions,
+        /// Which suite runs.
+        mode: VerifyMode,
     },
     /// Run the resident job service on a Unix socket (JSON-lines
     /// protocol: submit/status/cancel/drain/health/shutdown).
-    Serve {
-        /// Unix socket path to listen on.
-        socket: String,
-        /// Write-ahead job journal directory (crash recovery).
-        journal_dir: String,
-        /// Persist completed unit results here (resume across restarts).
-        checkpoint_dir: Option<String>,
-        /// Persist canonical tile results here.
-        store_dir: Option<String>,
-        /// Admission queue bound; beyond it submissions shed.
-        capacity: usize,
-        /// Default per-job deadline in ms (0 = none).
-        deadline_ms: u64,
-        /// Simulation worker threads per job (`None` = 1).
-        jobs: Option<usize>,
-        /// Use reduced sampling for served jobs.
-        fast: bool,
-        /// Rewrite a Prometheus text exposition here after every
-        /// connection and on exit.
-        metrics_out: Option<String>,
-        /// End-to-end latency budget in µs; arms the exit SLA summary
-        /// and its run-ledger record.
-        sla_budget_us: Option<u64>,
-        /// Flight-recorder dump directory (`None` = `results`).
-        flightrec_dir: Option<String>,
-        /// Run-ledger directory for the SLA record.
-        ledger_dir: Option<String>,
-        /// Skip the SLA ledger append.
-        no_ledger: bool,
-    },
+    Serve(serve::ServeOpts),
     /// Submit one job to a running service and print the response.
     Submit {
         /// Unix socket path of the service.
         socket: String,
-        /// Benchmark name.
-        benchmark: Benchmark,
-        /// Pruning level.
-        pruning: PruningLevel,
-        /// Architecture registry name.
-        arch: String,
-        /// Batch size.
-        batch: usize,
-        /// Per-job deadline in ms (0 = the service default).
-        deadline_ms: u64,
-        /// Extra attempts per failed work unit.
-        retries: u32,
+        /// The job.
+        spec: JobSpec,
         /// Poll until the job reaches a terminal state.
         wait: bool,
     },
@@ -213,6 +151,22 @@ pub enum Command {
         /// Print the raw JSON response line instead of the table.
         json: bool,
     },
+}
+
+/// Which suite `eureka verify` runs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum VerifyMode {
+    /// Fuzz seeded random cases (the default).
+    Fuzz,
+    /// Replay this corpus directory instead of fuzzing.
+    Replay(String),
+    /// The seeded fault-injection matrix (panic, error, stall × serial,
+    /// parallel).
+    FaultMatrix,
+    /// The service chaos harness (panics, stalls crossing deadlines,
+    /// mid-job crash + journal replay, shard corruption, overload
+    /// shedding).
+    Chaos,
 }
 
 /// Usage text.
@@ -483,6 +437,15 @@ impl RunOpts {
         }
     }
 
+    /// The sampling label of ledger records and BENCH snapshots.
+    fn sampling(&self) -> &'static str {
+        if self.fast {
+            "fast"
+        } else {
+            "paper"
+        }
+    }
+
     /// The command's runner: `--jobs` workers (default all cores),
     /// `--retries` extra attempts per unit, and the checkpoint and store
     /// directories.
@@ -649,28 +612,33 @@ impl WorkloadFlags {
         Ok(true)
     }
 
-    /// The benchmark, which `cmd` requires.
-    fn benchmark(&self, cmd: &str) -> Result<Benchmark, String> {
-        self.benchmark
-            .ok_or_else(|| format!("{cmd} requires --benchmark"))
+    /// The job, whose benchmark `cmd` requires.
+    fn spec(self, cmd: &str) -> Result<JobSpec, String> {
+        let benchmark = self
+            .benchmark
+            .ok_or_else(|| format!("{cmd} requires --benchmark"))?;
+        Ok(JobSpec::new(benchmark, self.pruning, self.batch, self.arch))
     }
 
-    /// Checks what `simulate` and `profile` require: a benchmark, a
-    /// registry architecture and a positive batch.
-    fn check(&self, cmd: &str) -> Result<Benchmark, String> {
-        let benchmark = self.benchmark(cmd)?;
-        if arch::by_name(&self.arch).is_none() {
+    /// The job, checked for what `simulate` and `profile` require: a
+    /// benchmark, a registry architecture and a positive batch.
+    fn check(self, cmd: &str) -> Result<JobSpec, String> {
+        let spec = self.spec(cmd)?;
+        if arch::by_name(&spec.arch).is_none() {
             return Err(format!(
                 "unknown architecture '{}'; run `eureka archs`",
-                self.arch
+                spec.arch
             ));
         }
-        if self.batch == 0 {
+        if spec.batch == 0 {
             return Err("--batch must be positive".into());
         }
-        Ok(benchmark)
+        Ok(spec)
     }
 }
+
+/// The socket `serve`, `submit`, `drain` and `stats` default to.
+const SOCKET: &str = "eureka.sock";
 
 /// Parses an argument list (without the program name).
 ///
@@ -696,19 +664,10 @@ where
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("figure requires a name, e.g. `eureka figure fig11`")?
                 .clone();
-            let known = [
-                "table1",
-                "table2",
-                "fig09",
-                "fig11",
-                "fig12",
-                "fig13",
-                "fig14",
-                "ablations",
-            ];
-            if !known.contains(&name.as_str()) {
+            if !eureka_bench::FIGURES.contains(&name.as_str()) {
                 return Err(format!(
-                    "unknown figure '{name}' (expected one of {known:?})"
+                    "unknown figure '{name}' (expected one of {:?})",
+                    eureka_bench::FIGURES
                 ));
             }
             let mut csv = false;
@@ -781,16 +740,13 @@ where
                 }
                 Ok(true)
             })?;
-            let benchmark = workload.check("simulate")?;
+            let spec = workload.check("simulate")?;
             if max_failures.is_some() && !keep_going {
                 return Err("--max-failures requires --keep-going".into());
             }
             let (run, obs) = shared.finish(csv)?;
             Ok(Command::Simulate {
-                benchmark,
-                pruning: workload.pruning,
-                arch: workload.arch,
-                batch: workload.batch,
+                spec,
                 csv,
                 keep_going,
                 max_failures,
@@ -817,7 +773,7 @@ where
                 }
                 Ok(true)
             })?;
-            let benchmark = workload.check("profile")?;
+            let spec = workload.check("profile")?;
             let stdout_exports = [
                 &json_out,
                 &heatmap_out,
@@ -833,10 +789,7 @@ where
             }
             let (run, obs) = shared.finish(false)?;
             Ok(Command::Profile {
-                benchmark,
-                pruning: workload.pruning,
-                arch: workload.arch,
-                batch: workload.batch,
+                spec,
                 json_out,
                 heatmap_out,
                 trace_out,
@@ -888,19 +841,19 @@ where
             _ => Err("bench requires a subcommand: `list` or `diff <a> <b>`".into()),
         },
         "verify" => {
-            let mut cases = 200u32;
-            let mut seed = 42u64;
-            let mut arch_name = None;
-            let mut corpus_dir = None;
+            let mut opts = VerifyOptions {
+                cases: 200,
+                ..VerifyOptions::default()
+            };
             let mut replay = None;
             let mut fault_matrix = false;
             let mut chaos = false;
             each_flag(&args[1..], "verify", |flag, rest| {
                 match flag {
-                    "--cases" => cases = rest.parsed(flag)?,
-                    "--seed" => seed = rest.parsed(flag)?,
-                    "--arch" => arch_name = Some(rest.value(flag)?),
-                    "--corpus-dir" => corpus_dir = Some(rest.value(flag)?),
+                    "--cases" => opts.cases = rest.parsed(flag)?,
+                    "--seed" => opts.seed = rest.parsed(flag)?,
+                    "--arch" => opts.arch = Some(rest.value(flag)?),
+                    "--corpus-dir" => opts.corpus_dir = Some(rest.value(flag)?.into()),
                     "--replay" => replay = Some(rest.value(flag)?),
                     "--fault-matrix" => fault_matrix = true,
                     "--chaos" => chaos = true,
@@ -908,83 +861,69 @@ where
                 }
                 Ok(true)
             })?;
-            if cases == 0 && replay.is_none() && !fault_matrix {
+            if opts.cases == 0 && replay.is_none() && !fault_matrix {
                 return Err("--cases must be positive".into());
             }
-            if let Some(name) = &arch_name {
+            if let Some(name) = &opts.arch {
                 if arch::by_name(name).is_none() {
                     return Err(format!("unknown architecture '{name}'; run `eureka archs`"));
                 }
             }
-            Ok(Command::Verify {
-                cases,
-                seed,
-                arch: arch_name,
-                corpus_dir,
-                replay,
-                fault_matrix,
-                chaos,
-            })
+            // `--chaos` wins over `--fault-matrix`, which wins over
+            // `--replay`.
+            let mode = match (chaos, fault_matrix, replay) {
+                (true, _, _) => VerifyMode::Chaos,
+                (false, true, _) => VerifyMode::FaultMatrix,
+                (false, false, Some(dir)) => VerifyMode::Replay(dir),
+                (false, false, None) => VerifyMode::Fuzz,
+            };
+            Ok(Command::Verify { opts, mode })
         }
         "serve" => {
-            let mut socket = "eureka.sock".to_string();
-            let mut journal_dir = "eureka-journal".to_string();
-            let mut checkpoint_dir = None;
-            let mut store_dir = None;
-            let mut capacity = 8usize;
-            let mut deadline_ms = 0u64;
-            let mut jobs = None;
-            let mut fast = false;
-            let mut metrics_out = None;
-            let mut sla_budget_us: Option<u64> = None;
-            let mut flightrec_dir = None;
-            let mut ledger_dir = None;
-            let mut no_ledger = false;
+            let mut opts = serve::ServeOpts {
+                socket: SOCKET.into(),
+                journal_dir: "eureka-journal".into(),
+                checkpoint_dir: None,
+                store_dir: None,
+                capacity: 8,
+                deadline_ms: 0,
+                jobs: 1,
+                fast: false,
+                metrics_out: None,
+                sla_budget_us: None,
+                flightrec_dir: "results".into(),
+                ledger_dir: None,
+                no_ledger: false,
+            };
             each_flag(&args[1..], "serve", |flag, rest| {
                 match flag {
-                    "--socket" => socket = rest.value(flag)?,
-                    "--journal-dir" => journal_dir = rest.value(flag)?,
-                    "--checkpoint-dir" => checkpoint_dir = Some(rest.value(flag)?),
-                    "--store-dir" => store_dir = Some(rest.value(flag)?),
-                    "--capacity" => {
-                        capacity = rest.parsed(flag)?;
-                        if capacity == 0 {
-                            return Err("--capacity must be positive".into());
-                        }
-                    }
-                    "--deadline-ms" => deadline_ms = rest.parsed(flag)?,
-                    "--jobs" => jobs = Some(rest.jobs()?),
-                    "--fast" => fast = true,
-                    "--metrics-out" => metrics_out = Some(rest.value(flag)?),
+                    "--socket" => opts.socket = rest.value(flag)?,
+                    "--journal-dir" => opts.journal_dir = rest.value(flag)?,
+                    "--checkpoint-dir" => opts.checkpoint_dir = Some(rest.value(flag)?),
+                    "--store-dir" => opts.store_dir = Some(rest.value(flag)?),
+                    "--capacity" => match rest.parsed(flag)? {
+                        0 => return Err("--capacity must be positive".into()),
+                        capacity => opts.capacity = capacity,
+                    },
+                    "--deadline-ms" => opts.deadline_ms = rest.parsed(flag)?,
+                    "--jobs" => opts.jobs = rest.jobs()?,
+                    "--fast" => opts.fast = true,
+                    "--metrics-out" => opts.metrics_out = Some(rest.value(flag)?),
                     "--sla-budget-us" => match rest.parsed(flag)? {
                         0 => return Err("--sla-budget-us must be positive".into()),
-                        budget => sla_budget_us = Some(budget),
+                        budget => opts.sla_budget_us = Some(budget),
                     },
-                    "--flightrec-dir" => flightrec_dir = Some(rest.value(flag)?),
-                    "--ledger-dir" => ledger_dir = Some(rest.value(flag)?),
-                    "--no-ledger" => no_ledger = true,
+                    "--flightrec-dir" => opts.flightrec_dir = rest.value(flag)?,
+                    "--ledger-dir" => opts.ledger_dir = Some(rest.value(flag)?),
+                    "--no-ledger" => opts.no_ledger = true,
                     _ => return Ok(false),
                 }
                 Ok(true)
             })?;
-            Ok(Command::Serve {
-                socket,
-                journal_dir,
-                checkpoint_dir,
-                store_dir,
-                capacity,
-                deadline_ms,
-                jobs,
-                fast,
-                metrics_out,
-                sla_budget_us,
-                flightrec_dir,
-                ledger_dir,
-                no_ledger,
-            })
+            Ok(Command::Serve(opts))
         }
         "submit" => {
-            let mut socket = "eureka.sock".to_string();
+            let mut socket = SOCKET.to_string();
             let mut workload = WorkloadFlags::new();
             let mut deadline_ms = 0u64;
             let mut retries = 0u32;
@@ -999,19 +938,15 @@ where
                 }
                 Ok(true)
             })?;
-            Ok(Command::Submit {
-                socket,
-                benchmark: workload.benchmark("submit")?,
-                pruning: workload.pruning,
-                arch: workload.arch,
-                batch: workload.batch,
+            let spec = JobSpec {
                 deadline_ms,
                 retries,
-                wait,
-            })
+                ..workload.spec("submit")?
+            };
+            Ok(Command::Submit { socket, spec, wait })
         }
         "drain" => {
-            let mut socket = "eureka.sock".to_string();
+            let mut socket = SOCKET.to_string();
             let mut shutdown = false;
             each_flag(&args[1..], "drain", |flag, rest| {
                 match flag {
@@ -1024,7 +959,7 @@ where
             Ok(Command::Drain { socket, shutdown })
         }
         "stats" => {
-            let mut socket = "eureka.sock".to_string();
+            let mut socket = SOCKET.to_string();
             let mut json = false;
             each_flag(&args[1..], "stats", |flag, rest| {
                 match flag {
@@ -1037,45 +972,6 @@ where
             Ok(Command::Stats { socket, json })
         }
         other => Err(format!("unknown command '{other}'; try `eureka help`")),
-    }
-}
-
-/// Telemetry wiring shared by `figure` and `simulate`: sets the
-/// process verbosity, arms span recording when a trace is requested,
-/// and writes the `--trace-out` / `--metrics-out` exports afterwards.
-struct Telemetry<'a> {
-    obs: &'a ObsOpts,
-}
-
-impl<'a> Telemetry<'a> {
-    fn begin(obs: &'a ObsOpts) -> Self {
-        eureka_obs::log::set_verbosity(obs.verbose);
-        eureka_obs::metrics::reset();
-        if obs.trace_out.is_some() {
-            eureka_obs::span::clear();
-            eureka_obs::span::set_enabled(true);
-        }
-        Telemetry { obs }
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if let Some(path) = &self.obs.trace_out {
-            eureka_obs::span::set_enabled(false);
-            let json = eureka_obs::chrome::export_trace_json();
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-            eureka_obs::info!("trace: {} bytes to {path}", json.len());
-        }
-        if let Some(path) = &self.obs.metrics_out {
-            let json = eureka_obs::metrics::snapshot_json(true);
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-            eureka_obs::info!("metrics: {} bytes to {path}", json.len());
-        }
-        if self.obs.verbose >= 1 {
-            eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
-        }
-        Ok(())
     }
 }
 
@@ -1097,52 +993,84 @@ fn resolve_ledger_dir(ledger_dir: Option<&str>, no_ledger: bool) -> Option<std::
     }
 }
 
-/// Appends one run-ledger record (a no-op when [`resolve_ledger_dir`]
-/// yields nothing), with the count of the command's `events` and the
-/// digest of the deterministic metrics, so call it after the run
-/// finished.
-fn append_ledger(
-    obs: &ObsOpts,
-    events: &Events,
-    kind: &str,
+/// What a `figure`, `simulate` or `profile` run hands back: its output
+/// and what its run-ledger record says about it.
+struct Outcome {
+    out: String,
     label: String,
     total_cycles: Option<u64>,
     speedup_vs_dense: Option<f64>,
-    started: std::time::Instant,
-) -> Result<(), String> {
-    let Some(dir) = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger) else {
-        return Ok(());
-    };
-    let record = eureka_sim::LedgerRecord {
-        kind: kind.to_string(),
-        label,
-        total_cycles,
-        speedup_vs_dense,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        events: events.count(),
-        metrics_digest: eureka_sim::ledger::metrics_digest(&eureka_obs::metrics::snapshot_json(
-            false,
-        )),
-        sla: None,
-    };
-    let path = eureka_sim::ledger::append(&dir, &record)?;
-    eureka_obs::info!("ledger: appended {}", path.display());
-    Ok(())
+}
+
+/// The run path `figure`, `simulate` and `profile` share: the command's
+/// one event sink and runner; the process verbosity, a zeroed metrics
+/// registry and (for `--trace-out`) span recording around `body`; the
+/// trace and metrics exports and a run-ledger record of `kind` after it;
+/// and no human output while the events claim stdout.
+fn run_simulation(
+    kind: &str,
+    run: &RunOpts,
+    obs: &ObsOpts,
+    body: impl FnOnce(&Runner, SimConfig) -> Result<Outcome, String>,
+) -> Result<String, String> {
+    let events = obs.events()?;
+    let runner = run.runner().with_events(events.clone());
+    let started = std::time::Instant::now();
+    eureka_obs::log::set_verbosity(obs.verbose);
+    eureka_obs::metrics::reset();
+    if obs.trace_out.is_some() {
+        eureka_obs::span::clear();
+        eureka_obs::span::set_enabled(true);
+    }
+    let done = body(&runner, run.sim_config())?;
+    if let Some(path) = &obs.trace_out {
+        eureka_obs::span::set_enabled(false);
+        let json = eureka_obs::chrome::export_trace_json();
+        std::fs::write(path, &json).map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+        eureka_obs::info!("trace: {} bytes to {path}", json.len());
+    }
+    if let Some(path) = &obs.metrics_out {
+        let json = eureka_obs::metrics::snapshot_json(true);
+        std::fs::write(path, &json).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
+        eureka_obs::info!("metrics: {} bytes to {path}", json.len());
+    }
+    if obs.verbose >= 1 {
+        eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
+    }
+    // The record counts the command's events and digests the
+    // deterministic metrics, so it is written after the run finished.
+    if let Some(dir) = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger) {
+        let record = eureka_sim::LedgerRecord {
+            kind: kind.to_string(),
+            label: done.label,
+            total_cycles: done.total_cycles,
+            speedup_vs_dense: done.speedup_vs_dense,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            events: events.count(),
+            metrics_digest: eureka_sim::ledger::metrics_digest(
+                &eureka_obs::metrics::snapshot_json(false),
+            ),
+            sla: None,
+        };
+        let path = eureka_sim::ledger::append(&dir, &record)?;
+        eureka_obs::info!("ledger: appended {}", path.display());
+    }
+    Ok(if obs.events_to_stdout() {
+        String::new()
+    } else {
+        done.out
+    })
 }
 
 /// Canonical ledger label for a simulate/profile-shaped run.
-fn run_label(
-    benchmark: Benchmark,
-    pruning: PruningLevel,
-    batch: usize,
-    fast: bool,
-    arch_name: &str,
-) -> String {
+fn run_label(spec: &JobSpec, run: &RunOpts) -> String {
     format!(
-        "{}|{}|batch{batch}|{}|arch={arch_name}",
-        benchmark.name(),
-        pruning.label(),
-        if fast { "fast" } else { "paper" },
+        "{}|{}|batch{}|{}|arch={}",
+        spec.benchmark.name(),
+        spec.pruning.label(),
+        spec.batch,
+        run.sampling(),
+        spec.arch,
     )
 }
 
@@ -1158,28 +1086,10 @@ pub struct RunError {
     pub code: u8,
 }
 
-impl RunError {
-    fn failure(message: String) -> Self {
+impl From<String> for RunError {
+    fn from(message: String) -> Self {
         RunError { message, code: 1 }
     }
-}
-
-/// Executes a parsed command, returning the text to print; errors carry
-/// the exit code the process should use.
-///
-/// # Errors
-///
-/// See [`RunError`].
-pub fn run_with_code(cmd: &Command) -> Result<String, RunError> {
-    if let Command::BenchDiff {
-        baseline,
-        candidate,
-        max_regress,
-    } = cmd
-    {
-        return run_bench_diff(baseline, candidate, *max_regress);
-    }
-    run(cmd).map_err(RunError::failure)
 }
 
 /// Compares two snapshots under the regression gate. Load/parse
@@ -1206,7 +1116,7 @@ fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<S
     if report.ok() {
         Ok(rendered)
     } else {
-        Err(RunError::failure(rendered))
+        Err(rendered.into())
     }
 }
 
@@ -1254,15 +1164,17 @@ fn health_warning_lines() -> String {
     out
 }
 
-/// Executes a parsed command, returning the text to print.
+/// Executes a parsed command, returning the text to print; errors carry
+/// the exit code the process should use.
 ///
 /// # Errors
 ///
-/// Returns a message for unsupported combinations (e.g. S2TA on
-/// InceptionV3).
-pub fn run(cmd: &Command) -> Result<String, String> {
-    match cmd {
-        Command::Help => Ok(USAGE.to_string()),
+/// See [`RunError`]: unsupported combinations (e.g. S2TA on InceptionV3)
+/// exit 1, as does a `bench diff` regression; an unusable `bench diff`
+/// snapshot exits 2.
+pub fn run(cmd: &Command) -> Result<String, RunError> {
+    Ok(match cmd {
+        Command::Help => USAGE.to_string(),
         Command::Archs => {
             let mut out = String::from("architectures:\n");
             for name in arch::registry_names() {
@@ -1270,62 +1182,23 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     .expect("invariant: every registry name resolves to its architecture");
                 out.push_str(&format!("  {name:<18} {}\n", a.name()));
             }
-            Ok(out)
+            out
         }
         Command::Figure {
             name,
             csv,
-            run: opts,
+            run,
             obs,
-        } => {
-            let events = obs.events()?;
-            let runner = opts.runner().with_events(events.clone());
-            let cfg = opts.sim_config();
-            let wall_start = std::time::Instant::now();
-            let tel = Telemetry::begin(obs);
-            let render = |t: eureka_bench::FigTable| if *csv { t.to_csv() } else { t.render() };
-            let out = match name.as_str() {
-                "table1" => eureka_bench::table1(),
-                "table2" => eureka_bench::table2(),
-                "ablations" => {
-                    use eureka_bench::ablations;
-                    let mut out = String::new();
-                    for t in [
-                        ablations::reach_sweep(&runner, &cfg),
-                        ablations::window_sweep(&runner, &cfg),
-                        ablations::compaction_sweep(&runner, &cfg),
-                        ablations::sigma_sweep(&runner, &cfg),
-                        ablations::two_sided_energy(&runner, &cfg),
-                    ] {
-                        out.push_str(&render(t));
-                        out.push('\n');
-                    }
-                    out
-                }
-                "fig09" => render(eureka_bench::figure9(&cfg)),
-                "fig11" => render(eureka_bench::figure11(&runner, &cfg)),
-                "fig12" => render(eureka_bench::figure12(&runner, &cfg)),
-                "fig13" => render(eureka_bench::figure13(&runner, &cfg)),
-                "fig14" => render(eureka_bench::figure14(&runner, &cfg)),
-                other => return Err(format!("unknown figure '{other}'")),
-            };
-            tel.finish()?;
-            append_ledger(
-                obs,
-                &events,
-                "figure",
-                format!("{name}|{}", if opts.fast { "fast" } else { "paper" }),
-                None,
-                None,
-                wall_start,
-            )?;
-            // With events streaming to stdout, the human output is
-            // suppressed to keep stdout machine-readable.
-            if obs.events_to_stdout() {
-                return Ok(String::new());
-            }
-            Ok(out)
-        }
+        } => run_simulation("figure", run, obs, |runner, cfg| {
+            let fig = eureka_bench::figure(name, runner, &cfg)
+                .ok_or_else(|| format!("unknown figure '{name}'"))?;
+            Ok(Outcome {
+                out: if *csv { fig.to_csv() } else { fig.render() },
+                label: format!("{name}|{}", run.sampling()),
+                total_cycles: None,
+                speedup_vs_dense: None,
+            })
+        })?,
         Command::Compile {
             benchmark,
             layer,
@@ -1340,7 +1213,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 .enumerate()
                 .find(|(_, g)| g.name == *layer)
             else {
-                return Err(format!("{} has no layer named '{layer}'", benchmark.name()));
+                return Err(format!("{} has no layer named '{layer}'", benchmark.name()).into());
             };
             let mut rng = DetRng::new(w.seed() ^ idx as u64);
             // Bound the materialized matrix so big layers stay instant.
@@ -1373,7 +1246,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 s.ideal_compression()
             ));
             out.push_str(&format!("  total tile cycles: {}\n", s.total_cycles));
-            Ok(out)
+            out
         }
         Command::Trace { benchmark, layer } => {
             use eureka_core::schedule::{schedule_grouped_steps, trace, SystolicConfig};
@@ -1382,7 +1255,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let cfg = SimConfig::paper_default();
             let w = Workload::new(*benchmark, PruningLevel::Moderate, 32);
             let Some(gemm) = w.gemms().into_iter().find(|g| g.name == *layer) else {
-                return Err(format!("{} has no layer named '{layer}'", benchmark.name()));
+                return Err(format!("{} has no layer named '{layer}'", benchmark.name()).into());
             };
             let times: Vec<u64> = tile_samples_for_layer(&gemm, &cfg, 0)
                 .iter()
@@ -1390,28 +1263,21 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 .collect();
             let sys = SystolicConfig::paper_default();
             let steps = schedule_grouped_steps(&times, &sys);
-            Ok(trace::to_chrome_json(&steps, &sys))
+            trace::to_chrome_json(&steps, &sys)
         }
         Command::Simulate {
-            benchmark,
-            pruning,
-            arch: arch_name,
-            batch,
+            spec,
             csv,
             keep_going,
             max_failures,
-            run: opts,
+            run,
             obs,
-        } => {
+        } => run_simulation("simulate", run, obs, |runner, cfg| {
             use eureka_sim::{render_failure_report, JobOutcome};
-            let events = obs.events()?;
-            let runner = opts.runner().with_events(events.clone());
-            let cfg = opts.sim_config();
-            let wall_start = std::time::Instant::now();
-            let tel = Telemetry::begin(obs);
-            let workload = Workload::new(*benchmark, *pruning, *batch);
-            let a = arch::by_name(arch_name)
-                .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
+            let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
+            let a = arch::by_name(&spec.arch).ok_or_else(|| {
+                format!("unknown architecture '{}'; run `eureka archs`", spec.arch)
+            })?;
             let job = SimJob::new(a.as_ref(), &workload, cfg);
             let (report, failures) = match runner.run_outcome(&job) {
                 JobOutcome::Complete(report) => (report, Vec::new()),
@@ -1447,43 +1313,39 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 }
             };
             report.log_layers();
-            let label = run_label(*benchmark, *pruning, *batch, opts.fast, arch_name);
+            let mut done = Outcome {
+                out: String::new(),
+                label: run_label(spec, run),
+                total_cycles: Some(report.total_cycles()),
+                speedup_vs_dense: None,
+            };
             if *csv {
                 // Keep stdout machine-readable: survivors go to the CSV,
                 // the failure report goes to stderr.
                 if !failures.is_empty() {
                     eureka_obs::error!("{}", render_failure_report(&failures));
                 }
-                tel.finish()?;
-                append_ledger(
-                    obs,
-                    &events,
-                    "simulate",
-                    label,
-                    Some(report.total_cycles()),
-                    None,
-                    wall_start,
-                )?;
-                return Ok(report.to_csv());
+                done.out = report.to_csv();
+                return Ok(done);
             }
-            let mut out = format!("{} on {}\n", report.arch, report.workload);
+            let out = &mut done.out;
+            out.push_str(&format!("{} on {}\n", report.arch, report.workload));
             out.push_str(&format!(
                 "  total cycles   : {} ({:.3} ms at 1 GHz)\n",
                 report.total_cycles(),
                 report.runtime_ms(1.0)
             ));
-            let mut speedup_vs_dense = None;
             if failures.is_empty() {
                 let dense = runner
                     .run(&SimJob::new(&arch::dense(), &workload, cfg))
                     .map_err(|e| e.to_string())?;
                 let speedup = engine::speedup(&dense, &report);
-                speedup_vs_dense = Some(speedup);
+                done.speedup_vs_dense = Some(speedup);
                 out.push_str(&format!("  speedup vs Dense: {speedup:.2}x\n"));
             }
             out.push_str(&format!(
                 "  throughput     : {:.0} inputs/s\n",
-                report.throughput_per_s(*batch, 1.0)
+                report.throughput_per_s(spec.batch, 1.0)
             ));
             out.push_str(&format!(
                 "  memory share   : {:.1}%\n",
@@ -1502,42 +1364,22 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     render_failure_report(&failures)
                 ));
             }
-            tel.finish()?;
-            append_ledger(
-                obs,
-                &events,
-                "simulate",
-                label,
-                Some(report.total_cycles()),
-                speedup_vs_dense,
-                wall_start,
-            )?;
-            if obs.events_to_stdout() {
-                return Ok(String::new());
-            }
-            Ok(out)
-        }
+            Ok(done)
+        })?,
         Command::Profile {
-            benchmark,
-            pruning,
-            arch: arch_name,
-            batch,
+            spec,
             json_out,
             heatmap_out,
             trace_out,
             bench_json,
             top_tiles,
-            run: opts,
+            run,
             obs,
-        } => {
-            let events = obs.events()?;
-            let runner = opts.runner().with_events(events.clone());
-            let cfg = opts.sim_config();
-            let wall_start = std::time::Instant::now();
-            eureka_obs::log::set_verbosity(obs.verbose);
-            let workload = Workload::new(*benchmark, *pruning, *batch);
-            let a = arch::by_name(arch_name)
-                .ok_or_else(|| format!("unknown architecture '{arch_name}'; run `eureka archs`"))?;
+        } => run_simulation("profile", run, obs, |runner, cfg| {
+            let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
+            let a = arch::by_name(&spec.arch).ok_or_else(|| {
+                format!("unknown architecture '{}'; run `eureka archs`", spec.arch)
+            })?;
             let pcfg = eureka_sim::ProfileConfig {
                 top_tiles: *top_tiles,
             };
@@ -1569,8 +1411,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             if let Some(path) = bench_json {
                 // The standard snapshot matrix, plus the requested arch.
                 let mut names = vec!["dense", "ampere", "cnvlutin", "eureka-p2", "eureka-p4"];
-                if !names.contains(&arch_name.as_str()) {
-                    names.push(arch_name);
+                if !names.contains(&spec.arch.as_str()) {
+                    names.push(&spec.arch);
                 }
                 let mut reports = Vec::with_capacity(names.len());
                 for name in &names {
@@ -1584,31 +1426,23 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 let entries: Vec<(&str, &eureka_sim::SimReport)> =
                     names.iter().zip(&reports).map(|(n, r)| (*n, r)).collect();
                 let json = eureka_sim::profile::bench_snapshot_json(
-                    benchmark.name(),
-                    pruning.label(),
-                    *batch,
-                    if opts.fast { "fast" } else { "paper" },
+                    spec.benchmark.name(),
+                    spec.pruning.label(),
+                    spec.batch,
+                    run.sampling(),
                     &entries,
                 );
                 emit(path, json, "BENCH snapshot")?;
             }
-            append_ledger(
-                obs,
-                &events,
-                "profile",
-                run_label(*benchmark, *pruning, *batch, opts.fast, arch_name),
-                Some(report.total_cycles()),
-                None,
-                wall_start,
-            )?;
-            Ok(match stdout_payload {
-                Some(payload) => payload,
-                // Events streamed to stdout: the human report is
-                // suppressed, same as any other stdout export.
-                None if obs.events_to_stdout() => String::new(),
-                None => profile.bottleneck_report(5),
+            Ok(Outcome {
+                // At most one export claims stdout (parse checks it),
+                // which suppresses the human report.
+                out: stdout_payload.unwrap_or_else(|| profile.bottleneck_report(5)),
+                label: run_label(spec, run),
+                total_cycles: Some(report.total_cycles()),
+                speedup_vs_dense: None,
             })
-        }
+        })?,
         Command::BenchList { ledger_dir } => {
             use eureka_obs::json::Value;
             let dir = std::path::PathBuf::from(ledger_dir.as_deref().unwrap_or("results/ledger"));
@@ -1640,90 +1474,24 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 ));
             }
             out.push_str(&format!("{} record(s)\n", records.len()));
-            Ok(out)
+            out
         }
         Command::BenchDiff {
             baseline,
             candidate,
             max_regress,
-        } => run_bench_diff(baseline, candidate, *max_regress).map_err(|e| e.message),
-        Command::Verify {
-            cases,
-            seed,
-            arch,
-            corpus_dir,
-            replay,
-            fault_matrix,
-            chaos,
-        } => {
-            if *chaos {
-                return eureka_verify::run_chaos(*cases, *seed);
-            }
-            if *fault_matrix {
-                return eureka_verify::run_fault_matrix(*seed);
-            }
-            if let Some(dir) = replay {
-                return eureka_verify::replay_corpus(std::path::Path::new(dir));
-            }
-            eureka_verify::run(&eureka_verify::VerifyOptions {
-                cases: *cases,
-                seed: *seed,
-                arch: arch.clone(),
-                corpus_dir: corpus_dir.as_ref().map(std::path::PathBuf::from),
-            })
-        }
-        Command::Serve {
-            socket,
-            journal_dir,
-            checkpoint_dir,
-            store_dir,
-            capacity,
-            deadline_ms,
-            jobs,
-            fast,
-            metrics_out,
-            sla_budget_us,
-            flightrec_dir,
-            ledger_dir,
-            no_ledger,
-        } => serve::run_serve(&serve::ServeOpts {
-            socket: socket.clone(),
-            journal_dir: journal_dir.clone(),
-            checkpoint_dir: checkpoint_dir.clone(),
-            store_dir: store_dir.clone(),
-            capacity: *capacity,
-            deadline_ms: *deadline_ms,
-            jobs: jobs.unwrap_or(1),
-            fast: *fast,
-            metrics_out: metrics_out.clone(),
-            sla_budget_us: *sla_budget_us,
-            flightrec_dir: flightrec_dir.clone().unwrap_or_else(|| "results".into()),
-            ledger_dir: ledger_dir.clone(),
-            no_ledger: *no_ledger,
-        }),
-        Command::Submit {
-            socket,
-            benchmark,
-            pruning,
-            arch,
-            batch,
-            deadline_ms,
-            retries,
-            wait,
-        } => {
-            let spec = eureka_sim::JobSpec {
-                benchmark: *benchmark,
-                pruning: *pruning,
-                batch: *batch,
-                arch: arch.clone(),
-                deadline_ms: *deadline_ms,
-                retries: *retries,
-            };
-            serve::run_submit(socket, &spec, *wait)
-        }
-        Command::Drain { socket, shutdown } => serve::run_drain(socket, *shutdown),
-        Command::Stats { socket, json } => serve::run_stats(socket, *json),
-    }
+        } => return run_bench_diff(baseline, candidate, *max_regress),
+        Command::Verify { opts, mode } => match mode {
+            VerifyMode::Fuzz => eureka_verify::run(opts)?,
+            VerifyMode::Replay(dir) => eureka_verify::replay_corpus(std::path::Path::new(dir))?,
+            VerifyMode::FaultMatrix => eureka_verify::run_fault_matrix(opts.seed)?,
+            VerifyMode::Chaos => eureka_verify::run_chaos(opts.cases, opts.seed)?,
+        },
+        Command::Serve(opts) => serve::run_serve(opts)?,
+        Command::Submit { socket, spec, wait } => serve::run_submit(socket, spec, *wait)?,
+        Command::Drain { socket, shutdown } => serve::run_drain(socket, *shutdown)?,
+        Command::Stats { socket, json } => serve::run_stats(socket, *json)?,
+    })
 }
 
 #[cfg(test)]
@@ -1806,10 +1574,12 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Simulate {
-                benchmark: Benchmark::BertSquad,
-                pruning: PruningLevel::Moderate,
-                arch: "eureka-p4".into(),
-                batch: 32,
+                spec: JobSpec::new(
+                    Benchmark::BertSquad,
+                    PruningLevel::Moderate,
+                    32,
+                    "eureka-p4"
+                ),
                 csv: false,
                 keep_going: false,
                 max_failures: None,
@@ -1900,7 +1670,7 @@ mod tests {
             "--fast",
         ])
         .unwrap();
-        let err = run(&cmd).unwrap_err();
+        let err = run(&cmd).unwrap_err().message;
         assert!(err.contains("S2TA"), "{err}");
     }
 
@@ -1996,10 +1766,12 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Profile {
-                benchmark: Benchmark::MobileNetV1,
-                pruning: PruningLevel::Moderate,
-                arch: "eureka-p4".into(),
-                batch: 32,
+                spec: JobSpec::new(
+                    Benchmark::MobileNetV1,
+                    PruningLevel::Moderate,
+                    32,
+                    "eureka-p4"
+                ),
                 json_out: None,
                 heatmap_out: None,
                 trace_out: None,
@@ -2149,13 +1921,13 @@ mod tests {
         assert_eq!(
             parse(["verify"]).unwrap(),
             Command::Verify {
-                cases: 200,
-                seed: 42,
-                arch: None,
-                corpus_dir: None,
-                replay: None,
-                fault_matrix: false,
-                chaos: false,
+                opts: VerifyOptions {
+                    cases: 200,
+                    seed: 42,
+                    arch: None,
+                    corpus_dir: None,
+                },
+                mode: VerifyMode::Fuzz,
             }
         );
         assert_eq!(
@@ -2172,22 +1944,43 @@ mod tests {
             ])
             .unwrap(),
             Command::Verify {
-                cases: 17,
-                seed: 9,
-                arch: Some("eureka-p2".into()),
-                corpus_dir: Some("corpus".into()),
-                replay: None,
-                fault_matrix: false,
-                chaos: false,
+                opts: VerifyOptions {
+                    cases: 17,
+                    seed: 9,
+                    arch: Some("eureka-p2".into()),
+                    corpus_dir: Some("corpus".into()),
+                },
+                mode: VerifyMode::Fuzz,
             }
         );
         assert!(parse(["verify", "--cases", "0"]).is_err());
         assert!(parse(["verify", "--arch", "nope"]).is_err());
         assert!(parse(["verify", "--bogus"]).is_err());
         // Replaying needs no cases.
-        assert!(matches!(
+        assert_eq!(
             parse(["verify", "--cases", "0", "--replay", "tests/corpus"]).unwrap(),
-            Command::Verify { cases: 0, .. }
+            Command::Verify {
+                opts: VerifyOptions {
+                    cases: 0,
+                    ..VerifyOptions::default()
+                },
+                mode: VerifyMode::Replay("tests/corpus".into()),
+            }
+        );
+        // The suites rank chaos, then the fault matrix, then a replay.
+        assert!(matches!(
+            parse(["verify", "--replay", "c", "--fault-matrix", "--chaos"]).unwrap(),
+            Command::Verify {
+                mode: VerifyMode::Chaos,
+                ..
+            }
+        ));
+        assert!(matches!(
+            parse(["verify", "--replay", "c", "--fault-matrix"]).unwrap(),
+            Command::Verify {
+                mode: VerifyMode::FaultMatrix,
+                ..
+            }
         ));
     }
 
@@ -2266,15 +2059,11 @@ mod tests {
         }
         // Verify gains --fault-matrix, which needs no case budget.
         assert!(matches!(
-            parse(["verify", "--fault-matrix"]).unwrap(),
-            Command::Verify {
-                fault_matrix: true,
-                ..
-            }
-        ));
-        assert!(matches!(
             parse(["verify", "--cases", "0", "--fault-matrix"]).unwrap(),
-            Command::Verify { cases: 0, .. }
+            Command::Verify {
+                opts: VerifyOptions { cases: 0, .. },
+                mode: VerifyMode::FaultMatrix,
+            }
         ));
     }
 
@@ -2474,6 +2263,114 @@ mod tests {
         );
     }
 
+    /// Argv that satisfies each `USAGE` synopsis's required arguments and
+    /// the anchors its dependent flags need (`--resume` needs
+    /// `--checkpoint-dir`, `--max-failures` needs `--keep-going`), keyed
+    /// by the synopsis's command words.
+    const SYNOPSIS_BASES: &[(&str, &[&str])] = &[
+        ("help", &["help"]),
+        ("archs", &["archs"]),
+        ("figure", &["figure", "fig11", "--checkpoint-dir", "d"]),
+        (
+            "simulate",
+            &[
+                "simulate",
+                "--benchmark",
+                "bert",
+                "--keep-going",
+                "--checkpoint-dir",
+                "d",
+            ],
+        ),
+        ("profile", &["profile", "--benchmark", "bert"]),
+        ("bench list", &["bench", "list"]),
+        ("bench diff", &["bench", "diff", "a.json", "b.json"]),
+        (
+            "compile",
+            &["compile", "--benchmark", "bert", "--layer", "enc0/q"],
+        ),
+        (
+            "trace",
+            &["trace", "--benchmark", "bert", "--layer", "enc0/q"],
+        ),
+        ("verify", &["verify"]),
+        ("serve", &["serve"]),
+        ("submit", &["submit", "--benchmark", "bert"]),
+        ("drain", &["drain"]),
+        ("stats", &["stats"]),
+    ];
+
+    /// The words of each synopsis under `USAGE:`, continuation lines
+    /// included; brackets and every `|` outside a `<…>` split words.
+    fn synopses() -> Vec<Vec<String>> {
+        let body = USAGE.split_once("USAGE:\n").unwrap().1;
+        let mut out: Vec<String> = Vec::new();
+        for line in body.split_once("\n\n").unwrap().0.lines() {
+            match line.strip_prefix("  eureka ") {
+                Some(start) => out.push(start.to_string()),
+                None => *out.last_mut().unwrap() += line,
+            }
+        }
+        out.iter()
+            .map(|synopsis| {
+                let mut depth = 0;
+                let spaced: String = synopsis
+                    .chars()
+                    .map(|c| match c {
+                        '<' | '>' => {
+                            depth += if c == '<' { 1 } else { -1 };
+                            c
+                        }
+                        '[' | ']' => ' ',
+                        '|' if depth == 0 => ' ',
+                        c => c,
+                    })
+                    .collect();
+                spaced.split_whitespace().map(String::from).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_usage_flag_parses_for_its_command() {
+        let synopses = synopses();
+        assert_eq!(synopses.len(), SYNOPSIS_BASES.len(), "{synopses:?}");
+        for words in &synopses {
+            let (_, base) = SYNOPSIS_BASES
+                .iter()
+                .find(|(key, _)| key.split(' ').eq(words.iter().take(key.split(' ').count())))
+                .unwrap_or_else(|| panic!("no argv base for `eureka {}`", words.join(" ")));
+            for (i, flag) in words.iter().enumerate() {
+                if !flag.starts_with('-') {
+                    continue;
+                }
+                let mut argv: Vec<&str> = base.to_vec();
+                argv.push(flag);
+                if words.get(i + 1).is_some_and(|w| w.starts_with('<')) {
+                    argv.push(match flag.as_str() {
+                        "--benchmark" => "bert",
+                        "--pruning" => "mod",
+                        "--arch" => "eureka-p4",
+                        _ => "1",
+                    });
+                }
+                if let Err(e) = parse(argv.iter().copied()) {
+                    panic!(
+                        "USAGE lists `{}`, which fails to parse: {e}",
+                        argv.join(" ")
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_exactly_the_figures() {
+        let figure = synopses().into_iter().find(|w| w[0] == "figure").unwrap();
+        let names = figure[1].trim_start_matches('<').trim_end_matches('>');
+        assert!(names.split('|').eq(eureka_bench::FIGURES));
+    }
+
     #[test]
     fn parse_bench_subcommands() {
         assert_eq!(
@@ -2547,7 +2444,8 @@ mod tests {
             candidate: bad.to_str().unwrap().into(),
             max_regress: 2.0,
         })
-        .unwrap_err();
+        .unwrap_err()
+        .message;
         assert!(err.contains("REGRESSION"), "{err}");
         assert!(err.contains("total_cycles"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -2628,21 +2526,21 @@ mod tests {
     fn parse_service_commands() {
         assert_eq!(
             parse(["serve"]).unwrap(),
-            Command::Serve {
+            Command::Serve(serve::ServeOpts {
                 socket: "eureka.sock".into(),
                 journal_dir: "eureka-journal".into(),
                 checkpoint_dir: None,
                 store_dir: None,
                 capacity: 8,
                 deadline_ms: 0,
-                jobs: None,
+                jobs: 1,
                 fast: false,
                 metrics_out: None,
                 sla_budget_us: None,
-                flightrec_dir: None,
+                flightrec_dir: "results".into(),
                 ledger_dir: None,
                 no_ledger: false,
-            }
+            })
         );
         assert_eq!(
             parse([
@@ -2673,21 +2571,21 @@ mod tests {
                 "--no-ledger",
             ])
             .unwrap(),
-            Command::Serve {
+            Command::Serve(serve::ServeOpts {
                 socket: "/tmp/e.sock".into(),
                 journal_dir: "j".into(),
                 checkpoint_dir: Some("c".into()),
                 store_dir: Some("s".into()),
                 capacity: 3,
                 deadline_ms: 500,
-                jobs: Some(2),
+                jobs: 2,
                 fast: true,
                 metrics_out: Some("m.prom".into()),
                 sla_budget_us: Some(250_000),
-                flightrec_dir: Some("fr".into()),
+                flightrec_dir: "fr".into(),
                 ledger_dir: Some("l".into()),
                 no_ledger: true,
-            }
+            })
         );
         assert!(parse(["serve", "--capacity", "0"]).is_err());
         assert!(parse(["serve", "--sla-budget-us", "0"]).is_err());
@@ -2707,12 +2605,14 @@ mod tests {
             .unwrap(),
             Command::Submit {
                 socket: "eureka.sock".into(),
-                benchmark: Benchmark::MobileNetV1,
-                pruning: PruningLevel::Moderate,
-                arch: "eureka-p4".into(),
-                batch: 32,
-                deadline_ms: 250,
-                retries: 2,
+                spec: JobSpec {
+                    benchmark: Benchmark::MobileNetV1,
+                    pruning: PruningLevel::Moderate,
+                    arch: "eureka-p4".into(),
+                    batch: 32,
+                    deadline_ms: 250,
+                    retries: 2,
+                },
                 wait: true,
             }
         );
@@ -2744,9 +2644,8 @@ mod tests {
         assert!(matches!(
             parse(["verify", "--chaos", "--cases", "7"]).unwrap(),
             Command::Verify {
-                chaos: true,
-                cases: 7,
-                ..
+                opts: VerifyOptions { cases: 7, .. },
+                mode: VerifyMode::Chaos,
             }
         ));
     }
@@ -2768,7 +2667,7 @@ mod tests {
         std::fs::write(&worse, snapshot(200)).unwrap();
 
         let diff = |a: &std::path::Path, b: &std::path::Path| {
-            run_with_code(&Command::BenchDiff {
+            run(&Command::BenchDiff {
                 baseline: a.display().to_string(),
                 candidate: b.display().to_string(),
                 max_regress: 2.0,

@@ -14,7 +14,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match eureka_cli::run_with_code(&cmd) {
+    match eureka_cli::run(&cmd) {
         Ok(out) => {
             // Empty output means the command already streamed its
             // payload to stdout (e.g. `--events-out -`).

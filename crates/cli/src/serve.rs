@@ -19,7 +19,7 @@
 use eureka_sim::JobSpec;
 
 /// Parsed `eureka serve` configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOpts {
     /// Unix socket path to listen on.
     pub socket: String,

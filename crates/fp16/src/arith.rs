@@ -9,7 +9,7 @@ use crate::F16;
 
 /// A binary16 operand with its bit-field decomposition precomputed.
 ///
-/// [`classify`] (sign/exponent/significand unpacking with subnormal
+/// `classify` (sign/exponent/significand unpacking with subnormal
 /// normalization) is the per-operand front-end of every multiply. In the
 /// executor's `cycle × p × m` loop the same activations and weights are
 /// multiplied against many partners, so decomposing each operand once and
@@ -62,7 +62,7 @@ impl Default for Prepared {
 /// Multiplies two pre-decomposed operands — bit-identical to
 /// [`mul`]`(a.value(), b.value())` (the differential suite in
 /// `tests/kernel_equivalence.rs` proves this exhaustively over the
-/// special-value grid), with the per-operand [`classify`] hoisted out.
+/// special-value grid), with the per-operand `classify` hoisted out.
 #[must_use]
 pub fn mul_prepared(a: Prepared, b: Prepared) -> F16 {
     mul_classified(a.class, b.class)

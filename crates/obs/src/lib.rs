@@ -4,7 +4,7 @@
 //! third-party dependency (the build environment is offline, like the
 //! vendored `proptest`/`criterion` shims). The pillars:
 //!
-//! 1. **Spans** ([`span`], [`span!`]) — lightweight start/stop guards
+//! 1. **Spans** ([`mod@span`], [`span!`]) — lightweight start/stop guards
 //!    recorded into thread-local buffers (no lock on the hot path) and
 //!    drained into a process-wide collector when a thread exits or an
 //!    exporter flushes. Disabled by default: a disabled [`span!`] costs

@@ -29,7 +29,7 @@ impl IntoSizeRange for core::ops::RangeInclusive<usize> {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

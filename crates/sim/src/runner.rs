@@ -9,7 +9,7 @@
 //! fields: a caller builds one per command and passes it to every
 //! simulation that command runs. The runner
 //!
-//! 1. **plans** each job into independent per-layer [work units](`WorkUnit`)
+//! 1. **plans** each job into independent per-layer work units (`WorkUnit`)
 //!    (every unit owns its forked [`DetRng`] stream, so units are
 //!    order-independent by construction),
 //! 2. **executes** the units — serially or fanned out across a scoped

@@ -112,7 +112,7 @@ impl TileKey {
         &self.0
     }
 
-    /// Which of the [`SHARDS`] shard files holds this key.
+    /// Which of the `SHARDS` shard files holds this key.
     #[must_use]
     pub fn shard(&self) -> usize {
         shard_of(&self.0)
@@ -383,7 +383,7 @@ struct Shard {
     dirty: BTreeMap<TileKey, TileOutcome>,
 }
 
-/// The persistent tier: a directory of up to [`SHARDS`] shard files.
+/// The persistent tier: a directory of up to `SHARDS` shard files.
 pub struct DiskTier {
     dir: PathBuf,
     shards: Vec<Mutex<Shard>>,

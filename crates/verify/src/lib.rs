@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Options for a verification run (mirrors the CLI flags).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Seeded cases per architecture.
     pub cases: u32,

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
-cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo bench --workspace -- --test   # criterion harness smoke (no timing)
 cargo run --release -q -p eureka-cli -- verify --replay tests/corpus
 cargo run --release -q -p eureka-cli -- verify --cases 200 --seed 42 | tail -n 1

@@ -21,8 +21,8 @@
 //!   Chrome-trace / metrics-snapshot exporters behind the CLI's
 //!   `--trace-out` / `--metrics-out` flags.
 //!
-//! The experiment harness lives in the `eureka-bench` crate
-//! (`cargo run -p eureka-bench --bin fig11`, etc.).
+//! The experiment harness lives in the `eureka-bench` crate; the CLI
+//! prints each table and figure (`eureka figure fig11`, etc.).
 //!
 //! # Quickstart
 //!
