@@ -179,7 +179,7 @@ USAGE:
   eureka figure <table1|table2|fig09|fig11|fig12|fig13|fig14|ablations>
                   [--csv] [--fast] [--jobs <N>]
                   [--retries <N>] [--checkpoint-dir <dir>] [--resume]
-                  [--store-dir <dir>] [--no-store]
+                  [--store-dir <dir>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
@@ -188,13 +188,13 @@ USAGE:
                   [--batch <N>] [--csv] [--fast] [--jobs <N>]
                   [--keep-going] [--max-failures <N>] [--retries <N>]
                   [--checkpoint-dir <dir>] [--resume]
-                  [--store-dir <dir>] [--no-store]
+                  [--store-dir <dir>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
   eureka profile  --benchmark <name> [--pruning <level>] [--arch <name>]
                   [--batch <N>] [--fast] [--jobs <N>] [--top-tiles <N>]
-                  [--store-dir <dir>] [--no-store]
+                  [--store-dir <dir>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--json <file|->] [--heatmap <file|->]
@@ -240,9 +240,6 @@ RESULT STORE:
                         canonical tile results (content-addressed by
                         row-length signature) for units without a record
                         and for `profile`; reports stay byte-identical
-  --no-store            disable the tile-result store entirely, including
-                        the in-process hot tier (output is identical either
-                        way; the store only removes redundant work)
 
 TELEMETRY:
   --trace-out <file>    Chrome Trace Event JSON of the run (one track per
@@ -421,8 +418,6 @@ pub struct RunOpts {
     /// Persist unit records and canonical tile results under this
     /// directory.
     pub store_dir: Option<String>,
-    /// Disable the tile-result store (even the in-process hot tier).
-    pub no_store: bool,
 }
 
 impl RunOpts {
@@ -458,13 +453,10 @@ impl RunOpts {
         if let Some(dir) = &self.checkpoint_dir {
             runner = runner.with_checkpoint(dir, self.resume);
         }
-        if self.no_store {
-            runner.without_store()
-        } else if let Some(dir) = &self.store_dir {
-            runner.with_store_dir(dir)
-        } else {
-            runner
+        if let Some(dir) = &self.store_dir {
+            runner = runner.with_store_dir(dir);
         }
+        runner
     }
 }
 
@@ -545,7 +537,6 @@ impl SharedFlags {
             "--fast" => run.fast = true,
             "--jobs" => run.jobs = Some(args.jobs()?),
             "--store-dir" => run.store_dir = Some(args.value(flag)?),
-            "--no-store" => run.no_store = true,
             "-v" | "--verbose" => obs.verbose = obs.verbose.saturating_add(1),
             "-vv" => obs.verbose = obs.verbose.saturating_add(2),
             "--events-out" => obs.events_out = Some(args.value(flag)?),
@@ -568,9 +559,6 @@ impl SharedFlags {
     fn finish(self, csv: bool) -> Result<(RunOpts, ObsOpts), String> {
         if self.run.resume && self.run.checkpoint_dir.is_none() {
             return Err("--resume requires --checkpoint-dir".into());
-        }
-        if self.run.no_store && self.run.store_dir.is_some() {
-            return Err("--no-store conflicts with --store-dir".into());
         }
         if self.obs.no_ledger && self.obs.ledger_dir.is_some() {
             return Err("--no-ledger conflicts with --ledger-dir".into());
@@ -2109,20 +2097,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_store_flags_and_conflicts() {
+    fn parse_store_dir_flag() {
         let cmd = parse(["simulate", "--benchmark", "bert", "--store-dir", "tiles"]).unwrap();
         assert!(matches!(
             cmd,
             Command::Simulate { ref run, .. }
-                if run.store_dir.as_deref() == Some("tiles") && !run.no_store
+                if run.store_dir.as_deref() == Some("tiles")
         ));
-        let cmd = parse(["profile", "--benchmark", "bert", "--no-store"]).unwrap();
+        let cmd = parse(["profile", "--benchmark", "bert"]).unwrap();
         assert!(matches!(
             cmd,
             Command::Profile {
                 run: RunOpts {
                     store_dir: None,
-                    no_store: true,
                     ..
                 },
                 ..
@@ -2131,12 +2118,6 @@ mod tests {
         let cmd = parse(["figure", "fig11", "--store-dir", "t"]).unwrap();
         assert!(matches!(cmd, Command::Figure { ref run, .. }
                 if run.store_dir.as_deref() == Some("t")));
-        for cmd in [FIGURE, SIMULATE, PROFILE] {
-            assert_eq!(
-                parse_err(cmd, &["--store-dir", "t", "--no-store"]),
-                "--no-store conflicts with --store-dir"
-            );
-        }
     }
 
     #[test]
@@ -2259,7 +2240,7 @@ mod tests {
         assert_eq!(help, USAGE);
         assert_eq!(
             (help.len(), eureka_sim::hash::fnv1a64(help.as_bytes())),
-            (9930, 0x8963_d05d_7ff9_2afc)
+            (9673, 0x91b4_1ec3_1be5_c87b)
         );
     }
 

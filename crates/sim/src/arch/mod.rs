@@ -45,11 +45,13 @@ pub struct LayerCtx {
     /// Deterministic RNG stream for this (workload, layer).
     pub rng: DetRng,
     /// Tile-result resolution through the content-addressed store
-    /// ([`crate::store`]). [`TileBroker::disabled`] computes every tile
-    /// directly — the right default for ad-hoc simulation call sites;
-    /// the runner plants an enabled broker per work unit. Either way the
-    /// simulated results are bit-identical: the store only skips
-    /// recomputing outcomes it can prove equal by canonical key.
+    /// ([`crate::store`]). [`TileBroker::disabled`] times every tile
+    /// directly, without keying it — what ad-hoc simulation call sites
+    /// and a runner without a store directory use; a runner with
+    /// [`crate::Runner::with_store_dir`] plants an enabled broker per
+    /// work unit. Either way the simulated results are bit-identical: the
+    /// store only skips recomputing outcomes it can prove equal by
+    /// canonical key.
     pub tiles: TileBroker,
     /// Reusable per-worker scratch buffers ([`crate::scratch`]): tiles,
     /// key strings, signature and schedule buffers recycle across units
@@ -288,16 +290,13 @@ fn sample_masks(
     let p = masks.len();
     for mask in masks.iter_mut().take(rows_live.min(p)) {
         let d = row_density(base_density, sigma, rng);
-        // One Bernoulli draw per live cell, branchless. The integer
-        // compare is exactly `rng.bernoulli(d)`: `next_f64()` is
-        // `(next_u64() >> 11) · 2⁻⁵³` (lossless — 53 bits scaled by a
-        // power of two), so `next_f64() < d  ⟺  (next_u64() >> 11) <
-        // ⌈d·2⁵³⌉`, where `d·2⁵³` is itself exact for clamped `d`.
-        // `tests/kernel_equivalence.rs` pins the equivalence.
-        let thr = (d.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64;
+        // One Bernoulli draw per live cell, branchless, against the
+        // row's exact integer threshold: draw for draw equal to
+        // `rng.bernoulli(d)` (`tests/kernel_equivalence.rs` pins it).
+        let thr = DetRng::bernoulli_threshold(d);
         let mut m = 0u64;
         for c in 0..cols_live.min(q) {
-            m |= u64::from(rng.next_u64() >> 11 < thr) << c;
+            m |= u64::from(rng.bernoulli_below(thr)) << c;
         }
         *mask |= m;
     }
@@ -305,7 +304,8 @@ fn sample_masks(
 
 /// Binomial sample: number of successes in `n` Bernoulli(p) trials.
 pub(crate) fn binomial(n: usize, p: f64, rng: &mut DetRng) -> usize {
-    (0..n).filter(|_| rng.bernoulli(p)).count()
+    let thr = DetRng::bernoulli_threshold(p);
+    (0..n).filter(|_| rng.bernoulli_below(thr)).count()
 }
 
 /// A registry constructor: builds one boxed architecture.
@@ -448,6 +448,35 @@ mod tests {
         let total: usize = (0..2000).map(|_| binomial(32, 0.25, &mut rng)).sum();
         let mean = total as f64 / 2000.0;
         assert!((mean - 8.0).abs() < 0.3, "mean {mean}");
+    }
+
+    #[test]
+    fn binomial_equals_the_float_filter_count() {
+        let dyadic = 0.25f64;
+        for (seed, p) in [
+            -0.5,
+            0.0,
+            0.13,
+            dyadic.next_down(),
+            dyadic,
+            dyadic.next_up(),
+            1.0f64.next_down(),
+            1.0,
+            1.5,
+            f64::NAN,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut by_float = DetRng::new(seed as u64);
+            let mut by_threshold = by_float.clone();
+            for n in [0, 1, 8, 16, 33, 256] {
+                let float = (0..n)
+                    .filter(|_| by_float.next_f64() < p.clamp(0.0, 1.0))
+                    .count();
+                assert_eq!(binomial(n, p, &mut by_threshold), float, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

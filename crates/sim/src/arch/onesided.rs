@@ -366,15 +366,19 @@ impl OneSided {
                         cfg.row_density_sigma,
                         &mut rng,
                     );
-                    // Resolve through the content-addressed store: the
+                    // With a store attached, resolve through it: the
                     // tile is always *sampled* (identical RNG draws hot
                     // or cold), only its timing memoizes. `outcome` is a
                     // pure function of the canonical key, so a store hit
                     // is bit-identical to the skipped computation.
-                    let keyed = self.timer.key_into(tile, lens, token, tag, key);
-                    let o = ctx
-                        .tiles
-                        .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile));
+                    // Without one, keying would cost more than timing.
+                    let o = if ctx.tiles.is_enabled() {
+                        let keyed = self.timer.key_into(tile, lens, token, tag, key);
+                        ctx.tiles
+                            .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile))
+                    } else {
+                        self.timer.outcome(tile)
+                    };
                     let (t, disp, base_row) = (o.cycles, o.displaced, o.base_row);
                     times.push(t);
                     sum_t += t as f64;

@@ -20,6 +20,7 @@ use crate::memory;
 use crate::report::{LayerReport, OpCounts};
 use eureka_models::workload::LayerGemm;
 use eureka_sparse::bitmask::CHUNK_WIDTH;
+use eureka_sparse::rng::DetRng;
 
 /// Relative cost of skipping past an empty weight chunk: the activation
 /// chunk still streams through the double buffer ("large parts of the
@@ -86,16 +87,17 @@ impl Architecture for SparTen {
 
         // Sample chunk pairs: joint (weight, activation) bit draws.
         let samples = (cfg.rowgroup_samples * cfg.slice_samples).max(256);
+        let a_thr = DetRng::bernoulli_threshold(d_a);
         let (mut sum_cost, mut sum_matches) = (0f64, 0f64);
         let mut chunk_costs = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let d_w = tile_density(gemm, &mut rng);
+            let w_thr = DetRng::bernoulli_threshold(tile_density(gemm, &mut rng));
             let width = CHUNK_WIDTH.min(k);
             let mut w_nnz = 0usize;
             let mut matches = 0usize;
             for _ in 0..width {
-                let w = rng.bernoulli(d_w);
-                let a = rng.bernoulli(d_a);
+                let w = rng.bernoulli_below(w_thr);
+                let a = rng.bernoulli_below(a_thr);
                 w_nnz += usize::from(w);
                 matches += usize::from(w && a);
             }

@@ -59,18 +59,20 @@
 //! [`Runner::with_store_dir`] both attach a record directory; the
 //! records count as `checkpoint.hits`.
 //!
-//! Below the unit cache sits a second, finer memoization layer: the
-//! content-addressed tile store ([`crate::store`]). Planning plants a
-//! [`TileBroker`] in every unit's [`LayerCtx`]; tile-timer architectures
-//! resolve each sampled tile through it, so tiles with equal canonical
-//! row-length signatures are simulated once per process (hot tier) — or
-//! once *ever*, when [`Runner::with_store_dir`] persists outcomes across
-//! runs. It serves the units that do execute: those without a record
-//! and every profiled unit. A unit whose tiles all came from the store
-//! still executes (its RNG streams advance identically, keeping reports
-//! bit-identical to a cold run) but performs zero tile simulations; such
-//! units count toward `runner.units_from_store` instead of
-//! `cache.misses`.
+//! Only with [`Runner::with_store_dir`] does a second, finer memoization
+//! layer join in: the content-addressed tile store ([`crate::store`]).
+//! Planning plants a [`TileBroker`] in every unit's [`LayerCtx`]; it is
+//! disabled by default, so tile-timer architectures time each sampled
+//! tile directly, without keying it — timing a tile costs less than
+//! canonicalizing and looking it up. With a store directory the broker
+//! is enabled, and each sampled tile resolves through it, so tiles with
+//! equal canonical row-length signatures are simulated once per process
+//! (hot tier) and once *ever* (disk shards). It serves the units that do
+//! execute: those without a record and every profiled unit. A unit whose
+//! tiles all came from the store still executes (its RNG streams advance
+//! identically, keeping reports bit-identical to a cold run) but performs
+//! zero tile simulations; such units count toward
+//! `runner.units_from_store` instead of `cache.misses`.
 //!
 //! # Telemetry
 //!
@@ -602,41 +604,8 @@ pub struct Runner {
     backoff: BackoffPolicy,
     cancel: Option<CancelToken>,
     checkpoint: Option<CheckpointCfg>,
-    store_enabled: bool,
     store_dir: Option<PathBuf>,
     events: Events,
-}
-
-/// How the plan phase wires work units to the tile store, resolved once
-/// per run so every unit shares one disk-tier handle (and one shard
-/// cache) instead of re-opening the directory per layer.
-enum BrokerSource {
-    Disabled,
-    Enabled(Option<Arc<store::DiskTier>>),
-}
-
-impl BrokerSource {
-    /// A fresh per-unit broker (each unit tallies its own lookups).
-    fn broker(&self) -> TileBroker {
-        match self {
-            BrokerSource::Disabled => TileBroker::disabled(),
-            BrokerSource::Enabled(disk) => TileBroker::enabled(disk.clone()),
-        }
-    }
-
-    /// Persists tile outcomes computed during this run, if a store
-    /// directory is attached.
-    fn flush(&self) {
-        if let BrokerSource::Enabled(Some(disk)) = self {
-            disk.flush();
-        }
-    }
-
-    /// Whether a persistent disk tier is attached (and [`Self::flush`]
-    /// therefore actually writes).
-    fn has_disk(&self) -> bool {
-        matches!(self, BrokerSource::Enabled(Some(_)))
-    }
 }
 
 impl Runner {
@@ -653,8 +622,10 @@ impl Runner {
     }
 
     /// A runner with an explicit worker count (`0` = all available
-    /// cores), the unit cache and the in-process tile store enabled, and
-    /// no retries, backoff, cancellation, checkpoint or store directory.
+    /// cores), the unit cache enabled, and no retries, backoff,
+    /// cancellation, checkpoint or store directory. Without a store
+    /// directory the tile store stays out of the run: every sampled tile
+    /// is timed directly, never keyed or looked up.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
@@ -664,7 +635,6 @@ impl Runner {
             backoff: BackoffPolicy::NONE,
             cancel: None,
             checkpoint: None,
-            store_enabled: true,
             store_dir: None,
             events: Events::default(),
         }
@@ -721,13 +691,12 @@ impl Runner {
         self
     }
 
-    /// Disables the tile-result store for this runner: every sampled
-    /// tile is simulated directly, with no hot-tier sharing and no disk
-    /// I/O. Output is bit-identical either way — the store only removes
-    /// redundant work.
+    /// Detaches any store directory from this runner: no unit records
+    /// from it, and every sampled tile is timed directly, with no
+    /// hot-tier sharing and no disk I/O. This is the default. Output is
+    /// bit-identical either way — the store only removes redundant work.
     #[must_use]
     pub fn without_store(mut self) -> Self {
-        self.store_enabled = false;
         self.store_dir = None;
         self
     }
@@ -736,15 +705,15 @@ impl Runner {
     /// processes — to replay instead of recomputing. Whole units go to
     /// batched `.units` records ([`crate::checkpoint`], in resume mode,
     /// one file per run): a stored unit replays before any tile
-    /// sampling, keying or timing runs. Tile outcomes go to
-    /// [`crate::store`] shard files beside them, serving units without a
-    /// record and [`Runner::run_profiled`], which bypasses unit records.
-    /// An explicit [`Runner::with_checkpoint`] takes over the unit
-    /// records, with its own directory, layout and resume setting,
-    /// whichever is called first.
+    /// sampling, keying or timing runs. Tile outcomes go through the
+    /// process-wide hot tier to [`crate::store`] shard files beside
+    /// them, serving units without a record and [`Runner::run_profiled`],
+    /// which bypasses unit records. An explicit
+    /// [`Runner::with_checkpoint`] takes over the unit records, with its
+    /// own directory, layout and resume setting, whichever is called
+    /// first.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store_enabled = true;
         self.store_dir = Some(dir.into());
         self
     }
@@ -761,7 +730,7 @@ impl Runner {
     /// configuration, else the store directory, batched, in resume mode.
     fn unit_records(&self) -> Option<CheckpointCfg> {
         self.checkpoint.clone().or_else(|| {
-            let dir = self.store_dir.as_ref().filter(|_| self.store_enabled)?;
+            let dir = self.store_dir.as_ref()?;
             Some(CheckpointCfg {
                 store: CheckpointStore::batched(dir.clone()),
                 resume: true,
@@ -769,14 +738,12 @@ impl Runner {
         })
     }
 
-    /// Resolves this runner's store configuration into the broker source
-    /// the plan phase plants into each unit.
-    fn broker_source(&self) -> BrokerSource {
-        if self.store_enabled {
-            BrokerSource::Enabled(self.store_dir.as_deref().map(store::disk_tier_for))
-        } else {
-            BrokerSource::Disabled
-        }
+    /// The disk tier of this runner's store directory, if one is
+    /// attached: resolved once per run, so every unit shares one handle
+    /// (and one shard cache) instead of re-opening the directory per
+    /// layer. Without it, the plan phase plants disabled brokers.
+    fn tile_tier(&self) -> Option<Arc<store::DiskTier>> {
+        self.store_dir.as_deref().map(store::disk_tier_for)
     }
 
     /// The worker count this runner would use right now.
@@ -836,14 +803,14 @@ impl Runner {
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
         // Plan: enumerate every job's per-layer units.
-        let tiles = self.broker_source();
+        let tiles = self.tile_tier();
         let mut units = Vec::new();
         let mut ranges = Vec::with_capacity(jobs.len());
         {
             let _plan_span = eureka_obs::span!("runner.plan");
             for job in jobs {
                 let start = units.len();
-                plan(job, &mut units, &tiles);
+                plan(job, &mut units, tiles.as_ref());
                 ranges.push(start..units.len());
             }
         }
@@ -857,8 +824,8 @@ impl Runner {
         let results = self.execute(&units);
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
-        tiles.flush();
-        if tiles.has_disk() {
+        if let Some(disk) = &tiles {
+            disk.flush();
             self.events.emit(|| Event::new("store-flush"));
         }
         // Reduce: reassemble per job, in layer-index order.
@@ -1184,10 +1151,11 @@ impl Runner {
     /// store: both hold bare [`LayerReport`]s, and replaying one could
     /// not reconstruct its row-level attribution. The deterministic
     /// `runner.*`/`cache.*` counters are therefore untouched, keeping the
-    /// plain drive path's reconciliation invariant intact. The tile
-    /// store, however, *does* serve profiled units — tile outcomes carry
-    /// everything the per-tile attribution needs — so the `store.*`
-    /// counters tick and a warmed store accelerates profiling too.
+    /// plain drive path's reconciliation invariant intact. With a store
+    /// directory attached, the tile store, however, *does* serve
+    /// profiled units — tile outcomes carry everything the per-tile
+    /// attribution needs — so the `store.*` counters tick and a warmed
+    /// store accelerates profiling too.
     ///
     /// # Errors
     ///
@@ -1205,9 +1173,9 @@ impl Runner {
             job.arch.name(),
             job.workload.benchmark().name()
         );
-        let tiles = self.broker_source();
+        let tiles = self.tile_tier();
         let mut units = Vec::new();
-        plan(job, &mut units, &tiles);
+        plan(job, &mut units, tiles.as_ref());
         let run_started = Instant::now();
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", 1));
@@ -1255,8 +1223,8 @@ impl Runner {
             });
             result
         });
-        tiles.flush();
-        if tiles.has_disk() {
+        if let Some(disk) = &tiles {
+            disk.flush();
             self.events.emit(|| Event::new("store-flush"));
         }
         self.events.emit(|| {
@@ -1310,9 +1278,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Plans one job into per-layer units appended to `units`, each wired to
-/// the tile store through its own broker from `tiles`.
-fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: &BrokerSource) {
+/// Plans one job into per-layer units appended to `units`, each with its
+/// own broker (so each unit tallies its own lookups): wired to the tile
+/// store with disk tier `tiles` when one is attached, disabled otherwise.
+fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<store::DiskTier>>) {
     let workload = job.workload;
     let bench = workload.benchmark();
     let base_rng = DetRng::new(workload.seed());
@@ -1349,7 +1318,9 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: &BrokerSourc
                 s2ta_act_density,
                 s2ta_fil_density,
                 rng: base_rng.fork(stream),
-                tiles: tiles.broker(),
+                tiles: tiles.map_or_else(TileBroker::disabled, |disk| {
+                    TileBroker::enabled(Some(Arc::clone(disk)))
+                }),
                 scratch: scratch.clone(),
             },
             cfg: job.cfg,
@@ -1724,7 +1695,7 @@ mod tests {
         let a = arch::dense();
         let job = SimJob::new(&a, &w, tiny_cfg());
         let mut units = Vec::new();
-        plan(&job, &mut units, &BrokerSource::Disabled);
+        plan(&job, &mut units, None);
         let keys: Vec<String> = units.iter().map(|u| u.key.canonical()).collect();
         let mut uniq = keys.clone();
         uniq.sort();
@@ -1732,7 +1703,7 @@ mod tests {
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
         // Same plan, same keys (the stability the checkpoint layer needs).
         let mut units2 = Vec::new();
-        plan(&job, &mut units2, &BrokerSource::Disabled);
+        plan(&job, &mut units2, None);
         let keys2: Vec<String> = units2.iter().map(|u| u.key.canonical()).collect();
         assert_eq!(keys, keys2);
         assert!(keys[0].starts_with("v1|arch=Dense|"));

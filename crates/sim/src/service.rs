@@ -1098,8 +1098,6 @@ fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<
     }
     if let Some(dir) = &inner.cfg.store_dir {
         runner = runner.with_store_dir(dir.clone());
-    } else {
-        runner = runner.without_store();
     }
     let job = SimJob::new(arch.as_ref(), &workload, inner.cfg.sim);
     Some(runner.run_outcome(&job))

@@ -1,5 +1,6 @@
 //! Tile-level content-addressed result store: the memoization layer
-//! beneath the runner's unit cache.
+//! beneath the runner's unit cache, active only for runners with a store
+//! directory ([`crate::Runner::with_store_dir`]).
 //!
 //! The paper's timing model is tile-granular, and identical sparsity
 //! tiles recur constantly — across layers, across workloads, across
@@ -7,10 +8,11 @@
 //! campaign. This module caches one [`TileOutcome`] per canonical
 //! [`TileKey`] in two tiers:
 //!
-//! * a **hot tier**: a process-wide striped hash map, always consulted
-//!   first. Concurrent requests for the same missing key deduplicate —
-//!   exactly one computes, the rest block on the entry — so hit/miss
-//!   counts depend only on the multiset of keys, not on scheduling;
+//! * a **hot tier**: a process-wide striped hash map, consulted first by
+//!   every enabled [`TileBroker`]. Concurrent requests for the same
+//!   missing key deduplicate — exactly one computes, the rest block on
+//!   the entry — so hit/miss counts depend only on the multiset of keys,
+//!   not on scheduling;
 //! * a **disk tier** ([`DiskTier`]): 16 shard files under a store
 //!   directory, keyed by the low nibble of the key's FNV-1a hash,
 //!   following the checkpoint layer's durability discipline — versioned
@@ -26,6 +28,10 @@
 //! timer is a pure integer function of the canonical signature — which is
 //! what lets a warm store skip `suds::optimize` entirely without
 //! perturbing any report.
+//!
+//! Within one process, keying and looking a tile up costs more than
+//! timing it, so a runner without a store directory plants disabled
+//! brokers: its tiles are timed directly and never keyed.
 //!
 //! # Metrics
 //!
@@ -633,9 +639,10 @@ pub fn disk_tier_for(dir: &Path) -> Arc<DiskTier> {
 
 /// The tile-resolution handle planted in each work unit's
 /// [`crate::arch::LayerCtx`]. Disabled brokers compute directly (ad-hoc
-/// simulation call sites); enabled brokers resolve through the global
-/// hot tier (and the unit's disk tier, when configured) while tallying
-/// per-unit lookup/compute counts so the runner can classify the unit.
+/// simulation call sites and runners without a store directory); enabled
+/// brokers resolve through the global hot tier (and the unit's disk
+/// tier, when configured) while tallying per-unit lookup/compute counts
+/// so the runner can classify the unit.
 #[derive(Clone, Debug, Default)]
 pub struct TileBroker {
     inner: Option<Arc<BrokerInner>>,
@@ -665,6 +672,14 @@ impl TileBroker {
                 computes: AtomicU64::new(0),
             })),
         }
+    }
+
+    /// Whether this broker resolves through the store. Callers skip
+    /// keying a tile when it does not: a disabled broker computes every
+    /// tile, so a key would never be read.
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
     }
 
     /// Resolves one tile: through the store when enabled and the timer

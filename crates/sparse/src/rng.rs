@@ -85,9 +85,31 @@ impl DetRng {
         ((u128::from(self.next_u64()) * bound as u128) >> 64) as usize
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`; a NaN
+    /// `p` never succeeds).
     pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        self.bernoulli_below(Self::bernoulli_threshold(p))
+    }
+
+    /// The exact integer form of a Bernoulli(`p`) trial's success
+    /// threshold: `⌈clamp(p, 0, 1)·2⁵³⌉`, with a NaN `p` giving 0. Since
+    /// `next_f64()` is `(next_u64() >> 11)·2⁻⁵³` (53 bits scaled by a
+    /// power of two, so lossless) and `clamp(p)·2⁵³` is exact too,
+    /// `next_f64() < clamp(p)` holds exactly when `(next_u64() >> 11) <
+    /// threshold`. Hoisting the threshold out of a loop of draws at one
+    /// `p` therefore leaves the stream of outcomes unchanged.
+    #[inline]
+    #[must_use]
+    pub fn bernoulli_threshold(p: f64) -> u64 {
+        // `as u64` saturates, and maps NaN to 0.
+        (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// One Bernoulli trial against a [`DetRng::bernoulli_threshold`]:
+    /// draw for draw equal to [`DetRng::bernoulli`] at that `p`.
+    #[inline]
+    pub fn bernoulli_below(&mut self, threshold: u64) -> bool {
+        self.next_u64() >> 11 < threshold
     }
 
     /// Standard-normal-ish sample via the sum of 12 uniforms (Irwin–Hall),

@@ -295,8 +295,8 @@ fn unit_source_classification_tracks_memoization() {
         runner.run(&job).expect("supported");
         runner.run(&job).expect("supported");
     });
-    // First pass computes (or replays store tiles); the repeat is served
-    // entirely from the unit cache.
+    // First pass computes; the repeat is served entirely from the unit
+    // cache.
     let cache_hits = stream
         .lines()
         .filter(|l| l.contains("\"event\":\"unit-finished\"") && l.contains("\"source\":\"cache\""))

@@ -14,9 +14,9 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Fails with the first line where `actual` departs from the golden file
-/// `path`.
-fn assert_golden(actual: &str, path: &str) {
+/// Fails with the first line where `actual`, computed by the runner
+/// `label` describes, departs from the golden file `path`.
+fn assert_golden(actual: &str, path: &str, label: &str) {
     let file = golden_dir().join(path);
     let expected = std::fs::read_to_string(&file)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
@@ -31,17 +31,21 @@ fn assert_golden(actual: &str, path: &str) {
         .find(|(_, (want, got))| want != got)
         .unwrap_or((0, ("<trailing bytes>", "<trailing bytes>")));
     panic!(
-        "{} drifted at line {}:\n  golden: {want}\n  actual: {got}",
+        "{} drifted at line {} ({label}):\n  golden: {want}\n  actual: {got}",
         file.display(),
         line + 1
     );
 }
 
 /// What `eureka figure <name> --fast --csv` prints (`println!` adds the
-/// last newline).
-fn check_figure(name: &str) {
-    let fig = figure(name, &Runner::parallel(), &SimConfig::fast()).expect("a FIGURES name");
-    assert_golden(&format!("{}\n", fig.to_csv()), &format!("{name}.csv"));
+/// last newline), computed by `runner`, described as `label`.
+fn check_figure(name: &str, runner: &Runner, label: &str) {
+    let fig = figure(name, runner, &SimConfig::fast()).expect("a FIGURES name");
+    assert_golden(
+        &format!("{}\n", fig.to_csv()),
+        &format!("{name}.csv"),
+        label,
+    );
 }
 
 macro_rules! golden_figures {
@@ -49,7 +53,7 @@ macro_rules! golden_figures {
         $(
             #[test]
             fn $name() {
-                check_figure(stringify!($name));
+                check_figure(stringify!($name), &Runner::parallel(), "parallel");
             }
         )*
 
@@ -61,6 +65,25 @@ macro_rules! golden_figures {
 }
 
 golden_figures!(table1, table2, fig09, fig11, fig12, fig13, fig14, ablations);
+
+/// The golden files hold for any runner, not only the shared parallel
+/// one above: a serial runner with no memo tier at all, and a parallel
+/// runner with a store directory — cold, so every unit executes through
+/// the tile store, then warm, so every unit replays from its record. The
+/// store runner drops the process-wide unit cache, which the tests above
+/// share, so neither of its runs can be served from there.
+#[test]
+fn fresh_runners_match_the_golden_figures() {
+    let dir = std::env::temp_dir().join(format!("eureka-golden-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stored = Runner::parallel().without_cache().with_store_dir(&dir);
+    for name in ["fig11", "fig12"] {
+        check_figure(name, &Runner::serial().without_cache(), "serial, no memo");
+        check_figure(name, &stored, "store dir, cold");
+        check_figure(name, &stored, "store dir, warm");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// What `eureka simulate --benchmark mobilenetv1 --arch <name> --fast
 /// --csv` prints: exact integer cycles per layer, which the figures'
@@ -87,6 +110,7 @@ fn mobilenetv1_cycles_per_architecture() {
         assert_golden(
             &format!("{}\n", report.to_csv()),
             &format!("mobilenetv1/{name}.csv"),
+            "parallel",
         );
     }
 }

@@ -252,22 +252,67 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // The branchless integer-threshold Bernoulli used by tile sampling:
-    // `(next_u64() >> 11) < ⌈d·2⁵³⌉` must equal `next_f64() < d` draw
-    // for draw, or sampled reports change bytes.
+    // The integer-threshold Bernoulli behind every sampled draw:
+    // `(next_u64() >> 11) < ⌈clamp(p)·2⁵³⌉` must equal the float compare
+    // `next_f64() < clamp(p)` draw for draw, or sampled reports change
+    // bytes.
     // ------------------------------------------------------------------
 
     #[test]
     fn integer_threshold_bernoulli_matches_f64_compare(
-        num in 0u64..=(1u64 << 53),
+        kind in 0u8..4,
+        bits in any::<u64>(),
+        exp in 0u32..63,
+        step in -1i8..=1,
         seed in 0u64..10_000,
     ) {
-        let d = num as f64 / (1u64 << 53) as f64; // dense in [0, 1]
-        let thr = (d.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64;
+        let p = bernoulli_p(kind, bits, exp, step);
+        let thr = DetRng::bernoulli_threshold(p);
+        // The float oracle, written out.
+        let below = |x: u64| x as f64 * (1.0 / (1u64 << 53) as f64) < p.clamp(0.0, 1.0);
+        // Random draws rarely land next to the threshold, so probe the
+        // 53-bit draws around it directly.
+        for x in [thr.saturating_sub(1), thr, thr + 1] {
+            let x = x.min((1u64 << 53) - 1);
+            prop_assert_eq!(x < thr, below(x), "p = {:e}, x = {}", p, x);
+        }
         let mut by_float = DetRng::new(seed);
-        let mut by_int = by_float.clone();
+        // The same through the real draws: aim a `q` at the next draw
+        // itself and one ulp either side.
+        let at = (by_float.clone().next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        for q in [at.next_down(), at, at.next_up()] {
+            let oracle = by_float.clone().next_f64() < q.clamp(0.0, 1.0);
+            prop_assert_eq!(by_float.clone().bernoulli(q), oracle, "q = {:e}", q);
+            let q_thr = DetRng::bernoulli_threshold(q);
+            prop_assert_eq!(by_float.clone().bernoulli_below(q_thr), oracle, "q = {:e}", q);
+        }
+        let (mut by_bernoulli, mut by_threshold) = (by_float.clone(), by_float.clone());
         for _ in 0..64 {
-            prop_assert_eq!(by_float.bernoulli(d), by_int.next_u64() >> 11 < thr);
+            let oracle = by_float.next_f64() < p.clamp(0.0, 1.0);
+            prop_assert_eq!(by_bernoulli.bernoulli(p), oracle, "p = {:e}", p);
+            prop_assert_eq!(by_threshold.bernoulli_below(thr), oracle, "p = {:e}", p);
+        }
+    }
+}
+
+/// A Bernoulli probability from one of four regimes, chosen by `kind`:
+/// an arbitrary value in [−0.5, 1.5] (so clamping matters), exactly 0 or
+/// 1, NaN, or a dyadic `j/2^exp` (`j < 2¹⁶`, so every binade down to
+/// 2⁻⁶³ occurs) nudged `step` ulps (−1, 0, +1). Below ¼ such a neighbour
+/// is no multiple of 2⁻⁵³, which is where a threshold rounded the wrong
+/// way would show.
+fn bernoulli_p(kind: u8, bits: u64, exp: u32, step: i8) -> f64 {
+    match kind {
+        0 => -0.5 + 2.0 * ((bits >> 11) as f64 / (1u64 << 53) as f64),
+        1 => (bits & 1) as f64,
+        2 => f64::NAN,
+        _ => {
+            let dyadic = (bits & 0xFFFF) as f64 / (1u64 << exp) as f64;
+            match step {
+                -1 => dyadic.next_down(),
+                1 => dyadic.next_up(),
+                _ => dyadic,
+            }
         }
     }
 }

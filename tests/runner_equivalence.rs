@@ -2,6 +2,9 @@
 //! execution is bit-identical to serial execution for every architecture
 //! in the registry, and cache replays are bit-identical to cold misses.
 //!
+//! The tile store takes part only in runs with a store directory, so the
+//! tests that count its traffic attach one.
+//!
 //! Counter-assertion convention: on a *cold* run the split between
 //! `cache.misses` and `runner.units_from_store` depends on which unit
 //! computes a shared tile key first (schedule-dependent under a parallel
@@ -12,6 +15,7 @@
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch;
 use eureka_sim::{runner, store, Runner, SimConfig, SimJob};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The unit cache and its counters are process-global; serialize the
@@ -19,6 +23,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A fresh, empty store directory owned by one test.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eureka-runner-eq-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Small sampling counts so the full registry sweep stays fast; distinct
@@ -80,12 +91,19 @@ fn cache_hit_equals_cold_miss() {
 
     // cache_reset zeroes the counters too, so the assertions below are
     // exact regardless of what ran earlier in the process.
+    let dir = store_dir("hit");
     runner::cache_reset();
-    let cold = Runner::parallel().run(&job).expect("supported");
+    let cold = Runner::parallel()
+        .with_store_dir(&dir)
+        .run(&job)
+        .expect("supported");
     let (hits_after_cold, misses_after_cold, _) = runner::cache_stats();
     let ufs_after_cold = runner::units_from_store_stats();
     let (_, _, store_misses_cold, _) = store::store_stats();
-    let warm = Runner::parallel().run(&job).expect("supported");
+    let warm = Runner::parallel()
+        .with_store_dir(&dir)
+        .run(&job)
+        .expect("supported");
     let (hits_after_warm, misses_after_warm, _) = runner::cache_stats();
 
     assert_eq!(cold, warm, "cache replay must be bit-identical");
@@ -104,9 +122,15 @@ fn cache_hit_equals_cold_miss() {
 
     // And a cleared cache recomputes to the same report — with every
     // re-executed unit served entirely by the still-warm tile store:
-    // exact counts, because zero tile computes can happen.
+    // exact counts, because zero tile computes can happen. A second
+    // directory holds no unit records, so every unit re-executes, and
+    // the process-wide hot tier serves each of its tiles.
     runner::clear_cache();
-    let recomputed = Runner::parallel().run(&job).expect("supported");
+    let other = store_dir("hit-recompute");
+    let recomputed = Runner::parallel()
+        .with_store_dir(&other)
+        .run(&job)
+        .expect("supported");
     assert_eq!(cold, recomputed);
     let (_, misses_after_recompute, _) = runner::cache_stats();
     let (_, _, store_misses_recompute, _) = store::store_stats();
@@ -123,6 +147,9 @@ fn cache_hit_equals_cold_miss() {
         store_misses_recompute, store_misses_cold,
         "zero tile simulations happen against a warm store"
     );
+    runner::cache_reset();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&other);
 }
 
 #[test]
@@ -139,7 +166,11 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
     let layers = w.layer_count() as u64;
 
     runner::cache_reset();
-    let first = Runner::parallel().run(&job).expect("supported");
+    let dir = store_dir("reset");
+    let first = Runner::parallel()
+        .with_store_dir(&dir)
+        .run(&job)
+        .expect("supported");
     let (lookups, _, store_misses, _) = store::store_stats();
     assert!(lookups > 0, "a tile-timer arch resolves through the store");
     assert!(store_misses > 0, "a cold store computes tiles");
@@ -149,11 +180,17 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
     );
 
     // After a reset the next run is a genuine cold start: same exact
-    // counter trajectory as the first run, nothing smuggled across.
+    // counter trajectory as the first run, nothing smuggled across. The
+    // reset keeps persistent state, so the cold start gets a directory
+    // of its own.
     runner::cache_reset();
     assert_eq!(store::store_stats(), (0, 0, 0, 0), "store counters zeroed");
     assert!(store::global().is_empty(), "hot tier emptied");
-    let second = Runner::parallel().run(&job).expect("supported");
+    let other = store_dir("reset-cold");
+    let second = Runner::parallel()
+        .with_store_dir(&other)
+        .run(&job)
+        .expect("supported");
     assert_eq!(first, second, "cold starts are bit-identical");
     let (hits, misses, _) = runner::cache_stats();
     let (_, _, store_misses_2, _) = store::store_stats();
@@ -163,6 +200,60 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
         store_misses_2, store_misses,
         "an honest cold start recomputes exactly the same tiles"
     );
+    runner::cache_reset();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&other);
+}
+
+#[test]
+fn default_runner_bypasses_the_tile_store_with_identical_reports() {
+    let _x = exclusive();
+    let cfg = SimConfig {
+        // Distinctive sampling so this test owns its cache entries.
+        rowgroup_samples: 16,
+        ..test_cfg()
+    };
+    let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
+    let archs: Vec<_> = arch::registry_names()
+        .iter()
+        .map(|name| arch::by_name(name).expect("registry name resolves"))
+        .collect();
+    let jobs: Vec<_> = archs
+        .iter()
+        .map(|a| SimJob::new(a.as_ref(), &w, cfg))
+        .collect();
+
+    runner::cache_reset();
+    let default = Runner::parallel().run_all(&jobs);
+    assert!(
+        default.iter().all(Result::is_ok),
+        "ResNet50 runs everywhere"
+    );
+    assert_eq!(store::store_stats().0, 0, "no store.lookups by default");
+    assert!(store::global().is_empty(), "the hot tier stays empty");
+
+    // A store directory switches the tile store on; cold (every unit
+    // executes, tiles resolve through the store) and warm (every unit
+    // replays from the directory's records), reports stay identical.
+    let dir = store_dir("default");
+    let stored = || Runner::parallel().without_cache().with_store_dir(&dir);
+    let cold = stored().run_all(&jobs);
+    assert!(store::store_stats().0 > 0, "the cold run resolved tiles");
+    assert_eq!(
+        runner::checkpoint_stats().0,
+        0,
+        "the cold run replays nothing"
+    );
+    let warm = stored().run_all(&jobs);
+    assert_eq!(
+        runner::checkpoint_stats().0,
+        (jobs.len() * w.layer_count()) as u64,
+        "the warm run replays every unit"
+    );
+    assert_eq!(default, cold, "a cold store run matches the default run");
+    assert_eq!(default, warm, "a warm store run matches the default run");
+    runner::cache_reset();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
