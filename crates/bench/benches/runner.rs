@@ -1,6 +1,8 @@
 //! Serial vs parallel runner on the headline workload (ResNet-50,
 //! moderate pruning, Eureka P=4), plus the measured speedup and the
-//! telemetry (span-recording) overhead on the serial path.
+//! telemetry (span-recording) overhead on the serial path, and the cost
+//! of loading a batch of unit records, which a warm `--store-dir` rerun
+//! pays before it replays its first unit.
 //!
 //! The cache is disabled and cleared so both modes do the full per-layer
 //! work every iteration; the determinism contract guarantees they produce
@@ -8,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::{arch, runner, ProfileConfig, Runner, SimConfig, SimJob};
+use eureka_sim::checkpoint::CheckpointStore;
+use eureka_sim::{arch, runner, LayerReport, ProfileConfig, Runner, SimConfig, SimJob};
 use std::time::Instant;
 
 fn bench_cfg() -> SimConfig {
@@ -153,10 +156,62 @@ fn profile_overhead(c: &mut Criterion) {
     );
 }
 
+/// Loads a 4,096-record `.units` batch through a fresh batched store,
+/// as the first lookup of a warm `--store-dir` run does. Keys have the
+/// shape and length (~330 bytes) of real unit keys.
+fn checkpoint_load(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("eureka-bench-units-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = "cfg=tc432,sa4,gr2,gc2,w2,bpc4097700000000000,l23fe6666666666666,\
+               rf3fbc28f5c28f5c29,rg96,sl96,ac64,sg3fe999999999999a,sc4010000000000000,xw16,dmfalse";
+    let key = |i: u64| {
+        format!(
+            "v1|arch=Eureka P=4|gemm=block{}/conv{}|nkm=64x576x{}|uab=15052800|wd={:016x}|\
+             cl=false|dw=false|ad=3fdccccccccccccd|s2a=-|s2f=-|seed={:016x}|stream={}|{cfg}",
+            i / 64,
+            i % 64,
+            3136 + i,
+            0x3fd1_d5a5_d007_d768_u64 ^ i,
+            0x0e00_0000_0000_0200_u64 + i % 7,
+            i % 64,
+        )
+    };
+    let store = CheckpointStore::batched(&dir);
+    for i in 0..4096 {
+        let report = LayerReport {
+            name: format!("block{}/conv{}", i / 64, i % 64),
+            compute_cycles: 4855 + i,
+            mem_cycles: 535,
+            mac_ops: 134_230_042 + i,
+            weight_bytes: 6848,
+            act_bytes: 15_052_800,
+            out_bytes: 5_017_600,
+            metadata_bytes: 2140,
+            ..LayerReport::default()
+        };
+        store.store(&key(i), &report).expect("staging cannot fail");
+    }
+    store.flush().expect("the batch writes");
+    let probe = key(17);
+
+    let mut group = c.benchmark_group("checkpoint");
+    group.sample_size(20);
+    group.bench_function("load_4k", |b| {
+        b.iter(|| {
+            CheckpointStore::batched(&dir)
+                .load(&probe)
+                .expect("the record loads")
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     serial_vs_parallel,
     telemetry_overhead,
-    profile_overhead
+    profile_overhead,
+    checkpoint_load
 );
 criterion_main!(benches);

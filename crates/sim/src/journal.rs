@@ -131,7 +131,7 @@ impl Journal {
         if lines.next()? != HEADER {
             return None;
         }
-        let spec = unescape(lines.next()?.strip_prefix("spec ")?);
+        let spec = unescape(lines.next()?.strip_prefix("spec ")?).into_owned();
         let state = JournalState::parse(lines.next()?.strip_prefix("state ")?)?;
         if lines.next().is_some() {
             return None;

@@ -57,7 +57,13 @@
 //! replay bit-identically: a unit with a record never samples, keys or
 //! times a tile. [`Runner::with_checkpoint`] and
 //! [`Runner::with_store_dir`] both attach a record directory; the
-//! records count as `checkpoint.hits`.
+//! records count as `checkpoint.hits`. A store directory's records are
+//! read once per runner, on its first lookup, and kept with every record
+//! its runs flush for the runner's lifetime (clones share them).
+//! Executing a unit renders its key text at most once, and only when
+//! records are attached; the config segment is rendered once per job.
+//! Replaying a stored unit thus costs a key rendering, a record lookup in
+//! memory and the cache insert, and no directory read after the first.
 //!
 //! Only with [`Runner::with_store_dir`] does a second, finer memoization
 //! layer join in: the content-addressed tile store ([`crate::store`]).
@@ -114,7 +120,9 @@ use eureka_models::{activation, workload::LayerGemm, Workload};
 use eureka_obs::events::{Event, Events};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram};
 use eureka_sparse::rng::DetRng;
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -152,9 +160,18 @@ struct WorkUnit<'a> {
     ctx: LayerCtx,
     cfg: SimConfig,
     key: UnitKey,
+    /// The job's rendered [`CfgKey`], shared by all its units.
+    cfg_text: Arc<str>,
     /// Position in the batch's plan order — the stable `unit` coordinate
     /// every run event carries (deterministic: planning is serial).
     index: usize,
+}
+
+impl WorkUnit<'_> {
+    /// The unit's canonical key text ([`UnitKey::render`]).
+    fn canonical(&self) -> String {
+        self.key.render(&self.cfg_text)
+    }
 }
 
 /// Bit-exact content key of a work unit. Two units with equal keys are
@@ -176,7 +193,8 @@ struct UnitKey {
     s2ta_fil_density: Option<u64>,
     rng_seed: u64,
     rng_stream: u64,
-    cfg: CfgKey,
+    /// Shared by every unit of a job.
+    cfg: Arc<CfgKey>,
 }
 
 impl UnitKey {
@@ -187,12 +205,26 @@ impl UnitKey {
     /// them: any change that alters a unit's [`LayerReport`] for the same
     /// key (timing model, sampling, report fields) must bump the `v1|`
     /// tag, or `--store-dir` and `--resume` replay stale results.
-    fn canonical(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "-".to_string(), |b| format!("{b:016x}"))
+    ///
+    /// `cfg` is [`CfgKey::canonical`] of `self.cfg`, which every unit of
+    /// a job shares; the key is written into one buffer sized for it.
+    fn render(&self, cfg: &str) -> String {
+        /// Raw bits as 16 hex digits, or `-` when absent.
+        struct Bits(Option<u64>);
+        impl fmt::Display for Bits {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Some(b) => write!(f, "{b:016x}"),
+                    None => f.write_str("-"),
+                }
+            }
         }
-        format!(
-            "v1|arch={}|gemm={}|nkm={}x{}x{}|uab={}|wd={:016x}|cl={}|dw={}|ad={:016x}|s2a={}|s2f={}|seed={:016x}|stream={}|{}",
+        // Room for the fixed fields at their usual widths.
+        let capacity = 192 + self.arch.len() + self.gemm_name.len() + cfg.len();
+        let mut out = String::with_capacity(capacity);
+        write!(
+            out,
+            "v1|arch={}|gemm={}|nkm={}x{}x{}|uab={}|wd={:016x}|cl={}|dw={}|ad={:016x}|s2a={}|s2f={}|seed={:016x}|stream={}|{cfg}",
             self.arch,
             self.gemm_name,
             self.n,
@@ -203,12 +235,13 @@ impl UnitKey {
             self.clustered,
             self.depthwise,
             self.act_density,
-            opt(self.s2ta_act_density),
-            opt(self.s2ta_fil_density),
+            Bits(self.s2ta_act_density),
+            Bits(self.s2ta_fil_density),
             self.rng_seed,
             self.rng_stream,
-            self.cfg.canonical(),
         )
+        .expect("invariant: writing to a String cannot fail");
+        out
     }
 }
 
@@ -255,7 +288,7 @@ impl CfgKey {
         }
     }
 
-    /// Stable text rendering for [`UnitKey::canonical`].
+    /// Stable text rendering for [`UnitKey::render`], once per job.
     fn canonical(&self) -> String {
         format!(
             "cfg=tc{},sa{},gr{},gc{},w{},bpc{:016x},l2{:016x},rf{:016x},rg{},sl{},ac{},sg{:016x},sc{:016x},xw{},dm{}",
@@ -300,6 +333,13 @@ fn cache() -> &'static Cache {
     CACHE.get_or_init(|| Cache {
         map: Mutex::new(HashMap::new()),
     })
+}
+
+/// Caches a copy of `report` under `key`, copying both before taking
+/// the lock that every worker shares.
+fn remember(key: &UnitKey, report: &LayerReport) {
+    let (key, report) = (key.clone(), report.clone());
+    lock(&cache().map).insert(key, report);
 }
 
 /// `&'static` handles to every runner metric, registered on first use.
@@ -396,8 +436,8 @@ fn arch_exec_histogram(arch: &str) -> &'static Histogram {
 /// The `key` event field: the fnv1a64 digest of the unit's canonical
 /// content key, rendered as 16 hex digits (the same digest that names
 /// checkpoint files).
-fn unit_key_digest(key: &UnitKey) -> String {
-    format!("{:016x}", fnv1a64(key.canonical().as_bytes()))
+fn unit_key_digest(unit: &WorkUnit<'_>) -> String {
+    format!("{:016x}", fnv1a64(unit.canonical().as_bytes()))
 }
 
 /// The `unit-planned` event of a unit of the `job`-th submitted job.
@@ -407,7 +447,7 @@ fn unit_planned(unit: &WorkUnit<'_>, job: usize) -> Event {
         .det_u64("job", job as u64)
         .det_str("arch", unit.key.arch.clone())
         .det_str("gemm", unit.gemm.name.clone())
-        .det_str("key", unit_key_digest(&unit.key))
+        .det_str("key", unit_key_digest(unit))
 }
 
 /// The `unit-finished` event of a successful unit. `exec_us` is `0`
@@ -604,7 +644,10 @@ pub struct Runner {
     backoff: BackoffPolicy,
     cancel: Option<CancelToken>,
     checkpoint: Option<CheckpointCfg>,
-    store_dir: Option<PathBuf>,
+    /// The store directory, as the batched unit-record store rooted
+    /// there: built once, so every run of this runner and of its clones
+    /// shares the records it loads and flushes.
+    store: Option<CheckpointStore>,
     events: Events,
 }
 
@@ -635,7 +678,7 @@ impl Runner {
             backoff: BackoffPolicy::NONE,
             cancel: None,
             checkpoint: None,
-            store_dir: None,
+            store: None,
             events: Events::default(),
         }
     }
@@ -697,7 +740,7 @@ impl Runner {
     /// bit-identical either way — the store only removes redundant work.
     #[must_use]
     pub fn without_store(mut self) -> Self {
-        self.store_dir = None;
+        self.store = None;
         self
     }
 
@@ -705,7 +748,9 @@ impl Runner {
     /// processes — to replay instead of recomputing. Whole units go to
     /// batched `.units` records ([`crate::checkpoint`], in resume mode,
     /// one file per run): a stored unit replays before any tile
-    /// sampling, keying or timing runs. Tile outcomes go through the
+    /// sampling, keying or timing runs. The runner reads the records
+    /// once, on its first lookup, and keeps them, with every record its
+    /// runs flush, for its lifetime. Tile outcomes go through the
     /// process-wide hot tier to [`crate::store`] shard files beside
     /// them, serving units without a record and [`Runner::run_profiled`],
     /// which bypasses unit records. An explicit
@@ -714,7 +759,7 @@ impl Runner {
     /// first.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store_dir = Some(dir.into());
+        self.store = Some(CheckpointStore::batched(dir));
         self
     }
 
@@ -727,12 +772,11 @@ impl Runner {
     }
 
     /// Where this run's unit records live: the explicit checkpoint
-    /// configuration, else the store directory, batched, in resume mode.
+    /// configuration, else the store directory's records, in resume mode.
     fn unit_records(&self) -> Option<CheckpointCfg> {
         self.checkpoint.clone().or_else(|| {
-            let dir = self.store_dir.as_ref()?;
             Some(CheckpointCfg {
-                store: CheckpointStore::batched(dir.clone()),
+                store: self.store.clone()?,
                 resume: true,
             })
         })
@@ -743,7 +787,9 @@ impl Runner {
     /// (and one shard cache) instead of re-opening the directory per
     /// layer. Without it, the plan phase plants disabled brokers.
     fn tile_tier(&self) -> Option<Arc<store::DiskTier>> {
-        self.store_dir.as_deref().map(store::disk_tier_for)
+        self.store
+            .as_ref()
+            .map(|records| store::disk_tier_for(records.dir()))
     }
 
     /// The worker count this runner would use right now.
@@ -815,6 +861,10 @@ impl Runner {
             }
         }
         t.units_planned.add(units.len() as u64);
+        if self.cached {
+            // Grow the shared map once per run, so no insert rehashes it.
+            lock(&cache().map).reserve(units.len());
+        }
         for (job_idx, range) in ranges.iter().enumerate() {
             for unit in &units[range.clone()] {
                 self.events.emit(|| unit_planned(unit, job_idx));
@@ -980,6 +1030,8 @@ impl Runner {
                 });
             }
         }
+        // The unit's record key, rendered at most once, on first use.
+        let key = OnceCell::new();
         if self.cached {
             if let Some(hit) = lock(&cache().map).get(&unit.key).cloned() {
                 t.cache_hits.inc();
@@ -987,9 +1039,9 @@ impl Runner {
                 if let Some(ck) = ck {
                     // Keep the checkpoint directory complete even when
                     // the unit never re-executes in this process.
-                    let key = unit.key.canonical();
-                    if ck.store.load(&key).is_none() {
-                        match ck.store.store(&key, &hit) {
+                    let key = key.get_or_init(|| unit.canonical());
+                    if ck.store.load(key).is_none() {
+                        match ck.store.store(key, &hit) {
                             Ok(()) => {
                                 t.ckpt_writes.inc();
                                 self.events.emit(|| {
@@ -1007,12 +1059,11 @@ impl Runner {
         }
         if let Some(ck) = ck {
             if ck.resume {
-                let key = unit.key.canonical();
-                if let Some(report) = ck.store.load(&key) {
+                if let Some(report) = ck.store.load(key.get_or_init(|| unit.canonical())) {
                     t.ckpt_hits.inc();
                     t.units_cached.inc();
                     if self.cached {
-                        lock(&cache().map).insert(unit.key.clone(), report.clone());
+                        remember(&unit.key, &report);
                         t.cache_inserts.inc();
                     }
                     self.events
@@ -1063,11 +1114,14 @@ impl Runner {
                         } else {
                             t.cache_misses.inc();
                         }
-                        lock(&cache().map).insert(unit.key.clone(), report.clone());
+                        remember(&unit.key, &report);
                         t.cache_inserts.inc();
                     }
                     if let Some(ck) = ck {
-                        match ck.store.store(&unit.key.canonical(), &report) {
+                        match ck
+                            .store
+                            .store(key.get_or_init(|| unit.canonical()), &report)
+                        {
                             Ok(()) => {
                                 t.ckpt_writes.inc();
                                 self.events.emit(|| {
@@ -1291,6 +1345,8 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<
     let act_density = workload.activation_density();
     let s2ta_act_density = activation::s2ta_activation_density(bench);
     let s2ta_fil_density = activation::s2ta_filter_density(bench);
+    let cfg_key = Arc::new(CfgKey::of(&job.cfg));
+    let cfg_text: Arc<str> = cfg_key.canonical().into();
     for (i, gemm) in workload.gemms().into_iter().enumerate() {
         let stream = i as u64;
         let key = UnitKey {
@@ -1308,7 +1364,7 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<
             s2ta_fil_density: s2ta_fil_density.map(f64::to_bits),
             rng_seed: workload.seed(),
             rng_stream: stream,
-            cfg: CfgKey::of(&job.cfg),
+            cfg: Arc::clone(&cfg_key),
         };
         units.push(WorkUnit {
             arch: job.arch,
@@ -1325,6 +1381,7 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<
             },
             cfg: job.cfg,
             key,
+            cfg_text: Arc::clone(&cfg_text),
             index: units.len(),
         });
     }
@@ -1696,7 +1753,7 @@ mod tests {
         let job = SimJob::new(&a, &w, tiny_cfg());
         let mut units = Vec::new();
         plan(&job, &mut units, None);
-        let keys: Vec<String> = units.iter().map(|u| u.key.canonical()).collect();
+        let keys: Vec<String> = units.iter().map(WorkUnit::canonical).collect();
         let mut uniq = keys.clone();
         uniq.sort();
         uniq.dedup();
@@ -1704,8 +1761,59 @@ mod tests {
         // Same plan, same keys (the stability the checkpoint layer needs).
         let mut units2 = Vec::new();
         plan(&job, &mut units2, None);
-        let keys2: Vec<String> = units2.iter().map(|u| u.key.canonical()).collect();
+        let keys2: Vec<String> = units2.iter().map(WorkUnit::canonical).collect();
         assert_eq!(keys, keys2);
         assert!(keys[0].starts_with("v1|arch=Dense|"));
+    }
+
+    /// The rendering stored unit records are named by, spelled out with
+    /// temporary strings: [`UnitKey::render`] must match it byte for byte.
+    fn reference_key(key: &UnitKey) -> String {
+        fn opt(v: Option<u64>) -> String {
+            v.map_or_else(|| "-".to_string(), |b| format!("{b:016x}"))
+        }
+        format!(
+            "v1|arch={}|gemm={}|nkm={}x{}x{}|uab={}|wd={:016x}|cl={}|dw={}|ad={:016x}|s2a={}|s2f={}|seed={:016x}|stream={}|{}",
+            key.arch,
+            key.gemm_name,
+            key.n,
+            key.k,
+            key.m,
+            key.unique_act_bytes,
+            key.weight_density,
+            key.clustered,
+            key.depthwise,
+            key.act_density,
+            opt(key.s2ta_act_density),
+            opt(key.s2ta_fil_density),
+            key.rng_seed,
+            key.rng_stream,
+            key.cfg.canonical(),
+        )
+    }
+
+    #[test]
+    fn rendered_keys_match_the_formatted_reference() {
+        let s2ta = arch::s2ta();
+        let dense = arch::dense();
+        // MobileNetV1 has S2TA densities, InceptionV3 has none.
+        let mobilenet = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+        let inception = Workload::new(Benchmark::InceptionV3, PruningLevel::Dense, 1);
+        let mut units = Vec::new();
+        plan(
+            &SimJob::new(&s2ta, &mobilenet, tiny_cfg()),
+            &mut units,
+            None,
+        );
+        plan(
+            &SimJob::new(&dense, &inception, SimConfig::paper_default()),
+            &mut units,
+            None,
+        );
+        assert!(units.iter().any(|u| u.key.s2ta_act_density.is_some()));
+        assert!(units.iter().any(|u| u.key.s2ta_fil_density.is_none()));
+        for unit in &units {
+            assert_eq!(unit.canonical(), reference_key(&unit.key));
+        }
     }
 }

@@ -290,6 +290,53 @@ fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A runner reads its store directory's unit records once and keeps
+/// them, with the records its own runs flush, for its lifetime: a rerun
+/// on the same runner (or a clone) replays every unit even after the
+/// batch file is gone, while a fresh runner on the directory recomputes.
+#[test]
+fn a_runner_keeps_its_unit_records_for_its_lifetime() {
+    let _x = exclusive();
+    let dir = fresh_dir("lifetime");
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = SimConfig {
+        rowgroup_samples: 22, // distinctive: this test owns its entries
+        ..SimConfig::paper_default()
+    };
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let jobs = [SimJob::new(a.as_ref(), &w, cfg)];
+    let layers = w.layer_count() as u64;
+    let runner = Runner::serial().with_store_dir(&dir);
+
+    runner::cache_reset();
+    let cold = runner.run_all(&jobs);
+    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+    drop_unit_records(&dir);
+
+    runner::cache_reset();
+    let warm = runner.clone().without_cache().run_all(&jobs);
+    assert_eq!(cold, warm, "unit replay must be bit-identical");
+    assert_eq!(
+        runner::checkpoint_stats(),
+        (layers, 0, 0),
+        "every unit replays from the records the runner flushed"
+    );
+    assert!(files_with(&dir, "units").is_empty(), "nothing new to write");
+
+    runner::cache_reset();
+    let fresh = Runner::serial()
+        .without_cache()
+        .with_store_dir(&dir)
+        .run_all(&jobs);
+    assert_eq!(cold, fresh);
+    assert_eq!(
+        runner::checkpoint_stats(),
+        (0, layers, 0),
+        "a fresh runner reads the directory and recomputes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An explicit checkpoint directory takes the unit records over from the
 /// store directory, with its own resume setting, in either builder order.
 #[test]
