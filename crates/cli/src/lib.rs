@@ -293,7 +293,7 @@ JOB SERVICE (`eureka serve`):
   (submit/status/cancel/drain/health/shutdown). Admission is bounded:
   beyond --capacity queued jobs, submissions shed with a typed
   'overloaded' rejection. Every accepted job is journaled write-ahead
-  (schema eureka-journal v1) before it can run, so a SIGKILL'd server
+  (schema eureka-journal v2) before it can run, so a SIGKILL'd server
   replays accepted-but-unfinished jobs on restart — with
   --checkpoint-dir, without recomputing units the previous life
   completed. SIGTERM/SIGINT drain gracefully: in-flight work finishes,
@@ -2240,7 +2240,7 @@ mod tests {
         assert_eq!(help, USAGE);
         assert_eq!(
             (help.len(), eureka_sim::hash::fnv1a64(help.as_bytes())),
-            (9673, 0x91b4_1ec3_1be5_c87b)
+            (9673, 0xfbb0_e906_5748_d714)
         );
     }
 

@@ -54,7 +54,7 @@ pub struct ServeOpts {
 #[cfg(unix)]
 mod imp {
     use super::ServeOpts;
-    use eureka_sim::service::{self, handle_request, service_stats, ServiceConfig};
+    use eureka_sim::service::{self, respond, service_stats, ServiceConfig};
     use eureka_sim::{JobService, JobSpec, SimConfig};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -217,6 +217,8 @@ mod imp {
 
     /// One client connection: JSON lines in, JSON lines out. Returns
     /// `true` when the client asked the whole service to shut down.
+    /// A submit's reply goes out before the worker is woken: the woken
+    /// worker would otherwise run the job on the CPU still writing it.
     fn serve_connection(service: &JobService, stream: UnixStream) -> bool {
         stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
         let mut writer = match stream.try_clone() {
@@ -229,11 +231,14 @@ mod imp {
             if line.trim().is_empty() {
                 continue;
             }
-            let (response, shutdown) = handle_request(service, &line);
-            if writer.write_all(response.as_bytes()).is_err()
-                || writer.write_all(b"\n").is_err()
-                || writer.flush().is_err()
-            {
+            let mut wake = None;
+            let (mut response, shutdown) = respond(service, &line, &mut wake);
+            response.push('\n');
+            let sent = writer
+                .write_all(response.as_bytes())
+                .and_then(|()| writer.flush());
+            drop(wake);
+            if sent.is_err() {
                 break;
             }
             if shutdown {

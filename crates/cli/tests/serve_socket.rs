@@ -2,8 +2,13 @@
 //! and both SIGTERM and the `shutdown` verb stop it cleanly. The accept
 //! loop blocks, so a SIGTERM drain depends on the termination waker; if
 //! the waker is missing the daemon never exits and this test fails on
-//! its timeout instead of hanging.
+//! its timeout instead of hanging. A burst of submits checks that the
+//! worker wake deferred past each reply is never lost.
 #![cfg(unix)]
+
+use eureka_models::{Benchmark, PruningLevel};
+use eureka_obs::json::{self, Value};
+use eureka_sim::{JobSpec, Journal};
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -46,15 +51,16 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Starts `eureka serve --fast --no-ledger` with `dir` as its working
-    /// directory (socket, journal and flight recorder take their
-    /// defaults there) and returns once `health` answers.
-    fn start(dir: &Path) -> Daemon {
+    /// Starts `eureka serve --fast --no-ledger` plus `extra` with `dir`
+    /// as its working directory (socket, journal and flight recorder
+    /// take their defaults there) and returns once `health` answers.
+    fn start(dir: &Path, extra: &[&str]) -> Daemon {
         let log = dir.join("serve.log");
         let out = std::fs::File::create(&log).expect("create serve.log");
         let err = out.try_clone().expect("clone serve.log");
         let child = Command::new(env!("CARGO_BIN_EXE_eureka"))
             .args(["serve", "--fast", "--no-ledger"])
+            .args(extra)
             .current_dir(dir)
             .stdin(Stdio::null())
             .stdout(out)
@@ -130,7 +136,7 @@ fn request(socket: &Path, line: &str) -> Option<String> {
 /// clean-exit contract: status 0, a drain report, and no socket left.
 fn idle_daemon_stops_cleanly(tag: &str, stop: impl FnOnce(&Daemon)) {
     let dir = TempDir::new(tag);
-    let mut daemon = Daemon::start(&dir.0);
+    let mut daemon = Daemon::start(&dir.0, &[]);
     // Idle long enough that the loop is parked in `accept`.
     std::thread::sleep(Duration::from_millis(100));
     assert!(daemon.healthy(), "an idle daemon must still answer health");
@@ -160,4 +166,66 @@ fn shutdown_verb_stops_an_idle_daemon() {
         let response = request(&daemon.socket, r#"{"cmd":"shutdown"}"#);
         assert!(response.is_some(), "no response to shutdown");
     });
+}
+
+#[test]
+fn back_to_back_submits_all_complete_and_leave_no_pending_journal() {
+    let dir = TempDir::new("burst");
+    // Room for the whole burst: a shed submit is not what this tests.
+    let mut daemon = Daemon::start(&dir.0, &["--capacity", "32"]);
+    let ids: Vec<u64> = (0..20)
+        .map(|retries| {
+            let mut spec = JobSpec::new(
+                Benchmark::MobileNetV1,
+                PruningLevel::Moderate,
+                32,
+                "eureka-p4",
+            );
+            spec.retries = retries; // distinct specs, distinct journal records
+            let line = format!(r#"{{"cmd":"submit","spec":"{}"}}"#, spec.canonical());
+            let response = request(&daemon.socket, &line).expect("submit answered");
+            json::parse(&response)
+                .ok()
+                .and_then(|v| v.get("job").and_then(Value::as_f64))
+                .unwrap_or_else(|| panic!("not admitted: {response}")) as u64
+        })
+        .collect();
+
+    let deadline = Instant::now() + PATIENCE * 6;
+    for id in ids {
+        loop {
+            let status = request(&daemon.socket, &format!(r#"{{"cmd":"status","job":{id}}}"#))
+                .expect("status answered");
+            if status.contains(r#""status":"completed""#) {
+                break;
+            }
+            assert!(
+                status.contains(r#""status":"queued""#) || status.contains(r#""status":"running""#),
+                "job {id} did not complete: {status}"
+            );
+            assert!(
+                Instant::now() < deadline,
+                "job {id} still {status} — a lost worker wake?"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    let drained = request(&daemon.socket, r#"{"cmd":"drain"}"#).expect("drain answered");
+    assert!(drained.contains(r#""drained":true"#), "{drained}");
+    let journal = Journal::new(dir.0.join("eureka-journal"));
+    assert!(
+        journal.recover().is_empty(),
+        "a drained daemon leaves nothing to replay"
+    );
+    assert_eq!(journal.entry_count(), 20, "one journal entry per spec");
+    let files: Vec<_> = std::fs::read_dir(journal.dir())
+        .expect("journal dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(files, ["journal.log"], "the journal is one log file");
+
+    request(&daemon.socket, r#"{"cmd":"shutdown"}"#).expect("shutdown answered");
+    let status = daemon.wait();
+    assert!(status.success(), "eureka serve exited with {status}");
 }

@@ -1,5 +1,5 @@
 //! The one crash-safe file writer behind every persistent record: unit
-//! checkpoints, tile-store shard creation, job journal entries, run
+//! checkpoints, tile-store shard creation, job journal compactions, run
 //! ledger records, flight-recorder dumps and the service's Prometheus
 //! export.
 

@@ -17,8 +17,9 @@
 //! µs for dequeues, outcome class for finishes).
 //!
 //! [`dump_to`] renders the ring oldest-to-newest as JSONL and writes it
-//! through [`crate::atomic::write_atomic`], the writer the journal and
-//! tile store use too, so a reader never observes a torn dump. The serve loop
+//! through [`crate::atomic::write_atomic`], the writer the journal's
+//! compaction and the tile store use too, so a reader never observes a
+//! torn dump. The serve loop
 //! dumps after every connection that recorded something new and on
 //! SIGTERM/panic; a SIGKILL leaves
 //! the last complete dump on disk.

@@ -43,6 +43,9 @@
 //! The wire protocol (JSON-lines over a Unix socket) lives in
 //! [`handle_request`]; the socket accept loop itself is in the CLI,
 //! which also owns the SIGTERM latch that triggers [`JobService::drain`].
+//! The loop answers through [`respond`], which hands back the worker
+//! wake of an admitted submit as a [`Wake`], so the reply is written
+//! before the worker takes the CPU to run the job.
 
 use crate::arch;
 use crate::backoff::BackoffPolicy;
@@ -653,6 +656,13 @@ impl JobService {
         // reached a terminal state. Unfinished units recompute; units
         // the previous life completed replay from the checkpoint store.
         let recovered_specs = inner.journal.recover();
+        let v1_entries = inner.journal.v1_entry_count();
+        if v1_entries > 0 {
+            eureka_obs::info!(
+                "journal: ignoring {v1_entries} v1 .job file(s) in {}; only journal.log is replayed",
+                inner.journal.dir().display()
+            );
+        }
         if !recovered_specs.is_empty() {
             let m = service_metrics();
             let mut st = lock(&inner.state);
@@ -697,7 +707,7 @@ impl JobService {
 
     /// Submits a job. On admission the spec is journaled as *accepted*
     /// (write-ahead: the durable record exists before the job can run),
-    /// queued, and its id returned.
+    /// queued, the worker woken, and its id returned.
     ///
     /// # Errors
     ///
@@ -707,6 +717,15 @@ impl JobService {
     /// [`SubmitError::Journal`] when the accepted record cannot be
     /// written.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
+        let (id, wake) = self.admit(spec)?;
+        drop(wake);
+        Ok(id)
+    }
+
+    /// [`submit`](Self::submit) without the wake: the job is journaled
+    /// and queued, and the worker is woken when the returned [`Wake`]
+    /// drops.
+    fn admit(&self, spec: JobSpec) -> Result<(u64, Wake<'_>), SubmitError> {
         let m = service_metrics();
         if spec.batch == 0 {
             return Err(SubmitError::Invalid("batch must be >= 1".into()));
@@ -762,9 +781,7 @@ impl JobService {
         );
         st.queue.push_back(id);
         m.served.inc();
-        drop(st);
-        self.inner.work.notify_all();
-        Ok(id)
+        Ok((id, Wake(&self.inner.work)))
     }
 
     /// The job's current status; `None` for unknown ids.
@@ -1080,6 +1097,19 @@ fn worker_loop(inner: &ServiceInner) {
     }
 }
 
+/// A deferred wake of the service worker, handed out for an admitted
+/// job by [`respond`]: dropping it wakes the worker. The socket loop
+/// holds it until the submit's reply is written, so the worker does not
+/// take the CPU from the reply.
+#[must_use = "dropping a Wake wakes the worker at once"]
+pub struct Wake<'s>(&'s Condvar);
+
+impl Drop for Wake<'_> {
+    fn drop(&mut self) {
+        self.0.notify_all();
+    }
+}
+
 /// Executes one job's simulation. `None` when the architecture no
 /// longer resolves (a journal replayed onto a binary without it).
 fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<JobOutcome> {
@@ -1115,6 +1145,19 @@ fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<
 /// `shutdown`. Every response carries `"ok"`; failures add `"error"`.
 #[must_use]
 pub fn handle_request(service: &JobService, line: &str) -> (String, bool) {
+    respond(service, line, &mut None)
+}
+
+/// [`handle_request`] with the worker wake deferred: a `submit` that
+/// admits a job leaves its [`Wake`] in `wake` instead of waking the
+/// worker, so the caller can send the reply first and drop the wake
+/// after it.
+#[must_use]
+pub fn respond<'s>(
+    service: &'s JobService,
+    line: &str,
+    wake: &mut Option<Wake<'s>>,
+) -> (String, bool) {
     let obj = |pairs: Vec<(&str, Value)>| {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_json()
     };
@@ -1164,15 +1207,19 @@ pub fn handle_request(service: &JobService, line: &str) -> (String, bool) {
             let Some(spec) = spec else {
                 return err("malformed submit: need 'spec' or bench/pruning/arch");
             };
-            match service.submit(spec.clone()) {
-                Ok(id) => (
-                    obj(vec![
-                        ("ok", Value::Bool(true)),
-                        ("job", Value::Num(id as f64)),
-                        ("key", Value::Str(spec.digest())),
-                    ]),
-                    false,
-                ),
+            let key = spec.digest();
+            match service.admit(spec) {
+                Ok((id, admitted)) => {
+                    *wake = Some(admitted);
+                    (
+                        obj(vec![
+                            ("ok", Value::Bool(true)),
+                            ("job", Value::Num(id as f64)),
+                            ("key", Value::Str(key)),
+                        ]),
+                        false,
+                    )
+                }
                 Err(SubmitError::Overloaded { capacity }) => (
                     obj(vec![
                         ("ok", Value::Bool(false)),

@@ -387,8 +387,10 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
     )?;
     svc.shutdown();
 
-    // Vandalize: truncate one checkpoint entry, NUL another, drop
-    // garbage into the journal.
+    // Vandalize: truncate one checkpoint entry, NUL another, append
+    // garbage to the journal log — including a forged `accepted` record
+    // for the completed spec whose checksum does not match, which would
+    // replay the job if it were misread.
     let ckpt_dir = sb.root.join("ckpt");
     let mut units: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
         .map_err(|e| format!("chaos: read ckpt dir: {e}"))?
@@ -401,11 +403,19 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
     let text = std::fs::read_to_string(&units[0]).map_err(|e| format!("chaos: {e}"))?;
     std::fs::write(&units[0], &text[..text.len() / 2]).map_err(|e| format!("chaos: {e}"))?;
     std::fs::write(&units[1], b"eureka\0checkpoint").map_err(|e| format!("chaos: {e}"))?;
-    let journal_dir = sb.root.join("journal");
-    std::fs::write(journal_dir.join("0000000000000bad.job"), "not a journal\n")
+    let garbage = format!(
+        "not a journal\neureka\0journal\n0000000000000bad accepted {}\n",
+        spec().canonical()
+    );
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(sb.root.join("journal").join("journal.log"))
+        .and_then(|mut log| std::io::Write::write_all(&mut log, garbage.as_bytes()))
         .map_err(|e| format!("chaos: {e}"))?;
-    std::fs::write(journal_dir.join("0000000000000nul.job"), b"eureka\0journal")
-        .map_err(|e| format!("chaos: {e}"))?;
+    check(
+        sb.journal().recover().is_empty(),
+        "corruption: a garbage journal line replayed a job",
+    )?;
 
     // A fresh service on the vandalized dirs: starts, recovers nothing
     // (the completed record survived), and a resubmit recomputes the

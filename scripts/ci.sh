@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
+# The benchmark harness has its own workspace but calls the service,
+# journal and request APIs, so an API break must fail here too.
+cargo test --release --manifest-path examples/benchmark/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo bench --workspace -- --test   # criterion harness smoke (no timing)
 cargo run --release -q -p eureka-cli -- verify --replay tests/corpus

@@ -88,31 +88,55 @@ wait_for_flightrec job-admitted
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
-# The write-ahead record is the durable truth. It must exist whether or
-# not the job finished before the kill landed.
-[ "$(ls "$dir/journal"/*.job 2>/dev/null | wc -l)" -ge 1 ] || {
-    echo "no journal record survived the SIGKILL" >&2
+# The write-ahead record is the durable truth. Its accepted line must
+# be in the log whether or not the job finished before the kill landed.
+grep -q '^[0-9a-f]\{16\} accepted ' "$dir/journal/journal.log" 2>/dev/null || {
+    echo "no accepted journal record survived the SIGKILL" >&2
     exit 1
 }
 # The dump must be schema-valid, densely sequenced, and its admitted
-# jobs must correspond to write-ahead journal records.
+# jobs must correspond to write-ahead journal records: each admitted
+# key is the FNV-1a hash of a spec with a checksummed journal line.
 python3 - "$dir" <<'EOF'
 import glob, json, sys
 dir = sys.argv[1]
+
+def fnv1a64(data):
+    h = 0xcbf29ce484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+def unescape(s):
+    out, chars = [], iter(s)
+    for c in chars:
+        if c == "\\":
+            c = next(chars, "\\")
+            c = "\n" if c == "n" else c
+        out.append(c)
+    return "".join(out)
+
+lines = open(f"{dir}/journal/journal.log", "rb").read().split(b"\n")
+assert lines[0] == b"eureka-journal v2", f"bad journal header: {lines[0]!r}"
+keys = set()
+for line in lines[1:-1]:
+    text = line.decode("utf-8")
+    checksum, rest = text.split(" ", 1)
+    assert int(checksum, 16) == fnv1a64(rest.encode()), f"bad journal line: {text}"
+    keys.add(f"{fnv1a64(unescape(rest.split(' ', 1)[1]).encode()):016x}")
 dumps = glob.glob(f"{dir}/flightrec/flightrec-*.jsonl")
 assert len(dumps) == 1, f"expected one dump, found {dumps}"
 records = [json.loads(l) for l in open(dumps[0], encoding="utf-8") if l.strip()]
 assert records, "empty flight-recorder dump"
 seqs = [r["seq"] for r in records]
 assert seqs == list(range(seqs[0], seqs[0] + len(seqs))), "seqs not consecutive"
-stems = {p.rsplit("/", 1)[1].split(".")[0] for p in glob.glob(f"{dir}/journal/*.job")}
 for r in records:
     assert r["schema"] == "eureka-flightrec-v1", f"bad schema stamp: {r}"
     for field in ("seq", "t_us", "kind", "job", "value"):
         assert field in r, f"missing {field}: {r}"
     if r["kind"] == "job-admitted":
-        assert f"{r['value']:016x}" in stems, (
-            f"admitted job key {r['value']:016x} has no journal record {stems}")
+        assert f"{r['value']:016x}" in keys, (
+            f"admitted job key {r['value']:016x} has no journal record {keys}")
 print(f"flight recorder OK ({len(records)} records)")
 EOF
 mkdir -p results
