@@ -1,17 +1,18 @@
 //! Serial vs parallel runner on the headline workload (ResNet-50,
 //! moderate pruning, Eureka P=4), plus the measured speedup and the
 //! telemetry (span-recording) overhead on the serial path, and the cost
-//! of loading a batch of unit records, which a warm `--store-dir` rerun
-//! pays before it replays its first unit.
+//! of loading a directory of unit records, which a warm `--store-dir`
+//! rerun pays before it replays its first unit.
 //!
-//! The cache is disabled and cleared so both modes do the full per-layer
-//! work every iteration; the determinism contract guarantees they produce
-//! bit-identical reports, so any timing gap is pure scheduling.
+//! Every iteration builds a fresh runner with unit records off, so both
+//! modes do the full per-layer work; the determinism contract guarantees
+//! they produce bit-identical reports, so any timing gap is pure
+//! scheduling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::checkpoint::CheckpointStore;
-use eureka_sim::{arch, runner, LayerReport, ProfileConfig, Runner, SimConfig, SimJob};
+use eureka_sim::checkpoint::UnitRecords;
+use eureka_sim::{arch, LayerReport, ProfileConfig, Runner, SimConfig, SimJob};
 use std::time::Instant;
 
 fn bench_cfg() -> SimConfig {
@@ -28,7 +29,6 @@ fn serial_vs_parallel(c: &mut Criterion) {
     let cfg = bench_cfg();
     let eureka = arch::eureka_p4();
     let job = SimJob::new(&eureka, &w, cfg);
-    runner::clear_cache();
 
     let mut group = c.benchmark_group("runner/resnet50-moderate");
     group.sample_size(10);
@@ -67,7 +67,6 @@ fn telemetry_overhead(c: &mut Criterion) {
     let cfg = bench_cfg();
     let eureka = arch::eureka_p4();
     let job = SimJob::new(&eureka, &w, cfg);
-    runner::clear_cache();
 
     let mut group = c.benchmark_group("runner/telemetry");
     group.sample_size(10);
@@ -118,7 +117,6 @@ fn profile_overhead(c: &mut Criterion) {
     let eureka = arch::eureka_p4();
     let job = SimJob::new(&eureka, &w, cfg);
     let pcfg = ProfileConfig::default();
-    runner::clear_cache();
 
     let mut group = c.benchmark_group("runner/profile");
     group.sample_size(10);
@@ -156,9 +154,9 @@ fn profile_overhead(c: &mut Criterion) {
     );
 }
 
-/// Loads a 4,096-record `.units` batch through a fresh batched store,
-/// as the first lookup of a warm `--store-dir` run does. Keys have the
-/// shape and length (~330 bytes) of real unit keys.
+/// Loads a 4,096-record log through fresh [`UnitRecords`], as the first
+/// lookup of a warm `--store-dir` run does. Keys have the shape and
+/// length (~330 bytes) of real unit keys.
 fn checkpoint_load(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("eureka-bench-units-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,7 +174,7 @@ fn checkpoint_load(c: &mut Criterion) {
             i % 64,
         )
     };
-    let store = CheckpointStore::batched(&dir);
+    let records = UnitRecords::in_dir(&dir);
     for i in 0..4096 {
         let report = LayerReport {
             name: format!("block{}/conv{}", i / 64, i % 64),
@@ -189,17 +187,19 @@ fn checkpoint_load(c: &mut Criterion) {
             metadata_bytes: 2140,
             ..LayerReport::default()
         };
-        store.store(&key(i), &report).expect("staging cannot fail");
+        records
+            .append(&key(i), &report)
+            .expect("the record appends");
     }
-    store.flush().expect("the batch writes");
     let probe = key(17);
 
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(20);
     group.bench_function("load_4k", |b| {
         b.iter(|| {
-            CheckpointStore::batched(&dir)
-                .load(&probe)
+            UnitRecords::in_dir(&dir)
+                .stored(&probe)
+                .cloned()
                 .expect("the record loads")
         })
     });

@@ -341,7 +341,7 @@ pub fn clock_penalty(runner: &Runner, cfg: &SimConfig) -> FigTable {
 /// Eureka P=4 by construction.
 #[must_use]
 pub fn two_sided_energy(runner: &Runner, cfg: &SimConfig) -> FigTable {
-    let model = calibrate::calibrated_model(cfg);
+    let model = calibrate::calibrated_model(runner, cfg);
     let archs: Vec<(String, Box<dyn Architecture>)> = vec![
         ("Eureka P=4".into(), Box::new(arch::eureka_p4())),
         ("+act gating".into(), Box::new(arch::eureka_two_sided())),

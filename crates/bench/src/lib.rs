@@ -456,7 +456,7 @@ pub fn figure12(runner: &Runner, cfg: &SimConfig) -> FigTable {
 #[must_use]
 pub fn figure13(runner: &Runner, cfg: &SimConfig) -> FigTable {
     let _span = eureka_obs::span!("bench.figure13");
-    let model = calibrate::calibrated_model(cfg);
+    let model = calibrate::calibrated_model(runner, cfg);
     let archs = figure11_archs();
     let mut table = FigTable {
         title: "Figure 13: total energy normalized to Dense (lower is better)".to_string(),

@@ -92,7 +92,7 @@ pub enum Command {
         bench_json: Option<String>,
         /// How many worst tiles to keep per layer.
         top_tiles: usize,
-        /// Runner and sampling settings (no retries or checkpoints).
+        /// Runner and sampling settings (no retries).
         run: RunOpts,
         /// Events, progress and ledger settings (no run trace or
         /// metrics export).
@@ -178,8 +178,7 @@ USAGE:
   eureka archs
   eureka figure <table1|table2|fig09|fig11|fig12|fig13|fig14|ablations>
                   [--csv] [--fast] [--jobs <N>]
-                  [--retries <N>] [--checkpoint-dir <dir>] [--resume]
-                  [--store-dir <dir>]
+                  [--retries <N>] [--store-dir <dir>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
                   [--trace-out <file>] [--metrics-out <file>] [-v|-vv]
@@ -187,7 +186,6 @@ USAGE:
                   [--pruning <dense|cons|mod>] [--arch <name>]
                   [--batch <N>] [--csv] [--fast] [--jobs <N>]
                   [--keep-going] [--max-failures <N>] [--retries <N>]
-                  [--checkpoint-dir <dir>] [--resume]
                   [--store-dir <dir>]
                   [--events-out <file|->] [--progress|--no-progress]
                   [--ledger-dir <dir>|--no-ledger]
@@ -207,7 +205,7 @@ USAGE:
                   [--corpus-dir <dir>] [--replay <dir>] [--fault-matrix]
                   [--chaos]
   eureka serve    [--socket <path>] [--journal-dir <dir>]
-                  [--checkpoint-dir <dir>] [--store-dir <dir>]
+                  [--store-dir <dir>]
                   [--capacity <N>] [--deadline-ms <N>] [--jobs <N>] [--fast]
                   [--metrics-out <file>] [--flightrec-dir <dir>]
                   [--sla-budget-us <N>] [--ledger-dir <dir>|--no-ledger]
@@ -227,19 +225,16 @@ FAULT TOLERANCE:
   --retries <N>         re-execute a failed unit up to N extra times
                         (deterministic; unsupported combinations are never
                         retried)
-  --checkpoint-dir <dir> persist each completed unit result, keyed by its
-                        content hash, for crash recovery; takes the unit
-                        records over from --store-dir
-  --resume              replay completed units from --checkpoint-dir
-                        bit-identically instead of recomputing them
 
 RESULT STORE:
   --store-dir <dir>     persist results across runs: a record of every
-                        completed unit (one batch file per run), which a
-                        rerun replays before sampling a single tile, plus
-                        canonical tile results (content-addressed by
-                        row-length signature) for units without a record
-                        and for `profile`; reports stay byte-identical
+                        completed unit, appended to one log as the unit
+                        finishes (so a killed run resumes where it
+                        stopped), which a rerun replays before sampling a
+                        single tile, plus canonical tile results
+                        (content-addressed by row-length signature) for
+                        units without a record and for `profile`; reports
+                        stay byte-identical
 
 TELEMETRY:
   --trace-out <file>    Chrome Trace Event JSON of the run (one track per
@@ -295,8 +290,8 @@ JOB SERVICE (`eureka serve`):
   'overloaded' rejection. Every accepted job is journaled write-ahead
   (schema eureka-journal v2) before it can run, so a SIGKILL'd server
   replays accepted-but-unfinished jobs on restart — with
-  --checkpoint-dir, without recomputing units the previous life
-  completed. SIGTERM/SIGINT drain gracefully: in-flight work finishes,
+  --store-dir, without recomputing units the previous life completed.
+  Every job shares the daemon's unit records, read once per daemon. SIGTERM/SIGINT drain gracefully: in-flight work finishes,
   new work sheds, then the process exits. Failed units retry under
   seeded exponential backoff with jitter (deterministic per unit).
   --deadline-ms sets the default per-job deadline, enforced by
@@ -326,7 +321,7 @@ JOB SERVICE (`eureka serve`):
                        service-latency regressions
   verify --chaos       seeded service-layer fault schedules (worker
                        panics, stalls crossing deadlines, mid-job crash
-                       + journal replay, journal/checkpoint corruption,
+                       + journal replay, journal/record-log corruption,
                        overload): the service must recover to a
                        consistent ledger with surviving results
                        bit-identical to a fault-free run
@@ -411,12 +406,8 @@ pub struct RunOpts {
     pub jobs: Option<usize>,
     /// Extra attempts per failed work unit (0 = fail immediately).
     pub retries: u32,
-    /// Persist completed unit results under this directory.
-    pub checkpoint_dir: Option<String>,
-    /// Replay completed units from `checkpoint_dir` before executing.
-    pub resume: bool,
     /// Persist unit records and canonical tile results under this
-    /// directory.
+    /// directory, and replay the records found there.
     pub store_dir: Option<String>,
 }
 
@@ -442,17 +433,13 @@ impl RunOpts {
     }
 
     /// The command's runner: `--jobs` workers (default all cores),
-    /// `--retries` extra attempts per unit, and the checkpoint and store
-    /// directories.
+    /// `--retries` extra attempts per unit, and the store directory.
     #[must_use]
     fn runner(&self) -> Runner {
         let mut runner = self
             .jobs
             .map_or_else(Runner::parallel, Runner::with_jobs)
             .with_retry(RetryPolicy::transient(self.retries.saturating_add(1)));
-        if let Some(dir) = &self.checkpoint_dir {
-            runner = runner.with_checkpoint(dir, self.resume);
-        }
         if let Some(dir) = &self.store_dir {
             runner = runner.with_store_dir(dir);
         }
@@ -514,8 +501,8 @@ impl ObsOpts {
 struct SharedFlags {
     run: RunOpts,
     obs: ObsOpts,
-    /// Whether the command also takes `--retries`, `--checkpoint-dir`,
-    /// `--resume`, `--trace-out` and `--metrics-out` (`figure` and
+    /// Whether the command also takes `--retries`, `--trace-out` and
+    /// `--metrics-out` (`figure` and
     /// `simulate`; `profile` has an export of its own named
     /// `--trace-out`).
     full: bool,
@@ -545,8 +532,6 @@ impl SharedFlags {
             "--ledger-dir" => obs.ledger_dir = Some(args.value(flag)?),
             "--no-ledger" => obs.no_ledger = true,
             "--retries" if self.full => run.retries = args.parsed(flag)?,
-            "--checkpoint-dir" if self.full => run.checkpoint_dir = Some(args.value(flag)?),
-            "--resume" if self.full => run.resume = true,
             "--trace-out" if self.full => obs.trace_out = Some(args.value(flag)?),
             "--metrics-out" if self.full => obs.metrics_out = Some(args.value(flag)?),
             _ => return Ok(false),
@@ -557,9 +542,6 @@ impl SharedFlags {
     /// Checks the conflict rules; `csv` is whether the command's report
     /// claims stdout as CSV.
     fn finish(self, csv: bool) -> Result<(RunOpts, ObsOpts), String> {
-        if self.run.resume && self.run.checkpoint_dir.is_none() {
-            return Err("--resume requires --checkpoint-dir".into());
-        }
         if self.obs.no_ledger && self.obs.ledger_dir.is_some() {
             return Err("--no-ledger conflicts with --ledger-dir".into());
         }
@@ -871,7 +853,6 @@ where
             let mut opts = serve::ServeOpts {
                 socket: SOCKET.into(),
                 journal_dir: "eureka-journal".into(),
-                checkpoint_dir: None,
                 store_dir: None,
                 capacity: 8,
                 deadline_ms: 0,
@@ -887,7 +868,6 @@ where
                 match flag {
                     "--socket" => opts.socket = rest.value(flag)?,
                     "--journal-dir" => opts.journal_dir = rest.value(flag)?,
-                    "--checkpoint-dir" => opts.checkpoint_dir = Some(rest.value(flag)?),
                     "--store-dir" => opts.store_dir = Some(rest.value(flag)?),
                     "--capacity" => match rest.parsed(flag)? {
                         0 => return Err("--capacity must be positive".into()),
@@ -1983,9 +1963,6 @@ mod tests {
             "3",
             "--retries",
             "2",
-            "--checkpoint-dir",
-            "ckpt",
-            "--resume",
         ])
         .unwrap();
         match cmd {
@@ -1995,10 +1972,9 @@ mod tests {
                 run,
                 ..
             } => {
-                assert!(keep_going && run.resume);
+                assert!(keep_going);
                 assert_eq!(max_failures, Some(3));
                 assert_eq!(run.retries, 2);
-                assert_eq!(run.checkpoint_dir.as_deref(), Some("ckpt"));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2007,24 +1983,14 @@ mod tests {
             parse_err(SIMULATE, &["--max-failures", "1"]),
             "--max-failures requires --keep-going"
         );
-        for cmd in [FIGURE, SIMULATE] {
-            assert_eq!(
-                parse_err(cmd, &["--resume"]),
-                "--resume requires --checkpoint-dir"
-            );
-        }
         assert!(parse(["simulate", "--benchmark", "bert", "--retries", "x"]).is_err());
-        // Figures accept retry/checkpoint flags (no keep-going: figures
-        // aggregate, a missing layer would corrupt the table).
-        let cmd = parse(["figure", "fig11", "--retries", "1", "--checkpoint-dir", "d"]).unwrap();
+        // Figures accept retries (no keep-going: figures aggregate, a
+        // missing layer would corrupt the table).
+        let cmd = parse(["figure", "fig11", "--retries", "1"]).unwrap();
         assert!(matches!(
             cmd,
             Command::Figure {
-                run: RunOpts {
-                    retries: 1,
-                    checkpoint_dir: Some(_),
-                    ..
-                },
+                run: RunOpts { retries: 1, .. },
                 ..
             }
         ));
@@ -2034,12 +2000,7 @@ mod tests {
         );
         // Profiles take neither the fault-tolerance flags nor a metrics
         // export.
-        for flag in [
-            &["--retries", "1"][..],
-            &["--checkpoint-dir", "d"],
-            &["--resume"],
-            &["--metrics-out", "m.json"],
-        ] {
+        for flag in [&["--retries", "1"][..], &["--metrics-out", "m.json"]] {
             assert_eq!(
                 parse_err(PROFILE, flag),
                 format!("unknown flag '{}' for profile", flag[0])
@@ -2053,47 +2014,6 @@ mod tests {
                 mode: VerifyMode::FaultMatrix,
             }
         ));
-    }
-
-    #[test]
-    fn run_simulate_checkpoint_resume_is_identical() {
-        let dir = std::env::temp_dir().join(format!("eureka-cli-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let args = |resume: bool| {
-            let mut v: Vec<String> = [
-                "simulate",
-                "--benchmark",
-                "mobilenet",
-                "--arch",
-                "eureka-p4",
-                "--fast",
-                "--csv",
-                "--checkpoint-dir",
-                dir.to_str().unwrap(),
-            ]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-            if resume {
-                v.push("--resume".into());
-            }
-            v
-        };
-        let first = run(&parse(args(false)).unwrap()).unwrap();
-        let units = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "unit")
-            })
-            .count();
-        assert!(units > 0, "checkpoint files written");
-        let resumed = run(&parse(args(true)).unwrap()).unwrap();
-        assert_eq!(first, resumed, "resume must be bit-identical");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2141,7 +2061,7 @@ mod tests {
         .map(ToString::to_string)
         .collect();
         let cold = run(&parse(args.clone()).unwrap()).unwrap();
-        // Drop every in-process tier (flushing dirty records to `dir`
+        // Drop the tile store's hot tier (flushing dirty records to `dir`
         // first), so the warm run below can only be served from disk.
         eureka_sim::runner::cache_reset();
         let files_with = |ext: &str| -> Vec<std::path::PathBuf> {
@@ -2240,28 +2160,20 @@ mod tests {
         assert_eq!(help, USAGE);
         assert_eq!(
             (help.len(), eureka_sim::hash::fnv1a64(help.as_bytes())),
-            (9673, 0xfbb0_e906_5748_d714)
+            (9371, 0xa4bd_e4e9_c461_5739)
         );
     }
 
     /// Argv that satisfies each `USAGE` synopsis's required arguments and
-    /// the anchors its dependent flags need (`--resume` needs
-    /// `--checkpoint-dir`, `--max-failures` needs `--keep-going`), keyed
-    /// by the synopsis's command words.
+    /// the anchors its dependent flags need (`--max-failures` needs
+    /// `--keep-going`), keyed by the synopsis's command words.
     const SYNOPSIS_BASES: &[(&str, &[&str])] = &[
         ("help", &["help"]),
         ("archs", &["archs"]),
-        ("figure", &["figure", "fig11", "--checkpoint-dir", "d"]),
+        ("figure", &["figure", "fig11"]),
         (
             "simulate",
-            &[
-                "simulate",
-                "--benchmark",
-                "bert",
-                "--keep-going",
-                "--checkpoint-dir",
-                "d",
-            ],
+            &["simulate", "--benchmark", "bert", "--keep-going"],
         ),
         ("profile", &["profile", "--benchmark", "bert"]),
         ("bench list", &["bench", "list"]),
@@ -2510,7 +2422,6 @@ mod tests {
             Command::Serve(serve::ServeOpts {
                 socket: "eureka.sock".into(),
                 journal_dir: "eureka-journal".into(),
-                checkpoint_dir: None,
                 store_dir: None,
                 capacity: 8,
                 deadline_ms: 0,
@@ -2530,8 +2441,6 @@ mod tests {
                 "/tmp/e.sock",
                 "--journal-dir",
                 "j",
-                "--checkpoint-dir",
-                "c",
                 "--store-dir",
                 "s",
                 "--capacity",
@@ -2555,7 +2464,6 @@ mod tests {
             Command::Serve(serve::ServeOpts {
                 socket: "/tmp/e.sock".into(),
                 journal_dir: "j".into(),
-                checkpoint_dir: Some("c".into()),
                 store_dir: Some("s".into()),
                 capacity: 3,
                 deadline_ms: 500,

@@ -25,9 +25,8 @@ pub struct ServeOpts {
     pub socket: String,
     /// Write-ahead job journal directory.
     pub journal_dir: String,
-    /// Unit checkpoint directory (resume across restarts).
-    pub checkpoint_dir: Option<String>,
-    /// Result store directory (unit records and tile shards).
+    /// Result store directory: unit records, shared by every job and
+    /// kept across restarts, and tile shards.
     pub store_dir: Option<String>,
     /// Admission queue bound.
     pub capacity: usize,
@@ -258,7 +257,6 @@ mod imp {
         } else {
             SimConfig::paper_default()
         };
-        cfg.checkpoint_dir = opts.checkpoint_dir.as_ref().map(PathBuf::from);
         cfg.store_dir = opts.store_dir.as_ref().map(PathBuf::from);
         cfg.flightrec_dir = PathBuf::from(&opts.flightrec_dir);
         cfg

@@ -8,8 +8,8 @@ use eureka_obs::json::{self, Value};
 use eureka_sim::Runner;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The unit cache and the metrics registry are process-wide, so the tests
-/// in this file take turns.
+/// The metrics registry and the tile store's hot tier are process-wide,
+/// so the tests in this file take turns.
 fn turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(PoisonError::into_inner)
@@ -82,8 +82,8 @@ fn warm_store_dir_run_replays_every_unit_including_the_dense_baseline() {
     assert!(cold.contains("speedup vs Dense"), "{cold}");
     assert!(counters()("runner.units_executed") > 0);
 
-    // Drop every in-process tier, so the warm run can only replay from
-    // the store directory.
+    // Zero the counters; the warm run builds a runner of its own, so it
+    // can only replay from the store directory.
     eureka_sim::runner::cache_reset();
     let warm = run(&parse(args).unwrap()).unwrap();
     assert_eq!(cold, warm, "a warm run must be bit-identical");

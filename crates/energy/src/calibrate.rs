@@ -8,18 +8,27 @@
 
 use crate::energy::EnergyModel;
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::{arch, engine, SimConfig};
+use eureka_sim::{arch, Runner, SimConfig, SimJob};
 
 /// Target memory share of Dense Bench total energy.
 pub const DENSE_BENCH_MEMORY_SHARE: f64 = 0.20;
 
 /// Builds an [`EnergyModel`] whose DRAM energy-per-byte makes the unpruned
 /// ResNet50 Dense Bench split 80/20 compute/memory on the Dense
-/// architecture.
+/// architecture, simulated on `runner` (so the calibration run shares
+/// the caller's unit records).
+///
+/// # Panics
+///
+/// If the Dense architecture fails on ResNet50, which the registry
+/// tests rule out.
 #[must_use]
-pub fn calibrated_model(cfg: &SimConfig) -> EnergyModel {
+pub fn calibrated_model(runner: &Runner, cfg: &SimConfig) -> EnergyModel {
     let bench = Workload::new(Benchmark::ResNet50, PruningLevel::Dense, 32);
-    let report = engine::simulate(&arch::dense(), &bench, cfg);
+    let dense = arch::dense();
+    let report = runner
+        .run(&SimJob::new(&dense, &bench, *cfg))
+        .expect("Dense runs ResNet50");
     let probe = EnergyModel::with_dram(0.0);
     let compute = probe.compute_energy_pj(&report, cfg);
     let bytes = report.total_bytes() as f64;
@@ -30,11 +39,12 @@ pub fn calibrated_model(cfg: &SimConfig) -> EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eureka_sim::engine;
 
     #[test]
     fn calibration_hits_80_20() {
         let cfg = SimConfig::fast();
-        let model = calibrated_model(&cfg);
+        let model = calibrated_model(&Runner::parallel(), &cfg);
         let bench = Workload::new(Benchmark::ResNet50, PruningLevel::Dense, 32);
         let report = engine::simulate(&arch::dense(), &bench, &cfg);
         let e = model.energy(&report, &cfg);
@@ -51,7 +61,7 @@ mod tests {
         // MobileNet has fewer operations per byte, so its memory share is
         // higher than ResNet50's (§5.3).
         let cfg = SimConfig::fast();
-        let model = calibrated_model(&cfg);
+        let model = calibrated_model(&Runner::parallel(), &cfg);
         let share = |b| {
             let w = Workload::new(b, PruningLevel::Dense, 32);
             let r = engine::simulate(&arch::dense(), &w, &cfg);

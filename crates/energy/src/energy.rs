@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn eureka_saves_energy_over_dense_and_ampere() {
         let (cfg, w) = setup();
-        let model = crate::calibrate::calibrated_model(&cfg);
+        let model = crate::calibrate::calibrated_model(&eureka_sim::Runner::parallel(), &cfg);
         let dense = model.energy(&engine::simulate(&arch::dense(), &w, &cfg), &cfg);
         let ampere = model.energy(&engine::simulate(&arch::ampere(), &w, &cfg), &cfg);
         let eureka = model.energy(&engine::simulate(&arch::eureka_p4(), &w, &cfg), &cfg);
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn component_detail_sums_to_total() {
         let (cfg, w) = setup();
-        let model = crate::calibrate::calibrated_model(&cfg);
+        let model = crate::calibrate::calibrated_model(&eureka_sim::Runner::parallel(), &cfg);
         for report in [
             engine::simulate(&arch::eureka_p4(), &w, &cfg),
             engine::simulate(&arch::sparten(), &w, &cfg),

@@ -1,7 +1,8 @@
-//! The one crash-safe file writer behind every persistent record: unit
-//! checkpoints, tile-store shard creation, job journal compactions, run
-//! ledger records, flight-recorder dumps and the service's Prometheus
-//! export.
+//! The one crash-safe file writer behind every persistent file that is
+//! rewritten whole: tile-store shard creation, job journal compactions,
+//! run ledger records, flight-recorder dumps and the service's
+//! Prometheus export. (Unit records and journal records are appended to
+//! their logs instead, one `write` per record.)
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,10 +68,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // A non-empty directory squats on the target name: the write of
         // the temporary succeeds, the rename over the directory fails.
-        let target = dir.join("record.unit");
+        let target = dir.join("record.bin");
         std::fs::create_dir_all(target.join("occupant")).unwrap();
         assert!(write_atomic(&target, b"payload").is_err());
-        assert_eq!(entries(&dir), ["record.unit"], "no temporary left behind");
+        assert_eq!(entries(&dir), ["record.bin"], "no temporary left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

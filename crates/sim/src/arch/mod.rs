@@ -128,7 +128,7 @@ pub trait Architecture: Send + Sync {
     /// Display name used in the figures.
     ///
     /// The name must uniquely identify the architecture's simulation
-    /// behaviour: the [`crate::runner`] unit cache keys results on it, so
+    /// behaviour: the [`crate::runner`] unit records key results on it, so
     /// two differently-configured architectures sharing a name would
     /// alias each other's cached layers.
     fn name(&self) -> &str;
@@ -313,8 +313,8 @@ type ArchCtor = fn() -> Box<dyn Architecture>;
 
 /// The single name → constructor table behind [`registry_names`] and
 /// [`by_name`], in figure order. Constructors must yield architectures
-/// whose display names are pairwise distinct (the runner's unit cache
-/// keys on [`Architecture::name`]); the registry test enforces this.
+/// whose display names are pairwise distinct (the runner's unit records
+/// key on [`Architecture::name`]); the registry test enforces this.
 static REGISTRY: [(&str, ArchCtor); 16] = [
     ("dense", || Box::new(onesided::dense())),
     ("ampere", || Box::new(onesided::ampere())),

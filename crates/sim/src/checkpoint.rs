@@ -1,76 +1,69 @@
-//! Per-unit result records: persist completed work-unit results so an
-//! interrupted run can resume, and a warm rerun can replay whole units,
-//! without recomputing.
+//! Unit records: the one memo tier of completed work-unit results.
 //!
-//! Each successfully executed unit is serialized to one record keyed by
-//! the unit's canonical content key (the same identity the in-memory
-//! cache uses, rendered as a stable string). A resuming runner consults
-//! the directory before executing a unit and replays the stored
-//! [`LayerReport`] bit-identically — every field is an exact integer or
-//! string, so the text round-trip is lossless. Records are laid out one
-//! of two ways:
+//! A [`UnitRecords`] holds every unit result its runner (and the
+//! runner's clones) computed, in memory, keyed by the unit's content
+//! key. Without a store directory that is all it is: lookups and
+//! inserts hash the structured key, and no key text is ever rendered.
+//! With one ([`UnitRecords::in_dir`], `--store-dir`), the records also
+//! outlive the process:
 //!
-//! * **per unit** ([`CheckpointStore::new`], `--checkpoint-dir`): one
-//!   `<fnv1a64(key)>.unit` file, written as soon as its unit completes,
-//!   so a killed run keeps every unit it finished;
-//! * **batched** ([`CheckpointStore::batched`], `--store-dir`): the
-//!   records a run computes are staged and written by
-//!   [`CheckpointStore::flush`] as one `<fnv1a64(bytes)>.units` file
-//!   beside the tile shards. A run creates one file instead of one per
-//!   unit: on a 2-vCPU VM (ext4), creating a paper Figure 11 sweep's
-//!   4,240 per-unit files right after a similar directory was deleted
-//!   cost 1–3 s of kernel time and raised the sweep's median wall time
-//!   from 5.5 s to 7.2 s. A run killed before its flush leaves no
-//!   records.
+//! * **Loading.** The directory's records are read once, on the first
+//!   lookup that misses memory (a `checkpoint.load` span): every
+//!   `*.units` file, one pass each ([`load`]). Only the decoded map stays
+//!   resident; the `checkpoint/load_4k` bench loads 4,096 records in
+//!   ~7.5 ms on a 2-vCPU VM.
+//! * **Appending.** Each newly computed unit is appended to
+//!   `<dir>/records.units` with one `write`, to a handle opened on the
+//!   first append and kept behind a mutex. A killed run keeps every unit
+//!   it finished, and a run that computes nothing creates no file.
+//!   Appending a Figure 11 sweep's 4,240 records took 9–12 ms on the same
+//!   VM; 4,240 tmp+rename files took 134–261 ms.
 //!
-//! # Loading
+//! Records are keyed by the unit's canonical key text, and every field
+//! is an exact integer or string, so a replay is bit-identical:
 //!
-//! One parser reads every record, whether [`decode`] checks a per-unit
-//! file against the key it was asked for or a batched store loads its
-//! batches. A batched store reads all its `*.units` files once, on its
-//! first lookup (a `checkpoint.load` span), in one pass per file: a
-//! well-formed record ends where the next header line starts, its
-//! numbers parse into fixed arrays, a key or name without an escape is
-//! unescaped without a copy, and the map is sized once from the file's
-//! line count. Only the decoded map stays resident, and records the
-//! store flushes join it, so a store that lives as long as its runner
-//! never rereads its directory. On a 2-vCPU VM, a fresh process loads
-//! the paper Figure 11 sweep's batch (4,240 records, 2.0 MB) in ~9 ms;
-//! the `checkpoint/load_4k` bench times a 4,096-record batch.
+//! ```text
+//! eureka-checkpoint v2
+//! key <escaped canonical unit key>
+//! name <escaped layer name>
+//! fields <9 integers>
+//! ops <8 integers>
+//! ```
 //!
 //! # Crash safety
 //!
-//! Files are written through [`eureka_obs::atomic::write_atomic`], so a unit
-//! killed mid-write never leaves a readable (and thus never a poisonous)
-//! entry. Failed units are never written at all. On load, the stored key
-//! line is compared against the requesting unit's canonical key: a
-//! mismatch (hash collision, stale directory from an incompatible run) is
-//! treated as a miss, never as data.
+//! A record is one `write` to a file opened for appending, so runners
+//! sharing a directory never interleave records, and a record survives a
+//! SIGKILL once its write returns. Failed units are never recorded. An
+//! append that finds the log ending inside a line (a write torn by a
+//! kill) first writes `\n\n`, which ends the torn line and keeps the torn
+//! record from ever parsing as whole. Each damaged record ticks
+//! `checkpoint.errors` on load and costs exactly its unit's
+//! recomputation; a record only ever replays under its full key.
 
-use crate::hash::fnv1a64;
 use crate::report::{LayerReport, OpCounts};
+use crate::runner::UnitKey;
 use eureka_obs::metrics::{self, Class};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Largest checkpoint entry `load` will even read. Real entries are a
-/// few hundred bytes; anything bigger is filesystem corruption or a
-/// foreign file that collided with our name, and slurping it would
-/// trade a bounded recompute for an unbounded allocation.
-const MAX_ENTRY_BYTES: u64 = 1 << 20;
-
-/// Largest batch file (`*.units`) a batched store will read: room for
-/// over a million records, and still a bound on the allocation.
-const MAX_BATCH_BYTES: u64 = 1 << 30;
+/// Largest `*.units` file the loader will read: room for over a million
+/// records, and still a bound on the allocation.
+const MAX_FILE_BYTES: u64 = 1 << 30;
 
 /// Format marker; bump when the serialization changes incompatibly.
-/// Readers ignore entries with any other header, so mixing versions in
+/// Readers ignore records with any other header, so mixing versions in
 /// one directory degrades to recomputation, never to wrong data.
-/// (v2 added `bubble_cycles` as the ninth field; v1 entries are
+/// (v2 added `bubble_cycles` as the ninth field; v1 records are
 /// recomputed.)
 const HEADER: &str = "eureka-checkpoint v2";
+
+/// The append log's file name inside the store directory.
+const LOG: &str = "records.units";
 
 /// Escapes newlines and backslashes so arbitrary layer names fit the
 /// line-oriented format. Shared with the job journal, which uses the
@@ -102,9 +95,8 @@ pub(crate) fn unescape(s: &str) -> Cow<'_, str> {
 }
 
 /// Serializes one completed unit (its canonical key plus its report) to
-/// the checkpoint text format.
-#[must_use]
-pub fn encode(key: &str, report: &LayerReport) -> String {
+/// one record.
+fn encode(key: &str, report: &LayerReport) -> String {
     let o = &report.ops;
     format!(
         "{HEADER}\nkey {}\nname {}\nfields {} {} {} {} {} {} {} {} {}\nops {} {} {} {} {} {} {} {}\n",
@@ -130,20 +122,10 @@ pub fn encode(key: &str, report: &LayerReport) -> String {
     )
 }
 
-/// Parses a checkpoint entry, returning the report only if the text is
-/// well-formed **and** its key line matches `expected_key` exactly.
-/// Anything else — truncation, version skew, a hash collision — is `None`
-/// (a recompute, never a wrong replay).
-#[must_use]
-pub fn decode(text: &str, expected_key: &str) -> Option<LayerReport> {
-    let (key, report, rest) = parse(text)?;
-    (rest.is_empty() && unescape(key) == expected_key).then_some(report)
-}
-
-/// The one record parser, behind [`decode`] and the batch loader: the
-/// record at the start of `text` — its key line (still escaped) and its
-/// report — and the text after it. Lines end at `\n` alone, so a key or
-/// name holding a `\r` reads back as written.
+/// The one record parser: the record at the start of `text` — its key
+/// line (still escaped) and its report — and the text after it. Lines
+/// end at `\n` alone, so a key or name holding a `\r` reads back as
+/// written.
 fn parse(text: &str) -> Option<(&str, LayerReport, &str)> {
     let mut rest = text;
     if next_line(&mut rest) != HEADER {
@@ -195,73 +177,48 @@ fn numbers<const N: usize>(line: &str) -> Option<[u64; N]> {
     parts.next().is_none().then_some(out)
 }
 
-/// A directory of unit records, per unit or batched (see the
-/// [module docs](self)).
-#[derive(Clone, Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-    /// `Some` for the batched layout; clones share its records.
-    batch: Option<Arc<Batch>>,
-}
-
-/// The batched layout's state.
-#[derive(Debug, Default)]
-struct Batch {
-    /// Every record in the directory's `*.units` files, read on the
-    /// first load. Read-only after that, so lookups take no lock.
-    on_disk: OnceLock<HashMap<String, LayerReport>>,
-    /// Records this store flushed after that load, so a long-lived store
-    /// reads its directory once and still replays its own records.
-    flushed: Mutex<HashMap<String, LayerReport>>,
-    /// Records stored since the last flush, by unit key (so a flushed
-    /// batch's bytes do not depend on completion order).
-    staged: Mutex<BTreeMap<String, LayerReport>>,
-}
-
-/// Locks `m`. Every update of the batch maps is one map operation, so a
-/// poisoned lock still guards a valid map.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Every decodable record in `dir`'s `*.units` files, parsed in one pass
-/// per file and keyed by their unescaped keys. Fail-soft like
-/// [`CheckpointStore::load`]: an oversized or unreadable file, and each
-/// malformed record, ticks `checkpoint.errors`; the records around a
-/// damaged one still load. A file's text is dropped once it is parsed,
-/// so only the decoded map stays resident.
-fn read_batches(dir: &Path) -> HashMap<String, LayerReport> {
+/// Every decodable record in `dir`'s `*.units` files, keyed by their
+/// unescaped keys, and the number of damaged records. A missing
+/// directory holds nothing and is no damage; an oversized or unreadable
+/// file counts as one damaged record. Bytes that are not UTF-8 damage
+/// only the record they sit in. A file's bytes are dropped once they are
+/// parsed, so only the decoded map stays resident.
+#[must_use]
+pub fn load(dir: &Path) -> (HashMap<String, LayerReport>, u64) {
     let _span = eureka_obs::span!("checkpoint.load");
-    let errors = metrics::counter("checkpoint.errors", Class::Deterministic);
-    let mut records = HashMap::new();
+    let (mut records, mut damaged) = (HashMap::new(), 0);
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return records; // no directory yet: nothing stored
+        return (records, damaged); // no directory yet: nothing stored
     };
     for path in entries
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "units"))
     {
-        let text = std::fs::metadata(&path)
+        let bytes = std::fs::metadata(&path)
             .ok()
-            .filter(|m| m.len() <= MAX_BATCH_BYTES)
-            .and_then(|_| std::fs::read(&path).ok())
-            .and_then(|bytes| String::from_utf8(bytes).ok());
-        let Some(text) = text else {
-            errors.inc();
+            .filter(|m| m.len() <= MAX_FILE_BYTES)
+            .and_then(|_| std::fs::read(&path).ok());
+        let Some(bytes) = bytes else {
+            damaged += 1;
             continue;
         };
-        errors.add(parse_batch(&text, &mut records));
+        // Only a file holding bytes that are not UTF-8 pays for the
+        // lossy copy, where each invalid sequence becomes a U+FFFD that
+        // damages its record.
+        let text = std::str::from_utf8(&bytes)
+            .map_or_else(|_| String::from_utf8_lossy(&bytes), Cow::Borrowed);
+        damaged += parse_records(&text, &mut records);
     }
-    records
+    (records, damaged)
 }
 
-/// Parses one batch file's text into `records`, returning the number of
+/// Parses one file's text into `records`, returning the number of
 /// damaged records. A record runs from its header line to the next one,
 /// so damage stays inside the record it hit. A well-formed record ends
 /// where the next header starts, so the text is read once; only damage
 /// makes the parser search for the next header line.
-fn parse_batch(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 {
+fn parse_records(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 {
     let header_line = format!("{HEADER}\n");
     let next_header = format!("\n{header_line}");
     // Five lines a well-formed record: size the map once.
@@ -279,7 +236,7 @@ fn parse_batch(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 {
         };
         let record = &rest[..end];
         match parsed {
-            Some((key, report, _)) if record.ends_with('\n') && !record.contains('\0') => {
+            Some((key, report, _)) if whole(record) => {
                 records.insert(unescape(key).into_owned(), report);
             }
             _ => damaged += 1,
@@ -291,6 +248,15 @@ fn parse_batch(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 {
     }
 }
 
+/// Whether a parsed record's text is whole: it ends its last line and
+/// holds no NUL (a torn write on some filesystems) and no U+FFFD (bytes
+/// that were not UTF-8).
+fn whole(record: &str) -> bool {
+    record.ends_with('\n')
+        && !record.contains('\0')
+        && !record.contains(char::REPLACEMENT_CHARACTER)
+}
+
 /// The number of `\n` bytes in `text`, tallied 255 bytes at a time in a
 /// `u8`, which the compiler vectorizes.
 fn line_count(text: &str) -> usize {
@@ -300,151 +266,137 @@ fn line_count(text: &str) -> usize {
         .sum()
 }
 
-impl CheckpointStore {
-    /// A per-unit store rooted at `dir` (created on first write).
+/// Locks `m`. Every update under these locks is one map insert or one
+/// write, so a poisoned lock still guards a valid value.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One runner's unit records: an in-memory map, plus a store
+/// directory's records and append log when one is attached (see the
+/// [module docs](self)). A runner holds it behind an `Arc` that its
+/// clones share.
+#[derive(Debug, Default)]
+pub struct UnitRecords {
+    dir: Option<PathBuf>,
+    /// Every result computed through this tier. Records replayed from
+    /// the directory stay in `stored` alone, so none is held twice.
+    memory: Mutex<HashMap<UnitKey, LayerReport>>,
+    /// The directory's records, by canonical key text, read by the first
+    /// [`UnitRecords::stored`]. Read-only after that, so lookups take no
+    /// lock.
+    stored: OnceLock<HashMap<String, LayerReport>>,
+    /// The append handle of `<dir>/records.units`, opened by the first
+    /// [`UnitRecords::append`].
+    log: Mutex<Option<File>>,
+}
+
+impl UnitRecords {
+    /// Records that also persist under `dir` (created on first append).
     #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CheckpointStore {
-            dir: dir.into(),
-            batch: None,
+    pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
+        UnitRecords {
+            dir: Some(dir.into()),
+            ..UnitRecords::default()
         }
     }
 
-    /// A batched store rooted at `dir` (created on first flush): stored
-    /// records reach the disk only through [`CheckpointStore::flush`].
+    /// The store directory, if one is attached.
     #[must_use]
-    pub fn batched(dir: impl Into<PathBuf>) -> Self {
-        CheckpointStore {
-            dir: dir.into(),
-            batch: Some(Arc::default()),
-        }
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
-    /// The store's directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The in-memory result for `key`.
+    pub(crate) fn get(&self, key: &UnitKey) -> Option<LayerReport> {
+        lock(&self.memory).get(key).cloned()
     }
 
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.unit", fnv1a64(key.as_bytes())))
+    /// Grows the map for `additional` more units at once, so no insert
+    /// of a run rehashes it.
+    pub(crate) fn reserve(&self, additional: usize) {
+        lock(&self.memory).reserve(additional);
     }
 
-    /// Loads the completed result for `key`, if a valid entry exists.
-    ///
-    /// Fail-soft, mirroring the tile store's policy: a missing file is a
-    /// plain miss, but a file that exists and is unusable — oversized,
-    /// NUL-bearing, non-UTF-8, truncated, or otherwise undecodable —
-    /// ticks `checkpoint.errors` and is *also* a miss. Resume never
-    /// aborts on a corrupt directory; it recomputes the damaged units.
-    /// A batched store reads all its batch files on the first load,
-    /// ticking the counter once per damaged record, and answers from
-    /// memory after that, for every clone of the store.
-    #[must_use]
-    pub fn load(&self, key: &str) -> Option<LayerReport> {
-        if let Some(batch) = &self.batch {
-            let on_disk = batch.on_disk.get_or_init(|| read_batches(&self.dir));
-            if let Some(report) = on_disk.get(key) {
-                return Some(report.clone());
-            }
-            return lock(&batch.flushed).get(key).cloned();
-        }
-        let path = self.path_for(key);
-        let oversized = std::fs::metadata(&path)
-            .map(|m| m.len() > MAX_ENTRY_BYTES)
-            .unwrap_or(false);
-        if oversized {
-            metrics::counter("checkpoint.errors", Class::Deterministic).inc();
-            return None;
-        }
-        // Absent (or racily deleted) file: a plain miss, not an error.
-        let bytes = std::fs::read(&path).ok()?;
-        let report = std::str::from_utf8(&bytes)
-            .ok()
-            .filter(|text| !text.contains('\0'))
-            .and_then(|text| decode(text, key));
-        if report.is_none() {
-            metrics::counter("checkpoint.errors", Class::Deterministic).inc();
-        }
-        report
+    /// Remembers `report` under `key`, copying both before taking the
+    /// lock that every worker shares. `false` when the key was already
+    /// held, so of two workers racing on one key only one appends.
+    pub(crate) fn insert(&self, key: &UnitKey, report: &LayerReport) -> bool {
+        let (key, report) = (key.clone(), report.clone());
+        lock(&self.memory).insert(key, report).is_none()
     }
 
-    /// Persists a completed unit result atomically: a crash mid-write
-    /// leaves no readable entry. A batched store only stages the record
-    /// for the next [`CheckpointStore::flush`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation, write, or rename failures; callers
-    /// should treat these as non-fatal (the run still holds the result in
-    /// memory).
-    pub fn store(&self, key: &str, report: &LayerReport) -> std::io::Result<()> {
-        match &self.batch {
-            Some(batch) => {
-                lock(&batch.staged).insert(key.to_string(), report.clone());
-                Ok(())
-            }
-            None => eureka_obs::atomic::write_atomic(
-                &self.path_for(key),
-                encode(key, report).as_bytes(),
-            ),
-        }
+    /// The directory's record for the canonical key text `key`; `None`
+    /// without a directory. The first call loads the directory, ticking
+    /// `checkpoint.errors` once per damaged record; later calls, through
+    /// any clone of the runner, answer from memory.
+    pub fn stored(&self, key: &str) -> Option<&LayerReport> {
+        let dir = self.dir.as_deref()?;
+        self.stored
+            .get_or_init(|| {
+                let (records, damaged) = load(dir);
+                metrics::counter("checkpoint.errors", Class::Deterministic).add(damaged);
+                records
+            })
+            .get(key)
     }
 
-    /// Writes a batched store's staged records as one `*.units` file,
-    /// named by the hash of its bytes (so rewriting an equal batch is
-    /// idempotent), and moves them into the loaded records, so later
-    /// loads through any clone of this store replay them from memory. A
-    /// no-op for the per-unit layout, which writes as it goes, and when
-    /// nothing is staged.
+    /// Appends the record of `report` under the canonical key text `key`
+    /// to `<dir>/records.units` with one `write`; a no-op without a
+    /// directory.
     ///
     /// # Errors
     ///
-    /// Propagates the write failure; the records stay staged.
-    pub fn flush(&self) -> std::io::Result<()> {
-        let Some(batch) = &self.batch else {
+    /// Propagates directory-creation, open or write failures; callers
+    /// treat them as non-fatal (the result stays in memory). After a
+    /// failed write the handle is reopened, so a partial record is
+    /// closed off before the next one.
+    pub fn append(&self, key: &str, report: &LayerReport) -> io::Result<()> {
+        let Some(dir) = &self.dir else {
             return Ok(());
         };
-        let mut staged = lock(&batch.staged);
-        if staged.is_empty() {
-            return Ok(());
+        let mut record = encode(key, report);
+        let mut log = lock(&self.log);
+        let file = match log.as_mut() {
+            Some(file) => file,
+            None => {
+                let (file, torn) = open_log(dir)?;
+                if torn {
+                    record.insert_str(0, "\n\n");
+                }
+                log.insert(file)
+            }
+        };
+        let written = file.write_all(record.as_bytes());
+        if written.is_err() {
+            *log = None;
         }
-        let text: String = staged
-            .iter()
-            .map(|(key, report)| encode(key, report))
-            .collect();
-        let path = self
-            .dir
-            .join(format!("{:016x}.units", fnv1a64(text.as_bytes())));
-        eureka_obs::atomic::write_atomic(&path, text.as_bytes())?;
-        drop(text); // the batch text never sits beside the records
-        let flushed = std::mem::take(&mut *staged);
-        // Before the first load, that load reads the new file instead.
-        if batch.on_disk.get().is_some() {
-            lock(&batch.flushed).extend(flushed);
-        }
-        Ok(())
+        written
     }
+}
 
-    /// Number of per-unit entries currently on disk (`.unit` files
-    /// only; in-flight temporaries and batches are excluded).
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        entries
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "unit"))
-            .count()
+/// Opens `<dir>/records.units` for appending, creating both, and tells
+/// whether the log ends inside a line (a write torn by a kill).
+fn open_log(dir: &Path) -> io::Result<(File, bool)> {
+    std::fs::create_dir_all(dir)?;
+    let mut file = File::options()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(dir.join(LOG))?;
+    let mut last = [b'\n'];
+    if file.seek(SeekFrom::End(0))? > 0 {
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
     }
+    Ok((file, last != [b'\n']))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn sample() -> LayerReport {
         LayerReport {
@@ -471,80 +423,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encode_decode_round_trips_bit_identically() {
-        let r = sample();
-        let text = encode("some|key", &r);
-        assert_eq!(decode(&text, "some|key"), Some(r));
-    }
-
-    #[test]
-    fn decode_rejects_wrong_key_truncation_and_version_skew() {
-        let r = sample();
-        let text = encode("k1", &r);
-        assert_eq!(decode(&text, "k2"), None, "key mismatch is a miss");
-        let truncated = &text[..text.len() / 2];
-        assert_eq!(decode(truncated, "k1"), None, "truncation is a miss");
-        let skewed = text.replace("v2", "v9");
-        assert_eq!(decode(&skewed, "k1"), None, "version skew is a miss");
-        let trailing = format!("{text}junk\n");
-        assert_eq!(decode(&trailing, "k1"), None, "trailing data is a miss");
-    }
-
-    #[test]
-    fn escaped_names_round_trip() {
-        let mut r = sample();
-        r.name = "weird\\name\nwith newline".into();
-        let text = encode("key\nwith\\newline", &r);
-        assert_eq!(decode(&text, "key\nwith\\newline"), Some(r));
-    }
-
-    #[test]
-    fn store_and_load_via_directory() {
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-test-{}", std::process::id()));
-        let store = CheckpointStore::new(&dir);
-        assert_eq!(store.load("k"), None, "empty store misses");
-        assert_eq!(store.entry_count(), 0);
-        let r = sample();
-        store.store("k", &r).expect("store writes");
-        assert_eq!(store.load("k"), Some(r));
-        assert_eq!(store.entry_count(), 1);
-        assert_eq!(store.load("other"), None);
+    /// A fresh directory per test or property case.
+    fn case_dir(tag: &str) -> PathBuf {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eureka-ckpt-{tag}-{}-{case}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
-    #[test]
-    fn batched_records_flush_as_one_file_and_survive_a_damaged_neighbour() {
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-batch-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = CheckpointStore::batched(&dir);
-        let mut r = sample();
-        for key in ["a", "b", "c"] {
-            r.name = format!("layer-{key}");
-            store.store(key, &r).expect("staging cannot fail");
+    /// Appends `records` to the log under `dir` through a fresh tier,
+    /// returning the log's path.
+    fn write_log(dir: &Path, records: &BTreeMap<String, LayerReport>) -> PathBuf {
+        let tier = UnitRecords::in_dir(dir);
+        for (key, report) in records {
+            tier.append(key, report).expect("append writes");
         }
-        assert!(!dir.exists(), "nothing reaches the disk before a flush");
-        store.flush().expect("flush writes");
-        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert_eq!(files.len(), 1, "one file per flush: {files:?}");
-        assert!(files[0].extension().is_some_and(|x| x == "units"));
-
-        // Damage the middle record: its neighbours still load.
-        let text = std::fs::read_to_string(&files[0]).unwrap();
-        let damaged = text.replace("layer-b\nfields", "layer-b\nfieldz");
-        assert_ne!(damaged, text);
-        std::fs::write(&files[0], damaged).unwrap();
-        let errors = || metrics::counter("checkpoint.errors", Class::Deterministic).get();
-        let before = errors();
-        let fresh = CheckpointStore::batched(&dir);
-        assert_eq!(fresh.load("a").map(|r| r.name), Some("layer-a".into()));
-        assert_eq!(fresh.load("b"), None, "the damaged record is a miss");
-        assert_eq!(fresh.load("c").map(|r| r.name), Some("layer-c".into()));
-        assert!(errors() > before, "damage ticks checkpoint.errors");
-        std::fs::remove_dir_all(&dir).ok();
+        dir.join(LOG)
     }
 
     #[test]
@@ -555,29 +451,72 @@ mod tests {
     }
 
     #[test]
-    fn flushed_records_replay_from_memory_without_a_reread() {
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-kept-{}", std::process::id()));
+    fn appends_go_to_one_log_and_a_lookup_creates_nothing() {
+        let dir = case_dir("log");
+        let tier = UnitRecords::in_dir(&dir);
+        assert_eq!(tier.stored("k"), None, "an absent directory is empty");
+        assert!(!dir.exists(), "a lookup creates no directory");
+        let mut r = sample();
+        for key in ["a", "b", "c"] {
+            r.name = format!("layer-{key}");
+            tier.append(key, &r).expect("append writes");
+        }
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files, [dir.join(LOG)], "one log for every record");
+        assert_eq!(tier.stored("a"), None, "the directory was read once");
+        let fresh = UnitRecords::in_dir(&dir);
+        assert_eq!(fresh.stored("b").map(|r| r.name.as_str()), Some("layer-b"));
         std::fs::remove_dir_all(&dir).ok();
-        let store = CheckpointStore::batched(&dir);
-        assert_eq!(
-            store.load("k"),
-            None,
-            "the first load reads an empty directory"
-        );
+        assert!(fresh.stored("c").is_some(), "loaded records stay resident");
+    }
+
+    #[test]
+    fn damaged_records_are_counted_and_skipped_and_an_absent_directory_is_no_damage() {
+        let dir = case_dir("corrupt");
+        let (records, damaged) = load(&dir);
+        assert!(records.is_empty());
+        assert_eq!(damaged, 0, "a missing directory is not an error");
+
         let r = sample();
-        store.store("k", &r).expect("staging cannot fail");
-        store.flush().expect("flush writes");
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(
-            store.clone().load("k"),
-            Some(r),
-            "clones share the flushed record"
+        let good = |key: &str| encode(key, &r).into_bytes();
+        // A foreign version (no record boundary, so it comes first).
+        let mut log = encode("skew", &r).replace("v2", "v9").into_bytes();
+        log.extend(good("before"));
+        // Truncated: a record cut mid-line, closed by the next header.
+        let cut = good("trunc");
+        log.extend_from_slice(&cut[..cut.len() / 2]);
+        log.push(b'\n');
+        // Trailing junk after a record.
+        log.extend(good("junk"));
+        log.extend(b"junk\n");
+        // A NUL (a torn write on some filesystems) inside a record.
+        log.extend(
+            encode("nul", &r)
+                .replacen("name ", "name \0", 1)
+                .into_bytes(),
         );
+        // Bytes that are not UTF-8 inside a record's name.
+        let mut bin = good("bin");
+        let at = bin.windows(5).position(|w| w == b"name ").unwrap() + 5;
+        bin.splice(at..at, [0xff, 0xfe, 0x80]);
+        log.extend(bin);
+        log.extend(good("after"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(LOG), &log).unwrap();
+
+        let (records, damaged) = load(&dir);
         assert_eq!(
-            CheckpointStore::batched(&dir).load("k"),
-            None,
-            "a fresh store rereads"
+            damaged, 5,
+            "truncated, skewed, junk-trailed, NUL and non-UTF-8"
         );
+        let mut keys: Vec<&str> = records.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["after", "before"], "healthy records still load");
+        assert_eq!(records["after"], r);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Characters that stress the line format: backslashes, newlines,
@@ -606,40 +545,22 @@ mod tests {
         })
     }
 
-    /// A fresh directory per property case.
-    fn case_dir(tag: &str) -> PathBuf {
-        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("eureka-ckpt-{tag}-{}-{case}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
+    /// Text a damaged log may gain: line breaks, header lines, NULs,
+    /// replacement characters and stray bytes.
+    const SNIPPETS: [&str; 7] = [
+        "",
+        "\n",
+        "eureka-checkpoint v2\n",
+        "\0",
+        "\u{fffd}",
+        "x",
+        "é",
+    ];
 
-    /// Stages and flushes `records` into one batch file under `dir`,
-    /// returning its path.
-    fn write_batch(dir: &Path, records: &BTreeMap<String, LayerReport>) -> PathBuf {
-        let store = CheckpointStore::batched(dir);
-        for (key, report) in records {
-            store.store(key, report).expect("staging cannot fail");
-        }
-        store.flush().expect("flush writes");
-        let files: Vec<PathBuf> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert_eq!(files.len(), 1, "one batch per flush");
-        files[0].clone()
-    }
-
-    /// Text a damaged batch may gain: line breaks, header lines, NULs
-    /// and stray bytes.
-    const SNIPPETS: [&str; 6] = ["", "\n", "eureka-checkpoint v2\n", "\0", "x", "é"];
-
-    /// The batch split spelled out: every header line at a line start
+    /// The record split spelled out: every header line at a line start
     /// begins a record, and so does the text; each record must parse as
     /// a whole.
-    fn reference_batch(text: &str) -> (HashMap<String, LayerReport>, u64) {
+    fn reference_records(text: &str) -> (HashMap<String, LayerReport>, u64) {
         let header_line = format!("{HEADER}\n");
         let mut starts: Vec<usize> = text
             .match_indices(&header_line)
@@ -654,7 +575,7 @@ mod tests {
         for span in starts.windows(2) {
             let record = &text[span[0]..span[1]];
             match parse(record) {
-                Some((key, report, "")) if record.ends_with('\n') && !record.contains('\0') => {
+                Some((key, report, "")) if whole(record) => {
                     records.insert(unescape(key).into_owned(), report);
                 }
                 _ => damaged += 1,
@@ -667,39 +588,43 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn escaped_keys_and_names_round_trip_through_a_flushed_batch(records in records()) {
+        fn escaped_keys_and_names_round_trip_through_the_log(records in records()) {
             let dir = case_dir("roundtrip");
-            write_batch(&dir, &records);
-            let fresh = CheckpointStore::batched(&dir);
+            write_log(&dir, &records);
+            let fresh = UnitRecords::in_dir(&dir);
             for (key, report) in &records {
-                prop_assert_eq!(fresh.load(key).as_ref(), Some(report));
+                prop_assert_eq!(fresh.stored(key), Some(report));
             }
             std::fs::remove_dir_all(&dir).ok();
         }
 
+        /// A kill mid-append leaves the last record torn at any byte: it
+        /// never replays, the records before it do, and so does every
+        /// record a later run appends after it.
         #[test]
-        fn a_truncated_last_record_is_a_miss_and_never_a_wrong_report(records in records()) {
+        fn a_torn_last_record_is_a_miss_and_never_a_wrong_report(records in records()) {
             let dir = case_dir("truncated");
-            let file = write_batch(&dir, &records);
-            let bytes = std::fs::read(&file).unwrap();
+            let log = write_log(&dir, &records);
+            let bytes = std::fs::read(&log).unwrap();
             let (last_key, last) = records.iter().next_back().unwrap();
             let last_start = bytes.len() - encode(last_key, last).len();
-            let header_end = last_start + HEADER.len() + 1;
+            let header_text_end = last_start + HEADER.len();
             let previous = records.keys().nth_back(1);
+            let later = LayerReport { name: "later".into(), ..sample() };
             for cut in last_start..bytes.len() {
-                std::fs::write(&file, &bytes[..cut]).unwrap();
-                // A cut inside a multi-byte character leaves no valid
-                // UTF-8, so the whole file is skipped. A cut inside the
-                // last header line leaves no record boundary there, so
-                // the record before it takes the damage too.
-                let readable = std::str::from_utf8(&bytes[..cut]).is_ok();
-                let split = cut == last_start || cut >= header_end;
-                let fresh = CheckpointStore::batched(&dir);
+                std::fs::write(&log, &bytes[..cut]).unwrap();
+                UnitRecords::in_dir(&dir).append("later|key", &later).unwrap();
+                // A cut inside the last header's text leaves no record
+                // boundary there, so the record before it takes the
+                // damage too; with the whole text kept, the newline the
+                // append adds completes the header line.
+                let split = cut == last_start || cut >= header_text_end;
+                let fresh = UnitRecords::in_dir(&dir);
                 for (key, report) in &records {
                     let intact = key != last_key && (split || Some(key) != previous);
-                    let want = (readable && intact).then_some(report);
-                    prop_assert_eq!(fresh.load(key).as_ref(), want, "cut at byte {}", cut);
+                    prop_assert_eq!(fresh.stored(key), intact.then_some(report), "cut at byte {}", cut);
                 }
+                prop_assert_eq!(fresh.stored("later|key"), Some(&later), "cut at byte {}", cut);
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -722,63 +647,10 @@ mod tests {
                 text.replace_range(at..end, SNIPPETS[snippet]);
             }
             let mut got = HashMap::new();
-            let damaged = parse_batch(&text, &mut got);
-            let (want, want_damaged) = reference_batch(&text);
+            let damaged = parse_records(&text, &mut got);
+            let (want, want_damaged) = reference_records(&text);
             prop_assert_eq!(got, want);
             prop_assert_eq!(damaged, want_damaged);
         }
-
-        #[test]
-        fn decode_replays_only_under_the_written_key(key in text(), other in text(), name in text()) {
-            prop_assume!(key != other);
-            let report = LayerReport { name, ..sample() };
-            let text = encode(&key, &report);
-            prop_assert_eq!(decode(&text, &other), None);
-            prop_assert_eq!(decode(&text, &key), Some(report));
-        }
-    }
-
-    #[test]
-    fn corrupt_entries_are_skipped_with_an_error_tick_not_an_abort() {
-        let dir = std::env::temp_dir().join(format!("eureka-ckpt-corrupt-{}", std::process::id()));
-        let store = CheckpointStore::new(&dir);
-        let r = sample();
-        store.store("good", &r).expect("store writes");
-        let errors = || metrics::counter("checkpoint.errors", Class::Deterministic).get();
-
-        // Truncated entry: load misses and ticks the error counter.
-        let before = errors();
-        let text = encode("trunc", &r);
-        std::fs::write(store.path_for("trunc"), &text[..text.len() / 2]).unwrap();
-        assert_eq!(store.load("trunc"), None, "truncated entry is a miss");
-        assert!(errors() > before, "truncation ticks checkpoint.errors");
-
-        // NUL bytes (torn write on some filesystems): skipped.
-        let before = errors();
-        std::fs::write(store.path_for("nul"), b"eureka\0checkpoint").unwrap();
-        assert_eq!(store.load("nul"), None, "NUL-bearing entry is a miss");
-        assert!(errors() > before);
-
-        // Non-UTF-8 garbage: skipped.
-        let before = errors();
-        std::fs::write(store.path_for("bin"), [0xff, 0xfe, 0x80, 0x80]).unwrap();
-        assert_eq!(store.load("bin"), None, "non-UTF-8 entry is a miss");
-        assert!(errors() > before);
-
-        // Oversized file: never even read into memory.
-        let before = errors();
-        let big = vec![b'x'; (MAX_ENTRY_BYTES + 1) as usize];
-        std::fs::write(store.path_for("big"), big).unwrap();
-        assert_eq!(store.load("big"), None, "oversized entry is a miss");
-        assert!(errors() > before);
-
-        // The valid neighbour is untouched by the carnage.
-        assert_eq!(store.load("good"), Some(r), "healthy entries still load");
-        // And a plain absence stays a silent miss.
-        let before = errors();
-        assert_eq!(store.load("absent"), None);
-        assert_eq!(errors(), before, "a missing file is not an error");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! These are thin wrappers over the [`crate::runner`] drive path — one
 //! job on a fresh [`Runner::parallel`] — kept for API continuity and for
-//! callers that simulate a single `(architecture, workload)` pair.
-//! Callers that need retries, checkpoints, a store directory or a
-//! worker count build their own [`Runner`] and call it directly.
+//! callers that simulate a single `(architecture, workload)` pair. A
+//! fresh runner shares no unit records, so each call computes its job
+//! anew. Callers that repeat jobs, or need retries, a store directory or
+//! a worker count, build their own [`Runner`] and call it directly.
 
 use crate::arch::{Architecture, SimError};
 use crate::config::SimConfig;

@@ -6,8 +6,8 @@
 //! calls [`Journal::recover`] and replays exactly the jobs that were
 //! accepted but never reached a terminal state — completed work is not
 //! duplicated (its terminal record survived), and unfinished units
-//! inside a replayed job are further deduplicated by the checkpoint
-//! store, which is keyed by unit content.
+//! inside a replayed job are further deduplicated by the store
+//! directory's unit records, which are keyed by unit content.
 //!
 //! The journal is one append-only log, `<dir>/journal.log`: a header
 //! line, then one line per record, each written with a single `write`

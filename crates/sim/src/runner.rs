@@ -5,7 +5,7 @@
 //! in `eureka-bench`, the ablation sweeps and the CLI — submits
 //! [`SimJob`]s to a [`Runner`] instead of hand-rolling a serial loop over
 //! `(architecture × workload × layer)`. A runner carries all of its
-//! settings (workers, retries, checkpoint and store directories) as
+//! settings (workers, retries, unit records, store directory) as
 //! fields: a caller builds one per command and passes it to every
 //! simulation that command runs. The runner
 //!
@@ -13,8 +13,9 @@
 //!    (every unit owns its forked [`DetRng`] stream, so units are
 //!    order-independent by construction),
 //! 2. **executes** the units — serially or fanned out across a scoped
-//!    thread pool — consulting a process-wide content-keyed cache (and,
-//!    when resuming, an on-disk checkpoint) first, and
+//!    thread pool — consulting the runner's content-keyed unit records
+//!    (in memory, and in its store directory when one is attached)
+//!    first, and
 //! 3. **reduces** the results back into [`JobOutcome`]s in layer-index
 //!    order.
 //!
@@ -38,9 +39,9 @@
 //! [`RetryPolicy`]. [`Runner::run_outcomes`] surfaces the full taxonomy
 //! ([`JobOutcome::Complete`] / [`JobOutcome::Degraded`] /
 //! [`JobOutcome::Failed`]); the legacy [`Runner::run_all`] collapses it
-//! back to `Result`s. Failed units are never inserted into the cache or
-//! the checkpoint directory, so no later run can replay a poisoned
-//! result. See DESIGN.md "Failure model & recovery".
+//! back to `Result`s. Failed units are never recorded, in memory or in
+//! a store directory, so no later run can replay a poisoned result. See
+//! DESIGN.md "Failure model & recovery".
 //!
 //! # Caching
 //!
@@ -51,19 +52,21 @@
 //! [`SimConfig`] field. Architecture display names must therefore uniquely
 //! identify simulation behaviour — an invariant the registry upholds and
 //! [`Architecture::name`] documents. Cached replays are bit-identical to
-//! cold misses because unit execution is deterministic. The same content
-//! key, rendered canonically as text, names on-disk unit records
-//! ([`crate::checkpoint`]), so interrupted sweeps resume and warm reruns
-//! replay bit-identically: a unit with a record never samples, keys or
-//! times a tile. [`Runner::with_checkpoint`] and
-//! [`Runner::with_store_dir`] both attach a record directory; the
-//! records count as `checkpoint.hits`. A store directory's records are
-//! read once per runner, on its first lookup, and kept with every record
-//! its runs flush for the runner's lifetime (clones share them).
-//! Executing a unit renders its key text at most once, and only when
-//! records are attached; the config segment is rendered once per job.
-//! Replaying a stored unit thus costs a key rendering, a record lookup in
-//! memory and the cache insert, and no directory read after the first.
+//! cold misses because unit execution is deterministic.
+//!
+//! The memo is one tier, [`UnitRecords`] ([`crate::checkpoint`]), owned
+//! by the runner and shared by its clones; two runners built apart never
+//! share results. Without a store directory it is an in-memory map and
+//! no key text is ever rendered. With [`Runner::with_store_dir`] the same
+//! content key, rendered canonically as text, also names records in the
+//! directory: they are read once, on the runner's first lookup that
+//! misses memory, and every unit the runner computes is appended to the
+//! directory's log with one write. So a killed sweep resumes and a warm
+//! rerun replays bit-identically: a unit with a record never samples,
+//! keys or times a tile. Memory hits count as `cache.hits`, directory
+//! records as `checkpoint.hits`. Executing a unit renders its key text
+//! at most once, and only when a directory is attached; the config
+//! segment is rendered once per job.
 //!
 //! Only with [`Runner::with_store_dir`] does a second, finer memoization
 //! layer join in: the content-addressed tile store ([`crate::store`]).
@@ -109,7 +112,7 @@
 
 use crate::arch::{Architecture, LayerCtx, SimError};
 use crate::backoff::BackoffPolicy;
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::UnitRecords;
 use crate::config::SimConfig;
 use crate::hash::fnv1a64;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
@@ -177,8 +180,8 @@ impl WorkUnit<'_> {
 /// Bit-exact content key of a work unit. Two units with equal keys are
 /// guaranteed to produce equal [`LayerReport`]s, because unit execution is
 /// a pure function of exactly these inputs.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct UnitKey {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct UnitKey {
     arch: String,
     gemm_name: String,
     n: usize,
@@ -204,7 +207,7 @@ impl UnitKey {
     /// bits, never formatted). Records outlive the binary that wrote
     /// them: any change that alters a unit's [`LayerReport`] for the same
     /// key (timing model, sampling, report fields) must bump the `v1|`
-    /// tag, or `--store-dir` and `--resume` replay stale results.
+    /// tag, or `--store-dir` replays stale results.
     ///
     /// `cfg` is [`CfgKey::canonical`] of `self.cfg`, which every unit of
     /// a job shares; the key is written into one buffer sized for it.
@@ -248,7 +251,7 @@ impl UnitKey {
 /// The timing-relevant [`SimConfig`] fields, with floats as raw bits.
 /// `include_attention_aux` is deliberately excluded: it only affects the
 /// reduce step, never a unit's result.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CfgKey {
     tensor_cores: usize,
     sub_array_dim: usize,
@@ -319,27 +322,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // some other thread held a shared lock: recover the data instead of
     // propagating poisoning forever.
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The process-wide unit cache. Hit/miss/insert counts live in the
-/// telemetry registry (`cache.hits` / `cache.misses` / `cache.inserts`),
-/// not here — see [`telemetry`].
-struct Cache {
-    map: Mutex<HashMap<UnitKey, LayerReport>>,
-}
-
-fn cache() -> &'static Cache {
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    CACHE.get_or_init(|| Cache {
-        map: Mutex::new(HashMap::new()),
-    })
-}
-
-/// Caches a copy of `report` under `key`, copying both before taking
-/// the lock that every worker shares.
-fn remember(key: &UnitKey, report: &LayerReport) {
-    let (key, report) = (key.clone(), report.clone());
-    lock(&cache().map).insert(key, report);
 }
 
 /// `&'static` handles to every runner metric, registered on first use.
@@ -434,8 +416,7 @@ fn arch_exec_histogram(arch: &str) -> &'static Histogram {
 }
 
 /// The `key` event field: the fnv1a64 digest of the unit's canonical
-/// content key, rendered as 16 hex digits (the same digest that names
-/// checkpoint files).
+/// content key, rendered as 16 hex digits.
 fn unit_key_digest(unit: &WorkUnit<'_>) -> String {
     format!("{:016x}", fnv1a64(unit.canonical().as_bytes()))
 }
@@ -465,23 +446,18 @@ fn unit_finished(unit: &WorkUnit<'_>, source: &str, report: &LayerReport, exec_u
         .wall_u64("exec_us", exec_us)
 }
 
-/// Empties the process-wide unit cache (for cold-start measurements).
-/// Leaves the `cache.*` counters running; see [`cache_reset`] to zero
-/// them too.
-pub fn clear_cache() {
-    lock(&cache().map).clear();
-}
-
-/// Empties the unit cache **and** the tile store's hot tier, and zeroes
-/// the `cache.*`, `checkpoint.*`, `store.*`, `runner.units_from_store`,
-/// `runner.failures.*` and `runner.retries.*` counters, so callers can
-/// assert exact counts no matter what ran earlier in the process (test
-/// execution order, warm-up passes, ...). Dirty tile records are flushed
-/// to their store directories first — a cold-start measurement must not
-/// silently discard persistent state (see [`store::store_reset`]).
+/// Zeroes the `cache.*`, `checkpoint.*`, `store.*`,
+/// `runner.units_from_store`, `runner.failures.*`, `runner.retries.*`
+/// and `runner.backoff.slept_us` counters and empties the tile store's
+/// process-wide hot tier, so callers can assert exact counts no matter
+/// what ran earlier in the process (test execution order, warm-up
+/// passes, ...). That is all it does: unit records belong to their
+/// runner, so a cold start is a fresh [`Runner`]. Dirty tile records are
+/// flushed to their store directories first — a cold-start measurement
+/// must not silently discard persistent state (see
+/// [`store::store_reset`]).
 pub fn cache_reset() {
     let t = telemetry();
-    lock(&cache().map).clear();
     store::store_reset();
     t.cache_hits.reset();
     t.cache_misses.reset();
@@ -498,12 +474,12 @@ pub fn cache_reset() {
     t.ckpt_errors.reset();
 }
 
-/// `(hits, misses, entries)` counters of the process-wide unit cache.
+/// `(hits, misses)` of the in-memory unit records (`cache.*`), summed
+/// over every runner in the process.
 #[must_use]
-pub fn cache_stats() -> (u64, u64, usize) {
+pub fn cache_stats() -> (u64, u64) {
     let t = telemetry();
-    let entries = lock(&cache().map).len();
-    (t.cache_hits.get(), t.cache_misses.get(), entries)
+    (t.cache_hits.get(), t.cache_misses.get())
 }
 
 /// `(panics, sim_errors)` — units that exhausted their retry budget,
@@ -538,8 +514,9 @@ pub fn retry_stats() -> (u64, u64) {
     (t.retries_attempts.get(), t.retries_recovered.get())
 }
 
-/// `(hits, writes, errors)` of the on-disk checkpoint layer
-/// (`checkpoint.*`).
+/// `(hits, writes, errors)` of the unit records in store directories
+/// (`checkpoint.*`): records replayed, records appended, and damaged
+/// records or failed appends.
 #[must_use]
 pub fn checkpoint_stats() -> (u64, u64, u64) {
     let t = telemetry();
@@ -553,14 +530,6 @@ pub fn checkpoint_stats() -> (u64, u64, u64) {
 #[must_use]
 pub fn units_from_store_stats() -> u64 {
     telemetry().units_from_store.get()
-}
-
-/// Checkpoint configuration carried by a runner: where completed-unit
-/// files live, and whether to consult existing entries before executing.
-#[derive(Clone, Debug)]
-struct CheckpointCfg {
-    store: CheckpointStore,
-    resume: bool,
 }
 
 /// A unit failure as seen by the execute phase, before the reduce phase
@@ -631,7 +600,7 @@ impl CancelToken {
 }
 
 /// Executes [`SimJob`]s: plans per-layer units, runs them (optionally in
-/// parallel, optionally memoized, optionally checkpointed) under panic
+/// parallel, optionally memoized and persisted) under panic
 /// isolation and a bounded retry policy, and reduces deterministically.
 ///
 /// The parallel and serial modes produce bit-identical results; see the
@@ -643,11 +612,9 @@ pub struct Runner {
     retry: RetryPolicy,
     backoff: BackoffPolicy,
     cancel: Option<CancelToken>,
-    checkpoint: Option<CheckpointCfg>,
-    /// The store directory, as the batched unit-record store rooted
-    /// there: built once, so every run of this runner and of its clones
-    /// shares the records it loads and flushes.
-    store: Option<CheckpointStore>,
+    /// The unit records, with the store directory if one is attached:
+    /// every run of this runner and of its clones shares them.
+    records: Arc<UnitRecords>,
     events: Events,
 }
 
@@ -665,10 +632,10 @@ impl Runner {
     }
 
     /// A runner with an explicit worker count (`0` = all available
-    /// cores), the unit cache enabled, and no retries, backoff,
-    /// cancellation, checkpoint or store directory. Without a store
-    /// directory the tile store stays out of the run: every sampled tile
-    /// is timed directly, never keyed or looked up.
+    /// cores), in-memory unit records, and no retries, backoff,
+    /// cancellation or store directory. Without a store directory the
+    /// tile store stays out of the run: every sampled tile is timed
+    /// directly, never keyed or looked up.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
@@ -677,13 +644,14 @@ impl Runner {
             retry: RetryPolicy::NONE,
             backoff: BackoffPolicy::NONE,
             cancel: None,
-            checkpoint: None,
-            store: None,
+            records: Arc::default(),
             events: Events::default(),
         }
     }
 
-    /// Disables the unit cache for this runner (every unit recomputes).
+    /// Disables unit records for this runner: every unit recomputes, and
+    /// none is looked up or appended, even with a store directory (whose
+    /// tile shards still serve).
     #[must_use]
     pub fn without_cache(mut self) -> Self {
         self.cached = false;
@@ -720,46 +688,31 @@ impl Runner {
         self
     }
 
-    /// Enables checkpointing under `dir`: every successfully executed
-    /// unit is persisted, and with `resume` existing entries are replayed
-    /// instead of recomputed (bit-identically — entries are keyed by the
-    /// unit's full content key). Takes precedence over the unit records
-    /// of [`Runner::with_store_dir`].
-    #[must_use]
-    pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, resume: bool) -> Self {
-        self.checkpoint = Some(CheckpointCfg {
-            store: CheckpointStore::new(dir.into()),
-            resume,
-        });
-        self
-    }
-
-    /// Detaches any store directory from this runner: no unit records
-    /// from it, and every sampled tile is timed directly, with no
-    /// hot-tier sharing and no disk I/O. This is the default. Output is
-    /// bit-identical either way — the store only removes redundant work.
+    /// Detaches any store directory from this runner, with fresh
+    /// in-memory unit records: no records from a directory, and every
+    /// sampled tile is timed directly, with no hot-tier sharing and no
+    /// disk I/O. This is the default. Output is bit-identical either way
+    /// — the store only removes redundant work.
     #[must_use]
     pub fn without_store(mut self) -> Self {
-        self.store = None;
+        self.records = Arc::default();
         self
     }
 
     /// Persists results under `dir`, for later runs — including fresh
-    /// processes — to replay instead of recomputing. Whole units go to
-    /// batched `.units` records ([`crate::checkpoint`], in resume mode,
-    /// one file per run): a stored unit replays before any tile
-    /// sampling, keying or timing runs. The runner reads the records
-    /// once, on its first lookup, and keeps them, with every record its
-    /// runs flush, for its lifetime. Tile outcomes go through the
-    /// process-wide hot tier to [`crate::store`] shard files beside
-    /// them, serving units without a record and [`Runner::run_profiled`],
-    /// which bypasses unit records. An explicit
-    /// [`Runner::with_checkpoint`] takes over the unit records, with its
-    /// own directory, layout and resume setting, whichever is called
-    /// first.
+    /// processes — to replay instead of recomputing, with fresh unit
+    /// records rooted there ([`crate::checkpoint`]). Every unit the
+    /// runner computes is appended to the directory's log as it
+    /// finishes, so a killed run keeps its finished units; a recorded
+    /// unit replays before any tile sampling, keying or timing runs. The
+    /// runner reads the directory's records once, on its first lookup
+    /// that misses memory. Tile outcomes go through the process-wide hot
+    /// tier to [`crate::store`] shard files beside them, serving units
+    /// without a record and [`Runner::run_profiled`], which bypasses
+    /// unit records.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store = Some(CheckpointStore::batched(dir));
+        self.records = Arc::new(UnitRecords::in_dir(dir));
         self
     }
 
@@ -771,25 +724,12 @@ impl Runner {
         self
     }
 
-    /// Where this run's unit records live: the explicit checkpoint
-    /// configuration, else the store directory's records, in resume mode.
-    fn unit_records(&self) -> Option<CheckpointCfg> {
-        self.checkpoint.clone().or_else(|| {
-            Some(CheckpointCfg {
-                store: self.store.clone()?,
-                resume: true,
-            })
-        })
-    }
-
     /// The disk tier of this runner's store directory, if one is
     /// attached: resolved once per run, so every unit shares one handle
     /// (and one shard cache) instead of re-opening the directory per
     /// layer. Without it, the plan phase plants disabled brokers.
     fn tile_tier(&self) -> Option<Arc<store::DiskTier>> {
-        self.store
-            .as_ref()
-            .map(|records| store::disk_tier_for(records.dir()))
+        self.records.dir().map(store::disk_tier_for)
     }
 
     /// The worker count this runner would use right now.
@@ -862,16 +802,15 @@ impl Runner {
         }
         t.units_planned.add(units.len() as u64);
         if self.cached {
-            // Grow the shared map once per run, so no insert rehashes it.
-            lock(&cache().map).reserve(units.len());
+            self.records.reserve(units.len());
         }
         for (job_idx, range) in ranges.iter().enumerate() {
             for unit in &units[range.clone()] {
                 self.events.emit(|| unit_planned(unit, job_idx));
             }
         }
-        // Execute: serial order or index-claimed pool, cache-first.
-        let results = self.execute(&units);
+        // Execute: serial order or index-claimed pool, records first.
+        let results = self.execute_with(&units, |unit| self.run_unit(unit));
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
         if let Some(disk) = &tiles {
@@ -906,16 +845,6 @@ impl Runner {
                 .wall_u64("wall_us", micros(run_started.elapsed()))
         });
         out
-    }
-
-    /// Executes planned units, returning results in unit order.
-    fn execute(&self, units: &[WorkUnit<'_>]) -> Vec<Result<LayerReport, UnitError>> {
-        let records = self.unit_records();
-        let results = self.execute_with(units, |unit| self.run_unit(unit, records.as_ref()));
-        if records.is_some_and(|ck| ck.store.flush().is_err()) {
-            telemetry().ckpt_errors.inc();
-        }
-        results
     }
 
     /// The shared execute phase: runs `run` over every unit — serially or
@@ -987,19 +916,15 @@ impl Runner {
         results
     }
 
-    /// Executes one unit: in-memory cache first, then (when resuming) the
-    /// on-disk unit records `ck` from [`Runner::unit_records`], then real
-    /// execution under panic isolation and the retry policy. Exactly one
-    /// of `cache.hits`, `checkpoint.hits`, `runner.units_from_store`
-    /// (successful execution with every tile served by the store),
-    /// `cache.misses` (successful execution that simulated at least one
-    /// tile, or looked none up) or `runner.failures.*` (final failure)
-    /// fires per call, for cached runners.
-    fn run_unit(
-        &self,
-        unit: &WorkUnit<'_>,
-        ck: Option<&CheckpointCfg>,
-    ) -> Result<LayerReport, UnitError> {
+    /// Executes one unit: the in-memory records first, then the store
+    /// directory's, then real execution under panic isolation and the
+    /// retry policy. Exactly one of `cache.hits`, `checkpoint.hits`,
+    /// `runner.units_from_store` (successful execution with every tile
+    /// served by the store), `cache.misses` (successful execution that
+    /// simulated at least one tile, or looked none up) or
+    /// `runner.failures.*` (final failure) fires per call, for cached
+    /// runners.
+    fn run_unit(&self, unit: &WorkUnit<'_>) -> Result<LayerReport, UnitError> {
         let t = telemetry();
         let _span = eureka_obs::span!("unit.exec", "{} {}", unit.key.arch, unit.gemm.name);
         self.events
@@ -1030,45 +955,24 @@ impl Runner {
                 });
             }
         }
-        // The unit's record key, rendered at most once, on first use.
+        // The unit's record key, rendered at most once, on first use,
+        // and only with a store directory.
         let key = OnceCell::new();
+        let records = &self.records;
         if self.cached {
-            if let Some(hit) = lock(&cache().map).get(&unit.key).cloned() {
+            if let Some(hit) = records.get(&unit.key) {
                 t.cache_hits.inc();
                 t.units_cached.inc();
-                if let Some(ck) = ck {
-                    // Keep the checkpoint directory complete even when
-                    // the unit never re-executes in this process.
-                    let key = key.get_or_init(|| unit.canonical());
-                    if ck.store.load(key).is_none() {
-                        match ck.store.store(key, &hit) {
-                            Ok(()) => {
-                                t.ckpt_writes.inc();
-                                self.events.emit(|| {
-                                    Event::new("checkpoint-written")
-                                        .det_u64("unit", unit.index as u64)
-                                });
-                            }
-                            Err(_) => t.ckpt_errors.inc(),
-                        }
-                    }
-                }
                 self.events.emit(|| unit_finished(unit, "cache", &hit, 0));
                 return Ok(hit);
             }
-        }
-        if let Some(ck) = ck {
-            if ck.resume {
-                if let Some(report) = ck.store.load(key.get_or_init(|| unit.canonical())) {
+            if records.dir().is_some() {
+                if let Some(report) = records.stored(key.get_or_init(|| unit.canonical())) {
                     t.ckpt_hits.inc();
                     t.units_cached.inc();
-                    if self.cached {
-                        remember(&unit.key, &report);
-                        t.cache_inserts.inc();
-                    }
                     self.events
-                        .emit(|| unit_finished(unit, "checkpoint", &report, 0));
-                    return Ok(report);
+                        .emit(|| unit_finished(unit, "checkpoint", report, 0));
+                    return Ok(report.clone());
                 }
             }
         }
@@ -1108,28 +1012,19 @@ impl Runner {
                             "computed"
                         }
                     };
+                    // Of two workers racing on one key, only the first
+                    // to insert appends its record.
                     if self.cached {
                         if source == "store" {
                             t.units_from_store.inc();
                         } else {
                             t.cache_misses.inc();
                         }
-                        remember(&unit.key, &report);
-                        t.cache_inserts.inc();
-                    }
-                    if let Some(ck) = ck {
-                        match ck
-                            .store
-                            .store(key.get_or_init(|| unit.canonical()), &report)
-                        {
-                            Ok(()) => {
-                                t.ckpt_writes.inc();
-                                self.events.emit(|| {
-                                    Event::new("checkpoint-written")
-                                        .det_u64("unit", unit.index as u64)
-                                });
+                        if records.insert(&unit.key, &report) {
+                            t.cache_inserts.inc();
+                            if records.dir().is_some() {
+                                self.append(unit, key.get_or_init(|| unit.canonical()), &report);
                             }
-                            Err(_) => t.ckpt_errors.inc(),
                         }
                     }
                     self.events
@@ -1193,6 +1088,22 @@ impl Runner {
         }
     }
 
+    /// Appends `unit`'s record to the store directory's log, ticking
+    /// `checkpoint.writes` and emitting `checkpoint-written`, or ticking
+    /// `checkpoint.errors` when the write fails (the result stays in
+    /// memory).
+    fn append(&self, unit: &WorkUnit<'_>, key: &str, report: &LayerReport) {
+        let t = telemetry();
+        match self.records.append(key, report) {
+            Ok(()) => {
+                t.ckpt_writes.inc();
+                self.events
+                    .emit(|| Event::new("checkpoint-written").det_u64("unit", unit.index as u64));
+            }
+            Err(_) => t.ckpt_errors.inc(),
+        }
+    }
+
     /// Runs one job with cycle-attribution profiling, returning the
     /// report and its [`SimProfile`].
     ///
@@ -1201,8 +1112,8 @@ impl Runner {
     /// asserted by the workspace test-suite for every registry
     /// architecture), and the profile is assembled in layer-index order,
     /// so its JSON export is byte-identical across serial and parallel
-    /// runners. Profiled units bypass the unit cache and the checkpoint
-    /// store: both hold bare [`LayerReport`]s, and replaying one could
+    /// runners. Profiled units bypass the unit records: they hold bare
+    /// [`LayerReport`]s, and replaying one could
     /// not reconstruct its row-level attribution. The deterministic
     /// `runner.*`/`cache.*` counters are therefore untouched, keeping the
     /// plain drive path's reconciliation invariant intact. With a store
@@ -1579,10 +1490,11 @@ mod tests {
         };
         let a = arch::ampere();
         let job = SimJob::new(&a, &w, cfg);
-        let cold = Runner::serial().run(&job).unwrap();
-        let (h0, _, _) = cache_stats();
-        let warm = Runner::serial().run(&job).unwrap();
-        let (h1, _, _) = cache_stats();
+        let runner = Runner::serial();
+        let cold = runner.run(&job).unwrap();
+        let (h0, _) = cache_stats();
+        let warm = runner.clone().run(&job).unwrap();
+        let (h1, _) = cache_stats();
         assert_eq!(cold, warm);
         assert!(
             h1 >= h0 + w.layer_count() as u64,
@@ -1758,7 +1670,7 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
-        // Same plan, same keys (the stability the checkpoint layer needs).
+        // Same plan, same keys (the stability stored records need).
         let mut units2 = Vec::new();
         plan(&job, &mut units2, None);
         let keys2: Vec<String> = units2.iter().map(WorkUnit::canonical).collect();

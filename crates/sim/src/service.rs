@@ -12,9 +12,11 @@
 //! Jobs execute one at a time under the full resilience stack: bounded
 //! retries with seeded exponential backoff ([`crate::backoff`]),
 //! cooperative cancellation and deadlines checked at unit boundaries
-//! ([`crate::runner::CancelToken`]), checkpoint-store dedup so a
-//! replayed job never recomputes units it completed in a previous life,
-//! and a terminal journal record when the job leaves the system.
+//! ([`crate::runner::CancelToken`]), unit records that every job shares
+//! (one [`Runner`] built at start, whose store directory is read once
+//! per daemon, so a replayed job never recomputes units it completed in
+//! a previous life), and a terminal journal record when the job leaves
+//! the system.
 //!
 //! Every lifecycle transition is written twice: to the always-armed
 //! flight recorder ([`eureka_obs::flightrec`]: `job-admitted`,
@@ -289,12 +291,10 @@ pub struct ServiceConfig {
     pub backoff: BackoffPolicy,
     /// Write-ahead journal directory (required: it is the crash story).
     pub journal_dir: PathBuf,
-    /// Checkpoint directory; when set, completed units persist and a
-    /// replayed job resumes instead of recomputing them.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Result-store directory, passed through to
-    /// [`Runner::with_store_dir`]: tile shards, plus whole-unit records
-    /// unless `checkpoint_dir` is set.
+    /// [`Runner::with_store_dir`]: each completed unit is appended to its
+    /// records as it finishes, so a replayed job resumes instead of
+    /// recomputing it; tile shards live beside them.
     pub store_dir: Option<PathBuf>,
     /// Runner worker threads per job (`0` = auto).
     pub jobs: usize,
@@ -306,10 +306,10 @@ pub struct ServiceConfig {
     pub hold: bool,
     /// Chaos hook: wrap every resolved architecture in a
     /// [`crate::faults::FaultyArch`] carrying this plan, under the
-    /// given display tag (tags namespace the unit cache, so injected
+    /// given display tag (tags namespace the unit records, so injected
     /// runs never alias clean ones — and two generations sharing a tag
-    /// *do* share checkpoints, which the crash-recovery chaos scenarios
-    /// rely on).
+    /// *do* share a store directory's records, which the crash-recovery
+    /// chaos scenarios rely on).
     pub fault: Option<(crate::faults::FaultPlan, String)>,
     /// Directory for flight-recorder dumps
     /// (`flightrec-<pid>.jsonl`, written by the `dump` protocol verb
@@ -328,7 +328,6 @@ impl ServiceConfig {
             default_deadline_ms: 0,
             backoff: BackoffPolicy::exponential(500, 50_000),
             journal_dir: journal_dir.into(),
-            checkpoint_dir: None,
             store_dir: None,
             jobs: 1,
             sim: SimConfig::fast(),
@@ -614,6 +613,9 @@ struct ServiceState {
 
 struct ServiceInner {
     cfg: ServiceConfig,
+    /// Every job runs on a clone of this runner, so all jobs share its
+    /// unit records.
+    runner: Runner,
     journal: Journal,
     state: Mutex<ServiceState>,
     work: Condvar,
@@ -635,8 +637,13 @@ impl JobService {
     pub fn start(cfg: ServiceConfig) -> Self {
         let journal = Journal::new(cfg.journal_dir.clone());
         let paused = cfg.hold;
+        let mut runner = Runner::with_jobs(cfg.jobs).with_backoff(cfg.backoff);
+        if let Some(dir) = &cfg.store_dir {
+            runner = runner.with_store_dir(dir);
+        }
         let inner = Arc::new(ServiceInner {
             cfg,
+            runner,
             journal,
             state: Mutex::new(ServiceState {
                 queue: VecDeque::new(),
@@ -654,7 +661,7 @@ impl JobService {
 
         // Crash recovery: re-admit every journaled job that never
         // reached a terminal state. Unfinished units recompute; units
-        // the previous life completed replay from the checkpoint store.
+        // the previous life completed replay from the store directory.
         let recovered_specs = inner.journal.recover();
         let v1_entries = inner.journal.v1_entry_count();
         if v1_entries > 0 {
@@ -1022,7 +1029,7 @@ fn worker_loop(inner: &ServiceInner) {
         flightrec::record("job-dequeued", id, wait_us);
         let started = Instant::now();
 
-        // Run under retries + backoff + cancellation + checkpoint dedup.
+        // Run under retries + backoff + cancellation + shared records.
         // The worker is the only thread driving runners in this
         // service, so the retry-counter delta below is this job's.
         let retries_before = runner::retry_stats().0;
@@ -1119,16 +1126,11 @@ fn run_job(inner: &ServiceInner, spec: &JobSpec, token: &CancelToken) -> Option<
         None => arch,
     };
     let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
-    let mut runner = Runner::with_jobs(inner.cfg.jobs)
+    let runner = inner
+        .runner
+        .clone()
         .with_retry(RetryPolicy::transient(spec.retries + 1))
-        .with_backoff(inner.cfg.backoff)
         .with_cancel(token.clone());
-    if let Some(dir) = &inner.cfg.checkpoint_dir {
-        runner = runner.with_checkpoint(dir.clone(), true);
-    }
-    if let Some(dir) = &inner.cfg.store_dir {
-        runner = runner.with_store_dir(dir.clone());
-    }
     let job = SimJob::new(arch.as_ref(), &workload, inner.cfg.sim);
     Some(runner.run_outcome(&job))
 }

@@ -1,5 +1,5 @@
 //! Tile-level content-addressed result store: the memoization layer
-//! beneath the runner's unit cache, active only for runners with a store
+//! beneath the runner's unit records, active only for runners with a store
 //! directory ([`crate::Runner::with_store_dir`]).
 //!
 //! The paper's timing model is tile-granular, and identical sparsity

@@ -4,10 +4,11 @@
 //! runner up into the service: seeded schedules of worker panics,
 //! transient faults, stalls that cross deadlines, mid-job crash (the
 //! in-process SIGKILL emulation) with journal replay, on-disk
-//! journal/checkpoint corruption, and overload shedding. After every
-//! scenario the service must land in a consistent ledger — the
-//! `service.*` reconciliation invariant holds — and every surviving
-//! result must be bit-identical to a fault-free run of the same spec.
+//! corruption of the journal and the unit-record log, and overload
+//! shedding. After every scenario the service must land in a consistent
+//! ledger — the `service.*` reconciliation invariant holds — and every
+//! surviving result must be bit-identical to a fault-free run of the
+//! same spec.
 //!
 //! Scenarios cycle per case, so `--cases 50` runs each of the seven
 //! about seven times under varying seeds. The CLI front end is
@@ -15,9 +16,10 @@
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch;
+use eureka_sim::checkpoint;
 use eureka_sim::faults::{self, FaultKind, FaultPlan, FaultSpec};
 use eureka_sim::report::SimReport;
-use eureka_sim::runner::{Runner, SimJob};
+use eureka_sim::runner::{self, Runner, SimJob};
 use eureka_sim::service::{self, JobService, JobSpec, JobStatus, ServiceConfig, SubmitError};
 use eureka_sim::{Journal, SimConfig};
 use std::fmt::Write as _;
@@ -97,8 +99,8 @@ fn check_reconciled(what: &str) -> Result<(), String> {
     )
 }
 
-/// One chaos case's sandbox: fresh journal/checkpoint dirs and a
-/// case-unique fault tag (tags namespace the unit cache).
+/// One chaos case's sandbox: fresh journal and store dirs and a
+/// case-unique fault tag (tags namespace the unit records).
 struct Sandbox {
     root: PathBuf,
     tag: String,
@@ -116,7 +118,7 @@ impl Sandbox {
     fn config(&self, plan: FaultPlan) -> ServiceConfig {
         let mut cfg = ServiceConfig::new(self.root.join("journal"));
         cfg.sim = chaos_config();
-        cfg.checkpoint_dir = Some(self.root.join("ckpt"));
+        cfg.store_dir = Some(self.store());
         // Fast, deterministic retry spacing for chaos runs.
         cfg.backoff = eureka_sim::BackoffPolicy::exponential(100, 2_000);
         cfg.fault = Some((plan, self.tag.clone()));
@@ -125,6 +127,10 @@ impl Sandbox {
 
     fn journal(&self) -> Journal {
         Journal::new(self.root.join("journal"))
+    }
+
+    fn store(&self) -> PathBuf {
+        self.root.join("store")
     }
 }
 
@@ -317,8 +323,9 @@ fn scenario_deadline(
 }
 
 /// Scenario 4 — mid-job SIGKILL emulation + restart: the journal
-/// replays the unfinished job, checkpointed units are not recomputed,
-/// and the final report is bit-identical.
+/// replays the unfinished job, the units the first generation appended
+/// to the store's records are not recomputed, and the final report is
+/// bit-identical.
 fn scenario_crash_recover(
     sb: &Sandbox,
     baseline: &SimReport,
@@ -326,7 +333,7 @@ fn scenario_crash_recover(
     out: &mut String,
 ) -> Result<(), String> {
     // Generation 1: stall a middle layer so the crash lands mid-job,
-    // with a few units already checkpointed.
+    // with a few units already recorded.
     let stall_at = layers.len() / 2;
     let plan = FaultPlan::new(vec![FaultSpec {
         layer: layers[stall_at].clone(),
@@ -347,11 +354,24 @@ fn scenario_crash_recover(
     )?;
 
     // Generation 2: fresh ledger, same dirs, same tag, no faults — the
-    // journal replays the job and the checkpoint store serves whatever
+    // journal replays the job and the store's records serve whatever
     // generation 1 completed.
+    let (appended, damaged) = checkpoint::load(&sb.store());
+    check(
+        damaged == 0,
+        "crash: a finished unit's record is never torn",
+    )?;
     service::service_reset();
+    let (replayed, _, _) = runner::checkpoint_stats();
     let svc2 = JobService::start(sb.config(FaultPlan::empty()));
     check(svc2.wait_idle(), "recovered job runs to completion")?;
+    check(
+        runner::checkpoint_stats().0 - replayed >= appended.len() as u64,
+        &format!(
+            "crash: the {} unit(s) generation 1 appended must replay, not recompute",
+            appended.len()
+        ),
+    )?;
     let stats = service::service_stats();
     check(
         stats.recovered == 1 && stats.completed == 1,
@@ -370,13 +390,15 @@ fn scenario_crash_recover(
     )?;
     let _ = writeln!(
         out,
-        "  crash        journal replayed 1 job, report identical"
+        "  crash        journal replayed 1 job, {} recorded unit(s) reused, report identical",
+        appended.len()
     );
     Ok(())
 }
 
-/// Scenario 5 — on-disk corruption of journal and checkpoint shards:
-/// recovery degrades to recomputation, never to an abort or wrong data.
+/// Scenario 5 — on-disk corruption of the journal and the unit-record
+/// log: recovery degrades to recomputation, never to an abort or wrong
+/// data.
 fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> Result<(), String> {
     // Seed the disks with a completed job.
     let svc = JobService::start(sb.config(FaultPlan::empty()));
@@ -387,22 +409,22 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
     )?;
     svc.shutdown();
 
-    // Vandalize: truncate one checkpoint entry, NUL another, append
-    // garbage to the journal log — including a forged `accepted` record
-    // for the completed spec whose checksum does not match, which would
-    // replay the job if it were misread.
-    let ckpt_dir = sb.root.join("ckpt");
-    let mut units: Vec<PathBuf> = std::fs::read_dir(&ckpt_dir)
-        .map_err(|e| format!("chaos: read ckpt dir: {e}"))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "unit"))
-        .collect();
-    units.sort();
-    check(units.len() >= 2, "corruption: expected checkpointed units")?;
-    let text = std::fs::read_to_string(&units[0]).map_err(|e| format!("chaos: {e}"))?;
-    std::fs::write(&units[0], &text[..text.len() / 2]).map_err(|e| format!("chaos: {e}"))?;
-    std::fs::write(&units[1], b"eureka\0checkpoint").map_err(|e| format!("chaos: {e}"))?;
+    // Vandalize: put a NUL inside the first unit record, truncate the
+    // log mid-record, and append garbage to the journal log — including
+    // a forged `accepted` record for the completed spec whose checksum
+    // does not match, which would replay the job if it were misread.
+    let log = sb.store().join("records.units");
+    let mut records = std::fs::read(&log).map_err(|e| format!("chaos: read record log: {e}"))?;
+    let intact = checkpoint::load(&sb.store()).0.len();
+    let name = records.windows(5).position(|w| w == b"name ");
+    records[name.ok_or("chaos: expected recorded units")? + 5] = 0;
+    records.truncate(records.len() - 7);
+    std::fs::write(&log, &records).map_err(|e| format!("chaos: {e}"))?;
+    let (left, damaged) = checkpoint::load(&sb.store());
+    check(
+        intact >= 2 && damaged == 2 && left.len() + 2 == intact,
+        &format!("corruption: {damaged} of {intact} record(s) damaged, expected 2"),
+    )?;
     let garbage = format!(
         "not a journal\neureka\0journal\n0000000000000bad accepted {}\n",
         spec().canonical()

@@ -8,10 +8,10 @@
 //!   it never aborts the process and never discards surviving layers;
 //! * every surviving layer is bit-identical to the fault-free run, in
 //!   serial and parallel alike;
-//! * failed units never poison the process-wide unit cache;
+//! * failed units never poison a runner's unit records;
 //! * a transient fault plus a [`RetryPolicy`] recovers to a report
 //!   bit-identical to the fault-free run;
-//! * a degraded run's checkpoint directory resumes to a complete,
+//! * a degraded run's store directory resumes to a complete,
 //!   bit-identical report (the kill-and-resume story, emulated in
 //!   process);
 //! * slow units (stalls) change nothing but wall-clock.
@@ -22,7 +22,7 @@ use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, Architecture};
 use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultyArch};
 use eureka_sim::report::SimReport;
-use eureka_sim::runner::{Runner, SimJob};
+use eureka_sim::runner::{self, Runner, SimJob};
 use eureka_sim::{JobOutcome, RetryPolicy, SimConfig};
 use std::fmt::Write as _;
 
@@ -262,9 +262,10 @@ fn run_retry_check(
     Ok(())
 }
 
-/// Emulates kill-and-resume: a degraded checkpointed run leaves survivor
-/// units on disk; a resumed run under the same arch name completes and
-/// matches the fault-free baseline bit-identically.
+/// Emulates kill-and-resume: a degraded run with a store directory
+/// leaves its survivor units in the directory's records; a fresh runner
+/// on it, under the same arch name, completes and matches the fault-free
+/// baseline bit-identically.
 fn run_resume_check(
     seed: u64,
     workload: &Workload,
@@ -280,26 +281,30 @@ fn run_resume_check(
         let plan = FaultPlan::seeded(seed, &layers, FAULTS_PER_CELL, FaultKind::Error);
         let tag = format!("fm-resume-s{seed:x}");
 
-        // "Crashing" run: memory cache off so resume can only come from
-        // the checkpoint files, exactly like a fresh process would.
+        // "Crashing" run, on a runner of its own.
         let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, &tag);
         let first = Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, false)
+            .with_store_dir(&dir)
             .run_outcome(&SimJob::new(&faulty, workload, *cfg));
         let survivors = first.report().map(|r| r.layers.len()).unwrap_or_default();
         check(
             !first.is_complete() && survivors > 0,
-            "resume: the faulted checkpointed run must degrade, not fail outright",
+            "resume: the faulted run must degrade, not fail outright",
         )?;
 
-        // Resumed run: same arch name, clean plan, fresh runner.
+        // Resumed run: same arch name, clean plan, and a fresh runner,
+        // so the survivors can only come from the directory's records,
+        // exactly as in a fresh process.
         let clean = FaultyArch::new(Box::new(arch::eureka_p4()), FaultPlan::empty(), &tag);
+        let (replayed, _, _) = runner::checkpoint_stats();
         let resumed = Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, true)
+            .with_store_dir(&dir)
             .run_outcome(&SimJob::new(&clean, workload, *cfg));
         check(resumed.is_complete(), "resume: resumed run must complete")?;
+        check(
+            runner::checkpoint_stats().0 - replayed >= survivors as u64,
+            "resume: every survivor must replay from the records, not recompute",
+        )?;
         layers_match(
             resumed.report().expect("complete outcome has a report"),
             baseline,
@@ -307,7 +312,7 @@ fn run_resume_check(
         )?;
         let _ = writeln!(
             out,
-            "  resume                 {survivors} survivor(s) checkpointed, resumed report identical"
+            "  resume                 {survivors} survivor(s) recorded, resumed report identical"
         );
         Ok(())
     })();
@@ -316,7 +321,7 @@ fn run_resume_check(
 }
 
 /// Runs the seeded fault matrix (kind × parallelism) plus the retry and
-/// checkpoint-resume checks.
+/// store-directory resume checks.
 ///
 /// # Errors
 ///

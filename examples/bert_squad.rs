@@ -5,10 +5,19 @@
 
 use eureka::energy::calibrate;
 use eureka::prelude::*;
+use eureka::sim::{Runner, SimJob};
 
 fn main() {
     let cfg = SimConfig::paper_default();
-    let model = calibrate::calibrated_model(&cfg);
+    // One runner for the whole example, so the Dense baselines are
+    // simulated once and replayed for every architecture.
+    let runner = Runner::parallel();
+    let simulate = |a: &dyn arch::Architecture, w: &Workload| {
+        runner
+            .run(&SimJob::new(a, w, cfg))
+            .expect("every architecture runs BERT")
+    };
+    let model = calibrate::calibrated_model(&runner, &cfg);
 
     println!("BERT-base SQuAD (seq 384, batch 32): clustered filter sparsity, GELU (dense) activations\n");
     println!(
@@ -28,8 +37,8 @@ fn main() {
         let mut energies = Vec::new();
         for level in [PruningLevel::Conservative, PruningLevel::Moderate] {
             let w = Workload::new(Benchmark::BertSquad, level, 32);
-            let dense = engine::simulate(&arch::dense(), &w, &cfg);
-            let r = engine::simulate(a.as_ref(), &w, &cfg);
+            let dense = simulate(&arch::dense(), &w);
+            let r = simulate(a.as_ref(), &w);
             speeds.push(engine::speedup(&dense, &r));
             let e_dense = model.energy(&dense, &cfg).total_pj();
             energies.push(model.energy(&r, &cfg).total_pj() / e_dense);
@@ -60,7 +69,7 @@ fn main() {
 
     // The representative mean (75% BERT per TPUv4i's workload mix) is what
     // makes this matter: transformers dominate modern serving fleets.
-    let fig11 = eureka_bench_like_rep_mean(&cfg);
+    let fig11 = eureka_bench_like_rep_mean(simulate);
     println!(
         "\nrep-mean speedups (75% BERT / 25% CNNs): Eureka P=4 {:.2}x, SparTen {:.2}x",
         fig11.0, fig11.1
@@ -68,15 +77,17 @@ fn main() {
 }
 
 /// Representative mean over the full benchmark grid for two architectures.
-fn eureka_bench_like_rep_mean(cfg: &SimConfig) -> (f64, f64) {
+fn eureka_bench_like_rep_mean(
+    simulate: impl Fn(&dyn arch::Architecture, &Workload) -> SimReport,
+) -> (f64, f64) {
     let mut eureka = (0.0, 0, 0.0, 0); // (bert_sum, n, cnn_sum, n)
     let mut sparten = (0.0, 0, 0.0, 0);
     for b in Benchmark::all() {
         for level in [PruningLevel::Conservative, PruningLevel::Moderate] {
             let w = Workload::new(b, level, 32);
-            let dense = engine::simulate(&arch::dense(), &w, cfg);
-            let se = engine::speedup(&dense, &engine::simulate(&arch::eureka_p4(), &w, cfg));
-            let ss = engine::speedup(&dense, &engine::simulate(&arch::sparten(), &w, cfg));
+            let dense = simulate(&arch::dense(), &w);
+            let se = engine::speedup(&dense, &simulate(&arch::eureka_p4(), &w));
+            let ss = engine::speedup(&dense, &simulate(&arch::sparten(), &w));
             if b == Benchmark::BertSquad {
                 eureka.0 += se;
                 eureka.1 += 1;

@@ -8,7 +8,7 @@
 use eureka::models::workload::LayerGemm;
 use eureka::prelude::*;
 use eureka::sim::arch::{Architecture, LayerCtx, OneSided, ScheduleMode, SimError, TileTimer};
-use eureka::sim::LayerReport;
+use eureka::sim::{LayerReport, Runner, SimJob};
 
 /// Greedy SUDS + grouped scheduling with a window of 4.
 struct EurekaLite {
@@ -50,16 +50,23 @@ impl Architecture for EurekaLite {
 
 fn main() {
     let cfg = SimConfig::paper_default();
+    // One runner, so the CSV export below replays its sweep run.
+    let runner = Runner::parallel();
+    let simulate = |a: &dyn Architecture, w: &Workload| {
+        runner
+            .run(&SimJob::new(a, w, cfg))
+            .expect("every architecture runs these workloads")
+    };
     println!(
         "{:<14}{:>12}{:>14}{:>14}",
         "workload", "Eureka-lite", "Greedy SUDS", "Eureka P=4"
     );
     for bench in [Benchmark::ResNet50, Benchmark::BertSquad] {
         let w = Workload::new(bench, PruningLevel::Moderate, 32);
-        let dense = engine::simulate(&arch::dense(), &w, &cfg);
-        let lite = engine::simulate(&EurekaLite::new(), &w, &cfg);
-        let greedy = engine::simulate(&arch::greedy_suds_p4(), &w, &cfg);
-        let full = engine::simulate(&arch::eureka_p4(), &w, &cfg);
+        let dense = simulate(&arch::dense(), &w);
+        let lite = simulate(&EurekaLite::new(), &w);
+        let greedy = simulate(&arch::greedy_suds_p4(), &w);
+        let full = simulate(&arch::eureka_p4(), &w);
         println!(
             "{:<14}{:>11.2}x{:>13.2}x{:>13.2}x",
             bench.name(),
@@ -75,7 +82,7 @@ fn main() {
 
     // Export the per-layer data for external plotting.
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
-    let report = engine::simulate(&EurekaLite::new(), &w, &cfg);
+    let report = simulate(&EurekaLite::new(), &w);
     let csv = report.to_csv();
     println!(
         "\nCSV export ({} layers, first two rows):",

@@ -4,11 +4,18 @@
 //! Run with `cargo run --release --example resnet50_inference`.
 
 use eureka::prelude::*;
-use eureka::sim::memory;
+use eureka::sim::{memory, Runner, SimJob};
 
 fn main() {
     let cfg = SimConfig::paper_default();
     let workload = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
+    // One runner, so the Eureka P=4 breakdown below replays its sweep run.
+    let runner = Runner::parallel();
+    let simulate = |a: &dyn arch::Architecture| {
+        runner
+            .run(&SimJob::new(a, &workload, cfg))
+            .expect("every architecture runs ResNet50")
+    };
     println!(
         "ResNet50, moderate pruning: {} layers, {:.0}% filter density, {:.1} GMACs/batch",
         workload.layer_count(),
@@ -16,7 +23,7 @@ fn main() {
         workload.total_macs() as f64 / 1e9,
     );
 
-    let dense = engine::simulate(&arch::dense(), &workload, &cfg);
+    let dense = simulate(&arch::dense());
     let archs: Vec<Box<dyn arch::Architecture>> = vec![
         Box::new(arch::ampere()),
         Box::new(arch::cnvlutin_like()),
@@ -38,7 +45,7 @@ fn main() {
         100.0 * dense.mac_utilization()
     );
     for a in &archs {
-        let r = engine::simulate(a.as_ref(), &workload, &cfg);
+        let r = simulate(a.as_ref());
         println!(
             "{:<16}{:>12}{:>10.2}{:>10.1}{:>12.1}",
             r.arch,
@@ -50,7 +57,7 @@ fn main() {
     }
 
     // Per-stage breakdown under Eureka P=4: where do the cycles go?
-    let eureka = engine::simulate(&arch::eureka_p4(), &workload, &cfg);
+    let eureka = simulate(&arch::eureka_p4());
     let mut stages: Vec<(&str, u64, u64)> = vec![
         ("stem (conv1)", 0, 0),
         ("conv2_x", 0, 0),

@@ -19,7 +19,7 @@ cleanup() {
 trap cleanup EXIT
 
 serve_args=(serve --socket "$dir/eureka.sock" --journal-dir "$dir/journal"
-    --checkpoint-dir "$dir/ckpt" --fast
+    --store-dir "$dir/store" --fast
     --metrics-out "$dir/metrics.prom" --flightrec-dir "$dir/flightrec"
     --sla-budget-us 1000000 --ledger-dir "$dir/ledger")
 submit_args=(submit --socket "$dir/eureka.sock" --benchmark mobilenetv1
@@ -146,7 +146,7 @@ rm -f "$dir/eureka.sock"  # stale socket from the killed server
 start_server
 # The restart either replays the unfinished job or finds it already
 # journaled terminal; a fresh submit of the same spec must complete
-# either way, replaying checkpointed units instead of recomputing.
+# either way, replaying recorded units instead of recomputing.
 "$BIN" "${submit_args[@]}" --wait > "$dir/replayed.json"
 grep -q '"status":"completed"' "$dir/replayed.json"
 
@@ -173,4 +173,5 @@ grep -q '"sla_budget_us":1000000' "$dir/ledger"/*.json || {
     exit 1
 }
 
-echo "serve smoke OK ($(ls "$dir/ckpt" 2>/dev/null | wc -l) checkpoint file(s))"
+records=$(grep -c '^eureka-checkpoint ' "$dir/store/records.units" 2>/dev/null || true)
+echo "serve smoke OK (${records:-0} unit record(s))"

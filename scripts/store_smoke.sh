@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Kill-and-warm-resume smoke test for the persistent result store: a
 # `simulate` pointed at a --store-dir and killed mid-run leaves behind
-# whatever it managed to flush (unit records and tile shards are both
-# written once, after the run's execute phase). Re-running
+# the unit records it appended (one per finished unit) and whatever tile
+# shards it flushed (once, after the run's execute phase). Re-running
 # against that partial store must complete, produce output
 # byte-identical to an uninterrupted run, and leave the store warm enough
 # that a third run replays every unit from its record and executes none

@@ -15,8 +15,8 @@ use eureka_sim::{arch, runner, JobOutcome, RetryPolicy, Runner, SimConfig, SimJo
 use std::io::Write;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-/// The unit cache and the metrics registry are process-global;
-/// serialize the tests that reset or compare them.
+/// The metrics registry is process-global; serialize the tests that
+/// reset or compare it.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -325,27 +325,22 @@ fn checkpoint_writes_surface_as_events() {
     let a = arch::by_name("cnvlutin").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
-    let cold = capture(|events| {
+    // One `checkpoint-written` per appended record; a fresh runner per
+    // run, so the rerun can only replay from the directory.
+    let run = |events: &Events| {
         Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, false)
+            .with_store_dir(&dir)
             .with_events(events.clone())
             .run(&job)
             .expect("supported");
-    });
+    };
+    runner::cache_reset();
+    let cold = capture(run);
     assert_eq!(count(&cold, "checkpoint-written"), w.layer_count());
 
-    // A resumed run replays every unit from the checkpoint store.
+    // A rerun replays every unit from the directory's records.
     runner::cache_reset();
-    let warm = capture(|events| {
-        Runner::serial()
-            .without_cache()
-            .with_checkpoint(&dir, true)
-            .with_events(events.clone())
-            .run(&job)
-            .expect("supported");
-    });
+    let warm = capture(run);
     assert_eq!(count(&warm, "checkpoint-written"), 0);
     let replayed = warm
         .lines()

@@ -1,8 +1,8 @@
 //! The fault-tolerance contract, enforced end to end: a failing unit
 //! degrades its job instead of aborting the sweep, degraded results are
 //! bit-identical between serial and parallel execution, retry policies
-//! only touch transient kinds, checkpoints round-trip through the
-//! runner, and the seeded verification matrix passes.
+//! only touch transient kinds, unit records round-trip through a store
+//! directory, and the seeded verification matrix passes.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, SimError};
@@ -10,8 +10,8 @@ use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultyArch};
 use eureka_sim::{runner, JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The unit cache and its counters are process-global; serialize the
-/// tests so exact-count assertions don't depend on execution order.
+/// The runner counters are process-global; serialize the tests so
+/// exact-count assertions don't depend on execution order.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -134,7 +134,7 @@ fn unsupported_combinations_are_never_retried() {
 fn checkpoints_round_trip_through_the_runner() {
     let _x = exclusive();
     let dir = std::env::temp_dir().join(format!("eureka-ft-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = SimConfig {
         rowgroup_samples: 17, // distinctive: this test owns its entries
@@ -142,37 +142,40 @@ fn checkpoints_round_trip_through_the_runner() {
     };
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
+    let layers = w.layer_count() as u64;
 
-    // Memory cache off throughout: the replay below can only be served
-    // from the checkpoint files, exactly as a fresh process would.
+    // A fresh runner per run: the replay below can only be served from
+    // the directory's records, exactly as a fresh process would.
     runner::cache_reset();
     let cold = Runner::serial()
-        .without_cache()
-        .with_checkpoint(&dir, false)
+        .with_store_dir(&dir)
         .run(&job)
         .expect("supported");
-    let (_, writes, errors) = runner::checkpoint_stats();
-    assert_eq!(writes, w.layer_count() as u64, "one file per unit");
-    assert_eq!(errors, 0);
+    assert_eq!(
+        runner::checkpoint_stats(),
+        (0, layers, 0),
+        "one record per unit"
+    );
 
     let resumed = Runner::serial()
-        .without_cache()
-        .with_checkpoint(&dir, true)
+        .with_store_dir(&dir)
         .run(&job)
         .expect("supported");
-    assert_eq!(cold, resumed, "checkpoint replay must be bit-identical");
-    let (hits, _, _) = runner::checkpoint_stats();
-    assert_eq!(hits, w.layer_count() as u64, "every unit resumes from disk");
+    assert_eq!(cold, resumed, "record replay must be bit-identical");
+    assert_eq!(
+        runner::checkpoint_stats(),
+        (layers, layers, 0),
+        "every unit resumes from disk, and nothing new is written"
+    );
 
-    // Without --resume the directory is write-only: nothing is read back.
+    // A runner without unit records neither reads nor appends them.
     let rerun = Runner::serial()
         .without_cache()
-        .with_checkpoint(&dir, false)
+        .with_store_dir(&dir)
         .run(&job)
         .expect("supported");
     assert_eq!(cold, rerun);
-    let (hits_after, _, _) = runner::checkpoint_stats();
-    assert_eq!(hits_after, w.layer_count() as u64, "no new checkpoint hits");
+    assert_eq!(runner::checkpoint_stats(), (layers, layers, 0));
 
     std::fs::remove_dir_all(&dir).ok();
 }

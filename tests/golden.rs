@@ -66,21 +66,20 @@ macro_rules! golden_figures {
 
 golden_figures!(table1, table2, fig09, fig11, fig12, fig13, fig14, ablations);
 
-/// The golden files hold for any runner, not only the shared parallel
-/// one above: a serial runner with no memo tier at all, and a parallel
-/// runner with a store directory — cold, so every unit executes through
-/// the tile store, then warm, so every unit replays from its record. The
-/// store runner drops the process-wide unit cache, which the tests above
-/// share, so neither of its runs can be served from there.
+/// The golden files hold for any runner, not only the parallel ones
+/// above: a serial runner with no memo tier at all, and parallel runners
+/// with a store directory — the first cold, so every unit executes
+/// through the tile store, then a fresh one warm, so every unit replays
+/// from the record the first appended.
 #[test]
 fn fresh_runners_match_the_golden_figures() {
     let dir = std::env::temp_dir().join(format!("eureka-golden-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let stored = Runner::parallel().without_cache().with_store_dir(&dir);
+    let stored = || Runner::parallel().with_store_dir(&dir);
     for name in ["fig11", "fig12"] {
         check_figure(name, &Runner::serial().without_cache(), "serial, no memo");
-        check_figure(name, &stored, "store dir, cold");
-        check_figure(name, &stored, "store dir, warm");
+        check_figure(name, &stored(), "store dir, cold");
+        check_figure(name, &stored(), "store dir, warm");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

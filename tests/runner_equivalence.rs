@@ -1,6 +1,8 @@
 //! The runner's determinism contract, enforced end to end: parallel
 //! execution is bit-identical to serial execution for every architecture
 //! in the registry, and cache replays are bit-identical to cold misses.
+//! A runner's unit records are its own, shared only with its clones, so
+//! the replay tests rerun on one runner.
 //!
 //! The tile store takes part only in runs with a store directory, so the
 //! tests that count its traffic attach one.
@@ -18,8 +20,9 @@ use eureka_sim::{runner, store, Runner, SimConfig, SimJob};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The unit cache and its counters are process-global; serialize the
-/// tests so exact-count assertions don't depend on execution order.
+/// The cache counters and the tile store's hot tier are process-global;
+/// serialize the tests so exact-count assertions don't depend on
+/// execution order.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -92,19 +95,14 @@ fn cache_hit_equals_cold_miss() {
     // cache_reset zeroes the counters too, so the assertions below are
     // exact regardless of what ran earlier in the process.
     let dir = store_dir("hit");
+    let runner = Runner::parallel().with_store_dir(&dir);
     runner::cache_reset();
-    let cold = Runner::parallel()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
-    let (hits_after_cold, misses_after_cold, _) = runner::cache_stats();
+    let cold = runner.run(&job).expect("supported");
+    let (hits_after_cold, misses_after_cold) = runner::cache_stats();
     let ufs_after_cold = runner::units_from_store_stats();
     let (_, _, store_misses_cold, _) = store::store_stats();
-    let warm = Runner::parallel()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
-    let (hits_after_warm, misses_after_warm, _) = runner::cache_stats();
+    let warm = runner.clone().run(&job).expect("supported");
+    let (hits_after_warm, misses_after_warm) = runner::cache_stats();
 
     assert_eq!(cold, warm, "cache replay must be bit-identical");
     assert_eq!(hits_after_cold, 0, "cold run hits nothing after a reset");
@@ -120,19 +118,18 @@ fn cache_hit_equals_cold_miss() {
     );
     assert_eq!(hits_after_warm, layers, "warm run must hit on every layer");
 
-    // And a cleared cache recomputes to the same report — with every
+    // And a fresh runner recomputes to the same report — with every
     // re-executed unit served entirely by the still-warm tile store:
     // exact counts, because zero tile computes can happen. A second
     // directory holds no unit records, so every unit re-executes, and
     // the process-wide hot tier serves each of its tiles.
-    runner::clear_cache();
     let other = store_dir("hit-recompute");
     let recomputed = Runner::parallel()
         .with_store_dir(&other)
         .run(&job)
         .expect("supported");
     assert_eq!(cold, recomputed);
-    let (_, misses_after_recompute, _) = runner::cache_stats();
+    let (_, misses_after_recompute) = runner::cache_stats();
     let (_, _, store_misses_recompute, _) = store::store_stats();
     assert_eq!(
         misses_after_recompute, misses_after_cold,
@@ -192,7 +189,7 @@ fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
         .run(&job)
         .expect("supported");
     assert_eq!(first, second, "cold starts are bit-identical");
-    let (hits, misses, _) = runner::cache_stats();
+    let (hits, misses) = runner::cache_stats();
     let (_, _, store_misses_2, _) = store::store_stats();
     assert_eq!(hits, 0, "nothing survives a reset to hit on");
     assert_eq!(misses + runner::units_from_store_stats(), layers);
@@ -233,10 +230,11 @@ fn default_runner_bypasses_the_tile_store_with_identical_reports() {
     assert!(store::global().is_empty(), "the hot tier stays empty");
 
     // A store directory switches the tile store on; cold (every unit
-    // executes, tiles resolve through the store) and warm (every unit
-    // replays from the directory's records), reports stay identical.
+    // executes, tiles resolve through the store) and warm (a fresh
+    // runner replays every unit from the directory's records), reports
+    // stay identical.
     let dir = store_dir("default");
-    let stored = || Runner::parallel().without_cache().with_store_dir(&dir);
+    let stored = || Runner::parallel().with_store_dir(&dir);
     let cold = stored().run_all(&jobs);
     assert!(store::store_stats().0 > 0, "the cold run resolved tiles");
     assert_eq!(
@@ -276,13 +274,14 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
     let layers = base.layer_count() as u64;
 
     runner::cache_reset();
-    let first = Runner::parallel()
+    let runner = Runner::parallel();
+    let first = runner
         .run(&SimJob::new(a.as_ref(), &base, cfg))
         .expect("supported");
-    let second = Runner::parallel()
+    let second = runner
         .run(&SimJob::new(a.as_ref(), &reseeded, cfg))
         .expect("supported");
-    let (hits, misses, _) = runner::cache_stats();
+    let (hits, misses) = runner::cache_stats();
     assert_eq!(
         hits, 0,
         "a different seed must never hit the other's entries"
@@ -300,11 +299,11 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
     );
 
     // Replaying the reseeded job now hits every layer.
-    let replay = Runner::parallel()
+    let replay = runner
         .run(&SimJob::new(a.as_ref(), &reseeded, cfg))
         .expect("supported");
     assert_eq!(second, replay);
-    let (hits_after_replay, misses_after_replay, _) = runner::cache_stats();
+    let (hits_after_replay, misses_after_replay) = runner::cache_stats();
     assert_eq!(hits_after_replay, layers);
     assert_eq!(
         misses_after_replay + runner::units_from_store_stats(),
@@ -328,13 +327,14 @@ fn cache_hits_are_independent_of_arch_ordering() {
 
     // Warm the cache in one order...
     runner::cache_reset();
-    let d1 = Runner::parallel()
+    let runner = Runner::parallel();
+    let d1 = runner
         .run(&SimJob::new(dense.as_ref(), &w, cfg))
         .expect("supported");
-    let e1 = Runner::parallel()
+    let e1 = runner
         .run(&SimJob::new(eureka.as_ref(), &w, cfg))
         .expect("supported");
-    let (hits_cold, misses_cold, _) = runner::cache_stats();
+    let (hits_cold, misses_cold) = runner::cache_stats();
     let ufs_cold = runner::units_from_store_stats();
     assert_eq!(hits_cold, 0, "distinct archs must not alias each other");
     assert_eq!(misses_cold + ufs_cold, 2 * layers);
@@ -345,13 +345,13 @@ fn cache_hits_are_independent_of_arch_ordering() {
 
     // ...then replay in the opposite order: every layer hits, and the
     // reports are bit-identical to the cold runs.
-    let e2 = Runner::parallel()
+    let e2 = runner
         .run(&SimJob::new(eureka.as_ref(), &w, cfg))
         .expect("supported");
-    let d2 = Runner::parallel()
+    let d2 = runner
         .run(&SimJob::new(dense.as_ref(), &w, cfg))
         .expect("supported");
-    let (hits_warm, misses_warm, _) = runner::cache_stats();
+    let (hits_warm, misses_warm) = runner::cache_stats();
     assert_eq!(
         hits_warm,
         2 * layers,
@@ -387,11 +387,11 @@ fn retried_unit_writes_cache_exactly_once_and_replays() {
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "req-retry");
 
     runner::cache_reset();
-    let first = Runner::parallel()
-        .with_retry(RetryPolicy::transient(2))
+    let runner = Runner::parallel().with_retry(RetryPolicy::transient(2));
+    let first = runner
         .run(&SimJob::new(&faulty, &w, cfg))
         .expect("retry must recover the transient panic");
-    let (hits_cold, misses_cold, _) = runner::cache_stats();
+    let (hits_cold, misses_cold) = runner::cache_stats();
     let (attempts, recovered) = runner::retry_stats();
     assert_eq!(hits_cold, 0, "cold run hits nothing after a reset");
     assert_eq!(
@@ -406,11 +406,13 @@ fn retried_unit_writes_cache_exactly_once_and_replays() {
     // plan would fire again if the victim re-executed (its attempt
     // counter is NOT reset), so bit-identical success here also proves
     // cache hits never re-execute units.
-    let replay = Runner::parallel()
+    let replay = runner
+        .clone()
+        .with_retry(RetryPolicy::NONE)
         .run(&SimJob::new(&faulty, &w, cfg))
         .expect("replay from cache");
     assert_eq!(first, replay, "cached replay must be bit-identical");
-    let (hits_warm, misses_warm, _) = runner::cache_stats();
+    let (hits_warm, misses_warm) = runner::cache_stats();
     assert_eq!(hits_warm, layers, "warm run must hit on every layer");
     assert_eq!(
         misses_warm + runner::units_from_store_stats(),

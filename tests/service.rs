@@ -20,7 +20,7 @@ fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 /// Sampling counts distinct from every other suite so these tests own
-/// their cache and checkpoint entries.
+/// their tile-store entries.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 5,
@@ -45,7 +45,7 @@ impl Sandbox {
     fn config(&self, hold: bool) -> ServiceConfig {
         let mut cfg = ServiceConfig::new(self.root.join("journal"));
         cfg.sim = test_cfg();
-        cfg.checkpoint_dir = Some(self.root.join("ckpt"));
+        cfg.store_dir = Some(self.root.join("store"));
         cfg.backoff = BackoffPolicy::exponential(100, 2_000);
         cfg.hold = hold;
         cfg
@@ -243,7 +243,7 @@ fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
     expected.sort();
     assert_eq!(unfinished, expected, "both accepted jobs must await replay");
 
-    // Generation 2: same journal + checkpoint dirs, fresh ledger.
+    // Generation 2: same journal and store dirs, fresh ledger.
     service::service_reset();
     let svc2 = JobService::start(sb.config(false));
     assert!(svc2.wait_idle(), "recovered jobs run to completion");

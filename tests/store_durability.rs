@@ -8,13 +8,14 @@
 //! damaged record.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
+use eureka_sim::checkpoint;
 use eureka_sim::store::{self, DiskTier, TileKey, TileOutcome};
 use eureka_sim::{arch, runner, Runner, SimConfig, SimJob};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The tile store, unit cache and metrics registry are process-global;
-/// serialize the tests that reset or inspect them.
+/// The tile store's hot tier and the metrics registry are
+/// process-global; serialize the tests that reset or inspect them.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -232,10 +233,10 @@ fn killed_run_store_warm_resumes_and_heals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store directory also holds a record of every computed unit, batched
-/// into one `.units` file per run: a warm run replays every unit from
-/// them without sampling or looking up a single tile, and a damaged
-/// record costs exactly that unit's recomputation, which rewrites it.
+/// A store directory also holds a record of every computed unit,
+/// appended to one log: a warm run replays every unit from it without
+/// sampling or looking up a single tile, and a damaged record costs
+/// exactly that unit's recomputation, which appends it again.
 #[test]
 fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
     let _x = exclusive();
@@ -248,6 +249,7 @@ fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
     let layers = w.layer_count() as u64;
+    // A fresh runner per run, so each run reads the directory anew.
     let run = || {
         Runner::serial()
             .with_store_dir(&dir)
@@ -257,43 +259,43 @@ fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
 
     runner::cache_reset();
     let cold = run();
-    let batches = files_with(&dir, "units");
-    assert_eq!(batches.len(), 1, "one batch of records per run");
+    let logs = files_with(&dir, "units");
+    assert_eq!(logs.len(), 1, "one log of records");
     assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
 
     runner::cache_reset();
+    let intact = std::fs::read(&logs[0]).unwrap();
     let warm = run();
     assert_eq!(cold, warm, "unit replay must be bit-identical");
     assert_eq!(runner::checkpoint_stats(), (layers, 0, 0));
     assert_eq!(store::store_stats().0, 0, "no tile is looked up");
-    assert_eq!(files_with(&dir, "units"), batches, "nothing new to write");
+    assert_eq!(
+        std::fs::read(&logs[0]).unwrap(),
+        intact,
+        "nothing new to write"
+    );
 
     // Truncate the last record: only its unit recomputes, and the run
-    // writes its record back.
-    let intact = std::fs::read(&batches[0]).unwrap();
-    std::fs::write(&batches[0], &intact[..intact.len() - 10]).unwrap();
+    // appends its record again.
+    std::fs::write(&logs[0], &intact[..intact.len() - 10]).unwrap();
     runner::cache_reset();
     let healed = run();
     assert_eq!(cold, healed, "damage costs time, never correctness");
     assert_eq!(runner::checkpoint_stats(), (layers - 1, 1, 1));
-    assert_eq!(
-        files_with(&dir, "units").len(),
-        2,
-        "the record is rewritten"
-    );
+    assert_eq!(files_with(&dir, "units"), logs, "still one log");
 
-    // The rewritten record serves the next run; the damaged tail still
-    // counts as an error until its file is deleted.
+    // The appended record serves the next run; the torn one still
+    // counts as an error.
     runner::cache_reset();
     assert_eq!(cold, run());
     assert_eq!(runner::checkpoint_stats(), (layers, 0, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A runner reads its store directory's unit records once and keeps
-/// them, with the records its own runs flush, for its lifetime: a rerun
-/// on the same runner (or a clone) replays every unit even after the
-/// batch file is gone, while a fresh runner on the directory recomputes.
+/// A runner keeps every unit it computes, for its lifetime: a rerun on
+/// the same runner (or a clone) replays every unit from memory even
+/// after the directory's records are gone, while a fresh runner on the
+/// directory recomputes.
 #[test]
 fn a_runner_keeps_its_unit_records_for_its_lifetime() {
     let _x = exclusive();
@@ -314,20 +316,18 @@ fn a_runner_keeps_its_unit_records_for_its_lifetime() {
     drop_unit_records(&dir);
 
     runner::cache_reset();
-    let warm = runner.clone().without_cache().run_all(&jobs);
+    let warm = runner.clone().run_all(&jobs);
     assert_eq!(cold, warm, "unit replay must be bit-identical");
     assert_eq!(
-        runner::checkpoint_stats(),
-        (layers, 0, 0),
-        "every unit replays from the records the runner flushed"
+        runner::cache_stats(),
+        (layers, 0),
+        "every unit replays from the records the runner keeps"
     );
+    assert_eq!(runner::checkpoint_stats(), (0, 0, 0));
     assert!(files_with(&dir, "units").is_empty(), "nothing new to write");
 
     runner::cache_reset();
-    let fresh = Runner::serial()
-        .without_cache()
-        .with_store_dir(&dir)
-        .run_all(&jobs);
+    let fresh = Runner::serial().with_store_dir(&dir).run_all(&jobs);
     assert_eq!(cold, fresh);
     assert_eq!(
         runner::checkpoint_stats(),
@@ -337,45 +337,75 @@ fn a_runner_keeps_its_unit_records_for_its_lifetime() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An explicit checkpoint directory takes the unit records over from the
-/// store directory, with its own resume setting, in either builder order.
+/// The number of records in the directory's log, by header line.
+fn logged_records(dir: &Path) -> usize {
+    std::fs::read_to_string(dir.join("records.units"))
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("eureka-checkpoint "))
+        .count()
+}
+
+/// Two identical jobs in one run compute each unit once and append each
+/// record once: the second job's units are memory hits, which write
+/// nothing.
 #[test]
-fn explicit_checkpoint_dir_keeps_precedence_over_store_dir() {
+fn identical_jobs_in_one_run_append_each_record_once() {
     let _x = exclusive();
-    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 21, // distinctive: this test owns its entries
-        ..SimConfig::paper_default()
-    };
-    let a = arch::by_name("eureka-p2").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
-    let layers = w.layer_count();
-    let (dir, other) = (fresh_dir("precedence-store"), fresh_dir("precedence-ckpt"));
+    let dir = fresh_dir("twice");
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Dense, 32);
+    let a = arch::dense();
+    let job = SimJob::new(&a, &w, SimConfig::fast());
+    let layers = w.layer_count() as u64;
 
     runner::cache_reset();
-    let cold = Runner::serial()
-        .with_store_dir(&dir)
-        .with_checkpoint(&other, false)
-        .run(&job)
-        .expect("supported");
-    assert_eq!(files_with(&other, "unit").len(), layers, "per-unit layout");
-    assert!(
-        files_with(&dir, "units").is_empty(),
-        "no records in the store"
+    let reports = Runner::serial().with_store_dir(&dir).run_all(&[job, job]);
+    assert_eq!(reports[0], reports[1]);
+    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+    assert_eq!(
+        runner::cache_stats().0,
+        layers,
+        "the second job hits memory"
     );
-    assert!(!shard_files(&dir).is_empty(), "tiles still go to the store");
-
-    // Resume off: the records are written, never read back.
-    runner::cache_reset();
-    let rerun = Runner::serial()
-        .with_checkpoint(&other, false)
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
-    assert_eq!(cold, rerun);
-    let (hits, writes, _) = runner::checkpoint_stats();
-    assert_eq!((hits, writes), (0, layers as u64));
-    assert!(files_with(&dir, "units").is_empty());
+    assert_eq!(logged_records(&dir), w.layer_count());
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&other);
+}
+
+/// Runners with their own records, running different jobs against one
+/// directory at the same time, append every record intact: a third
+/// runner loads them all with no damage and replays both jobs.
+#[test]
+fn concurrent_runners_share_one_directory_without_damage() {
+    let _x = exclusive();
+    let dir = fresh_dir("concurrent");
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let cfg = SimConfig {
+        rowgroup_samples: 23, // distinctive: this test owns its entries
+        ..SimConfig::fast()
+    };
+    let archs = ["eureka-p4", "cnvlutin"].map(|name| arch::by_name(name).expect("registered"));
+    let jobs: Vec<SimJob<'_>> = archs
+        .iter()
+        .map(|a| SimJob::new(a.as_ref(), &w, cfg))
+        .collect();
+
+    runner::cache_reset();
+    let solo: Vec<_> = std::thread::scope(|scope| {
+        let dir = &dir;
+        let workers: Vec<_> = jobs
+            .iter()
+            .map(|job| scope.spawn(move || Runner::with_jobs(2).with_store_dir(dir).run(job)))
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let units = jobs.len() * w.layer_count();
+    assert_eq!(runner::checkpoint_stats(), (0, units as u64, 0));
+    let (records, damaged) = checkpoint::load(&dir);
+    assert_eq!((records.len(), damaged), (units, 0));
+    assert_eq!(logged_records(&dir), units, "no record is written twice");
+
+    let replayed = Runner::serial().with_store_dir(&dir).run_all(&jobs);
+    assert_eq!(solo, replayed);
+    assert_eq!(runner::checkpoint_stats(), (units as u64, units as u64, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }

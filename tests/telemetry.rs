@@ -8,7 +8,7 @@ use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::{arch, runner, ProfileConfig, Runner, SimConfig, SimJob};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Spans, the metrics registry and the unit cache are process-global;
+/// Spans and the metrics registry are process-global;
 /// serialize the tests that reset or drain them.
 fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -66,10 +66,11 @@ fn cache_counters_reconcile_with_the_planner() {
 
     runner::cache_reset();
     obs::metrics::reset();
-    Runner::with_jobs(4).run(&job).expect("supported");
-    Runner::with_jobs(4).run(&job).expect("supported");
+    let runner = Runner::with_jobs(4);
+    runner.run(&job).expect("supported");
+    runner.run(&job).expect("supported");
 
-    let (hits, misses, _) = runner::cache_stats();
+    let (hits, misses) = runner::cache_stats();
     let planned =
         obs::metrics::counter("runner.units_planned", obs::metrics::Class::Deterministic).get();
     assert_eq!(planned, 2 * w.layer_count() as u64);
@@ -155,7 +156,7 @@ fn degraded_run_counters_reconcile_and_spans_flush() {
     let planned =
         obs::metrics::counter("runner.units_planned", obs::metrics::Class::Deterministic).get();
     assert_eq!(planned, w.layer_count() as u64);
-    let (hits, misses, _) = runner::cache_stats();
+    let (hits, misses) = runner::cache_stats();
     let (ckpt_hits, _, _) = runner::checkpoint_stats();
     let ufs = runner::units_from_store_stats();
     assert_eq!(
