@@ -198,7 +198,7 @@ fn checkpoint_load(c: &mut Criterion) {
     group.bench_function("load_4k", |b| {
         b.iter(|| {
             UnitRecords::in_dir(&dir)
-                .stored(&probe)
+                .stored(&probe, |_| {})
                 .cloned()
                 .expect("the record loads")
         })

@@ -16,6 +16,7 @@
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_obs::events::Events;
+use eureka_obs::metrics::Registry;
 use eureka_obs::progress;
 use eureka_sim::{arch, engine, JobSpec, RetryPolicy, Runner, SimConfig, SimJob};
 use eureka_verify::VerifyOptions;
@@ -475,9 +476,10 @@ impl ObsOpts {
     }
 
     /// The command's event sink: the `--events-out` JSONL writer (file,
-    /// or stdout for `-`) and the progress policy. Dropping its last
-    /// clone flushes the file and ends the progress line.
-    fn events(&self) -> Result<Events, String> {
+    /// or stdout for `-`) and the progress policy, with the progress line
+    /// reading `metrics`. Dropping its last clone flushes the file and
+    /// ends the progress line.
+    fn events(&self, metrics: &Registry) -> Result<Events, String> {
         let writer: Option<Box<dyn std::io::Write + Send>> = match self.events_out.as_deref() {
             None => None,
             Some("-") => Some(Box::new(std::io::stdout())),
@@ -492,7 +494,7 @@ impl ObsOpts {
             Some(true) => progress::Mode::On,
             Some(false) => progress::Mode::Off,
         };
-        Ok(Events::new(writer, progress))
+        Ok(Events::new(writer, progress, metrics))
     }
 }
 
@@ -971,21 +973,23 @@ struct Outcome {
 }
 
 /// The run path `figure`, `simulate` and `profile` share: the command's
-/// one event sink and runner; the process verbosity, a zeroed metrics
-/// registry and (for `--trace-out`) span recording around `body`; the
-/// trace and metrics exports and a run-ledger record of `kind` after it;
-/// and no human output while the events claim stdout.
+/// one runner, whose metrics registry every export reads, and its event
+/// sink; the process verbosity and (for `--trace-out`) span recording
+/// around `body`; the trace and metrics exports and a run-ledger record
+/// of `kind` after it; and no human output while the events claim
+/// stdout.
 fn run_simulation(
     kind: &str,
     run: &RunOpts,
     obs: &ObsOpts,
     body: impl FnOnce(&Runner, SimConfig) -> Result<Outcome, String>,
 ) -> Result<String, String> {
-    let events = obs.events()?;
-    let runner = run.runner().with_events(events.clone());
+    let runner = run.runner();
+    let metrics = runner.metrics().clone();
+    let events = obs.events(&metrics)?;
+    let runner = runner.with_events(events.clone());
     let started = std::time::Instant::now();
     eureka_obs::log::set_verbosity(obs.verbose);
-    eureka_obs::metrics::reset();
     if obs.trace_out.is_some() {
         eureka_obs::span::clear();
         eureka_obs::span::set_enabled(true);
@@ -998,12 +1002,12 @@ fn run_simulation(
         eureka_obs::info!("trace: {} bytes to {path}", json.len());
     }
     if let Some(path) = &obs.metrics_out {
-        let json = eureka_obs::metrics::snapshot_json(true);
+        let json = metrics.snapshot_json(true);
         std::fs::write(path, &json).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
         eureka_obs::info!("metrics: {} bytes to {path}", json.len());
     }
     if obs.verbose >= 1 {
-        eureka_obs::info!("{}", eureka_obs::metrics::human_summary());
+        eureka_obs::info!("{}", metrics.human_summary());
     }
     // The record counts the command's events and digests the
     // deterministic metrics, so it is written after the run finished.
@@ -1015,9 +1019,7 @@ fn run_simulation(
             speedup_vs_dense: done.speedup_vs_dense,
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             events: events.count(),
-            metrics_digest: eureka_sim::ledger::metrics_digest(
-                &eureka_obs::metrics::snapshot_json(false),
-            ),
+            metrics_digest: eureka_sim::ledger::metrics_digest(&metrics.snapshot_json(false)),
             sla: None,
         };
         let path = eureka_sim::ledger::append(&dir, &record)?;
@@ -1088,12 +1090,12 @@ fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<S
     }
 }
 
-/// Surfaces degradation counters in the human-readable end-of-run
-/// report: unit failures by kind, store shard errors, checkpoint
-/// decode errors, retry-backoff sleep time, journal decode errors.
-/// Healthy runs (all zero) add nothing.
-fn health_warning_lines() -> String {
-    let c = |name: &str| eureka_obs::metrics::counter_value(name).unwrap_or(0);
+/// Surfaces degradation counters of a run's `metrics` in the
+/// human-readable end-of-run report: unit failures by kind, store shard
+/// errors, checkpoint decode errors, retry-backoff sleep time. Healthy
+/// runs (all zero) add nothing.
+fn health_warning_lines(metrics: &Registry) -> String {
+    let c = |name: &str| metrics.counter_value(name).unwrap_or(0);
     let mut out = String::new();
     let (panics, sims, cancelled) = (
         c("runner.failures.panic"),
@@ -1121,12 +1123,6 @@ fn health_warning_lines() -> String {
     if backoff_slept > 0 {
         out.push_str(&format!(
             "  backoff        : {backoff_slept} us slept across unit retries\n"
-        ));
-    }
-    let journal_errors = c("journal.errors");
-    if journal_errors > 0 {
-        out.push_str(&format!(
-            "  journal errors : {journal_errors} (corrupt entries skipped; jobs replayed or resubmitted)\n"
         ));
     }
     out
@@ -1323,7 +1319,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
                 "  MAC utilization: {:.1}%\n",
                 100.0 * report.mac_utilization()
             ));
-            out.push_str(&health_warning_lines());
+            out.push_str(&health_warning_lines(runner.metrics()));
             if !failures.is_empty() {
                 out.push_str(&format!(
                     "degraded run: {} of {} layer(s) missing\n{}",
@@ -2060,10 +2056,9 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
+        // Each command builds its own runner, so the warm run below
+        // starts with an empty hot tier and can only be served from disk.
         let cold = run(&parse(args.clone()).unwrap()).unwrap();
-        // Drop the tile store's hot tier (flushing dirty records to `dir`
-        // first), so the warm run below can only be served from disk.
-        eureka_sim::runner::cache_reset();
         let files_with = |ext: &str| -> Vec<std::path::PathBuf> {
             std::fs::read_dir(&dir)
                 .unwrap()
@@ -2585,32 +2580,19 @@ mod tests {
 
     #[test]
     fn report_surfaces_failure_and_store_counters_only_when_nonzero() {
-        use eureka_obs::metrics::{counter, Class};
-        // No cli test drives a failing or store-degraded run, so these
-        // counters are ours alone to set here.
-        let names = [
-            "runner.failures.panic",
-            "runner.failures.sim_error",
-            "runner.failures.cancelled",
-            "store.errors",
-            "checkpoint.errors",
-            "runner.backoff.slept_us",
-            "journal.errors",
-        ];
-        for name in names {
-            counter(name, Class::Deterministic).reset();
-        }
-        assert_eq!(health_warning_lines(), "", "healthy runs stay silent");
-
-        counter("runner.failures.panic", Class::Deterministic).add(2);
-        counter("store.errors", Class::Deterministic).add(3);
-        counter("checkpoint.errors", Class::Deterministic).inc();
-        counter("runner.backoff.slept_us", Class::Deterministic).add(1_500);
-        counter("journal.errors", Class::Deterministic).add(4);
-        let warnings = health_warning_lines();
-        for name in names {
-            counter(name, Class::Deterministic).reset();
-        }
+        use eureka_obs::metrics::Class;
+        let metrics = Runner::serial().metrics().clone();
+        assert_eq!(
+            health_warning_lines(&metrics),
+            "",
+            "healthy runs stay silent"
+        );
+        let c = |name| metrics.counter(name, Class::Deterministic);
+        c("runner.failures.panic").add(2);
+        c("store.errors").add(3);
+        c("checkpoint.errors").inc();
+        c("runner.backoff.slept_us").add(1_500);
+        let warnings = health_warning_lines(&metrics);
         assert!(warnings.contains("unit failures  : 2 panic"), "{warnings}");
         assert!(warnings.contains("store errors   : 3"), "{warnings}");
         assert!(warnings.contains("ckpt errors    : 1"), "{warnings}");
@@ -2618,6 +2600,5 @@ mod tests {
             warnings.contains("backoff        : 1500 us slept"),
             "{warnings}"
         );
-        assert!(warnings.contains("journal errors : 4"), "{warnings}");
     }
 }

@@ -53,7 +53,8 @@ pub struct ServeOpts {
 #[cfg(unix)]
 mod imp {
     use super::ServeOpts;
-    use eureka_sim::service::{self, respond, service_stats, ServiceConfig};
+    use eureka_obs::metrics::Registry;
+    use eureka_sim::service::{self, respond, ServiceConfig};
     use eureka_sim::{JobService, JobSpec, SimConfig};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -99,9 +100,8 @@ mod imp {
         // drain needs no extra flush.
         let drained = service.drain();
         export_observability(opts, &service, &mut dumped);
-        service.shutdown();
         std::fs::remove_file(socket).ok();
-        let stats = service_stats();
+        let stats = service.stats();
         let mut out = format!(
             "serve: {}; served={} completed={} shed={} cancelled={} \
              deadline_exceeded={} failed={} recovered={}\n",
@@ -119,13 +119,14 @@ mod imp {
             stats.recovered,
         );
         if let Some(budget) = opts.sla_budget_us {
-            let sla = service::sla_report(budget, started.elapsed());
+            let sla = service::sla_report(&service, budget, started.elapsed());
             out.push_str(&format!(
                 "sla: budget={}us p99_e2e={}us jobs_per_sec={:.2} shed_rate={:.3} saturated={}\n",
                 sla.budget_us, sla.p99_e2e_us, sla.jobs_per_sec, sla.shed_rate, sla.saturated
             ));
-            append_sla_ledger(opts, sla, started)?;
+            append_sla_ledger(opts, sla, started, service.metrics())?;
         }
+        service.shutdown();
         Ok(out)
     }
 
@@ -165,7 +166,7 @@ mod imp {
     /// job is serving, not exporting.
     fn export_observability(opts: &ServeOpts, service: &JobService, dumped: &mut u64) {
         if let Some(path) = &opts.metrics_out {
-            let text = eureka_obs::metrics::prometheus_text();
+            let text = service.metrics().prometheus_text();
             if eureka_obs::atomic::write_atomic(Path::new(path), text.as_bytes()).is_err() {
                 eureka_obs::info!("serve: cannot write metrics to {path}");
             }
@@ -180,12 +181,14 @@ mod imp {
     }
 
     /// Appends the exit-time SLA record (kind `serve`) to the run
-    /// ledger, so `bench diff` can gate p99/throughput/shed-rate
-    /// regressions between service runs.
+    /// ledger, with the digest of the service's `metrics`, so `bench
+    /// diff` can gate p99/throughput/shed-rate regressions between
+    /// service runs.
     fn append_sla_ledger(
         opts: &ServeOpts,
         sla: eureka_sim::SlaReport,
         started: Instant,
+        metrics: &Registry,
     ) -> Result<(), String> {
         let Some(dir) = crate::resolve_ledger_dir(opts.ledger_dir.as_deref(), opts.no_ledger)
         else {
@@ -204,9 +207,7 @@ mod imp {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             // A service process emits no run events.
             events: 0,
-            metrics_digest: eureka_sim::ledger::metrics_digest(
-                &eureka_obs::metrics::snapshot_json(false),
-            ),
+            metrics_digest: eureka_sim::ledger::metrics_digest(&metrics.snapshot_json(false)),
             sla: Some(sla),
         };
         let path = eureka_sim::ledger::append(&dir, &record)?;

@@ -6,18 +6,9 @@
 use eureka_cli::{parse, run};
 use eureka_obs::json::{self, Value};
 use eureka_sim::Runner;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// The metrics registry and the tile store's hot tier are process-wide,
-/// so the tests in this file take turns.
-fn turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 #[test]
 fn jobs_flag_does_not_outlive_its_command() {
-    let _turn = turn();
     let all_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Any count but the host's own, so a leaked value would show.
     let jobs = (all_cores + 2).to_string();
@@ -44,7 +35,6 @@ fn jobs_flag_does_not_outlive_its_command() {
 
 #[test]
 fn warm_store_dir_run_replays_every_unit_including_the_dense_baseline() {
-    let _turn = turn();
     let dir = std::env::temp_dir().join(format!("eureka-run-opts-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("store");
@@ -82,9 +72,8 @@ fn warm_store_dir_run_replays_every_unit_including_the_dense_baseline() {
     assert!(cold.contains("speedup vs Dense"), "{cold}");
     assert!(counters()("runner.units_executed") > 0);
 
-    // Zero the counters; the warm run builds a runner of its own, so it
+    // The warm run builds a runner, and a registry, of its own, so it
     // can only replay from the store directory.
-    eureka_sim::runner::cache_reset();
     let warm = run(&parse(args).unwrap()).unwrap();
     assert_eq!(cold, warm, "a warm run must be bit-identical");
     let warm_counters = counters();

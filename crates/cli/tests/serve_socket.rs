@@ -215,7 +215,7 @@ fn back_to_back_submits_all_complete_and_leave_no_pending_journal() {
     assert!(drained.contains(r#""drained":true"#), "{drained}");
     let journal = Journal::new(dir.0.join("eureka-journal"));
     assert!(
-        journal.recover().is_empty(),
+        journal.recover().0.is_empty(),
         "a drained daemon leaves nothing to replay"
     );
     assert_eq!(journal.entry_count(), 20, "one journal entry per spec");

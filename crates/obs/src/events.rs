@@ -34,6 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::json;
+use crate::metrics::Registry;
 use crate::progress::{Mode, Reporter};
 
 /// Schema identifier stamped on every line.
@@ -213,12 +214,13 @@ impl Drop for Sink {
 
 impl Events {
     /// A sink writing JSONL to `writer` (if any) and feeding the
-    /// progress reporter when `progress` resolves on. Off — emitting
-    /// and counting nothing — when it has neither consumer. The
-    /// `t_us` clock starts now.
+    /// progress reporter when `progress` resolves on; the progress line
+    /// reads the tile-store hit rate from `metrics`, the run's registry.
+    /// Off — emitting and counting nothing — when it has neither
+    /// consumer. The `t_us` clock starts now.
     #[must_use]
-    pub fn new(writer: Option<Box<dyn Write + Send>>, progress: Mode) -> Self {
-        let progress = progress.is_on().then(Reporter::new);
+    pub fn new(writer: Option<Box<dyn Write + Send>>, progress: Mode, metrics: &Registry) -> Self {
+        let progress = progress.is_on().then(|| Reporter::new(metrics.clone()));
         if writer.is_none() && progress.is_none() {
             return Events::default();
         }
@@ -354,7 +356,10 @@ mod tests {
 
     #[test]
     fn off_handle_emits_nothing() {
-        for events in [Events::default(), Events::new(None, Mode::Off)] {
+        for events in [
+            Events::default(),
+            Events::new(None, Mode::Off, &Registry::new()),
+        ] {
             events.emit(|| unreachable!("an off handle builds no event"));
             assert_eq!(events.count(), 0);
         }
@@ -366,6 +371,7 @@ mod tests {
         let events = Events::new(
             Some(Box::new(std::io::BufWriter::new(sink.clone()))),
             Mode::Off,
+            &Registry::new(),
         );
         let clone = events.clone();
         events.emit(|| Event::new("run-started").wall_u64("jobs", 2));
@@ -404,7 +410,7 @@ mod tests {
 
     #[test]
     fn progress_alone_turns_the_sink_on_and_counts() {
-        let events = Events::new(None, Mode::On);
+        let events = Events::new(None, Mode::On, &Registry::new());
         events.emit(|| Event::new("run-started"));
         assert_eq!(events.count(), 1);
     }
@@ -453,7 +459,7 @@ mod tests {
                 Ok(())
             }
         }
-        let events = Events::new(Some(Box::new(Broken)), Mode::Off);
+        let events = Events::new(Some(Box::new(Broken)), Mode::Off, &Registry::new());
         events.emit(|| Event::new("run-started"));
         events.emit(|| {
             Event::new("run-finished")

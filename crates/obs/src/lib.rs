@@ -10,9 +10,9 @@
 //!    exporter flushes. Disabled by default: a disabled [`span!`] costs
 //!    one relaxed atomic load and never formats its detail string, so
 //!    instrumented code pays ~nothing until tracing is switched on.
-//! 2. **Metrics** ([`metrics`]) — a process-wide registry of named
-//!    monotonic counters, gauges and fixed-bucket histograms, with a
-//!    deterministic JSON snapshot. Metrics are tagged at registration as
+//! 2. **Metrics** ([`metrics`]) — registries of named monotonic
+//!    counters, gauges and fixed-bucket histograms, each owned by the run
+//!    that counts into it, with a deterministic JSON snapshot. Metrics are tagged at registration as
 //!    [`metrics::Class::Deterministic`] (counts and cycle-derived values,
 //!    byte-identical across reruns) or [`metrics::Class::Timing`]
 //!    (wall-clock derived, excluded from the deterministic snapshot by
@@ -39,15 +39,18 @@
 //! ```
 //! use eureka_obs as obs;
 //!
+//! let metrics = obs::metrics::Registry::new();
 //! obs::span::set_enabled(true);
 //! {
 //!     let _span = obs::span!("demo.work", "item {}", 7);
-//!     obs::metrics::counter("demo.items", obs::metrics::Class::Deterministic).inc();
+//!     metrics
+//!         .counter("demo.items", obs::metrics::Class::Deterministic)
+//!         .inc();
 //! }
 //! obs::span::set_enabled(false);
 //! let trace = obs::chrome::export_trace_json();
 //! assert!(trace.contains("demo.work"));
-//! let snapshot = obs::metrics::snapshot_json(true);
+//! let snapshot = metrics.snapshot_json(true);
 //! assert!(snapshot.contains("demo.items"));
 //! ```
 

@@ -1,9 +1,12 @@
-//! Process-wide metrics registry: named counters, gauges and
-//! fixed-bucket histograms.
+//! Metrics registries: named counters, gauges and fixed-bucket
+//! histograms.
 //!
-//! Metrics are registered on first use ([`counter`], [`gauge`],
-//! [`histogram`]) and live for the whole process; handles are
-//! `&'static`, so hot paths update plain atomics. Every metric carries a
+//! A [`Registry`] belongs to whoever builds it: a runner builds one, and
+//! its clones and the job service over it register into that one, so two
+//! runs in one process never read each other's counts. Metrics are
+//! registered on first use ([`Registry::counter`], [`Registry::gauge`],
+//! [`Registry::histogram`]) and live as long as the registry; handles
+//! are `Arc`s, so hot paths update plain atomics. Every metric carries a
 //! [`Class`]:
 //!
 //! * [`Class::Deterministic`] — counts and cycle-derived values that are
@@ -15,14 +18,14 @@
 //!   utilization); excluded from the deterministic snapshot **by
 //!   design** so `snapshot_json(false)` can be diffed across runs.
 //!
-//! [`snapshot_json`] serializes the registry as deterministic JSON
-//! (names sorted, no timestamps); [`human_summary`] renders the same
-//! data for terminal output under `-v`.
+//! [`Registry::snapshot_json`] serializes a registry as deterministic
+//! JSON (names sorted, no timestamps); [`Registry::human_summary`]
+//! renders the same data for terminal output under `-v`.
 
 use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Determinism class of a metric (fixed at registration).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +37,7 @@ pub enum Class {
 }
 
 /// A monotonic counter.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
 }
@@ -55,15 +58,10 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-value-wins gauge holding an `f64`.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Gauge {
     bits: AtomicU64,
 }
@@ -79,11 +77,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.set(0.0);
-    }
 }
 
 /// Default bucket bounds (microseconds) for time histograms; values
@@ -94,6 +87,7 @@ pub const TIME_BUCKETS_US: &[u64] = &[
 
 /// A fixed-bucket histogram over `u64` samples, tracking per-bucket
 /// counts plus count/sum/min/max.
+#[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
     buckets: Box<[AtomicU64]>,
@@ -207,17 +201,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Resets every bucket and summary statistic.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// Folds `other`'s samples into `self`: bucket counts, count and sum
     /// add; min/max take the extremes. Because bucketing loses nothing a
     /// merge can recover, the result is indistinguishable from having
@@ -274,157 +257,211 @@ impl Histogram {
     }
 }
 
+#[derive(Clone, Debug)]
 enum Metric {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+    Histogram(Arc<Histogram>),
 }
 
+#[derive(Debug)]
 struct Entry {
     class: Class,
     metric: Metric,
 }
 
-fn registry() -> MutexGuard<'static, BTreeMap<&'static str, Entry>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Entry>>> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// A set of named metrics. Cloning shares it: every clone registers
+/// into, and reads, the same metrics.
+#[derive(Clone, Debug, Default)]
+pub struct Registry(Arc<Mutex<BTreeMap<String, Entry>>>);
 
-/// Gets or registers the counter `name`. The class is fixed by the first
-/// registration.
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric type.
-pub fn counter(name: &'static str, class: Class) -> &'static Counter {
-    let mut reg = registry();
-    let entry = reg.entry(name).or_insert_with(|| Entry {
-        class,
-        metric: Metric::Counter(Box::leak(Box::default())),
-    });
-    match entry.metric {
-        Metric::Counter(c) => c,
-        _ => panic!("metric '{name}' is not a counter"),
+impl Registry {
+    /// An empty registry.
+    #[must_use]
+    pub fn new() -> Self {
+        Registry::default()
+    }
+
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<String, Entry>> {
+        // Every update under the lock is one map insert, so a poisoned
+        // lock still guards a valid map.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The metric named `name`, registered by `make` with `class` if it
+    /// is not there yet. The class is fixed by the first registration.
+    fn register(&self, name: &str, class: Class, make: impl FnOnce() -> Metric) -> Metric {
+        let mut entries = self.entries();
+        if let Some(entry) = entries.get(name) {
+            return entry.metric.clone();
+        }
+        let metric = make();
+        entries.insert(
+            name.to_string(),
+            Entry {
+                class,
+                metric: metric.clone(),
+            },
+        );
+        metric
+    }
+
+    /// Gets or registers the counter `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric type.
+    #[must_use]
+    pub fn counter(&self, name: &str, class: Class) -> Arc<Counter> {
+        match self.register(name, class, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => panic!("metric '{name}' is not a counter"),
+        }
+    }
+
+    /// Gets or registers the gauge `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric type.
+    #[must_use]
+    pub fn gauge(&self, name: &str, class: Class) -> Arc<Gauge> {
+        match self.register(name, class, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => panic!("metric '{name}' is not a gauge"),
+        }
+    }
+
+    /// Gets or registers the histogram `name` with the given bucket
+    /// bounds (used only on first registration).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric
+    /// type, or if `bounds` is not strictly increasing.
+    #[must_use]
+    pub fn histogram(&self, name: &str, class: Class, bounds: &'static [u64]) -> Arc<Histogram> {
+        match self.register(name, class, || {
+            Metric::Histogram(Arc::new(Histogram::new(bounds)))
+        }) {
+            Metric::Histogram(h) => h,
+            _ => panic!("metric '{name}' is not a histogram"),
+        }
+    }
+
+    /// Reads the current value of a counter *without registering it*:
+    /// `None` if `name` has never been registered (or is not a counter).
+    /// Passive consumers like the progress reporter use this so that
+    /// observing a metric can never change the set of registered names —
+    /// and therefore can never change a metrics snapshot.
+    #[must_use]
+    pub fn counter_value(&self, name: &str) -> Option<u64> {
+        match &self.entries().get(name)?.metric {
+            Metric::Counter(c) => Some(c.get()),
+            _ => None,
+        }
+    }
+
+    /// Serializes the registry as deterministic JSON: metric names
+    /// sorted, grouped by type. With `include_timing == false`,
+    /// [`Class::Timing`] metrics are omitted entirely, so the result is
+    /// byte-identical across reruns of the same (deterministic) work.
+    #[must_use]
+    pub fn snapshot_json(&self, include_timing: bool) -> String {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        let mut histograms = Vec::new();
+        for (name, entry) in self.entries().iter() {
+            if !include_timing && entry.class == Class::Timing {
+                continue;
+            }
+            let key = format!("\"{}\"", json::escape(name));
+            match &entry.metric {
+                Metric::Counter(c) => counters.push(format!("{key}:{}", c.get())),
+                Metric::Gauge(g) => gauges.push(format!("{key}:{}", json::fmt_f64(g.get()))),
+                Metric::Histogram(h) => histograms.push(format!("{key}:{}", h.to_json())),
+            }
+        }
+        format!(
+            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
+            counters.join(","),
+            gauges.join(","),
+            histograms.join(",")
+        )
+    }
+
+    /// Renders the registry as an indented, human-readable summary (for
+    /// the CLI's `-v` output).
+    #[must_use]
+    pub fn human_summary(&self) -> String {
+        let mut out = String::from("telemetry summary:\n");
+        for (name, entry) in self.entries().iter() {
+            match &entry.metric {
+                Metric::Counter(c) => out.push_str(&format!("  {name:<28} {}\n", c.get())),
+                Metric::Gauge(g) => out.push_str(&format!("  {name:<28} {:.4}\n", g.get())),
+                Metric::Histogram(h) => out.push_str(&format!(
+                    "  {name:<28} n={} sum={} min={} max={} p50={} p90={} p99={}\n",
+                    h.count(),
+                    h.sum(),
+                    h.min(),
+                    h.max(),
+                    h.p50(),
+                    h.p90(),
+                    h.p99()
+                )),
+            }
+        }
+        out
+    }
+
+    /// Renders the whole registry (both classes) in the Prometheus text
+    /// exposition format, version 0.0.4: one `# TYPE` line per family,
+    /// then its samples. Counters and gauges are one sample each;
+    /// histograms expose cumulative `_bucket{le="..."}` samples (ending
+    /// at `le="+Inf"`), `_sum`, and `_count`. Families appear in sorted
+    /// name order, so the output is stable given stable metric values.
+    #[must_use]
+    pub fn prometheus_text(&self) -> String {
+        let mut out = String::new();
+        for (name, entry) in self.entries().iter() {
+            let fam = prometheus_name(name);
+            match &entry.metric {
+                Metric::Counter(c) => {
+                    out.push_str(&format!("# TYPE {fam} counter\n{fam} {}\n", c.get()));
+                }
+                Metric::Gauge(g) => {
+                    out.push_str(&format!(
+                        "# TYPE {fam} gauge\n{fam} {}\n",
+                        prometheus_f64(g.get())
+                    ));
+                }
+                Metric::Histogram(h) => {
+                    out.push_str(&format!("# TYPE {fam} histogram\n"));
+                    let mut cumulative = 0u64;
+                    for (i, b) in h.buckets.iter().enumerate() {
+                        cumulative += b.load(Ordering::Relaxed);
+                        let le = h
+                            .bounds
+                            .get(i)
+                            .map_or_else(|| "+Inf".to_string(), u64::to_string);
+                        out.push_str(&format!("{fam}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+                    }
+                    out.push_str(&format!("{fam}_sum {}\n", h.sum()));
+                    out.push_str(&format!("{fam}_count {}\n", h.count()));
+                }
+            }
+        }
+        out
     }
 }
 
-/// Gets or registers the gauge `name`.
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric type.
-pub fn gauge(name: &'static str, class: Class) -> &'static Gauge {
-    let mut reg = registry();
-    let entry = reg.entry(name).or_insert_with(|| Entry {
-        class,
-        metric: Metric::Gauge(Box::leak(Box::default())),
-    });
-    match entry.metric {
-        Metric::Gauge(g) => g,
-        _ => panic!("metric '{name}' is not a gauge"),
-    }
-}
-
-/// Gets or registers the histogram `name` with the given bucket bounds
-/// (used only on first registration).
-///
-/// # Panics
-///
-/// Panics if `name` is already registered as a different metric type, or
-/// if `bounds` is not strictly increasing.
-pub fn histogram(name: &'static str, class: Class, bounds: &'static [u64]) -> &'static Histogram {
-    let mut reg = registry();
-    let entry = reg.entry(name).or_insert_with(|| Entry {
-        class,
-        metric: Metric::Histogram(Box::leak(Box::new(Histogram::new(bounds)))),
-    });
-    match entry.metric {
-        Metric::Histogram(h) => h,
-        _ => panic!("metric '{name}' is not a histogram"),
-    }
-}
-
-/// Reads the current value of a counter *without registering it*:
-/// `None` if `name` has never been registered (or is not a counter).
-/// Passive consumers like the progress reporter use this so that
-/// observing a metric can never change the set of registered names —
-/// and therefore can never change a metrics snapshot.
+/// The Prometheus text of an empty registry. Metrics live in the
+/// registry of the runner or service that counts them: render that one
+/// with [`Registry::prometheus_text`]. Kept so existing callers of the
+/// free function still build.
 #[must_use]
-pub fn counter_value(name: &str) -> Option<u64> {
-    match registry().get(name)?.metric {
-        Metric::Counter(c) => Some(c.get()),
-        _ => None,
-    }
-}
-
-/// Resets every registered metric to its zero state (registrations and
-/// classes persist).
-pub fn reset() {
-    for entry in registry().values() {
-        match entry.metric {
-            Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
-            Metric::Histogram(h) => h.reset(),
-        }
-    }
-}
-
-/// Serializes the registry as deterministic JSON: metric names sorted,
-/// grouped by type. With `include_timing == false`, [`Class::Timing`]
-/// metrics are omitted entirely, so the result is byte-identical across
-/// reruns of the same (deterministic) work.
-#[must_use]
-pub fn snapshot_json(include_timing: bool) -> String {
-    let reg = registry();
-    let keep = |e: &&Entry| include_timing || e.class == Class::Deterministic;
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
-    for (name, entry) in reg.iter() {
-        if !keep(&entry) {
-            continue;
-        }
-        let key = format!("\"{}\"", json::escape(name));
-        match entry.metric {
-            Metric::Counter(c) => counters.push(format!("{key}:{}", c.get())),
-            Metric::Gauge(g) => gauges.push(format!("{key}:{}", json::fmt_f64(g.get()))),
-            Metric::Histogram(h) => histograms.push(format!("{key}:{}", h.to_json())),
-        }
-    }
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(",")
-    )
-}
-
-/// Renders the registry as an indented, human-readable summary (for the
-/// CLI's `-v` output).
-#[must_use]
-pub fn human_summary() -> String {
-    let reg = registry();
-    let mut out = String::from("telemetry summary:\n");
-    for (name, entry) in reg.iter() {
-        match entry.metric {
-            Metric::Counter(c) => out.push_str(&format!("  {name:<28} {}\n", c.get())),
-            Metric::Gauge(g) => out.push_str(&format!("  {name:<28} {:.4}\n", g.get())),
-            Metric::Histogram(h) => out.push_str(&format!(
-                "  {name:<28} n={} sum={} min={} max={} p50={} p90={} p99={}\n",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.p50(),
-                h.p90(),
-                h.p99()
-            )),
-        }
-    }
-    out
+pub fn prometheus_text() -> String {
+    Registry::new().prometheus_text()
 }
 
 /// A metric name as a Prometheus metric family name: every character
@@ -456,77 +493,36 @@ fn prometheus_f64(v: f64) -> String {
     }
 }
 
-/// Renders the whole registry (both classes) in the Prometheus text
-/// exposition format, version 0.0.4: one `# TYPE` line per family, then
-/// its samples. Counters and gauges are one sample each; histograms
-/// expose cumulative `_bucket{le="..."}` samples (ending at `le="+Inf"`),
-/// `_sum`, and `_count`. Families appear in sorted name order, so the
-/// output is stable given stable metric values.
-#[must_use]
-pub fn prometheus_text() -> String {
-    let reg = registry();
-    let mut out = String::new();
-    for (name, entry) in reg.iter() {
-        let fam = prometheus_name(name);
-        match entry.metric {
-            Metric::Counter(c) => {
-                out.push_str(&format!("# TYPE {fam} counter\n{fam} {}\n", c.get()));
-            }
-            Metric::Gauge(g) => {
-                out.push_str(&format!(
-                    "# TYPE {fam} gauge\n{fam} {}\n",
-                    prometheus_f64(g.get())
-                ));
-            }
-            Metric::Histogram(h) => {
-                out.push_str(&format!("# TYPE {fam} histogram\n"));
-                let mut cumulative = 0u64;
-                for (i, b) in h.buckets.iter().enumerate() {
-                    cumulative += b.load(Ordering::Relaxed);
-                    let le = h
-                        .bounds
-                        .get(i)
-                        .map_or_else(|| "+Inf".to_string(), u64::to_string);
-                    out.push_str(&format!("{fam}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                }
-                out.push_str(&format!("{fam}_sum {}\n", h.sum()));
-                out.push_str(&format!("{fam}_count {}\n", h.count()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
-        let c = counter("test.counter", Class::Deterministic);
-        c.reset();
+    fn counters_accumulate_and_reregistration_returns_the_same_cell() {
+        let reg = Registry::new();
+        let c = reg.counter("test.counter", Class::Deterministic);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        // Re-registration returns the same cell.
-        assert_eq!(counter("test.counter", Class::Deterministic).get(), 0);
+        assert_eq!(reg.counter("test.counter", Class::Deterministic).get(), 5);
+        // A registry's clone shares its metrics; another registry does not.
+        assert_eq!(reg.clone().counter_value("test.counter"), Some(5));
+        assert_eq!(Registry::new().counter_value("test.counter"), None);
     }
 
     #[test]
     fn gauges_hold_last_value() {
-        let g = gauge("test.gauge", Class::Timing);
+        let g = Registry::new().gauge("test.gauge", Class::Timing);
         g.set(0.75);
         assert!((g.get() - 0.75).abs() < 1e-12);
-        g.reset();
-        assert_eq!(g.get(), 0.0);
+        g.set(0.25);
+        assert!((g.get() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn histograms_bucket_and_summarize() {
-        let h = histogram("test.hist", Class::Timing, &[10, 100]);
-        h.reset();
+        let h = Registry::new().histogram("test.hist", Class::Timing, &[10, 100]);
+        assert_eq!((h.min(), h.max()), (0, 0), "empty extremes read 0");
         h.record(5);
         h.record(50);
         h.record(500);
@@ -545,9 +541,6 @@ mod tests {
             )),
             "snapshot exports quantiles: {json}"
         );
-        h.reset();
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
     }
 
     #[test]
@@ -597,35 +590,40 @@ mod tests {
 
     #[test]
     fn snapshot_sorts_names_and_filters_timing() {
-        counter("test.z_det", Class::Deterministic).reset();
-        counter("test.a_det", Class::Deterministic).reset();
-        gauge("test.timing_gauge", Class::Timing).set(1.0);
-        let full = snapshot_json(true);
-        let det = snapshot_json(false);
+        let reg = Registry::new();
+        reg.counter("test.z_det", Class::Deterministic).inc();
+        reg.counter("test.a_det", Class::Deterministic).inc();
+        reg.gauge("test.timing_gauge", Class::Timing).set(1.0);
+        let full = reg.snapshot_json(true);
+        let det = reg.snapshot_json(false);
         assert!(full.contains("test.timing_gauge"));
         assert!(!det.contains("test.timing_gauge"));
         let a = det.find("test.a_det").expect("a present");
         let z = det.find("test.z_det").expect("z present");
         assert!(a < z, "names sorted");
-        assert!(det.starts_with('{') && det.ends_with('}'));
+        assert_eq!(
+            det,
+            "{\"counters\":{\"test.a_det\":1,\"test.z_det\":1},\"gauges\":{},\"histograms\":{}}"
+        );
     }
 
     #[test]
     fn counter_value_reads_without_registering() {
-        assert_eq!(counter_value("test.never_registered"), None);
-        counter("test.cv", Class::Deterministic).reset();
-        counter("test.cv", Class::Deterministic).add(3);
-        assert_eq!(counter_value("test.cv"), Some(3));
-        gauge("test.cv_gauge", Class::Timing).set(1.0);
-        assert_eq!(counter_value("test.cv_gauge"), None);
+        let reg = Registry::new();
+        assert_eq!(reg.counter_value("test.never_registered"), None);
+        reg.counter("test.cv", Class::Deterministic).add(3);
+        assert_eq!(reg.counter_value("test.cv"), Some(3));
+        reg.gauge("test.cv_gauge", Class::Timing).set(1.0);
+        assert_eq!(reg.counter_value("test.cv_gauge"), None);
         // The failed lookup above must not have registered the name.
-        assert!(!snapshot_json(true).contains("test.never_registered"));
+        assert!(!reg.snapshot_json(true).contains("test.never_registered"));
     }
 
     #[test]
     fn human_summary_lists_metrics() {
-        counter("test.summary", Class::Deterministic).add(2);
-        let s = human_summary();
+        let reg = Registry::new();
+        reg.counter("test.summary", Class::Deterministic).add(2);
+        let s = reg.human_summary();
         assert!(s.starts_with("telemetry summary:"));
         assert!(s.contains("test.summary"));
     }
@@ -633,8 +631,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "is not a gauge")]
     fn type_mismatch_panics() {
-        counter("test.mismatch", Class::Deterministic);
-        gauge("test.mismatch", Class::Deterministic);
+        let reg = Registry::new();
+        let _ = reg.counter("test.mismatch", Class::Deterministic);
+        let _ = reg.gauge("test.mismatch", Class::Deterministic);
     }
 
     #[test]
@@ -759,15 +758,15 @@ mod tests {
 
     #[test]
     fn prometheus_text_exposes_counters_gauges_and_histograms() {
-        counter("test.prom_counter", Class::Deterministic).reset();
-        counter("test.prom_counter", Class::Deterministic).add(7);
-        gauge("test.prom_gauge", Class::Timing).set(0.5);
-        let h = histogram("test.prom_hist", Class::Timing, &[10, 100]);
-        h.reset();
+        let reg = Registry::new();
+        reg.counter("test.prom_counter", Class::Deterministic)
+            .add(7);
+        reg.gauge("test.prom_gauge", Class::Timing).set(0.5);
+        let h = reg.histogram("test.prom_hist", Class::Timing, &[10, 100]);
         h.record(5);
         h.record(50);
         h.record(5_000);
-        let text = prometheus_text();
+        let text = reg.prometheus_text();
         assert!(
             text.contains("# TYPE eureka_test_prom_counter counter\neureka_test_prom_counter 7\n")
         );
@@ -782,6 +781,11 @@ mod tests {
         assert!(text.contains("eureka_test_prom_hist_sum 5055\n"));
         assert!(text.contains("eureka_test_prom_hist_count 3\n"));
         assert!(text.ends_with('\n'));
+        assert_eq!(
+            prometheus_text(),
+            "",
+            "the free function renders no registry"
+        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! A passive consumer of one [`crate::events::Events`] handle: it keeps
 //! a small tally of planned/started/finished units, retries and
 //! failures, and redraws a single `\r`-rewritten stderr line at most
-//! every ~100 ms. It writes **only to stderr** and reads metrics
-//! exclusively through [`crate::metrics::counter_value`] (which never
-//! registers names), so enabling it cannot change a report, a metrics
-//! snapshot, or any cache/store counter — the zero-impact contract
+//! every ~100 ms. It writes **only to stderr** and reads the run's
+//! metrics registry exclusively through
+//! [`crate::metrics::Registry::counter_value`] (which never registers
+//! names), so enabling it cannot change a report, a metrics snapshot,
+//! or any cache/store counter — the zero-impact contract
 //! `tests/events.rs` enforces.
 //!
 //! Activation follows the CLI convention: [`Mode::Auto`] turns the
@@ -20,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::events::{Event, FieldValue};
-use crate::metrics;
+use crate::metrics::Registry;
 
 /// Reporter activation policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,19 +91,25 @@ impl State {
     }
 }
 
-/// One run's progress line: the tally behind it and its redraw
-/// throttle.
-pub(crate) struct Reporter(Mutex<State>);
+/// One run's progress line: the tally behind it, its redraw throttle,
+/// and the registry whose tile-store counters it shows.
+pub(crate) struct Reporter {
+    state: Mutex<State>,
+    metrics: Registry,
+}
 
 impl Reporter {
-    pub(crate) fn new() -> Self {
-        Reporter(Mutex::new(State::new()))
+    pub(crate) fn new(metrics: Registry) -> Self {
+        Reporter {
+            state: Mutex::new(State::new()),
+            metrics,
+        }
     }
 
     fn state(&self) -> MutexGuard<'_, State> {
         // Every update leaves the tally valid, so a poisoned lock still
         // holds a usable one.
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ends the progress line: if anything was drawn, redraws the final
@@ -111,7 +118,7 @@ impl Reporter {
     pub(crate) fn finish(&self) {
         let mut st = self.state();
         if st.rendered {
-            render(&mut st, true);
+            render(&mut st, true, &self.metrics);
             let _ = writeln!(std::io::stderr());
             st.rendered = false;
             st.last_len = 0;
@@ -146,13 +153,13 @@ impl Reporter {
             .last_render
             .is_none_or(|t| t.elapsed() >= RENDER_INTERVAL);
         if force || (due && st.planned > 0) {
-            render(&mut st, force);
+            render(&mut st, force, &self.metrics);
         }
     }
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn render(st: &mut State, force: bool) {
+fn render(st: &mut State, force: bool, metrics: &Registry) {
     let done = st.finished + st.failures;
     let pct = (done * 100).checked_div(st.planned).unwrap_or(0);
     let elapsed = st.run_start.elapsed().as_secs_f64().max(1e-9);
@@ -169,8 +176,8 @@ fn render(st: &mut State, force: bool) {
     // Tile-store hit rate via the non-registering read: observing it
     // must never add names to the registry.
     let store = match (
-        metrics::counter_value("store.hits"),
-        metrics::counter_value("store.lookups"),
+        metrics.counter_value("store.hits"),
+        metrics.counter_value("store.lookups"),
     ) {
         (Some(h), Some(l)) if l > 0 => format!("{}%", h * 100 / l),
         _ => "-".to_string(),
@@ -215,7 +222,7 @@ mod tests {
 
     #[test]
     fn observe_tallies_unit_lifecycle() {
-        let reporter = Reporter::new();
+        let reporter = Reporter::new(Registry::new());
         reporter.observe(&Event::new("run-started"));
         for unit in 0..3u64 {
             reporter.observe(&planned(unit));
@@ -255,7 +262,7 @@ mod tests {
 
     #[test]
     fn run_started_resets_the_tally() {
-        let reporter = Reporter::new();
+        let reporter = Reporter::new(Registry::new());
         reporter.observe(&planned(0));
         reporter.observe(&Event::new("run-started"));
         assert_eq!(reporter.state().planned, 0);

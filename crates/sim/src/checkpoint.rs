@@ -37,13 +37,18 @@
 //! SIGKILL once its write returns. Failed units are never recorded. An
 //! append that finds the log ending inside a line (a write torn by a
 //! kill) first writes `\n\n`, which ends the torn line and keeps the torn
-//! record from ever parsing as whole. Each damaged record ticks
-//! `checkpoint.errors` on load and costs exactly its unit's
-//! recomputation; a record only ever replays under its full key.
+//! record from ever parsing as whole. Appends hold an exclusive advisory
+//! lock on the log and loads a shared one, so neither that check nor a
+//! load ever sees another runner's record half-written. Every line that starts with
+//! `eureka-checkpoint ` begins a record, whatever its version, so a
+//! record written under another version is one damaged record and the
+//! records on either side of it still load. The runner counts each
+//! damaged record as a `checkpoint.errors` tick on load; it costs
+//! exactly its unit's recomputation, and a record only ever replays
+//! under its full key.
 
 use crate::report::{LayerReport, OpCounts};
 use crate::runner::UnitKey;
-use eureka_obs::metrics::{self, Class};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
@@ -61,6 +66,10 @@ const MAX_FILE_BYTES: u64 = 1 << 30;
 /// (v2 added `bubble_cycles` as the ninth field; v1 records are
 /// recomputed.)
 const HEADER: &str = "eureka-checkpoint v2";
+
+/// What every record's first line starts with, in any version: the
+/// record boundary.
+const BOUNDARY: &str = "eureka-checkpoint ";
 
 /// The append log's file name inside the store directory.
 const LOG: &str = "records.units";
@@ -195,11 +204,7 @@ pub fn load(dir: &Path) -> (HashMap<String, LayerReport>, u64) {
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "units"))
     {
-        let bytes = std::fs::metadata(&path)
-            .ok()
-            .filter(|m| m.len() <= MAX_FILE_BYTES)
-            .and_then(|_| std::fs::read(&path).ok());
-        let Some(bytes) = bytes else {
+        let Some(bytes) = read_log(&path) else {
             damaged += 1;
             continue;
         };
@@ -213,25 +218,41 @@ pub fn load(dir: &Path) -> (HashMap<String, LayerReport>, u64) {
     (records, damaged)
 }
 
+/// The bytes of the `*.units` file at `path`, read under a shared lock so
+/// that no append is half-way through; `None` when it cannot be read or
+/// is larger than [`MAX_FILE_BYTES`].
+fn read_log(path: &Path) -> Option<Vec<u8>> {
+    let mut file = File::open(path).ok()?;
+    file.lock_shared().ok()?;
+    let len = file.metadata().ok()?.len();
+    if len > MAX_FILE_BYTES {
+        return None;
+    }
+    let mut bytes = Vec::with_capacity(usize::try_from(len).ok()?);
+    file.read_to_end(&mut bytes).ok()?;
+    Some(bytes)
+}
+
 /// Parses one file's text into `records`, returning the number of
-/// damaged records. A record runs from its header line to the next one,
-/// so damage stays inside the record it hit. A well-formed record ends
-/// where the next header starts, so the text is read once; only damage
-/// makes the parser search for the next header line.
+/// damaged records (none in an empty file, such as a log created by an
+/// append that has not written yet). A record runs from its boundary line (one starting
+/// with [`BOUNDARY`], in any version) to the next one, so damage stays
+/// inside the record it hit. A well-formed record ends where the next
+/// boundary starts, so the text is read once; only damage makes the
+/// parser search for the next boundary line.
 fn parse_records(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 {
-    let header_line = format!("{HEADER}\n");
-    let next_header = format!("\n{header_line}");
+    let next_boundary = format!("\n{BOUNDARY}");
     // Five lines a well-formed record: size the map once.
     records.reserve(line_count(text) / 5);
     let mut damaged = 0;
     let mut rest = text;
-    loop {
+    while !rest.is_empty() {
         let parsed =
-            parse(rest).filter(|(_, _, after)| after.is_empty() || after.starts_with(&header_line));
+            parse(rest).filter(|(_, _, after)| after.is_empty() || after.starts_with(BOUNDARY));
         let end = match &parsed {
             Some((_, _, after)) => rest.len() - after.len(),
             None => rest
-                .find(&next_header)
+                .find(&next_boundary)
                 .map_or(rest.len(), |newline| newline + 1),
         };
         let record = &rest[..end];
@@ -242,10 +263,8 @@ fn parse_records(text: &str, records: &mut HashMap<String, LayerReport>) -> u64 
             _ => damaged += 1,
         }
         rest = &rest[end..];
-        if rest.is_empty() {
-            return damaged;
-        }
     }
+    damaged
 }
 
 /// Whether a parsed record's text is whole: it ends its last line and
@@ -327,30 +346,32 @@ impl UnitRecords {
     }
 
     /// The directory's record for the canonical key text `key`; `None`
-    /// without a directory. The first call loads the directory, ticking
-    /// `checkpoint.errors` once per damaged record; later calls, through
-    /// any clone of the runner, answer from memory.
-    pub fn stored(&self, key: &str) -> Option<&LayerReport> {
+    /// without a directory. The first call loads the directory and hands
+    /// the number of damaged records to `damaged`; later calls, through
+    /// any clone of the runner, answer from memory and never call it.
+    pub fn stored(&self, key: &str, damaged: impl FnOnce(u64)) -> Option<&LayerReport> {
         let dir = self.dir.as_deref()?;
         self.stored
             .get_or_init(|| {
-                let (records, damaged) = load(dir);
-                metrics::counter("checkpoint.errors", Class::Deterministic).add(damaged);
+                let (records, count) = load(dir);
+                damaged(count);
                 records
             })
             .get(key)
     }
 
     /// Appends the record of `report` under the canonical key text `key`
-    /// to `<dir>/records.units` with one `write`; a no-op without a
-    /// directory.
+    /// to `<dir>/records.units` with one `write`, under the log's
+    /// exclusive lock; a no-op without a directory. Each append first
+    /// checks the log's last byte, so a partial record — a failed write
+    /// of this runner or a killed one of another process — is closed
+    /// off before the next record.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation, open or write failures; callers
-    /// treat them as non-fatal (the result stays in memory). After a
-    /// failed write the handle is reopened, so a partial record is
-    /// closed off before the next one.
+    /// Propagates directory-creation, open, lock or write failures;
+    /// callers treat them as non-fatal (the result stays in memory).
+    /// After a failed write the handle is reopened.
     pub fn append(&self, key: &str, report: &LayerReport) -> io::Result<()> {
         let Some(dir) = &self.dir else {
             return Ok(());
@@ -359,15 +380,16 @@ impl UnitRecords {
         let mut log = lock(&self.log);
         let file = match log.as_mut() {
             Some(file) => file,
-            None => {
-                let (file, torn) = open_log(dir)?;
-                if torn {
-                    record.insert_str(0, "\n\n");
-                }
-                log.insert(file)
-            }
+            None => log.insert(open_log(dir)?),
         };
-        let written = file.write_all(record.as_bytes());
+        file.lock()?;
+        let written = ends_mid_line(file).and_then(|torn| {
+            if torn {
+                record.insert_str(0, "\n\n");
+            }
+            file.write_all(record.as_bytes())
+        });
+        let _ = file.unlock();
         if written.is_err() {
             *log = None;
         }
@@ -375,21 +397,24 @@ impl UnitRecords {
     }
 }
 
-/// Opens `<dir>/records.units` for appending, creating both, and tells
-/// whether the log ends inside a line (a write torn by a kill).
-fn open_log(dir: &Path) -> io::Result<(File, bool)> {
+/// Opens `<dir>/records.units` for appending, creating both.
+fn open_log(dir: &Path) -> io::Result<File> {
     std::fs::create_dir_all(dir)?;
-    let mut file = File::options()
+    File::options()
         .read(true)
         .append(true)
         .create(true)
-        .open(dir.join(LOG))?;
+        .open(dir.join(LOG))
+}
+
+/// Whether the log ends inside a line (a write torn by a kill).
+fn ends_mid_line(file: &mut File) -> io::Result<bool> {
     let mut last = [b'\n'];
     if file.seek(SeekFrom::End(0))? > 0 {
         file.seek(SeekFrom::End(-1))?;
         file.read_exact(&mut last)?;
     }
-    Ok((file, last != [b'\n']))
+    Ok(last != [b'\n'])
 }
 
 #[cfg(test)]
@@ -454,7 +479,11 @@ mod tests {
     fn appends_go_to_one_log_and_a_lookup_creates_nothing() {
         let dir = case_dir("log");
         let tier = UnitRecords::in_dir(&dir);
-        assert_eq!(tier.stored("k"), None, "an absent directory is empty");
+        assert_eq!(
+            tier.stored("k", |_| {}),
+            None,
+            "an absent directory is empty"
+        );
         assert!(!dir.exists(), "a lookup creates no directory");
         let mut r = sample();
         for key in ["a", "b", "c"] {
@@ -466,11 +495,21 @@ mod tests {
             .map(|e| e.unwrap().path())
             .collect();
         assert_eq!(files, [dir.join(LOG)], "one log for every record");
-        assert_eq!(tier.stored("a"), None, "the directory was read once");
+        assert_eq!(
+            tier.stored("a", |_| {}),
+            None,
+            "the directory was read once"
+        );
         let fresh = UnitRecords::in_dir(&dir);
-        assert_eq!(fresh.stored("b").map(|r| r.name.as_str()), Some("layer-b"));
+        assert_eq!(
+            fresh.stored("b", |_| {}).map(|r| r.name.as_str()),
+            Some("layer-b")
+        );
         std::fs::remove_dir_all(&dir).ok();
-        assert!(fresh.stored("c").is_some(), "loaded records stay resident");
+        assert!(
+            fresh.stored("c", |_| {}).is_some(),
+            "loaded records stay resident"
+        );
     }
 
     #[test]
@@ -479,11 +518,15 @@ mod tests {
         let (records, damaged) = load(&dir);
         assert!(records.is_empty());
         assert_eq!(damaged, 0, "a missing directory is not an error");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(LOG), "").unwrap();
+        assert_eq!(load(&dir).1, 0, "nor is an empty log");
 
         let r = sample();
         let good = |key: &str| encode(key, &r).into_bytes();
-        // A foreign version (no record boundary, so it comes first).
-        let mut log = encode("skew", &r).replace("v2", "v9").into_bytes();
+        let skewed = |key: &str| encode(key, &r).replace("v2", "v9").into_bytes();
+        // A foreign version at the start of the log.
+        let mut log = skewed("skew");
         log.extend(good("before"));
         // Truncated: a record cut mid-line, closed by the next header.
         let cut = good("trunc");
@@ -516,6 +559,18 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, ["after", "before"], "healthy records still load");
         assert_eq!(records["after"], r);
+
+        // A foreign version between two good records is a record of its
+        // own: both neighbours load.
+        let mut log = good("first");
+        log.extend(skewed("between"));
+        log.extend(good("last"));
+        std::fs::write(dir.join(LOG), &log).unwrap();
+        let (records, damaged) = load(&dir);
+        assert_eq!(damaged, 1, "only the foreign version is damaged");
+        let mut keys: Vec<&str> = records.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["first", "last"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -545,29 +600,29 @@ mod tests {
         })
     }
 
-    /// Text a damaged log may gain: line breaks, header lines, NULs,
-    /// replacement characters and stray bytes.
-    const SNIPPETS: [&str; 7] = [
+    /// Text a damaged log may gain: line breaks, header lines of this
+    /// and another version, NULs, replacement characters and stray bytes.
+    const SNIPPETS: [&str; 8] = [
         "",
         "\n",
         "eureka-checkpoint v2\n",
+        "eureka-checkpoint v9\n",
         "\0",
         "\u{fffd}",
         "x",
         "é",
     ];
 
-    /// The record split spelled out: every header line at a line start
-    /// begins a record, and so does the text; each record must parse as
-    /// a whole.
+    /// The record split spelled out: every line starting with the
+    /// boundary, in any version, begins a record, and so does a text that
+    /// is not empty; each record must parse as a whole.
     fn reference_records(text: &str) -> (HashMap<String, LayerReport>, u64) {
-        let header_line = format!("{HEADER}\n");
         let mut starts: Vec<usize> = text
-            .match_indices(&header_line)
+            .match_indices(BOUNDARY)
             .map(|(i, _)| i)
             .filter(|&i| i == 0 || text.as_bytes()[i - 1] == b'\n')
             .collect();
-        if starts.first() != Some(&0) {
+        if !text.is_empty() && starts.first() != Some(&0) {
             starts.insert(0, 0);
         }
         starts.push(text.len());
@@ -593,7 +648,7 @@ mod tests {
             write_log(&dir, &records);
             let fresh = UnitRecords::in_dir(&dir);
             for (key, report) in &records {
-                prop_assert_eq!(fresh.stored(key), Some(report));
+                prop_assert_eq!(fresh.stored(key, |_| {}), Some(report));
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -608,23 +663,23 @@ mod tests {
             let bytes = std::fs::read(&log).unwrap();
             let (last_key, last) = records.iter().next_back().unwrap();
             let last_start = bytes.len() - encode(last_key, last).len();
-            let header_text_end = last_start + HEADER.len();
+            let boundary_end = last_start + BOUNDARY.len();
             let previous = records.keys().nth_back(1);
             let later = LayerReport { name: "later".into(), ..sample() };
             for cut in last_start..bytes.len() {
                 std::fs::write(&log, &bytes[..cut]).unwrap();
                 UnitRecords::in_dir(&dir).append("later|key", &later).unwrap();
-                // A cut inside the last header's text leaves no record
+                // A cut inside the last record's boundary text leaves no
                 // boundary there, so the record before it takes the
-                // damage too; with the whole text kept, the newline the
-                // append adds completes the header line.
-                let split = cut == last_start || cut >= header_text_end;
+                // damage too; once the boundary text is kept, the torn
+                // record is a record of its own.
+                let split = cut == last_start || cut >= boundary_end;
                 let fresh = UnitRecords::in_dir(&dir);
                 for (key, report) in &records {
                     let intact = key != last_key && (split || Some(key) != previous);
-                    prop_assert_eq!(fresh.stored(key), intact.then_some(report), "cut at byte {}", cut);
+                    prop_assert_eq!(fresh.stored(key, |_| {}), intact.then_some(report), "cut at byte {}", cut);
                 }
-                prop_assert_eq!(fresh.stored("later|key"), Some(&later), "cut at byte {}", cut);
+                prop_assert_eq!(fresh.stored("later|key", |_| {}), Some(&later), "cut at byte {}", cut);
             }
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -14,8 +14,8 @@
 //! to a handle kept open for the journal's lifetime. The last record
 //! for a spec wins. Every record carries the FNV-1a hash of the rest of
 //! its line, so a torn tail, or a record glued onto one by a later
-//! append, fails its checksum and is skipped (with a `journal.errors`
-//! tick), never misread. There is no fsync: a record survives a
+//! append, fails its checksum and is skipped (and counted, for the
+//! service's `journal.errors`), never misread. There is no fsync: a record survives a
 //! SIGKILL once its `write` returns.
 //!
 //! ```text
@@ -30,7 +30,6 @@
 
 use crate::checkpoint::{escape, unescape};
 use crate::hash::fnv1a64;
-use eureka_obs::metrics::{self, Class};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
@@ -196,22 +195,22 @@ impl Journal {
 
     /// Replays the log and returns the specs of every job that was
     /// accepted but never reached a terminal state, sorted for
-    /// deterministic replay order. Fail-soft: an unreadable log, and
-    /// each bad line (torn, checksum mismatch, unknown state,
-    /// NUL-bearing, non-UTF-8 or oversized), ticks `journal.errors` and
-    /// is skipped — recovery never aborts.
+    /// deterministic replay order, and the number of errors met (`None`
+    /// when there is no log yet). Fail-soft: an unreadable log, and each
+    /// bad line (torn, checksum mismatch, unknown state, NUL-bearing,
+    /// non-UTF-8 or oversized), is one error and is skipped — recovery
+    /// never aborts.
     #[must_use]
-    pub fn recover(&self) -> Vec<String> {
+    pub fn recover(&self) -> (Vec<String>, Option<u64>) {
         let replay = match self.replay() {
             Ok(Some(replay)) => replay,
-            Ok(None) => return Vec::new(), // no journal yet: nothing to replay
+            Ok(None) => return (Vec::new(), None), // no journal yet: nothing to replay
             Err(_) => Replay {
                 errors: 1,
                 ..Replay::default()
             },
         };
-        metrics::counter("journal.errors", Class::Deterministic).add(replay.errors);
-        replay.pending()
+        (replay.pending(), Some(replay.errors))
     }
 
     /// Number of distinct specs recorded in the log.
@@ -343,19 +342,23 @@ mod tests {
     #[test]
     fn accepted_jobs_replay_and_terminal_jobs_do_not() {
         let j = tmp_journal("replay");
-        assert!(j.recover().is_empty(), "empty journal replays nothing");
+        assert_eq!(
+            j.recover(),
+            (Vec::new(), None),
+            "no journal replays nothing"
+        );
         j.record("job-b", JournalState::Accepted).unwrap();
         j.record("job-a", JournalState::Accepted).unwrap();
         j.record("job-c", JournalState::Accepted).unwrap();
         j.record("job-c", JournalState::Completed).unwrap();
         assert_eq!(
-            j.recover(),
+            j.recover().0,
             vec!["job-a".to_string(), "job-b".to_string()],
             "only accepted-not-terminal jobs replay, in sorted order"
         );
         j.record("job-a", JournalState::Failed).unwrap();
         j.record("job-b", JournalState::DeadlineExceeded).unwrap();
-        assert!(j.recover().is_empty(), "terminal states end the story");
+        assert!(j.recover().0.is_empty(), "terminal states end the story");
         assert_eq!(j.entry_count(), 3);
         std::fs::remove_dir_all(j.dir()).ok();
     }
@@ -367,7 +370,7 @@ mod tests {
         j.record("same spec", JournalState::Completed).unwrap();
         j.record("same spec", JournalState::Accepted).unwrap();
         assert_eq!(j.entry_count(), 1, "one spec, one entry");
-        assert_eq!(j.recover(), vec!["same spec".to_string()]);
+        assert_eq!(j.recover(), (vec!["same spec".to_string()], Some(0)));
         let files: Vec<_> = std::fs::read_dir(j.dir())
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -381,7 +384,7 @@ mod tests {
         let j = tmp_journal("escape");
         let weird = "spec\nwith\\newline and \\n literal";
         j.record(weird, JournalState::Accepted).unwrap();
-        assert_eq!(j.recover(), vec![weird.to_string()]);
+        assert_eq!(j.recover(), (vec![weird.to_string()], Some(0)));
         std::fs::remove_dir_all(j.dir()).ok();
     }
 
@@ -391,7 +394,7 @@ mod tests {
         assert!(j.record("nul\0spec", JournalState::Accepted).is_err());
         let huge = "x".repeat(MAX_ENTRY_BYTES);
         assert!(j.record(&huge, JournalState::Accepted).is_err());
-        assert!(j.recover().is_empty());
+        assert!(j.recover().0.is_empty());
         std::fs::remove_dir_all(j.dir()).ok();
     }
 
@@ -399,7 +402,6 @@ mod tests {
     fn corrupt_entries_are_skipped_with_an_error_tick() {
         let j = tmp_journal("corrupt");
         j.record("healthy", JournalState::Accepted).unwrap();
-        let errors = || metrics::counter("journal.errors", Class::Deterministic).get();
 
         let mut bad = b"garbage\n".to_vec();
         bad.extend(checksummed(b"accepted nul\0spec"));
@@ -414,15 +416,10 @@ mod tests {
 
         let log = std::fs::read(j.log_path()).unwrap();
         assert_eq!(Replay::of(&log).errors, 7, "one error per bad line");
-        let before = errors();
         assert_eq!(
             j.recover(),
-            vec!["healthy".to_string()],
-            "recovery skips corruption and keeps the healthy entry"
-        );
-        assert!(
-            errors() >= before + 7,
-            "each corrupt line ticks journal.errors"
+            (vec!["healthy".to_string()], Some(7)),
+            "recovery skips corruption, counts each corrupt line and keeps the healthy entry"
         );
         std::fs::remove_dir_all(j.dir()).ok();
     }
@@ -503,10 +500,10 @@ mod tests {
                     .unwrap();
             }
         }
-        let pending = j.recover();
+        let (pending, _) = j.recover();
         assert_eq!(pending.len(), 26);
         drop(j.compact().unwrap());
-        assert_eq!(j.recover(), pending, "compaction keeps the pending set");
+        assert_eq!(j.recover().0, pending, "compaction keeps the pending set");
         assert_eq!(j.entry_count(), pending.len(), "and drops finished specs");
 
         // Churn one spec far past the bound: the log never keeps more
@@ -518,7 +515,7 @@ mod tests {
         }
         let size = std::fs::metadata(j.log_path()).unwrap().len();
         assert!(size <= COMPACT_BYTES + line, "log grew to {size} bytes");
-        assert_eq!(j.recover(), pending, "churn leaves the pending set alone");
+        assert_eq!(j.recover().0, pending, "churn leaves the pending set alone");
         std::fs::remove_dir_all(j.dir()).ok();
     }
 }

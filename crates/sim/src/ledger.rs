@@ -73,7 +73,7 @@ pub fn record_key(kind: &str, label: &str) -> String {
 }
 
 /// The `metrics_digest` of a deterministic metrics snapshot (such as
-/// [`eureka_obs::metrics::snapshot_json`]`(false)`): FNV-1a, rendered
+/// [`eureka_obs::metrics::Registry::snapshot_json`]`(false)`): FNV-1a, rendered
 /// as 16 hex digits.
 #[must_use]
 pub fn metrics_digest(snapshot: &str) -> String {

@@ -75,11 +75,12 @@
 //! tile directly, without keying it — timing a tile costs less than
 //! canonicalizing and looking it up. With a store directory the broker
 //! is enabled, and each sampled tile resolves through it, so tiles with
-//! equal canonical row-length signatures are simulated once per process
-//! (hot tier) and once *ever* (disk shards). It serves the units that do
-//! execute: those without a record and every profiled unit. A unit whose
-//! tiles all came from the store still executes (its RNG streams advance
-//! identically, keeping reports bit-identical to a cold run) but performs
+//! equal canonical row-length signatures are simulated once per runner
+//! and its clones (hot tier) and once *ever* (disk shards). It serves
+//! the units that do execute: those without a record and every profiled
+//! unit. A unit whose tiles all came from the store still executes (its
+//! RNG streams advance identically, keeping reports bit-identical to a
+//! cold run) but performs
 //! zero tile simulations; such units count toward
 //! `runner.units_from_store` instead of `cache.misses`.
 //!
@@ -88,9 +89,12 @@
 //! The runner is fully instrumented through [`eureka_obs`]: every phase
 //! opens a span (`runner.run_all`, `runner.plan`, `unit.exec`,
 //! `runner.reduce`, plus zero-length `unit.retry` / `unit.failure`
-//! markers) and updates the process-wide metrics registry (`runner.*`,
-//! `cache.*`, `unit.*`, `checkpoint.*`, `store.*` — see the table in
-//! `DESIGN.md`). For a cache-enabled runner the deterministic counters
+//! markers) and updates the runner's metrics registry
+//! ([`Runner::metrics`]: `runner.*`, `cache.*`, `unit.*`, `checkpoint.*`,
+//! `store.*` — see the table in `DESIGN.md`). A runner builds its
+//! registry when it is built and shares it with its clones, so two
+//! runners in one process never count into each other's metrics. For a
+//! cache-enabled runner the deterministic counters
 //! reconcile as `runner.units_planned == cache.hits + checkpoint.hits +
 //! runner.units_from_store + cache.misses + runner.failures.*` — every
 //! planned unit is accounted for exactly once,
@@ -118,17 +122,16 @@ use crate::hash::fnv1a64;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
-use crate::store::{self, TileBroker};
+use crate::store::{TileBroker, TileStore};
 use eureka_models::{activation, workload::LayerGemm, Workload};
 use eureka_obs::events::{Event, Events};
-use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram};
+use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram, Registry};
 use eureka_sparse::rng::DetRng;
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One simulation request: an architecture applied to a workload under a
@@ -317,102 +320,96 @@ impl CfgKey {
 /// Requested worker count when the runner should use every available core.
 const AUTO: usize = 0;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // The runner must stay usable after a unit panic was caught while
-    // some other thread held a shared lock: recover the data instead of
-    // propagating poisoning forever.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `&'static` handles to every runner metric, registered on first use.
-/// The `cache.*` / `checkpoint.*` / `runner.units_*` / `runner.jobs` /
-/// `runner.failures.*` / `runner.retries.*` counters are
-/// [`Class::Deterministic`]: with [`cache_reset`] +
-/// [`metrics::reset`] beforehand they are byte-identical across reruns
-/// of the same work. The wall-clock histograms and the utilization gauge
-/// are [`Class::Timing`] and excluded from deterministic snapshots.
+/// A runner's metrics registry and handles to every runner metric in it,
+/// registered when the runner is built. The `cache.*` / `checkpoint.*`
+/// / `runner.units_*` / `runner.jobs` / `runner.failures.*` /
+/// `runner.retries.*` counters are [`Class::Deterministic`]: on a fresh
+/// runner they are byte-identical across reruns of the same work. The
+/// wall-clock histograms and the utilization gauge are [`Class::Timing`]
+/// and excluded from deterministic snapshots.
+#[derive(Debug)]
 struct Telemetry {
-    jobs: &'static Counter,
-    units_planned: &'static Counter,
-    units_executed: &'static Counter,
-    units_cached: &'static Counter,
-    cache_hits: &'static Counter,
-    cache_misses: &'static Counter,
-    cache_inserts: &'static Counter,
-    units_from_store: &'static Counter,
-    failures_panic: &'static Counter,
-    failures_sim: &'static Counter,
-    failures_cancelled: &'static Counter,
-    retries_attempts: &'static Counter,
-    retries_recovered: &'static Counter,
-    backoff_slept_us: &'static Counter,
-    ckpt_hits: &'static Counter,
-    ckpt_writes: &'static Counter,
-    ckpt_errors: &'static Counter,
-    exec_micros: &'static Histogram,
-    queue_wait_micros: &'static Histogram,
-    reduce_micros: &'static Histogram,
-    exec_wall_micros: &'static Histogram,
-    worker_utilization: &'static Gauge,
+    metrics: Registry,
+    jobs: Arc<Counter>,
+    units_planned: Arc<Counter>,
+    units_executed: Arc<Counter>,
+    units_cached: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    cache_inserts: Arc<Counter>,
+    units_from_store: Arc<Counter>,
+    failures_panic: Arc<Counter>,
+    failures_sim: Arc<Counter>,
+    failures_cancelled: Arc<Counter>,
+    retries_attempts: Arc<Counter>,
+    retries_recovered: Arc<Counter>,
+    backoff_slept_us: Arc<Counter>,
+    ckpt_hits: Arc<Counter>,
+    ckpt_writes: Arc<Counter>,
+    ckpt_errors: Arc<Counter>,
+    exec_micros: Arc<Histogram>,
+    queue_wait_micros: Arc<Histogram>,
+    reduce_micros: Arc<Histogram>,
+    exec_wall_micros: Arc<Histogram>,
+    worker_utilization: Arc<Gauge>,
 }
 
-fn telemetry() -> &'static Telemetry {
-    static TELEMETRY: OnceLock<Telemetry> = OnceLock::new();
-    let t = metrics::TIME_BUCKETS_US;
-    TELEMETRY.get_or_init(|| Telemetry {
-        jobs: metrics::counter("runner.jobs", Class::Deterministic),
-        units_planned: metrics::counter("runner.units_planned", Class::Deterministic),
-        units_executed: metrics::counter("runner.units_executed", Class::Deterministic),
-        units_cached: metrics::counter("runner.units_cached", Class::Deterministic),
-        cache_hits: metrics::counter("cache.hits", Class::Deterministic),
-        cache_misses: metrics::counter("cache.misses", Class::Deterministic),
-        cache_inserts: metrics::counter("cache.inserts", Class::Deterministic),
-        units_from_store: metrics::counter("runner.units_from_store", Class::Deterministic),
-        failures_panic: metrics::counter("runner.failures.panic", Class::Deterministic),
-        failures_sim: metrics::counter("runner.failures.sim_error", Class::Deterministic),
-        failures_cancelled: metrics::counter("runner.failures.cancelled", Class::Deterministic),
-        retries_attempts: metrics::counter("runner.retries.attempts", Class::Deterministic),
-        retries_recovered: metrics::counter("runner.retries.recovered", Class::Deterministic),
-        // Deterministic: the slept total is a pure function of the
-        // (deterministic) retry schedule and the backoff policy.
-        backoff_slept_us: metrics::counter("runner.backoff.slept_us", Class::Deterministic),
-        ckpt_hits: metrics::counter("checkpoint.hits", Class::Deterministic),
-        ckpt_writes: metrics::counter("checkpoint.writes", Class::Deterministic),
-        ckpt_errors: metrics::counter("checkpoint.errors", Class::Deterministic),
-        exec_micros: metrics::histogram("unit.exec_micros", Class::Timing, t),
-        queue_wait_micros: metrics::histogram("unit.queue_wait_micros", Class::Timing, t),
-        reduce_micros: metrics::histogram("runner.reduce_micros", Class::Timing, t),
-        exec_wall_micros: metrics::histogram("runner.exec_wall_micros", Class::Timing, t),
-        worker_utilization: metrics::gauge("runner.worker_utilization", Class::Timing),
-    })
+impl Telemetry {
+    fn new() -> Self {
+        let metrics = Registry::new();
+        let c = |name| metrics.counter(name, Class::Deterministic);
+        let h = |name| metrics.histogram(name, Class::Timing, metrics::TIME_BUCKETS_US);
+        Telemetry {
+            jobs: c("runner.jobs"),
+            units_planned: c("runner.units_planned"),
+            units_executed: c("runner.units_executed"),
+            units_cached: c("runner.units_cached"),
+            cache_hits: c("cache.hits"),
+            cache_misses: c("cache.misses"),
+            cache_inserts: c("cache.inserts"),
+            units_from_store: c("runner.units_from_store"),
+            failures_panic: c("runner.failures.panic"),
+            failures_sim: c("runner.failures.sim_error"),
+            failures_cancelled: c("runner.failures.cancelled"),
+            retries_attempts: c("runner.retries.attempts"),
+            retries_recovered: c("runner.retries.recovered"),
+            // Deterministic: the slept total is a pure function of the
+            // (deterministic) retry schedule and the backoff policy.
+            backoff_slept_us: c("runner.backoff.slept_us"),
+            ckpt_hits: c("checkpoint.hits"),
+            ckpt_writes: c("checkpoint.writes"),
+            ckpt_errors: c("checkpoint.errors"),
+            exec_micros: h("unit.exec_micros"),
+            queue_wait_micros: h("unit.queue_wait_micros"),
+            reduce_micros: h("runner.reduce_micros"),
+            exec_wall_micros: h("runner.exec_wall_micros"),
+            worker_utilization: metrics.gauge("runner.worker_utilization", Class::Timing),
+            metrics,
+        }
+    }
+
+    /// The per-architecture unit execution-time histogram
+    /// (`unit.exec_micros.<slug>`, [`Class::Timing`]), registered on
+    /// first use. Slugs are the lowercased arch display name with every
+    /// non-alphanumeric character mapped to `_` (e.g. `Eureka P=4` →
+    /// `eureka_p_4`). Timing-class, so which architectures happened to
+    /// run never changes a deterministic snapshot.
+    fn arch_exec_histogram(&self, arch: &str) -> Arc<Histogram> {
+        let slug: String = arch
+            .to_lowercase()
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+            .collect();
+        self.metrics.histogram(
+            &format!("unit.exec_micros.{slug}"),
+            Class::Timing,
+            metrics::TIME_BUCKETS_US,
+        )
+    }
 }
 
 fn micros(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The per-architecture unit execution-time histogram
-/// (`unit.exec_micros.<slug>`, [`Class::Timing`]), interned on first
-/// use. Slugs are the lowercased arch display name with every
-/// non-alphanumeric character mapped to `_` (e.g. `Eureka P=4` →
-/// `eureka_p_4`). Timing-class, so which architectures happened to run
-/// never changes a deterministic snapshot.
-fn arch_exec_histogram(arch: &str) -> &'static Histogram {
-    static BY_ARCH: OnceLock<Mutex<HashMap<String, &'static Histogram>>> = OnceLock::new();
-    let map = BY_ARCH.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = lock(map);
-    if let Some(h) = map.get(arch) {
-        return h;
-    }
-    let slug: String = arch
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let name: &'static str = Box::leak(format!("unit.exec_micros.{slug}").into_boxed_str());
-    let h = metrics::histogram(name, Class::Timing, metrics::TIME_BUCKETS_US);
-    map.insert(arch.to_string(), h);
-    h
 }
 
 /// The `key` event field: the fnv1a64 digest of the unit's canonical
@@ -444,92 +441,6 @@ fn unit_finished(unit: &WorkUnit<'_>, source: &str, report: &LayerReport, exec_u
         .det_bool("ok", true)
         .det_u64("cycles", report.total_cycles())
         .wall_u64("exec_us", exec_us)
-}
-
-/// Zeroes the `cache.*`, `checkpoint.*`, `store.*`,
-/// `runner.units_from_store`, `runner.failures.*`, `runner.retries.*`
-/// and `runner.backoff.slept_us` counters and empties the tile store's
-/// process-wide hot tier, so callers can assert exact counts no matter
-/// what ran earlier in the process (test execution order, warm-up
-/// passes, ...). That is all it does: unit records belong to their
-/// runner, so a cold start is a fresh [`Runner`]. Dirty tile records are
-/// flushed to their store directories first — a cold-start measurement
-/// must not silently discard persistent state (see
-/// [`store::store_reset`]).
-pub fn cache_reset() {
-    let t = telemetry();
-    store::store_reset();
-    t.cache_hits.reset();
-    t.cache_misses.reset();
-    t.cache_inserts.reset();
-    t.units_from_store.reset();
-    t.failures_panic.reset();
-    t.failures_sim.reset();
-    t.failures_cancelled.reset();
-    t.retries_attempts.reset();
-    t.retries_recovered.reset();
-    t.backoff_slept_us.reset();
-    t.ckpt_hits.reset();
-    t.ckpt_writes.reset();
-    t.ckpt_errors.reset();
-}
-
-/// `(hits, misses)` of the in-memory unit records (`cache.*`), summed
-/// over every runner in the process.
-#[must_use]
-pub fn cache_stats() -> (u64, u64) {
-    let t = telemetry();
-    (t.cache_hits.get(), t.cache_misses.get())
-}
-
-/// `(panics, sim_errors)` — units that exhausted their retry budget,
-/// by failure kind (`runner.failures.*`).
-#[must_use]
-pub fn failure_stats() -> (u64, u64) {
-    let t = telemetry();
-    (t.failures_panic.get(), t.failures_sim.get())
-}
-
-/// Units refused at a unit boundary because their [`CancelToken`] had
-/// fired (`runner.failures.cancelled`).
-#[must_use]
-pub fn cancelled_stats() -> u64 {
-    telemetry().failures_cancelled.get()
-}
-
-/// Total microseconds of backoff delay slept before retries
-/// (`runner.backoff.slept_us`; deterministic — the schedule is a pure
-/// function of unit keys and the policy).
-#[must_use]
-pub fn backoff_stats() -> u64 {
-    telemetry().backoff_slept_us.get()
-}
-
-/// `(extra_attempts, recovered)` — retry attempts beyond the first, and
-/// units that ultimately succeeded after at least one failed attempt
-/// (`runner.retries.*`).
-#[must_use]
-pub fn retry_stats() -> (u64, u64) {
-    let t = telemetry();
-    (t.retries_attempts.get(), t.retries_recovered.get())
-}
-
-/// `(hits, writes, errors)` of the unit records in store directories
-/// (`checkpoint.*`): records replayed, records appended, and damaged
-/// records or failed appends.
-#[must_use]
-pub fn checkpoint_stats() -> (u64, u64, u64) {
-    let t = telemetry();
-    (t.ckpt_hits.get(), t.ckpt_writes.get(), t.ckpt_errors.get())
-}
-
-/// Units that executed with every sampled tile served by the tile store
-/// (`runner.units_from_store`): the unit ran — its RNG streams advanced
-/// and its report is bit-identical to a cold compute — but zero tile
-/// simulations happened.
-#[must_use]
-pub fn units_from_store_stats() -> u64 {
-    telemetry().units_from_store.get()
 }
 
 /// A unit failure as seen by the execute phase, before the reduce phase
@@ -615,7 +526,12 @@ pub struct Runner {
     /// The unit records, with the store directory if one is attached:
     /// every run of this runner and of its clones shares them.
     records: Arc<UnitRecords>,
+    /// The tile store of the store directory, shared like the records.
+    tiles: Option<Arc<TileStore>>,
     events: Events,
+    /// The metrics registry, built with the runner and shared by its
+    /// clones.
+    telemetry: Arc<Telemetry>,
 }
 
 impl Runner {
@@ -632,10 +548,10 @@ impl Runner {
     }
 
     /// A runner with an explicit worker count (`0` = all available
-    /// cores), in-memory unit records, and no retries, backoff,
-    /// cancellation or store directory. Without a store directory the
-    /// tile store stays out of the run: every sampled tile is timed
-    /// directly, never keyed or looked up.
+    /// cores), in-memory unit records, a fresh metrics registry, and no
+    /// retries, backoff, cancellation or store directory. Without a
+    /// store directory the tile store stays out of the run: every
+    /// sampled tile is timed directly, never keyed or looked up.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         Runner {
@@ -645,8 +561,17 @@ impl Runner {
             backoff: BackoffPolicy::NONE,
             cancel: None,
             records: Arc::default(),
+            tiles: None,
             events: Events::default(),
+            telemetry: Arc::new(Telemetry::new()),
         }
+    }
+
+    /// The metrics registry this runner and its clones count into
+    /// (see the [module docs](self)).
+    #[must_use]
+    pub fn metrics(&self) -> &Registry {
+        &self.telemetry.metrics
     }
 
     /// Disables unit records for this runner: every unit recomputes, and
@@ -690,12 +615,13 @@ impl Runner {
 
     /// Detaches any store directory from this runner, with fresh
     /// in-memory unit records: no records from a directory, and every
-    /// sampled tile is timed directly, with no hot-tier sharing and no
-    /// disk I/O. This is the default. Output is bit-identical either way
-    /// — the store only removes redundant work.
+    /// sampled tile is timed directly, with no hot tier and no disk I/O.
+    /// This is the default. Output is bit-identical either way — the
+    /// store only removes redundant work.
     #[must_use]
     pub fn without_store(mut self) -> Self {
         self.records = Arc::default();
+        self.tiles = None;
         self
     }
 
@@ -706,12 +632,15 @@ impl Runner {
     /// finishes, so a killed run keeps its finished units; a recorded
     /// unit replays before any tile sampling, keying or timing runs. The
     /// runner reads the directory's records once, on its first lookup
-    /// that misses memory. Tile outcomes go through the process-wide hot
-    /// tier to [`crate::store`] shard files beside them, serving units
+    /// that misses memory. Tile outcomes go through a fresh
+    /// [`TileStore`] — a hot tier this runner shares with its clones —
+    /// to [`crate::store`] shard files beside them, serving units
     /// without a record and [`Runner::run_profiled`], which bypasses
     /// unit records.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        let dir = dir.into();
+        self.tiles = Some(Arc::new(TileStore::new(&dir, self.metrics().clone())));
         self.records = Arc::new(UnitRecords::in_dir(dir));
         self
     }
@@ -722,14 +651,6 @@ impl Runner {
     pub fn with_events(mut self, events: Events) -> Self {
         self.events = events;
         self
-    }
-
-    /// The disk tier of this runner's store directory, if one is
-    /// attached: resolved once per run, so every unit shares one handle
-    /// (and one shard cache) instead of re-opening the directory per
-    /// layer. Without it, the plan phase plants disabled brokers.
-    fn tile_tier(&self) -> Option<Arc<store::DiskTier>> {
-        self.records.dir().map(store::disk_tier_for)
     }
 
     /// The worker count this runner would use right now.
@@ -782,21 +703,20 @@ impl Runner {
     /// and identical across serial and parallel modes.
     #[must_use]
     pub fn run_outcomes(&self, jobs: &[SimJob<'_>]) -> Vec<JobOutcome> {
-        let t = telemetry();
+        let t = &self.telemetry;
         let _run_span = eureka_obs::span!("runner.run_all", "{} job(s)", jobs.len());
         t.jobs.add(jobs.len() as u64);
         let run_started = Instant::now();
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
         // Plan: enumerate every job's per-layer units.
-        let tiles = self.tile_tier();
         let mut units = Vec::new();
         let mut ranges = Vec::with_capacity(jobs.len());
         {
             let _plan_span = eureka_obs::span!("runner.plan");
             for job in jobs {
                 let start = units.len();
-                plan(job, &mut units, tiles.as_ref());
+                plan(job, &mut units, self.tiles.as_ref());
                 ranges.push(start..units.len());
             }
         }
@@ -813,8 +733,8 @@ impl Runner {
         let results = self.execute_with(&units, |unit| self.run_unit(unit));
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
-        if let Some(disk) = &tiles {
-            disk.flush();
+        if let Some(store) = &self.tiles {
+            store.flush();
             self.events.emit(|| Event::new("store-flush"));
         }
         // Reduce: reassemble per job, in layer-index order.
@@ -857,7 +777,7 @@ impl Runner {
         units: &[WorkUnit<'_>],
         run: impl Fn(&WorkUnit<'_>) -> R + Sync,
     ) -> Vec<R> {
-        let t = telemetry();
+        let t = &self.telemetry;
         let workers = self.effective_jobs().min(units.len());
         let wall = Instant::now();
         let busy_us = AtomicU64::new(0);
@@ -925,7 +845,7 @@ impl Runner {
     /// `runner.failures.*` (final failure) fires per call, for cached
     /// runners.
     fn run_unit(&self, unit: &WorkUnit<'_>) -> Result<LayerReport, UnitError> {
-        let t = telemetry();
+        let t = &self.telemetry;
         let _span = eureka_obs::span!("unit.exec", "{} {}", unit.key.arch, unit.gemm.name);
         self.events
             .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
@@ -967,7 +887,8 @@ impl Runner {
                 return Ok(hit);
             }
             if records.dir().is_some() {
-                if let Some(report) = records.stored(key.get_or_init(|| unit.canonical())) {
+                let key = key.get_or_init(|| unit.canonical());
+                if let Some(report) = records.stored(key, |damaged| t.ckpt_errors.add(damaged)) {
                     t.ckpt_hits.inc();
                     t.units_cached.inc();
                     self.events
@@ -997,7 +918,7 @@ impl Runner {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_unit(unit)));
             let exec_us = micros(started.elapsed());
             t.exec_micros.record(exec_us);
-            arch_exec_histogram(&unit.key.arch).record(exec_us);
+            t.arch_exec_histogram(&unit.key.arch).record(exec_us);
             t.units_executed.inc();
             let failure = match outcome {
                 Ok(Ok(report)) => {
@@ -1093,7 +1014,7 @@ impl Runner {
     /// `checkpoint.errors` when the write fails (the result stays in
     /// memory).
     fn append(&self, unit: &WorkUnit<'_>, key: &str, report: &LayerReport) {
-        let t = telemetry();
+        let t = &self.telemetry;
         match self.records.append(key, report) {
             Ok(()) => {
                 t.ckpt_writes.inc();
@@ -1138,9 +1059,8 @@ impl Runner {
             job.arch.name(),
             job.workload.benchmark().name()
         );
-        let tiles = self.tile_tier();
         let mut units = Vec::new();
-        plan(job, &mut units, tiles.as_ref());
+        plan(job, &mut units, self.tiles.as_ref());
         let run_started = Instant::now();
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", 1));
@@ -1155,7 +1075,9 @@ impl Runner {
                 execute_unit_profiled(unit, pcfg)
             }));
             let exec_us = micros(started.elapsed());
-            arch_exec_histogram(&unit.key.arch).record(exec_us);
+            self.telemetry
+                .arch_exec_histogram(&unit.key.arch)
+                .record(exec_us);
             let result = match outcome {
                 Ok(r) => r,
                 Err(panic) => Err(SimError::UnitPanic {
@@ -1188,8 +1110,8 @@ impl Runner {
             });
             result
         });
-        if let Some(disk) = &tiles {
-            disk.flush();
+        if let Some(store) = &self.tiles {
+            store.flush();
             self.events.emit(|| Event::new("store-flush"));
         }
         self.events.emit(|| {
@@ -1245,8 +1167,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Plans one job into per-layer units appended to `units`, each with its
 /// own broker (so each unit tallies its own lookups): wired to the tile
-/// store with disk tier `tiles` when one is attached, disabled otherwise.
-fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<store::DiskTier>>) {
+/// store `tiles` when one is attached, disabled otherwise.
+fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<TileStore>>) {
     let workload = job.workload;
     let bench = workload.benchmark();
     let base_rng = DetRng::new(workload.seed());
@@ -1285,8 +1207,8 @@ fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<
                 s2ta_act_density,
                 s2ta_fil_density,
                 rng: base_rng.fork(stream),
-                tiles: tiles.map_or_else(TileBroker::disabled, |disk| {
-                    TileBroker::enabled(Some(Arc::clone(disk)))
+                tiles: tiles.map_or_else(TileBroker::disabled, |store| {
+                    TileBroker::enabled(Arc::clone(store))
                 }),
                 scratch: scratch.clone(),
             },
@@ -1492,15 +1414,14 @@ mod tests {
         let job = SimJob::new(&a, &w, cfg);
         let runner = Runner::serial();
         let cold = runner.run(&job).unwrap();
-        let (h0, _) = cache_stats();
+        let hits = || runner.metrics().counter_value("cache.hits");
+        assert_eq!(hits(), Some(0));
         let warm = runner.clone().run(&job).unwrap();
-        let (h1, _) = cache_stats();
         assert_eq!(cold, warm);
-        assert!(
-            h1 >= h0 + w.layer_count() as u64,
-            "expected {} cache hits, saw {}",
-            w.layer_count(),
-            h1 - h0
+        assert_eq!(
+            hits(),
+            Some(w.layer_count() as u64),
+            "the clone replays every layer into the shared registry"
         );
     }
 

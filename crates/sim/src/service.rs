@@ -29,7 +29,7 @@
 //! is published as terminal (its status, and the service idle) only
 //! after all of its records are written, so once [`JobService::wait_idle`]
 //! returns each class's histogram `count` equals its counter exactly
-//! ([`latency_counts`]), and the counters reconcile:
+//! ([`JobService::latency_counts`]), and the counters reconcile:
 //!
 //! ```text
 //! service.served == service.completed + service.shed
@@ -38,9 +38,13 @@
 //! ```
 //!
 //! (`service.served` counts every admission — fresh, recovered, or
-//! shed — *in this process lifetime*; a crashed generation leaves a gap
-//! that the next generation's recovery re-admissions close. Tests that
-//! emulate crashes in-process reset the metrics per generation.)
+//! shed — *in this service's lifetime*; a crashed generation leaves a gap
+//! that the next generation's recovery re-admissions close.)
+//!
+//! A service counts into the metrics registry of the runner it builds at
+//! start ([`JobService::metrics`]), beside that runner's own `runner.*`
+//! and `store.*` metrics, so two services in one process never mix
+//! their counts.
 //!
 //! The wire protocol (JSON-lines over a Unix socket) lives in
 //! [`handle_request`]; the socket accept loop itself is in the CLI,
@@ -55,11 +59,11 @@ use crate::config::SimConfig;
 use crate::hash::fnv1a64;
 use crate::journal::{Journal, JournalState};
 use crate::outcome::{JobOutcome, RetryPolicy};
-use crate::runner::{self, CancelToken, Runner, SimJob};
+use crate::runner::{CancelToken, Runner, SimJob};
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_obs::flightrec;
 use eureka_obs::json::Value;
-use eureka_obs::metrics::{self, Class, Counter, Histogram};
+use eureka_obs::metrics::{self, Class, Counter, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
@@ -338,36 +342,10 @@ impl ServiceConfig {
     }
 }
 
-/// `&'static` handles to the `service.*` counters.
-struct ServiceMetrics {
-    served: &'static Counter,
-    completed: &'static Counter,
-    shed: &'static Counter,
-    cancelled: &'static Counter,
-    deadline_exceeded: &'static Counter,
-    failed: &'static Counter,
-    recovered: &'static Counter,
-    retried: &'static Counter,
-}
-
-fn service_metrics() -> &'static ServiceMetrics {
-    static M: OnceLock<ServiceMetrics> = OnceLock::new();
-    M.get_or_init(|| ServiceMetrics {
-        served: metrics::counter("service.served", Class::Deterministic),
-        completed: metrics::counter("service.completed", Class::Deterministic),
-        shed: metrics::counter("service.shed", Class::Deterministic),
-        cancelled: metrics::counter("service.cancelled", Class::Deterministic),
-        deadline_exceeded: metrics::counter("service.deadline_exceeded", Class::Deterministic),
-        failed: metrics::counter("service.failed", Class::Deterministic),
-        recovered: metrics::counter("service.recovered", Class::Deterministic),
-        retried: metrics::counter("service.retried", Class::Deterministic),
-    })
-}
-
-/// Outcome classes, in the order [`latency_counts`] reports them and
-/// [`ServiceStats::reconciled`] sums them. Every terminal latency
-/// sample lands in exactly one class, so at quiescence each class's
-/// histogram count equals its `service.*` counter.
+/// Outcome classes, in the order [`JobService::latency_counts`] reports
+/// them and [`ServiceStats::reconciled`] sums them. Every terminal
+/// latency sample lands in exactly one class, so at quiescence each
+/// class's histogram count equals its `service.*` counter.
 pub const OUTCOME_CLASSES: &[&str] = &[
     "completed",
     "shed",
@@ -379,55 +357,82 @@ pub const OUTCOME_CLASSES: &[&str] = &[
 /// The three latency histograms of one outcome class.
 struct ClassHists {
     /// `service.queue_wait_us.<class>`: admission → dequeue.
-    queue_wait: &'static Histogram,
+    queue_wait: Arc<Histogram>,
     /// `service.exec_us.<class>`: execution start → finish.
-    exec: &'static Histogram,
+    exec: Arc<Histogram>,
     /// `service.e2e_us.<class>`: admission → terminal. Recorded for
     /// *every* terminal transition (shed requests record `0`: they
     /// leave at admission), so its count is the class's job count.
-    e2e: &'static Histogram,
+    e2e: Arc<Histogram>,
 }
 
-/// `&'static` handles to the per-outcome-class latency histograms, all
-/// [`Class::Timing`] (wall-clock derived: excluded from the
-/// deterministic snapshot / `metrics_digest` by design), indexed like
-/// [`OUTCOME_CLASSES`].
-struct LatencyMetrics {
+/// Handles to a service's metrics, registered at start in its runner's
+/// registry: the `service.*` counters, and the per-outcome-class latency
+/// histograms indexed like [`OUTCOME_CLASSES`] — [`Class::Timing`]
+/// (wall-clock derived: excluded from the deterministic snapshot /
+/// `metrics_digest` by design).
+struct ServiceMetrics {
+    registry: Registry,
+    served: Arc<Counter>,
+    completed: Arc<Counter>,
+    shed: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    failed: Arc<Counter>,
+    recovered: Arc<Counter>,
+    retried: Arc<Counter>,
     classes: [ClassHists; 5],
+    /// The runner's `runner.retries.attempts`, read around each job.
+    unit_retries: Arc<Counter>,
+    /// `journal.errors`, registered once the service has read a journal
+    /// log or failed to write one.
+    journal_errors: OnceLock<Arc<Counter>>,
 }
 
-fn latency_metrics() -> &'static LatencyMetrics {
-    static L: OnceLock<LatencyMetrics> = OnceLock::new();
-    let h = |name| metrics::histogram(name, Class::Timing, metrics::TIME_BUCKETS_US);
-    L.get_or_init(|| LatencyMetrics {
-        classes: [
+impl ServiceMetrics {
+    fn new(registry: &Registry) -> Self {
+        let c = |name| registry.counter(name, Class::Deterministic);
+        let class = |name: &str| {
+            let h = |phase: &str| {
+                registry.histogram(
+                    &format!("service.{phase}.{name}"),
+                    Class::Timing,
+                    metrics::TIME_BUCKETS_US,
+                )
+            };
             ClassHists {
-                queue_wait: h("service.queue_wait_us.completed"),
-                exec: h("service.exec_us.completed"),
-                e2e: h("service.e2e_us.completed"),
-            },
-            ClassHists {
-                queue_wait: h("service.queue_wait_us.shed"),
-                exec: h("service.exec_us.shed"),
-                e2e: h("service.e2e_us.shed"),
-            },
-            ClassHists {
-                queue_wait: h("service.queue_wait_us.cancelled"),
-                exec: h("service.exec_us.cancelled"),
-                e2e: h("service.e2e_us.cancelled"),
-            },
-            ClassHists {
-                queue_wait: h("service.queue_wait_us.deadline_exceeded"),
-                exec: h("service.exec_us.deadline_exceeded"),
-                e2e: h("service.e2e_us.deadline_exceeded"),
-            },
-            ClassHists {
-                queue_wait: h("service.queue_wait_us.failed"),
-                exec: h("service.exec_us.failed"),
-                e2e: h("service.e2e_us.failed"),
-            },
-        ],
-    })
+                queue_wait: h("queue_wait_us"),
+                exec: h("exec_us"),
+                e2e: h("e2e_us"),
+            }
+        };
+        ServiceMetrics {
+            registry: registry.clone(),
+            served: c("service.served"),
+            completed: c("service.completed"),
+            shed: c("service.shed"),
+            cancelled: c("service.cancelled"),
+            deadline_exceeded: c("service.deadline_exceeded"),
+            failed: c("service.failed"),
+            recovered: c("service.recovered"),
+            retried: c("service.retried"),
+            classes: std::array::from_fn(|i| class(OUTCOME_CLASSES[i])),
+            unit_retries: c("runner.retries.attempts"),
+            journal_errors: OnceLock::new(),
+        }
+    }
+
+    /// Adds `n` to `journal.errors`, registering it on the first call,
+    /// so a service on a fresh journal directory exports no
+    /// `journal.errors` until it has one to report.
+    fn journal_errors(&self, n: u64) {
+        self.journal_errors
+            .get_or_init(|| {
+                self.registry
+                    .counter("journal.errors", Class::Deterministic)
+            })
+            .add(n);
+    }
 }
 
 /// [`OUTCOME_CLASSES`] index of a *terminal* status (shed is not a
@@ -444,23 +449,6 @@ fn class_index(status: JobStatus) -> usize {
 /// A [`Duration`] in whole microseconds (saturating).
 fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// End-to-end latency sample counts per outcome class, in
-/// [`OUTCOME_CLASSES`] order. At quiescence these equal
-/// `[completed, shed, cancelled, deadline_exceeded, failed]` of
-/// [`service_stats`] exactly — the lifecycle reconciliation invariant
-/// the chaos harness asserts per scenario.
-#[must_use]
-pub fn latency_counts() -> [u64; 5] {
-    let lat = latency_metrics();
-    [
-        lat.classes[0].e2e.count(),
-        lat.classes[1].e2e.count(),
-        lat.classes[2].e2e.count(),
-        lat.classes[3].e2e.count(),
-        lat.classes[4].e2e.count(),
-    ]
 }
 
 /// Snapshot of the `service.*` counters.
@@ -496,41 +484,6 @@ impl ServiceStats {
     }
 }
 
-/// Reads the `service.*` counters.
-#[must_use]
-pub fn service_stats() -> ServiceStats {
-    let m = service_metrics();
-    ServiceStats {
-        served: m.served.get(),
-        completed: m.completed.get(),
-        shed: m.shed.get(),
-        cancelled: m.cancelled.get(),
-        deadline_exceeded: m.deadline_exceeded.get(),
-        failed: m.failed.get(),
-        recovered: m.recovered.get(),
-        retried: m.retried.get(),
-    }
-}
-
-/// Zeroes the `service.*` counters and latency histograms (tests;
-/// per-generation accounting).
-pub fn service_reset() {
-    let m = service_metrics();
-    m.served.reset();
-    m.completed.reset();
-    m.shed.reset();
-    m.cancelled.reset();
-    m.deadline_exceeded.reset();
-    m.failed.reset();
-    m.recovered.reset();
-    m.retried.reset();
-    for class in &latency_metrics().classes {
-        class.queue_wait.reset();
-        class.exec.reset();
-        class.e2e.reset();
-    }
-}
-
 /// SLA summary of one service lifetime against a latency budget:
 /// sustained completed-jobs/sec, shed rate, and whether the service
 /// saturated (p99 end-to-end latency over budget, or any load shed).
@@ -552,13 +505,14 @@ pub struct SlaReport {
     pub saturated: bool,
 }
 
-/// The SLA summary for the current `service.*` state over `elapsed` of
-/// service lifetime. Uses the completed class's e2e histogram for p99,
-/// so call at quiescence (after drain) for exact accounting.
+/// The SLA summary for `service`'s current `service.*` state over
+/// `elapsed` of service lifetime. Uses the completed class's e2e
+/// histogram for p99, so call at quiescence (after drain) for exact
+/// accounting.
 #[must_use]
-pub fn sla_report(budget_us: u64, elapsed: Duration) -> SlaReport {
-    let stats = service_stats();
-    let p99_e2e_us = latency_metrics().classes[0].e2e.p99();
+pub fn sla_report(service: &JobService, budget_us: u64, elapsed: Duration) -> SlaReport {
+    let stats = service.stats();
+    let p99_e2e_us = service.inner.metrics.classes[0].e2e.p99();
     #[allow(clippy::cast_precision_loss)]
     let jobs_per_sec = stats.completed as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     #[allow(clippy::cast_precision_loss)]
@@ -614,8 +568,9 @@ struct ServiceState {
 struct ServiceInner {
     cfg: ServiceConfig,
     /// Every job runs on a clone of this runner, so all jobs share its
-    /// unit records.
+    /// unit records and its metrics registry.
     runner: Runner,
+    metrics: ServiceMetrics,
     journal: Journal,
     state: Mutex<ServiceState>,
     work: Condvar,
@@ -641,9 +596,11 @@ impl JobService {
         if let Some(dir) = &cfg.store_dir {
             runner = runner.with_store_dir(dir);
         }
+        let metrics = ServiceMetrics::new(runner.metrics());
         let inner = Arc::new(ServiceInner {
             cfg,
             runner,
+            metrics,
             journal,
             state: Mutex::new(ServiceState {
                 queue: VecDeque::new(),
@@ -662,7 +619,11 @@ impl JobService {
         // Crash recovery: re-admit every journaled job that never
         // reached a terminal state. Unfinished units recompute; units
         // the previous life completed replay from the store directory.
-        let recovered_specs = inner.journal.recover();
+        let (recovered_specs, journal_errors) = inner.journal.recover();
+        let m = &inner.metrics;
+        if let Some(errors) = journal_errors {
+            m.journal_errors(errors);
+        }
         let v1_entries = inner.journal.v1_entry_count();
         if v1_entries > 0 {
             eureka_obs::info!(
@@ -671,13 +632,12 @@ impl JobService {
             );
         }
         if !recovered_specs.is_empty() {
-            let m = service_metrics();
             let mut st = lock(&inner.state);
             for spec_text in recovered_specs {
                 let Some(spec) = JobSpec::parse(&spec_text) else {
                     // Journaled by an incompatible version: count it as
                     // a journal error and move on, never abort startup.
-                    metrics::counter("journal.errors", Class::Deterministic).inc();
+                    m.journal_errors(1);
                     continue;
                 };
                 let id = st.next_id;
@@ -733,7 +693,7 @@ impl JobService {
     /// and queued, and the worker is woken when the returned [`Wake`]
     /// drops.
     fn admit(&self, spec: JobSpec) -> Result<(u64, Wake<'_>), SubmitError> {
-        let m = service_metrics();
+        let m = &self.inner.metrics;
         if spec.batch == 0 {
             return Err(SubmitError::Invalid("batch must be >= 1".into()));
         }
@@ -750,7 +710,7 @@ impl JobService {
         let shed = || {
             m.served.inc();
             m.shed.inc();
-            latency_metrics().classes[1].e2e.record(0);
+            m.classes[1].e2e.record(0);
             flightrec::record("job-shed", 0, capacity as u64);
         };
         let mut st = lock(&self.inner.state);
@@ -844,7 +804,7 @@ impl JobService {
     /// the next unit boundary. Returns `false` for unknown or
     /// already-terminal jobs.
     pub fn cancel(&self, id: u64) -> bool {
-        let m = service_metrics();
+        let m = &self.inner.metrics;
         let mut st = lock(&self.inner.state);
         if let Some((running_id, token)) = &st.running {
             if *running_id == id {
@@ -867,9 +827,8 @@ impl JobService {
         let spec = record.spec.canonical();
         st.queue.retain(|q| *q != id);
         drop(st);
-        let class = latency_metrics();
-        class.classes[2].queue_wait.record(waited);
-        class.classes[2].e2e.record(waited);
+        m.classes[2].queue_wait.record(waited);
+        m.classes[2].e2e.record(waited);
         flightrec::record("job-finished", id, class_index(JobStatus::Cancelled) as u64);
         if self
             .inner
@@ -877,7 +836,7 @@ impl JobService {
             .record(&spec, JournalState::Cancelled)
             .is_err()
         {
-            metrics::counter("journal.errors", Class::Deterministic).inc();
+            m.journal_errors(1);
         }
         m.cancelled.inc();
         true
@@ -924,6 +883,38 @@ impl JobService {
         }
         self.inner.work.notify_all();
         self.wait_idle()
+    }
+
+    /// Reads the `service.*` counters.
+    #[must_use]
+    pub fn stats(&self) -> ServiceStats {
+        let m = &self.inner.metrics;
+        ServiceStats {
+            served: m.served.get(),
+            completed: m.completed.get(),
+            shed: m.shed.get(),
+            cancelled: m.cancelled.get(),
+            deadline_exceeded: m.deadline_exceeded.get(),
+            failed: m.failed.get(),
+            recovered: m.recovered.get(),
+            retried: m.retried.get(),
+        }
+    }
+
+    /// End-to-end latency sample counts per outcome class, in
+    /// [`OUTCOME_CLASSES`] order. At quiescence these equal
+    /// `[completed, shed, cancelled, deadline_exceeded, failed]` of
+    /// [`JobService::stats`] exactly — the lifecycle reconciliation
+    /// invariant the chaos harness asserts per scenario.
+    #[must_use]
+    pub fn latency_counts(&self) -> [u64; 5] {
+        self.inner.metrics.classes.each_ref().map(|c| c.e2e.count())
+    }
+
+    /// The metrics registry this service and its runner count into.
+    #[must_use]
+    pub fn metrics(&self) -> &Registry {
+        self.inner.runner.metrics()
     }
 
     /// `(queued, running, draining)` — the health-endpoint snapshot.
@@ -986,7 +977,7 @@ impl Drop for JobService {
 /// The worker: pops jobs one at a time, runs each under the full
 /// resilience stack, records the terminal state.
 fn worker_loop(inner: &ServiceInner) {
-    let m = service_metrics();
+    let m = &inner.metrics;
     loop {
         // Claim the next job (or exit / go idle).
         let (id, spec, token, admitted_at, wait_us) = {
@@ -1030,11 +1021,11 @@ fn worker_loop(inner: &ServiceInner) {
         let started = Instant::now();
 
         // Run under retries + backoff + cancellation + shared records.
-        // The worker is the only thread driving runners in this
-        // service, so the retry-counter delta below is this job's.
-        let retries_before = runner::retry_stats().0;
+        // The worker is the only thread driving this service's runner,
+        // so the retry-counter delta below is this job's.
+        let retries_before = m.unit_retries.get();
         let outcome = run_job(inner, &spec, &token);
-        let retried = runner::retry_stats().0.saturating_sub(retries_before);
+        let retried = m.unit_retries.get().saturating_sub(retries_before);
 
         // Emulating SIGKILL abandons the job exactly as a dead process
         // would leave it: accepted in the journal, nothing else (no
@@ -1062,7 +1053,7 @@ fn worker_loop(inner: &ServiceInner) {
         // per-class histogram counts in lockstep with the counters.
         let exec_us = us(finished.saturating_duration_since(started));
         let e2e_us = us(finished.saturating_duration_since(admitted_at));
-        let class = &latency_metrics().classes[class_index(status)];
+        let class = &m.classes[class_index(status)];
         class.queue_wait.record(wait_us);
         class.exec.record(exec_us);
         class.e2e.record(e2e_us);
@@ -1078,7 +1069,7 @@ fn worker_loop(inner: &ServiceInner) {
             .record(&spec.canonical(), journal_state)
             .is_err()
         {
-            metrics::counter("journal.errors", Class::Deterministic).inc();
+            m.journal_errors(1);
         }
         if retried > 0 {
             m.retried.inc();
@@ -1271,7 +1262,7 @@ pub fn respond<'s>(
         }
         "health" => {
             let (queued, running, draining) = service.health();
-            let stats = service_stats();
+            let stats = service.stats();
             (
                 obj(vec![
                     ("ok", Value::Bool(true)),
@@ -1285,8 +1276,8 @@ pub fn respond<'s>(
         }
         "stats" => {
             let (queued, running, draining) = service.health();
-            let stats = service_stats();
-            let lat = latency_metrics();
+            let stats = service.stats();
+            let lat = &service.inner.metrics;
             let hist = |h: &Histogram| {
                 Value::Obj(vec![
                     ("count".into(), Value::Num(h.count() as f64)),
@@ -1303,9 +1294,9 @@ pub fn respond<'s>(
                         (
                             (*name).to_string(),
                             Value::Obj(vec![
-                                ("queue_wait_us".into(), hist(class.queue_wait)),
-                                ("exec_us".into(), hist(class.exec)),
-                                ("e2e_us".into(), hist(class.e2e)),
+                                ("queue_wait_us".into(), hist(&class.queue_wait)),
+                                ("exec_us".into(), hist(&class.exec)),
+                                ("e2e_us".into(), hist(&class.e2e)),
                             ]),
                         )
                     })
@@ -1337,7 +1328,7 @@ pub fn respond<'s>(
             obj(vec![
                 ("ok", Value::Bool(true)),
                 ("format", Value::Str("prometheus".into())),
-                ("text", Value::Str(metrics::prometheus_text())),
+                ("text", Value::Str(service.metrics().prometheus_text())),
             ]),
             false,
         ),
@@ -1466,7 +1457,7 @@ mod tests {
         assert!(!svc.cancel(999), "unknown ids are refused");
         // The terminal record exists: a restart replays nothing.
         let journal = Journal::new(dir.join("journal"));
-        assert!(journal.recover().is_empty());
+        assert!(journal.recover().0.is_empty());
         svc.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1508,7 +1499,7 @@ mod tests {
         svc.crash(); // SIGKILL emulation: no terminal records
 
         let journal = Journal::new(&journal_dir);
-        assert_eq!(journal.recover().len(), 2, "both jobs await replay");
+        assert_eq!(journal.recover().0.len(), 2, "both jobs await replay");
 
         cfg.hold = false;
         let svc2 = JobService::start(cfg.clone());
@@ -1517,7 +1508,7 @@ mod tests {
         assert_eq!((queued, running), (0, false));
         svc2.shutdown();
         assert!(
-            journal.recover().is_empty(),
+            journal.recover().0.is_empty(),
             "replayed jobs reached terminal states; a third start recovers nothing"
         );
         let svc3 = JobService::start(cfg);

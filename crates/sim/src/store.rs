@@ -8,11 +8,11 @@
 //! campaign. This module caches one [`TileOutcome`] per canonical
 //! [`TileKey`] in two tiers:
 //!
-//! * a **hot tier**: a process-wide striped hash map, consulted first by
-//!   every enabled [`TileBroker`]. Concurrent requests for the same
-//!   missing key deduplicate — exactly one computes, the rest block on
-//!   the entry — so hit/miss counts depend only on the multiset of keys,
-//!   not on scheduling;
+//! * a **hot tier**: a striped hash map, consulted first by every
+//!   enabled [`TileBroker`]. Concurrent requests for the same missing key
+//!   deduplicate — exactly one computes, the rest block on the entry — so
+//!   hit/miss counts depend only on the multiset of keys, not on
+//!   scheduling;
 //! * a **disk tier** ([`DiskTier`]): 16 shard files under a store
 //!   directory, keyed by the low nibble of the key's FNV-1a hash,
 //!   following the checkpoint layer's durability discipline — versioned
@@ -29,17 +29,20 @@
 //! what lets a warm store skip `suds::optimize` entirely without
 //! perturbing any report.
 //!
-//! Within one process, keying and looking a tile up costs more than
-//! timing it, so a runner without a store directory plants disabled
-//! brokers: its tiles are timed directly and never keyed.
+//! Both tiers make up one [`TileStore`], which a runner builds in
+//! [`crate::Runner::with_store_dir`] and shares with its clones. Within
+//! one process, keying and looking a tile up costs more than timing it,
+//! so a runner without a store directory has no tile store and plants
+//! disabled brokers: its tiles are timed directly and never keyed.
 //!
 //! # Metrics
 //!
 //! `store.lookups/hits/misses/inserts/evictions/errors`, all
-//! [`Class::Deterministic`]; `lookups == hits + misses` always, and on a
-//! fully warmed store `hits == lookups` with `misses == 0`.
+//! [`Class::Deterministic`], in the runner's registry, registered on the
+//! store's first lookup or error; `lookups == hits + misses` always, and
+//! on a fully warmed store `hits == lookups` with `misses == 0`.
 
-use eureka_obs::metrics::{self, Class, Counter};
+use eureka_obs::metrics::{Class, Counter, Registry};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -172,26 +175,28 @@ pub enum Served {
     Computed,
 }
 
-/// `&'static` handles to the `store.*` counters.
+/// Handles to the `store.*` counters.
 struct StoreTelemetry {
-    lookups: &'static Counter,
-    hits: &'static Counter,
-    misses: &'static Counter,
-    inserts: &'static Counter,
-    evictions: &'static Counter,
-    errors: &'static Counter,
+    lookups: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inserts: Arc<Counter>,
+    evictions: Arc<Counter>,
+    errors: Arc<Counter>,
 }
 
-fn stel() -> &'static StoreTelemetry {
-    static TEL: OnceLock<StoreTelemetry> = OnceLock::new();
-    TEL.get_or_init(|| StoreTelemetry {
-        lookups: metrics::counter("store.lookups", Class::Deterministic),
-        hits: metrics::counter("store.hits", Class::Deterministic),
-        misses: metrics::counter("store.misses", Class::Deterministic),
-        inserts: metrics::counter("store.inserts", Class::Deterministic),
-        evictions: metrics::counter("store.evictions", Class::Deterministic),
-        errors: metrics::counter("store.errors", Class::Deterministic),
-    })
+impl StoreTelemetry {
+    fn new(metrics: &Registry) -> Self {
+        let c = |name| metrics.counter(name, Class::Deterministic);
+        StoreTelemetry {
+            lookups: c("store.lookups"),
+            hits: c("store.hits"),
+            misses: c("store.misses"),
+            inserts: c("store.inserts"),
+            evictions: c("store.evictions"),
+            errors: c("store.errors"),
+        }
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -205,35 +210,58 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// disk or by computing); concurrent callers block and then read it.
 type Cell = Arc<OnceLock<TileOutcome>>;
 
-/// The process-wide hot tier plus the `store.*` counters' bookkeeping.
+/// A runner's tile store: the hot tier over the disk tier of its store
+/// directory, counting into the runner's registry.
 pub struct TileStore {
     stripes: Vec<Mutex<HashMap<TileKey, Cell>>>,
     entries: AtomicUsize,
     /// Hot-tier capacity in entries; 0 = unbounded (the default).
     capacity: AtomicUsize,
+    disk: DiskTier,
+    metrics: Registry,
+    /// The `store.*` counters, registered on first use, so a run that
+    /// never looks a tile up adds no `store.*` names to its snapshot.
+    tel: OnceLock<StoreTelemetry>,
+}
+
+impl std::fmt::Debug for TileStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TileStore")
+            .field("dir", &self.disk.dir)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TileStore {
-    fn new() -> Self {
+    /// An empty hot tier over the disk tier rooted at `dir`, counting
+    /// into `metrics`.
+    #[must_use]
+    pub fn new(dir: impl Into<PathBuf>, metrics: Registry) -> Self {
         TileStore {
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
             entries: AtomicUsize::new(0),
             capacity: AtomicUsize::new(0),
+            disk: DiskTier::new(dir),
+            metrics,
+            tel: OnceLock::new(),
         }
     }
 
-    /// Resolves `key`: hot tier first, then `disk` (promoting hits),
-    /// then `compute` — which runs at most once per key process-wide,
-    /// with concurrent requesters blocking on the in-flight entry.
-    /// Updates the `store.*` counters; exactly one of hit/miss fires per
-    /// call, and misses also count an insert.
+    fn tel(&self) -> &StoreTelemetry {
+        self.tel.get_or_init(|| StoreTelemetry::new(&self.metrics))
+    }
+
+    /// Resolves `key`: hot tier first, then the disk tier (promoting
+    /// hits), then `compute` — which runs at most once per key in this
+    /// store, with concurrent requesters blocking on the in-flight
+    /// entry. Updates the `store.*` counters; exactly one of hit/miss
+    /// fires per call, and misses also count an insert.
     pub fn lookup_or_compute(
         &self,
         key: &TileKey,
-        disk: Option<&DiskTier>,
         compute: impl FnOnce() -> TileOutcome,
     ) -> (TileOutcome, Served) {
-        self.lookup_or_compute_str(key.as_str(), disk, compute)
+        self.lookup_or_compute_str(key.as_str(), compute)
     }
 
     /// [`lookup_or_compute`](Self::lookup_or_compute) over the key's text
@@ -244,10 +272,9 @@ impl TileStore {
     pub fn lookup_or_compute_str(
         &self,
         key: &str,
-        disk: Option<&DiskTier>,
         compute: impl FnOnce() -> TileOutcome,
     ) -> (TileOutcome, Served) {
-        let t = stel();
+        let t = self.tel();
         t.lookups.inc();
         let cell = {
             let mut map = lock(&self.stripes[stripe_of(key)]);
@@ -263,17 +290,15 @@ impl TileStore {
         };
         let mut served = Served::Hot;
         let out = *cell.get_or_init(|| {
-            if let Some(d) = disk {
-                if let Some(hit) = d.lookup_str(key) {
-                    served = Served::Disk;
-                    return hit;
-                }
+            let (hit, errors) = self.disk.find(key);
+            t.errors.add(errors);
+            if let Some(hit) = hit {
+                served = Served::Disk;
+                return hit;
             }
             served = Served::Computed;
             let out = compute();
-            if let Some(d) = disk {
-                d.record_str(key, out);
-            }
+            self.disk.record_str(key, out);
             out
         });
         match served {
@@ -285,6 +310,16 @@ impl TileStore {
             }
         }
         (out, served)
+    }
+
+    /// Persists the tiles computed since the last flush
+    /// ([`DiskTier::flush`]), counting failed shard writes as
+    /// `store.errors`.
+    pub fn flush(&self) {
+        let errors = self.disk.flush();
+        if errors > 0 {
+            self.tel().errors.add(errors);
+        }
     }
 
     /// Bounds the hot tier to `capacity` entries (0 = unbounded).
@@ -300,7 +335,7 @@ impl TileStore {
         if cap == 0 || self.entries.load(Ordering::Relaxed) <= cap {
             return;
         }
-        let t = stel();
+        let t = self.tel();
         for stripe in &self.stripes {
             if self.entries.load(Ordering::Relaxed) <= cap {
                 break;
@@ -333,52 +368,6 @@ impl TileStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every hot-tier entry (cold-start measurements).
-    pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut map = lock(stripe);
-            let n = map.len();
-            map.clear();
-            self.entries.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The process-wide hot tier.
-pub fn global() -> &'static TileStore {
-    static STORE: OnceLock<TileStore> = OnceLock::new();
-    STORE.get_or_init(TileStore::new)
-}
-
-/// `(lookups, hits, misses, inserts)` of the `store.*` counters.
-#[must_use]
-pub fn store_stats() -> (u64, u64, u64, u64) {
-    let t = stel();
-    (
-        t.lookups.get(),
-        t.hits.get(),
-        t.misses.get(),
-        t.inserts.get(),
-    )
-}
-
-/// Zeroes every `store.*` counter, clears the hot tier, and resets all
-/// registered disk tiers to their on-disk state (flushing dirty records
-/// first, so nothing is lost). Called by [`crate::runner::cache_reset`].
-pub fn store_reset() {
-    let t = stel();
-    for tier in disk_registry_snapshot() {
-        tier.flush();
-        tier.drop_loaded();
-    }
-    global().clear();
-    t.lookups.reset();
-    t.hits.reset();
-    t.misses.reset();
-    t.inserts.reset();
-    t.evictions.reset();
-    t.errors.reset();
 }
 
 /// One shard's in-memory state: records read from disk (lazily, once)
@@ -404,8 +393,7 @@ impl std::fmt::Debug for DiskTier {
 }
 
 impl DiskTier {
-    /// A tier rooted at `dir` (created on first flush). Prefer
-    /// [`disk_tier_for`], which shares loaded shards per directory.
+    /// A tier rooted at `dir` (created on first flush).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskTier {
@@ -435,15 +423,24 @@ impl DiskTier {
     /// needed).
     #[must_use]
     pub fn lookup_str(&self, key: &str) -> Option<TileOutcome> {
+        self.find(key).0
+    }
+
+    /// [`lookup_str`](Self::lookup_str) plus the damaged records found
+    /// if the lookup read the key's shard file.
+    fn find(&self, key: &str) -> (Option<TileOutcome>, u64) {
         let idx = shard_of(key);
         let mut shard = lock(&self.shards[idx]);
         if let Some(out) = shard.dirty.get(key) {
-            return Some(*out);
+            return (Some(*out), 0);
         }
-        if shard.loaded.is_none() {
-            shard.loaded = Some(self.read_shard(idx));
-        }
-        shard.loaded.as_ref().and_then(|m| m.get(key)).copied()
+        let mut errors = 0;
+        let loaded = shard.loaded.get_or_insert_with(|| {
+            let (map, damaged) = self.read_shard(idx);
+            errors = damaged;
+            map
+        });
+        (loaded.get(key).copied(), errors)
     }
 
     /// Stages a freshly computed record for the next [`DiskTier::flush`].
@@ -468,16 +465,20 @@ impl DiskTier {
     /// via the atomic tmp+rename path, which also repairs a corrupt file
     /// on the next flush. Records already on disk are never rewritten —
     /// outcomes are pure functions of the key, so re-recording equal
-    /// content leaves the shard bytes untouched. IO failures count as
-    /// `store.errors` and leave the records dirty for a later flush.
-    pub fn flush(&self) {
+    /// content leaves the shard bytes untouched. Returns the number of
+    /// shards that failed to write (their records stay dirty for a
+    /// later flush) plus damaged records read on the way.
+    pub fn flush(&self) -> u64 {
+        let mut errors = 0;
         for idx in 0..SHARDS {
             let mut shard = lock(&self.shards[idx]);
             if shard.dirty.is_empty() {
                 continue;
             }
             if shard.loaded.is_none() {
-                shard.loaded = Some(self.read_shard(idx));
+                let (map, damaged) = self.read_shard(idx);
+                shard.loaded = Some(map);
+                errors += damaged;
             }
             let loaded = shard.loaded.as_ref().expect("loaded above");
             // Sorted (BTreeMap order), deduplicated against disk: the
@@ -519,34 +520,27 @@ impl DiskTier {
                     loaded.insert(k, v);
                 }
             } else {
-                stel().errors.inc();
+                errors += 1;
             }
         }
+        errors
     }
 
-    /// Forgets all loaded (but not dirty) shard state, so the next
-    /// lookup re-reads the files — the cold-start path [`store_reset`]
-    /// uses after flushing.
-    fn drop_loaded(&self) {
-        for shard in &self.shards {
-            lock(shard).loaded = None;
-        }
-    }
-
-    /// Parses shard `idx` from disk. Never panics: a missing file is an
-    /// empty shard; a bad header discards the shard; a malformed record,
-    /// or one whose key does not belong in this shard (collision damage,
-    /// manual tampering), is skipped with a `store.errors` tick.
-    fn read_shard(&self, idx: usize) -> HashMap<TileKey, TileOutcome> {
+    /// Parses shard `idx` from disk, returning its records and the
+    /// number of damaged ones. Never panics: a missing file is an empty
+    /// shard; a bad header discards the shard (one error); a malformed
+    /// record, or one whose key does not belong in this shard (collision
+    /// damage, manual tampering), is skipped as one error.
+    fn read_shard(&self, idx: usize) -> (HashMap<TileKey, TileOutcome>, u64) {
         let mut map = HashMap::new();
         let Ok(text) = std::fs::read_to_string(self.shard_path(idx)) else {
-            return map;
+            return (map, 0);
         };
         let mut lines = text.lines();
         if lines.next() != Some(HEADER) {
-            stel().errors.inc();
-            return map;
+            return (map, 1);
         }
+        let mut errors = 0;
         for line in lines {
             match decode_record(line) {
                 Some((key, out)) if key.shard() == idx => {
@@ -554,17 +548,17 @@ impl DiskTier {
                     // recovery keeps the newest write).
                     map.insert(key, out);
                 }
-                _ => stel().errors.inc(),
+                _ => errors += 1,
             }
         }
-        map
+        (map, errors)
     }
 
     /// Total records across all shard files currently on disk (reads the
     /// files; intended for tests and tooling, not the hot path).
     #[must_use]
     pub fn records_on_disk(&self) -> usize {
-        (0..SHARDS).map(|idx| self.read_shard(idx).len()).sum()
+        (0..SHARDS).map(|idx| self.read_shard(idx).0.len()).sum()
     }
 }
 
@@ -615,34 +609,11 @@ fn decode_record(line: &str) -> Option<(TileKey, TileOutcome)> {
     ))
 }
 
-/// Per-directory registry of disk tiers, so every runner pointed at one
-/// `--store-dir` shares loaded shards (and [`store_reset`] can reach
-/// them all).
-fn disk_registry() -> &'static Mutex<HashMap<PathBuf, Arc<DiskTier>>> {
-    static REG: OnceLock<Mutex<HashMap<PathBuf, Arc<DiskTier>>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn disk_registry_snapshot() -> Vec<Arc<DiskTier>> {
-    lock(disk_registry()).values().cloned().collect()
-}
-
-/// The shared [`DiskTier`] for `dir`, created on first use.
-#[must_use]
-pub fn disk_tier_for(dir: &Path) -> Arc<DiskTier> {
-    let mut reg = lock(disk_registry());
-    Arc::clone(
-        reg.entry(dir.to_path_buf())
-            .or_insert_with(|| Arc::new(DiskTier::new(dir))),
-    )
-}
-
 /// The tile-resolution handle planted in each work unit's
 /// [`crate::arch::LayerCtx`]. Disabled brokers compute directly (ad-hoc
 /// simulation call sites and runners without a store directory); enabled
-/// brokers resolve through the global hot tier (and the unit's disk
-/// tier, when configured) while tallying per-unit lookup/compute counts
-/// so the runner can classify the unit.
+/// brokers resolve through their runner's [`TileStore`] while tallying
+/// per-unit lookup/compute counts so the runner can classify the unit.
 #[derive(Clone, Debug, Default)]
 pub struct TileBroker {
     inner: Option<Arc<BrokerInner>>,
@@ -650,7 +621,7 @@ pub struct TileBroker {
 
 #[derive(Debug)]
 struct BrokerInner {
-    disk: Option<Arc<DiskTier>>,
+    store: Arc<TileStore>,
     lookups: AtomicU64,
     computes: AtomicU64,
 }
@@ -662,12 +633,12 @@ impl TileBroker {
         TileBroker::default()
     }
 
-    /// A store-backed broker with a fresh per-unit tally.
+    /// A broker resolving through `store`, with a fresh per-unit tally.
     #[must_use]
-    pub fn enabled(disk: Option<Arc<DiskTier>>) -> Self {
+    pub fn enabled(store: Arc<TileStore>) -> Self {
         TileBroker {
             inner: Some(Arc::new(BrokerInner {
-                disk,
+                store,
                 lookups: AtomicU64::new(0),
                 computes: AtomicU64::new(0),
             })),
@@ -706,7 +677,7 @@ impl TileBroker {
             return compute();
         };
         inner.lookups.fetch_add(1, Ordering::Relaxed);
-        let (out, served) = global().lookup_or_compute_str(key, inner.disk.as_deref(), compute);
+        let (out, served) = inner.store.lookup_or_compute_str(key, compute);
         if served == Served::Computed {
             inner.computes.fetch_add(1, Ordering::Relaxed);
         }
@@ -873,30 +844,46 @@ mod tests {
 
     #[test]
     fn hot_tier_deduplicates_and_capacity_evicts() {
-        let store = TileStore::new();
+        let dir = tmp("hot");
+        std::fs::remove_dir_all(&dir).ok();
+        let metrics = Registry::new();
+        let store = TileStore::new(&dir, metrics.clone());
+        assert_eq!(
+            metrics.counter_value("store.lookups"),
+            None,
+            "no lookup yet"
+        );
         let computes = AtomicUsize::new(0);
         let compute = || {
             computes.fetch_add(1, Ordering::Relaxed);
             out(1)
         };
-        let (o1, s1) = store.lookup_or_compute(&key(1), None, compute);
-        let (o2, s2) = store.lookup_or_compute(&key(1), None, compute);
+        let (o1, s1) = store.lookup_or_compute(&key(1), compute);
+        let (o2, s2) = store.lookup_or_compute(&key(1), compute);
         assert_eq!((o1, s1), (out(1), Served::Computed));
         assert_eq!((o2, s2), (out(1), Served::Hot));
         assert_eq!(computes.load(Ordering::Relaxed), 1, "one compute per key");
+        assert_eq!(metrics.counter_value("store.lookups"), Some(2));
+        assert_eq!(metrics.counter_value("store.misses"), Some(1));
         store.set_capacity(4);
         for i in 10..40 {
-            store.lookup_or_compute(&key(i), None, || out(i));
+            store.lookup_or_compute(&key(i), || out(i));
         }
         assert!(store.len() <= 5, "capacity bounds the hot tier");
         // Evicted keys recompute with identical results.
-        let (o, _) = store.lookup_or_compute(&key(12), None, || out(12));
+        let (o, _) = store.lookup_or_compute(&key(12), || out(12));
         assert_eq!(o, out(12));
+        // Flushed tiles serve a fresh store from disk.
+        store.flush();
+        let fresh = TileStore::new(&dir, Registry::new());
+        let (o, served) = fresh.lookup_or_compute(&key(12), || unreachable!("on disk"));
+        assert_eq!((o, served), (out(12), Served::Disk));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn broker_tallies_lookups_and_computes() {
-        let broker = TileBroker::enabled(None);
+        let broker = TileBroker::enabled(Arc::new(TileStore::new(tmp("broker"), Registry::new())));
         let k = TileKey::new("tally", "1,2,3");
         broker.resolve(Some(k.clone()), || out(8));
         broker.resolve(Some(k.clone()), || out(8));

@@ -19,15 +19,14 @@ use eureka_sim::arch;
 use eureka_sim::checkpoint;
 use eureka_sim::faults::{self, FaultKind, FaultPlan, FaultSpec};
 use eureka_sim::report::SimReport;
-use eureka_sim::runner::{self, Runner, SimJob};
+use eureka_sim::runner::{Runner, SimJob};
 use eureka_sim::service::{self, JobService, JobSpec, JobStatus, ServiceConfig, SubmitError};
 use eureka_sim::{Journal, SimConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Distinct sampling keeps this suite's unit-cache entries disjoint
-/// from every other suite that simulates MobileNet under `fast()`.
+/// Small sampling, so each scenario's jobs finish fast.
 fn chaos_config() -> SimConfig {
     SimConfig {
         rowgroup_samples: 21,
@@ -65,13 +64,13 @@ fn layers_match(got: &SimReport, want: &SimReport, what: &str) -> Result<(), Str
     Ok(())
 }
 
-/// Asserts the `service.*` ledger reconciles at quiescence, and that
-/// the per-outcome-class latency histograms agree with it sample for
-/// sample: every terminal transition recorded exactly one end-to-end
-/// latency sample in its class, so the histogram counts must equal the
-/// counters under every chaos scenario.
-fn check_reconciled(what: &str) -> Result<(), String> {
-    let s = service::service_stats();
+/// Asserts `svc`'s `service.*` ledger reconciles at quiescence, and
+/// that the per-outcome-class latency histograms agree with it sample
+/// for sample: every terminal transition recorded exactly one
+/// end-to-end latency sample in its class, so the histogram counts must
+/// equal the counters under every chaos scenario.
+fn check_reconciled(svc: &JobService, what: &str) -> Result<(), String> {
+    let s = svc.stats();
     check(
         s.reconciled(),
         &format!(
@@ -80,7 +79,7 @@ fn check_reconciled(what: &str) -> Result<(), String> {
             s.served, s.completed, s.shed, s.cancelled, s.deadline_exceeded, s.failed
         ),
     )?;
-    let counts = service::latency_counts();
+    let counts = svc.latency_counts();
     let expected = [
         s.completed,
         s.shed,
@@ -175,8 +174,8 @@ fn scenario_clean(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> Resul
         &format!("clean: status {status:?}, expected Completed"),
     )?;
     layers_match(&report_of(&svc, id)?, baseline, "clean")?;
+    check_reconciled(&svc, "clean")?;
     svc.shutdown();
-    check_reconciled("clean")?;
     let _ = writeln!(out, "  clean        completed, report identical");
     Ok(())
 }
@@ -221,8 +220,8 @@ fn scenario_panic(
         svc2_status == Some(JobStatus::Failed),
         "panic: permanent faults also fail the follow-up (same plan), service alive",
     )?;
+    check_reconciled(&svc, "panic")?;
     svc.shutdown();
-    check_reconciled("panic")?;
     let _ = writeln!(
         out,
         "  panic        {sites} site(s) failed, survivors identical"
@@ -265,13 +264,12 @@ fn scenario_transient(
         &format!("transient: status {status:?}, expected Completed after retries"),
     )?;
     layers_match(&report_of(&svc, id)?, baseline, "transient")?;
-    let stats = service::service_stats();
     check(
-        stats.retried >= 1,
+        svc.stats().retried >= 1,
         "transient: the retry path must actually have fired",
     )?;
+    check_reconciled(&svc, "transient")?;
     svc.shutdown();
-    check_reconciled("transient")?;
     let _ = writeln!(
         out,
         "  transient    recovered via retries, report identical"
@@ -302,8 +300,8 @@ fn scenario_deadline(
         status == JobStatus::DeadlineExceeded,
         &format!("deadline: status {status:?}, expected DeadlineExceeded"),
     )?;
+    check_reconciled(&svc, "deadline (stalled)")?;
     svc.shutdown();
-    check_reconciled("deadline (stalled)")?;
 
     // Same sandbox, no stall, no deadline: completes identically.
     let svc = JobService::start(sb.config(FaultPlan::empty()));
@@ -313,8 +311,8 @@ fn scenario_deadline(
         "deadline: clean resubmit completes",
     )?;
     layers_match(&report_of(&svc, id)?, baseline, "deadline (resubmit)")?;
+    check_reconciled(&svc, "deadline")?;
     svc.shutdown();
-    check_reconciled("deadline")?;
     let _ = writeln!(
         out,
         "  deadline     stall stopped at boundary, resubmit identical"
@@ -349,30 +347,28 @@ fn scenario_crash_recover(
     std::thread::sleep(Duration::from_millis(40));
     svc.crash();
     check(
-        sb.journal().recover() == vec![held.canonical()],
+        sb.journal().recover().0 == vec![held.canonical()],
         "crash: the unfinished job must await replay (accepted, no terminal)",
     )?;
 
-    // Generation 2: fresh ledger, same dirs, same tag, no faults — the
-    // journal replays the job and the store's records serve whatever
-    // generation 1 completed.
+    // Generation 2: a fresh service (and ledger), same dirs, same tag,
+    // no faults — the journal replays the job and the store's records
+    // serve whatever generation 1 completed.
     let (appended, damaged) = checkpoint::load(&sb.store());
     check(
         damaged == 0,
         "crash: a finished unit's record is never torn",
     )?;
-    service::service_reset();
-    let (replayed, _, _) = runner::checkpoint_stats();
     let svc2 = JobService::start(sb.config(FaultPlan::empty()));
     check(svc2.wait_idle(), "recovered job runs to completion")?;
     check(
-        runner::checkpoint_stats().0 - replayed >= appended.len() as u64,
+        svc2.metrics().counter_value("checkpoint.hits") >= Some(appended.len() as u64),
         &format!(
             "crash: the {} unit(s) generation 1 appended must replay, not recompute",
             appended.len()
         ),
     )?;
-    let stats = service::service_stats();
+    let stats = svc2.stats();
     check(
         stats.recovered == 1 && stats.completed == 1,
         &format!(
@@ -382,10 +378,10 @@ fn scenario_crash_recover(
     )?;
     // The recovered job is id 1 of the new generation.
     layers_match(&report_of(&svc2, 1)?, baseline, "crash (recovered)")?;
+    check_reconciled(&svc2, "crash")?;
     svc2.shutdown();
-    check_reconciled("crash")?;
     check(
-        sb.journal().recover().is_empty(),
+        sb.journal().recover().0.is_empty(),
         "crash: a third start must recover nothing",
     )?;
     let _ = writeln!(
@@ -435,14 +431,13 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
         .and_then(|mut log| std::io::Write::write_all(&mut log, garbage.as_bytes()))
         .map_err(|e| format!("chaos: {e}"))?;
     check(
-        sb.journal().recover().is_empty(),
+        sb.journal().recover().0.is_empty(),
         "corruption: a garbage journal line replayed a job",
     )?;
 
     // A fresh service on the vandalized dirs: starts, recovers nothing
     // (the completed record survived), and a resubmit recomputes the
     // damaged units into a bit-identical report.
-    service::service_reset();
     let svc2 = JobService::start(sb.config(FaultPlan::empty()));
     let (id, status) = submit_and_wait(&svc2, spec())?;
     check(
@@ -450,8 +445,8 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
         "corruption: resubmit on damaged dirs completes",
     )?;
     layers_match(&report_of(&svc2, id)?, baseline, "corruption")?;
+    check_reconciled(&svc2, "corruption")?;
     svc2.shutdown();
-    check_reconciled("corruption")?;
     let _ = writeln!(
         out,
         "  corruption   damaged shards skipped, report identical"
@@ -475,10 +470,9 @@ fn scenario_overload(sb: &Sandbox, out: &mut String) -> Result<(), String> {
     )?;
     svc.release();
     check(svc.wait_idle(), "held service drains after release")?;
+    check(svc.stats().shed >= 1, "overload: shed load must be counted")?;
+    check_reconciled(&svc, "overload")?;
     svc.shutdown();
-    let stats = service::service_stats();
-    check(stats.shed >= 1, "overload: shed load must be counted")?;
-    check_reconciled("overload")?;
     let _ = writeln!(out, "  overload     queue bound enforced, shed ledgered");
     Ok(())
 }
@@ -505,7 +499,6 @@ pub fn run_chaos(cases: u32, seed: u64) -> Result<String, String> {
     for case in 0..cases {
         let case_seed = seed ^ u64::from(case).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let sb = Sandbox::new(seed, case)?;
-        service::service_reset();
         match case % 7 {
             0 => scenario_clean(&sb, &baseline, &mut out)?,
             1 => scenario_panic(case_seed, &sb, &baseline, &layers, &mut out)?,

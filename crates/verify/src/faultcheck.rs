@@ -22,7 +22,7 @@ use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, Architecture};
 use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultyArch};
 use eureka_sim::report::SimReport;
-use eureka_sim::runner::{self, Runner, SimJob};
+use eureka_sim::runner::{Runner, SimJob};
 use eureka_sim::{JobOutcome, RetryPolicy, SimConfig};
 use std::fmt::Write as _;
 
@@ -296,13 +296,11 @@ fn run_resume_check(
         // so the survivors can only come from the directory's records,
         // exactly as in a fresh process.
         let clean = FaultyArch::new(Box::new(arch::eureka_p4()), FaultPlan::empty(), &tag);
-        let (replayed, _, _) = runner::checkpoint_stats();
-        let resumed = Runner::serial()
-            .with_store_dir(&dir)
-            .run_outcome(&SimJob::new(&clean, workload, *cfg));
+        let runner = Runner::serial().with_store_dir(&dir);
+        let resumed = runner.run_outcome(&SimJob::new(&clean, workload, *cfg));
         check(resumed.is_complete(), "resume: resumed run must complete")?;
         check(
-            runner::checkpoint_stats().0 - replayed >= survivors as u64,
+            runner.metrics().counter_value("checkpoint.hits") >= Some(survivors as u64),
             "resume: every survivor must replay from the records, not recompute",
         )?;
         layers_match(

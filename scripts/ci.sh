@@ -6,6 +6,14 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
+# These suites once took turns on process-wide metrics; each test now
+# reads its own runner's or service's counts. Rerun them with many
+# threads so any order dependence fails here.
+for _ in 1 2 3 4 5; do
+    cargo test -q --test events --test fault_tolerance --test runner_equivalence \
+        --test service --test store_durability --test telemetry -- --test-threads 16
+    cargo test -q -p eureka-cli --test run_opts -- --test-threads 16
+done
 # The benchmark harness has its own workspace but calls the service,
 # journal and request APIs, so an API break must fail here too.
 cargo test --release --manifest-path examples/benchmark/Cargo.toml

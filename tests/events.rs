@@ -8,22 +8,15 @@
 
 use eureka::obs;
 use eureka::obs::events::Events;
+use eureka::obs::metrics::Registry;
 use eureka::obs::progress::Mode;
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::faults::{self, FaultKind, FaultPlan, FaultSpec, FaultyArch};
-use eureka_sim::{arch, runner, JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
+use eureka_sim::{arch, JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
 use std::io::Write;
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Mutex};
 
-/// The metrics registry is process-global; serialize the tests that
-/// reset or compare it.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Sampling counts distinct from every named preset so these tests never
-/// share cache entries with other suites.
+/// Small sampling counts, so the suite stays fast.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 11,
@@ -58,7 +51,11 @@ impl Write for Sink {
 /// the captured stream.
 fn capture<F: FnOnce(&Events)>(f: F) -> String {
     let sink = Sink::default();
-    f(&Events::new(Some(Box::new(sink.clone())), Mode::Off));
+    f(&Events::new(
+        Some(Box::new(sink.clone())),
+        Mode::Off,
+        &Registry::new(),
+    ));
     sink.contents()
 }
 
@@ -69,14 +66,12 @@ fn count(stream: &str, kind: &str) -> usize {
 
 #[test]
 fn deterministic_projection_is_identical_across_jobs_and_reruns() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
     let run = |jobs: usize| {
-        runner::cache_reset();
         capture(|events| {
             Runner::with_jobs(jobs)
                 .with_events(events.clone())
@@ -121,27 +116,24 @@ fn deterministic_projection_is_identical_across_jobs_and_reruns() {
 
 #[test]
 fn events_and_progress_have_zero_impact_on_reports_and_metrics() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let a = arch::by_name("eureka-p2").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
     // Baseline: no sink, progress off.
-    runner::cache_reset();
-    obs::metrics::reset();
-    let plain_report = Runner::with_jobs(4).run(&job).expect("supported");
-    let plain_metrics = obs::metrics::snapshot_json(false);
+    let plain = Runner::with_jobs(4);
+    let plain_report = plain.run(&job).expect("supported");
+    let plain_metrics = plain.metrics().snapshot_json(false);
 
-    // Instrumented: a JSONL sink AND progress forced on.
-    runner::cache_reset();
-    obs::metrics::reset();
+    // Instrumented: a JSONL sink AND progress forced on, reading the
+    // runner's own registry.
     let sink = Sink::default();
-    let instr_report = Runner::with_jobs(4)
-        .with_events(Events::new(Some(Box::new(sink.clone())), Mode::On))
-        .run(&job)
-        .expect("supported");
-    let instr_metrics = obs::metrics::snapshot_json(false);
+    let instr = Runner::with_jobs(4);
+    let events = Events::new(Some(Box::new(sink.clone())), Mode::On, instr.metrics());
+    let instr = instr.with_events(events);
+    let instr_report = instr.run(&job).expect("supported");
+    let instr_metrics = instr.metrics().snapshot_json(false);
 
     assert!(!sink.contents().is_empty(), "events were streamed");
     assert_eq!(
@@ -160,7 +152,6 @@ fn events_and_progress_have_zero_impact_on_reports_and_metrics() {
 /// handle counts exactly the lines its stream holds.
 #[test]
 fn concurrent_runners_keep_their_sinks_apart() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let archs = [
@@ -195,7 +186,8 @@ fn concurrent_runners_keep_their_sinks_apart() {
                 let run = &run;
                 scope.spawn(move || {
                     let sink = Sink::default();
-                    let events = Events::new(Some(Box::new(sink.clone())), Mode::Off);
+                    let events =
+                        Events::new(Some(Box::new(sink.clone())), Mode::Off, &Registry::new());
                     start.wait();
                     run(a.as_ref(), &events);
                     (sink.contents(), events.count())
@@ -219,7 +211,6 @@ fn concurrent_runners_keep_their_sinks_apart() {
 
 #[test]
 fn failures_and_retries_surface_as_events() {
-    let _x = exclusive();
     faults::install_quiet_hook();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
@@ -233,7 +224,6 @@ fn failures_and_retries_surface_as_events() {
     }]);
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "ev-retry");
     let job = SimJob::new(&faulty, &w, cfg);
-    runner::cache_reset();
     let stream = capture(|events| {
         let outcome = Runner::serial()
             .without_cache()
@@ -256,7 +246,6 @@ fn failures_and_retries_surface_as_events() {
     }]);
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "ev-fail");
     let job = SimJob::new(&faulty, &w, cfg);
-    runner::cache_reset();
     let stream = capture(|events| {
         let outcome = Runner::serial()
             .without_cache()
@@ -280,16 +269,11 @@ fn failures_and_retries_surface_as_events() {
 
 #[test]
 fn unit_source_classification_tracks_memoization() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 12, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
     let stream = capture(|events| {
         let runner = Runner::serial().with_events(events.clone());
         runner.run(&job).expect("supported");
@@ -314,14 +298,10 @@ fn unit_source_classification_tracks_memoization() {
 
 #[test]
 fn checkpoint_writes_surface_as_events() {
-    let _x = exclusive();
     let dir = std::env::temp_dir().join(format!("eureka-events-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 14, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("cnvlutin").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
@@ -334,12 +314,10 @@ fn checkpoint_writes_surface_as_events() {
             .run(&job)
             .expect("supported");
     };
-    runner::cache_reset();
     let cold = capture(run);
     assert_eq!(count(&cold, "checkpoint-written"), w.layer_count());
 
     // A rerun replays every unit from the directory's records.
-    runner::cache_reset();
     let warm = capture(run);
     assert_eq!(count(&warm, "checkpoint-written"), 0);
     let replayed = warm

@@ -7,18 +7,23 @@
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch::{self, SimError};
 use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultyArch};
-use eureka_sim::{runner, JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use eureka_sim::{JobOutcome, RetryPolicy, Runner, SimConfig, SimJob};
 
-/// The runner counters are process-global; serialize the tests so
-/// exact-count assertions don't depend on execution order.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+/// `runner`'s counter `name` (0 before it is registered).
+fn count(runner: &Runner, name: &str) -> u64 {
+    runner.metrics().counter_value(name).unwrap_or(0)
 }
 
-/// Sampling counts distinct from every named preset so these tests never
-/// share cache entries with other suites.
+/// `(hits, writes, errors)` of `runner`'s `checkpoint.*` counters.
+fn checkpoint_counts(runner: &Runner) -> (u64, u64, u64) {
+    (
+        count(runner, "checkpoint.hits"),
+        count(runner, "checkpoint.writes"),
+        count(runner, "checkpoint.errors"),
+    )
+}
+
+/// Small sampling counts, so the suite stays fast.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 16,
@@ -30,7 +35,6 @@ fn test_cfg() -> SimConfig {
 
 #[test]
 fn degraded_outcomes_are_identical_in_serial_and_parallel() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let layers: Vec<String> = w.gemms().into_iter().map(|g| g.name).collect();
@@ -77,7 +81,6 @@ fn degraded_outcomes_are_identical_in_serial_and_parallel() {
 
 #[test]
 fn run_all_surfaces_a_panicked_unit_as_a_typed_error() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let victim = w.gemms().into_iter().nth(1).expect("has layers").name;
@@ -104,24 +107,24 @@ fn run_all_surfaces_a_panicked_unit_as_a_typed_error() {
 
 #[test]
 fn unsupported_combinations_are_never_retried() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::InceptionV3, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let s2ta = arch::by_name("s2ta").expect("registered");
     let job = SimJob::new(s2ta.as_ref(), &w, cfg);
 
-    runner::cache_reset();
-    let outcome = Runner::serial()
+    let runner = Runner::serial()
         .without_cache()
-        .with_retry(RetryPolicy::transient(5))
-        .run_outcome(&job);
+        .with_retry(RetryPolicy::transient(5));
+    let outcome = runner.run_outcome(&job);
     assert!(
         matches!(outcome, JobOutcome::Failed { .. }),
         "a uniform refusal fails the whole job"
     );
-    let (attempts, recovered) = runner::retry_stats();
     assert_eq!(
-        (attempts, recovered),
+        (
+            count(&runner, "runner.retries.attempts"),
+            count(&runner, "runner.retries.recovered")
+        ),
         (0, 0),
         "Unsupported is permanent: the retry budget must not be spent on it"
     );
@@ -132,57 +135,44 @@ fn unsupported_combinations_are_never_retried() {
 
 #[test]
 fn checkpoints_round_trip_through_the_runner() {
-    let _x = exclusive();
     let dir = std::env::temp_dir().join(format!("eureka-ft-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 17, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
     let layers = w.layer_count() as u64;
 
     // A fresh runner per run: the replay below can only be served from
     // the directory's records, exactly as a fresh process would.
-    runner::cache_reset();
-    let cold = Runner::serial()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let first = Runner::serial().with_store_dir(&dir);
+    let cold = first.run(&job).expect("supported");
     assert_eq!(
-        runner::checkpoint_stats(),
+        checkpoint_counts(&first),
         (0, layers, 0),
         "one record per unit"
     );
 
-    let resumed = Runner::serial()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let second = Runner::serial().with_store_dir(&dir);
+    let resumed = second.run(&job).expect("supported");
     assert_eq!(cold, resumed, "record replay must be bit-identical");
     assert_eq!(
-        runner::checkpoint_stats(),
-        (layers, layers, 0),
+        checkpoint_counts(&second),
+        (layers, 0, 0),
         "every unit resumes from disk, and nothing new is written"
     );
 
     // A runner without unit records neither reads nor appends them.
-    let rerun = Runner::serial()
-        .without_cache()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let third = Runner::serial().without_cache().with_store_dir(&dir);
+    let rerun = third.run(&job).expect("supported");
     assert_eq!(cold, rerun);
-    assert_eq!(runner::checkpoint_stats(), (layers, layers, 0));
+    assert_eq!(checkpoint_counts(&third), (0, 0, 0));
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn verification_fault_matrix_passes() {
-    let _x = exclusive();
     let out = eureka::verify::run_fault_matrix(42).expect("contract holds");
     assert!(out.contains("fault-tolerance contract holds"), "{out}");
 }

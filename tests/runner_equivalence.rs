@@ -1,8 +1,9 @@
 //! The runner's determinism contract, enforced end to end: parallel
 //! execution is bit-identical to serial execution for every architecture
 //! in the registry, and cache replays are bit-identical to cold misses.
-//! A runner's unit records are its own, shared only with its clones, so
-//! the replay tests rerun on one runner.
+//! A runner's unit records, tile store and metrics are its own, shared
+//! only with its clones, so the replay tests rerun on one runner and
+//! read that runner's counts.
 //!
 //! The tile store takes part only in runs with a store directory, so the
 //! tests that count its traffic attach one.
@@ -16,16 +17,22 @@
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::arch;
-use eureka_sim::{runner, store, Runner, SimConfig, SimJob};
+use eureka_sim::{Runner, SimConfig, SimJob};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The cache counters and the tile store's hot tier are process-global;
-/// serialize the tests so exact-count assertions don't depend on
-/// execution order.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+/// `runner`'s counter `name` (0 before it is registered).
+fn count(runner: &Runner, name: &str) -> u64 {
+    runner.metrics().counter_value(name).unwrap_or(0)
+}
+
+/// `(hits, misses)` of `runner`'s `cache.*` counters.
+fn cache_counts(runner: &Runner) -> (u64, u64) {
+    (count(runner, "cache.hits"), count(runner, "cache.misses"))
+}
+
+/// `runner`'s `runner.units_from_store`.
+fn from_store(runner: &Runner) -> u64 {
+    count(runner, "runner.units_from_store")
 }
 
 /// A fresh, empty store directory owned by one test.
@@ -35,9 +42,7 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Small sampling counts so the full registry sweep stays fast; distinct
-/// from every named preset so these tests never share cache entries with
-/// other suites.
+/// Small sampling counts, so the full registry sweep stays fast.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 10,
@@ -49,7 +54,6 @@ fn test_cfg() -> SimConfig {
 
 #[test]
 fn parallel_equals_serial_for_every_registry_arch() {
-    let _x = exclusive();
     // ResNet50 is the one benchmark every registry architecture supports
     // (S2TA has no structured-sparsity data for InceptionV3).
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
@@ -66,7 +70,6 @@ fn parallel_equals_serial_for_every_registry_arch() {
 
 #[test]
 fn parallel_equals_serial_on_unsupported_combinations() {
-    let _x = exclusive();
     // Error paths must agree too: the lowest-index failure wins in both
     // modes.
     let w = Workload::new(Benchmark::InceptionV3, PruningLevel::Moderate, 32);
@@ -81,135 +84,97 @@ fn parallel_equals_serial_on_unsupported_combinations() {
 
 #[test]
 fn cache_hit_equals_cold_miss() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::BertSquad, PruningLevel::Conservative, 32);
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 11,
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
     let layers = w.layer_count() as u64;
 
-    // cache_reset zeroes the counters too, so the assertions below are
-    // exact regardless of what ran earlier in the process.
+    // A fresh runner's counters start at zero, so the assertions below
+    // are exact regardless of what ran earlier in the process.
     let dir = store_dir("hit");
     let runner = Runner::parallel().with_store_dir(&dir);
-    runner::cache_reset();
     let cold = runner.run(&job).expect("supported");
-    let (hits_after_cold, misses_after_cold) = runner::cache_stats();
-    let ufs_after_cold = runner::units_from_store_stats();
-    let (_, _, store_misses_cold, _) = store::store_stats();
+    let (hits_after_cold, misses_after_cold) = cache_counts(&runner);
+    let ufs_after_cold = from_store(&runner);
     let warm = runner.clone().run(&job).expect("supported");
-    let (hits_after_warm, misses_after_warm) = runner::cache_stats();
+    let (hits_after_warm, misses_after_warm) = cache_counts(&runner);
 
     assert_eq!(cold, warm, "cache replay must be bit-identical");
-    assert_eq!(hits_after_cold, 0, "cold run hits nothing after a reset");
+    assert_eq!(hits_after_cold, 0, "a cold run hits nothing");
     assert_eq!(
         misses_after_cold + ufs_after_cold,
         layers,
         "cold run executes once per layer"
     );
     assert_eq!(
-        misses_after_warm + runner::units_from_store_stats(),
+        misses_after_warm + from_store(&runner),
         layers,
         "warm run must not re-execute any unit"
     );
     assert_eq!(hits_after_warm, layers, "warm run must hit on every layer");
 
-    // And a fresh runner recomputes to the same report — with every
-    // re-executed unit served entirely by the still-warm tile store:
-    // exact counts, because zero tile computes can happen. A second
-    // directory holds no unit records, so every unit re-executes, and
-    // the process-wide hot tier serves each of its tiles.
-    let other = store_dir("hit-recompute");
-    let recomputed = Runner::parallel()
-        .with_store_dir(&other)
-        .run(&job)
-        .expect("supported");
+    // And a fresh runner without unit records recomputes to the same
+    // report — with every re-executed unit served entirely by the tile
+    // shards the first runner flushed: exact counts, because zero tile
+    // computes can happen.
+    let recompute = Runner::parallel().without_cache().with_store_dir(&dir);
+    let recomputed = recompute.run(&job).expect("supported");
     assert_eq!(cold, recomputed);
-    let (_, misses_after_recompute) = runner::cache_stats();
-    let (_, _, store_misses_recompute, _) = store::store_stats();
     assert_eq!(
-        misses_after_recompute, misses_after_cold,
-        "recompute against a warm tile store adds no cache.misses"
+        count(&recompute, "runner.units_executed"),
+        layers,
+        "every unit re-executes"
     );
     assert_eq!(
-        runner::units_from_store_stats(),
-        ufs_after_cold + layers,
-        "every recomputed unit is served from the tile store"
-    );
-    assert_eq!(
-        store_misses_recompute, store_misses_cold,
+        count(&recompute, "store.misses"),
+        0,
         "zero tile simulations happen against a warm store"
     );
-    runner::cache_reset();
+    assert!(count(&recompute, "store.hits") > 0);
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&other);
 }
 
 #[test]
-fn cache_reset_clears_store_tiers_for_honest_cold_starts() {
-    let _x = exclusive();
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 15,
-        ..test_cfg()
-    };
+fn fresh_runners_are_honest_cold_starts() {
+    let cfg = test_cfg();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
     let layers = w.layer_count() as u64;
 
-    runner::cache_reset();
     let dir = store_dir("reset");
-    let first = Runner::parallel()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
-    let (lookups, _, store_misses, _) = store::store_stats();
+    let first_runner = Runner::parallel().with_store_dir(&dir);
+    let first = first_runner.run(&job).expect("supported");
+    let lookups = count(&first_runner, "store.lookups");
+    let store_misses = count(&first_runner, "store.misses");
     assert!(lookups > 0, "a tile-timer arch resolves through the store");
     assert!(store_misses > 0, "a cold store computes tiles");
-    assert!(
-        !store::global().is_empty(),
-        "computed tiles populate the hot tier"
-    );
 
-    // After a reset the next run is a genuine cold start: same exact
-    // counter trajectory as the first run, nothing smuggled across. The
-    // reset keeps persistent state, so the cold start gets a directory
-    // of its own.
-    runner::cache_reset();
-    assert_eq!(store::store_stats(), (0, 0, 0, 0), "store counters zeroed");
-    assert!(store::global().is_empty(), "hot tier emptied");
+    // A fresh runner on a fresh directory is a genuine cold start: same
+    // exact counter trajectory as the first run, nothing smuggled
+    // across — neither the first runner's memory, its hot tier, nor its
+    // counts.
     let other = store_dir("reset-cold");
-    let second = Runner::parallel()
-        .with_store_dir(&other)
-        .run(&job)
-        .expect("supported");
+    let second_runner = Runner::parallel().with_store_dir(&other);
+    let second = second_runner.run(&job).expect("supported");
     assert_eq!(first, second, "cold starts are bit-identical");
-    let (hits, misses) = runner::cache_stats();
-    let (_, _, store_misses_2, _) = store::store_stats();
-    assert_eq!(hits, 0, "nothing survives a reset to hit on");
-    assert_eq!(misses + runner::units_from_store_stats(), layers);
+    let (hits, misses) = cache_counts(&second_runner);
+    assert_eq!(hits, 0, "nothing survives to hit on");
+    assert_eq!(misses + from_store(&second_runner), layers);
+    assert_eq!(count(&second_runner, "store.lookups"), lookups);
     assert_eq!(
-        store_misses_2, store_misses,
+        count(&second_runner, "store.misses"),
+        store_misses,
         "an honest cold start recomputes exactly the same tiles"
     );
-    runner::cache_reset();
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&other);
 }
 
 #[test]
 fn default_runner_bypasses_the_tile_store_with_identical_reports() {
-    let _x = exclusive();
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 16,
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
     let archs: Vec<_> = arch::registry_names()
         .iter()
@@ -220,48 +185,49 @@ fn default_runner_bypasses_the_tile_store_with_identical_reports() {
         .map(|a| SimJob::new(a.as_ref(), &w, cfg))
         .collect();
 
-    runner::cache_reset();
-    let default = Runner::parallel().run_all(&jobs);
+    let plain = Runner::parallel();
+    let default = plain.run_all(&jobs);
     assert!(
         default.iter().all(Result::is_ok),
         "ResNet50 runs everywhere"
     );
-    assert_eq!(store::store_stats().0, 0, "no store.lookups by default");
-    assert!(store::global().is_empty(), "the hot tier stays empty");
+    assert_eq!(
+        plain.metrics().counter_value("store.lookups"),
+        None,
+        "no tile store, and no store.* metrics, by default"
+    );
 
     // A store directory switches the tile store on; cold (every unit
     // executes, tiles resolve through the store) and warm (a fresh
     // runner replays every unit from the directory's records), reports
     // stay identical.
     let dir = store_dir("default");
-    let stored = || Runner::parallel().with_store_dir(&dir);
-    let cold = stored().run_all(&jobs);
-    assert!(store::store_stats().0 > 0, "the cold run resolved tiles");
+    let cold_runner = Runner::parallel().with_store_dir(&dir);
+    let cold = cold_runner.run_all(&jobs);
+    assert!(
+        count(&cold_runner, "store.lookups") > 0,
+        "the cold run resolved tiles"
+    );
     assert_eq!(
-        runner::checkpoint_stats().0,
+        count(&cold_runner, "checkpoint.hits"),
         0,
         "the cold run replays nothing"
     );
-    let warm = stored().run_all(&jobs);
+    let warm_runner = Runner::parallel().with_store_dir(&dir);
+    let warm = warm_runner.run_all(&jobs);
     assert_eq!(
-        runner::checkpoint_stats().0,
+        count(&warm_runner, "checkpoint.hits"),
         (jobs.len() * w.layer_count()) as u64,
         "the warm run replays every unit"
     );
     assert_eq!(default, cold, "a cold store run matches the default run");
     assert_eq!(default, warm, "a warm store run matches the default run");
-    runner::cache_reset();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
-    let _x = exclusive();
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 12,
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let base = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let reseeded = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32)
         .with_seed(base.seed() ^ 0xDEAD_BEEF);
@@ -273,7 +239,6 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
     let a = arch::by_name("eureka-p4").expect("registered");
     let layers = base.layer_count() as u64;
 
-    runner::cache_reset();
     let runner = Runner::parallel();
     let first = runner
         .run(&SimJob::new(a.as_ref(), &base, cfg))
@@ -281,13 +246,13 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
     let second = runner
         .run(&SimJob::new(a.as_ref(), &reseeded, cfg))
         .expect("supported");
-    let (hits, misses) = runner::cache_stats();
+    let (hits, misses) = cache_counts(&runner);
     assert_eq!(
         hits, 0,
         "a different seed must never hit the other's entries"
     );
     assert_eq!(
-        misses + runner::units_from_store_stats(),
+        misses + from_store(&runner),
         2 * layers,
         "both runs must fully re-execute"
     );
@@ -303,10 +268,10 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
         .run(&SimJob::new(a.as_ref(), &reseeded, cfg))
         .expect("supported");
     assert_eq!(second, replay);
-    let (hits_after_replay, misses_after_replay) = runner::cache_stats();
+    let (hits_after_replay, misses_after_replay) = cache_counts(&runner);
     assert_eq!(hits_after_replay, layers);
     assert_eq!(
-        misses_after_replay + runner::units_from_store_stats(),
+        misses_after_replay + from_store(&runner),
         2 * layers,
         "the replay re-executes nothing"
     );
@@ -314,19 +279,13 @@ fn jobs_differing_only_in_seed_do_not_share_cache_entries() {
 
 #[test]
 fn cache_hits_are_independent_of_arch_ordering() {
-    let _x = exclusive();
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 13,
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let layers = w.layer_count() as u64;
     let dense = arch::by_name("dense").expect("registered");
     let eureka = arch::by_name("eureka-p4").expect("registered");
 
     // Warm the cache in one order...
-    runner::cache_reset();
     let runner = Runner::parallel();
     let d1 = runner
         .run(&SimJob::new(dense.as_ref(), &w, cfg))
@@ -334,8 +293,8 @@ fn cache_hits_are_independent_of_arch_ordering() {
     let e1 = runner
         .run(&SimJob::new(eureka.as_ref(), &w, cfg))
         .expect("supported");
-    let (hits_cold, misses_cold) = runner::cache_stats();
-    let ufs_cold = runner::units_from_store_stats();
+    let (hits_cold, misses_cold) = cache_counts(&runner);
+    let ufs_cold = from_store(&runner);
     assert_eq!(hits_cold, 0, "distinct archs must not alias each other");
     assert_eq!(misses_cold + ufs_cold, 2 * layers);
     assert!(
@@ -351,14 +310,14 @@ fn cache_hits_are_independent_of_arch_ordering() {
     let d2 = runner
         .run(&SimJob::new(dense.as_ref(), &w, cfg))
         .expect("supported");
-    let (hits_warm, misses_warm) = runner::cache_stats();
+    let (hits_warm, misses_warm) = cache_counts(&runner);
     assert_eq!(
         hits_warm,
         2 * layers,
         "identical jobs hit regardless of order"
     );
     assert_eq!(
-        misses_warm + runner::units_from_store_stats(),
+        misses_warm + from_store(&runner),
         2 * layers,
         "no recomputation on replay"
     );
@@ -368,14 +327,9 @@ fn cache_hits_are_independent_of_arch_ordering() {
 
 #[test]
 fn retried_unit_writes_cache_exactly_once_and_replays() {
-    let _x = exclusive();
     use eureka_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultyArch};
     use eureka_sim::RetryPolicy;
-    let cfg = SimConfig {
-        // Distinctive sampling so this test owns its cache entries.
-        rowgroup_samples: 14,
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let layers = w.layer_count() as u64;
     let victim = w.gemms().into_iter().nth(2).expect("has layers").name;
@@ -386,16 +340,16 @@ fn retried_unit_writes_cache_exactly_once_and_replays() {
     }]);
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "req-retry");
 
-    runner::cache_reset();
     let runner = Runner::parallel().with_retry(RetryPolicy::transient(2));
     let first = runner
         .run(&SimJob::new(&faulty, &w, cfg))
         .expect("retry must recover the transient panic");
-    let (hits_cold, misses_cold) = runner::cache_stats();
-    let (attempts, recovered) = runner::retry_stats();
-    assert_eq!(hits_cold, 0, "cold run hits nothing after a reset");
+    let (hits_cold, misses_cold) = cache_counts(&runner);
+    let attempts = count(&runner, "runner.retries.attempts");
+    let recovered = count(&runner, "runner.retries.recovered");
+    assert_eq!(hits_cold, 0, "a cold run hits nothing");
     assert_eq!(
-        misses_cold + runner::units_from_store_stats(),
+        misses_cold + from_store(&runner),
         layers,
         "the retried unit must be counted (and cached) exactly once"
     );
@@ -412,10 +366,10 @@ fn retried_unit_writes_cache_exactly_once_and_replays() {
         .run(&SimJob::new(&faulty, &w, cfg))
         .expect("replay from cache");
     assert_eq!(first, replay, "cached replay must be bit-identical");
-    let (hits_warm, misses_warm) = runner::cache_stats();
+    let (hits_warm, misses_warm) = cache_counts(&runner);
     assert_eq!(hits_warm, layers, "warm run must hit on every layer");
     assert_eq!(
-        misses_warm + runner::units_from_store_stats(),
+        misses_warm + from_store(&runner),
         layers,
         "warm run must not re-execute any unit"
     );
@@ -423,7 +377,6 @@ fn retried_unit_writes_cache_exactly_once_and_replays() {
 
 #[test]
 fn batch_submission_matches_individual_runs() {
-    let _x = exclusive();
     let w1 = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let w2 = Workload::new(Benchmark::ResNet50, PruningLevel::Conservative, 32);
     let cfg = test_cfg();

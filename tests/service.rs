@@ -4,23 +4,15 @@
 //! (crash emulation) loses nothing: accepted-but-unfinished jobs replay
 //! from the write-ahead journal on restart, without duplicating units
 //! the previous life completed, and the service ledger reconciles in
-//! every generation.
+//! every generation. Each service keeps its own ledger, so two services
+//! in one process never read each other's counts.
 
 use eureka_models::{Benchmark, PruningLevel};
 use eureka_sim::service::{self, JobService, JobSpec, JobStatus, ServiceConfig, SubmitError};
 use eureka_sim::{BackoffPolicy, Journal, SimConfig};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The service counters and the termination latch are process-global;
-/// serialize these tests so exact-count assertions hold.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Sampling counts distinct from every other suite so these tests own
-/// their tile-store entries.
+/// Small sampling counts, so jobs finish fast.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 5,
@@ -78,9 +70,7 @@ fn spec(retries: u32) -> JobSpec {
 /// and the journal holds no unfinished work afterwards.
 #[test]
 fn sigterm_drains_gracefully_without_losing_accepted_jobs() {
-    let _x = exclusive();
     let sb = Sandbox::new("sigterm");
-    service::service_reset();
     eureka_signal::install_termination_latch();
     eureka_signal::reset_termination();
 
@@ -107,19 +97,19 @@ fn sigterm_drains_gracefully_without_losing_accepted_jobs() {
     assert_eq!(svc.status(a), Some(JobStatus::Completed));
     assert_eq!(svc.status(b), Some(JobStatus::Completed));
     assert!(svc.outcome(a).is_some_and(|o| o.is_complete()));
-    svc.shutdown();
 
-    let stats = service::service_stats();
+    let stats = svc.stats();
     assert_eq!(stats.completed, 2, "{stats:?}");
     assert_eq!(stats.shed, 1, "{stats:?}");
     assert!(stats.reconciled(), "{stats:?}");
     assert_eq!(
-        service::latency_counts(),
+        svc.latency_counts(),
         [2, 1, 0, 0, 0],
         "per-class latency histogram counts track the counters exactly"
     );
+    svc.shutdown();
     assert!(
-        sb.journal().recover().is_empty(),
+        sb.journal().recover().0.is_empty(),
         "a drained service leaves no unfinished journal records"
     );
     eureka_signal::reset_termination();
@@ -127,15 +117,13 @@ fn sigterm_drains_gracefully_without_losing_accepted_jobs() {
 
 /// Mixed terminal outcomes (completed, cancelled-from-queue, shed):
 /// the per-class latency histogram counts reconcile exactly with
-/// `ServiceStats`, both via [`service::latency_counts`] and through the
-/// `stats` wire verb.
+/// `ServiceStats`, both via [`JobService::latency_counts`] and through
+/// the `stats` wire verb.
 #[test]
 fn latency_histogram_counts_reconcile_with_service_stats_per_class() {
     use eureka_obs::json::{self, Value};
 
-    let _x = exclusive();
     let sb = Sandbox::new("latency");
-    service::service_reset();
 
     let svc = JobService::start(sb.config(true)); // held: cancel window is deterministic
     svc.submit(spec(0)).expect("admitted");
@@ -150,10 +138,10 @@ fn latency_histogram_counts_reconcile_with_service_stats_per_class() {
         "post-drain submission sheds"
     );
 
-    let stats = service::service_stats();
+    let stats = svc.stats();
     assert!(stats.reconciled(), "{stats:?}");
     assert_eq!(
-        service::latency_counts(),
+        svc.latency_counts(),
         [
             stats.completed,
             stats.shed,
@@ -185,7 +173,6 @@ fn latency_histogram_counts_reconcile_with_service_stats_per_class() {
         assert_eq!(count_of("failed"), stats.failed as f64);
     }
     svc.shutdown();
-    service::service_reset();
 }
 
 /// A job is published as finished only after every record of its
@@ -196,16 +183,14 @@ fn latency_histogram_counts_reconcile_with_service_stats_per_class() {
 #[test]
 fn a_finished_job_is_published_after_its_records() {
     const JOBS: u32 = 20;
-    let _x = exclusive();
     let sb = Sandbox::new("publish");
-    service::service_reset();
     let svc = JobService::start(sb.config(false));
     let check = |done: u32, when: &str| {
-        let stats = service::service_stats();
+        let stats = svc.stats();
         assert!(stats.reconciled(), "job {done} {when}: {stats:?}");
         assert_eq!(stats.completed, u64::from(done), "job {done} {when}");
         assert_eq!(
-            service::latency_counts(),
+            svc.latency_counts(),
             [u64::from(done), 0, 0, 0, 0],
             "job {done} {when}"
         );
@@ -220,7 +205,6 @@ fn a_finished_job_is_published_after_its_records() {
         check(n, "after wait_idle");
     }
     svc.shutdown();
-    service::service_reset();
 }
 
 /// SIGKILL emulation: the crashed generation journals nothing terminal,
@@ -228,31 +212,29 @@ fn a_finished_job_is_published_after_its_records() {
 /// completes them, and a third generation finds a clean journal.
 #[test]
 fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
-    let _x = exclusive();
     let sb = Sandbox::new("sigkill");
-    service::service_reset();
 
     let svc = JobService::start(sb.config(true));
     svc.submit(spec(0)).expect("admitted");
     svc.submit(spec(1)).expect("admitted");
     svc.crash(); // SIGKILL: no drain, no terminal journaling
 
-    let mut unfinished = sb.journal().recover();
+    let (mut unfinished, _) = sb.journal().recover();
     unfinished.sort();
     let mut expected = vec![spec(0).canonical(), spec(1).canonical()];
     expected.sort();
     assert_eq!(unfinished, expected, "both accepted jobs must await replay");
 
-    // Generation 2: same journal and store dirs, fresh ledger.
-    service::service_reset();
+    // Generation 2: same journal and store dirs, a fresh service with a
+    // fresh ledger.
     let svc2 = JobService::start(sb.config(false));
     assert!(svc2.wait_idle(), "recovered jobs run to completion");
-    let stats = service::service_stats();
+    let stats = svc2.stats();
     assert_eq!(stats.recovered, 2, "{stats:?}");
     assert_eq!(stats.completed, 2, "{stats:?}");
     assert!(stats.reconciled(), "{stats:?}");
     assert_eq!(
-        service::latency_counts(),
+        svc2.latency_counts(),
         [2, 0, 0, 0, 0],
         "recovered jobs get full lifecycle latency samples; the crashed \
          generation recorded no terminal samples"
@@ -269,12 +251,47 @@ fn sigkill_crash_replays_unfinished_jobs_from_the_journal() {
 
     // Generation 3: nothing left to replay.
     assert!(
-        sb.journal().recover().is_empty(),
+        sb.journal().recover().0.is_empty(),
         "completed jobs must not replay again"
     );
-    service::service_reset();
     let svc3 = JobService::start(sb.config(false));
     assert!(svc3.wait_idle());
-    assert_eq!(service::service_stats().recovered, 0);
+    assert_eq!(svc3.stats().recovered, 0);
     svc3.shutdown();
+}
+
+/// Two services in one process, working at once: each one's ledger
+/// holds only its own admissions and outcomes, and reconciles against
+/// its own latency histograms.
+#[test]
+fn two_services_in_one_process_keep_their_counts_apart() {
+    let (sa, sb) = (Sandbox::new("two-a"), Sandbox::new("two-b"));
+    let a = JobService::start(sa.config(false));
+    let b = JobService::start(sb.config(true)); // held: its work stays queued
+    for n in 0..3 {
+        a.submit(spec(n)).expect("admitted");
+    }
+    let cancelled = b.submit(spec(0)).expect("admitted");
+    b.submit(spec(1)).expect("admitted");
+    assert!(b.cancel(cancelled));
+    assert!(a.wait_idle());
+    b.release();
+    assert!(b.wait_idle());
+
+    for (svc, served, completed, cancelled) in [(&a, 3, 3, 0), (&b, 2, 1, 1)] {
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.served, stats.completed, stats.cancelled),
+            (served, completed, cancelled),
+            "{stats:?}"
+        );
+        assert!(stats.reconciled(), "{stats:?}");
+        assert_eq!(
+            svc.latency_counts(),
+            [completed, 0, cancelled, 0, 0],
+            "each service reconciles against its own histograms"
+        );
+    }
+    a.shutdown();
+    b.shutdown();
 }

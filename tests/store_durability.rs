@@ -8,21 +8,41 @@
 //! damaged record.
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
+use eureka_obs::metrics::Registry;
 use eureka_sim::checkpoint;
-use eureka_sim::store::{self, DiskTier, TileKey, TileOutcome};
-use eureka_sim::{arch, runner, Runner, SimConfig, SimJob};
+use eureka_sim::store::{Served, TileKey, TileOutcome, TileStore};
+use eureka_sim::{arch, Runner, SimConfig, SimJob};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The tile store's hot tier and the metrics registry are
-/// process-global; serialize the tests that reset or inspect them.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+/// `runner`'s counter `name` (0 before it is registered).
+fn count(runner: &Runner, name: &str) -> u64 {
+    runner.metrics().counter_value(name).unwrap_or(0)
 }
 
-fn errors() -> u64 {
-    eureka_obs::metrics::counter("store.errors", eureka_obs::metrics::Class::Deterministic).get()
+/// `(hits, writes, errors)` of `runner`'s `checkpoint.*` counters.
+fn checkpoint_counts(runner: &Runner) -> (u64, u64, u64) {
+    (
+        count(runner, "checkpoint.hits"),
+        count(runner, "checkpoint.writes"),
+        count(runner, "checkpoint.errors"),
+    )
+}
+
+/// `(lookups, hits, misses)` of `runner`'s `store.*` counters.
+fn store_counts(runner: &Runner) -> (u64, u64, u64) {
+    (
+        count(runner, "store.lookups"),
+        count(runner, "store.hits"),
+        count(runner, "store.misses"),
+    )
+}
+
+/// Paper sampling with fewer row-group samples, so the suite stays fast.
+fn test_cfg() -> SimConfig {
+    SimConfig {
+        rowgroup_samples: 20,
+        ..SimConfig::paper_default()
+    }
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -63,7 +83,6 @@ fn drop_unit_records(dir: &Path) {
 /// records in the same file still load.
 #[test]
 fn misplaced_and_foreign_version_records_are_rejected_on_load() {
-    let _x = exclusive();
     let dir = fresh_dir("misplaced");
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -87,28 +106,33 @@ fn misplaced_and_foreign_version_records_are_rejected_on_load() {
     )
     .unwrap();
 
-    let tier = DiskTier::new(&dir);
-    let before = errors();
+    let metrics = Registry::new();
+    let store = TileStore::new(&dir, metrics.clone());
+    let stored = TileOutcome {
+        cycles: 4,
+        displaced: 1,
+        base_row: Some(2),
+        nnz: 10,
+    };
     assert_eq!(
-        tier.lookup(&good),
-        Some(TileOutcome {
-            cycles: 4,
-            displaced: 1,
-            base_row: Some(2),
-            nnz: 10
-        }),
+        store.lookup_or_compute(&good, || unreachable!("the record is on disk")),
+        (stored, Served::Disk),
         "the well-placed record still loads"
     );
     assert_eq!(
-        errors() - before,
-        2,
+        metrics.counter_value("store.errors"),
+        Some(2),
         "one tick for the misplaced key, one for the v2 record"
     );
     // The misplaced record is invisible from its own shard too: that
-    // shard file does not exist, so the key is simply absent.
+    // shard file does not exist, so the key is computed.
+    let computed = TileOutcome {
+        cycles: 9,
+        ..stored
+    };
     assert_eq!(
-        tier.lookup(&evicted),
-        None,
+        store.lookup_or_compute(&evicted, || computed),
+        (computed, Served::Computed),
         "misplaced records are never served"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -120,17 +144,12 @@ fn misplaced_and_foreign_version_records_are_rejected_on_load() {
 /// cold one, recovered by re-simulation without a panic.
 #[test]
 fn corrupt_shards_recover_by_resimulation() {
-    let _x = exclusive();
     let dir = fresh_dir("corrupt");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 18, // distinctive: this test owns its entries
-        ..SimConfig::paper_default()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
     let cold = Runner::serial()
         .with_store_dir(&dir)
         .run(&job)
@@ -154,22 +173,18 @@ fn corrupt_shards_recover_by_resimulation() {
     // ignore (only `*.tiles` paths are ever read).
     std::fs::write(dir.join("00.tmp-99999-0"), "partial write").unwrap();
 
-    // Cold-start the process state so the warm run can only see the
-    // tile shards on disk.
-    runner::cache_reset();
+    // A fresh runner without the unit records can only see the tile
+    // shards on disk.
     drop_unit_records(&dir);
-    let before = errors();
-    let warm = Runner::serial()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let runner = Runner::serial().with_store_dir(&dir);
+    let warm = runner.run(&job).expect("supported");
 
     assert_eq!(cold, warm, "corruption must cost time, never correctness");
     assert!(
-        errors() > before,
+        count(&runner, "store.errors") > 0,
         "damaged records are counted, not silently dropped"
     );
-    let (_, hits, misses, _) = store::store_stats();
+    let (_, hits, misses) = store_counts(&runner);
     assert!(misses > 0, "damaged shards force re-simulation");
     assert!(hits > 0, "intact shards still serve their records");
     let _ = std::fs::remove_dir_all(&dir);
@@ -181,17 +196,12 @@ fn corrupt_shards_recover_by_resimulation() {
 /// heals the store back to full coverage.
 #[test]
 fn killed_run_store_warm_resumes_and_heals() {
-    let _x = exclusive();
     let dir = fresh_dir("killed");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Conservative, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 19, // distinctive: this test owns its entries
-        ..SimConfig::paper_default()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p2").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
     let cold = Runner::serial()
         .with_store_dir(&dir)
         .run(&job)
@@ -203,14 +213,11 @@ fn killed_run_store_warm_resumes_and_heals() {
     // Simulate the kill: one shard never made it to disk.
     std::fs::remove_file(&files[0]).unwrap();
 
-    runner::cache_reset();
     drop_unit_records(&dir);
-    let warm = Runner::serial()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let runner = Runner::serial().with_store_dir(&dir);
+    let warm = runner.run(&job).expect("supported");
     assert_eq!(cold, warm, "partial stores resume bit-identically");
-    let (_, hits, misses, _) = store::store_stats();
+    let (_, hits, misses) = store_counts(&runner);
     assert!(hits > 0, "surviving shards serve their records");
     assert!(misses > 0, "the deleted shard's tiles re-simulate");
     assert_eq!(
@@ -220,14 +227,11 @@ fn killed_run_store_warm_resumes_and_heals() {
     );
 
     // Third run: the healed store now serves every tile.
-    runner::cache_reset();
     drop_unit_records(&dir);
-    let healed = Runner::serial()
-        .with_store_dir(&dir)
-        .run(&job)
-        .expect("supported");
+    let runner = Runner::serial().with_store_dir(&dir);
+    let healed = runner.run(&job).expect("supported");
     assert_eq!(cold, healed);
-    let (lookups, hits, misses, _) = store::store_stats();
+    let (lookups, hits, misses) = store_counts(&runner);
     assert_eq!(misses, 0, "a healed store has no holes");
     assert_eq!(hits, lookups, "every lookup is served from the store");
     let _ = std::fs::remove_dir_all(&dir);
@@ -239,36 +243,29 @@ fn killed_run_store_warm_resumes_and_heals() {
 /// exactly that unit's recomputation, which appends it again.
 #[test]
 fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
-    let _x = exclusive();
     let dir = fresh_dir("units");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 20, // distinctive: this test owns its entries
-        ..SimConfig::paper_default()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
     let layers = w.layer_count() as u64;
     // A fresh runner per run, so each run reads the directory anew.
     let run = || {
-        Runner::serial()
-            .with_store_dir(&dir)
-            .run(&job)
-            .expect("supported")
+        let runner = Runner::serial().with_store_dir(&dir);
+        let report = runner.run(&job).expect("supported");
+        (report, runner)
     };
 
-    runner::cache_reset();
-    let cold = run();
+    let (cold, runner) = run();
     let logs = files_with(&dir, "units");
     assert_eq!(logs.len(), 1, "one log of records");
-    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+    assert_eq!(checkpoint_counts(&runner), (0, layers, 0));
 
-    runner::cache_reset();
     let intact = std::fs::read(&logs[0]).unwrap();
-    let warm = run();
+    let (warm, runner) = run();
     assert_eq!(cold, warm, "unit replay must be bit-identical");
-    assert_eq!(runner::checkpoint_stats(), (layers, 0, 0));
-    assert_eq!(store::store_stats().0, 0, "no tile is looked up");
+    assert_eq!(checkpoint_counts(&runner), (layers, 0, 0));
+    assert_eq!(store_counts(&runner).0, 0, "no tile is looked up");
     assert_eq!(
         std::fs::read(&logs[0]).unwrap(),
         intact,
@@ -278,17 +275,16 @@ fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
     // Truncate the last record: only its unit recomputes, and the run
     // appends its record again.
     std::fs::write(&logs[0], &intact[..intact.len() - 10]).unwrap();
-    runner::cache_reset();
-    let healed = run();
+    let (healed, runner) = run();
     assert_eq!(cold, healed, "damage costs time, never correctness");
-    assert_eq!(runner::checkpoint_stats(), (layers - 1, 1, 1));
+    assert_eq!(checkpoint_counts(&runner), (layers - 1, 1, 1));
     assert_eq!(files_with(&dir, "units"), logs, "still one log");
 
     // The appended record serves the next run; the torn one still
     // counts as an error.
-    runner::cache_reset();
-    assert_eq!(cold, run());
-    assert_eq!(runner::checkpoint_stats(), (layers, 0, 1));
+    let (again, runner) = run();
+    assert_eq!(cold, again);
+    assert_eq!(checkpoint_counts(&runner), (layers, 0, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -298,39 +294,37 @@ fn store_dir_replays_whole_units_and_heals_a_damaged_record() {
 /// directory recomputes.
 #[test]
 fn a_runner_keeps_its_unit_records_for_its_lifetime() {
-    let _x = exclusive();
     let dir = fresh_dir("lifetime");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 22, // distinctive: this test owns its entries
-        ..SimConfig::paper_default()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let jobs = [SimJob::new(a.as_ref(), &w, cfg)];
     let layers = w.layer_count() as u64;
     let runner = Runner::serial().with_store_dir(&dir);
 
-    runner::cache_reset();
     let cold = runner.run_all(&jobs);
-    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+    assert_eq!(checkpoint_counts(&runner), (0, layers, 0));
+    assert_eq!(count(&runner, "cache.hits"), 0);
     drop_unit_records(&dir);
 
-    runner::cache_reset();
+    // The clone counts into the runner's registry.
+    let executed = count(&runner, "runner.units_executed");
     let warm = runner.clone().run_all(&jobs);
     assert_eq!(cold, warm, "unit replay must be bit-identical");
     assert_eq!(
-        runner::cache_stats(),
-        (layers, 0),
+        count(&runner, "cache.hits"),
+        layers,
         "every unit replays from the records the runner keeps"
     );
-    assert_eq!(runner::checkpoint_stats(), (0, 0, 0));
+    assert_eq!(count(&runner, "runner.units_executed"), executed);
+    assert_eq!(checkpoint_counts(&runner), (0, layers, 0));
     assert!(files_with(&dir, "units").is_empty(), "nothing new to write");
 
-    runner::cache_reset();
-    let fresh = Runner::serial().with_store_dir(&dir).run_all(&jobs);
+    let fresh_runner = Runner::serial().with_store_dir(&dir);
+    let fresh = fresh_runner.run_all(&jobs);
     assert_eq!(cold, fresh);
     assert_eq!(
-        runner::checkpoint_stats(),
+        checkpoint_counts(&fresh_runner),
         (0, layers, 0),
         "a fresh runner reads the directory and recomputes"
     );
@@ -351,19 +345,18 @@ fn logged_records(dir: &Path) -> usize {
 /// nothing.
 #[test]
 fn identical_jobs_in_one_run_append_each_record_once() {
-    let _x = exclusive();
     let dir = fresh_dir("twice");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Dense, 32);
     let a = arch::dense();
     let job = SimJob::new(&a, &w, SimConfig::fast());
     let layers = w.layer_count() as u64;
 
-    runner::cache_reset();
-    let reports = Runner::serial().with_store_dir(&dir).run_all(&[job, job]);
+    let runner = Runner::serial().with_store_dir(&dir);
+    let reports = runner.run_all(&[job, job]);
     assert_eq!(reports[0], reports[1]);
-    assert_eq!(runner::checkpoint_stats(), (0, layers, 0));
+    assert_eq!(checkpoint_counts(&runner), (0, layers, 0));
     assert_eq!(
-        runner::cache_stats().0,
+        count(&runner, "cache.hits"),
         layers,
         "the second job hits memory"
     );
@@ -376,36 +369,39 @@ fn identical_jobs_in_one_run_append_each_record_once() {
 /// runner loads them all with no damage and replays both jobs.
 #[test]
 fn concurrent_runners_share_one_directory_without_damage() {
-    let _x = exclusive();
     let dir = fresh_dir("concurrent");
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 23, // distinctive: this test owns its entries
-        ..SimConfig::fast()
-    };
+    let cfg = SimConfig::fast();
     let archs = ["eureka-p4", "cnvlutin"].map(|name| arch::by_name(name).expect("registered"));
     let jobs: Vec<SimJob<'_>> = archs
         .iter()
         .map(|a| SimJob::new(a.as_ref(), &w, cfg))
         .collect();
 
-    runner::cache_reset();
+    let layers = w.layer_count() as u64;
     let solo: Vec<_> = std::thread::scope(|scope| {
         let dir = &dir;
         let workers: Vec<_> = jobs
             .iter()
-            .map(|job| scope.spawn(move || Runner::with_jobs(2).with_store_dir(dir).run(job)))
+            .map(|job| {
+                scope.spawn(move || {
+                    let runner = Runner::with_jobs(2).with_store_dir(dir);
+                    let report = runner.run(job);
+                    assert_eq!(checkpoint_counts(&runner), (0, layers, 0));
+                    report
+                })
+            })
             .collect();
         workers.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let units = jobs.len() * w.layer_count();
-    assert_eq!(runner::checkpoint_stats(), (0, units as u64, 0));
     let (records, damaged) = checkpoint::load(&dir);
     assert_eq!((records.len(), damaged), (units, 0));
     assert_eq!(logged_records(&dir), units, "no record is written twice");
 
-    let replayed = Runner::serial().with_store_dir(&dir).run_all(&jobs);
+    let runner = Runner::serial().with_store_dir(&dir);
+    let replayed = runner.run_all(&jobs);
     assert_eq!(solo, replayed);
-    assert_eq!(runner::checkpoint_stats(), (units as u64, units as u64, 0));
+    assert_eq!(checkpoint_counts(&runner), (units as u64, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

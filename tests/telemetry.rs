@@ -1,22 +1,60 @@
 //! The telemetry layer's end-to-end guarantees: metrics snapshots are
-//! deterministic, the cache counters reconcile with the planner, trace
-//! export covers every unit on every worker track, and — above all —
-//! telemetry never changes simulation output.
+//! deterministic, the cache counters reconcile with the planner, each
+//! runner counts only its own work, trace export covers every unit on
+//! every worker track, and — above all — telemetry never changes
+//! simulation output.
 
 use eureka::obs;
 use eureka_models::{Benchmark, PruningLevel, Workload};
-use eureka_sim::{arch, runner, ProfileConfig, Runner, SimConfig, SimJob};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use eureka_sim::{arch, ProfileConfig, Runner, SimConfig, SimJob};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// Spans and the metrics registry are process-global;
-/// serialize the tests that reset or drain them.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+/// The span collector is process-wide: the tests that record spans take
+/// turns. Tests running beside them may add spans of their own while
+/// recording is on, so a span test counts only the spans of an
+/// architecture whose display name no other test uses (every unit span
+/// carries it).
+fn spans() -> MutexGuard<'static, ()> {
+    static SPANS: Mutex<()> = Mutex::new(());
+    SPANS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Sampling counts distinct from every named preset so these tests never
-/// share cache entries with other suites.
+/// Eureka P=4 under a display name of its own, whose first two layers
+/// wait for each other: two workers must run them at once, so the
+/// units land on at least two worker tracks however the pool is
+/// scheduled.
+struct Rendezvous {
+    inner: Box<dyn arch::Architecture>,
+    name: String,
+    /// The names of the first two layers.
+    pair: [String; 2],
+    met: Barrier,
+}
+
+impl arch::Architecture for Rendezvous {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn simulate_layer(
+        &self,
+        gemm: &eureka_models::workload::LayerGemm,
+        ctx: &arch::LayerCtx,
+        cfg: &SimConfig,
+    ) -> Result<eureka_sim::LayerReport, arch::SimError> {
+        if self.pair.contains(&gemm.name) {
+            self.met.wait();
+        }
+        self.inner.simulate_layer(gemm, ctx, cfg)
+    }
+}
+
+/// `runner`'s counter `name` (0 before it is registered).
+fn count(runner: &Runner, name: &str) -> u64 {
+    runner.metrics().counter_value(name).unwrap_or(0)
+}
+
+/// Small sampling counts, so the suite stays fast.
 fn test_cfg() -> SimConfig {
     SimConfig {
         rowgroup_samples: 9,
@@ -28,77 +66,115 @@ fn test_cfg() -> SimConfig {
 
 #[test]
 fn metrics_snapshot_is_byte_identical_across_reruns() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    let snapshot = || {
-        runner::cache_reset();
-        obs::metrics::reset();
-        Runner::serial().run(&job).expect("supported");
-        obs::metrics::snapshot_json(false)
+    let run = || {
+        let runner = Runner::serial();
+        runner.run(&job).expect("supported");
+        runner
     };
-    let first = snapshot();
-    let second = snapshot();
+    let first = run().metrics().snapshot_json(false);
+    let runner = run();
+    let second = runner.metrics().snapshot_json(false);
     // Timing metrics are excluded by design, so the deterministic
     // snapshot carries only counts — byte-identical across reruns.
     assert_eq!(first, second);
     assert!(first.contains("\"cache.hits\":0"), "{first}");
     assert!(!first.contains("exec_micros"), "timing excluded: {first}");
     // The full snapshot includes the timing histograms.
-    let full = obs::metrics::snapshot_json(true);
+    let full = runner.metrics().snapshot_json(true);
     assert!(full.contains("\"unit.exec_micros\""), "{full}");
     assert!(full.contains("\"runner.worker_utilization\""), "{full}");
 }
 
 #[test]
 fn cache_counters_reconcile_with_the_planner() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Conservative, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 13, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("ampere").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
-    obs::metrics::reset();
     let runner = Runner::with_jobs(4);
     runner.run(&job).expect("supported");
     runner.run(&job).expect("supported");
 
-    let (hits, misses) = runner::cache_stats();
-    let planned =
-        obs::metrics::counter("runner.units_planned", obs::metrics::Class::Deterministic).get();
+    let (hits, misses) = (count(&runner, "cache.hits"), count(&runner, "cache.misses"));
+    let from_store = count(&runner, "runner.units_from_store");
+    let planned = count(&runner, "runner.units_planned");
     assert_eq!(planned, 2 * w.layer_count() as u64);
     // Every planned unit either hit the cache, executed from the tile
     // store, or missed outright. Ampere never consults the tile store
     // (its 2:4 timing is closed-form), so units_from_store stays zero
     // and the miss count is exact.
-    assert_eq!(hits + misses + runner::units_from_store_stats(), planned);
+    assert_eq!(hits + misses + from_store, planned);
     assert_eq!(misses, w.layer_count() as u64);
-    assert_eq!(runner::units_from_store_stats(), 0);
+    assert_eq!(from_store, 0);
+}
+
+/// Two runners working at once on two threads, each on a different
+/// job: each runner's registry counts exactly its own plan.
+#[test]
+fn concurrent_runners_count_only_their_own_units() {
+    let cfg = test_cfg();
+    let mobilenet = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let resnet = Workload::new(Benchmark::ResNet50, PruningLevel::Conservative, 32);
+    let (dense, eureka) = (arch::dense(), arch::eureka_p4());
+    let jobs = [
+        SimJob::new(&dense, &mobilenet, cfg),
+        SimJob::new(&eureka, &resnet, cfg),
+    ];
+    assert_ne!(mobilenet.layer_count(), resnet.layer_count());
+    let start = Barrier::new(jobs.len());
+    let runners: Vec<Runner> = std::thread::scope(|scope| {
+        let workers: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let start = &start;
+                scope.spawn(move || {
+                    let runner = Runner::with_jobs(2);
+                    start.wait();
+                    runner.run(job).expect("supported");
+                    runner
+                })
+            })
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (runner, w) in runners.iter().zip([&mobilenet, &resnet]) {
+        let layers = w.layer_count() as u64;
+        assert_eq!(count(runner, "runner.units_planned"), layers);
+        assert_eq!(count(runner, "cache.misses"), layers);
+        assert_eq!(count(runner, "runner.jobs"), 1);
+    }
 }
 
 #[test]
 fn trace_export_has_unit_spans_on_worker_tracks() {
-    let _x = exclusive();
+    let _spans = spans();
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
-    let a = arch::by_name("eureka-p4").expect("registered");
-    let job = SimJob::new(a.as_ref(), &w, cfg);
+    let gemms = w.gemms();
+    let a = Rendezvous {
+        inner: arch::by_name("eureka-p4").expect("registered"),
+        name: "Eureka P=4 ⚡tel-trace".into(),
+        pair: [gemms[0].name.clone(), gemms[1].name.clone()],
+        met: Barrier::new(2),
+    };
+    let job = SimJob::new(&a, &w, cfg);
 
-    runner::cache_reset();
     obs::span::clear();
     obs::span::set_enabled(true);
     Runner::with_jobs(4).run(&job).expect("supported");
     obs::span::set_enabled(false);
     let (events, tracks) = obs::span::take_events();
 
-    let unit_spans: Vec<_> = events.iter().filter(|e| e.name == "unit.exec").collect();
+    let unit_spans: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "unit.exec" && e.detail.contains("⚡tel-trace"))
+        .collect();
     assert_eq!(
         unit_spans.len(),
         w.layer_count(),
@@ -127,22 +203,18 @@ fn trace_export_has_unit_spans_on_worker_tracks() {
 
 #[test]
 fn degraded_run_counters_reconcile_and_spans_flush() {
-    let _x = exclusive();
+    let _spans = spans();
     use eureka_sim::faults::{FaultKind, FaultPlan, FaultyArch};
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 15, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let layers: Vec<String> = w.gemms().into_iter().map(|g| g.name).collect();
     let plan = FaultPlan::seeded(3, &layers, 3, FaultKind::Panic);
     let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "tel-degraded");
 
-    runner::cache_reset();
-    obs::metrics::reset();
     obs::span::clear();
     obs::span::set_enabled(true);
-    let outcome = Runner::with_jobs(4).run_outcome(&SimJob::new(&faulty, &w, cfg));
+    let runner = Runner::with_jobs(4);
+    let outcome = runner.run_outcome(&SimJob::new(&faulty, &w, cfg));
     obs::span::set_enabled(false);
     let (events, _) = obs::span::take_events();
 
@@ -153,32 +225,42 @@ fn degraded_run_counters_reconcile_and_spans_flush() {
     // The degraded-run accounting invariant: every planned unit fires
     // exactly one of cache.hits, checkpoint.hits,
     // runner.units_from_store, cache.misses or runner.failures.*.
-    let planned =
-        obs::metrics::counter("runner.units_planned", obs::metrics::Class::Deterministic).get();
+    let planned = count(&runner, "runner.units_planned");
     assert_eq!(planned, w.layer_count() as u64);
-    let (hits, misses) = runner::cache_stats();
-    let (ckpt_hits, _, _) = runner::checkpoint_stats();
-    let ufs = runner::units_from_store_stats();
+    let (hits, misses) = (count(&runner, "cache.hits"), count(&runner, "cache.misses"));
+    let ckpt_hits = count(&runner, "checkpoint.hits");
+    let ufs = count(&runner, "runner.units_from_store");
     assert_eq!(
         hits + ckpt_hits + ufs + misses + failures,
         planned,
         "hits {hits} + ckpt {ckpt_hits} + store-served {ufs} + misses {misses} + failures {failures} != planned"
     );
-    let (failed_panic, failed_sim) = runner::failure_stats();
-    assert_eq!((failed_panic, failed_sim), (3, 0));
+    assert_eq!(
+        (
+            count(&runner, "runner.failures.panic"),
+            count(&runner, "runner.failures.sim_error")
+        ),
+        (3, 0)
+    );
 
     // Worker-thread spans are flushed even though units on those workers
     // panicked: every planned unit has its unit.exec span, and every
     // failure emits a unit.failure span.
-    let unit_spans = events.iter().filter(|e| e.name == "unit.exec").count();
+    let ours = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.detail.contains("⚡tel-degraded"))
+            .count()
+    };
+    let unit_spans = ours("unit.exec");
     assert_eq!(unit_spans, w.layer_count(), "one unit.exec span per unit");
-    let failure_spans = events.iter().filter(|e| e.name == "unit.failure").count();
+    let failure_spans = ours("unit.failure");
     assert_eq!(failure_spans, 3, "one unit.failure span per failed unit");
 }
 
 #[test]
 fn telemetry_does_not_change_simulation_output() {
-    let _x = exclusive();
+    let _spans = spans();
     let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 16);
     let cfg = test_cfg();
     let a = arch::by_name("dstc").expect("registered");
@@ -204,7 +286,7 @@ fn telemetry_does_not_change_simulation_output() {
 
 #[test]
 fn telemetry_does_not_change_profiled_output() {
-    let _x = exclusive();
+    let _spans = spans();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 16);
     let cfg = test_cfg();
     let pcfg = ProfileConfig::default();
@@ -246,23 +328,18 @@ fn telemetry_does_not_change_profiled_output() {
 
 #[test]
 fn per_arch_exec_histograms_carry_quantiles_in_the_full_snapshot() {
-    let _x = exclusive();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
-    let cfg = SimConfig {
-        rowgroup_samples: 15, // distinctive: this test owns its entries
-        ..test_cfg()
-    };
+    let cfg = test_cfg();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    runner::cache_reset();
-    obs::metrics::reset();
-    Runner::serial().run(&job).expect("supported");
+    let runner = Runner::serial();
+    runner.run(&job).expect("supported");
 
     // The aggregate histogram and the per-arch breakdown ("Eureka P=4"
     // slugs to eureka_p_4) both appear in the full snapshot, each with
     // the p50/p90/p99 summary fields.
-    let full = obs::metrics::snapshot_json(true);
+    let full = runner.metrics().snapshot_json(true);
     assert!(full.contains("\"unit.exec_micros\""), "{full}");
     assert!(full.contains("\"unit.exec_micros.eureka_p_4\""), "{full}");
     for q in ["\"p50\":", "\"p90\":", "\"p99\":"] {
@@ -270,7 +347,7 @@ fn per_arch_exec_histograms_carry_quantiles_in_the_full_snapshot() {
     }
     // Execution wall time is Class::Timing: the deterministic snapshot
     // stays free of it, so rerun byte-identity is preserved.
-    let det = obs::metrics::snapshot_json(false);
+    let det = runner.metrics().snapshot_json(false);
     assert!(!det.contains("unit.exec_micros"), "{det}");
 }
 
@@ -279,23 +356,16 @@ fn per_arch_exec_histograms_carry_quantiles_in_the_full_snapshot() {
 /// every lifecycle path (accept, shed, cancel) counted exactly once.
 #[test]
 fn service_counters_reconcile_at_quiescence() {
-    use eureka_sim::service::{self, JobService, JobSpec, ServiceConfig, SubmitError};
+    use eureka_sim::service::{JobService, JobSpec, ServiceConfig, SubmitError};
 
-    let _x = exclusive();
     let dir = std::env::temp_dir().join(format!("eureka-tel-svc-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("sandbox dir");
 
     let mut cfg = ServiceConfig::new(dir.join("journal"));
-    cfg.sim = SimConfig {
-        rowgroup_samples: 20, // distinctive: this test owns its entries
-        slice_samples: 5,
-        act_samples: 5,
-        ..SimConfig::fast()
-    };
+    cfg.sim = test_cfg();
     cfg.queue_capacity = 1;
     cfg.hold = true;
-    service::service_reset();
     let svc = JobService::start(cfg);
 
     let spec = |retries: u32| {
@@ -320,7 +390,7 @@ fn service_counters_reconcile_at_quiescence() {
     svc.release();
     assert!(svc.wait_idle());
 
-    let stats = service::service_stats();
+    let stats = svc.stats();
     assert_eq!(stats.served, 3, "{stats:?}");
     assert_eq!(stats.completed, 1, "{stats:?}");
     assert_eq!(stats.shed, 1, "{stats:?}");
