@@ -7,6 +7,8 @@ use eureka_core::suds::{self, DisplacedTile};
 use eureka_core::{exec, CompactedTile};
 use eureka_fp16::mac::{self, MacUnit};
 use eureka_fp16::{csa, Prepared, F16};
+use eureka_sim::arch::onesided::SignatureTables;
+use eureka_sim::arch::TileTimer;
 use eureka_sparse::bitmask::MaskedRow;
 use eureka_sparse::{gen, rng::DetRng, AlignedTile, SparsityPattern, TilePattern};
 use std::hint::black_box;
@@ -52,16 +54,28 @@ fn bench_suds(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_suds_lut(c: &mut Criterion) {
-    // The memoized small-tile lookup vs the polynomial algorithm.
-    let lens = sample_lens(4096, 4, 16, 0.13, 99);
-    let mut group = c.benchmark_group("suds_lut");
-    // Warm the table outside the measurement.
-    let _ = eureka_core::suds::lut::optimal_k(&[1, 2, 3, 4]);
-    group.bench_function("lut_4096_tiles", |b| {
+fn bench_suds_tables(c: &mut Criterion) {
+    // The simulator's signature-table lookup vs the polynomial algorithm.
+    let lens: Vec<[usize; 4]> = sample_lens(4096, 4, 16, 0.13, 99)
+        .into_iter()
+        .map(|l| [l[0], l[1], l[2], l[3]])
+        .collect();
+    let timer = TileTimer::OptimalSuds;
+    let direct = |l: [usize; 4]| {
+        let rows = l.map(|len| (1u64 << len) - 1);
+        timer.outcome(&TilePattern::from_rows(&rows, 16).expect("4x16 tile"))
+    };
+    let mut tables = SignatureTables::default();
+    let table = tables.get(timer, 4, 16).expect("paper geometry");
+    // Fill the sampled signatures outside the measurement.
+    for &l in &lens {
+        table.outcome(l, || direct(l));
+    }
+    let mut group = c.benchmark_group("suds_tables");
+    group.bench_function("table_4096_tiles", |b| {
         b.iter(|| {
-            for l in &lens {
-                black_box(eureka_core::suds::lut::optimal_k(l));
+            for &l in &lens {
+                black_box(table.outcome(l, || direct(l)));
             }
         });
     });
@@ -220,7 +234,7 @@ fn bench_compaction(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_suds,
-    bench_suds_lut,
+    bench_suds_tables,
     bench_scheduling,
     bench_fp16,
     bench_mask_intersection,

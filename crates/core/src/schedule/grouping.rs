@@ -6,8 +6,8 @@
 //! implements §3.3: tiles with the same critical path, or short tiles whose
 //! paths sum to the step length, share a macro-step.
 
-use super::pipeline::{run_steps, PipelineReport, SystolicConfig};
-use std::collections::BTreeMap;
+use super::pipeline::{PipelineReport, StepRun, SystolicConfig};
+use super::profile::{NullSink, ProfileSink};
 
 /// The macro-steps of an unscheduled stream: tiles in arrival order, one
 /// per systolic row per step.
@@ -21,7 +21,22 @@ pub fn schedule_natural_steps(times: &[u64], cfg: &SystolicConfig) -> Vec<Vec<u6
 /// macro-step. The step's duration is the longest tile in it.
 #[must_use]
 pub fn schedule_natural(times: &[u64], cfg: &SystolicConfig) -> PipelineReport {
-    run_steps(&schedule_natural_steps(times, cfg), cfg)
+    schedule_natural_with_sink(times, cfg, &mut NullSink)
+}
+
+/// [`schedule_natural`] with a cycle-attribution hook, as in
+/// [`super::pipeline::run_steps_with_sink`] over
+/// [`schedule_natural_steps`], without building the steps.
+pub fn schedule_natural_with_sink<S: ProfileSink>(
+    times: &[u64],
+    cfg: &SystolicConfig,
+    sink: &mut S,
+) -> PipelineReport {
+    let mut run = StepRun::new(cfg, sink);
+    for row_sums in times.chunks(cfg.rows) {
+        run.step(row_sums);
+    }
+    run.finish()
 }
 
 /// Offline systolic scheduling: greedily builds macro-steps by taking the
@@ -35,7 +50,22 @@ pub fn schedule_natural(times: &[u64], cfg: &SystolicConfig) -> PipelineReport {
 /// most steps exactly (the §3.3 + §3.2 synergy).
 #[must_use]
 pub fn schedule_grouped(times: &[u64], cfg: &SystolicConfig) -> PipelineReport {
-    run_steps(&schedule_grouped_steps(times, cfg), cfg)
+    schedule_grouped_with_sink(times, cfg, &mut GroupingBuffers::default(), &mut NullSink)
+}
+
+/// [`schedule_grouped`] with a cycle-attribution hook, as in
+/// [`super::pipeline::run_steps_with_sink`] over
+/// [`schedule_grouped_steps`], without building the steps. `buf` is
+/// scratch space: once it has grown, scheduling allocates nothing.
+pub fn schedule_grouped_with_sink<S: ProfileSink>(
+    times: &[u64],
+    cfg: &SystolicConfig,
+    buf: &mut GroupingBuffers,
+    sink: &mut S,
+) -> PipelineReport {
+    let mut run = StepRun::new(cfg, sink);
+    grouped_steps(times, cfg, buf, |row_sums| run.step(row_sums));
+    run.finish()
 }
 
 /// The macro-steps the offline scheduler constructs (see
@@ -43,43 +73,71 @@ pub fn schedule_grouped(times: &[u64], cfg: &SystolicConfig) -> PipelineReport {
 /// and for inspecting schedules.
 #[must_use]
 pub fn schedule_grouped_steps(times: &[u64], cfg: &SystolicConfig) -> Vec<Vec<u64>> {
-    cfg.assert_valid();
-    // Multiset of remaining tile times.
-    let mut pool: BTreeMap<u64, u64> = BTreeMap::new();
-    for &t in times {
-        *pool.entry(t).or_insert(0) += 1;
-    }
-    let take = |pool: &mut BTreeMap<u64, u64>, at_most: u64| -> Option<u64> {
-        let (&t, _) = pool.range(..=at_most).next_back()?;
-        let cnt = pool.get_mut(&t).expect("key just observed");
-        *cnt -= 1;
-        if *cnt == 0 {
-            pool.remove(&t);
-        }
-        Some(t)
-    };
+    let mut steps = Vec::new();
+    grouped_steps(times, cfg, &mut GroupingBuffers::default(), |row_sums| {
+        steps.push(row_sums.to_vec());
+    });
+    steps
+}
 
-    let mut steps: Vec<Vec<u64>> = Vec::new();
-    while let Some((&t_max, _)) = pool.iter().next_back() {
-        let lead = take(&mut pool, t_max).expect("nonempty pool");
-        let mut row_sums = Vec::with_capacity(cfg.rows);
-        for row in 0..cfg.rows {
-            let mut sum = if row == 0 { lead } else { 0 };
-            let mut count = usize::from(row == 0);
-            while count < cfg.window {
-                match take(&mut pool, t_max - sum) {
-                    Some(t) => {
-                        sum += t;
-                        count += 1;
-                    }
-                    None => break,
-                }
+/// Reusable scratch space for the offline scheduler: the remaining tile
+/// times and one macro-step's row sums. Contents never carry between
+/// calls.
+#[derive(Clone, Debug, Default)]
+pub struct GroupingBuffers {
+    /// The multiset of remaining tile times as `(time, count)` pairs,
+    /// ascending by time, with no zero counts.
+    pool: Vec<(u64, u64)>,
+    row_sums: Vec<u64>,
+}
+
+/// Feeds the offline scheduler's macro-steps, in order, to `step` (see
+/// [`schedule_grouped`]). Every step has one entry per systolic row.
+fn grouped_steps(
+    times: &[u64],
+    cfg: &SystolicConfig,
+    buf: &mut GroupingBuffers,
+    mut step: impl FnMut(&[u64]),
+) {
+    cfg.assert_valid();
+    let GroupingBuffers { pool, row_sums } = buf;
+    pool.clear();
+    for &t in times {
+        match pool.binary_search_by_key(&t, |&(v, _)| v) {
+            Ok(i) => pool[i].1 += 1,
+            Err(i) => pool.insert(i, (t, 1)),
+        }
+    }
+    while let Some(&(t_max, _)) = pool.last() {
+        row_sums.clear();
+        // Row 0's first take is the longest tile, which sets the step.
+        for _ in 0..cfg.rows {
+            let mut sum = 0;
+            for _ in 0..cfg.window {
+                let Some(t) = take(pool, t_max - sum) else {
+                    break;
+                };
+                sum += t;
             }
             row_sums.push(sum);
         }
-        steps.push(row_sums);
+        step(row_sums);
     }
-    steps
+}
+
+/// Removes one of the longest remaining times not above `at_most` from
+/// the pool and returns it.
+fn take(pool: &mut Vec<(u64, u64)>, at_most: u64) -> Option<u64> {
+    let i = pool
+        .partition_point(|&(t, _)| t <= at_most)
+        .checked_sub(1)?;
+    let (t, count) = &mut pool[i];
+    let t = *t;
+    *count -= 1;
+    if *count == 0 {
+        pool.remove(i);
+    }
+    Some(t)
 }
 
 /// Information-theoretic makespan lower bound for a tile stream on the
@@ -96,7 +154,90 @@ pub fn makespan_lower_bound(times: &[u64], cfg: &SystolicConfig) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::pipeline::{run_steps, run_steps_with_sink};
+    use super::super::profile::StepProfile;
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The offline scheduler as first written, over a `BTreeMap`
+    /// multiset with one `Vec` per step: the reference the streaming
+    /// scheduler must match step for step.
+    fn reference_grouped_steps(times: &[u64], cfg: &SystolicConfig) -> Vec<Vec<u64>> {
+        let mut pool: BTreeMap<u64, u64> = BTreeMap::new();
+        for &t in times {
+            *pool.entry(t).or_insert(0) += 1;
+        }
+        let take = |pool: &mut BTreeMap<u64, u64>, at_most: u64| -> Option<u64> {
+            let (&t, _) = pool.range(..=at_most).next_back()?;
+            let cnt = pool.get_mut(&t).expect("key just observed");
+            *cnt -= 1;
+            if *cnt == 0 {
+                pool.remove(&t);
+            }
+            Some(t)
+        };
+        let mut steps = Vec::new();
+        while let Some((&t_max, _)) = pool.iter().next_back() {
+            let lead = take(&mut pool, t_max).expect("nonempty pool");
+            let mut row_sums = Vec::with_capacity(cfg.rows);
+            for row in 0..cfg.rows {
+                let mut sum = if row == 0 { lead } else { 0 };
+                let mut count = usize::from(row == 0);
+                while count < cfg.window {
+                    match take(&mut pool, t_max - sum) {
+                        Some(t) => {
+                            sum += t;
+                            count += 1;
+                        }
+                        None => break,
+                    }
+                }
+                row_sums.push(sum);
+            }
+            steps.push(row_sums);
+        }
+        steps
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The streaming schedulers build the reference's steps and
+        /// account them exactly as `run_steps` does, sink included: empty
+        /// streams, zero-cycle tiles and times far beyond any tile's.
+        #[test]
+        fn streaming_schedules_match_run_steps(
+            small in proptest::collection::vec(0u64..=16, 0..120),
+            shift in 0u32..=44,
+            rows in 1usize..=4,
+            window in 1usize..=4,
+            stages in 1usize..=4,
+        ) {
+            let times: Vec<u64> = small.iter().map(|&t| t << shift).collect();
+            let cfg = SystolicConfig { rows, stages, window };
+            let reference = reference_grouped_steps(&times, &cfg);
+            proptest::prop_assert_eq!(&schedule_grouped_steps(&times, &cfg), &reference);
+            let mut want_sink = StepProfile::new(rows);
+            let want = run_steps_with_sink(&reference, &cfg, &mut want_sink);
+            let mut sink = StepProfile::new(rows);
+            let mut buf = GroupingBuffers::default();
+            let got = schedule_grouped_with_sink(&times, &cfg, &mut buf, &mut sink);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&sink, &want_sink);
+            proptest::prop_assert_eq!(&schedule_grouped(&times, &cfg), &want);
+            // A reused buffer carries nothing into the next schedule.
+            let again = schedule_grouped_with_sink(&times, &cfg, &mut buf, &mut NullSink);
+            proptest::prop_assert_eq!(&again, &want);
+
+            let natural = schedule_natural_steps(&times, &cfg);
+            let mut want_sink = StepProfile::new(rows);
+            let want = run_steps_with_sink(&natural, &cfg, &mut want_sink);
+            let mut sink = StepProfile::new(rows);
+            proptest::prop_assert_eq!(&schedule_natural_with_sink(&times, &cfg, &mut sink), &want);
+            proptest::prop_assert_eq!(&sink, &want_sink);
+            proptest::prop_assert_eq!(&schedule_natural(&times, &cfg), &run_steps(&natural, &cfg));
+        }
+    }
 
     fn cfg() -> SystolicConfig {
         SystolicConfig::paper_default()

@@ -22,8 +22,8 @@ pub mod profile;
 pub mod trace;
 
 pub use grouping::{
-    makespan_lower_bound, schedule_grouped, schedule_grouped_steps, schedule_natural,
-    schedule_natural_steps,
+    makespan_lower_bound, schedule_grouped, schedule_grouped_steps, schedule_grouped_with_sink,
+    schedule_natural, schedule_natural_steps, schedule_natural_with_sink, GroupingBuffers,
 };
 pub use pipeline::{PipelineReport, SystolicConfig};
 pub use profile::{NullSink, ProfileSink, StepProfile};

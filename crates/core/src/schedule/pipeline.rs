@@ -102,10 +102,39 @@ pub fn run_steps_with_sink<S: super::profile::ProfileSink>(
     cfg: &SystolicConfig,
     sink: &mut S,
 ) -> PipelineReport {
-    cfg.assert_valid();
-    let mut report = PipelineReport::default();
-    for (index, row_sums) in steps.iter().enumerate() {
+    let mut run = StepRun::new(cfg, sink);
+    for row_sums in steps {
+        run.step(row_sums);
+    }
+    run.finish()
+}
+
+/// The accounting of [`run_steps_with_sink`], fed one macro-step at a
+/// time: the schedulers stream their steps into it instead of building a
+/// `Vec` per step.
+pub(crate) struct StepRun<'a, S> {
+    cfg: &'a SystolicConfig,
+    sink: &'a mut S,
+    report: PipelineReport,
+    first_duration: Option<u64>,
+}
+
+impl<'a, S: super::profile::ProfileSink> StepRun<'a, S> {
+    pub(crate) fn new(cfg: &'a SystolicConfig, sink: &'a mut S) -> Self {
+        cfg.assert_valid();
+        StepRun {
+            cfg,
+            sink,
+            report: PipelineReport::default(),
+            first_duration: None,
+        }
+    }
+
+    /// Accounts one macro-step given its per-row work sums.
+    pub(crate) fn step(&mut self, row_sums: &[u64]) {
+        let report = &mut self.report;
         let duration = row_sums.iter().copied().max().unwrap_or(0);
+        let index = report.steps as usize;
         report.steps += 1;
         report.total_cycles += duration;
         for &sum in row_sums {
@@ -114,18 +143,23 @@ pub fn run_steps_with_sink<S: super::profile::ProfileSink>(
         }
         // Rows absent from this step (fewer entries than cfg.rows) are
         // fully idle.
-        report.bubble_cycles += duration * (cfg.rows.saturating_sub(row_sums.len())) as u64;
-        sink.step(index, duration, row_sums);
+        report.bubble_cycles += duration * (self.cfg.rows.saturating_sub(row_sums.len())) as u64;
+        self.first_duration.get_or_insert(duration);
+        self.sink.step(index, duration, row_sums);
     }
-    // Pipeline fill: the wavefront needs (stages - 1) extra steps to reach
-    // the last stage; approximate with the first step's duration.
-    if let Some(first) = steps.first() {
-        let d = first.iter().copied().max().unwrap_or(0);
-        let fill = d * (cfg.stages as u64 - 1);
-        report.total_cycles += fill;
-        sink.fill(fill);
+
+    /// Adds the pipeline fill and returns the report.
+    pub(crate) fn finish(mut self) -> PipelineReport {
+        // Pipeline fill: the wavefront needs (stages - 1) extra steps to
+        // reach the last stage; approximate with the first step's
+        // duration.
+        if let Some(d) = self.first_duration {
+            let fill = d * (self.cfg.stages as u64 - 1);
+            self.report.total_cycles += fill;
+            self.sink.fill(fill);
+        }
+        self.report
     }
-    report
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@
 mod assignment;
 pub mod decision;
 mod greedy;
-pub mod lut;
 pub mod multistep;
 mod optimal;
 pub mod verify;

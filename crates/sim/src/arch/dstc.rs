@@ -19,6 +19,7 @@ use crate::config::SimConfig;
 use crate::memory;
 use crate::report::{LayerReport, OpCounts};
 use eureka_models::workload::LayerGemm;
+use eureka_sparse::rng::DetRng;
 
 /// DSTC's output-block edge (its 8×8 array).
 const BLOCK: usize = 8;
@@ -46,6 +47,7 @@ impl Architecture for Dstc {
     ) -> Result<LayerReport, SimError> {
         let (n, k, m) = (gemm.shape.n, gemm.shape.k, gemm.shape.m);
         let d_a = ctx.act_density;
+        let a_thr = DetRng::bernoulli_threshold(d_a);
         let width = cfg.dstc_crossbar_width as f64;
         let mut rng = ctx.rng.fork(0xD57C);
 
@@ -57,13 +59,14 @@ impl Architecture for Dstc {
         // block density (pruned blocks are larger than a window).
         const WINDOW: usize = 16;
         let samples = (cfg.rowgroup_samples * cfg.slice_samples).max(256);
-        let window_stats = |d_w: f64, rng: &mut eureka_sparse::rng::DetRng| -> (f64, f64) {
+        let window_stats = |d_w: f64, rng: &mut DetRng| -> (f64, f64) {
+            let w_thr = DetRng::bernoulli_threshold(d_w);
             let (mut sum_cycles, mut sum_products) = (0f64, 0f64);
             for _ in 0..samples {
                 let (mut products, mut w_total) = (0f64, 0f64);
                 for _ in 0..WINDOW {
-                    let w_nnz = binomial(BLOCK.min(n), d_w, rng);
-                    let a_nnz = binomial(BLOCK.min(m), d_a, rng);
+                    let w_nnz = binomial(BLOCK.min(n), w_thr, rng);
+                    let a_nnz = binomial(BLOCK.min(m), a_thr, rng);
                     products += (w_nnz * a_nnz) as f64;
                     w_total += w_nnz as f64;
                 }
@@ -148,7 +151,6 @@ mod tests {
     use super::*;
     use crate::arch::onesided;
     use eureka_models::GemmShape;
-    use eureka_sparse::rng::DetRng;
 
     fn ctx(act: f64) -> LayerCtx {
         LayerCtx {

@@ -55,9 +55,11 @@ pub struct LayerCtx {
     pub tiles: TileBroker,
     /// Reusable per-worker scratch buffers ([`crate::scratch`]): tiles,
     /// key strings, signature and schedule buffers recycle across units
-    /// instead of re-allocating per sample. `Default` works standalone,
-    /// so ad-hoc `LayerCtx` construction needs no setup; buffers never
-    /// influence results (every user overwrites before reading).
+    /// instead of re-allocating per sample, and the SUDS signature
+    /// tables across layers and jobs. `Default` works standalone, so
+    /// ad-hoc `LayerCtx` construction needs no setup; scratch never
+    /// influences results (buffers are overwritten before reading, and
+    /// a table entry equals the computation it replaces).
     pub scratch: ScratchPool,
 }
 
@@ -251,14 +253,14 @@ pub(crate) fn sample_tile(
     TilePattern::from_rows(&masks, q).expect("q validated by caller")
 }
 
-/// [`sample_tile`] into caller-owned buffers: `masks` is resized to `p`
-/// and refilled, `tile` rebuilt in place — the zero-allocation sampling
-/// path. The RNG draw sequence is identical to [`sample_tile`]'s (reports
-/// are byte-identical either way).
-#[allow(clippy::too_many_arguments)] // mirrors sample_tile plus the two buffers
-pub(crate) fn sample_tile_into(
+/// [`sample_tile`]'s row masks into a caller-owned buffer, resized to
+/// `p` and refilled: the zero-allocation sampling path, which builds a
+/// [`TilePattern`] only when its caller needs one. The RNG draw sequence
+/// is identical to [`sample_tile`]'s (reports are byte-identical either
+/// way).
+#[allow(clippy::too_many_arguments)] // mirrors sample_tile plus the buffer
+pub(crate) fn sample_masks_into(
     masks: &mut Vec<u64>,
-    tile: &mut TilePattern,
     p: usize,
     q: usize,
     rows_live: usize,
@@ -270,8 +272,6 @@ pub(crate) fn sample_tile_into(
     masks.clear();
     masks.resize(p, 0);
     sample_masks(masks, rows_live, cols_live, q, base_density, sigma, rng);
-    tile.reset_from_rows(masks, q)
-        .expect("q validated by caller");
 }
 
 /// The shared sampling loop: one [`row_density`] draw per live row, one
@@ -302,9 +302,10 @@ fn sample_masks(
     }
 }
 
-/// Binomial sample: number of successes in `n` Bernoulli(p) trials.
-pub(crate) fn binomial(n: usize, p: f64, rng: &mut DetRng) -> usize {
-    let thr = DetRng::bernoulli_threshold(p);
+/// Binomial sample: number of successes in `n` Bernoulli trials, each
+/// against the [`DetRng::bernoulli_threshold`] `thr`. Callers compute a
+/// density's threshold once, outside their sampling loops.
+pub(crate) fn binomial(n: usize, thr: u64, rng: &mut DetRng) -> usize {
     (0..n).filter(|_| rng.bernoulli_below(thr)).count()
 }
 
@@ -445,7 +446,8 @@ mod tests {
     #[test]
     fn binomial_mean() {
         let mut rng = DetRng::new(3);
-        let total: usize = (0..2000).map(|_| binomial(32, 0.25, &mut rng)).sum();
+        let thr = DetRng::bernoulli_threshold(0.25);
+        let total: usize = (0..2000).map(|_| binomial(32, thr, &mut rng)).sum();
         let mean = total as f64 / 2000.0;
         assert!((mean - 8.0).abs() < 0.3, "mean {mean}");
     }
@@ -470,11 +472,12 @@ mod tests {
         {
             let mut by_float = DetRng::new(seed as u64);
             let mut by_threshold = by_float.clone();
+            let thr = DetRng::bernoulli_threshold(p);
             for n in [0, 1, 8, 16, 33, 256] {
                 let float = (0..n)
                     .filter(|_| by_float.next_f64() < p.clamp(0.0, 1.0))
                     .count();
-                assert_eq!(binomial(n, p, &mut by_threshold), float, "p = {p:e}");
+                assert_eq!(binomial(n, thr, &mut by_threshold), float, "p = {p:e}");
             }
         }
     }

@@ -22,11 +22,9 @@ use crate::profile::{
 };
 use crate::report::{LayerReport, OpCounts};
 use crate::store::{TileKey, TileOutcome};
-use eureka_core::schedule::pipeline::{run_steps, run_steps_with_sink};
-use eureka_core::schedule::profile::StepProfile;
 use eureka_core::schedule::{
-    schedule_grouped, schedule_grouped_steps, schedule_natural, schedule_natural_steps,
-    SystolicConfig,
+    schedule_grouped, schedule_grouped_with_sink, schedule_natural, schedule_natural_with_sink,
+    GroupingBuffers, NullSink, PipelineReport, ProfileSink, StepProfile, SystolicConfig,
 };
 use eureka_core::suds;
 use eureka_models::workload::LayerGemm;
@@ -176,6 +174,113 @@ impl TileTimer {
     }
 }
 
+/// Rows of the tiles the signature tables cover: the paper's 4×4
+/// sub-arrays.
+const SIGNATURE_ROWS: usize = 4;
+/// Longest row the signature tables cover: compaction factor 4 on a
+/// 4-wide sub-array.
+const SIGNATURE_MAX_LEN: usize = 16;
+/// One base-17 digit per row length: 17⁴ = 83,521 entries.
+const SIGNATURE_ENTRIES: usize = (SIGNATURE_MAX_LEN + 1).pow(SIGNATURE_ROWS as u32);
+/// Marks a filled table entry; an empty entry is all zeros.
+const FILLED: u32 = 1 << 31;
+
+/// Lazily filled outcome tables for the SUDS timers at the paper
+/// geometry, one per timer (paper §3.2: "the cases for small 4×4, 4×8
+/// matrices can be enumerated exhaustively").
+///
+/// Every SUDS timer's [`TileOutcome`] is a pure function of the tile's
+/// row lengths, so a 4-row tile whose rows hold at most 16 non-zeros is
+/// timed once per signature and looked up after that. A table is
+/// allocated (334 KB) only when its timer first runs at that geometry;
+/// it lives with the [`crate::scratch::Scratch`] that holds it, so a
+/// worker fills it once for every layer and job it simulates.
+#[derive(Debug, Default)]
+pub struct SignatureTables {
+    tables: Vec<SignatureTable>,
+}
+
+impl SignatureTables {
+    /// `timer`'s table for `p × q` tiles: `None` unless `timer` plans
+    /// SUDS displacement and the geometry is the paper's (`p = 4`,
+    /// `q ≤ 16`). Max-row, dense and 2:4 tiles cost less to time than to
+    /// look up, and other geometries overflow the signature.
+    pub fn get(&mut self, timer: TileTimer, p: usize, q: usize) -> Option<&mut SignatureTable> {
+        let suds = matches!(
+            timer,
+            TileTimer::GreedySuds | TileTimer::OptimalSuds | TileTimer::MultiStepSuds(_)
+        );
+        if !suds || p != SIGNATURE_ROWS || q > SIGNATURE_MAX_LEN {
+            return None;
+        }
+        let i = match self.tables.iter().position(|t| t.timer == timer) {
+            Some(i) => i,
+            None => {
+                self.tables.push(SignatureTable {
+                    timer,
+                    entries: vec![0; SIGNATURE_ENTRIES].into_boxed_slice(),
+                });
+                self.tables.len() - 1
+            }
+        };
+        Some(&mut self.tables[i])
+    }
+}
+
+/// One timer's outcome table over 4-row signatures (see
+/// [`SignatureTables`]).
+#[derive(Debug)]
+pub struct SignatureTable {
+    timer: TileTimer,
+    /// Indexed by the row lengths as base-17 digits. A filled entry packs
+    /// the cycles (bits 0–7), the displaced count (bits 8–15) and the
+    /// base row plus one, or 0 for none (bits 16–23), under [`FILLED`].
+    entries: Box<[u32]>,
+}
+
+impl SignatureTable {
+    /// The outcome of a tile with row lengths `lens` under this table's
+    /// timer. On a miss `direct` times the tile — it must return
+    /// [`TileTimer::outcome`] of a tile with these row lengths — and the
+    /// entry is filled from its result. Row lengths beyond 16 always go
+    /// to `direct`.
+    pub fn outcome(
+        &mut self,
+        lens: [usize; SIGNATURE_ROWS],
+        direct: impl FnOnce() -> TileOutcome,
+    ) -> TileOutcome {
+        if lens.iter().any(|&l| l > SIGNATURE_MAX_LEN) {
+            return direct();
+        }
+        let index = lens
+            .iter()
+            .fold(0, |acc, &l| acc * (SIGNATURE_MAX_LEN + 1) + l);
+        let nnz = lens.iter().sum::<usize>() as u64;
+        let entry = self.entries[index];
+        if entry & FILLED != 0 {
+            let base = (entry >> 16) & 0xff;
+            return TileOutcome {
+                cycles: u64::from(entry & 0xff),
+                displaced: u64::from((entry >> 8) & 0xff),
+                base_row: (base != 0).then(|| base as usize - 1),
+                nnz,
+            };
+        }
+        let o = direct();
+        debug_assert_eq!(o.nnz, nnz, "direct timing of another signature");
+        let fields = (
+            u8::try_from(o.cycles),
+            u8::try_from(o.displaced),
+            o.base_row.map_or(Ok(0), |b| u8::try_from(b + 1)),
+        );
+        if let (Ok(cycles), Ok(displaced), Ok(base)) = fields {
+            self.entries[index] =
+                FILLED | u32::from(cycles) | u32::from(displaced) << 8 | u32::from(base) << 16;
+        }
+        o
+    }
+}
+
 /// Tile dispatch order on the systolic rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScheduleMode {
@@ -241,6 +346,21 @@ impl OneSided {
             TileTimer::GreedySuds | TileTimer::OptimalSuds => col_bits + 1,
             // Reach-R displacement must encode the landing offset.
             TileTimer::MultiStepSuds(reach) => col_bits + (usize::BITS - reach.leading_zeros()),
+        }
+    }
+
+    /// Streams `times` through this configuration's schedule into the
+    /// macro-step timing model, reporting each step to `sink`.
+    fn run_schedule<S: ProfileSink>(
+        &self,
+        times: &[u64],
+        sys: &SystolicConfig,
+        grouping: &mut GroupingBuffers,
+        sink: &mut S,
+    ) -> PipelineReport {
+        match self.schedule {
+            ScheduleMode::Natural => schedule_natural_with_sink(times, sys, sink),
+            ScheduleMode::Grouped => schedule_grouped_with_sink(times, sys, grouping, sink),
         }
     }
 
@@ -344,7 +464,15 @@ impl OneSided {
                 key,
                 tag,
                 times,
+                tables,
+                grouping,
             } = &mut *scratch;
+            let mut table = tables.get(self.timer, p, q);
+            let time_directly = |tile: &mut TilePattern, masks: &[u64]| {
+                tile.reset_from_rows(masks, q)
+                    .expect("q validated by caller");
+                self.timer.outcome(tile)
+            };
             times.clear();
             times.reserve((n_rg * n_sl) as usize);
             let (mut sum_t, mut sum_nnz, mut sum_disp) = (0f64, 0f64, 0f64);
@@ -355,9 +483,8 @@ impl OneSided {
                     let si = j * slices / n_sl;
                     let cols_live = q.min(k - (si as usize) * q);
                     let d = tile_density(gemm, &mut rng);
-                    super::sample_tile_into(
+                    super::sample_masks_into(
                         masks,
-                        tile,
                         p,
                         q,
                         rows_live,
@@ -371,13 +498,20 @@ impl OneSided {
                     // or cold), only its timing memoizes. `outcome` is a
                     // pure function of the canonical key, so a store hit
                     // is bit-identical to the skipped computation.
-                    // Without one, keying would cost more than timing.
+                    // Without one, a SUDS timer at the paper geometry
+                    // reads its signature table, and every other timer
+                    // times the tile directly.
                     let o = if ctx.tiles.is_enabled() {
+                        tile.reset_from_rows(masks, q)
+                            .expect("q validated by caller");
                         let keyed = self.timer.key_into(tile, lens, token, tag, key);
                         ctx.tiles
                             .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile))
+                    } else if let Some(table) = table.as_deref_mut() {
+                        let signature = std::array::from_fn(|r| masks[r].count_ones() as usize);
+                        table.outcome(signature, || time_directly(tile, masks))
                     } else {
-                        self.timer.outcome(tile)
+                        time_directly(tile, masks)
                     };
                     let (t, disp, base_row) = (o.cycles, o.displaced, o.base_row);
                     times.push(t);
@@ -407,17 +541,13 @@ impl OneSided {
                 stages,
                 window: cfg.core.window,
             };
-            let steps = match self.schedule {
-                ScheduleMode::Natural => schedule_natural_steps(times, &sys),
-                ScheduleMode::Grouped => schedule_grouped_steps(times, &sys),
-            };
             let pipe = if profiling {
                 let mut sink = StepProfile::new(sys.rows);
-                let pipe = run_steps_with_sink(&steps, &sys, &mut sink);
+                let pipe = self.run_schedule(times, &sys, grouping, &mut sink);
                 sampled.sink = Some(sink);
                 pipe
             } else {
-                run_steps(&steps, &sys)
+                self.run_schedule(times, &sys, grouping, &mut NullSink)
             };
             sampled.busy_rc = pipe.busy_cycles;
             sampled.idle_rc = pipe.bubble_cycles;
@@ -951,6 +1081,76 @@ mod tests {
                 "{}: sampled {sampled} vs exact {exact} (ratio {ratio})",
                 a.name()
             );
+        }
+    }
+
+    /// A 4 × 16 tile whose rows hold `lens` left-aligned non-zeros.
+    fn tile_of(lens: [usize; 4]) -> TilePattern {
+        let rows = lens.map(|l| (1u64 << l) - 1);
+        TilePattern::from_rows(&rows, 16).unwrap()
+    }
+
+    #[test]
+    fn signature_tables_match_the_direct_timer_exhaustively() {
+        let mut tables = SignatureTables::default();
+        for timer in [
+            TileTimer::OptimalSuds,
+            TileTimer::GreedySuds,
+            TileTimer::MultiStepSuds(2),
+        ] {
+            let table = tables.get(timer, 4, 16).expect("paper geometry");
+            let signatures = || {
+                let base = SIGNATURE_MAX_LEN + 1;
+                (0..SIGNATURE_ENTRIES).map(move |i| [3, 2, 1, 0].map(|e| i / base.pow(e) % base))
+            };
+            for lens in signatures() {
+                table.outcome(lens, || timer.outcome(&tile_of(lens)));
+            }
+            // Second pass: every signature hits, and unpacks exactly.
+            for lens in signatures() {
+                let got = table.outcome(lens, || panic!("{timer:?} {lens:?} missed"));
+                assert_eq!(got, timer.outcome(&tile_of(lens)), "{timer:?} {lens:?}");
+            }
+        }
+        // Max-row, uniform timers and other geometries time directly.
+        assert!(tables.get(TileTimer::MaxRow, 4, 16).is_none());
+        assert!(tables.get(TileTimer::Dense, 4, 4).is_none());
+        assert!(tables.get(TileTimer::OptimalSuds, 8, 32).is_none());
+        assert!(tables.get(TileTimer::OptimalSuds, 4, 32).is_none());
+    }
+
+    #[test]
+    fn a_shared_scratch_leaks_nothing_across_timers_and_geometries() {
+        use crate::config::TensorCoreConfig;
+        let paper = SimConfig::fast();
+        let plain8 = paper.with_core(TensorCoreConfig::plain(8));
+        let wide = OneSided::new("P=8", 8, TileTimer::OptimalSuds, ScheduleMode::Grouped);
+        let g = gemm(256, 2304, 6272, 0.13);
+        let runs = [
+            (eureka_p2(), paper),
+            (eureka_p4(), paper),
+            (eureka_p4(), plain8),
+            (greedy_suds_p4(), paper),
+            (eureka_multistep(2), paper),
+            (wide, paper),
+            (eureka_p2(), paper),
+            (eureka_p4(), paper),
+        ];
+        let shared = ctx();
+        for (arch, cfg) in &runs {
+            let reused = arch.simulate_layer(&g, &shared, cfg).unwrap();
+            let fresh = arch.simulate_layer(&g, &ctx(), cfg).unwrap();
+            assert_eq!(
+                reused,
+                fresh,
+                "{} at p={}",
+                arch.name(),
+                cfg.core.sub_array_dim
+            );
+            let pcfg = ProfileConfig::default();
+            let reused = arch.simulate_layer_profiled(&g, &shared, cfg, &pcfg);
+            let fresh = arch.simulate_layer_profiled(&g, &ctx(), cfg, &pcfg);
+            assert_eq!(reused.unwrap(), fresh.unwrap(), "{} profiled", arch.name());
         }
     }
 

@@ -88,10 +88,19 @@ impl Architecture for SparTen {
         // Sample chunk pairs: joint (weight, activation) bit draws.
         let samples = (cfg.rowgroup_samples * cfg.slice_samples).max(256);
         let a_thr = DetRng::bernoulli_threshold(d_a);
+        // A tile's density is the layer's or one of its cluster
+        // mixture's two: threshold each once, not once per sample.
+        let (_, hi, lo) = super::cluster_mixture(gemm.weight_density);
+        let w_thresholds =
+            [gemm.weight_density, hi, lo].map(|d| (d.to_bits(), DetRng::bernoulli_threshold(d)));
         let (mut sum_cost, mut sum_matches) = (0f64, 0f64);
         let mut chunk_costs = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let w_thr = DetRng::bernoulli_threshold(tile_density(gemm, &mut rng));
+            let d_w = tile_density(gemm, &mut rng);
+            let w_thr = w_thresholds
+                .iter()
+                .find(|&&(bits, _)| bits == d_w.to_bits())
+                .map_or_else(|| DetRng::bernoulli_threshold(d_w), |&(_, thr)| thr);
             let width = CHUNK_WIDTH.min(k);
             let mut w_nnz = 0usize;
             let mut matches = 0usize;

@@ -122,6 +122,7 @@ use crate::hash::fnv1a64;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
+use crate::scratch::ScratchPool;
 use crate::store::{TileBroker, TileStore};
 use eureka_models::{activation, workload::LayerGemm, Workload};
 use eureka_obs::events::{Event, Events};
@@ -528,6 +529,10 @@ pub struct Runner {
     records: Arc<UnitRecords>,
     /// The tile store of the store directory, shared like the records.
     tiles: Option<Arc<TileStore>>,
+    /// Scratch sets for the units' hot loops, shared like the records:
+    /// at most one set per concurrent worker, whose signature tables
+    /// outlive every job this runner and its clones run.
+    scratch: ScratchPool,
     events: Events,
     /// The metrics registry, built with the runner and shared by its
     /// clones.
@@ -562,6 +567,7 @@ impl Runner {
             cancel: None,
             records: Arc::default(),
             tiles: None,
+            scratch: ScratchPool::default(),
             events: Events::default(),
             telemetry: Arc::new(Telemetry::new()),
         }
@@ -716,7 +722,7 @@ impl Runner {
             let _plan_span = eureka_obs::span!("runner.plan");
             for job in jobs {
                 let start = units.len();
-                plan(job, &mut units, self.tiles.as_ref());
+                plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
                 ranges.push(start..units.len());
             }
         }
@@ -1060,7 +1066,7 @@ impl Runner {
             job.workload.benchmark().name()
         );
         let mut units = Vec::new();
-        plan(job, &mut units, self.tiles.as_ref());
+        plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
         let run_started = Instant::now();
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", 1));
@@ -1167,14 +1173,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Plans one job into per-layer units appended to `units`, each with its
 /// own broker (so each unit tallies its own lookups): wired to the tile
-/// store `tiles` when one is attached, disabled otherwise.
-fn plan<'a>(job: &SimJob<'a>, units: &mut Vec<WorkUnit<'a>>, tiles: Option<&Arc<TileStore>>) {
+/// store `tiles` when one is attached, disabled otherwise. Every unit
+/// draws its scratch set from the runner's `scratch` pool.
+fn plan<'a>(
+    job: &SimJob<'a>,
+    units: &mut Vec<WorkUnit<'a>>,
+    tiles: Option<&Arc<TileStore>>,
+    scratch: &ScratchPool,
+) {
     let workload = job.workload;
     let bench = workload.benchmark();
     let base_rng = DetRng::new(workload.seed());
-    // One pool per job: all its units share recycled scratch buffers, so
-    // the steady-state allocation count is bounded by worker concurrency.
-    let scratch = crate::scratch::ScratchPool::default();
     let act_density = workload.activation_density();
     let s2ta_act_density = activation::s2ta_activation_density(bench);
     let s2ta_fil_density = activation::s2ta_filter_density(bench);
@@ -1585,7 +1594,7 @@ mod tests {
         let a = arch::dense();
         let job = SimJob::new(&a, &w, tiny_cfg());
         let mut units = Vec::new();
-        plan(&job, &mut units, None);
+        plan(&job, &mut units, None, &ScratchPool::default());
         let keys: Vec<String> = units.iter().map(WorkUnit::canonical).collect();
         let mut uniq = keys.clone();
         uniq.sort();
@@ -1593,7 +1602,7 @@ mod tests {
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
         // Same plan, same keys (the stability stored records need).
         let mut units2 = Vec::new();
-        plan(&job, &mut units2, None);
+        plan(&job, &mut units2, None, &ScratchPool::default());
         let keys2: Vec<String> = units2.iter().map(WorkUnit::canonical).collect();
         assert_eq!(keys, keys2);
         assert!(keys[0].starts_with("v1|arch=Dense|"));
@@ -1637,11 +1646,13 @@ mod tests {
             &SimJob::new(&s2ta, &mobilenet, tiny_cfg()),
             &mut units,
             None,
+            &ScratchPool::default(),
         );
         plan(
             &SimJob::new(&dense, &inception, SimConfig::paper_default()),
             &mut units,
             None,
+            &ScratchPool::default(),
         );
         assert!(units.iter().any(|u| u.key.s2ta_act_density.is_some()));
         assert!(units.iter().any(|u| u.key.s2ta_fil_density.is_none()));

@@ -16,11 +16,19 @@
 //!   fill (or clear) a buffer before reading it. The `_into` helpers in
 //!   `eureka_sparse::canon` and [`crate::store::TileKey::encode_into`]
 //!   all clear their destination first, making stale content harmless.
-//! * [`LayerCtx`](crate::arch::LayerCtx) carries a [`ScratchPool`]
-//!   clone (cheap: one `Arc`). Architectures that don't opt in simply
-//!   never touch it; the `Default` pool works standalone, so ad-hoc
-//!   call sites constructing a `LayerCtx` by hand need no setup.
+//!   The one exception is [`Scratch::tables`]: its entries are pure
+//!   functions of a timer and a row-length signature, kept on purpose
+//!   so each signature is timed once per set.
+//! * A [`crate::Runner`] holds one pool, which its clones share, so a
+//!   run keeps at most one set per concurrent worker however many jobs
+//!   it runs. [`LayerCtx`](crate::arch::LayerCtx) carries a
+//!   [`ScratchPool`] clone (cheap: one `Arc`). Architectures that don't
+//!   opt in simply never touch it; the `Default` pool works standalone,
+//!   so ad-hoc call sites constructing a `LayerCtx` by hand need no
+//!   setup.
 
+use crate::arch::onesided::SignatureTables;
+use eureka_core::schedule::GroupingBuffers;
 use eureka_sparse::TilePattern;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -28,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Reusable buffers for one in-flight layer simulation.
 #[derive(Debug)]
 pub struct Scratch {
-    /// Sampled tile row masks (`sample_tile_into`).
+    /// Sampled tile row masks (`sample_masks_into`).
     pub masks: Vec<u64>,
     /// The sampled tile itself, rebuilt in place per sample.
     pub tile: TilePattern,
@@ -42,6 +50,11 @@ pub struct Scratch {
     pub tag: String,
     /// Per-sample resolved tile times feeding the systolic schedule.
     pub times: Vec<u64>,
+    /// The SUDS timers' signature tables: unlike the buffers, these
+    /// carry entries across checkouts.
+    pub tables: SignatureTables,
+    /// The offline scheduler's working set.
+    pub grouping: GroupingBuffers,
 }
 
 impl Default for Scratch {
@@ -55,6 +68,8 @@ impl Default for Scratch {
             key: String::new(),
             tag: String::new(),
             times: Vec::new(),
+            tables: SignatureTables::default(),
+            grouping: GroupingBuffers::default(),
         }
     }
 }

@@ -23,6 +23,10 @@ cargo run --release -q -p eureka-cli -- verify --replay tests/corpus
 cargo run --release -q -p eureka-cli -- verify --cases 200 --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --fault-matrix --seed 42 | tail -n 1
 cargo run --release -q -p eureka-cli -- verify --chaos --cases 50 --seed 42 | tail -n 1
+# Paper sampling: tests/golden pins the fast-sampling figures only, so
+# the full fig11 sweep must still match the committed reference CSV.
+cargo run --release -q -p eureka-cli -- figure fig11 --csv --jobs 2 \
+    | cmp - examples/benchmark/reference/fig11.csv
 scripts/resume_smoke.sh
 scripts/store_smoke.sh
 scripts/serve_smoke.sh
