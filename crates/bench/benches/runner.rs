@@ -155,8 +155,8 @@ fn profile_overhead(c: &mut Criterion) {
 }
 
 /// Loads a 4,096-record log through fresh [`UnitRecords`], as the first
-/// lookup of a warm `--store-dir` run does. Keys have the shape and
-/// length (~330 bytes) of real unit keys.
+/// lookup of a warm `--store-dir` run does, and appends one. Keys have
+/// the shape and length (~330 bytes) of real unit keys.
 fn checkpoint_load(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("eureka-bench-units-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -175,6 +175,7 @@ fn checkpoint_load(c: &mut Criterion) {
         )
     };
     let records = UnitRecords::in_dir(&dir);
+    let mut written = Vec::with_capacity(4096);
     for i in 0..4096 {
         let report = LayerReport {
             name: format!("block{}/conv{}", i / 64, i % 64),
@@ -190,6 +191,7 @@ fn checkpoint_load(c: &mut Criterion) {
         records
             .append(&key(i), &report)
             .expect("the record appends");
+        written.push((key(i), report));
     }
     let probe = key(17);
 
@@ -201,6 +203,18 @@ fn checkpoint_load(c: &mut Criterion) {
                 .stored(&probe, |_| {})
                 .cloned()
                 .expect("the record loads")
+        })
+    });
+    // The same 4,096 records appended one `append` each to a fresh
+    // directory, as a cold `--store-dir` run writes them.
+    let fresh = dir.join("append");
+    group.bench_function("append_4k", |b| {
+        b.iter(|| {
+            let _ = std::fs::remove_dir_all(&fresh);
+            let records = UnitRecords::in_dir(&fresh);
+            for (key, report) in &written {
+                records.append(key, report).expect("the record appends");
+            }
         })
     });
     group.finish();

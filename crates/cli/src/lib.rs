@@ -2154,7 +2154,7 @@ mod tests {
         let help = run(&parse(["help"]).unwrap()).unwrap();
         assert_eq!(help, USAGE);
         assert_eq!(
-            (help.len(), eureka_sim::hash::fnv1a64(help.as_bytes())),
+            (help.len(), eureka_obs::applog::fnv1a64(help.as_bytes())),
             (9371, 0xa4bd_e4e9_c461_5739)
         );
     }

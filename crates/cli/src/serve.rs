@@ -8,10 +8,11 @@
 //! waker thread connects to the daemon's own socket so the loop sees
 //! the termination latch. The server additionally owns the
 //! observability exhaust: a Prometheus text exposition rewritten after
-//! every connection (`--metrics-out`), the always-armed flight recorder
-//! dumped on drain, panic, and after every connection that recorded
-//! something new, and the exit-time SLA summary appended to the run
-//! ledger (`--sla-budget-us`) so `bench diff` gates service-latency
+//! every connection (`--metrics-out`), the always-armed flight recorder,
+//! whose new records are appended to its per-process log after every
+//! connection and on drain (compacted to the ring past a size bound, and
+//! dumped whole on panic), and the exit-time SLA summary appended to the
+//! run ledger (`--sla-budget-us`) so `bench diff` gates service-latency
 //! regressions. Everything socket-shaped is Unix-only; on other targets
 //! the commands fail with a clear message instead of failing to
 //! compile.
@@ -82,16 +83,15 @@ mod imp {
         eureka_obs::info!("serve: listening on {}", socket.display());
 
         let mut shutdown_requested = false;
-        let mut dumped = 0;
         while !shutdown_requested && !eureka_signal::termination_requested() {
             let (stream, _) = listener
                 .accept()
                 .map_err(|e| format!("accept failed: {e}"))?;
             shutdown_requested = serve_connection(&service, stream);
             // Refresh the on-disk exhaust while the daemon is alive, so a
-            // later SIGKILL still leaves a recent scrape and a replayable
-            // recorder dump behind.
-            export_observability(opts, &service, &mut dumped);
+            // later SIGKILL still leaves a recent scrape and every
+            // recorder record behind.
+            export_observability(opts, &service);
         }
 
         // SIGTERM/SIGINT or a `shutdown` request: finish in-flight
@@ -99,7 +99,7 @@ mod imp {
         // store tiles are already durable (written in-line), so the
         // drain needs no extra flush.
         let drained = service.drain();
-        export_observability(opts, &service, &mut dumped);
+        export_observability(opts, &service);
         std::fs::remove_file(socket).ok();
         let stats = service.stats();
         let mut out = format!(
@@ -160,23 +160,18 @@ mod imp {
 
     /// Best-effort refresh of the observability exhaust: the
     /// Prometheus exposition (written atomically, so scrapers never read
-    /// a torn file) and the flight-recorder dump, skipped while the ring
-    /// holds nothing newer than the `dumped` count (the file would come
-    /// out identical). Failures degrade to a log line — the daemon's
-    /// job is serving, not exporting.
-    fn export_observability(opts: &ServeOpts, service: &JobService, dumped: &mut u64) {
+    /// a torn file) and the flight recorder's export, which appends only
+    /// the records since the last one. Failures degrade to a log line —
+    /// the daemon's job is serving, not exporting.
+    fn export_observability(opts: &ServeOpts, service: &JobService) {
         if let Some(path) = &opts.metrics_out {
             let text = service.metrics().prometheus_text();
             if eureka_obs::atomic::write_atomic(Path::new(path), text.as_bytes()).is_err() {
                 eureka_obs::info!("serve: cannot write metrics to {path}");
             }
         }
-        let recorded = eureka_obs::flightrec::recorded_count();
-        if recorded > *dumped {
-            match service.dump_flightrec() {
-                Ok(_) => *dumped = recorded,
-                Err(e) => eureka_obs::info!("serve: flight recorder dump failed: {e}"),
-            }
+        if let Err(e) = eureka_obs::flightrec::export(Path::new(&opts.flightrec_dir)) {
+            eureka_obs::info!("serve: flight recorder export failed: {e}");
         }
     }
 

@@ -213,13 +213,19 @@ fn back_to_back_submits_all_complete_and_leave_no_pending_journal() {
 
     let drained = request(&daemon.socket, r#"{"cmd":"drain"}"#).expect("drain answered");
     assert!(drained.contains(r#""drained":true"#), "{drained}");
-    let journal = Journal::new(dir.0.join("eureka-journal"));
-    assert!(
-        journal.recover().0.is_empty(),
+    let journal_dir = dir.0.join("eureka-journal");
+    assert_eq!(
+        Journal::new(&journal_dir).recover(),
+        (Vec::new(), Some(0)),
         "a drained daemon leaves nothing to replay"
     );
-    assert_eq!(journal.entry_count(), 20, "one journal entry per spec");
-    let files: Vec<_> = std::fs::read_dir(journal.dir())
+    let log = std::fs::read_to_string(journal_dir.join("journal.log")).expect("journal log");
+    assert_eq!(
+        log.lines().count(),
+        1 + 2 * 20,
+        "a header, then an accepted and a completed record per spec"
+    );
+    let files: Vec<_> = std::fs::read_dir(&journal_dir)
         .expect("journal dir")
         .map(|e| e.expect("dir entry").file_name())
         .collect();

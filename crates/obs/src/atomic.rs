@@ -1,8 +1,10 @@
 //! The one crash-safe file writer behind every persistent file that is
-//! rewritten whole: tile-store shard creation, job journal compactions,
-//! run ledger records, flight-recorder dumps and the service's
-//! Prometheus export. (Unit records and journal records are appended to
-//! their logs instead, one `write` per record.)
+//! rewritten whole: tile-store shard creation, the compactions of
+//! [`crate::applog`] logs (the job journal's, and the flight recorder's,
+//! whose full dump on panic and on the `dump` verb is one too), run
+//! ledger records and the service's Prometheus export. Records
+//! themselves are appended to their logs through [`crate::applog`], one
+//! `write` per batch.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

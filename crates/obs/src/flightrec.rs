@@ -16,14 +16,19 @@
 //! kind-specific `value` (content-key hash for admissions, queue-wait
 //! µs for dequeues, outcome class for finishes).
 //!
-//! [`dump_to`] renders the ring oldest-to-newest as JSONL and writes it
-//! through [`crate::atomic::write_atomic`], the writer the journal's
-//! compaction and the tile store use too, so a reader never observes a
-//! torn dump. The serve loop
-//! dumps after every connection that recorded something new and on
-//! SIGTERM/panic; a SIGKILL leaves
-//! the last complete dump on disk.
+//! The records go to one JSONL file per process,
+//! `flightrec-<pid>.jsonl`. The serve loop calls [`export`] after every
+//! connection: it appends, as one [`crate::applog`] line batch, only the
+//! records recorded since the last export. The first export, and any
+//! that grows the file past [`COMPACT_BYTES`], compacts it to the ring's
+//! records through [`dump_to`]. [`dump_to`] is the full rewrite, through
+//! [`crate::atomic::write_atomic`], for the panic hook and the `dump`
+//! verb too. Either way a reader never sees a torn line, and a SIGKILL
+//! leaves every exported record on disk.
 
+use crate::applog::AppLog;
+use std::fmt::Write;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -33,6 +38,10 @@ pub const SCHEMA: &str = "eureka-flightrec-v1";
 
 /// Ring capacity: how many recent records a dump can hold.
 pub const CAPACITY: usize = 512;
+
+/// File size past which an [`export`] compacts the file to the ring: at
+/// about 100 bytes a line, one compaction per ~10k records.
+pub const COMPACT_BYTES: u64 = 1 << 20;
 
 /// One recorded lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,14 +61,23 @@ pub struct FlightRecord {
 }
 
 struct Ring {
-    /// Pre-allocated slots; written in place once full (no allocation
-    /// after the ring fills).
+    /// Pre-allocated slots; the record with `seq` lives in slot
+    /// `seq % CAPACITY`, written in place once full (no allocation after
+    /// the ring fills).
     slots: Vec<FlightRecord>,
-    /// Next slot index to (over)write.
-    next: usize,
     /// Total records ever recorded (`seq` source; `len = min(total, CAPACITY)`).
     total: u64,
+    /// Records below this `seq` are in this process's file already.
+    exported: u64,
     start: Instant,
+}
+
+impl Ring {
+    /// The retained records from `seq` on, oldest to newest.
+    fn since(&self, seq: u64) -> impl Iterator<Item = FlightRecord> + '_ {
+        let oldest = self.total - self.slots.len() as u64;
+        (seq.max(oldest)..self.total).map(|seq| self.slots[(seq % CAPACITY as u64) as usize])
+    }
 }
 
 fn ring() -> MutexGuard<'static, Ring> {
@@ -67,8 +85,8 @@ fn ring() -> MutexGuard<'static, Ring> {
     RING.get_or_init(|| {
         Mutex::new(Ring {
             slots: Vec::with_capacity(CAPACITY),
-            next: 0,
             total: 0,
+            exported: 0,
             start: Instant::now(),
         })
     })
@@ -88,14 +106,12 @@ pub fn record(kind: &'static str, job: u64, value: u64) {
         job,
         value,
     };
+    let slot = (r.total % CAPACITY as u64) as usize;
     r.total += 1;
-    if r.slots.len() < CAPACITY {
+    if slot == r.slots.len() {
         r.slots.push(rec);
-        r.next = r.slots.len() % CAPACITY;
     } else {
-        let next = r.next;
-        r.slots[next] = rec;
-        r.next = (next + 1) % CAPACITY;
+        r.slots[slot] = rec;
     }
 }
 
@@ -105,60 +121,37 @@ pub fn recorded_count() -> u64 {
     ring().total
 }
 
-/// The most recent record's sequence number, `None` when empty.
-#[must_use]
-pub fn last_seq() -> Option<u64> {
-    let r = ring();
-    r.total.checked_sub(1)
-}
-
-/// The retained records, oldest to newest (at most [`CAPACITY`]).
-#[must_use]
-pub fn snapshot() -> Vec<FlightRecord> {
-    let r = ring();
-    let mut out = Vec::with_capacity(r.slots.len());
-    if r.slots.len() < CAPACITY {
-        out.extend_from_slice(&r.slots);
-    } else {
-        out.extend_from_slice(&r.slots[r.next..]);
-        out.extend_from_slice(&r.slots[..r.next]);
-    }
-    out
-}
-
 /// Clears the ring and restarts the `t_us` clock (tests; serve start).
 pub fn reset() {
     let mut r = ring();
     r.slots.clear();
-    r.next = 0;
     r.total = 0;
+    r.exported = 0;
     r.start = Instant::now();
 }
 
-fn render_line(rec: &FlightRecord, out: &mut String) {
-    out.push_str("{\"schema\":\"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\"seq\":");
-    out.push_str(&rec.seq.to_string());
-    out.push_str(",\"t_us\":");
-    out.push_str(&rec.t_us.to_string());
-    out.push_str(",\"kind\":\"");
-    out.push_str(&crate::json::escape(rec.kind));
-    out.push_str("\",\"job\":");
-    out.push_str(&rec.job.to_string());
-    out.push_str(",\"value\":");
-    out.push_str(&rec.value.to_string());
-    out.push_str("}\n");
+/// The retained records from `seq` on as JSONL, and the total recorded.
+fn render_since(seq: u64) -> (String, u64) {
+    let r = ring();
+    let mut out = String::new();
+    for rec in r.since(seq) {
+        let _ = writeln!(
+            out,
+            "{{\"schema\":\"{SCHEMA}\",\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"job\":{},\"value\":{}}}",
+            rec.seq,
+            rec.t_us,
+            crate::json::escape(rec.kind),
+            rec.job,
+            rec.value,
+        );
+    }
+    (out, r.total)
 }
 
 /// The retained records as JSONL, oldest to newest.
 #[must_use]
 pub fn dump_jsonl() -> String {
-    let mut out = String::new();
-    for rec in snapshot() {
-        render_line(&rec, &mut out);
-    }
-    out
+    render_since(0).0
 }
 
 /// The dump path this process writes under `dir`.
@@ -169,22 +162,52 @@ pub fn dump_path(dir: &Path) -> PathBuf {
 
 /// Dumps the ring atomically to `flightrec-<pid>.jsonl` under `dir`
 /// (created if missing) through [`crate::atomic::write_atomic`], so a
-/// concurrent reader — or a crash mid-dump — never sees a torn file.
-/// Returns the path written.
+/// concurrent reader — or a crash mid-dump — never sees a torn file, and
+/// marks every record exported. Returns the path written.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation, write, or rename failures.
-pub fn dump_to(dir: &Path) -> std::io::Result<PathBuf> {
+pub fn dump_to(dir: &Path) -> io::Result<PathBuf> {
     let target = dump_path(dir);
-    crate::atomic::write_atomic(&target, dump_jsonl().as_bytes())?;
+    let (text, total) = render_since(0);
+    crate::atomic::write_atomic(&target, text.as_bytes())?;
+    ring().exported = total;
     Ok(target)
+}
+
+/// Appends to `flightrec-<pid>.jsonl` under `dir`, with one write, the
+/// records recorded since the last export or dump; a no-op when there
+/// are none. The first export, and one that grows the file past
+/// [`COMPACT_BYTES`], rewrites it as the ring instead ([`dump_to`]), so
+/// a stale file of an earlier process with this pid is replaced and the
+/// file stays bounded. One process exports to one directory.
+///
+/// # Errors
+///
+/// Propagates the append's or the dump's I/O failures; the records then
+/// go out with the next export.
+pub fn export(dir: &Path) -> io::Result<()> {
+    let exported = ring().exported;
+    let (text, total) = render_since(exported);
+    if text.is_empty() {
+        return Ok(());
+    }
+    if exported == 0 || AppLog::new(dump_path(dir)).append(text.as_bytes())? > COMPACT_BYTES {
+        return dump_to(dir).map(drop);
+    }
+    ring().exported = total;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{self, Value};
+
+    fn snapshot() -> Vec<FlightRecord> {
+        ring().since(0).collect()
+    }
 
     /// The recorder is process-global; serialize the tests that reset it.
     fn exclusive() -> MutexGuard<'static, ()> {
@@ -196,12 +219,10 @@ mod tests {
     fn records_in_order_with_dense_seqs() {
         let _gate = exclusive();
         reset();
-        assert_eq!(last_seq(), None);
         record("job-admitted", 1, 0xabc);
         record("job-dequeued", 1, 42);
         record("job-finished", 1, 0);
         assert_eq!(recorded_count(), 3);
-        assert_eq!(last_seq(), Some(2));
         let snap = snapshot();
         assert_eq!(snap.len(), 3);
         for (i, rec) in snap.iter().enumerate() {
@@ -265,6 +286,63 @@ mod tests {
         let again = dump_to(&dir).expect("second dump");
         assert_eq!(again, path);
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+        reset();
+    }
+
+    #[test]
+    fn exports_append_only_new_records_and_compact_past_the_bound() {
+        let _gate = exclusive();
+        reset();
+        let dir =
+            std::env::temp_dir().join(format!("eureka-flightrec-export-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let read = || std::fs::read_to_string(dump_path(&dir)).unwrap();
+        // A stale file of an earlier process with this pid is replaced.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dump_path(&dir), "stale\n").unwrap();
+        record("job-admitted", 1, 0xfeed);
+        export(&dir).unwrap();
+        assert_eq!(read(), dump_jsonl());
+        record("job-dequeued", 1, 5);
+        record("job-finished", 1, 0);
+        export(&dir).unwrap();
+        assert_eq!(
+            read(),
+            dump_jsonl(),
+            "the export appended the two new lines"
+        );
+        // A dump in between leaves nothing for the export to repeat.
+        record("job-shed", 0, 8);
+        dump_to(&dir).unwrap();
+        export(&dir).unwrap();
+        assert_eq!(read(), dump_jsonl());
+
+        // Exports across wraparound keep every line in seq order, and the
+        // file stays within the bound plus one export.
+        for _ in 0..30 {
+            for i in 0..CAPACITY as u64 {
+                record("job-admitted", i, i);
+            }
+            export(&dir).unwrap();
+        }
+        let text = read();
+        assert!(text.len() as u64 <= COMPACT_BYTES + dump_jsonl().len() as u64);
+        assert!(text.ends_with(&dump_jsonl()), "the ring is the file's tail");
+        let seqs: Vec<f64> = text
+            .lines()
+            .map(|l| {
+                json::parse(l)
+                    .unwrap()
+                    .get("seq")
+                    .and_then(Value::as_f64)
+                    .unwrap()
+            })
+            .collect();
+        assert!(
+            seqs.windows(2).all(|w| w[1] == w[0] + 1.0),
+            "seqs are dense"
+        );
         std::fs::remove_dir_all(&dir).ok();
         reset();
     }

@@ -27,8 +27,13 @@
 //!    and the throttled terminal [`progress`] reporter.
 //! 5. **Flight recorder** ([`flightrec`]) — an always-armed,
 //!    fixed-capacity ring of recent job-lifecycle records
-//!    (`eureka-flightrec-v1`), dumped atomically as JSONL so a crashed
-//!    or SIGKILLed service leaves a post-mortem trail.
+//!    (`eureka-flightrec-v1`), appended as JSONL to a per-process log so
+//!    a crashed or SIGKILLed service leaves a post-mortem trail.
+//!
+//! Every record that must survive a crash — the service's job journal,
+//! unit records, the flight recorder's export — is a line of one
+//! append-only log, [`applog`], which also holds the one content hash
+//! ([`applog::fnv1a64`]).
 //!
 //! A small verbosity-gated stderr logger ([`log`], [`error!`], [`info!`],
 //! [`debug!`]) rounds out the crate so CLI diagnostics flow through one
@@ -57,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod applog;
 pub mod atomic;
 pub mod chrome;
 pub mod events;

@@ -10,7 +10,7 @@
 //! result — they only reshape wall-clock time — so the runner's
 //! bit-identical-output contract is untouched.
 
-use crate::hash::fnv1a64;
+use eureka_obs::applog::fnv1a64;
 
 /// Deterministic exponential-backoff schedule for unit retries.
 ///

@@ -28,7 +28,7 @@
 //! The CLI's `eureka bench diff` exits non-zero when any regression is
 //! found, which is exactly the CI perf gate.
 
-use crate::hash::fnv1a64;
+use eureka_obs::applog::fnv1a64;
 use eureka_obs::json::{self, Value};
 use std::path::{Path, PathBuf};
 
@@ -97,8 +97,10 @@ pub fn git_describe() -> String {
 
 /// Appends one record to the ledger directory (created if missing) and
 /// returns the path written. File names are `<key>-<n>.json` with `n`
-/// the first free sequence number for that key; the write is
-/// tmp+rename, so concurrent or killed runs never tear a record.
+/// the first sequence number for that key whose file this call could
+/// create, so concurrent runs never overwrite each other's record; the
+/// record is then written tmp+rename, so a killed run never tears one
+/// (it can leave an empty claimed file, which [`read_dir`] skips).
 ///
 /// # Errors
 ///
@@ -135,11 +137,19 @@ pub fn append(dir: &Path, record: &LedgerRecord) -> Result<PathBuf, String> {
         json::fmt_f64(record.wall_ms),
         record.events,
     );
+    // Claim the first free sequence number by creating its file, so two
+    // runs appending the same key at once never pick the same name.
     let mut n = 1u32;
     let path = loop {
         let candidate = dir.join(format!("{key}-{n}.json"));
-        if !candidate.exists() {
-            break candidate;
+        match std::fs::File::options()
+            .write(true)
+            .create_new(true)
+            .open(&candidate)
+        {
+            Ok(_) => break candidate,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(format!("claim {}: {e}", candidate.display())),
         }
         n += 1;
         if n > 1_000_000 {
@@ -676,6 +686,49 @@ mod tests {
         let records = read_dir(&dir).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1.get("total_cycles"), Some(&Value::Null));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_of_one_key_keep_every_record() {
+        let dir = std::env::temp_dir().join(format!("eureka-ledger-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let paths: Vec<PathBuf> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|i| {
+                    let dir = &dir;
+                    scope.spawn(move || {
+                        let record = LedgerRecord {
+                            kind: "simulate".to_string(),
+                            label: "same-key".to_string(),
+                            total_cycles: Some(i),
+                            speedup_vs_dense: None,
+                            wall_ms: 1.0,
+                            events: 0,
+                            metrics_digest: metrics_digest("{}"),
+                            sla: None,
+                        };
+                        append(dir, &record).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut distinct = paths.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "every run claimed its own name");
+        let mut cycles: Vec<f64> = read_dir(&dir)
+            .unwrap()
+            .iter()
+            .map(|(_, v)| v.get("total_cycles").and_then(Value::as_f64).unwrap())
+            .collect();
+        cycles.sort_by(f64::total_cmp);
+        assert_eq!(
+            cycles,
+            (0..8).map(f64::from).collect::<Vec<_>>(),
+            "all 8 records parse"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -46,7 +46,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod faults;
-pub mod hash;
 pub mod journal;
 pub mod ledger;
 pub mod memory;

@@ -118,13 +118,13 @@ use crate::arch::{Architecture, LayerCtx, SimError};
 use crate::backoff::BackoffPolicy;
 use crate::checkpoint::UnitRecords;
 use crate::config::SimConfig;
-use crate::hash::fnv1a64;
 use crate::outcome::{FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
 use crate::scratch::ScratchPool;
 use crate::store::{TileBroker, TileStore};
 use eureka_models::{activation, workload::LayerGemm, Workload};
+use eureka_obs::applog::fnv1a64;
 use eureka_obs::events::{Event, Events};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram, Registry};
 use eureka_sparse::rng::DetRng;

@@ -56,11 +56,11 @@
 use crate::arch;
 use crate::backoff::BackoffPolicy;
 use crate::config::SimConfig;
-use crate::hash::fnv1a64;
 use crate::journal::{Journal, JournalState};
 use crate::outcome::{JobOutcome, RetryPolicy};
 use crate::runner::{CancelToken, Runner, SimJob};
 use eureka_models::{Benchmark, PruningLevel, Workload};
+use eureka_obs::applog::fnv1a64;
 use eureka_obs::flightrec;
 use eureka_obs::json::Value;
 use eureka_obs::metrics::{self, Class, Counter, Histogram, Registry};
@@ -623,13 +623,6 @@ impl JobService {
         let m = &inner.metrics;
         if let Some(errors) = journal_errors {
             m.journal_errors(errors);
-        }
-        let v1_entries = inner.journal.v1_entry_count();
-        if v1_entries > 0 {
-            eureka_obs::info!(
-                "journal: ignoring {v1_entries} v1 .job file(s) in {}; only journal.log is replayed",
-                inner.journal.dir().display()
-            );
         }
         if !recovered_specs.is_empty() {
             let mut st = lock(&inner.state);
@@ -1333,18 +1326,23 @@ pub fn respond<'s>(
             false,
         ),
         "dump" => match service.dump_flightrec() {
-            Ok(path) => (
-                obj(vec![
-                    ("ok", Value::Bool(true)),
-                    ("path", Value::Str(path.display().to_string())),
-                    ("records", Value::Num(flightrec::snapshot().len() as f64)),
-                    (
-                        "last_seq",
-                        flightrec::last_seq().map_or(Value::Null, |s| Value::Num(s as f64)),
-                    ),
-                ]),
-                false,
-            ),
+            Ok(path) => {
+                let recorded = flightrec::recorded_count();
+                let retained = recorded.min(flightrec::CAPACITY as u64);
+                let last = recorded.checked_sub(1);
+                (
+                    obj(vec![
+                        ("ok", Value::Bool(true)),
+                        ("path", Value::Str(path.display().to_string())),
+                        ("records", Value::Num(retained as f64)),
+                        (
+                            "last_seq",
+                            last.map_or(Value::Null, |s| Value::Num(s as f64)),
+                        ),
+                    ]),
+                    false,
+                )
+            }
             Err(e) => err(&format!("flight recorder dump failed: {e}")),
         },
         "shutdown" => (obj(vec![("ok", Value::Bool(true))]), true),

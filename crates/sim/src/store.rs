@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::hash::fnv1a64;
+use eureka_obs::applog::fnv1a64;
 
 /// Format marker for shard files; bump on incompatible record changes.
 /// Readers treat any other header as an empty shard (recompute, never

@@ -409,11 +409,11 @@ fn scenario_corruption(sb: &Sandbox, baseline: &SimReport, out: &mut String) -> 
     // log mid-record, and append garbage to the journal log — including
     // a forged `accepted` record for the completed spec whose checksum
     // does not match, which would replay the job if it were misread.
-    let log = sb.store().join("records.units");
+    let log = sb.store().join("records-v3.units");
     let mut records = std::fs::read(&log).map_err(|e| format!("chaos: read record log: {e}"))?;
     let intact = checkpoint::load(&sb.store()).0.len();
-    let name = records.windows(5).position(|w| w == b"name ");
-    records[name.ok_or("chaos: expected recorded units")? + 5] = 0;
+    let first_end = records.iter().position(|&b| b == b'\n');
+    records[first_end.ok_or("chaos: expected recorded units")? - 1] = 0;
     records.truncate(records.len() - 7);
     std::fs::write(&log, &records).map_err(|e| format!("chaos: {e}"))?;
     let (left, damaged) = checkpoint::load(&sb.store());

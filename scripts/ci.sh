@@ -8,10 +8,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
 # These suites once took turns on process-wide metrics; each test now
 # reads its own runner's or service's counts. Rerun them with many
-# threads so any order dependence fails here.
+# threads so any order dependence fails here, and rerun the record log's
+# suite (two handles' threads appending to one file) so a lost
+# cross-handle lock fails here too.
 for _ in 1 2 3 4 5; do
     cargo test -q --test events --test fault_tolerance --test runner_equivalence \
         --test service --test store_durability --test telemetry -- --test-threads 16
+    cargo test -q -p eureka-obs --lib applog -- --test-threads 16
     cargo test -q -p eureka-cli --test run_opts -- --test-threads 16
 done
 # The benchmark harness has its own workspace but calls the service,

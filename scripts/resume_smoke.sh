@@ -23,7 +23,7 @@ pid=$!
 sleep 0.2
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-kept=$(grep -c '^eureka-checkpoint ' "$dir/store/records.units" 2>/dev/null || true)
+kept=$(grep -c '^[0-9a-f]\{16\} v3 ' "$dir/store/records-v3.units" 2>/dev/null || true)
 
 # Resume from whatever survived. Must complete, match the uninterrupted
 # output byte for byte, and replay every record the killed run appended

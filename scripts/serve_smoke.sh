@@ -173,5 +173,5 @@ grep -q '"sla_budget_us":1000000' "$dir/ledger"/*.json || {
     exit 1
 }
 
-records=$(grep -c '^eureka-checkpoint ' "$dir/store/records.units" 2>/dev/null || true)
+records=$(grep -c '^[0-9a-f]\{16\} v3 ' "$dir/store/records-v3.units" 2>/dev/null || true)
 echo "serve smoke OK (${records:-0} unit record(s))"
