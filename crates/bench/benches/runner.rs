@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eureka_models::{Benchmark, PruningLevel, Workload};
+use eureka_obs::span::Spans;
 use eureka_sim::checkpoint::UnitRecords;
 use eureka_sim::{arch, LayerReport, ProfileConfig, Runner, SimConfig, SimJob};
 use std::time::Instant;
@@ -60,42 +61,35 @@ fn serial_vs_parallel(c: &mut Criterion) {
     );
 }
 
-/// Serial run with span recording on vs off — the instrumentation budget
-/// (acceptance: well under 5% on this workload).
+/// Serial run on a runner without spans vs one recording them — the
+/// instrumentation budget (acceptance: well under 5% on this workload).
+/// Each iteration builds a fresh runner, so no trace outgrows one run.
 fn telemetry_overhead(c: &mut Criterion) {
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
     let cfg = bench_cfg();
     let eureka = arch::eureka_p4();
     let job = SimJob::new(&eureka, &w, cfg);
+    let runner = |on: bool| {
+        let runner = Runner::serial().without_cache();
+        if on {
+            runner.with_spans(Spans::recording())
+        } else {
+            runner
+        }
+    };
 
     let mut group = c.benchmark_group("runner/telemetry");
     group.sample_size(10);
-    eureka_obs::span::set_enabled(false);
-    group.bench_function("spans-off", |b| {
-        b.iter(|| Runner::serial().without_cache().run(&job).unwrap())
-    });
-    eureka_obs::span::set_enabled(true);
-    group.bench_function("spans-on", |b| {
-        b.iter(|| {
-            let r = Runner::serial().without_cache().run(&job).unwrap();
-            eureka_obs::span::clear(); // keep the buffer from growing unbounded
-            r
-        })
-    });
-    eureka_obs::span::set_enabled(false);
-    eureka_obs::span::clear();
+    group.bench_function("spans-off", |b| b.iter(|| runner(false).run(&job).unwrap()));
+    group.bench_function("spans-on", |b| b.iter(|| runner(true).run(&job).unwrap()));
     group.finish();
 
     let time = |on: bool| {
-        eureka_obs::span::set_enabled(on);
         let start = Instant::now();
         for _ in 0..5 {
-            Runner::serial().without_cache().run(&job).unwrap();
-            eureka_obs::span::clear();
+            runner(on).run(&job).unwrap();
         }
-        let t = start.elapsed();
-        eureka_obs::span::set_enabled(false);
-        t
+        start.elapsed()
     };
     let off = time(false);
     let on = time(true);
@@ -200,7 +194,7 @@ fn checkpoint_load(c: &mut Criterion) {
     group.bench_function("load_4k", |b| {
         b.iter(|| {
             UnitRecords::in_dir(&dir)
-                .stored(&probe, |_| {})
+                .stored(&probe, &Spans::default(), |_| {})
                 .cloned()
                 .expect("the record loads")
         })

@@ -327,7 +327,6 @@ pub fn figure9(cfg: &SimConfig) -> FigTable {
     use eureka_core::suds;
     use eureka_sim::arch::tile_samples_for_layer;
 
-    let _span = eureka_obs::span!("bench.figure9");
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
     let gemm = w
         .gemms()
@@ -398,7 +397,7 @@ pub fn figure11_archs() -> Vec<Box<dyn Architecture>> {
 /// pruning level, plus the mean and representative-mean rows.
 #[must_use]
 pub fn figure11(runner: &Runner, cfg: &SimConfig) -> FigTable {
-    let _span = eureka_obs::span!("bench.figure11");
+    let _span = eureka_obs::span!(runner.spans(), "bench.figure11");
     let archs = figure11_archs();
     let mut table = FigTable {
         title: "Figure 11: speedup over Dense (batch 32, 432 tensor cores)".to_string(),
@@ -433,7 +432,7 @@ pub fn figure12_archs() -> Vec<Box<dyn Architecture>> {
 /// scheduling; speedups over Dense.
 #[must_use]
 pub fn figure12(runner: &Runner, cfg: &SimConfig) -> FigTable {
-    let _span = eureka_obs::span!("bench.figure12");
+    let _span = eureka_obs::span!(runner.spans(), "bench.figure12");
     let archs = figure12_archs();
     let mut table = FigTable {
         title: "Figure 12: isolation of Eureka's techniques (speedup over Dense)".to_string(),
@@ -455,7 +454,7 @@ pub fn figure12(runner: &Runner, cfg: &SimConfig) -> FigTable {
 /// sparsity-hardware overhead on dense models.
 #[must_use]
 pub fn figure13(runner: &Runner, cfg: &SimConfig) -> FigTable {
-    let _span = eureka_obs::span!("bench.figure13");
+    let _span = eureka_obs::span!(runner.spans(), "bench.figure13");
     let model = calibrate::calibrated_model(runner, cfg);
     let archs = figure11_archs();
     let mut table = FigTable {
@@ -560,7 +559,7 @@ pub fn table2() -> String {
 /// across MAC-array geometries, at a constant device MAC budget.
 #[must_use]
 pub fn figure14(runner: &Runner, cfg: &SimConfig) -> FigTable {
-    let _span = eureka_obs::span!("bench.figure14");
+    let _span = eureka_obs::span!(runner.spans(), "bench.figure14");
     let variants = sweep::figure14_variants();
     let mut table = FigTable {
         title: "Figure 14: sensitivity to MAC array size (Eureka speedup over Dense)".to_string(),

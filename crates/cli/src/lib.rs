@@ -16,8 +16,10 @@
 
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_obs::events::Events;
+use eureka_obs::log::Verbosity;
 use eureka_obs::metrics::Registry;
 use eureka_obs::progress;
+use eureka_obs::span::Spans;
 use eureka_sim::{arch, engine, JobSpec, RetryPolicy, Runner, SimConfig, SimJob};
 use eureka_verify::VerifyOptions;
 
@@ -469,6 +471,11 @@ pub struct ObsOpts {
 }
 
 impl ObsOpts {
+    /// The command's diagnostic verbosity, from `-v`/`-vv`.
+    fn verbosity(&self) -> Verbosity {
+        Verbosity(self.verbose)
+    }
+
     /// Whether the event stream claims stdout, which suppresses the
     /// human report.
     fn events_to_stdout(&self) -> bool {
@@ -973,42 +980,44 @@ struct Outcome {
 }
 
 /// The run path `figure`, `simulate` and `profile` share: the command's
-/// one runner, whose metrics registry every export reads, and its event
-/// sink; the process verbosity and (for `--trace-out`) span recording
-/// around `body`; the trace and metrics exports and a run-ledger record
-/// of `kind` after it; and no human output while the events claim
-/// stdout.
+/// one runner, whose metrics registry every export reads, its event
+/// sink and (for `--trace-out`) its span collector; `body`; the trace
+/// export, which also runs when `body` fails, then the metrics export
+/// and a run-ledger record of `kind`; and no human output while the
+/// events claim stdout.
 fn run_simulation(
     kind: &str,
     run: &RunOpts,
     obs: &ObsOpts,
     body: impl FnOnce(&Runner, SimConfig) -> Result<Outcome, String>,
 ) -> Result<String, String> {
-    let runner = run.runner();
+    let verbosity = obs.verbosity();
+    let mut runner = run.runner();
+    if obs.trace_out.is_some() {
+        runner = runner.with_spans(Spans::recording());
+    }
     let metrics = runner.metrics().clone();
     let events = obs.events(&metrics)?;
     let runner = runner.with_events(events.clone());
     let started = std::time::Instant::now();
-    eureka_obs::log::set_verbosity(obs.verbose);
-    if obs.trace_out.is_some() {
-        eureka_obs::span::clear();
-        eureka_obs::span::set_enabled(true);
-    }
-    let done = body(&runner, run.sim_config())?;
+    let done = body(&runner, run.sim_config());
     if let Some(path) = &obs.trace_out {
-        eureka_obs::span::set_enabled(false);
-        let json = eureka_obs::chrome::export_trace_json();
-        std::fs::write(path, &json).map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-        eureka_obs::info!("trace: {} bytes to {path}", json.len());
+        let (spans, tracks) = runner.spans().take();
+        let json = eureka_obs::chrome::spans_to_json(&spans, &tracks);
+        match std::fs::write(path, &json) {
+            Ok(()) => eureka_obs::info!(verbosity, "trace: {} bytes to {path}", json.len()),
+            Err(e) if done.is_ok() => return Err(format!("cannot write trace to {path}: {e}")),
+            // A failed body's error outranks the trace's.
+            Err(_) => {}
+        }
     }
+    let done = done?;
     if let Some(path) = &obs.metrics_out {
         let json = metrics.snapshot_json(true);
         std::fs::write(path, &json).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-        eureka_obs::info!("metrics: {} bytes to {path}", json.len());
+        eureka_obs::info!(verbosity, "metrics: {} bytes to {path}", json.len());
     }
-    if obs.verbose >= 1 {
-        eureka_obs::info!("{}", metrics.human_summary());
-    }
+    eureka_obs::info!(verbosity, "{}", metrics.human_summary());
     // The record counts the command's events and digests the
     // deterministic metrics, so it is written after the run finished.
     if let Some(dir) = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger) {
@@ -1023,13 +1032,37 @@ fn run_simulation(
             sla: None,
         };
         let path = eureka_sim::ledger::append(&dir, &record)?;
-        eureka_obs::info!("ledger: appended {}", path.display());
+        eureka_obs::info!(verbosity, "ledger: appended {}", path.display());
     }
     Ok(if obs.events_to_stdout() {
         String::new()
     } else {
         done.out
     })
+}
+
+/// Logs `report`'s per-layer cycle breakdown at debug level (`-vv`):
+/// one line per layer, on stderr, so machine-readable stdout stays
+/// clean.
+fn log_layers(report: &eureka_sim::SimReport, verbosity: Verbosity) {
+    eureka_obs::debug!(
+        verbosity,
+        "{} on {}: {} layer(s)",
+        report.arch,
+        report.workload,
+        report.layers.len()
+    );
+    for l in &report.layers {
+        eureka_obs::debug!(
+            verbosity,
+            "  {:<24} compute {:>12} mem {:>10} macs {:>14} bytes {:>12}",
+            l.name,
+            l.compute_cycles,
+            l.mem_cycles,
+            l.mac_ops,
+            l.total_bytes()
+        );
+    }
 }
 
 /// Canonical ledger label for a simulate/profile-shaped run.
@@ -1276,7 +1309,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
                     });
                 }
             };
-            report.log_layers();
+            log_layers(&report, obs.verbosity());
             let mut done = Outcome {
                 out: String::new(),
                 label: run_label(spec, run),
@@ -1359,7 +1392,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
                 } else {
                     std::fs::write(path, &payload)
                         .map_err(|e| format!("cannot write {what} to {path}: {e}"))?;
-                    eureka_obs::info!("{what}: {} bytes to {path}", payload.len());
+                    eureka_obs::info!(obs.verbosity(), "{what}: {} bytes to {path}", payload.len());
                     Ok(())
                 }
             };

@@ -80,7 +80,6 @@ mod imp {
         let listener = UnixListener::bind(socket)
             .map_err(|e| format!("cannot bind {}: {e}", socket.display()))?;
         spawn_termination_waker(socket.to_path_buf())?;
-        eureka_obs::info!("serve: listening on {}", socket.display());
 
         let mut shutdown_requested = false;
         while !shutdown_requested && !eureka_signal::termination_requested() {
@@ -161,17 +160,17 @@ mod imp {
     /// Best-effort refresh of the observability exhaust: the
     /// Prometheus exposition (written atomically, so scrapers never read
     /// a torn file) and the flight recorder's export, which appends only
-    /// the records since the last one. Failures degrade to a log line —
-    /// the daemon's job is serving, not exporting.
+    /// the records since the last one. Failures degrade to an error
+    /// line on stderr — the daemon's job is serving, not exporting.
     fn export_observability(opts: &ServeOpts, service: &JobService) {
         if let Some(path) = &opts.metrics_out {
             let text = service.metrics().prometheus_text();
-            if eureka_obs::atomic::write_atomic(Path::new(path), text.as_bytes()).is_err() {
-                eureka_obs::info!("serve: cannot write metrics to {path}");
+            if let Err(e) = eureka_obs::atomic::write_atomic(Path::new(path), text.as_bytes()) {
+                eureka_obs::error!("serve: cannot write metrics to {path}: {e}");
             }
         }
         if let Err(e) = eureka_obs::flightrec::export(Path::new(&opts.flightrec_dir)) {
-            eureka_obs::info!("serve: flight recorder export failed: {e}");
+            eureka_obs::error!("serve: flight recorder export failed: {e}");
         }
     }
 
@@ -205,8 +204,7 @@ mod imp {
             metrics_digest: eureka_sim::ledger::metrics_digest(&metrics.snapshot_json(false)),
             sla: Some(sla),
         };
-        let path = eureka_sim::ledger::append(&dir, &record)?;
-        eureka_obs::info!("ledger: appended {}", path.display());
+        eureka_sim::ledger::append(&dir, &record)?;
         Ok(())
     }
 

@@ -84,3 +84,30 @@ fn warm_store_dir_run_replays_every_unit_including_the_dense_baseline() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_failed_traced_run_still_writes_its_trace() {
+    let dir = std::env::temp_dir().join(format!("eureka-run-opts-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    // S2TA refuses InceptionV3, so the command fails after its run.
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_eureka"))
+        .args(["simulate", "--benchmark", "inceptionv3", "--arch", "s2ta"])
+        .args(["--fast", "--no-ledger", "--no-progress", "--trace-out"])
+        .arg(&trace)
+        .stderr(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(!status.success(), "the unsupported run must fail");
+    let text = std::fs::read_to_string(&trace).expect("the trace is written");
+    let spans = json::parse(&text).expect("the trace parses");
+    let run_all = spans
+        .as_arr()
+        .expect("a trace is an array")
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("runner.run_all"))
+        .count();
+    assert_eq!(run_all, 1, "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -235,3 +235,19 @@ fn back_to_back_submits_all_complete_and_leave_no_pending_journal() {
     let status = daemon.wait();
     assert!(status.success(), "eureka serve exited with {status}");
 }
+
+#[test]
+fn a_failed_metrics_export_is_logged_as_an_error() {
+    let dir = TempDir::new("export-error");
+    let blocker = dir.0.join("not-a-dir");
+    std::fs::write(&blocker, "a regular file").expect("write the blocking file");
+    let target = blocker.join("metrics.prom");
+    let mut daemon = Daemon::start(&dir.0, &["--metrics-out", target.to_str().unwrap()]);
+    assert!(daemon.healthy(), "a failed export must not stop serving");
+    request(&daemon.socket, r#"{"cmd":"shutdown"}"#).expect("shutdown answered");
+    let status = daemon.wait();
+    let log = daemon.log();
+    assert!(status.success(), "eureka serve exited with {status}: {log}");
+    let want = format!("error: serve: cannot write metrics to {}", target.display());
+    assert!(log.contains(&want), "no export error in: {log}");
+}

@@ -1,7 +1,7 @@
 //! Chrome Trace Event Format JSON writer.
 //!
 //! One shared emitter for every trace in the workspace: the span
-//! exporter here ([`export_trace_json`]) and the systolic-schedule
+//! exporter here ([`spans_to_json`]) and the systolic-schedule
 //! traces in `eureka-core::schedule::trace` both build their output
 //! through [`TraceBuilder`], so escaping and event syntax live in one
 //! place. The output is a plain JSON array of events, loadable in
@@ -11,7 +11,7 @@
 //! real microseconds for spans, cycles for schedule traces.
 
 use crate::json::escape;
-use crate::span::{self, SpanEvent};
+use crate::span::SpanEvent;
 use std::collections::BTreeMap;
 
 /// Builds a Trace Event Format JSON array.
@@ -123,14 +123,6 @@ pub fn spans_to_json(events: &[SpanEvent], tracks: &BTreeMap<u64, String>) -> St
         }
     }
     builder.build()
-}
-
-/// Drains every span collected so far (see [`span::take_events`]) and
-/// serializes them as Chrome-trace JSON.
-#[must_use]
-pub fn export_trace_json() -> String {
-    let (events, tracks) = span::take_events();
-    spans_to_json(&events, &tracks)
 }
 
 #[cfg(test)]

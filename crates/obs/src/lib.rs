@@ -5,11 +5,10 @@
 //! vendored `proptest`/`criterion` shims). The pillars:
 //!
 //! 1. **Spans** ([`mod@span`], [`span!`]) — lightweight start/stop guards
-//!    recorded into thread-local buffers (no lock on the hot path) and
-//!    drained into a process-wide collector when a thread exits or an
-//!    exporter flushes. Disabled by default: a disabled [`span!`] costs
-//!    one relaxed atomic load and never formats its detail string, so
-//!    instrumented code pays ~nothing until tracing is switched on.
+//!    recorded into a run's [`span::Spans`] handle, which a command
+//!    hands to its runner. The default handle is off: a [`span!`] on it
+//!    costs one `None` check and never formats its detail string, so
+//!    instrumented code pays ~nothing until a trace is asked for.
 //! 2. **Metrics** ([`metrics`]) — registries of named monotonic
 //!    counters, gauges and fixed-bucket histograms, each owned by the run
 //!    that counts into it, with a deterministic JSON snapshot. Metrics are tagged at registration as
@@ -37,7 +36,8 @@
 //!
 //! A small verbosity-gated stderr logger ([`log`], [`error!`], [`info!`],
 //! [`debug!`]) rounds out the crate so CLI diagnostics flow through one
-//! helper instead of stray `eprintln!`s.
+//! helper instead of stray `eprintln!`s; the verbosity is a
+//! [`log::Verbosity`] value the command passes along.
 //!
 //! # Example
 //!
@@ -45,15 +45,15 @@
 //! use eureka_obs as obs;
 //!
 //! let metrics = obs::metrics::Registry::new();
-//! obs::span::set_enabled(true);
+//! let spans = obs::span::Spans::recording();
 //! {
-//!     let _span = obs::span!("demo.work", "item {}", 7);
+//!     let _span = obs::span!(&spans, "demo.work", "item {}", 7);
 //!     metrics
 //!         .counter("demo.items", obs::metrics::Class::Deterministic)
 //!         .inc();
 //! }
-//! obs::span::set_enabled(false);
-//! let trace = obs::chrome::export_trace_json();
+//! let (events, tracks) = spans.take();
+//! let trace = obs::chrome::spans_to_json(&events, &tracks);
 //! assert!(trace.contains("demo.work"));
 //! let snapshot = metrics.snapshot_json(true);
 //! assert!(snapshot.contains("demo.items"));
@@ -75,27 +75,29 @@ pub mod span;
 
 pub use span::Span;
 
-/// Opens a [`Span`] guard recording from now until the guard drops.
+/// Opens a [`Span`] guard on a [`span::Spans`] handle (a `&Spans`),
+/// recording from now until the guard drops.
 ///
 /// Bind the result to a named variable (`let _span = ...`; a bare `_`
-/// drops immediately). The one-argument form records just the name; the
-/// format-argument form builds a detail string, but **only when tracing
-/// is enabled** — a disabled span never evaluates the format arguments.
+/// drops immediately). The two-argument form records just the name; the
+/// format-argument form builds a detail string, but **only when the
+/// handle is on** — an off handle never evaluates the format arguments.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span::Span::enter($name, ::std::string::String::new())
+    ($spans:expr, $name:expr) => {
+        $crate::span::Spans::enter($spans, $name, ::std::string::String::new())
     };
-    ($name:expr, $($fmt:tt)+) => {
-        if $crate::span::enabled() {
-            $crate::span::Span::enter($name, ::std::format!($($fmt)+))
+    ($spans:expr, $name:expr, $($fmt:tt)+) => {{
+        let spans: &$crate::span::Spans = $spans;
+        if spans.is_on() {
+            spans.enter($name, ::std::format!($($fmt)+))
         } else {
-            $crate::span::Span::disabled()
+            $crate::span::Span::off()
         }
-    };
+    }};
 }
 
-/// Logs at error level (always printed) through the process logger.
+/// Logs at error level (always printed).
 #[macro_export]
 macro_rules! error {
     ($($fmt:tt)+) => {
@@ -103,18 +105,24 @@ macro_rules! error {
     };
 }
 
-/// Logs at info level (printed under `-v` and above).
+/// Logs at info level when the [`log::Verbosity`] given first is 1
+/// (`-v`) or more; the format arguments are evaluated only then.
 #[macro_export]
 macro_rules! info {
-    ($($fmt:tt)+) => {
-        $crate::log::write($crate::log::Level::Info, ::std::format_args!($($fmt)+))
+    ($verbosity:expr, $($fmt:tt)+) => {
+        if $crate::log::Verbosity::enabled($verbosity, $crate::log::Level::Info) {
+            $crate::log::write($crate::log::Level::Info, ::std::format_args!($($fmt)+))
+        }
     };
 }
 
-/// Logs at debug level (printed under `-vv` and above).
+/// Logs at debug level when the [`log::Verbosity`] given first is 2
+/// (`-vv`) or more; the format arguments are evaluated only then.
 #[macro_export]
 macro_rules! debug {
-    ($($fmt:tt)+) => {
-        $crate::log::write($crate::log::Level::Debug, ::std::format_args!($($fmt)+))
+    ($verbosity:expr, $($fmt:tt)+) => {
+        if $crate::log::Verbosity::enabled($verbosity, $crate::log::Level::Debug) {
+            $crate::log::write($crate::log::Level::Debug, ::std::format_args!($($fmt)+))
+        }
     };
 }

@@ -7,26 +7,13 @@
 //!
 //! Levels: [`Level::Error`] always prints; [`Level::Info`] prints at
 //! verbosity ≥ 1 (`-v`); [`Level::Debug`] prints at verbosity ≥ 2
-//! (`-vv`). Use the [`crate::error!`], [`crate::info!`] and
-//! [`crate::debug!`] macros.
+//! (`-vv`). A command builds its [`Verbosity`] from its flags and hands
+//! it to the [`crate::info!`] and [`crate::debug!`] macros; the
+//! [`crate::error!`] macro needs none.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-static VERBOSITY: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide verbosity (0 = errors only, 1 = `-v`, 2+ = `-vv`).
-pub fn set_verbosity(v: u8) {
-    VERBOSITY.store(v, Ordering::Relaxed);
-}
-
-/// Current process-wide verbosity.
-#[must_use]
-pub fn verbosity() -> u8 {
-    VERBOSITY.load(Ordering::Relaxed)
-}
-
-/// Log severity, gated against [`verbosity`].
+/// Log severity, gated against a [`Verbosity`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// Always printed, prefixed `error:`.
@@ -37,23 +24,26 @@ pub enum Level {
     Debug,
 }
 
-/// Whether `level` would currently print.
-#[must_use]
-pub fn enabled(level: Level) -> bool {
-    match level {
-        Level::Error => true,
-        Level::Info => verbosity() >= 1,
-        Level::Debug => verbosity() >= 2,
+/// A command's diagnostic verbosity: 0 = errors only (the
+/// [`Default`]), 1 = `-v`, 2 or more = `-vv`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Verbosity(pub u8);
+
+impl Verbosity {
+    /// Whether `level` prints at this verbosity.
+    #[must_use]
+    pub fn enabled(self, level: Level) -> bool {
+        match level {
+            Level::Error => true,
+            Level::Info => self.0 >= 1,
+            Level::Debug => self.0 >= 2,
+        }
     }
 }
 
-/// Writes one line at `level` to stderr if the verbosity allows it.
-/// Prefer the [`crate::error!`]/[`crate::info!`]/[`crate::debug!`]
-/// macros over calling this directly.
+/// Writes one line at `level` to stderr. The macros check the
+/// verbosity first; prefer them over calling this directly.
 pub fn write(level: Level, args: fmt::Arguments<'_>) {
-    if !enabled(level) {
-        return;
-    }
     match level {
         Level::Error => eprintln!("error: {args}"),
         Level::Info => eprintln!("{args}"),
@@ -64,40 +54,26 @@ pub fn write(level: Level, args: fmt::Arguments<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Verbosity is process-global; serialize the tests that set it.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn levels_gate_on_verbosity() {
-        let _x = exclusive();
-        let prev = verbosity();
-        set_verbosity(0);
-        assert!(enabled(Level::Error));
-        assert!(!enabled(Level::Info));
-        assert!(!enabled(Level::Debug));
-        set_verbosity(1);
-        assert!(enabled(Level::Info));
-        assert!(!enabled(Level::Debug));
-        set_verbosity(2);
-        assert!(enabled(Level::Debug));
-        set_verbosity(prev);
+        let gates =
+            |v: u8| [Level::Error, Level::Info, Level::Debug].map(|l| Verbosity(v).enabled(l));
+        assert_eq!(gates(0), [true, false, false]);
+        assert_eq!(Verbosity::default(), Verbosity(0));
+        assert_eq!(gates(1), [true, true, false]);
+        assert_eq!(gates(2), [true, true, true]);
+        assert_eq!(gates(3), [true, true, true]);
     }
 
     #[test]
-    fn macros_format_without_panicking() {
-        let _x = exclusive();
-        let prev = verbosity();
-        set_verbosity(0);
-        // Error always prints; info/debug are suppressed at verbosity 0.
-        crate::error!("test error {}", 1);
-        crate::info!("suppressed {}", 2);
-        crate::debug!("suppressed {}", 3);
-        set_verbosity(prev);
+    fn suppressed_levels_never_evaluate_their_arguments() {
+        let evaluated = std::cell::Cell::new(0);
+        let arg = || evaluated.replace(evaluated.get() + 1);
+        crate::info!(Verbosity(0), "suppressed {}", arg());
+        crate::debug!(Verbosity(1), "suppressed {}", arg());
+        assert_eq!(evaluated.get(), 0);
+        crate::error!("test error {}", arg());
+        assert_eq!(evaluated.get(), 1);
     }
 }

@@ -1,49 +1,26 @@
 //! Structured tracing spans.
 //!
 //! A [`Span`] is a RAII guard: entering records a start timestamp,
-//! dropping records the duration. Completed spans land in a
-//! **thread-local** buffer — the hot path takes no lock — and are moved
-//! into a process-wide collector by [`flush_thread`] or when the owning
-//! thread exits. Worker threads should call [`flush_thread`] as the last
-//! statement of their closure: `std::thread::scope` unblocks when the
-//! closure returns, which can be *before* the thread-local destructor
-//! runs, so destructor-only flushing would race with the caller's
-//! export (the runner's workers flush explicitly for this reason).
+//! dropping records the duration into the [`Spans`] handle it was
+//! opened on. A command builds one handle and hands it to the runner
+//! that records into it, so two runs in one process never share a
+//! trace, an epoch or a track table. The default handle is **off**: a
+//! [`crate::span!`] on it costs one `None` check and never formats its
+//! detail string, so instrumentation can stay in release builds.
 //!
-//! Recording is gated by a process-wide flag ([`set_enabled`]): while
-//! disabled, [`crate::span!`] costs one relaxed atomic load and records
-//! nothing, so instrumentation can stay in release builds.
-//!
-//! Every recording thread is assigned a stable track id (`tid`) and a
-//! track name (the thread's name, or `worker-<tid>` for the runner's
-//! anonymous scoped workers) — the Chrome-trace exporter emits one track
-//! per thread.
+//! Every thread that records into a handle gets a track id (`tid`, in
+//! order of its first span) and a track name (the thread's name, or
+//! `worker-<tid>` for the runner's anonymous scoped workers); the
+//! Chrome-trace exporter emits one track per thread. A finished span
+//! goes straight into the handle's collector under one lock, so it is
+//! in the trace as soon as its guard drops, also on a thread that
+//! unwinds.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns span recording on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether spans are currently being recorded.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-wide trace epoch: all span timestamps are microseconds
-/// since the first span-related call in the process.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 /// One completed span, ready for export.
 #[derive(Clone, Debug)]
@@ -54,281 +31,217 @@ pub struct SpanEvent {
     pub detail: String,
     /// Track id of the recording thread.
     pub tid: u64,
-    /// Start, in microseconds since the process trace epoch.
+    /// Start, in microseconds since the handle's epoch.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
 }
 
+/// A run's span collector: off (the [`Default`]) or one shared
+/// collector with its own epoch and track table. Clones are cheap and
+/// share the collector, so a runner's worker threads record into one
+/// trace.
+#[derive(Clone, Default)]
+pub struct Spans(Option<Arc<Collector>>);
+
 struct Collector {
-    events: Mutex<Vec<SpanEvent>>,
-    tracks: Mutex<BTreeMap<u64, String>>,
+    epoch: Instant,
+    state: Mutex<State>,
 }
 
-fn collector() -> &'static Collector {
-    static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Collector {
-        events: Mutex::new(Vec::new()),
-        tracks: Mutex::new(BTreeMap::new()),
-    })
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-struct ThreadBuf {
-    tid: u64,
+#[derive(Default)]
+struct State {
     events: Vec<SpanEvent>,
+    tracks: HashMap<ThreadId, (u64, String)>,
 }
 
-impl ThreadBuf {
-    fn new() -> Self {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        let name = std::thread::current()
-            .name()
-            .map_or_else(|| format!("worker-{tid}"), str::to_string);
-        lock(&collector().tracks).insert(tid, name);
-        ThreadBuf {
-            tid,
-            events: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.events.is_empty() {
-            lock(&collector().events).append(&mut self.events);
-        }
+impl Collector {
+    fn state(&self) -> MutexGuard<'_, State> {
+        // Every update is one push or one insert, so a poisoned lock
+        // still guards a valid trace.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.flush();
+impl Spans {
+    /// A handle that records every span opened on it; its epoch (time
+    /// zero of every `start_us`) is now.
+    #[must_use]
+    pub fn recording() -> Self {
+        Spans(Some(Arc::new(Collector {
+            epoch: Instant::now(),
+            state: Mutex::default(),
+        })))
+    }
+
+    /// Whether spans opened on this handle are recorded.
+    #[must_use]
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Opens a span on this handle (records nothing when it is off).
+    /// Prefer [`crate::span!`], which skips formatting `detail` then.
+    pub fn enter(&self, name: &'static str, detail: String) -> Span<'_> {
+        Span(self.0.as_deref().map(|collector| Open {
+            collector,
+            name,
+            detail,
+            started: Instant::now(),
+        }))
+    }
+
+    /// Drains the spans recorded so far (by any clone) and returns them
+    /// with the track-name table. Track ids stay assigned.
+    #[must_use]
+    pub fn take(&self) -> (Vec<SpanEvent>, BTreeMap<u64, String>) {
+        let Some(collector) = &self.0 else {
+            return Default::default();
+        };
+        let mut state = collector.state();
+        let tracks = state.tracks.values().cloned().collect();
+        (std::mem::take(&mut state.events), tracks)
     }
 }
 
-thread_local! {
-    static BUF: RefCell<Option<ThreadBuf>> = const { RefCell::new(None) };
+impl fmt::Debug for Spans {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.is_on() {
+            "Spans(on)"
+        } else {
+            "Spans(off)"
+        })
+    }
 }
 
-fn with_buf(f: impl FnOnce(&mut ThreadBuf)) {
-    // Ignore records arriving while the thread-local is being torn down.
-    let _ = BUF.try_with(|b| {
-        let mut b = b.borrow_mut();
-        f(b.get_or_insert_with(ThreadBuf::new));
-    });
-}
-
-/// A RAII span guard: measures from [`Span::enter`] until drop.
+/// A RAII span guard: measures from [`Spans::enter`] until drop.
 ///
 /// Construct via [`crate::span!`]; bind to a named variable so the guard
 /// lives to the end of the scope.
 #[must_use = "a span measures until dropped; bind it to a named variable"]
-pub struct Span(Option<ActiveSpan>);
+pub struct Span<'a>(Option<Open<'a>>);
 
-struct ActiveSpan {
+struct Open<'a> {
+    collector: &'a Collector,
     name: &'static str,
     detail: String,
-    start_us: u64,
     started: Instant,
 }
 
-impl Span {
-    /// Opens a span (no-op when recording is disabled).
-    pub fn enter(name: &'static str, detail: String) -> Span {
-        if !enabled() {
-            return Span(None);
-        }
-        let e = epoch();
-        let started = Instant::now();
-        Span(Some(ActiveSpan {
-            name,
-            detail,
-            start_us: duration_us(started.saturating_duration_since(e)),
-            started,
-        }))
-    }
-
-    /// A span that records nothing (the disabled arm of [`crate::span!`]).
-    pub fn disabled() -> Span {
+impl Span<'_> {
+    /// A span that records nothing (the off arm of [`crate::span!`]).
+    pub fn off() -> Self {
         Span(None)
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(active) = self.0.take() {
-            let dur_us = duration_us(active.started.elapsed());
-            with_buf(|buf| {
-                buf.events.push(SpanEvent {
-                    name: active.name,
-                    detail: active.detail,
-                    tid: buf.tid,
-                    start_us: active.start_us,
-                    dur_us,
-                });
-            });
-        }
+        let Some(open) = self.0.take() else { return };
+        let dur_us = micros(open.started.elapsed());
+        let start_us = micros(open.started.saturating_duration_since(open.collector.epoch));
+        let thread = std::thread::current();
+        let mut state = open.collector.state();
+        let next = state.tracks.len() as u64;
+        let tid = state
+            .tracks
+            .entry(thread.id())
+            .or_insert_with(|| {
+                let name = thread
+                    .name()
+                    .map_or_else(|| format!("worker-{next}"), str::to_string);
+                (next, name)
+            })
+            .0;
+        state.events.push(SpanEvent {
+            name: open.name,
+            detail: open.detail,
+            tid,
+            start_us,
+            dur_us,
+        });
     }
 }
 
-fn duration_us(d: std::time::Duration) -> u64 {
+fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Moves the current thread's buffered spans into the process collector.
-pub fn flush_thread() {
-    let _ = BUF.try_with(|b| {
-        if let Some(buf) = b.borrow_mut().as_mut() {
-            buf.flush();
-        }
-    });
-}
-
-/// RAII version of [`flush_thread`]: flushes the current thread's buffered
-/// spans when dropped, **including during unwinding**. Worker closures
-/// should create one as their first statement so a panicking unit cannot
-/// strand its spans in a thread-local the caller never sees (a tail call
-/// to [`flush_thread`] is skipped by an unwind; a guard is not).
-#[must_use = "the guard flushes on drop; bind it to a named variable"]
-pub struct FlushGuard(());
-
-impl FlushGuard {
-    /// Arms a guard for the current thread.
-    pub fn new() -> Self {
-        FlushGuard(())
-    }
-}
-
-impl Default for FlushGuard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for FlushGuard {
-    fn drop(&mut self) {
-        flush_thread();
-    }
-}
-
-/// Drains every collected span (flushing the current thread first) and
-/// returns them with the track-name table. Spans buffered on other
-/// still-live threads are not included until those threads exit or flush.
-#[must_use]
-pub fn take_events() -> (Vec<SpanEvent>, BTreeMap<u64, String>) {
-    flush_thread();
-    let events = std::mem::take(&mut *lock(&collector().events));
-    let tracks = lock(&collector().tracks).clone();
-    (events, tracks)
-}
-
-/// Discards every collected span (current thread included). Track names
-/// persist — ids are stable for the life of each thread.
-pub fn clear() {
-    let _ = BUF.try_with(|b| {
-        if let Some(buf) = b.borrow_mut().as_mut() {
-            buf.events.clear();
-        }
-    });
-    lock(&collector().events).clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
 
-    /// Spans are process-global; serialize the tests that drain them.
-    fn exclusive() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    #[test]
+    fn an_off_handle_records_nothing_and_formats_nothing() {
+        let spans = Spans::default();
+        let mut formatted = false;
+        {
+            let _s = crate::span!(&spans, "test.off", "{}", {
+                formatted = true;
+                1
+            });
+        }
+        assert!(!formatted, "an off handle never formats its detail");
+        assert!(spans.take().0.is_empty());
     }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let _x = exclusive();
-        set_enabled(false);
-        clear();
+    fn recorded_spans_carry_their_detail_and_track() {
+        let spans = Spans::recording();
         {
-            let _s = crate::span!("test.disabled", "{}", 1);
+            let _s = crate::span!(&spans, "test.enabled", "layer {}", 3);
+            std::thread::sleep(Duration::from_micros(200));
         }
-        let (events, _) = take_events();
-        assert!(events.iter().all(|e| e.name != "test.disabled"));
-    }
-
-    #[test]
-    fn enabled_spans_are_collected_with_detail() {
-        let _x = exclusive();
-        clear();
-        set_enabled(true);
-        {
-            let _s = crate::span!("test.enabled", "layer {}", 3);
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-        set_enabled(false);
-        let (events, tracks) = take_events();
-        let e = events
-            .iter()
-            .find(|e| e.name == "test.enabled")
-            .expect("span collected");
-        assert_eq!(e.detail, "layer 3");
+        let (events, tracks) = spans.take();
+        assert_eq!(events.len(), 1);
+        let e = &events[0];
+        assert_eq!(
+            (e.name, e.detail.as_str(), e.tid),
+            ("test.enabled", "layer 3", 0)
+        );
         assert!(e.dur_us >= 1, "non-zero duration");
         assert!(tracks.contains_key(&e.tid), "track registered");
+        assert!(spans.take().0.is_empty(), "take drains");
     }
 
     #[test]
-    fn flush_guard_survives_a_panicking_worker() {
-        let _x = exclusive();
-        clear();
-        set_enabled(true);
-        // Silence the expected panic message while this test holds the
-        // exclusive gate, then restore the previous hook.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+    fn a_panicking_thread_keeps_the_spans_it_closed() {
+        let spans = Spans::recording();
         let worker = std::thread::Builder::new()
             .name("panicky".into())
-            .spawn(|| {
-                let _flush = FlushGuard::new();
-                let _s = crate::span!("test.panicky");
-                panic!("worker dies after opening a span");
+            .spawn({
+                let spans = spans.clone();
+                move || {
+                    let _s = crate::span!(&spans, "test.panicky");
+                    std::panic::resume_unwind(Box::new("worker dies after opening a span"));
+                }
             })
             .expect("spawn");
         assert!(worker.join().is_err(), "worker panicked");
-        std::panic::set_hook(prev);
-        set_enabled(false);
-        let (events, _) = take_events();
-        assert!(
-            events.iter().any(|e| e.name == "test.panicky"),
-            "span flushed despite the panic"
-        );
+        let (events, tracks) = spans.take();
+        assert_eq!(events.len(), 1, "the unwinding guard recorded its span");
+        assert_eq!(tracks[&events[0].tid], "panicky");
     }
 
     #[test]
     fn worker_threads_get_their_own_tracks() {
-        let _x = exclusive();
-        clear();
-        set_enabled(true);
+        let spans = Spans::recording();
         {
-            let _s = crate::span!("test.main");
+            let _s = crate::span!(&spans, "test.main");
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
-                        {
-                            let _w = crate::span!("test.worker");
-                        }
-                        // Scope exit does not wait for TLS destructors;
-                        // workers flush explicitly (as the runner does).
-                        flush_thread();
+                        let _w = crate::span!(&spans, "test.worker");
                     });
                 }
             });
         }
-        set_enabled(false);
-        let (events, tracks) = take_events();
+        let (events, tracks) = spans.take();
+        assert_eq!(
+            events.len(),
+            3,
+            "every span is in as soon as the scope ends"
+        );
         let worker_tids: std::collections::BTreeSet<u64> = events
             .iter()
             .filter(|e| e.name == "test.worker")
@@ -338,7 +251,20 @@ mod tests {
         let main = events.iter().find(|e| e.name == "test.main").unwrap();
         assert!(!worker_tids.contains(&main.tid));
         for tid in &worker_tids {
-            assert!(tracks[tid].starts_with("worker-"), "{}", tracks[tid]);
+            assert_eq!(tracks[tid], format!("worker-{tid}"));
         }
+    }
+
+    #[test]
+    fn two_handles_keep_their_spans_apart() {
+        let (a, b) = (Spans::recording(), Spans::recording());
+        {
+            let _a = crate::span!(&a, "test.a");
+            let _b = crate::span!(&b, "test.b");
+            let _b2 = crate::span!(&b, "test.b");
+        }
+        let names = |s: &Spans| s.take().0.iter().map(|e| e.name).collect::<Vec<_>>();
+        assert_eq!(names(&a), ["test.a"]);
+        assert_eq!(names(&b), ["test.b", "test.b"]);
     }
 }

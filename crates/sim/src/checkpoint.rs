@@ -39,6 +39,7 @@
 use crate::report::LayerReport;
 use crate::runner::UnitKey;
 use eureka_obs::applog::{self, escape, unescape, AppLog};
+use eureka_obs::span::Spans;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::io;
@@ -110,7 +111,6 @@ fn decode(payload: &str) -> Option<(String, LayerReport)> {
 /// decoded map is ever resident.
 #[must_use]
 pub fn load(dir: &Path) -> (HashMap<String, LayerReport>, u64) {
-    let _span = eureka_obs::span!("checkpoint.load");
     let mut records = HashMap::new();
     let damaged = applog::replay(&dir.join(LOG), None, |lines| {
         records.reserve(lines);
@@ -185,13 +185,20 @@ impl UnitRecords {
     }
 
     /// The directory's record for the canonical key text `key`; `None`
-    /// without a directory. The first call loads the directory and hands
-    /// the number of damaged records to `damaged`; later calls, through
-    /// any clone of the runner, answer from memory and never call it.
-    pub fn stored(&self, key: &str, damaged: impl FnOnce(u64)) -> Option<&LayerReport> {
+    /// without a directory. The first call loads the directory under a
+    /// `checkpoint.load` span on `spans` and hands the number of damaged
+    /// records to `damaged`; later calls, through any clone of the
+    /// runner, answer from memory and never call it.
+    pub fn stored(
+        &self,
+        key: &str,
+        spans: &Spans,
+        damaged: impl FnOnce(u64),
+    ) -> Option<&LayerReport> {
         let dir = self.dir.as_deref()?;
         self.stored
             .get_or_init(|| {
+                let _span = eureka_obs::span!(spans, "checkpoint.load");
                 let (records, count) = load(dir);
                 damaged(count);
                 records
@@ -264,7 +271,7 @@ mod tests {
         let dir = case_dir("log");
         let tier = UnitRecords::in_dir(&dir);
         assert_eq!(
-            tier.stored("k", |_| {}),
+            tier.stored("k", &Spans::default(), |_| {}),
             None,
             "an absent directory is empty"
         );
@@ -280,18 +287,20 @@ mod tests {
             .collect();
         assert_eq!(files, [dir.join(LOG)], "one log for every record");
         assert_eq!(
-            tier.stored("a", |_| {}),
+            tier.stored("a", &Spans::default(), |_| {}),
             None,
             "the directory was read once"
         );
         let fresh = UnitRecords::in_dir(&dir);
         assert_eq!(
-            fresh.stored("b", |_| {}).map(|r| r.name.as_str()),
+            fresh
+                .stored("b", &Spans::default(), |_| {})
+                .map(|r| r.name.as_str()),
             Some("layer-b")
         );
         std::fs::remove_dir_all(&dir).ok();
         assert!(
-            fresh.stored("c", |_| {}).is_some(),
+            fresh.stored("c", &Spans::default(), |_| {}).is_some(),
             "loaded records stay resident"
         );
     }
@@ -373,7 +382,7 @@ mod tests {
             }
             let fresh = UnitRecords::in_dir(&dir);
             for (key, report) in &records {
-                prop_assert_eq!(fresh.stored(key, |_| {}), Some(report));
+                prop_assert_eq!(fresh.stored(key, &Spans::default(), |_| {}), Some(report));
             }
             prop_assert_eq!(load(&dir).1, 0);
             std::fs::remove_dir_all(&dir).ok();

@@ -30,12 +30,6 @@ pub fn try_simulate(
     workload: &Workload,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let _span = eureka_obs::span!(
-        "engine.simulate",
-        "{} on {}",
-        arch.name(),
-        workload.benchmark().name()
-    );
     Runner::parallel().run(&SimJob::new(arch, workload, *cfg))
 }
 
@@ -48,12 +42,6 @@ pub fn simulate_outcome(
     workload: &Workload,
     cfg: &SimConfig,
 ) -> JobOutcome {
-    let _span = eureka_obs::span!(
-        "engine.simulate",
-        "{} on {}",
-        arch.name(),
-        workload.benchmark().name()
-    );
     Runner::parallel().run_outcome(&SimJob::new(arch, workload, *cfg))
 }
 
@@ -72,12 +60,6 @@ pub fn try_profile(
     cfg: &SimConfig,
     pcfg: &ProfileConfig,
 ) -> Result<(SimReport, SimProfile), SimError> {
-    let _span = eureka_obs::span!(
-        "engine.profile",
-        "{} on {}",
-        arch.name(),
-        workload.benchmark().name()
-    );
     Runner::parallel().run_profiled(&SimJob::new(arch, workload, *cfg), pcfg)
 }
 

@@ -209,31 +209,6 @@ impl SimReport {
         batch as f64 / (self.runtime_ms(clock_ghz) / 1e3)
     }
 
-    /// Logs a per-layer cycle breakdown through the workspace logging
-    /// helper at debug level (`-vv` on the CLI). One line per layer, on
-    /// stderr, so machine-readable stdout stays clean.
-    pub fn log_layers(&self) {
-        if !eureka_obs::log::enabled(eureka_obs::log::Level::Debug) {
-            return;
-        }
-        eureka_obs::debug!(
-            "{} on {}: {} layer(s)",
-            self.arch,
-            self.workload,
-            self.layers.len()
-        );
-        for l in &self.layers {
-            eureka_obs::debug!(
-                "  {:<24} compute {:>12} mem {:>10} macs {:>14} bytes {:>12}",
-                l.name,
-                l.compute_cycles,
-                l.mem_cycles,
-                l.mac_ops,
-                l.total_bytes()
-            );
-        }
-    }
-
     /// Serializes the per-layer results as CSV (header + one row per
     /// layer), for plotting outside the harness.
     #[must_use]

@@ -89,7 +89,9 @@
 //! The runner is fully instrumented through [`eureka_obs`]: every phase
 //! opens a span (`runner.run_all`, `runner.plan`, `unit.exec`,
 //! `runner.reduce`, plus zero-length `unit.retry` / `unit.failure`
-//! markers) and updates the runner's metrics registry
+//! markers) on the runner's [`Spans`] handle ([`Runner::with_spans`],
+//! read back with [`Runner::spans`]; off by default) and updates the
+//! runner's metrics registry
 //! ([`Runner::metrics`]: `runner.*`, `cache.*`, `unit.*`, `checkpoint.*`,
 //! `store.*` — see the table in `DESIGN.md`). A runner builds its
 //! registry when it is built and shares it with its clones, so two
@@ -99,7 +101,7 @@
 //! runner.units_from_store + cache.misses + runner.failures.*` — every
 //! planned unit is accounted for exactly once,
 //! even on degraded runs. Telemetry never feeds back into simulation:
-//! spans cost one relaxed atomic load while disabled, metric updates are
+//! spans cost one `None` check on an off handle, metric updates are
 //! plain atomics, and no measured time influences any unit's result, so
 //! instrumented output stays bit-identical to uninstrumented output.
 //!
@@ -127,6 +129,7 @@ use eureka_models::{activation, workload::LayerGemm, Workload};
 use eureka_obs::applog::fnv1a64;
 use eureka_obs::events::{Event, Events};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram, Registry};
+use eureka_obs::span::Spans;
 use eureka_sparse::rng::DetRng;
 use std::cell::OnceCell;
 use std::fmt::{self, Write as _};
@@ -534,6 +537,8 @@ pub struct Runner {
     /// outlive every job this runner and its clones run.
     scratch: ScratchPool,
     events: Events,
+    /// The span collector, shared by the runner's clones.
+    spans: Spans,
     /// The metrics registry, built with the runner and shared by its
     /// clones.
     telemetry: Arc<Telemetry>,
@@ -569,6 +574,7 @@ impl Runner {
             tiles: None,
             scratch: ScratchPool::default(),
             events: Events::default(),
+            spans: Spans::default(),
             telemetry: Arc::new(Telemetry::new()),
         }
     }
@@ -578,6 +584,13 @@ impl Runner {
     #[must_use]
     pub fn metrics(&self) -> &Registry {
         &self.telemetry.metrics
+    }
+
+    /// The span collector this runner and its clones record into (off
+    /// unless set with [`Runner::with_spans`]).
+    #[must_use]
+    pub fn spans(&self) -> &Spans {
+        &self.spans
     }
 
     /// Disables unit records for this runner: every unit recomputes, and
@@ -659,6 +672,14 @@ impl Runner {
         self
     }
 
+    /// Records this runner's spans into `spans` (see the
+    /// [module docs](self)). Results stay bit-identical.
+    #[must_use]
+    pub fn with_spans(mut self, spans: Spans) -> Self {
+        self.spans = spans;
+        self
+    }
+
     /// The worker count this runner would use right now.
     #[must_use]
     pub fn effective_jobs(&self) -> usize {
@@ -710,7 +731,7 @@ impl Runner {
     #[must_use]
     pub fn run_outcomes(&self, jobs: &[SimJob<'_>]) -> Vec<JobOutcome> {
         let t = &self.telemetry;
-        let _run_span = eureka_obs::span!("runner.run_all", "{} job(s)", jobs.len());
+        let _run_span = eureka_obs::span!(&self.spans, "runner.run_all", "{} job(s)", jobs.len());
         t.jobs.add(jobs.len() as u64);
         let run_started = Instant::now();
         self.events
@@ -719,7 +740,7 @@ impl Runner {
         let mut units = Vec::new();
         let mut ranges = Vec::with_capacity(jobs.len());
         {
-            let _plan_span = eureka_obs::span!("runner.plan");
+            let _plan_span = eureka_obs::span!(&self.spans, "runner.plan");
             for job in jobs {
                 let start = units.len();
                 plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
@@ -744,7 +765,7 @@ impl Runner {
             self.events.emit(|| Event::new("store-flush"));
         }
         // Reduce: reassemble per job, in layer-index order.
-        let _reduce_span = eureka_obs::span!("runner.reduce");
+        let _reduce_span = eureka_obs::span!(&self.spans, "runner.reduce");
         let reduce_started = Instant::now();
         let out: Vec<JobOutcome> = jobs
             .iter()
@@ -803,22 +824,15 @@ impl Runner {
             let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| {
-                        // `thread::scope` unblocks when this closure
-                        // returns — possibly before TLS destructors run —
-                        // so hand buffered spans over via a guard that
-                        // also fires if anything below unwinds.
-                        let _flush = eureka_obs::span::FlushGuard::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(unit) = units.get(i) else { break };
-                            t.queue_wait_micros.record(micros(wall.elapsed()));
-                            let started = Instant::now();
-                            if slots[i].set(run(unit)).is_err() {
-                                unreachable!("unit {i} claimed twice");
-                            }
-                            busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(unit) = units.get(i) else { break };
+                        t.queue_wait_micros.record(micros(wall.elapsed()));
+                        let started = Instant::now();
+                        if slots[i].set(run(unit)).is_err() {
+                            unreachable!("unit {i} claimed twice");
                         }
+                        busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
                     });
                 }
             });
@@ -852,7 +866,13 @@ impl Runner {
     /// runners.
     fn run_unit(&self, unit: &WorkUnit<'_>) -> Result<LayerReport, UnitError> {
         let t = &self.telemetry;
-        let _span = eureka_obs::span!("unit.exec", "{} {}", unit.key.arch, unit.gemm.name);
+        let _span = eureka_obs::span!(
+            &self.spans,
+            "unit.exec",
+            "{} {}",
+            unit.key.arch,
+            unit.gemm.name
+        );
         self.events
             .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
         // Cooperative cancellation: the unit boundary is the only place
@@ -894,7 +914,9 @@ impl Runner {
             }
             if records.dir().is_some() {
                 let key = key.get_or_init(|| unit.canonical());
-                if let Some(report) = records.stored(key, |damaged| t.ckpt_errors.add(damaged)) {
+                if let Some(report) =
+                    records.stored(key, &self.spans, |damaged| t.ckpt_errors.add(damaged))
+                {
                     t.ckpt_hits.inc();
                     t.units_cached.inc();
                     self.events
@@ -909,6 +931,7 @@ impl Runner {
             if attempt > 1 {
                 t.retries_attempts.inc();
                 let _retry = eureka_obs::span!(
+                    &self.spans,
                     "unit.retry",
                     "{} {} attempt {}",
                     unit.key.arch,
@@ -979,6 +1002,7 @@ impl Runner {
                     FailureKind::Cancelled => t.failures_cancelled.inc(),
                 }
                 let _failure = eureka_obs::span!(
+                    &self.spans,
                     "unit.failure",
                     "{} {}: {} after {} attempt(s)",
                     unit.key.arch,
@@ -1060,6 +1084,7 @@ impl Runner {
         pcfg: &ProfileConfig,
     ) -> Result<(SimReport, SimProfile), SimError> {
         let _span = eureka_obs::span!(
+            &self.spans,
             "runner.run_profiled",
             "{} on {}",
             job.arch.name(),

@@ -72,7 +72,7 @@ pub fn speedup_at(
     workload: &Workload,
     base_cfg: &SimConfig,
 ) -> f64 {
-    let _span = eureka_obs::span!("sweep.speedup_at", "{}", variant.label);
+    let _span = eureka_obs::span!(runner.spans(), "sweep.speedup_at", "{}", variant.label);
     let cfg = base_cfg.with_core(variant.core);
     let dense = onesided::dense();
     let eureka = variant_arch(variant);
@@ -104,7 +104,12 @@ pub fn core_count_sweep(
     core_counts: &[usize],
     base_cfg: &SimConfig,
 ) -> Vec<(usize, u64)> {
-    let _span = eureka_obs::span!("sweep.core_count", "{} point(s)", core_counts.len());
+    let _span = eureka_obs::span!(
+        runner.spans(),
+        "sweep.core_count",
+        "{} point(s)",
+        core_counts.len()
+    );
     let eureka = onesided::eureka_p4();
     let jobs: Vec<SimJob<'_>> = core_counts
         .iter()

@@ -6,15 +6,15 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace
-# These suites once took turns on process-wide metrics; each test now
-# reads its own runner's or service's counts. Rerun them with many
-# threads so any order dependence fails here, and rerun the record log's
-# suite (two handles' threads appending to one file) so a lost
-# cross-handle lock fails here too.
+# These suites once took turns on process-wide metrics, spans and
+# verbosity; each test now reads its own runner's or service's counts
+# and spans. Rerun them with many threads so any order dependence fails
+# here, and rerun the record log's suite (two handles' threads appending
+# to one file) so a lost cross-handle lock fails here too.
 for _ in 1 2 3 4 5; do
     cargo test -q --test events --test fault_tolerance --test runner_equivalence \
         --test service --test store_durability --test telemetry -- --test-threads 16
-    cargo test -q -p eureka-obs --lib applog -- --test-threads 16
+    cargo test -q -p eureka-obs --lib -- applog:: span:: log:: --test-threads 16
     cargo test -q -p eureka-cli --test run_opts -- --test-threads 16
 done
 # The benchmark harness has its own workspace but calls the service,
@@ -102,6 +102,12 @@ cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
 python3 scripts/check_events.py "$obs_dir/ev-j1.jsonl" "$obs_dir/ev-j4.jsonl"
 cmp "$obs_dir/report-j1.csv" "$obs_dir/report-j4.csv"
 cmp "$obs_dir/report-j1.csv" "$obs_dir/report-plain.csv"
+# Telemetry smoke: the trace holds one unit.exec span per unit the same
+# run's --metrics-out says it planned, spread over the worker tracks.
+cargo run --release -q -p eureka-cli -- simulate --benchmark resnet50 --arch eureka-p4 \
+    --fast --jobs 4 --no-ledger --trace-out "$obs_dir/trace.json" \
+    --metrics-out "$obs_dir/metrics.json" -v > /dev/null
+python3 scripts/check_trace.py "$obs_dir/trace.json" "$obs_dir/metrics.json"
 # Run ledger + regression gate: identical runs diff clean, the fresh
 # BENCH snapshot stays within threshold of the committed trajectory,
 # and an injected regression fails with a non-zero exit.

@@ -7,22 +7,12 @@
 use eureka::obs;
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_sim::{arch, ProfileConfig, Runner, SimConfig, SimJob};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use obs::span::Spans;
+use std::sync::Barrier;
 
-/// The span collector is process-wide: the tests that record spans take
-/// turns. Tests running beside them may add spans of their own while
-/// recording is on, so a span test counts only the spans of an
-/// architecture whose display name no other test uses (every unit span
-/// carries it).
-fn spans() -> MutexGuard<'static, ()> {
-    static SPANS: Mutex<()> = Mutex::new(());
-    SPANS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Eureka P=4 under a display name of its own, whose first two layers
-/// wait for each other: two workers must run them at once, so the
-/// units land on at least two worker tracks however the pool is
-/// scheduled.
+/// Eureka P=4 whose first two layers wait for each other: two workers
+/// must run them at once, so the units land on at least two worker
+/// tracks however the pool is scheduled.
 struct Rendezvous {
     inner: Box<dyn arch::Architecture>,
     name: String,
@@ -151,48 +141,48 @@ fn concurrent_runners_count_only_their_own_units() {
     }
 }
 
+/// `spans`' recorded spans named `name`.
+fn spans_named(spans: &[obs::span::SpanEvent], name: &str) -> usize {
+    spans.iter().filter(|e| e.name == name).count()
+}
+
 #[test]
 fn trace_export_has_unit_spans_on_worker_tracks() {
-    let _spans = spans();
     let w = Workload::new(Benchmark::ResNet50, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let gemms = w.gemms();
     let a = Rendezvous {
         inner: arch::by_name("eureka-p4").expect("registered"),
-        name: "Eureka P=4 ⚡tel-trace".into(),
+        name: "Eureka P=4 rendezvous".into(),
         pair: [gemms[0].name.clone(), gemms[1].name.clone()],
         met: Barrier::new(2),
     };
     let job = SimJob::new(&a, &w, cfg);
 
-    obs::span::clear();
-    obs::span::set_enabled(true);
-    Runner::with_jobs(4).run(&job).expect("supported");
-    obs::span::set_enabled(false);
-    let (events, tracks) = obs::span::take_events();
+    let runner = Runner::with_jobs(4).with_spans(Spans::recording());
+    runner.run(&job).expect("supported");
+    let (events, tracks) = runner.spans().take();
 
-    let unit_spans: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "unit.exec" && e.detail.contains("⚡tel-trace"))
-        .collect();
     assert_eq!(
-        unit_spans.len(),
+        spans_named(&events, "unit.exec"),
         w.layer_count(),
         "one unit.exec span per planned unit"
     );
-    let worker_tids: std::collections::BTreeSet<u64> = unit_spans.iter().map(|e| e.tid).collect();
+    for phase in ["runner.run_all", "runner.plan", "runner.reduce"] {
+        assert_eq!(spans_named(&events, phase), 1, "{phase}");
+    }
+    assert_eq!(events.len(), w.layer_count() + 3, "no other span");
+    let worker_tids: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.name == "unit.exec")
+        .map(|e| e.tid)
+        .collect();
     assert!(
         worker_tids.len() >= 2,
         "units spread across worker tracks: {worker_tids:?}"
     );
     for tid in &worker_tids {
         assert!(tracks.contains_key(tid), "every track is named");
-    }
-    for phase in ["runner.run_all", "runner.plan", "runner.reduce"] {
-        assert!(
-            events.iter().any(|e| e.name == phase),
-            "{phase} span missing"
-        );
     }
     // And the Chrome-trace serialization is loadable syntax.
     let json = obs::chrome::spans_to_json(&events, &tracks);
@@ -201,22 +191,54 @@ fn trace_export_has_unit_spans_on_worker_tracks() {
     assert!(json.contains("\"ph\":\"M\""));
 }
 
+/// Two runners working at once on two threads, each with its own span
+/// collector: each trace holds exactly its own run.
+#[test]
+fn concurrent_runners_keep_their_spans_apart() {
+    let cfg = test_cfg();
+    let mobilenet = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let resnet = Workload::new(Benchmark::ResNet50, PruningLevel::Conservative, 32);
+    let (dense, eureka) = (arch::dense(), arch::eureka_p4());
+    let jobs = [
+        SimJob::new(&dense, &mobilenet, cfg),
+        SimJob::new(&eureka, &resnet, cfg),
+    ];
+    assert_ne!(mobilenet.layer_count(), resnet.layer_count());
+    let start = Barrier::new(jobs.len());
+    let traces: Vec<Vec<obs::span::SpanEvent>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let start = &start;
+                scope.spawn(move || {
+                    let runner = Runner::with_jobs(2).with_spans(Spans::recording());
+                    start.wait();
+                    runner.run(job).expect("supported");
+                    runner.spans().take().0
+                })
+            })
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (events, w) in traces.iter().zip([&mobilenet, &resnet]) {
+        assert_eq!(spans_named(events, "unit.exec"), w.layer_count());
+        assert_eq!(spans_named(events, "runner.run_all"), 1);
+        assert_eq!(events.len(), w.layer_count() + 3, "no other span");
+    }
+}
+
 #[test]
 fn degraded_run_counters_reconcile_and_spans_flush() {
-    let _spans = spans();
     use eureka_sim::faults::{FaultKind, FaultPlan, FaultyArch};
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
     let cfg = test_cfg();
     let layers: Vec<String> = w.gemms().into_iter().map(|g| g.name).collect();
     let plan = FaultPlan::seeded(3, &layers, 3, FaultKind::Panic);
-    let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "tel-degraded");
+    let faulty = FaultyArch::new(Box::new(arch::eureka_p4()), plan, "degraded");
 
-    obs::span::clear();
-    obs::span::set_enabled(true);
-    let runner = Runner::with_jobs(4);
+    let runner = Runner::with_jobs(4).with_spans(Spans::recording());
     let outcome = runner.run_outcome(&SimJob::new(&faulty, &w, cfg));
-    obs::span::set_enabled(false);
-    let (events, _) = obs::span::take_events();
+    let (events, _) = runner.spans().take();
 
     let failures = outcome.failures().len() as u64;
     assert_eq!(failures, 3, "all three planned panics surface");
@@ -243,68 +265,82 @@ fn degraded_run_counters_reconcile_and_spans_flush() {
         (3, 0)
     );
 
-    // Worker-thread spans are flushed even though units on those workers
-    // panicked: every planned unit has its unit.exec span, and every
-    // failure emits a unit.failure span.
-    let ours = |name: &str| {
-        events
-            .iter()
-            .filter(|e| e.name == name && e.detail.contains("⚡tel-degraded"))
-            .count()
+    // Units that panicked on a worker keep their spans: every planned
+    // unit has its unit.exec span, and every failure its unit.failure
+    // span.
+    assert_eq!(
+        spans_named(&events, "unit.exec"),
+        w.layer_count(),
+        "one unit.exec span per unit"
+    );
+    assert_eq!(
+        spans_named(&events, "unit.failure"),
+        3,
+        "one unit.failure span per failed unit"
+    );
+    assert_eq!(spans_named(&events, "unit.retry"), 0, "no retry policy");
+    assert_eq!(events.len(), w.layer_count() + 3 + 3, "no other span");
+}
+
+/// A runner reads its store directory once, under one `checkpoint.load`
+/// span on its own trace.
+#[test]
+fn a_store_dir_load_is_one_span_on_the_runners_trace() {
+    let dir = std::env::temp_dir().join(format!("eureka-tel-load-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let dense = arch::dense();
+    let job = SimJob::new(&dense, &w, test_cfg());
+    let run = || {
+        let runner = Runner::with_jobs(2)
+            .with_store_dir(&dir)
+            .with_spans(Spans::recording());
+        runner.run(&job).expect("supported");
+        runner.run(&job).expect("supported");
+        runner.spans().take().0
     };
-    let unit_spans = ours("unit.exec");
-    assert_eq!(unit_spans, w.layer_count(), "one unit.exec span per unit");
-    let failure_spans = ours("unit.failure");
-    assert_eq!(failure_spans, 3, "one unit.failure span per failed unit");
+    for events in [run(), run()] {
+        assert_eq!(spans_named(&events, "checkpoint.load"), 1);
+        assert_eq!(spans_named(&events, "runner.run_all"), 2);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn telemetry_does_not_change_simulation_output() {
-    let _spans = spans();
     let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 16);
     let cfg = test_cfg();
     let a = arch::by_name("dstc").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    obs::span::set_enabled(false);
     let plain = Runner::with_jobs(4)
         .without_cache()
         .run(&job)
         .expect("supported");
-
-    obs::span::clear();
-    obs::span::set_enabled(true);
-    let traced = Runner::with_jobs(4)
+    let traced_runner = Runner::with_jobs(4)
         .without_cache()
-        .run(&job)
-        .expect("supported");
-    obs::span::set_enabled(false);
-    obs::span::clear();
+        .with_spans(Spans::recording());
+    let traced = traced_runner.run(&job).expect("supported");
 
     assert_eq!(plain, traced, "tracing must not perturb results");
+    let (events, _) = traced_runner.spans().take();
+    assert_eq!(spans_named(&events, "unit.exec"), w.layer_count());
 }
 
 #[test]
 fn telemetry_does_not_change_profiled_output() {
-    let _spans = spans();
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 16);
     let cfg = test_cfg();
     let pcfg = ProfileConfig::default();
     let a = arch::by_name("eureka-p4").expect("registered");
     let job = SimJob::new(a.as_ref(), &w, cfg);
 
-    obs::span::set_enabled(false);
     let (plain_report, plain_profile) = Runner::with_jobs(4)
         .run_profiled(&job, &pcfg)
         .expect("supported");
-
-    obs::span::clear();
-    obs::span::set_enabled(true);
-    let (traced_report, traced_profile) = Runner::with_jobs(4)
-        .run_profiled(&job, &pcfg)
-        .expect("supported");
-    obs::span::set_enabled(false);
-    obs::span::clear();
+    let traced_runner = Runner::with_jobs(4).with_spans(Spans::recording());
+    let (traced_report, traced_profile) =
+        traced_runner.run_profiled(&job, &pcfg).expect("supported");
 
     assert_eq!(
         plain_report, traced_report,
@@ -324,6 +360,9 @@ fn telemetry_does_not_change_profiled_output() {
         traced_profile.total_attributed_cycles(),
         traced_report.total_cycles()
     );
+    let (events, _) = traced_runner.spans().take();
+    assert_eq!(spans_named(&events, "runner.run_profiled"), 1);
+    assert_eq!(events.len(), 1, "no other span");
 }
 
 #[test]
