@@ -9,8 +9,6 @@
 
 use crate::arch::{Architecture, SimError};
 use crate::config::SimConfig;
-use crate::outcome::JobOutcome;
-use crate::profile::{ProfileConfig, SimProfile};
 use crate::report::SimReport;
 use crate::runner::{Runner, SimJob};
 use eureka_models::Workload;
@@ -31,36 +29,6 @@ pub fn try_simulate(
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
     Runner::parallel().run(&SimJob::new(arch, workload, *cfg))
-}
-
-/// Like [`try_simulate`] but surfaces the full [`JobOutcome`] taxonomy:
-/// layers untouched by a failure survive as a partial report instead of
-/// being discarded with the whole job.
-#[must_use]
-pub fn simulate_outcome(
-    arch: &dyn Architecture,
-    workload: &Workload,
-    cfg: &SimConfig,
-) -> JobOutcome {
-    Runner::parallel().run_outcome(&SimJob::new(arch, workload, *cfg))
-}
-
-/// Like [`try_simulate`] but with cycle-attribution profiling: returns
-/// the report (bit-identical to an unprofiled run) together with its
-/// [`SimProfile`]. The profile is assembled in layer-index order and
-/// serializes to identical bytes regardless of worker count.
-///
-/// # Errors
-///
-/// Returns [`SimError::Unsupported`] if the architecture cannot run the
-/// workload.
-pub fn try_profile(
-    arch: &dyn Architecture,
-    workload: &Workload,
-    cfg: &SimConfig,
-    pcfg: &ProfileConfig,
-) -> Result<(SimReport, SimProfile), SimError> {
-    Runner::parallel().run_profiled(&SimJob::new(arch, workload, *cfg), pcfg)
 }
 
 /// Like [`try_simulate`] but panics on unsupported combinations.

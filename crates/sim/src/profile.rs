@@ -1,7 +1,7 @@
 //! Cycle-attribution profiles: where a simulated workload's cycles go.
 //!
-//! Profiling is opt-in ([`ProfileConfig`] threaded through
-//! [`crate::engine::try_profile`] / [`crate::Runner::run_profiled`]) and
+//! Profiling is opt-in ([`ProfileConfig`] passed to
+//! [`crate::Runner::run_profiled`]) and
 //! observational: a profiled run produces bit-identical [`crate::report`]
 //! results to an unprofiled one, because the profiled code paths consume
 //! the same RNG streams and the same intermediate values — the profile is

@@ -19,6 +19,9 @@
 //! 3. **reduces** the results back into [`JobOutcome`]s in layer-index
 //!    order.
 //!
+//! [`Runner::run_profiled`] takes the same path: its units' executor also
+//! returns each layer's cycle attribution, and they skip the unit records.
+//!
 //! # Determinism contract
 //!
 //! [`Runner::parallel`] output is bit-identical to [`Runner::serial`]
@@ -96,10 +99,10 @@
 //! `store.*` — see the table in `DESIGN.md`). A runner builds its
 //! registry when it is built and shares it with its clones, so two
 //! runners in one process never count into each other's metrics. For a
-//! cache-enabled runner the deterministic counters
-//! reconcile as `runner.units_planned == cache.hits + checkpoint.hits +
+//! cache-enabled runner the deterministic counters reconcile as
+//! `runner.units_planned == cache.hits + checkpoint.hits +
 //! runner.units_from_store + cache.misses + runner.failures.*` — every
-//! planned unit is accounted for exactly once,
+//! planned unit, profiled ones included, is accounted for exactly once,
 //! even on degraded runs. Telemetry never feeds back into simulation:
 //! spans cost one `None` check on an off handle, metric updates are
 //! plain atomics, and no measured time influences any unit's result, so
@@ -416,35 +419,45 @@ fn micros(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The `key` event field: the fnv1a64 digest of the unit's canonical
-/// content key, rendered as 16 hex digits.
-fn unit_key_digest(unit: &WorkUnit<'_>) -> String {
-    format!("{:016x}", fnv1a64(unit.canonical().as_bytes()))
-}
-
-/// The `unit-planned` event of a unit of the `job`-th submitted job.
+/// The `unit-planned` event of a unit of the `job`-th submitted job;
+/// its `key` is the fnv1a64 digest of the unit's canonical content key,
+/// as 16 hex digits.
 fn unit_planned(unit: &WorkUnit<'_>, job: usize) -> Event {
     Event::new("unit-planned")
         .det_u64("unit", unit.index as u64)
         .det_u64("job", job as u64)
         .det_str("arch", unit.key.arch.clone())
         .det_str("gemm", unit.gemm.name.clone())
-        .det_str("key", unit_key_digest(unit))
+        .det_str(
+            "key",
+            format!("{:016x}", fnv1a64(unit.canonical().as_bytes())),
+        )
 }
 
-/// The `unit-finished` event of a successful unit. `exec_us` is `0`
-/// for cache/checkpoint replays (nothing executed). The `source`
-/// classification (`cache` / `checkpoint` / `store` / `computed`) is a
-/// deterministic field: unit keys within a shipped plan are distinct,
-/// so which memoization layer serves a unit never depends on worker
-/// scheduling.
-fn unit_finished(unit: &WorkUnit<'_>, source: &str, report: &LayerReport, exec_us: u64) -> Event {
-    Event::new("unit-finished")
-        .det_u64("unit", unit.index as u64)
-        .det_str("source", source)
-        .det_bool("ok", true)
-        .det_u64("cycles", report.total_cycles())
-        .wall_u64("exec_us", exec_us)
+/// Where a successful unit's report came from, the `source` field of its
+/// `unit-finished` event: the in-memory records, the store directory's,
+/// or an execution whose sampled tiles the tile store all served
+/// (`store`) or not (`computed`: at least one simulated, or none looked
+/// up). The classification is deterministic: unit keys within a shipped
+/// plan are distinct, so which memoization layer serves a unit never
+/// depends on worker scheduling.
+#[derive(Clone, Copy)]
+enum Source {
+    Cache,
+    Checkpoint,
+    Store,
+    Computed,
+}
+
+impl Source {
+    fn label(self) -> &'static str {
+        match self {
+            Source::Cache => "cache",
+            Source::Checkpoint => "checkpoint",
+            Source::Store => "store",
+            Source::Computed => "computed",
+        }
+    }
 }
 
 /// A unit failure as seen by the execute phase, before the reduce phase
@@ -455,6 +468,10 @@ struct UnitError {
     payload: String,
     attempts: u32,
 }
+
+/// One unit's result: its report and, on a profiled run, its layer's
+/// cycle attribution (boxed, so a plain run's result slots stay small).
+type UnitResult = Result<(LayerReport, Option<Box<LayerProfile>>), UnitError>;
 
 /// Cooperative cancellation handle, checked by the runner at unit
 /// boundaries (never mid-unit: a unit that has started always runs to
@@ -730,6 +747,63 @@ impl Runner {
     /// and identical across serial and parallel modes.
     #[must_use]
     pub fn run_outcomes(&self, jobs: &[SimJob<'_>]) -> Vec<JobOutcome> {
+        self.run_jobs(jobs, None)
+            .into_iter()
+            .map(|(outcome, _)| outcome)
+            .collect()
+    }
+
+    /// Runs one job with cycle-attribution profiling, returning the
+    /// report and its [`SimProfile`].
+    ///
+    /// The job takes the plain drive path — plan, execute under this
+    /// runner's retry policy, backoff, cancellation token and panic
+    /// isolation, reduce — and each unit's executor also returns its
+    /// layer's [`LayerProfile`]. The report is bit-identical to
+    /// [`Runner::run`] on the same job (the profiled architecture paths
+    /// consume identical RNG streams — asserted by the workspace
+    /// test-suite for every registry architecture), and the profile is
+    /// assembled in layer-index order, so its JSON export is
+    /// byte-identical across serial and parallel runners. Profiled units
+    /// bypass the unit records, which could not reconstruct row-level
+    /// attribution, but count like plain executions (`cache.misses`,
+    /// `runner.units_from_store` or a failure), so the reconciliation
+    /// invariant holds. A store directory's tile store *does* serve
+    /// them: tile outcomes carry everything the attribution needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-layer-index failure ([`SimError::Unsupported`]
+    /// from the architecture, [`SimError::UnitPanic`] for caught panics,
+    /// [`SimError::Cancelled`] once the runner's token has fired) —
+    /// profiling has no degraded mode.
+    pub fn run_profiled(
+        &self,
+        job: &SimJob<'_>,
+        pcfg: &ProfileConfig,
+    ) -> Result<(SimReport, SimProfile), SimError> {
+        let (outcome, layers) = self
+            .run_jobs(std::slice::from_ref(job), Some(pcfg))
+            .pop()
+            .expect("invariant: run_jobs returns exactly one result per submitted job");
+        let report = outcome.into_result()?;
+        let profile = SimProfile {
+            arch: report.arch.clone(),
+            workload: report.workload.clone(),
+            layers,
+        };
+        Ok((report, profile))
+    }
+
+    /// The one drive path: plans every job into units, executes them
+    /// (unit records first, unless profiling) and reduces each job's
+    /// results into its outcome, plus — when `pcfg` asks for cycle
+    /// attribution — its layers' profiles in layer order.
+    fn run_jobs(
+        &self,
+        jobs: &[SimJob<'_>],
+        pcfg: Option<&ProfileConfig>,
+    ) -> Vec<(JobOutcome, Vec<LayerProfile>)> {
         let t = &self.telemetry;
         let _run_span = eureka_obs::span!(&self.spans, "runner.run_all", "{} job(s)", jobs.len());
         t.jobs.add(jobs.len() as u64);
@@ -741,23 +815,21 @@ impl Runner {
         let mut ranges = Vec::with_capacity(jobs.len());
         {
             let _plan_span = eureka_obs::span!(&self.spans, "runner.plan");
-            for job in jobs {
+            for (job_idx, job) in jobs.iter().enumerate() {
                 let start = units.len();
                 plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
+                for unit in &units[start..] {
+                    self.events.emit(|| unit_planned(unit, job_idx));
+                }
                 ranges.push(start..units.len());
             }
         }
         t.units_planned.add(units.len() as u64);
-        if self.cached {
+        if self.cached && pcfg.is_none() {
             self.records.reserve(units.len());
         }
-        for (job_idx, range) in ranges.iter().enumerate() {
-            for unit in &units[range.clone()] {
-                self.events.emit(|| unit_planned(unit, job_idx));
-            }
-        }
         // Execute: serial order or index-claimed pool, records first.
-        let results = self.execute_with(&units, |unit| self.run_unit(unit));
+        let results = self.execute(&units, pcfg);
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
         if let Some(store) = &self.tiles {
@@ -767,72 +839,63 @@ impl Runner {
         // Reduce: reassemble per job, in layer-index order.
         let _reduce_span = eureka_obs::span!(&self.spans, "runner.reduce");
         let reduce_started = Instant::now();
-        let out: Vec<JobOutcome> = jobs
+        let mut results = results.into_iter();
+        let out: Vec<_> = jobs
             .iter()
             .enumerate()
             .zip(ranges)
             .map(|((job_idx, job), range)| {
-                reduce(job, job_idx, &units[range.clone()], &results[range])
+                let units = &units[range];
+                reduce(
+                    job,
+                    job_idx,
+                    units,
+                    results.by_ref().take(units.len()),
+                    pcfg.is_some(),
+                )
             })
             .collect();
         t.reduce_micros.record(micros(reduce_started.elapsed()));
         self.events.emit(|| {
-            let failures: u64 = out
-                .iter()
-                .map(|o| match o {
-                    JobOutcome::Complete(_) => 0,
-                    JobOutcome::Degraded { failed_layers, .. } => failed_layers.len() as u64,
-                    JobOutcome::Failed { failures } => failures.len() as u64,
-                })
-                .sum();
+            let failures: usize = out.iter().map(|(o, _)| o.failures().len()).sum();
             Event::new("run-finished")
                 .det_u64("units", units.len() as u64)
-                .det_u64("failures", failures)
+                .det_u64("failures", failures as u64)
                 .wall_u64("jobs", jobs.len() as u64)
                 .wall_u64("wall_us", micros(run_started.elapsed()))
         });
         out
     }
 
-    /// The shared execute phase: runs `run` over every unit — serially or
-    /// via the index-claimed scoped pool — and returns results in unit
-    /// order. Generic over the result type so the plain and profiled
-    /// paths share one pool implementation (and one determinism story:
-    /// slot `i` always holds unit `i`'s result, whichever worker ran it).
-    fn execute_with<R: Send + Sync>(
-        &self,
-        units: &[WorkUnit<'_>],
-        run: impl Fn(&WorkUnit<'_>) -> R + Sync,
-    ) -> Vec<R> {
+    /// The execute phase: runs every unit — serially or via the
+    /// index-claimed scoped pool — and returns results in unit order
+    /// (slot `i` always holds unit `i`'s result, whichever worker ran it).
+    fn execute(&self, units: &[WorkUnit<'_>], pcfg: Option<&ProfileConfig>) -> Vec<UnitResult> {
         let t = &self.telemetry;
         let workers = self.effective_jobs().min(units.len());
         let wall = Instant::now();
         let busy_us = AtomicU64::new(0);
-        let results: Vec<R> = if workers <= 1 {
-            units
-                .iter()
-                .map(|unit| {
-                    t.queue_wait_micros.record(micros(wall.elapsed()));
-                    let started = Instant::now();
-                    let result = run(unit);
-                    busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
-                    result
-                })
-                .collect()
+        let run = |unit| {
+            t.queue_wait_micros.record(micros(wall.elapsed()));
+            let started = Instant::now();
+            let result = self.run_unit(unit, pcfg);
+            busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
+            result
+        };
+        let results: Vec<UnitResult> = if workers <= 1 {
+            units.iter().map(run).collect()
         } else {
-            let slots: Vec<OnceLock<R>> = (0..units.len()).map(|_| OnceLock::new()).collect();
+            let slots: Vec<OnceLock<UnitResult>> =
+                (0..units.len()).map(|_| OnceLock::new()).collect();
             let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(unit) = units.get(i) else { break };
-                        t.queue_wait_micros.record(micros(wall.elapsed()));
-                        let started = Instant::now();
                         if slots[i].set(run(unit)).is_err() {
                             unreachable!("unit {i} claimed twice");
                         }
-                        busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
                     });
                 }
             });
@@ -857,14 +920,12 @@ impl Runner {
     }
 
     /// Executes one unit: the in-memory records first, then the store
-    /// directory's, then real execution under panic isolation and the
-    /// retry policy. Exactly one of `cache.hits`, `checkpoint.hits`,
-    /// `runner.units_from_store` (successful execution with every tile
-    /// served by the store), `cache.misses` (successful execution that
-    /// simulated at least one tile, or looked none up) or
-    /// `runner.failures.*` (final failure) fires per call, for cached
-    /// runners.
-    fn run_unit(&self, unit: &WorkUnit<'_>) -> Result<LayerReport, UnitError> {
+    /// directory's (neither for a profiled unit), then real execution
+    /// under panic isolation and the retry policy. Exactly one of
+    /// `cache.hits`, `checkpoint.hits`, `runner.units_from_store`,
+    /// `cache.misses` ([`Runner::finished`]) or `runner.failures.*`
+    /// ([`Runner::failed`]) fires per call, for cached runners.
+    fn run_unit(&self, unit: &WorkUnit<'_>, pcfg: Option<&ProfileConfig>) -> UnitResult {
         let t = &self.telemetry;
         let _span = eureka_obs::span!(
             &self.spans,
@@ -881,47 +942,39 @@ impl Runner {
         // cancelled job does zero work, not merely zero compute.
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
-                t.failures_cancelled.inc();
                 let payload = if token.cancelled_explicitly() {
                     "cancelled before execution"
                 } else {
                     "deadline exceeded before execution"
                 };
-                self.events.emit(|| {
-                    Event::new("failure")
-                        .det_u64("unit", unit.index as u64)
-                        .det_str("kind", FailureKind::Cancelled.label())
-                        .det_u64("attempts", 0)
-                        .det_str("payload", payload)
-                });
-                return Err(UnitError {
-                    kind: FailureKind::Cancelled,
-                    payload: payload.to_string(),
-                    attempts: 0,
-                });
+                return Err(self.failed(
+                    unit,
+                    UnitError {
+                        kind: FailureKind::Cancelled,
+                        payload: payload.to_string(),
+                        attempts: 0,
+                    },
+                ));
             }
         }
+        // A profiled unit neither replays nor records: a stored report
+        // carries no row-level attribution.
+        let records = (self.cached && pcfg.is_none()).then_some(self.records.as_ref());
         // The unit's record key, rendered at most once, on first use,
         // and only with a store directory.
         let key = OnceCell::new();
-        let records = &self.records;
-        if self.cached {
+        if let Some(records) = records {
             if let Some(hit) = records.get(&unit.key) {
-                t.cache_hits.inc();
-                t.units_cached.inc();
-                self.events.emit(|| unit_finished(unit, "cache", &hit, 0));
-                return Ok(hit);
+                self.finished(unit, Source::Cache, &hit, 0);
+                return Ok((hit, None));
             }
             if records.dir().is_some() {
                 let key = key.get_or_init(|| unit.canonical());
                 if let Some(report) =
                     records.stored(key, &self.spans, |damaged| t.ckpt_errors.add(damaged))
                 {
-                    t.ckpt_hits.inc();
-                    t.units_cached.inc();
-                    self.events
-                        .emit(|| unit_finished(unit, "checkpoint", report, 0));
-                    return Ok(report.clone());
+                    self.finished(unit, Source::Checkpoint, report, 0);
+                    return Ok((report.clone(), None));
                 }
             }
         }
@@ -944,32 +997,25 @@ impl Runner {
             unit.ctx.tiles.reset_tally();
             let started = Instant::now();
             let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_unit(unit)));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_unit(unit, pcfg)));
             let exec_us = micros(started.elapsed());
             t.exec_micros.record(exec_us);
             t.arch_exec_histogram(&unit.key.arch).record(exec_us);
             t.units_executed.inc();
             let failure = match outcome {
-                Ok(Ok(report)) => {
+                Ok(Ok((report, profile))) => {
                     if attempt > 1 {
                         t.retries_recovered.inc();
                     }
-                    let source = {
-                        let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
-                        if tile_lookups > 0 && tile_computes == 0 {
-                            "store"
-                        } else {
-                            "computed"
-                        }
+                    let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
+                    let source = if tile_lookups > 0 && tile_computes == 0 {
+                        Source::Store
+                    } else {
+                        Source::Computed
                     };
                     // Of two workers racing on one key, only the first
                     // to insert appends its record.
-                    if self.cached {
-                        if source == "store" {
-                            t.units_from_store.inc();
-                        } else {
-                            t.cache_misses.inc();
-                        }
+                    if let Some(records) = records {
                         if records.insert(&unit.key, &report) {
                             t.cache_inserts.inc();
                             if records.dir().is_some() {
@@ -977,9 +1023,8 @@ impl Runner {
                             }
                         }
                     }
-                    self.events
-                        .emit(|| unit_finished(unit, source, &report, exec_us));
-                    return Ok(report);
+                    self.finished(unit, source, &report, exec_us);
+                    return Ok((report, profile));
                 }
                 Ok(Err(e)) => UnitError {
                     payload: e.to_string(),
@@ -993,31 +1038,7 @@ impl Runner {
                 },
             };
             if !self.retry.should_retry(&failure.kind, attempt) {
-                match failure.kind {
-                    FailureKind::Panic => t.failures_panic.inc(),
-                    FailureKind::Sim(_) => t.failures_sim.inc(),
-                    // Unreachable today (the boundary check above is the
-                    // only source of Cancelled), but the accounting is
-                    // correct if an architecture ever surfaces it.
-                    FailureKind::Cancelled => t.failures_cancelled.inc(),
-                }
-                let _failure = eureka_obs::span!(
-                    &self.spans,
-                    "unit.failure",
-                    "{} {}: {} after {} attempt(s)",
-                    unit.key.arch,
-                    unit.gemm.name,
-                    failure.kind.label(),
-                    failure.attempts
-                );
-                self.events.emit(|| {
-                    Event::new("failure")
-                        .det_u64("unit", unit.index as u64)
-                        .det_str("kind", failure.kind.label())
-                        .det_u64("attempts", u64::from(failure.attempts))
-                        .det_str("payload", failure.payload.clone())
-                });
-                return Err(failure);
+                return Err(self.failed(unit, failure));
             }
             // Space the next attempt out: deterministic exponential
             // backoff seeded by the unit's content key, so the schedule
@@ -1039,6 +1060,61 @@ impl Runner {
         }
     }
 
+    /// Records a unit's success: the counter of its `source` (`cache.hits`
+    /// or `checkpoint.hits` with `runner.units_cached` for a replay; for
+    /// an execution on a cached runner, `runner.units_from_store` when
+    /// the store served every tile, `cache.misses` otherwise) and its
+    /// `unit-finished` event, whose `exec_us` is `0` for replays.
+    fn finished(&self, unit: &WorkUnit<'_>, source: Source, report: &LayerReport, exec_us: u64) {
+        let t = &self.telemetry;
+        match source {
+            Source::Cache => t.cache_hits.inc(),
+            Source::Checkpoint => t.ckpt_hits.inc(),
+            Source::Store if self.cached => t.units_from_store.inc(),
+            Source::Computed if self.cached => t.cache_misses.inc(),
+            Source::Store | Source::Computed => {}
+        }
+        if matches!(source, Source::Cache | Source::Checkpoint) {
+            t.units_cached.inc();
+        }
+        self.events.emit(|| {
+            Event::new("unit-finished")
+                .det_u64("unit", unit.index as u64)
+                .det_str("source", source.label())
+                .det_bool("ok", true)
+                .det_u64("cycles", report.total_cycles())
+                .wall_u64("exec_us", exec_us)
+        });
+    }
+
+    /// Records a unit's final failure — its `runner.failures.*` counter,
+    /// a `unit.failure` span and its `failure` event — and returns it.
+    fn failed(&self, unit: &WorkUnit<'_>, failure: UnitError) -> UnitError {
+        let t = &self.telemetry;
+        match failure.kind {
+            FailureKind::Panic => t.failures_panic.inc(),
+            FailureKind::Sim(_) => t.failures_sim.inc(),
+            FailureKind::Cancelled => t.failures_cancelled.inc(),
+        }
+        let _failure = eureka_obs::span!(
+            &self.spans,
+            "unit.failure",
+            "{} {}: {} after {} attempt(s)",
+            unit.key.arch,
+            unit.gemm.name,
+            failure.kind.label(),
+            failure.attempts
+        );
+        self.events.emit(|| {
+            Event::new("failure")
+                .det_u64("unit", unit.index as u64)
+                .det_str("kind", failure.kind.label())
+                .det_u64("attempts", u64::from(failure.attempts))
+                .det_str("payload", failure.payload.clone())
+        });
+        failure
+    }
+
     /// Appends `unit`'s record to the store directory's log, ticking
     /// `checkpoint.writes` and emitting `checkpoint-written`, or ticking
     /// `checkpoint.errors` when the write fails (the result stays in
@@ -1053,130 +1129,6 @@ impl Runner {
             }
             Err(_) => t.ckpt_errors.inc(),
         }
-    }
-
-    /// Runs one job with cycle-attribution profiling, returning the
-    /// report and its [`SimProfile`].
-    ///
-    /// The report is bit-identical to [`Runner::run`] on the same job
-    /// (the profiled architecture paths consume identical RNG streams —
-    /// asserted by the workspace test-suite for every registry
-    /// architecture), and the profile is assembled in layer-index order,
-    /// so its JSON export is byte-identical across serial and parallel
-    /// runners. Profiled units bypass the unit records: they hold bare
-    /// [`LayerReport`]s, and replaying one could
-    /// not reconstruct its row-level attribution. The deterministic
-    /// `runner.*`/`cache.*` counters are therefore untouched, keeping the
-    /// plain drive path's reconciliation invariant intact. With a store
-    /// directory attached, the tile store, however, *does* serve
-    /// profiled units — tile outcomes carry everything the per-tile
-    /// attribution needs — so the `store.*` counters tick and a warmed
-    /// store accelerates profiling too.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-layer-index failure ([`SimError::Unsupported`]
-    /// from the architecture, [`SimError::UnitPanic`] for caught panics)
-    /// — profiling has no degraded mode.
-    pub fn run_profiled(
-        &self,
-        job: &SimJob<'_>,
-        pcfg: &ProfileConfig,
-    ) -> Result<(SimReport, SimProfile), SimError> {
-        let _span = eureka_obs::span!(
-            &self.spans,
-            "runner.run_profiled",
-            "{} on {}",
-            job.arch.name(),
-            job.workload.benchmark().name()
-        );
-        let mut units = Vec::new();
-        plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
-        let run_started = Instant::now();
-        self.events
-            .emit(|| Event::new("run-started").wall_u64("jobs", 1));
-        for unit in &units {
-            self.events.emit(|| unit_planned(unit, 0));
-        }
-        let results = self.execute_with(&units, |unit| {
-            self.events
-                .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
-            let started = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_unit_profiled(unit, pcfg)
-            }));
-            let exec_us = micros(started.elapsed());
-            self.telemetry
-                .arch_exec_histogram(&unit.key.arch)
-                .record(exec_us);
-            let result = match outcome {
-                Ok(r) => r,
-                Err(panic) => Err(SimError::UnitPanic {
-                    layer: unit.gemm.name.clone(),
-                    payload: panic_message(panic.as_ref()),
-                }),
-            };
-            self.events.emit(|| match &result {
-                Ok((report, _)) => {
-                    let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
-                    let source = if tile_lookups > 0 && tile_computes == 0 {
-                        "store"
-                    } else {
-                        "computed"
-                    };
-                    unit_finished(unit, source, report, exec_us)
-                }
-                Err(e) => {
-                    let kind = if matches!(e, SimError::UnitPanic { .. }) {
-                        "panic"
-                    } else {
-                        "sim-error"
-                    };
-                    Event::new("failure")
-                        .det_u64("unit", unit.index as u64)
-                        .det_str("kind", kind)
-                        .det_u64("attempts", 1)
-                        .det_str("payload", e.to_string())
-                }
-            });
-            result
-        });
-        if let Some(store) = &self.tiles {
-            store.flush();
-            self.events.emit(|| Event::new("store-flush"));
-        }
-        self.events.emit(|| {
-            Event::new("run-finished")
-                .det_u64("units", units.len() as u64)
-                .det_u64(
-                    "failures",
-                    results.iter().filter(|r| r.is_err()).count() as u64,
-                )
-                .wall_u64("jobs", 1)
-                .wall_u64("wall_us", micros(run_started.elapsed()))
-        });
-        let mut layers = Vec::with_capacity(results.len() + 1);
-        let mut profiles = Vec::with_capacity(results.len() + 1);
-        for result in results {
-            let (report, profile) = result?;
-            layers.push(report);
-            profiles.push(profile);
-        }
-        if let Some(aux) = attention_aux_layer(job) {
-            profiles.push(LayerProfile::from_report(&aux));
-            layers.push(aux);
-        }
-        let report = SimReport {
-            arch: job.arch.name().to_string(),
-            workload: workload_label(job),
-            layers,
-        };
-        let profile = SimProfile {
-            arch: report.arch.clone(),
-            workload: report.workload.clone(),
-            layers: profiles,
-        };
-        Ok((report, profile))
     }
 }
 
@@ -1254,136 +1206,126 @@ fn plan<'a>(
     }
 }
 
-/// The pure per-layer computation: architecture timing, plus the measured
-/// cache-replay residency when `detailed_memory` is on.
-fn execute_unit(unit: &WorkUnit<'_>) -> Result<LayerReport, SimError> {
-    let mut report = unit.arch.simulate_layer(&unit.gemm, &unit.ctx, &unit.cfg)?;
-    if let Some(mem_cycles) = detailed_mem_cycles(unit, &report) {
-        report.mem_cycles = mem_cycles;
-    }
-    Ok(report)
-}
-
-/// [`execute_unit`] with cycle attribution: same timing, same RNG
-/// consumption, plus the layer's [`LayerProfile`]. The detailed-memory
-/// adjustment is mirrored into the profile so its `memory` stall bucket
-/// keeps matching the report's `mem_cycles` exactly.
-fn execute_unit_profiled(
+/// The pure per-layer computation: architecture timing — with the layer's
+/// [`LayerProfile`] when `pcfg` asks for cycle attribution (the profiled
+/// paths consume identical RNG streams) — plus the measured cache-replay
+/// residency when `detailed_memory` is on. That adjustment replaces the
+/// analytic residency constant with one measured on the cache substrate,
+/// re-derives the exposed cycles, and is mirrored into the profile so its
+/// `memory` stall bucket keeps matching the report's `mem_cycles`.
+fn execute_unit(
     unit: &WorkUnit<'_>,
-    pcfg: &ProfileConfig,
-) -> Result<(LayerReport, LayerProfile), SimError> {
-    let (mut report, mut profile) = unit
-        .arch
-        .simulate_layer_profiled(&unit.gemm, &unit.ctx, &unit.cfg, pcfg)?;
-    if let Some(mem_cycles) = detailed_mem_cycles(unit, &report) {
-        report.mem_cycles = mem_cycles;
-        profile.mem_cycles = mem_cycles;
-        profile.stalls.memory = mem_cycles;
+    pcfg: Option<&ProfileConfig>,
+) -> Result<(LayerReport, Option<Box<LayerProfile>>), SimError> {
+    let (mut report, mut profile) = match pcfg {
+        Some(pcfg) => {
+            let (report, profile) = unit
+                .arch
+                .simulate_layer_profiled(&unit.gemm, &unit.ctx, &unit.cfg, pcfg)?;
+            (report, Some(Box::new(profile)))
+        }
+        None => (
+            unit.arch.simulate_layer(&unit.gemm, &unit.ctx, &unit.cfg)?,
+            None,
+        ),
+    };
+    if unit.cfg.detailed_memory {
+        let residency = crate::cachesim::replay_layer(
+            &unit.gemm,
+            &unit.cfg,
+            crate::cachesim::CacheConfig::ampere_l2(),
+            96,
+        )
+        .act_hit_rate;
+        let mem = crate::config::MemoryConfig {
+            l2_act_residency: residency,
+            ..unit.cfg.mem
+        };
+        report.mem_cycles = crate::memory::exposed_cycles(&report, &mem);
+        if let Some(profile) = &mut profile {
+            profile.mem_cycles = report.mem_cycles;
+            profile.stalls.memory = report.mem_cycles;
+        }
     }
     Ok((report, profile))
 }
 
-/// The measured-residency memory exposure for `unit`, when
-/// `detailed_memory` is on: replaces the analytic residency constant with
-/// one measured on the cache substrate and re-derives the exposed cycles.
-fn detailed_mem_cycles(unit: &WorkUnit<'_>, report: &LayerReport) -> Option<u64> {
-    if !unit.cfg.detailed_memory {
-        return None;
-    }
-    let residency = crate::cachesim::replay_layer(
-        &unit.gemm,
-        &unit.cfg,
-        crate::cachesim::CacheConfig::ampere_l2(),
-        96,
-    )
-    .act_hit_rate;
-    let mem = crate::config::MemoryConfig {
-        l2_act_residency: residency,
-        ..unit.cfg.mem
-    };
-    Some(crate::memory::exposed_cycles(report, &mem))
-}
-
-/// The human-readable workload label shared by every report assembled
-/// from `job`.
-fn workload_label(job: &SimJob<'_>) -> String {
-    format!(
-        "{} ({}, batch {})",
-        job.workload.benchmark().name(),
-        job.workload.pruning().label(),
-        job.workload.batch()
-    )
-}
-
-/// The synthetic dense layer for the weight-free attention matmuls, when
-/// `include_attention_aux` asks for it and the workload has any.
-fn attention_aux_layer(job: &SimJob<'_>) -> Option<LayerReport> {
-    if !job.cfg.include_attention_aux {
-        return None;
-    }
-    let aux = job.workload.attention_aux_macs();
-    if aux == 0 {
-        return None;
-    }
-    let compute = (aux as f64 / job.cfg.total_macs() as f64).ceil() as u64;
-    Some(LayerReport {
-        name: "attention-aux".into(),
-        compute_cycles: compute,
-        mem_cycles: (job.cfg.mem.ramp_fraction * compute as f64).ceil() as u64,
-        mac_ops: aux,
-        idle_mac_cycles: 0,
-        ..LayerReport::default()
-    })
-}
-
-/// Assembles one job's unit results (already in layer order) into a
+/// Assembles one job's unit results (in layer order) into a
 /// [`JobOutcome`]: complete when every unit succeeded, degraded when some
 /// survived, failed when none did. Surviving layers are exactly what a
 /// fault-free run produces for them; failures carry full reproduction
-/// coordinates (job, layer, kind, seed).
+/// coordinates (job, layer, kind, seed). Beside it come the surviving
+/// layers' profiles, which a `profiled` run extends with the synthetic
+/// attention layer's.
 fn reduce(
     job: &SimJob<'_>,
     job_idx: usize,
     units: &[WorkUnit<'_>],
-    results: &[Result<LayerReport, UnitError>],
-) -> JobOutcome {
-    let mut layers = Vec::with_capacity(results.len() + 1);
+    results: impl Iterator<Item = UnitResult>,
+    profiled: bool,
+) -> (JobOutcome, Vec<LayerProfile>) {
+    let mut layers = Vec::with_capacity(units.len() + 1);
+    let mut profiles = Vec::new();
     let mut failures = Vec::new();
     for (layer_idx, (unit, result)) in units.iter().zip(results).enumerate() {
         match result {
-            Ok(layer) => layers.push(layer.clone()),
+            Ok((layer, profile)) => {
+                layers.push(layer);
+                profiles.extend(profile.map(|profile| *profile));
+            }
             Err(e) => failures.push(UnitFailure {
                 job: job_idx,
                 layer: layer_idx,
                 layer_name: unit.gemm.name.clone(),
                 arch: unit.key.arch.clone(),
-                kind: e.kind.clone(),
-                payload: e.payload.clone(),
+                kind: e.kind,
+                payload: e.payload,
                 rng_seed: unit.key.rng_seed,
                 attempts: e.attempts,
             }),
         }
     }
     if layers.is_empty() && !failures.is_empty() {
-        return JobOutcome::Failed { failures };
+        return (JobOutcome::Failed { failures }, profiles);
     }
-    // Weight-free attention matmuls run dense on every architecture.
-    if let Some(aux) = attention_aux_layer(job) {
+    // Weight-free attention matmuls run dense on every architecture: one
+    // synthetic layer, when `include_attention_aux` asks for it and the
+    // workload has any.
+    let aux = job.workload.attention_aux_macs();
+    if job.cfg.include_attention_aux && aux > 0 {
+        let compute = (aux as f64 / job.cfg.total_macs() as f64).ceil() as u64;
+        let aux = LayerReport {
+            name: "attention-aux".into(),
+            compute_cycles: compute,
+            mem_cycles: (job.cfg.mem.ramp_fraction * compute as f64).ceil() as u64,
+            mac_ops: aux,
+            idle_mac_cycles: 0,
+            ..LayerReport::default()
+        };
+        if profiled {
+            profiles.push(LayerProfile::from_report(&aux));
+        }
         layers.push(aux);
     }
     let report = SimReport {
         arch: job.arch.name().to_string(),
-        workload: workload_label(job),
+        workload: format!(
+            "{} ({}, batch {})",
+            job.workload.benchmark().name(),
+            job.workload.pruning().label(),
+            job.workload.batch()
+        ),
         layers,
     };
-    if failures.is_empty() {
+    let outcome = if failures.is_empty() {
         JobOutcome::Complete(report)
     } else {
         JobOutcome::Degraded {
             report,
             failed_layers: failures,
         }
-    }
+    };
+    (outcome, profiles)
 }
 
 #[cfg(test)]
@@ -1525,16 +1467,44 @@ mod tests {
             "runner-retry",
         );
         let job = SimJob::new(&a, &w, cfg);
+        let pcfg = ProfileConfig::default();
         // Without retries the transient fault is fatal for its layer...
         let outcome = Runner::serial().without_cache().run_outcome(&job);
         assert!(!outcome.is_complete());
-        // ...with one retry the whole job completes.
         a.reset_attempts();
-        let outcome = Runner::serial()
+        let profiled = Runner::serial().without_cache().run_profiled(&job, &pcfg);
+        assert!(
+            matches!(profiled, Err(SimError::Injected { .. })),
+            "{profiled:?}"
+        );
+        // ...with one retry the whole job completes, profiled or not.
+        let retrying = Runner::serial()
             .without_cache()
-            .with_retry(RetryPolicy::transient(2))
-            .run_outcome(&job);
+            .with_retry(RetryPolicy::transient(2));
+        a.reset_attempts();
+        let outcome = retrying.run_outcome(&job);
         assert!(outcome.is_complete(), "{outcome:?}");
+        a.reset_attempts();
+        let (report, profile) = retrying.run_profiled(&job, &pcfg).unwrap();
+        assert_eq!(Some(&report), outcome.report());
+        assert_eq!(profile.layers.len(), w.layer_count());
+    }
+
+    #[test]
+    fn a_fired_token_cancels_a_profiled_run() {
+        let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+        let a = arch::eureka_p4();
+        let job = SimJob::new(&a, &w, tiny_cfg());
+        let token = CancelToken::new();
+        token.cancel();
+        let runner = Runner::with_jobs(2).with_cancel(token);
+        let profiled = runner.run_profiled(&job, &ProfileConfig::default());
+        assert!(
+            matches!(profiled, Err(SimError::Cancelled { .. })),
+            "{profiled:?}"
+        );
+        let failures = runner.metrics().counter_value("runner.failures.cancelled");
+        assert_eq!(failures, Some(w.layer_count() as u64));
     }
 
     #[test]

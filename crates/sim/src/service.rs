@@ -18,17 +18,21 @@
 //! a previous life), and a terminal journal record when the job leaves
 //! the system.
 //!
-//! Every lifecycle transition is written twice: to the always-armed
-//! flight recorder ([`eureka_obs::flightrec`]: `job-admitted`,
-//! `job-dequeued`, `job-finished`, `job-shed`) and to the `service.*`
-//! counters. Monotonic admission / dequeue / start / finish timestamps
-//! feed the timing-class latency histograms
-//! `service.{queue_wait_us,exec_us,e2e_us}.<outcome>` (one per
-//! [`OUTCOME_CLASSES`] entry). Latencies are recorded only at terminal
-//! transitions — when the outcome class is finally known — and a job
-//! is published as terminal (its status, and the service idle) only
-//! after all of its records are written, so once [`JobService::wait_idle`]
-//! returns each class's histogram `count` equals its counter exactly
+//! Each lifecycle transition has one writer, which records it to the
+//! always-armed flight recorder ([`eureka_obs::flightrec`]:
+//! `job-admitted`, `job-dequeued`, `job-finished`, `job-shed`), to the
+//! `service.*` metrics and, for admission and the terminal transition,
+//! to the journal. Every admission, fresh or recovered, goes through
+//! one function, and so does every terminal transition, whether the
+//! job leaves from the queue (cancel) or from the worker. Each outcome
+//! class ([`OUTCOME_CLASSES`]) keeps its counter beside its timing-class
+//! latency histograms `service.{queue_wait_us,exec_us,e2e_us}.<outcome>`,
+//! fed by monotonic admission / dequeue / start / finish timestamps.
+//! Latencies are recorded only at terminal transitions — when the
+//! outcome class is finally known — and a job is published as terminal
+//! (its status, and the service idle) only after all of its records are
+//! written, so once [`JobService::wait_idle`] returns each class's
+//! histogram `count` equals its counter exactly
 //! ([`JobService::latency_counts`]), and the counters reconcile:
 //!
 //! ```text
@@ -354,8 +358,12 @@ pub const OUTCOME_CLASSES: &[&str] = &[
     "failed",
 ];
 
-/// The three latency histograms of one outcome class.
+/// The job counter and the three latency histograms of one outcome
+/// class, side by side, so one index reaches every record of a terminal
+/// transition.
 struct ClassHists {
+    /// `service.<class>`: the class's jobs.
+    count: Arc<Counter>,
     /// `service.queue_wait_us.<class>`: admission → dequeue.
     queue_wait: Arc<Histogram>,
     /// `service.exec_us.<class>`: execution start → finish.
@@ -367,18 +375,13 @@ struct ClassHists {
 }
 
 /// Handles to a service's metrics, registered at start in its runner's
-/// registry: the `service.*` counters, and the per-outcome-class latency
-/// histograms indexed like [`OUTCOME_CLASSES`] — [`Class::Timing`]
-/// (wall-clock derived: excluded from the deterministic snapshot /
-/// `metrics_digest` by design).
+/// registry: the `service.*` counters, and per outcome class (indexed
+/// like [`OUTCOME_CLASSES`]) its counter and its latency histograms —
+/// [`Class::Timing`] (wall-clock derived: excluded from the deterministic
+/// snapshot / `metrics_digest` by design).
 struct ServiceMetrics {
     registry: Registry,
     served: Arc<Counter>,
-    completed: Arc<Counter>,
-    shed: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    deadline_exceeded: Arc<Counter>,
-    failed: Arc<Counter>,
     recovered: Arc<Counter>,
     retried: Arc<Counter>,
     classes: [ClassHists; 5],
@@ -391,7 +394,7 @@ struct ServiceMetrics {
 
 impl ServiceMetrics {
     fn new(registry: &Registry) -> Self {
-        let c = |name| registry.counter(name, Class::Deterministic);
+        let c = |name: &str| registry.counter(name, Class::Deterministic);
         let class = |name: &str| {
             let h = |phase: &str| {
                 registry.histogram(
@@ -401,6 +404,7 @@ impl ServiceMetrics {
                 )
             };
             ClassHists {
+                count: c(&format!("service.{name}")),
                 queue_wait: h("queue_wait_us"),
                 exec: h("exec_us"),
                 e2e: h("e2e_us"),
@@ -409,11 +413,6 @@ impl ServiceMetrics {
         ServiceMetrics {
             registry: registry.clone(),
             served: c("service.served"),
-            completed: c("service.completed"),
-            shed: c("service.shed"),
-            cancelled: c("service.cancelled"),
-            deadline_exceeded: c("service.deadline_exceeded"),
-            failed: c("service.failed"),
             recovered: c("service.recovered"),
             retried: c("service.retried"),
             classes: std::array::from_fn(|i| class(OUTCOME_CLASSES[i])),
@@ -435,14 +434,15 @@ impl ServiceMetrics {
     }
 }
 
-/// [`OUTCOME_CLASSES`] index of a *terminal* status (shed is not a
-/// [`JobStatus`]; its index is 1 at the shed sites directly).
-fn class_index(status: JobStatus) -> usize {
+/// The [`OUTCOME_CLASSES`] index and journal state of a *terminal*
+/// status (shed is not a [`JobStatus`]: its index is 1 at the one shed
+/// site, and it never reaches the journal).
+fn terminal(status: JobStatus) -> (usize, JournalState) {
     match status {
-        JobStatus::Completed => 0,
-        JobStatus::Cancelled => 2,
-        JobStatus::DeadlineExceeded => 3,
-        _ => 4,
+        JobStatus::Completed => (0, JournalState::Completed),
+        JobStatus::Cancelled => (2, JournalState::Cancelled),
+        JobStatus::DeadlineExceeded => (3, JournalState::DeadlineExceeded),
+        _ => (4, JournalState::Failed),
     }
 }
 
@@ -577,6 +577,61 @@ struct ServiceInner {
     idle: Condvar,
 }
 
+impl ServiceInner {
+    /// Admits `spec` into the queue and returns its id: the one writer
+    /// of an admission, fresh or recovered — `job-admitted` on the
+    /// flight recorder, the queued record, and `service.served`.
+    fn enqueue(&self, st: &mut ServiceState, spec: JobSpec) -> u64 {
+        let id = st.next_id;
+        st.next_id += 1;
+        flightrec::record("job-admitted", id, fnv1a64(spec.canonical().as_bytes()));
+        st.jobs.insert(
+            id,
+            JobRecord {
+                spec,
+                status: JobStatus::Queued,
+                outcome: None,
+                admitted_at: Instant::now(),
+                dequeued_at: None,
+                started_at: None,
+                finished_at: None,
+            },
+        );
+        st.queue.push_back(id);
+        self.metrics.served.inc();
+        id
+    }
+
+    /// The one writer of a terminal transition, from the queue or from
+    /// the worker: the outcome class's latency samples (`exec_us` is
+    /// `None` for a job that never ran), `job-finished` on the flight
+    /// recorder, the terminal journal record, and the class counter.
+    /// The class is only known here, so every sample lands now, keeping
+    /// each class's histogram counts in lockstep with its counter.
+    fn finish(
+        &self,
+        id: u64,
+        spec: &JobSpec,
+        status: JobStatus,
+        wait_us: u64,
+        exec_us: Option<u64>,
+        e2e_us: u64,
+    ) {
+        let (index, state) = terminal(status);
+        let class = &self.metrics.classes[index];
+        class.queue_wait.record(wait_us);
+        if let Some(exec_us) = exec_us {
+            class.exec.record(exec_us);
+        }
+        class.e2e.record(e2e_us);
+        flightrec::record("job-finished", id, index as u64);
+        if self.journal.record(&spec.canonical(), state).is_err() {
+            self.metrics.journal_errors(1);
+        }
+        class.count.inc();
+    }
+}
+
 /// The resident job service: one worker thread, a bounded queue, a
 /// write-ahead journal. See the [module docs](self) for the lifecycle.
 pub struct JobService {
@@ -633,23 +688,7 @@ impl JobService {
                     m.journal_errors(1);
                     continue;
                 };
-                let id = st.next_id;
-                st.next_id += 1;
-                flightrec::record("job-admitted", id, fnv1a64(spec.canonical().as_bytes()));
-                st.jobs.insert(
-                    id,
-                    JobRecord {
-                        spec,
-                        status: JobStatus::Queued,
-                        outcome: None,
-                        admitted_at: Instant::now(),
-                        dequeued_at: None,
-                        started_at: None,
-                        finished_at: None,
-                    },
-                );
-                st.queue.push_back(id);
-                m.served.inc();
+                inner.enqueue(&mut st, spec);
                 m.recovered.inc();
             }
         }
@@ -702,7 +741,7 @@ impl JobService {
         // count tracks `service.shed` exactly.
         let shed = || {
             m.served.inc();
-            m.shed.inc();
+            m.classes[1].count.inc();
             m.classes[1].e2e.record(0);
             flightrec::record("job-shed", 0, capacity as u64);
         };
@@ -724,23 +763,7 @@ impl JobService {
         {
             return Err(SubmitError::Journal(e.to_string()));
         }
-        let id = st.next_id;
-        st.next_id += 1;
-        flightrec::record("job-admitted", id, fnv1a64(spec.canonical().as_bytes()));
-        st.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                status: JobStatus::Queued,
-                outcome: None,
-                admitted_at: Instant::now(),
-                dequeued_at: None,
-                started_at: None,
-                finished_at: None,
-            },
-        );
-        st.queue.push_back(id);
-        m.served.inc();
+        let id = self.inner.enqueue(&mut st, spec);
         Ok((id, Wake(&self.inner.work)))
     }
 
@@ -797,7 +820,6 @@ impl JobService {
     /// the next unit boundary. Returns `false` for unknown or
     /// already-terminal jobs.
     pub fn cancel(&self, id: u64) -> bool {
-        let m = &self.inner.metrics;
         let mut st = lock(&self.inner.state);
         if let Some((running_id, token)) = &st.running {
             if *running_id == id {
@@ -811,27 +833,16 @@ impl JobService {
         if record.status != JobStatus::Queued {
             return false;
         }
-        record.status = JobStatus::Cancelled;
-        // Terminal transition: the job left the system from the queue,
-        // so its whole life was queue wait (no exec sample).
+        // The job leaves the system from the queue, so its whole life was
+        // queue wait (no exec sample). Its records are written under the
+        // lock, before it is published as cancelled.
         let finished = Instant::now();
-        record.finished_at = Some(finished);
         let waited = us(finished.saturating_duration_since(record.admitted_at));
-        let spec = record.spec.canonical();
+        self.inner
+            .finish(id, &record.spec, JobStatus::Cancelled, waited, None, waited);
+        record.status = JobStatus::Cancelled;
+        record.finished_at = Some(finished);
         st.queue.retain(|q| *q != id);
-        drop(st);
-        m.classes[2].queue_wait.record(waited);
-        m.classes[2].e2e.record(waited);
-        flightrec::record("job-finished", id, class_index(JobStatus::Cancelled) as u64);
-        if self
-            .inner
-            .journal
-            .record(&spec, JournalState::Cancelled)
-            .is_err()
-        {
-            m.journal_errors(1);
-        }
-        m.cancelled.inc();
         true
     }
 
@@ -882,13 +893,14 @@ impl JobService {
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         let m = &self.inner.metrics;
+        let class = |i: usize| m.classes[i].count.get();
         ServiceStats {
             served: m.served.get(),
-            completed: m.completed.get(),
-            shed: m.shed.get(),
-            cancelled: m.cancelled.get(),
-            deadline_exceeded: m.deadline_exceeded.get(),
-            failed: m.failed.get(),
+            completed: class(0),
+            shed: class(1),
+            cancelled: class(2),
+            deadline_exceeded: class(3),
+            failed: class(4),
             recovered: m.recovered.get(),
             retried: m.retried.get(),
         }
@@ -920,7 +932,7 @@ impl JobService {
     /// Graceful shutdown: drain, then stop and join the worker.
     pub fn shutdown(mut self) {
         let _ = self.drain();
-        self.stop_worker();
+        self.stop_worker(false);
     }
 
     /// Crash emulation (test hook): abandon everything *without*
@@ -929,23 +941,15 @@ impl JobService {
     /// records, so a service restarted on the same journal directory
     /// replays them.
     pub fn crash(mut self) {
-        {
-            let mut st = lock(&self.inner.state);
-            st.crashed = true;
-            st.stopping = true;
-            if let Some((_, token)) = &st.running {
-                token.cancel();
-            }
-        }
-        self.inner.work.notify_all();
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
+        self.stop_worker(true);
     }
 
-    fn stop_worker(&mut self) {
+    /// Stops and joins the worker, cancelling its running job; `crash`
+    /// also abandons that job unjournaled ([`JobService::crash`]).
+    fn stop_worker(&mut self, crash: bool) {
         {
             let mut st = lock(&self.inner.state);
+            st.crashed |= crash;
             st.stopping = true;
             if let Some((_, token)) = &st.running {
                 token.cancel();
@@ -963,7 +967,7 @@ impl Drop for JobService {
     /// accepted journal records and replay on the next start; the
     /// running job (if any) is cancelled and journaled as such.
     fn drop(&mut self) {
-        self.stop_worker();
+        self.stop_worker(false);
     }
 }
 
@@ -991,15 +995,13 @@ fn worker_loop(inner: &ServiceInner) {
                         let admitted_at = record.admitted_at;
                         let wait_us = us(dequeued.saturating_duration_since(admitted_at));
                         let spec = record.spec.clone();
-                        let deadline_ms = if spec.deadline_ms > 0 {
-                            spec.deadline_ms
-                        } else {
-                            inner.cfg.default_deadline_ms
+                        let deadline_ms = match spec.deadline_ms {
+                            0 => inner.cfg.default_deadline_ms,
+                            ms => ms,
                         };
-                        let token = if deadline_ms > 0 {
-                            CancelToken::with_deadline(Duration::from_millis(deadline_ms))
-                        } else {
-                            CancelToken::new()
+                        let token = match deadline_ms {
+                            0 => CancelToken::new(),
+                            ms => CancelToken::with_deadline(Duration::from_millis(ms)),
                         };
                         st.running = Some((id, token.clone()));
                         break (id, spec, token, admitted_at, wait_us);
@@ -1041,38 +1043,18 @@ fn worker_loop(inner: &ServiceInner) {
         // Write every record of the terminal transition before the job
         // is published as terminal: a caller that sees it finished (via
         // `status` or `wait_idle`) then reads complete `service.*`
-        // counters and histograms. The outcome class is only known
-        // here, so all three latency samples land now — keeping
-        // per-class histogram counts in lockstep with the counters.
-        let exec_us = us(finished.saturating_duration_since(started));
-        let e2e_us = us(finished.saturating_duration_since(admitted_at));
-        let class = &m.classes[class_index(status)];
-        class.queue_wait.record(wait_us);
-        class.exec.record(exec_us);
-        class.e2e.record(e2e_us);
-        flightrec::record("job-finished", id, class_index(status) as u64);
-        let journal_state = match status {
-            JobStatus::Completed => JournalState::Completed,
-            JobStatus::Cancelled => JournalState::Cancelled,
-            JobStatus::DeadlineExceeded => JournalState::DeadlineExceeded,
-            _ => JournalState::Failed,
-        };
-        if inner
-            .journal
-            .record(&spec.canonical(), journal_state)
-            .is_err()
-        {
-            m.journal_errors(1);
-        }
+        // counters and histograms.
         if retried > 0 {
             m.retried.inc();
         }
-        match status {
-            JobStatus::Completed => m.completed.inc(),
-            JobStatus::Cancelled => m.cancelled.inc(),
-            JobStatus::DeadlineExceeded => m.deadline_exceeded.inc(),
-            _ => m.failed.inc(),
-        }
+        inner.finish(
+            id,
+            &spec,
+            status,
+            wait_us,
+            Some(us(finished.saturating_duration_since(started))),
+            us(finished.saturating_duration_since(admitted_at)),
+        );
 
         {
             let mut st = lock(&inner.state);
@@ -1253,69 +1235,44 @@ pub fn respond<'s>(
                 false,
             )
         }
-        "health" => {
+        "health" | "stats" => {
             let (queued, running, draining) = service.health();
-            let stats = service.stats();
-            (
-                obj(vec![
-                    ("ok", Value::Bool(true)),
-                    ("queued", Value::Num(queued as f64)),
-                    ("running", Value::Bool(running)),
-                    ("draining", Value::Bool(draining)),
-                    ("served", Value::Num(stats.served as f64)),
-                ]),
-                false,
-            )
-        }
-        "stats" => {
-            let (queued, running, draining) = service.health();
-            let stats = service.stats();
-            let lat = &service.inner.metrics;
-            let hist = |h: &Histogram| {
-                Value::Obj(vec![
-                    ("count".into(), Value::Num(h.count() as f64)),
-                    ("p50".into(), Value::Num(h.p50() as f64)),
-                    ("p90".into(), Value::Num(h.p90() as f64)),
-                    ("p99".into(), Value::Num(h.p99() as f64)),
-                ])
-            };
-            let latency = Value::Obj(
-                OUTCOME_CLASSES
-                    .iter()
-                    .zip(lat.classes.iter())
-                    .map(|(name, class)| {
-                        (
-                            (*name).to_string(),
-                            Value::Obj(vec![
-                                ("queue_wait_us".into(), hist(&class.queue_wait)),
-                                ("exec_us".into(), hist(&class.exec)),
-                                ("e2e_us".into(), hist(&class.e2e)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            );
-            (
-                obj(vec![
-                    ("ok", Value::Bool(true)),
-                    ("queued", Value::Num(queued as f64)),
-                    ("running", Value::Bool(running)),
-                    ("draining", Value::Bool(draining)),
-                    ("served", Value::Num(stats.served as f64)),
-                    ("completed", Value::Num(stats.completed as f64)),
-                    ("shed", Value::Num(stats.shed as f64)),
-                    ("cancelled", Value::Num(stats.cancelled as f64)),
-                    (
-                        "deadline_exceeded",
-                        Value::Num(stats.deadline_exceeded as f64),
-                    ),
-                    ("failed", Value::Num(stats.failed as f64)),
-                    ("recovered", Value::Num(stats.recovered as f64)),
-                    ("retried", Value::Num(stats.retried as f64)),
-                    ("latency", latency),
-                ]),
-                false,
-            )
+            let m = &service.inner.metrics;
+            let num = |n: u64| Value::Num(n as f64);
+            let mut pairs = vec![
+                ("ok", Value::Bool(true)),
+                ("queued", num(queued as u64)),
+                ("running", Value::Bool(running)),
+                ("draining", Value::Bool(draining)),
+                ("served", num(m.served.get())),
+            ];
+            if cmd == "stats" {
+                // Each class's counter, then the recovery and retry
+                // counters, then each class's latency quantiles.
+                for (name, class) in OUTCOME_CLASSES.iter().zip(&m.classes) {
+                    pairs.push((name, num(class.count.get())));
+                }
+                pairs.push(("recovered", num(m.recovered.get())));
+                pairs.push(("retried", num(m.retried.get())));
+                let hist = |h: &Histogram| {
+                    Value::Obj(vec![
+                        ("count".into(), num(h.count())),
+                        ("p50".into(), num(h.p50())),
+                        ("p90".into(), num(h.p90())),
+                        ("p99".into(), num(h.p99())),
+                    ])
+                };
+                let latency = OUTCOME_CLASSES.iter().zip(&m.classes).map(|(name, class)| {
+                    let phases = vec![
+                        ("queue_wait_us".into(), hist(&class.queue_wait)),
+                        ("exec_us".into(), hist(&class.exec)),
+                        ("e2e_us".into(), hist(&class.e2e)),
+                    ];
+                    ((*name).to_string(), Value::Obj(phases))
+                });
+                pairs.push(("latency", Value::Obj(latency.collect())));
+            }
+            (obj(pairs), false)
         }
         "metrics" => (
             obj(vec![

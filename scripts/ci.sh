@@ -2,6 +2,9 @@
 # Full verification: format, lints, tests, docs, experiment smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# No step may append to the checkout's run ledger: every run below
+# passes --no-ledger or a --ledger-dir of its own (checked at the end).
+ledger_before=$(ls -A results/ledger 2>/dev/null || true)
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -28,7 +31,7 @@ cargo run --release -q -p eureka-cli -- verify --fault-matrix --seed 42 | tail -
 cargo run --release -q -p eureka-cli -- verify --chaos --cases 50 --seed 42 | tail -n 1
 # Paper sampling: tests/golden pins the fast-sampling figures only, so
 # the full fig11 sweep must still match the committed reference CSV.
-cargo run --release -q -p eureka-cli -- figure fig11 --csv --jobs 2 \
+cargo run --release -q -p eureka-cli -- figure fig11 --csv --jobs 2 --no-ledger \
     | cmp - examples/benchmark/reference/fig11.csv
 scripts/resume_smoke.sh
 scripts/store_smoke.sh
@@ -46,10 +49,10 @@ store_dir=$(mktemp -d)
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$store_dir" "$obs_dir"' EXIT
 cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
-    --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
+    --arch eureka-p4 --csv --no-ledger --store-dir "$store_dir/tiles" \
     > "$store_dir/cold.csv"
 cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
-    --arch eureka-p4 --csv --store-dir "$store_dir/tiles" \
+    --arch eureka-p4 --csv --no-ledger --store-dir "$store_dir/tiles" \
     --metrics-out "$store_dir/warm.json" > "$store_dir/warm.csv"
 cmp "$store_dir/cold.csv" "$store_dir/warm.csv"
 python3 - "$store_dir/warm.json" <<'EOF'
@@ -83,9 +86,9 @@ EOF
 # Profile smoke: the cycle-attribution export must be byte-identical
 # across runs (determinism is part of the profiler's contract).
 cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
-    --arch eureka-p4 --fast --json - > /tmp/eureka-profile-a.json
+    --arch eureka-p4 --fast --no-ledger --json - > /tmp/eureka-profile-a.json
 cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
-    --arch eureka-p4 --fast --json - > /tmp/eureka-profile-b.json
+    --arch eureka-p4 --fast --no-ledger --json - > /tmp/eureka-profile-b.json
 cmp /tmp/eureka-profile-a.json /tmp/eureka-profile-b.json
 # Run-event stream: every line is schema-valid and the deterministic
 # projection is byte-identical across --jobs 1 and --jobs 4. Reports
@@ -102,6 +105,14 @@ cargo run --release -q -p eureka-cli -- simulate --benchmark mobilenetv1 \
 python3 scripts/check_events.py "$obs_dir/ev-j1.jsonl" "$obs_dir/ev-j4.jsonl"
 cmp "$obs_dir/report-j1.csv" "$obs_dir/report-j4.csv"
 cmp "$obs_dir/report-j1.csv" "$obs_dir/report-plain.csv"
+# A profiled run takes the same drive path, so its event stream's
+# projection is --jobs invariant too.
+for jobs in 1 4; do
+    cargo run --release -q -p eureka-cli -- profile --benchmark mobilenetv1 \
+        --arch eureka-p4 --fast --jobs "$jobs" --no-ledger \
+        --events-out "$obs_dir/profile-ev-j$jobs.jsonl" > /dev/null
+done
+python3 scripts/check_events.py "$obs_dir/profile-ev-j1.jsonl" "$obs_dir/profile-ev-j4.jsonl"
 # Telemetry smoke: the trace holds one unit.exec span per unit the same
 # run's --metrics-out says it planned, spread over the worker tracks.
 cargo run --release -q -p eureka-cli -- simulate --benchmark resnet50 --arch eureka-p4 \
@@ -137,6 +148,10 @@ EOF
 if cargo run --release -q -p eureka-cli -- bench diff \
     results/BENCH_1.json "$obs_dir/bench-bad.json" 2>/dev/null; then
     echo "bench diff failed to reject a 10% cycle regression" >&2
+    exit 1
+fi
+if [ "$(ls -A results/ledger 2>/dev/null || true)" != "$ledger_before" ]; then
+    echo "a CI step appended to results/ledger" >&2
     exit 1
 fi
 echo "CI OK"

@@ -11,7 +11,7 @@ BIN=${EUREKA_BIN:-target/release/eureka}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-args=(simulate --benchmark resnet50 --arch eureka-p4 --csv --jobs 2)
+args=(simulate --benchmark resnet50 --arch eureka-p4 --csv --jobs 2 --no-ledger)
 
 # Uninterrupted reference run (store directory on, its own directory, so
 # the flag itself is exercised in both runs).

@@ -16,7 +16,7 @@ BIN=${EUREKA_BIN:-target/release/eureka}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-args=(simulate --benchmark resnet50 --arch eureka-p4 --csv --jobs 2)
+args=(simulate --benchmark resnet50 --arch eureka-p4 --csv --jobs 2 --no-ledger)
 
 # Uninterrupted reference run (its own store directory, so the flag is
 # exercised in both runs).

@@ -89,7 +89,7 @@ fn profile_json_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn engine_try_profile_matches_engine_simulate() {
+fn parallel_profile_matches_engine_simulate() {
     let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 8);
     let cfg = SimConfig {
         include_attention_aux: true,
@@ -97,8 +97,9 @@ fn engine_try_profile_matches_engine_simulate() {
     };
     let a = arch::by_name("eureka-p2").expect("registered");
     let plain = engine::try_simulate(a.as_ref(), &w, &cfg).expect("supported");
-    let (profiled, profile) =
-        engine::try_profile(a.as_ref(), &w, &cfg, &ProfileConfig::default()).expect("supported");
+    let (profiled, profile) = Runner::parallel()
+        .run_profiled(&SimJob::new(a.as_ref(), &w, cfg), &ProfileConfig::default())
+        .expect("supported");
     assert_eq!(plain, profiled);
     assert_eq!(profile.layers.len(), profiled.layers.len());
     assert!(

@@ -104,6 +104,45 @@ fn cache_counters_reconcile_with_the_planner() {
     assert_eq!(from_store, 0);
 }
 
+/// A profiled run counts its own units like a plain one, and the
+/// reconciliation still holds after a plain run of the same job (the
+/// `profile --bench-json` sequence): profiled units neither replay nor
+/// record, so the plain run misses on every unit.
+#[test]
+fn profiled_runs_count_their_own_units() {
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let job = SimJob::new(a.as_ref(), &w, test_cfg());
+    let runner = Runner::with_jobs(2);
+    let layers = w.layer_count() as u64;
+    let reconciles = |planned: u64| {
+        let failures = count(&runner, "runner.failures.panic")
+            + count(&runner, "runner.failures.sim_error")
+            + count(&runner, "runner.failures.cancelled");
+        assert_eq!(count(&runner, "runner.units_planned"), planned);
+        assert_eq!(
+            count(&runner, "cache.hits")
+                + count(&runner, "checkpoint.hits")
+                + count(&runner, "runner.units_from_store")
+                + count(&runner, "cache.misses")
+                + failures,
+            planned
+        );
+    };
+    runner
+        .run_profiled(&job, &ProfileConfig::default())
+        .expect("supported");
+    reconciles(layers);
+    runner.run(&job).expect("supported");
+    reconciles(2 * layers);
+    assert_eq!(count(&runner, "cache.misses"), 2 * layers);
+    assert_eq!(
+        count(&runner, "cache.inserts"),
+        layers,
+        "only the plain run records"
+    );
+}
+
 /// Two runners working at once on two threads, each on a different
 /// job: each runner's registry counts exactly its own plan.
 #[test]
@@ -360,9 +399,13 @@ fn telemetry_does_not_change_profiled_output() {
         traced_profile.total_attributed_cycles(),
         traced_report.total_cycles()
     );
+    // A profiled job takes the plain drive path, spans included.
     let (events, _) = traced_runner.spans().take();
-    assert_eq!(spans_named(&events, "runner.run_profiled"), 1);
-    assert_eq!(events.len(), 1, "no other span");
+    assert_eq!(spans_named(&events, "unit.exec"), w.layer_count());
+    for phase in ["runner.run_all", "runner.plan", "runner.reduce"] {
+        assert_eq!(spans_named(&events, phase), 1, "{phase}");
+    }
+    assert_eq!(events.len(), w.layer_count() + 3, "no other span");
 }
 
 #[test]
