@@ -117,6 +117,12 @@ pub enum Command {
         /// Regression threshold in percent.
         max_regress: f64,
     },
+    /// Validate `eureka-events-v1` streams; with two or more, require
+    /// identical deterministic projections.
+    CheckEvents {
+        /// The JSONL stream files.
+        files: Vec<String>,
+    },
     /// Run the differential verification suite (dense-GEMM oracle,
     /// brute-force SUDS checker, metamorphic invariants) over seeded
     /// random cases, or one of the suites `mode` names.
@@ -202,6 +208,7 @@ USAGE:
                   [--trace-out <file|->] [--bench-json <file|->] [-v|-vv]
   eureka bench    list [--ledger-dir <dir>]
   eureka bench    diff <baseline.json> <candidate.json> [--max-regress <pct>]
+  eureka check    events <stream.jsonl>...
   eureka compile  --benchmark <name> --layer <layer-name> [--factor <P>]
   eureka trace    --benchmark <name> --layer <layer-name>   (Chrome-trace JSON)
   eureka verify   [--cases <N>] [--seed <S>] [--arch <name>]
@@ -253,8 +260,8 @@ OBSERVABILITY:
                         to keep stdout machine-readable). Each line splits
                         deterministic fields (`det`: byte-identical across
                         reruns and --jobs settings) from wall-clock fields
-                        (`wall`: seq, t_us, jobs). Compare streams with the
-                        deterministic projection (scripts/check_events.py)
+                        (`wall`: seq, t_us, jobs). Compare streams with
+                        `eureka check events`
   --progress            force the throttled stderr progress line on
   --no-progress         force it off (default: on only when stderr is a
                         terminal; the line never touches stdout, reports,
@@ -271,6 +278,11 @@ OBSERVABILITY:
                         speedups higher-is-better, wall-clock fields are
                         informational only; exits non-zero when any gated
                         field moves beyond --max-regress percent (default 2)
+  check events <f>...   validate event streams line by line (schema, kind,
+                        det fields, a dense wall.seq); given two or more,
+                        require identical deterministic projections
+                        (sorted {event, det} lines) and name the first
+                        projected line that differs
 
 PROFILING (`eureka profile`):
   prints a ranked bottleneck report (stall taxonomy: compute / memory /
@@ -819,6 +831,23 @@ where
             }
             _ => Err("bench requires a subcommand: `list` or `diff <a> <b>`".into()),
         },
+        "check" => {
+            if args.get(1).map(String::as_str) != Some("events") {
+                return Err("check requires a subcommand: `events <stream.jsonl>...`".into());
+            }
+            let mut files = Vec::new();
+            each_flag(&args[2..], "check events", |arg, _| {
+                if arg.starts_with('-') {
+                    return Ok(false);
+                }
+                files.push(arg.to_string());
+                Ok(true)
+            })?;
+            if files.is_empty() {
+                return Err("check events requires at least one stream file".into());
+            }
+            Ok(Command::CheckEvents { files })
+        }
         "verify" => {
             let mut opts = VerifyOptions {
                 cases: 200,
@@ -1123,6 +1152,46 @@ fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<S
     }
 }
 
+/// Validates each event stream in `files` and, given two or more,
+/// requires their deterministic projections to equal the first's,
+/// naming the first projected line that differs.
+fn run_check_events(files: &[String]) -> Result<String, String> {
+    let mut projections = Vec::with_capacity(files.len());
+    for path in files {
+        let stream =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let projection = eureka_obs::events::deterministic_projection(&stream)
+            .map_err(|e| format!("{path}:{}: {}", e.line, e.reason))?;
+        projections.push(projection);
+    }
+    let (base_path, base) = (&files[0], &projections[0]);
+    for (path, other) in files.iter().zip(&projections).skip(1) {
+        if other == base {
+            continue;
+        }
+        let mut pairs = base.lines().zip(other.lines()).enumerate();
+        return Err(match pairs.find(|(_, (a, b))| a != b) {
+            Some((i, (a, b))) => format!(
+                "deterministic projections differ at projected line {}:\n  {base_path}: {a}\n  {path}: {b}",
+                i + 1
+            ),
+            None => format!(
+                "deterministic projections differ in length: {base_path} has {} line(s), {path} has {}",
+                base.lines().count(),
+                other.lines().count()
+            ),
+        });
+    }
+    let mut out = format!("OK: {} stream(s) schema-valid", files.len());
+    if files.len() > 1 {
+        out.push_str(&format!(
+            ", projections identical ({} events)",
+            base.lines().count()
+        ));
+    }
+    Ok(out)
+}
+
 /// Surfaces degradation counters of a run's `metrics` in the
 /// human-readable end-of-run report: unit failures by kind, store shard
 /// errors, checkpoint decode errors, retry-backoff sleep time. Healthy
@@ -1407,21 +1476,41 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             }
             if let Some(path) = bench_json {
                 // The standard snapshot matrix, plus the requested arch.
+                // The requested arch's row is the profiled report (the
+                // same bytes as a plain run); the others run as one batch.
                 let mut names = vec!["dense", "ampere", "cnvlutin", "eureka-p2", "eureka-p4"];
                 if !names.contains(&spec.arch.as_str()) {
                     names.push(&spec.arch);
                 }
-                let mut reports = Vec::with_capacity(names.len());
-                for name in &names {
-                    let a = arch::by_name(name)
-                        .expect("invariant: the snapshot matrix only names registry entries");
-                    let r = runner
-                        .run(&SimJob::new(a.as_ref(), &workload, cfg))
-                        .map_err(|e| e.to_string())?;
-                    reports.push(r);
-                }
-                let entries: Vec<(&str, &eureka_sim::SimReport)> =
-                    names.iter().zip(&reports).map(|(n, r)| (*n, r)).collect();
+                let others: Vec<_> = names
+                    .iter()
+                    .filter(|name| **name != spec.arch)
+                    .map(|name| {
+                        arch::by_name(name)
+                            .expect("invariant: the snapshot matrix only names registry entries")
+                    })
+                    .collect();
+                let jobs: Vec<_> = others
+                    .iter()
+                    .map(|a| SimJob::new(a.as_ref(), &workload, cfg))
+                    .collect();
+                let plain = runner
+                    .run_all(&jobs)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| e.to_string())?;
+                let mut plain = plain.iter();
+                let entries: Vec<(&str, &eureka_sim::SimReport)> = names
+                    .iter()
+                    .map(|name| {
+                        let r = if *name == spec.arch {
+                            &report
+                        } else {
+                            plain.next().expect("invariant: one report per job")
+                        };
+                        (*name, r)
+                    })
+                    .collect();
                 let json = eureka_sim::profile::bench_snapshot_json(
                     spec.benchmark.name(),
                     spec.pruning.label(),
@@ -1478,6 +1567,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             candidate,
             max_regress,
         } => return run_bench_diff(baseline, candidate, *max_regress),
+        Command::CheckEvents { files } => run_check_events(files)?,
         Command::Verify { opts, mode } => match mode {
             VerifyMode::Fuzz => eureka_verify::run(opts)?,
             VerifyMode::Replay(dir) => eureka_verify::replay_corpus(std::path::Path::new(dir))?,
@@ -2188,7 +2278,7 @@ mod tests {
         assert_eq!(help, USAGE);
         assert_eq!(
             (help.len(), eureka_obs::applog::fnv1a64(help.as_bytes())),
-            (9371, 0xa4bd_e4e9_c461_5739)
+            (9721, 0x7ae6_17bd_3b44_dbf9)
         );
     }
 
@@ -2206,6 +2296,7 @@ mod tests {
         ("profile", &["profile", "--benchmark", "bert"]),
         ("bench list", &["bench", "list"]),
         ("bench diff", &["bench", "diff", "a.json", "b.json"]),
+        ("check events", &["check", "events", "a.jsonl"]),
         (
             "compile",
             &["compile", "--benchmark", "bert", "--layer", "enc0/q"],
@@ -2326,6 +2417,103 @@ mod tests {
         assert!(parse(["bench", "diff", "a", "b", "c"]).is_err());
         assert!(parse(["bench", "diff", "a", "b", "--max-regress", "-1"]).is_err());
         assert!(parse(["bench", "list", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn parse_check_events() {
+        assert_eq!(
+            parse(["check", "events", "a.jsonl", "b.jsonl"]).unwrap(),
+            Command::CheckEvents {
+                files: vec!["a.jsonl".into(), "b.jsonl".into()]
+            }
+        );
+        assert!(parse(["check"]).is_err());
+        assert!(parse(["check", "metrics", "m.json"]).is_err());
+        assert!(parse(["check", "events"]).is_err());
+        assert!(parse(["check", "events", "a.jsonl", "--project"])
+            .is_err_and(|e| e.contains("unknown flag '--project'")));
+    }
+
+    #[test]
+    fn run_check_events_verdicts() {
+        let dir = std::env::temp_dir().join(format!("eureka-cli-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // One stream line per (event, det fields), numbered densely.
+        let write = |name: &str, events: &[(&str, &str)]| {
+            let path = dir.join(name).to_str().unwrap().to_string();
+            let lines: String = events
+                .iter()
+                .enumerate()
+                .map(|(seq, (kind, det))| {
+                    format!(
+                        "{{\"schema\":\"eureka-events-v1\",\"event\":\"{kind}\",\
+                         \"det\":{{{det}}},\"wall\":{{\"seq\":{seq},\"t_us\":{}}}}}\n",
+                        7 * seq
+                    )
+                })
+                .collect();
+            std::fs::write(&path, lines).unwrap();
+            path
+        };
+        let check = |files: &[&str]| {
+            run(&Command::CheckEvents {
+                files: files.iter().map(|f| f.to_string()).collect(),
+            })
+        };
+        let a = write(
+            "a.jsonl",
+            &[
+                ("run-started", ""),
+                ("unit-started", "\"unit\":0"),
+                ("unit-started", "\"unit\":1"),
+            ],
+        );
+        // The same events in another emission order project identically.
+        let b = write(
+            "b.jsonl",
+            &[
+                ("run-started", ""),
+                ("unit-started", "\"unit\":1"),
+                ("unit-started", "\"unit\":0"),
+            ],
+        );
+        assert_eq!(
+            check(&[&a, &b]).unwrap(),
+            "OK: 2 stream(s) schema-valid, projections identical (3 events)"
+        );
+        assert_eq!(check(&[&a]).unwrap(), "OK: 1 stream(s) schema-valid");
+
+        let edited = write(
+            "edited.jsonl",
+            &[
+                ("run-started", ""),
+                ("unit-started", "\"unit\":0"),
+                ("unit-started", "\"unit\":7"),
+            ],
+        );
+        let e = check(&[&a, &edited]).unwrap_err().message;
+        assert!(e.contains("differ at projected line 3"), "{e}");
+        assert!(
+            e.contains(&format!(
+                "{edited}: {{\"event\":\"unit-started\",\"det\":{{\"unit\":7}}}}"
+            )),
+            "{e}"
+        );
+
+        let unknown = write(
+            "unknown.jsonl",
+            &[("run-started", ""), ("unit-bogus", "\"unit\":0")],
+        );
+        let e = check(&[&a, &unknown]).unwrap_err().message;
+        assert!(
+            e.starts_with(&format!("{unknown}:2: unknown event kind")),
+            "{e}"
+        );
+
+        let missing = dir.join("missing.jsonl");
+        let e = check(&[&a, missing.to_str().unwrap()]).unwrap_err().message;
+        assert!(e.starts_with("cannot read"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

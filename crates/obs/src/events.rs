@@ -18,8 +18,8 @@
 //! the [`deterministic_projection`]: per line, keep only
 //! `{"event":...,"det":{...}}`, sort the lines lexicographically, and
 //! join with `\n`. Two runs of the same plan agree byte-for-byte on
-//! this projection regardless of parallelism (`scripts/check_events.py`
-//! implements the same projection for CI).
+//! this projection regardless of parallelism; `eureka check events`
+//! compares streams by it.
 //!
 //! A command builds one [`Events`] handle and hands it to the runner
 //! that emits into it, so two runs in one process never share a
@@ -41,8 +41,8 @@ use crate::progress::{Mode, Reporter};
 pub const SCHEMA: &str = "eureka-events-v1";
 
 /// Event kinds and their required deterministic fields, in schema
-/// order. The checker ([`validate_line`]) and the CI-side
-/// `scripts/check_events.py` both enforce this table.
+/// order. The checker ([`validate_line`]) enforces this table, so a
+/// new kind is added here alone.
 pub const KINDS: &[(&str, &[&str])] = &[
     ("run-started", &[]),
     ("unit-planned", &["unit", "job", "arch", "gemm", "key"]),
@@ -276,6 +276,11 @@ impl fmt::Debug for Events {
 /// stamp, a known `event` kind, its required `det` fields, and the
 /// sink-assigned `wall.seq`/`wall.t_us` numbers.
 pub fn validate_line(line: &str) -> Result<(), String> {
+    validated(line).map(drop)
+}
+
+/// [`validate_line`], handing back the parsed line.
+fn validated(line: &str) -> Result<json::Value, String> {
     let v = json::parse(line)?;
     if v.get("schema").and_then(json::Value::as_str) != Some(SCHEMA) {
         return Err(format!("bad or missing schema stamp (want {SCHEMA})"));
@@ -304,22 +309,61 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             return Err(format!("missing numeric wall field {field:?}"));
         }
     }
-    Ok(())
+    Ok(v)
+}
+
+/// A stream line that fails [`deterministic_projection`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LineError {
+    /// The 1-based line number.
+    pub line: usize,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.reason)
+    }
 }
 
 /// Canonical deterministic projection of an event stream: per line,
 /// keep only `{"event":...,"det":{...}}` (field order preserved), sort
 /// the projected lines lexicographically, join with `\n`. Two runs of
 /// the same plan agree byte-for-byte on this projection regardless of
-/// `--jobs`. Every line is validated on the way through.
-pub fn deterministic_projection(stream: &str) -> Result<String, String> {
-    let mut projected = Vec::new();
+/// `--jobs`.
+///
+/// Every non-empty line is validated on the way through, and the
+/// stream's `wall.seq` values must be exactly `0..n` for its `n` lines
+/// (the sink assigns them densely in emission order), so a dropped,
+/// duplicated or foreign line fails at the first line whose `seq` is
+/// out of range or seen before.
+pub fn deterministic_projection(stream: &str) -> Result<String, LineError> {
+    let n = stream.lines().filter(|l| !l.is_empty()).count();
+    let mut seen = vec![false; n];
+    let mut projected = Vec::with_capacity(n);
     for (idx, line) in stream.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
-        validate_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let fail = |reason: String| LineError {
+            line: idx + 1,
+            reason,
+        };
+        let v = validated(line).map_err(fail)?;
+        let seq = v
+            .get("wall")
+            .and_then(|w| w.get("seq"))
+            .and_then(json::Value::as_f64)
+            .expect("invariant: validated lines carry a numeric wall.seq");
+        if seq.fract() != 0.0 || !(0.0..n as f64).contains(&seq) {
+            return Err(fail(format!(
+                "wall.seq {seq} is outside the stream's dense 0..{n}"
+            )));
+        }
+        if std::mem::replace(&mut seen[seq as usize], true) {
+            return Err(fail(format!("wall.seq {seq} repeats an earlier line's")));
+        }
         let event = v.get("event").cloned().unwrap_or(json::Value::Null);
         let det = v.get("det").cloned().unwrap_or(json::Value::Null);
         let proj = json::Value::Obj(vec![("event".to_string(), event), ("det".to_string(), det)]);

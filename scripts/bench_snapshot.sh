@@ -71,7 +71,7 @@ warm_ns=$(($(date +%s%N) - warm_start))
 cmp "$out" "$tmp/warm.json"
 
 # A malformed event stream means the run itself is suspect.
-python3 scripts/check_events.py "$tmp/events.jsonl"
+target/release/eureka check events "$tmp/events.jsonl"
 
 # Kernel pair micro-benchmarks (scalar reference vs optimized kernel).
 cargo bench -q -p eureka-bench --bench kernels -- \

@@ -139,8 +139,9 @@ for r in records:
             f"admitted job key {r['value']:016x} has no journal record {keys}")
 print(f"flight recorder OK ({len(records)} records)")
 EOF
-mkdir -p results
-cp "$dir/flightrec"/flightrec-*.jsonl results/flightrec-smoke.jsonl
+# Kept where the CI chaos stage uploads it from.
+mkdir -p target/ci/chaos
+cp "$dir/flightrec"/flightrec-*.jsonl target/ci/chaos/flightrec-smoke.jsonl
 
 rm -f "$dir/eureka.sock"  # stale socket from the killed server
 start_server

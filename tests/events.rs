@@ -114,6 +114,41 @@ fn deterministic_projection_is_identical_across_jobs_and_reruns() {
     }
 }
 
+/// The sink numbers a stream's lines densely from 0, so a stream whose
+/// `wall.seq` skips a value (a lost line) or repeats one (a line from
+/// elsewhere) fails the stream check, at the first line that breaks it.
+#[test]
+fn projection_rejects_a_gapped_or_duplicated_seq() {
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let a = arch::by_name("eureka-p4").expect("registered");
+    let stream = capture(|events| {
+        Runner::serial()
+            .with_events(events.clone())
+            .run(&SimJob::new(a.as_ref(), &w, test_cfg()))
+            .expect("supported");
+    });
+    obs::events::deterministic_projection(&stream).expect("a sink's own stream is dense");
+    let lines: Vec<&str> = stream.lines().collect();
+    let with_line_3 = |replacement: String| {
+        let mut edited = lines.clone();
+        edited[2] = &replacement;
+        obs::events::deterministic_projection(&edited.join("\n"))
+    };
+    let gapped = with_line_3(lines[2].replace("\"seq\":2,", "\"seq\":999,"))
+        .expect_err("a gapped seq must fail");
+    assert_eq!(gapped.line, 3);
+    assert!(gapped.reason.contains("outside"), "{gapped}");
+    let duplicated = with_line_3(lines[2].replace("\"seq\":2,", "\"seq\":1,"))
+        .expect_err("a duplicated seq must fail");
+    assert_eq!(duplicated.line, 3);
+    assert!(duplicated.reason.contains("repeats"), "{duplicated}");
+    let dropped = [&lines[..2], &lines[3..]].concat().join("\n");
+    assert!(
+        obs::events::deterministic_projection(&dropped).is_err(),
+        "a dropped line leaves a gap"
+    );
+}
+
 #[test]
 fn events_and_progress_have_zero_impact_on_reports_and_metrics() {
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);

@@ -105,9 +105,9 @@ fn cache_counters_reconcile_with_the_planner() {
 }
 
 /// A profiled run counts its own units like a plain one, and the
-/// reconciliation still holds after a plain run of the same job (the
-/// `profile --bench-json` sequence): profiled units neither replay nor
-/// record, so the plain run misses on every unit.
+/// reconciliation still holds after a plain run of the same job:
+/// profiled units neither replay nor record, so the plain run misses on
+/// every unit.
 #[test]
 fn profiled_runs_count_their_own_units() {
     let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
