@@ -20,6 +20,7 @@ use eureka_obs::log::Verbosity;
 use eureka_obs::metrics::Registry;
 use eureka_obs::progress;
 use eureka_obs::span::Spans;
+use eureka_sim::ledger::arch_row;
 use eureka_sim::{arch, engine, JobSpec, RetryPolicy, Runner, SimConfig, SimJob};
 use eureka_verify::VerifyOptions;
 
@@ -91,7 +92,8 @@ pub enum Command {
         heatmap_out: Option<String>,
         /// Write the Chrome-trace occupancy tracks here (`-` = stdout).
         trace_out: Option<String>,
-        /// Write the versioned BENCH snapshot JSON here (`-` = stdout).
+        /// Write the run's ledger record, of kind `bench`, here as the
+        /// BENCH snapshot (`-` = stdout).
         bench_json: Option<String>,
         /// How many worst tiles to keep per layer.
         top_tiles: usize,
@@ -101,18 +103,18 @@ pub enum Command {
         /// metrics export).
         obs: ObsOpts,
     },
-    /// List the recorded run-ledger trajectory.
+    /// List the records of the run ledger's log, numbered from 1.
     BenchList {
         /// Ledger directory (default `results/ledger`).
         ledger_dir: Option<String>,
     },
-    /// Compare two snapshots (`eureka-bench-v1` or `eureka-ledger-v1`)
-    /// field-by-field under a regression threshold; the run errors (exit
-    /// non-zero) when any gated field regressed — the CI perf gate.
+    /// Compare two `eureka-ledger-v2` records field-by-field under a
+    /// regression threshold; the run errors (exit non-zero) when any
+    /// gated field regressed — the CI perf gate.
     BenchDiff {
-        /// Baseline snapshot path.
+        /// Baseline: a snapshot path, or `<ledger.log>#<N>`.
         baseline: String,
-        /// Candidate snapshot path.
+        /// Candidate: a snapshot path, or `<ledger.log>#<N>`.
         candidate: String,
         /// Regression threshold in percent.
         max_regress: f64,
@@ -207,7 +209,7 @@ USAGE:
                   [--json <file|->] [--heatmap <file|->]
                   [--trace-out <file|->] [--bench-json <file|->] [-v|-vv]
   eureka bench    list [--ledger-dir <dir>]
-  eureka bench    diff <baseline.json> <candidate.json> [--max-regress <pct>]
+  eureka bench    diff <baseline> <candidate> [--max-regress <pct>]
   eureka check    events <stream.jsonl>...
   eureka compile  --benchmark <name> --layer <layer-name> [--factor <P>]
   eureka trace    --benchmark <name> --layer <layer-name>   (Chrome-trace JSON)
@@ -266,18 +268,20 @@ OBSERVABILITY:
   --no-progress         force it off (default: on only when stderr is a
                         terminal; the line never touches stdout, reports,
                         or the metrics registry)
-  --ledger-dir <dir>    append a one-line run summary (schema
-                        eureka-ledger-v1: config key, git revision, metrics
-                        digest, cycles, wall time, event count) here; when
-                        omitted, defaults to results/ledger iff that
-                        directory exists
+  --ledger-dir <dir>    append the run's record (schema eureka-ledger-v2:
+                        config key, git revision, metrics digest, per-arch
+                        cycles, wall time, event count) to <dir>/ledger.log
+                        as one sealed line; when omitted, defaults to
+                        results/ledger iff that directory exists
   --no-ledger           skip the ledger append
-  bench list            print the recorded ledger trajectory
-  bench diff <a> <b>    field-by-field snapshot comparison (BENCH or ledger
-                        records): cycle counts gate lower-is-better,
-                        speedups higher-is-better, wall-clock fields are
-                        informational only; exits non-zero when any gated
-                        field moves beyond --max-regress percent (default 2)
+  bench list            print the records of <dir>/ledger.log, numbered
+  bench diff <a> <b>    field-by-field comparison of two records, each a
+                        snapshot file or <ledger.log>#<N> (the N-th record
+                        `bench list` shows): per-arch cycles gate
+                        lower-is-better, speedups higher-is-better,
+                        wall-clock fields are informational only; exits 1
+                        when any gated field moves beyond --max-regress
+                        percent (default 2), 2 on unusable input
   check events <f>...   validate event streams line by line (schema, kind,
                         det fields, a dense wall.seq); given two or more,
                         require identical deterministic projections
@@ -291,9 +295,10 @@ PROFILING (`eureka profile`):
   --json <file|->       byte-stable profile JSON (schema eureka-profile-v1)
   --heatmap <file|->    per-(layer,row) utilization heatmap CSV
   --trace-out <file|->  Chrome-trace occupancy tracks (one per systolic row)
-  --bench-json <file|-> versioned BENCH snapshot (schema eureka-bench-v1):
-                        cycles, MAC utilization and speedup-vs-dense for the
-                        standard arch matrix plus the requested arch
+  --bench-json <file|-> BENCH snapshot: the run's ledger record (kind
+                        bench) as one line of JSON, with cycles, MAC
+                        utilization and speedup-vs-dense for the standard
+                        arch matrix plus the requested arch
   --top-tiles <N>       worst tiles kept per layer (default 5)
   at most one export may write to stdout ('-'); with a stdout export the
   human report is suppressed to keep stdout machine-readable
@@ -819,8 +824,8 @@ where
                     Ok(true)
                 })?;
                 let [baseline, candidate] = <[String; 2]>::try_from(paths).map_err(|_| {
-                    "bench diff requires exactly two snapshot paths: \
-                     `eureka bench diff <baseline.json> <candidate.json>`"
+                    "bench diff requires exactly two snapshots: \
+                     `eureka bench diff <baseline> <candidate>`"
                         .to_string()
                 })?;
                 Ok(Command::BenchDiff {
@@ -1004,20 +1009,21 @@ fn resolve_ledger_dir(ledger_dir: Option<&str>, no_ledger: bool) -> Option<std::
 struct Outcome {
     out: String,
     label: String,
-    total_cycles: Option<u64>,
-    speedup_vs_dense: Option<f64>,
+    archs: Vec<String>,
 }
 
 /// The run path `figure`, `simulate` and `profile` share: the command's
 /// one runner, whose metrics registry every export reads, its event
 /// sink and (for `--trace-out`) its span collector; `body`; the trace
 /// export, which also runs when `body` fails, then the metrics export
-/// and a run-ledger record of `kind`; and no human output while the
-/// events claim stdout.
+/// and the run's ledger record of `kind`, appended to the ledger and
+/// written to `snapshot` (a `--bench-json` path, `-` for stdout) as kind
+/// `bench`; and no human output while the events claim stdout.
 fn run_simulation(
     kind: &str,
     run: &RunOpts,
     obs: &ObsOpts,
+    snapshot: Option<&str>,
     body: impl FnOnce(&Runner, SimConfig) -> Result<Outcome, String>,
 ) -> Result<String, String> {
     let verbosity = obs.verbosity();
@@ -1048,25 +1054,43 @@ fn run_simulation(
     }
     eureka_obs::info!(verbosity, "{}", metrics.human_summary());
     // The record counts the command's events and digests the
-    // deterministic metrics, so it is written after the run finished.
-    if let Some(dir) = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger) {
+    // deterministic metrics, so it is made after the run finished.
+    let ledger_dir = resolve_ledger_dir(obs.ledger_dir.as_deref(), obs.no_ledger);
+    let mut out = done.out;
+    if ledger_dir.is_some() || snapshot.is_some() {
         let record = eureka_sim::LedgerRecord {
-            kind: kind.to_string(),
+            // A BENCH snapshot is the record of kind `bench`.
+            kind: if snapshot.is_some() { "bench" } else { kind }.to_string(),
             label: done.label,
-            total_cycles: done.total_cycles,
-            speedup_vs_dense: done.speedup_vs_dense,
+            archs: done.archs,
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             events: events.count(),
             metrics_digest: eureka_sim::ledger::metrics_digest(&metrics.snapshot_json(false)),
             sla: None,
-        };
-        let path = eureka_sim::ledger::append(&dir, &record)?;
-        eureka_obs::info!(verbosity, "ledger: appended {}", path.display());
+        }
+        .to_json();
+        match snapshot {
+            Some("-") => out.clone_from(&record),
+            Some(path) => {
+                std::fs::write(path, format!("{record}\n"))
+                    .map_err(|e| format!("cannot write BENCH snapshot to {path}: {e}"))?;
+                eureka_obs::info!(
+                    verbosity,
+                    "BENCH snapshot: {} bytes to {path}",
+                    record.len() + 1
+                );
+            }
+            None => {}
+        }
+        if let Some(dir) = ledger_dir {
+            let path = eureka_sim::ledger::append(&dir, &record)?;
+            eureka_obs::info!(verbosity, "ledger: appended to {}", path.display());
+        }
     }
     Ok(if obs.events_to_stdout() {
         String::new()
     } else {
-        done.out
+        out
     })
 }
 
@@ -1124,22 +1148,17 @@ impl From<String> for RunError {
     }
 }
 
-/// Compares two snapshots under the regression gate. Load/parse
-/// problems (missing file, malformed JSON, unknown schema, incomparable
-/// snapshots) exit 2; a regression past the threshold exits 1.
+/// Compares two records under the regression gate. Load/parse problems
+/// (missing file, malformed JSON, unknown schema, no such `#N` record)
+/// exit 2; a regression past the threshold exits 1.
 fn run_bench_diff(baseline: &str, candidate: &str, max_regress: f64) -> Result<String, RunError> {
-    let load = |path: &str| {
-        eureka_sim::ledger::load_snapshot(std::path::Path::new(path)).map_err(|e| RunError {
+    let load = |arg: &str| {
+        eureka_sim::ledger::load_snapshot(arg).map_err(|e| RunError {
             message: format!("bench diff: unusable snapshot: {e}"),
             code: 2,
         })
     };
-    let a = load(baseline)?;
-    let b = load(candidate)?;
-    let report = eureka_sim::ledger::diff(&a, &b, max_regress).map_err(|e| RunError {
-        message: format!("bench diff: {e}"),
-        code: 2,
-    })?;
+    let report = eureka_sim::ledger::diff(&load(baseline)?, &load(candidate)?, max_regress);
     let rendered = format!(
         "baseline : {baseline}\ncandidate: {candidate}\nthreshold: {max_regress}%\n{}",
         report.render()
@@ -1255,14 +1274,13 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             csv,
             run,
             obs,
-        } => run_simulation("figure", run, obs, |runner, cfg| {
+        } => run_simulation("figure", run, obs, None, |runner, cfg| {
             let fig = eureka_bench::figure(name, runner, &cfg)
                 .ok_or_else(|| format!("unknown figure '{name}'"))?;
             Ok(Outcome {
                 out: if *csv { fig.to_csv() } else { fig.render() },
                 label: format!("{name}|{}", run.sampling()),
-                total_cycles: None,
-                speedup_vs_dense: None,
+                archs: Vec::new(),
             })
         })?,
         Command::Compile {
@@ -1338,7 +1356,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             max_failures,
             run,
             obs,
-        } => run_simulation("simulate", run, obs, |runner, cfg| {
+        } => run_simulation("simulate", run, obs, None, |runner, cfg| {
             use eureka_sim::{render_failure_report, JobOutcome};
             let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
             let a = arch::by_name(&spec.arch).ok_or_else(|| {
@@ -1382,8 +1400,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             let mut done = Outcome {
                 out: String::new(),
                 label: run_label(spec, run),
-                total_cycles: Some(report.total_cycles()),
-                speedup_vs_dense: None,
+                archs: vec![arch_row(&spec.arch, &report, None)],
             };
             if *csv {
                 // Keep stdout machine-readable: survivors go to the CSV,
@@ -1406,7 +1423,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
                     .run(&SimJob::new(&arch::dense(), &workload, cfg))
                     .map_err(|e| e.to_string())?;
                 let speedup = engine::speedup(&dense, &report);
-                done.speedup_vs_dense = Some(speedup);
+                done.archs = vec![arch_row(&spec.arch, &report, Some(dense.total_cycles()))];
                 out.push_str(&format!("  speedup vs Dense: {speedup:.2}x\n"));
             }
             out.push_str(&format!(
@@ -1441,7 +1458,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             top_tiles,
             run,
             obs,
-        } => run_simulation("profile", run, obs, |runner, cfg| {
+        } => run_simulation("profile", run, obs, bench_json.as_deref(), |runner, cfg| {
             let workload = Workload::new(spec.benchmark, spec.pruning, spec.batch);
             let a = arch::by_name(&spec.arch).ok_or_else(|| {
                 format!("unknown architecture '{}'; run `eureka archs`", spec.arch)
@@ -1474,7 +1491,7 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
             if let Some(path) = trace_out {
                 emit(path, profile.to_chrome_json(), "occupancy trace")?;
             }
-            if let Some(path) = bench_json {
+            let archs = if bench_json.is_some() {
                 // The standard snapshot matrix, plus the requested arch.
                 // The requested arch's row is the profiled report (the
                 // same bytes as a plain run); the others run as one batch.
@@ -1500,63 +1517,72 @@ pub fn run(cmd: &Command) -> Result<String, RunError> {
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| e.to_string())?;
                 let mut plain = plain.iter();
-                let entries: Vec<(&str, &eureka_sim::SimReport)> = names
+                let reports: Vec<&eureka_sim::SimReport> = names
                     .iter()
                     .map(|name| {
-                        let r = if *name == spec.arch {
+                        if *name == spec.arch {
                             &report
                         } else {
                             plain.next().expect("invariant: one report per job")
-                        };
-                        (*name, r)
+                        }
                     })
                     .collect();
-                let json = eureka_sim::profile::bench_snapshot_json(
-                    spec.benchmark.name(),
-                    spec.pruning.label(),
-                    spec.batch,
-                    run.sampling(),
-                    &entries,
-                );
-                emit(path, json, "BENCH snapshot")?;
-            }
+                // The matrix opens with dense, which anchors the speedups.
+                let dense_cycles = reports[0].total_cycles();
+                names
+                    .iter()
+                    .zip(reports)
+                    .map(|(name, r)| arch_row(name, r, Some(dense_cycles)))
+                    .collect()
+            } else {
+                vec![arch_row(&spec.arch, &report, None)]
+            };
             Ok(Outcome {
                 // At most one export claims stdout (parse checks it),
                 // which suppresses the human report.
                 out: stdout_payload.unwrap_or_else(|| profile.bottleneck_report(5)),
                 label: run_label(spec, run),
-                total_cycles: Some(report.total_cycles()),
-                speedup_vs_dense: None,
+                archs,
             })
         })?,
         Command::BenchList { ledger_dir } => {
             use eureka_obs::json::Value;
-            let dir = std::path::PathBuf::from(ledger_dir.as_deref().unwrap_or("results/ledger"));
-            let records = eureka_sim::ledger::read_dir(&dir)?;
+            let dir = std::path::Path::new(ledger_dir.as_deref().unwrap_or("results/ledger"));
+            let log = dir.join(eureka_sim::ledger::LOG_FILE);
+            let records = eureka_sim::ledger::read_log(&log)?;
             if records.is_empty() {
-                return Ok(format!("no ledger records under {}\n", dir.display()));
+                return Ok(format!("no ledger records in {}\n", log.display()));
             }
             let mut out = format!(
-                "{:<17} {:<9} {:<44} {:<14} {:>12} {:>8} {:>10} {:>7}\n",
-                "key", "kind", "label", "git", "cycles", "speedup", "wall_ms", "events"
+                "{:>4} {:<17} {:<9} {:<44} {:<14} {:>12} {:>8} {:>10} {:>7}\n",
+                "#", "key", "kind", "label", "git", "cycles", "speedup", "wall_ms", "events"
             );
-            for (_, v) in &records {
+            for (n, v) in records.iter().enumerate() {
                 let s = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
-                let opt_num = |k: &str, fmt: fn(f64) -> String| {
-                    v.get(k)
+                let opt_num = |v: Option<&Value>, k: &str, fmt: fn(f64) -> String| {
+                    v.and_then(|v| v.get(k))
                         .and_then(Value::as_f64)
                         .map_or_else(|| "-".to_string(), fmt)
                 };
+                // A one-arch record shows its row; a matrix, its size.
+                let rows = v.get("archs").and_then(Value::as_arr).unwrap_or(&[]);
+                let row = if let [row] = rows { Some(row) } else { None };
+                let cycles = if rows.len() > 1 {
+                    format!("{} archs", rows.len())
+                } else {
+                    opt_num(row, "total_cycles", |c| format!("{c:.0}"))
+                };
                 out.push_str(&format!(
-                    "{:<17} {:<9} {:<44} {:<14} {:>12} {:>8} {:>10} {:>7}\n",
+                    "{:>4} {:<17} {:<9} {:<44} {:<14} {:>12} {:>8} {:>10} {:>7}\n",
+                    n + 1,
                     s("key"),
                     s("kind"),
                     s("label"),
                     s("git"),
-                    opt_num("total_cycles", |c| format!("{c:.0}")),
-                    opt_num("speedup_vs_dense", |sp| format!("{sp:.2}x")),
-                    opt_num("wall_ms", |w| format!("{w:.1}")),
-                    opt_num("events", |e| format!("{e:.0}")),
+                    cycles,
+                    opt_num(row, "speedup_vs_dense", |sp| format!("{sp:.2}x")),
+                    opt_num(Some(v), "wall_ms", |w| format!("{w:.1}")),
+                    opt_num(Some(v), "events", |e| format!("{e:.0}")),
                 ));
             }
             out.push_str(&format!("{} record(s)\n", records.len()));
@@ -1995,7 +2021,8 @@ mod tests {
         let t = std::fs::read_to_string(&trace).unwrap();
         assert!(t.contains("systolic row 0"), "{t}");
         let b = std::fs::read_to_string(&bench).unwrap();
-        assert!(b.starts_with("{\"schema\":\"eureka-bench-v1\""));
+        assert!(b.starts_with("{\"schema\":\"eureka-ledger-v2\""), "{b}");
+        assert!(b.contains("\"kind\":\"bench\""), "{b}");
         assert!(b.contains("\"speedup_vs_dense\""), "{b}");
         for name in ["dense", "ampere", "cnvlutin", "eureka-p2", "eureka-p4"] {
             assert!(b.contains(&format!("\"name\":\"{name}\"")), "{b}");
@@ -2278,7 +2305,7 @@ mod tests {
         assert_eq!(help, USAGE);
         assert_eq!(
             (help.len(), eureka_obs::applog::fnv1a64(help.as_bytes())),
-            (9721, 0x7ae6_17bd_3b44_dbf9)
+            (9935, 0xd995_e23a_e6c3_5164)
         );
     }
 
@@ -2516,6 +2543,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A bench record whose one row has `cycles` total cycles.
+    fn bench_record(cycles: u64) -> String {
+        format!(
+            "{{\"schema\":\"eureka-ledger-v2\",\"key\":\"00\",\"kind\":\"bench\",\
+             \"label\":\"m\",\"archs\":[{{\"name\":\"eureka-p4\",\
+             \"total_cycles\":{cycles},\"speedup_vs_dense\":3.5}}]}}"
+        )
+    }
+
+    fn bench_diff(baseline: &str, candidate: &str) -> Result<String, RunError> {
+        run(&Command::BenchDiff {
+            baseline: baseline.into(),
+            candidate: candidate.into(),
+            max_regress: 2.0,
+        })
+    }
+
     #[test]
     fn run_bench_list_empty_and_diff_gate() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-bench-{}", std::process::id()));
@@ -2531,32 +2575,75 @@ mod tests {
         // it with a run error (non-zero exit), not a usage error.
         let good = dir.join("good.json");
         let bad = dir.join("bad.json");
-        std::fs::write(
-            &good,
-            r#"{"schema":"eureka-bench-v1","benchmark":"m","pruning":"mod","batch":32,"sampling":"fast","archs":[{"name":"eureka-p4","total_cycles":250000,"speedup_vs_dense":3.5}]}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &bad,
-            r#"{"schema":"eureka-bench-v1","benchmark":"m","pruning":"mod","batch":32,"sampling":"fast","archs":[{"name":"eureka-p4","total_cycles":300000,"speedup_vs_dense":3.5}]}"#,
-        )
-        .unwrap();
-        let ok = run(&Command::BenchDiff {
-            baseline: good.to_str().unwrap().into(),
-            candidate: good.to_str().unwrap().into(),
-            max_regress: 2.0,
-        })
-        .unwrap();
+        std::fs::write(&good, bench_record(250_000)).unwrap();
+        std::fs::write(&bad, bench_record(300_000)).unwrap();
+        let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+        let ok = bench_diff(good, good).unwrap();
         assert!(ok.contains("OK: no regressions"), "{ok}");
-        let err = run(&Command::BenchDiff {
-            baseline: good.to_str().unwrap().into(),
-            candidate: bad.to_str().unwrap().into(),
-            max_regress: 2.0,
+        let err = bench_diff(good, bad).unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        assert!(err.message.contains("REGRESSION"), "{}", err.message);
+        assert!(err.message.contains("total_cycles"), "{}", err.message);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bench_diff_addresses_ledger_records_by_number() {
+        let dir = std::env::temp_dir().join(format!("eureka-cli-addr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ledger = dir.join("ledger");
+        let record = |cycles| eureka_sim::LedgerRecord {
+            kind: "simulate".into(),
+            label: "m".into(),
+            archs: vec![format!(
+                "{{\"name\":\"eureka-p4\",\"total_cycles\":{cycles}}}"
+            )],
+            wall_ms: 1.0,
+            events: 0,
+            metrics_digest: "0".into(),
+            sla: None,
+        };
+        for cycles in [100, 100, 200] {
+            eureka_sim::ledger::append(&ledger, &record(cycles).to_json()).unwrap();
+        }
+        let listing = run(&Command::BenchList {
+            ledger_dir: Some(ledger.to_str().unwrap().into()),
         })
-        .unwrap_err()
-        .message;
-        assert!(err.contains("REGRESSION"), "{err}");
-        assert!(err.contains("total_cycles"), "{err}");
+        .unwrap();
+        assert!(listing.contains("3 record(s)"), "{listing}");
+        assert!(listing
+            .lines()
+            .nth(3)
+            .unwrap()
+            .trim_start()
+            .starts_with("3 "));
+        let log = ledger.join(eureka_sim::ledger::LOG_FILE);
+        let at = |n: &str| format!("{}#{n}", log.display());
+        assert!(bench_diff(&at("1"), &at("2")).is_ok());
+        let err = bench_diff(&at("2"), &at("3")).unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        // Out of range, not a number, and a `#` against a plain snapshot
+        // file are unusable input: exit 2.
+        let snapshot = dir.join("snapshot.json");
+        std::fs::write(&snapshot, bench_record(100)).unwrap();
+        for bad in [
+            at("0"),
+            at("4"),
+            at("one"),
+            at(""),
+            format!("{}#1", snapshot.display()),
+        ] {
+            let err = bench_diff(&bad, &at("1")).unwrap_err();
+            assert_eq!(err.code, 2, "{bad}: {}", err.message);
+            assert!(err.message.contains("unusable snapshot"), "{}", err.message);
+        }
+        // The log itself is not a snapshot file.
+        assert_eq!(
+            bench_diff(&log.display().to_string(), &at("1"))
+                .unwrap_err()
+                .code,
+            2
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2595,9 +2682,10 @@ mod tests {
         assert!(stream.contains("\"event\":\"run-started\""));
         assert!(stream.contains("\"event\":\"run-finished\""));
         // The ledger recorded the run with the emitted-event count.
-        let records = eureka_sim::ledger::read_dir(&ledger_path).unwrap();
+        let records =
+            eureka_sim::ledger::read_log(&ledger_path.join(eureka_sim::ledger::LOG_FILE)).unwrap();
         assert_eq!(records.len(), 1);
-        let v = &records[0].1;
+        let v = &records[0];
         use eureka_obs::json::Value;
         assert_eq!(v.get("kind").and_then(Value::as_str), Some("simulate"));
         assert_eq!(
@@ -2759,24 +2847,13 @@ mod tests {
     fn bench_diff_exit_codes_distinguish_bad_input_from_regression() {
         let dir = std::env::temp_dir().join(format!("eureka-cli-diff-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let snapshot = |cycles: u64| {
-            format!(
-                "{{\"schema\":\"eureka-bench-v1\",\"benchmark\":\"mobilenet_v1\",\
-                 \"pruning\":\"mod\",\"sampling\":\"fast\",\"archs\":[{{\"name\":\"a\",\
-                 \"total_cycles\":{cycles}}}]}}"
-            )
-        };
         let base = dir.join("base.json");
         let worse = dir.join("worse.json");
-        std::fs::write(&base, snapshot(100)).unwrap();
-        std::fs::write(&worse, snapshot(200)).unwrap();
+        std::fs::write(&base, bench_record(100)).unwrap();
+        std::fs::write(&worse, bench_record(200)).unwrap();
 
         let diff = |a: &std::path::Path, b: &std::path::Path| {
-            run(&Command::BenchDiff {
-                baseline: a.display().to_string(),
-                candidate: b.display().to_string(),
-                max_regress: 2.0,
-            })
+            bench_diff(&a.display().to_string(), &b.display().to_string())
         };
 
         // A missing snapshot is broken wiring, not a regression: exit 2.

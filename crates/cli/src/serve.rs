@@ -196,15 +196,14 @@ mod imp {
                 opts.deadline_ms,
                 if opts.fast { "fast" } else { "paper" },
             ),
-            total_cycles: None,
-            speedup_vs_dense: None,
+            archs: Vec::new(),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             // A service process emits no run events.
             events: 0,
             metrics_digest: eureka_sim::ledger::metrics_digest(&metrics.snapshot_json(false)),
             sla: Some(sla),
         };
-        eureka_sim::ledger::append(&dir, &record)?;
+        eureka_sim::ledger::append(&dir, &record.to_json())?;
         Ok(())
     }
 

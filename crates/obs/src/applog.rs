@@ -1,6 +1,6 @@
 //! The one append-only record log: the service's job journal, a store
-//! directory's unit records and the flight recorder's export all write
-//! through it.
+//! directory's unit records, the run ledger and the flight recorder's
+//! export all write through it.
 //!
 //! A record is one line. [`AppLog::append`] writes a batch of lines with
 //! one `write` to a handle opened for appending, under an exclusive

@@ -27,9 +27,9 @@
 //! `SimProfile::total_attributed_cycles() == SimReport::total_cycles()`
 //! holds identically — tested, not approximated.
 
-use crate::report::{LayerReport, SimReport};
+use crate::report::LayerReport;
 use eureka_obs::chrome::TraceBuilder;
-use eureka_obs::json::{escape, fmt_f64};
+use eureka_obs::json::escape;
 
 /// Opt-in switches for a profiled run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,7 +224,7 @@ pub struct SimProfile {
 
 impl SimProfile {
     /// Sum of per-layer attributed cycles; the invariant (tested against
-    /// every architecture) is equality with [`SimReport::total_cycles`].
+    /// every architecture) is equality with [`SimReport::total_cycles`](crate::SimReport::total_cycles).
     #[must_use]
     pub fn total_attributed_cycles(&self) -> u64 {
         self.layers.iter().map(LayerProfile::total_cycles).sum()
@@ -244,7 +244,7 @@ impl SimProfile {
     }
 
     /// Total idle MAC-cycles attributed by the profiler; must equal
-    /// [`SimReport::idle_mac_cycles`].
+    /// [`SimReport::idle_mac_cycles`](crate::SimReport::idle_mac_cycles).
     #[must_use]
     pub fn idle_mac_cycles(&self) -> u64 {
         self.layers.iter().map(|l| l.macs.idle()).sum()
@@ -498,54 +498,6 @@ impl SimProfile {
     }
 }
 
-/// Builds the versioned BENCH snapshot JSON (key figures per arch:
-/// cycles, utilization, speedup vs dense). `entries` pairs each arch
-/// name with its report; the first entry whose name is `dense` anchors
-/// the speedup column.
-#[must_use]
-pub fn bench_snapshot_json(
-    benchmark: &str,
-    pruning: &str,
-    batch: usize,
-    sampling: &str,
-    entries: &[(&str, &SimReport)],
-) -> String {
-    let dense_cycles = entries
-        .iter()
-        .find(|(n, _)| *n == "dense")
-        .map(|(_, r)| r.total_cycles());
-    let mut out = String::from("{\"schema\":\"eureka-bench-v1\"");
-    out.push_str(&format!(",\"benchmark\":\"{}\"", escape(benchmark)));
-    out.push_str(&format!(",\"pruning\":\"{}\"", escape(pruning)));
-    out.push_str(&format!(",\"batch\":{batch}"));
-    out.push_str(&format!(",\"sampling\":\"{}\"", escape(sampling)));
-    out.push_str(",\"archs\":[");
-    for (i, (name, r)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"name\":\"{}\"", escape(name)));
-        out.push_str(&format!(",\"total_cycles\":{}", r.total_cycles()));
-        out.push_str(&format!(",\"compute_cycles\":{}", r.compute_cycles()));
-        out.push_str(&format!(",\"mem_cycles\":{}", r.mem_cycles()));
-        out.push_str(&format!(",\"bubble_cycles\":{}", r.bubble_cycles()));
-        out.push_str(&format!(
-            ",\"mac_utilization\":{}",
-            fmt_f64(r.mac_utilization())
-        ));
-        match dense_cycles {
-            Some(d) if r.total_cycles() > 0 => out.push_str(&format!(
-                ",\"speedup_vs_dense\":{}",
-                fmt_f64(d as f64 / r.total_cycles() as f64)
-            )),
-            _ => out.push_str(",\"speedup_vs_dense\":null"),
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,33 +634,5 @@ mod tests {
         let compute_pos = text.find("compute (useful work").unwrap();
         assert!(bubble_pos < compute_pos, "largest bucket first:\n{text}");
         assert!(text.contains("total cycles: 120"));
-    }
-
-    #[test]
-    fn bench_snapshot_is_versioned_and_anchored_on_dense() {
-        let mk = |cycles: u64| SimReport {
-            arch: "x".into(),
-            workload: "w".into(),
-            layers: vec![LayerReport {
-                name: "l".into(),
-                compute_cycles: cycles,
-                mac_ops: 10,
-                idle_mac_cycles: 10,
-                ..LayerReport::default()
-            }],
-        };
-        let dense = mk(100);
-        let fast = mk(25);
-        let json = bench_snapshot_json(
-            "mobilenetv1",
-            "mod",
-            32,
-            "paper",
-            &[("dense", &dense), ("eureka-p4", &fast)],
-        );
-        assert!(json.starts_with("{\"schema\":\"eureka-bench-v1\""));
-        assert!(json.contains("\"speedup_vs_dense\":4"));
-        assert!(json.contains("\"mac_utilization\":0.5"));
-        assert_eq!(json, json.clone());
     }
 }

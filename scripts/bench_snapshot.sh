@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Emit a versioned benchmark snapshot: results/BENCH_<n>.json with the
-# next free <n>. The snapshot records cycles, MAC utilization and
-# speedup-vs-dense for the standard arch matrix on one benchmark, so
-# successive snapshots (committed over time) track simulator drift.
+# next free <n>. The snapshot is the `eureka profile --bench-json`
+# record (schema eureka-ledger-v2, kind `bench`): cycles, MAC
+# utilization and speedup-vs-dense for the standard arch matrix on one
+# benchmark, plus the run's provenance (`git`, `events`, the config
+# `key`, `metrics_digest`, `wall_ms`), so successive snapshots
+# (committed over time) track simulator drift.
 #
 # The profile runs twice against one tile-store directory — cold, then
 # warm — and the snapshot gains three top-level wall-clock fields:
 # `cold_wall_ms`, `warm_wall_ms` and `warm_speedup` (cold/warm), so the
 # committed history also tracks what the persistent store buys. The two
-# runs' simulation results must be byte-identical; the script fails if
-# the warm snapshot drifts from the cold one.
+# runs' per-arch rows must be byte-identical; the script fails if the
+# warm snapshot's rows drift from the cold one's.
 #
 # The snapshot also records the paired kernel micro-benchmarks from
 # `crates/bench/benches/kernels.rs` under a top-level `kernels` object:
@@ -18,13 +21,8 @@
 # committed snapshots track kernel-level deltas alongside the
 # end-to-end wall clock.
 #
-# Each snapshot is also stamped with its provenance: `git` (the commit
-# the snapshot was taken at), `config_digest` (FNV-1a 64 over the
-# benchmark/arch/sampling configuration — two snapshots are comparable
-# iff their digests match), and `events` (the number of run-events the
-# cold profile emitted, a structural fingerprint of the run shape). The
-# cold run's event stream is schema-validated before the snapshot is
-# accepted.
+# The cold run's event stream is schema-validated before the snapshot
+# is accepted; its event count is the record's `events`.
 #
 # Usage: scripts/bench_snapshot.sh [--benchmark B] [--arch A] [extra
 # `eureka profile` flags...]. Defaults: mobilenetv1 / eureka-p4 / fast
@@ -66,9 +64,10 @@ warm_start=$(date +%s%N)
 "${run[@]}" --bench-json "$tmp/warm.json"
 warm_ns=$(($(date +%s%N) - warm_start))
 
-# The store must never change results: cold and warm snapshots are
+# The store must never change results: cold and warm rows are
 # byte-identical or the snapshot is not trustworthy.
-cmp "$out" "$tmp/warm.json"
+rows() { grep -o '"archs":\[[^]]*\]' "$1"; }
+cmp <(rows "$out") <(rows "$tmp/warm.json")
 
 # A malformed event stream means the run itself is suspect.
 target/release/eureka check events "$tmp/events.jsonl"
@@ -77,16 +76,10 @@ target/release/eureka check events "$tmp/events.jsonl"
 cargo bench -q -p eureka-bench --bench kernels -- \
     mask_intersection mac_dot256 > "$tmp/kernels.txt"
 
-git_rev=$(git describe --always --dirty 2>/dev/null || echo unknown)
-event_count=$(wc -l < "$tmp/events.jsonl")
-
-python3 - "$out" "$cold_ns" "$warm_ns" "$git_rev" "$event_count" \
-    "$BENCHMARK" "$ARCH" "$tmp/kernels.txt" <<'EOF'
+python3 - "$out" "$cold_ns" "$warm_ns" "$tmp/kernels.txt" <<'EOF'
 import json, re, sys
 path, cold_ns, warm_ns = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-git_rev, event_count = sys.argv[4], int(sys.argv[5])
-benchmark, arch = sys.argv[6], sys.argv[7]
-kernels_txt = sys.argv[8]
+kernels_txt = sys.argv[4]
 
 UNIT_US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 means = {}
@@ -125,15 +118,6 @@ snap["cold_wall_ms"] = round(cold_ns / 1e6, 3)
 snap["warm_wall_ms"] = round(warm_ns / 1e6, 3)
 snap["warm_speedup"] = round(cold_ns / warm_ns, 3) if warm_ns else None
 snap["kernels"] = kernels
-snap["git"] = git_rev
-snap["events"] = event_count
-# FNV-1a 64 over the run configuration, mirroring the ledger's key
-# scheme: snapshots are comparable iff their config digests match.
-config = f"{benchmark}|{arch}|fast"
-h = 0xcbf29ce484222325
-for b in config.encode():
-    h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
-snap["config_digest"] = f"{h:016x}"
 with open(path, "w") as f:
     json.dump(snap, f, separators=(",", ":"))
     f.write("\n")

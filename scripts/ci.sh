@@ -143,14 +143,15 @@ stage_events_ledger() {
             --no-ledger --events-out "$out/profile-events-j$jobs.jsonl" > /dev/null
     done
     eureka check events "$out/profile-events-j1.jsonl" "$out/profile-events-j4.jsonl"
-    # Run ledger: identical runs record a clean trajectory.
+    # Run ledger: identical runs append two records to one log, and
+    # they diff clean.
     for _ in 1 2; do
         eureka simulate --benchmark mobilenetv1 --arch eureka-p4 --fast \
             --ledger-dir "$out/run-ledger" > /dev/null
     done
-    eureka bench list --ledger-dir "$out/run-ledger"
-    local recs=("$out"/run-ledger/*.json)
-    eureka bench diff "${recs[0]}" "${recs[1]}"
+    eureka bench list --ledger-dir "$out/run-ledger" | tee "$out/run-ledger.txt"
+    grep -qxF '2 record(s)' "$out/run-ledger.txt" || { echo "want 2 ledger records" >&2; exit 1; }
+    eureka bench diff "$out/run-ledger/ledger.log#1" "$out/run-ledger/ledger.log#2"
     # Regression gate: the fresh BENCH snapshot stays within threshold
     # of the committed trajectory.
     eureka profile --benchmark mobilenetv1 --arch eureka-p4 --fast --no-ledger \
@@ -205,8 +206,9 @@ stage_chaos() {
 }
 
 # No stage may append to the checkout's run ledger: every run passes
-# --no-ledger or a --ledger-dir of its own.
-ledger() { ls -A results/ledger 2> /dev/null || true; }
+# --no-ledger or a --ledger-dir of its own. An append changes a file's
+# contents, not its name, so compare checksums.
+ledger() { cksum results/ledger/* 2> /dev/null || true; }
 ledger_before=$(ledger)
 cargo build --release -q -p eureka-cli
 for stage in "${selected[@]}"; do

@@ -165,11 +165,11 @@ grep -q "sla: budget=1000000us" "$dir/server.log" || {
     cat "$dir/server.log" >&2
     exit 1
 }
-grep -lq '"kind":"serve"' "$dir/ledger"/*.json || {
+grep -q '"kind":"serve"' "$dir/ledger/ledger.log" || {
     echo "no serve record appended to the run ledger" >&2
     exit 1
 }
-grep -q '"sla_budget_us":1000000' "$dir/ledger"/*.json || {
+grep -q '"sla_budget_us":1000000' "$dir/ledger/ledger.log" || {
     echo "ledger record is missing the SLA fields" >&2
     exit 1
 }
