@@ -55,34 +55,44 @@ fn bench_suds(c: &mut Criterion) {
 }
 
 fn bench_suds_tables(c: &mut Criterion) {
-    // The simulator's signature-table lookup vs the polynomial algorithm.
+    // The simulator's signature-table lookup vs timing each tile
+    // directly: the polynomial algorithm for optimal SUDS, the longest
+    // row for max-row.
     let lens: Vec<[usize; 4]> = sample_lens(4096, 4, 16, 0.13, 99)
         .into_iter()
         .map(|l| [l[0], l[1], l[2], l[3]])
         .collect();
-    let timer = TileTimer::OptimalSuds;
-    let direct = |l: [usize; 4]| {
-        let rows = l.map(|len| (1u64 << len) - 1);
-        timer.outcome(&TilePattern::from_rows(&rows, 16).expect("4x16 tile"))
-    };
+    let tiles: Vec<TilePattern> = lens
+        .iter()
+        .map(|l| TilePattern::from_rows(&l.map(|len| (1u64 << len) - 1), 16).expect("4x16 tile"))
+        .collect();
     let mut tables = SignatureTables::default();
-    let table = tables.get(timer, 4, 16).expect("paper geometry");
-    // Fill the sampled signatures outside the measurement.
-    for &l in &lens {
-        table.outcome(l, || direct(l));
-    }
     let mut group = c.benchmark_group("suds_tables");
-    group.bench_function("table_4096_tiles", |b| {
-        b.iter(|| {
-            for &l in &lens {
-                black_box(table.outcome(l, || direct(l)));
-            }
+    for (timer, name) in [(TileTimer::OptimalSuds, ""), (TileTimer::MaxRow, "maxrow_")] {
+        let table = tables.get(timer, 4, 16).expect("paper geometry");
+        // Fill the sampled signatures outside the measurement.
+        for (&l, tile) in lens.iter().zip(&tiles) {
+            table.outcome(l, || timer.outcome(tile));
+        }
+        group.bench_function(format!("{name}table_4096_tiles"), |b| {
+            b.iter(|| {
+                for (&l, tile) in lens.iter().zip(&tiles) {
+                    black_box(table.outcome(l, || timer.outcome(tile)));
+                }
+            });
         });
-    });
+    }
     group.bench_function("algorithm_4096_tiles", |b| {
         b.iter(|| {
             for l in &lens {
                 black_box(suds::optimize(l));
+            }
+        });
+    });
+    group.bench_function("maxrow_direct_4096_tiles", |b| {
+        b.iter(|| {
+            for tile in &tiles {
+                black_box(TileTimer::MaxRow.outcome(black_box(tile)));
             }
         });
     });

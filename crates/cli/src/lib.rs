@@ -2696,6 +2696,66 @@ mod tests {
     }
 
     #[test]
+    fn store_dir_runs_diff_clean_against_a_plain_run() {
+        let dir = std::env::temp_dir().join(format!("eureka-cli-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (ledger, store) = (dir.join("ledger"), dir.join("store"));
+        let simulate = |extra: &[&str]| {
+            let mut args = vec![
+                "simulate",
+                "--benchmark",
+                "mobilenet",
+                "--arch",
+                "eureka-p4",
+                "--batch",
+                "4",
+                "--fast",
+                "--no-progress",
+                "--ledger-dir",
+                ledger.to_str().unwrap(),
+            ];
+            args.extend(extra);
+            run(&parse(args).unwrap()).unwrap()
+        };
+        // Plain, store-filling and store-replaying runs of one spec.
+        let plain = simulate(&[]);
+        for _ in ["cold", "warm"] {
+            assert_eq!(simulate(&["--store-dir", store.to_str().unwrap()]), plain);
+        }
+        let log = ledger.join(eureka_sim::ledger::LOG_FILE);
+        let at = |n: usize| format!("{}#{n}", log.display());
+        for n in [2, 3] {
+            let out = bench_diff(&at(1), &at(n)).unwrap();
+            assert!(out.contains("(identical)"), "{out}");
+        }
+        // Different work under the same key still regresses.
+        let records = eureka_sim::ledger::read_log(&log).unwrap();
+        let mut changed = eureka_sim::LedgerRecord {
+            kind: "simulate".into(),
+            label: records[0]
+                .get("label")
+                .and_then(eureka_obs::json::Value::as_str)
+                .unwrap()
+                .into(),
+            archs: Vec::new(),
+            wall_ms: 1.0,
+            events: 0,
+            metrics_digest: String::new(),
+            sla: None,
+        };
+        let snapshot = |planned: u64| {
+            format!("{{\"counters\":{{\"runner.units_planned\":{planned}}},\"gauges\":{{}},\"histograms\":{{}}}}")
+        };
+        for planned in [27, 28] {
+            changed.metrics_digest = eureka_sim::ledger::metrics_digest(&snapshot(planned));
+            eureka_sim::ledger::append(&ledger, &changed.to_json()).unwrap();
+        }
+        assert!(bench_diff(&at(4), &at(4)).is_ok());
+        assert_eq!(bench_diff(&at(4), &at(5)).unwrap_err().code, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn run_verify_single_arch() {
         let cmd = parse([
             "verify",

@@ -45,8 +45,9 @@ pub struct LayerCtx {
     /// Deterministic RNG stream for this (workload, layer).
     pub rng: DetRng,
     /// Tile-result resolution through the content-addressed store
-    /// ([`crate::store`]). [`TileBroker::disabled`] times every tile
-    /// directly, without keying it — what ad-hoc simulation call sites
+    /// ([`crate::store`]), for tiles a signature table does not answer.
+    /// [`TileBroker::disabled`] times them directly, without keying
+    /// them — what ad-hoc simulation call sites
     /// and a runner without a store directory use; a runner with
     /// [`crate::Runner::with_store_dir`] plants an enabled broker per
     /// work unit. Either way the simulated results are bit-identical: the
@@ -55,7 +56,7 @@ pub struct LayerCtx {
     pub tiles: TileBroker,
     /// Reusable per-worker scratch buffers ([`crate::scratch`]): tiles,
     /// key strings, signature and schedule buffers recycle across units
-    /// instead of re-allocating per sample, and the SUDS signature
+    /// instead of re-allocating per sample, and the signature
     /// tables across layers and jobs. `Default` works standalone, so
     /// ad-hoc `LayerCtx` construction needs no setup; scratch never
     /// influences results (buffers are overwritten before reading, and

@@ -14,17 +14,18 @@
 //! to the layer's true tile count, and the scheduling utilization comes
 //! from running the macro-step pipeline on the sampled stream.
 
-use super::{sample_tile, tile_density, Architecture, LayerCtx, SimError};
+use super::{tile_density, Architecture, LayerCtx, SimError};
 use crate::config::SimConfig;
 use crate::memory;
 use crate::profile::{
     LayerProfile, MacBreakdown, ProfileConfig, RowOccupancy, StallBreakdown, SudsStats, TileStat,
 };
 use crate::report::{LayerReport, OpCounts};
-use crate::store::{TileKey, TileOutcome};
+use crate::scratch::Scratch;
+use crate::store::{TileBroker, TileKey, TileOutcome};
 use eureka_core::schedule::{
-    schedule_grouped, schedule_grouped_with_sink, schedule_natural, schedule_natural_with_sink,
-    GroupingBuffers, NullSink, PipelineReport, ProfileSink, StepProfile, SystolicConfig,
+    schedule_grouped_with_sink, schedule_natural_with_sink, GroupingBuffers, NullSink,
+    PipelineReport, ProfileSink, StepProfile, SystolicConfig,
 };
 use eureka_core::suds;
 use eureka_models::workload::LayerGemm;
@@ -183,34 +184,33 @@ const SIGNATURE_MAX_LEN: usize = 16;
 /// One base-17 digit per row length: 17⁴ = 83,521 entries.
 const SIGNATURE_ENTRIES: usize = (SIGNATURE_MAX_LEN + 1).pow(SIGNATURE_ROWS as u32);
 /// Marks a filled table entry; an empty entry is all zeros.
-const FILLED: u32 = 1 << 31;
+const FILLED: u16 = 1 << 15;
 
-/// Lazily filled outcome tables for the SUDS timers at the paper
+/// Lazily filled outcome tables for the sampled timers at the paper
 /// geometry, one per timer (paper §3.2: "the cases for small 4×4, 4×8
 /// matrices can be enumerated exhaustively").
 ///
-/// Every SUDS timer's [`TileOutcome`] is a pure function of the tile's
-/// row lengths, so a 4-row tile whose rows hold at most 16 non-zeros is
-/// timed once per signature and looked up after that. A table is
-/// allocated (334 KB) only when its timer first runs at that geometry;
-/// it lives with the [`crate::scratch::Scratch`] that holds it, so a
-/// worker fills it once for every layer and job it simulates.
+/// Every sampled timer's [`TileOutcome`] is a pure function of the
+/// tile's row lengths, so a 4-row tile whose rows hold at most 16
+/// non-zeros is timed once per signature and looked up after that. A
+/// table is allocated (167 KB) only when its timer first runs at that
+/// geometry; it lives with the [`crate::scratch::Scratch`] that holds
+/// it, so a worker fills it once for every layer and job it simulates.
 #[derive(Debug, Default)]
 pub struct SignatureTables {
     tables: Vec<SignatureTable>,
 }
 
 impl SignatureTables {
-    /// `timer`'s table for `p × q` tiles: `None` unless `timer` plans
-    /// SUDS displacement and the geometry is the paper's (`p = 4`,
-    /// `q ≤ 16`). Max-row, dense and 2:4 tiles cost less to time than to
-    /// look up, and other geometries overflow the signature.
+    /// `timer`'s table for `p × q` tiles: `None` unless `timer` is a
+    /// sampled one (max-row or a SUDS planner) and the geometry is the
+    /// paper's (`p = 4`, `q ≤ 16`). Dense and 2:4 tiles take a uniform
+    /// time, and other geometries overflow the signature.
     pub fn get(&mut self, timer: TileTimer, p: usize, q: usize) -> Option<&mut SignatureTable> {
-        let suds = matches!(
-            timer,
-            TileTimer::GreedySuds | TileTimer::OptimalSuds | TileTimer::MultiStepSuds(_)
-        );
-        if !suds || p != SIGNATURE_ROWS || q > SIGNATURE_MAX_LEN {
+        if matches!(timer, TileTimer::Dense | TileTimer::TwoFour)
+            || p != SIGNATURE_ROWS
+            || q > SIGNATURE_MAX_LEN
+        {
             return None;
         }
         let i = match self.tables.iter().position(|t| t.timer == timer) {
@@ -233,17 +233,17 @@ impl SignatureTables {
 pub struct SignatureTable {
     timer: TileTimer,
     /// Indexed by the row lengths as base-17 digits. A filled entry packs
-    /// the cycles (bits 0–7), the displaced count (bits 8–15) and the
-    /// base row plus one, or 0 for none (bits 16–23), under [`FILLED`].
-    entries: Box<[u32]>,
+    /// the cycles (bits 0–4), the displaced count (bits 5–11) and the
+    /// base row plus one, or 0 for none (bits 12–14), under [`FILLED`].
+    entries: Box<[u16]>,
 }
 
 impl SignatureTable {
     /// The outcome of a tile with row lengths `lens` under this table's
     /// timer. On a miss `direct` times the tile — it must return
     /// [`TileTimer::outcome`] of a tile with these row lengths — and the
-    /// entry is filled from its result. Row lengths beyond 16 always go
-    /// to `direct`.
+    /// entry is filled from its result, unless a field overflows its
+    /// bits. Row lengths beyond 16 always go to `direct`.
     pub fn outcome(
         &mut self,
         lens: [usize; SIGNATURE_ROWS],
@@ -258,24 +258,19 @@ impl SignatureTable {
         let nnz = lens.iter().sum::<usize>() as u64;
         let entry = self.entries[index];
         if entry & FILLED != 0 {
-            let base = (entry >> 16) & 0xff;
+            let base = (entry >> 12) & 0x7;
             return TileOutcome {
-                cycles: u64::from(entry & 0xff),
-                displaced: u64::from((entry >> 8) & 0xff),
-                base_row: (base != 0).then(|| base as usize - 1),
+                cycles: u64::from(entry & 0x1f),
+                displaced: u64::from((entry >> 5) & 0x7f),
+                base_row: (base != 0).then(|| usize::from(base) - 1),
                 nnz,
             };
         }
         let o = direct();
         debug_assert_eq!(o.nnz, nnz, "direct timing of another signature");
-        let fields = (
-            u8::try_from(o.cycles),
-            u8::try_from(o.displaced),
-            o.base_row.map_or(Ok(0), |b| u8::try_from(b + 1)),
-        );
-        if let (Ok(cycles), Ok(displaced), Ok(base)) = fields {
-            self.entries[index] =
-                FILLED | u32::from(cycles) | u32::from(displaced) << 8 | u32::from(base) << 16;
+        let base = o.base_row.map_or(0, |b| b as u64 + 1);
+        if o.cycles < 1 << 5 && o.displaced < 1 << 7 && base < 1 << 3 {
+            self.entries[index] = FILLED | (o.cycles | o.displaced << 5 | base << 12) as u16;
         }
         o
     }
@@ -363,20 +358,113 @@ impl OneSided {
             ScheduleMode::Grouped => schedule_grouped_with_sink(times, sys, grouping, sink),
         }
     }
+}
 
-    /// Cycles and displaced-element count for one sampled tile.
-    fn time_tile(&self, tile: &TilePattern) -> (u64, u64) {
-        let (t, disp, _) = self.time_tile_full(tile);
-        (t, disp)
+/// Resolves sampled tiles from their row masks in the one order every
+/// sampled timer follows: the timer's signature table when the geometry
+/// has one; on a table miss, or with no table, the tile store when one
+/// is attached, keyed with [`TileTimer::key_into`]; otherwise the timer
+/// itself. A worker therefore keys each distinct signature at most once
+/// per table. Every outcome is the same pure function of the row
+/// lengths, so the order changes no result.
+struct Resolver<'s> {
+    timer: TileTimer,
+    q: usize,
+    tiles: &'s TileBroker,
+    table: Option<&'s mut SignatureTable>,
+    tile: &'s mut TilePattern,
+    lens: &'s mut Vec<usize>,
+    token: &'s mut String,
+    tag: &'s mut String,
+    key: &'s mut String,
+    /// Tiles the table served, to count as store hits in
+    /// [`Resolver::finish`].
+    table_hits: u64,
+}
+
+impl<'s> Resolver<'s> {
+    /// Splits `scratch` into a resolver for `timer` on `p × q` tiles and
+    /// the buffers it leaves free: the row masks, the time stream and the
+    /// grouping working set.
+    fn split(
+        scratch: &'s mut Scratch,
+        timer: TileTimer,
+        p: usize,
+        q: usize,
+        tiles: &'s TileBroker,
+    ) -> (
+        Self,
+        &'s mut Vec<u64>,
+        &'s mut Vec<u64>,
+        &'s mut GroupingBuffers,
+    ) {
+        let Scratch {
+            masks,
+            tile,
+            lens,
+            token,
+            key,
+            tag,
+            times,
+            tables,
+            grouping,
+        } = scratch;
+        let resolver = Resolver {
+            timer,
+            q,
+            tiles,
+            table: tables.get(timer, p, q),
+            tile,
+            lens,
+            token,
+            tag,
+            key,
+            table_hits: 0,
+        };
+        (resolver, masks, times, grouping)
     }
 
-    /// [`Self::time_tile`] plus the SUDS plan's base row (for the
-    /// profiler's rotation statistics). The base row falls out of the
-    /// plan the timer already builds, so reporting it draws no extra
-    /// randomness and changes no timing.
-    fn time_tile_full(&self, tile: &TilePattern) -> (u64, u64, Option<usize>) {
-        let o = self.timer.outcome(tile);
-        (o.cycles, o.displaced, o.base_row)
+    /// The outcome of the tile whose rows are `masks`.
+    fn outcome(&mut self, masks: &[u64]) -> TileOutcome {
+        let Resolver {
+            timer,
+            q,
+            tiles,
+            table,
+            tile,
+            lens,
+            token,
+            tag,
+            key,
+            table_hits,
+        } = self;
+        let mut untabled = || {
+            tile.reset_from_rows(masks, *q)
+                .expect("q validated by caller");
+            let keyed = tiles.is_enabled() && timer.key_into(tile, lens, token, tag, key);
+            tiles.resolve_str(keyed.then_some(key.as_str()), || timer.outcome(tile))
+        };
+        let Some(table) = table.as_deref_mut() else {
+            return untabled();
+        };
+        let signature = std::array::from_fn(|r| masks[r].count_ones() as usize);
+        let mut missed = false;
+        let o = table.outcome(signature, || {
+            missed = true;
+            untabled()
+        });
+        if !missed {
+            *table_hits += 1;
+        }
+        o
+    }
+
+    /// Counts the table's hits as store lookups and hits, once per
+    /// layer: a table entry is filled only through a store lookup of
+    /// its key, so with a store attached each table hit stands for a
+    /// store hit.
+    fn finish(self) {
+        self.tiles.count_hits(self.table_hits);
     }
 }
 
@@ -454,25 +542,12 @@ impl OneSided {
             let n_sl = (cfg.slice_samples as u64).min(slices).max(1);
             // Check one scratch set out for the whole layer: the tile,
             // its key strings and the time stream all recycle buffers
-            // across samples (and across layers, via the pool).
+            // across samples (and across layers, via the pool). The tile
+            // is always *sampled* (identical RNG draws however it is
+            // resolved); only its timing is looked up.
             let mut scratch = ctx.scratch.acquire();
-            let crate::scratch::Scratch {
-                masks,
-                tile,
-                lens,
-                token,
-                key,
-                tag,
-                times,
-                tables,
-                grouping,
-            } = &mut *scratch;
-            let mut table = tables.get(self.timer, p, q);
-            let time_directly = |tile: &mut TilePattern, masks: &[u64]| {
-                tile.reset_from_rows(masks, q)
-                    .expect("q validated by caller");
-                self.timer.outcome(tile)
-            };
+            let (mut resolver, masks, times, grouping) =
+                Resolver::split(&mut scratch, self.timer, p, q, &ctx.tiles);
             times.clear();
             times.reserve((n_rg * n_sl) as usize);
             let (mut sum_t, mut sum_nnz, mut sum_disp) = (0f64, 0f64, 0f64);
@@ -493,26 +568,11 @@ impl OneSided {
                         cfg.row_density_sigma,
                         &mut rng,
                     );
-                    // With a store attached, resolve through it: the
-                    // tile is always *sampled* (identical RNG draws hot
-                    // or cold), only its timing memoizes. `outcome` is a
-                    // pure function of the canonical key, so a store hit
-                    // is bit-identical to the skipped computation.
-                    // Without one, a SUDS timer at the paper geometry
-                    // reads its signature table, and every other timer
-                    // times the tile directly.
-                    let o = if ctx.tiles.is_enabled() {
-                        tile.reset_from_rows(masks, q)
-                            .expect("q validated by caller");
-                        let keyed = self.timer.key_into(tile, lens, token, tag, key);
-                        ctx.tiles
-                            .resolve_str(keyed.then_some(key.as_str()), || self.timer.outcome(tile))
-                    } else if let Some(table) = table.as_deref_mut() {
-                        let signature = std::array::from_fn(|r| masks[r].count_ones() as usize);
-                        table.outcome(signature, || time_directly(tile, masks))
-                    } else {
-                        time_directly(tile, masks)
-                    };
+                    // The signature table first, then the tile store
+                    // when one is attached, then the timer itself (see
+                    // `Resolver`): a store hit or a table hit is
+                    // bit-identical to the timing it skips.
+                    let o = resolver.outcome(masks);
                     let (t, disp, base_row) = (o.cycles, o.displaced, o.base_row);
                     times.push(t);
                     sum_t += t as f64;
@@ -535,6 +595,7 @@ impl OneSided {
                     }
                 }
             }
+            resolver.finish();
             let count = times.len() as f64;
             let sys = SystolicConfig {
                 rows,
@@ -840,7 +901,9 @@ pub fn eureka_no_suds_p4() -> OneSided {
 /// engine samples, times *every* tile, and runs the real scheduler over
 /// the complete stream. `O(tiles)` — used to validate the sampling
 /// methodology (see the `sampling_matches_exact_enumeration` test) and
-/// for small layers where exactness is cheap.
+/// for small layers where exactness is cheap. Tiles resolve through the
+/// same scratch, signature tables and schedule buffers as the sampled
+/// engine.
 #[must_use]
 pub fn exact_layer_compute_cycles(
     arch: &OneSided,
@@ -859,14 +922,19 @@ pub fn exact_layer_compute_cycles(
     // log-normal heterogeneity — the sampling engine's distribution.
     let rowgroups = n.div_ceil(p);
     let slices = k.div_ceil(q);
-    let mut times = Vec::with_capacity(rowgroups * slices);
+    let mut scratch = ctx.scratch.acquire();
+    let (mut resolver, masks, times, grouping) =
+        Resolver::split(&mut scratch, arch.timer, p, q, &ctx.tiles);
+    times.clear();
+    times.reserve(rowgroups * slices);
     let mut busy = 0u64;
     for rg in 0..rowgroups {
         let rows_live = p.min(n - rg * p);
         for si in 0..slices {
             let cols_live = q.min(k - si * q);
             let d = tile_density(gemm, &mut rng);
-            let tile = sample_tile(
+            super::sample_masks_into(
+                masks,
                 p,
                 q,
                 rows_live,
@@ -875,20 +943,18 @@ pub fn exact_layer_compute_cycles(
                 cfg.row_density_sigma,
                 &mut rng,
             );
-            let (t, _) = arch.time_tile(&tile);
+            let t = resolver.outcome(masks).cycles;
             times.push(t);
             busy += t;
         }
     }
+    resolver.finish();
     let sys = SystolicConfig {
         rows,
         stages,
         window: cfg.core.window,
     };
-    let pipe = match arch.schedule {
-        ScheduleMode::Natural => schedule_natural(&times, &sys),
-        ScheduleMode::Grouped => schedule_grouped(&times, &sys),
-    };
+    let pipe = arch.run_schedule(times, &sys, grouping, &mut NullSink);
     let colgroups = m.div_ceil(p) as u64;
     let passes = colgroups.div_ceil(stages as u64);
     let busy_row_cycles = busy as f64 * passes as f64;
@@ -1097,6 +1163,7 @@ mod tests {
             TileTimer::OptimalSuds,
             TileTimer::GreedySuds,
             TileTimer::MultiStepSuds(2),
+            TileTimer::MaxRow,
         ] {
             let table = tables.get(timer, 4, 16).expect("paper geometry");
             let signatures = || {
@@ -1106,15 +1173,18 @@ mod tests {
             for lens in signatures() {
                 table.outcome(lens, || timer.outcome(&tile_of(lens)));
             }
+            // Every outcome fits the 16-bit entry layout.
+            let filled = table.entries.iter().filter(|&&e| e & FILLED != 0).count();
+            assert_eq!(filled, SIGNATURE_ENTRIES, "{timer:?}");
             // Second pass: every signature hits, and unpacks exactly.
             for lens in signatures() {
                 let got = table.outcome(lens, || panic!("{timer:?} {lens:?} missed"));
                 assert_eq!(got, timer.outcome(&tile_of(lens)), "{timer:?} {lens:?}");
             }
         }
-        // Max-row, uniform timers and other geometries time directly.
-        assert!(tables.get(TileTimer::MaxRow, 4, 16).is_none());
+        // Uniform timers and other geometries time directly.
         assert!(tables.get(TileTimer::Dense, 4, 4).is_none());
+        assert!(tables.get(TileTimer::TwoFour, 4, 4).is_none());
         assert!(tables.get(TileTimer::OptimalSuds, 8, 32).is_none());
         assert!(tables.get(TileTimer::OptimalSuds, 4, 32).is_none());
     }

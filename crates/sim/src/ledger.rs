@@ -118,10 +118,37 @@ pub fn record_key(kind: &str, label: &str) -> String {
 
 /// The `metrics_digest` of a deterministic metrics snapshot (such as
 /// [`eureka_obs::metrics::Registry::snapshot_json`]`(false)`): FNV-1a, rendered
-/// as 16 hex digits.
+/// as 16 hex digits, over the snapshot without the counters that say
+/// which memo tier served the run (`cache.*`, `checkpoint.*`, `store.*`,
+/// `runner.units_{cached,executed,from_store}`). The digest covers only
+/// what the work itself fixes, so a run served by unit records or tile
+/// shards digests like a plain run of the same work.
 #[must_use]
 pub fn metrics_digest(snapshot: &str) -> String {
-    format!("{:016x}", fnv1a64(snapshot.as_bytes()))
+    let kept = match json::parse(snapshot) {
+        Ok(Value::Obj(mut sections)) => {
+            for (section, metrics) in &mut sections {
+                if let ("counters", Value::Obj(counters)) = (section.as_str(), metrics) {
+                    counters.retain(|(name, _)| !is_memo_counter(name));
+                }
+            }
+            Value::Obj(sections).to_json()
+        }
+        _ => snapshot.to_string(),
+    };
+    format!("{:016x}", fnv1a64(kept.as_bytes()))
+}
+
+/// Whether counter `name` says which memo tier served a run rather than
+/// what the run computed (see [`metrics_digest`]).
+fn is_memo_counter(name: &str) -> bool {
+    ["cache.", "checkpoint.", "store."]
+        .iter()
+        .any(|tier| name.starts_with(tier))
+        || matches!(
+            name,
+            "runner.units_cached" | "runner.units_executed" | "runner.units_from_store"
+        )
 }
 
 /// Best-effort `git describe --always --dirty` of the working tree;
@@ -634,6 +661,22 @@ mod tests {
             drift.render()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_digest_ignores_memo_counters_only() {
+        let snapshot = |planned: u64, memo: u64| {
+            format!(
+                "{{\"counters\":{{\"cache.hits\":{memo},\"checkpoint.hits\":{memo},\
+                 \"runner.jobs\":1,\"runner.units_cached\":{memo},\
+                 \"runner.units_executed\":{memo},\"runner.units_from_store\":{memo},\
+                 \"runner.units_planned\":{planned},\"store.lookups\":{memo}}},\
+                 \"gauges\":{{}},\"histograms\":{{}}}}"
+            )
+        };
+        let plain = metrics_digest(&snapshot(27, 0));
+        assert_eq!(metrics_digest(&snapshot(27, 9)), plain);
+        assert_ne!(metrics_digest(&snapshot(28, 0)), plain);
     }
 
     #[test]

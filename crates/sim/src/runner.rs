@@ -74,14 +74,14 @@
 //! Only with [`Runner::with_store_dir`] does a second, finer memoization
 //! layer join in: the content-addressed tile store ([`crate::store`]).
 //! Planning plants a [`TileBroker`] in every unit's [`LayerCtx`]; it is
-//! disabled by default, so tile-timer architectures time each sampled
-//! tile directly, without keying it — timing a tile costs less than
-//! canonicalizing and looking it up. With a store directory the broker
-//! is enabled, and each sampled tile resolves through it, so tiles with
-//! equal canonical row-length signatures are simulated once per runner
-//! and its clones (hot tier) and once *ever* (disk shards). It serves
-//! the units that do execute: those without a record and every profiled
-//! unit. A unit whose tiles all came from the store still executes (its
+//! disabled by default, so tile-timer architectures never key a sampled
+//! tile — timing a tile costs less than canonicalizing and looking it
+//! up. With a store directory the broker is enabled, and each sampled
+//! tile that its worker's signature table misses resolves through it,
+//! so tiles with equal canonical row-length signatures are simulated
+//! once per runner and its clones (hot tier) and once *ever* (disk
+//! shards). It serves the units that do execute: those without a record
+//! and every profiled unit. A unit whose tiles all came from the store still executes (its
 //! RNG streams advance identically, keeping reports bit-identical to a
 //! cold run) but performs
 //! zero tile simulations; such units count toward
@@ -551,7 +551,8 @@ pub struct Runner {
     tiles: Option<Arc<TileStore>>,
     /// Scratch sets for the units' hot loops, shared like the records:
     /// at most one set per concurrent worker, whose signature tables
-    /// outlive every job this runner and its clones run.
+    /// outlive every job this runner and its clones run (but not a
+    /// change of store directory).
     scratch: ScratchPool,
     events: Events,
     /// The span collector, shared by the runner's clones.
@@ -678,6 +679,9 @@ impl Runner {
         let dir = dir.into();
         self.tiles = Some(Arc::new(TileStore::new(&dir, self.metrics().clone())));
         self.records = Arc::new(UnitRecords::in_dir(dir));
+        // Signature tables answer for the store: an entry filled before
+        // this store was attached would never reach it.
+        self.scratch = ScratchPool::default();
         self
     }
 

@@ -50,7 +50,7 @@ pub struct Scratch {
     pub tag: String,
     /// Per-sample resolved tile times feeding the systolic schedule.
     pub times: Vec<u64>,
-    /// The SUDS timers' signature tables: unlike the buffers, these
+    /// The sampled timers' signature tables: unlike the buffers, these
     /// carry entries across checkouts.
     pub tables: SignatureTables,
     /// The offline scheduler's working set.

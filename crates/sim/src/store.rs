@@ -33,7 +33,16 @@
 //! [`crate::Runner::with_store_dir`] and shares with its clones. Within
 //! one process, keying and looking a tile up costs more than timing it,
 //! so a runner without a store directory has no tile store and plants
-//! disabled brokers: its tiles are timed directly and never keyed.
+//! disabled brokers: its tiles are never keyed.
+//!
+//! The store sits behind each worker's signature tables
+//! ([`crate::arch::onesided::SignatureTables`]): a sampled tile at the
+//! paper geometry reads its timer's table first, and only a table miss
+//! renders a key and comes here. A table entry is filled only through a
+//! lookup of its key, so each table hit stands for a store hit; the
+//! one-sided engine adds a layer's table hits to the counters in one
+//! batch (`TileBroker::count_hits`). The counters, each unit's source
+//! and the shard records are therefore what keying every tile gives.
 //!
 //! # Metrics
 //!
@@ -310,6 +319,18 @@ impl TileStore {
             }
         }
         (out, served)
+    }
+
+    /// Counts `n` lookups answered before they reached this store, by a
+    /// worker's signature table, as `n` lookups and `n` hits: a table
+    /// entry is filled only through a lookup of its key here, so each
+    /// of them would have hit.
+    pub(crate) fn count_hits(&self, n: u64) {
+        if n > 0 {
+            let t = self.tel();
+            t.lookups.add(n);
+            t.hits.add(n);
+        }
     }
 
     /// Persists the tiles computed since the last flush
@@ -682,6 +703,16 @@ impl TileBroker {
             inner.computes.fetch_add(1, Ordering::Relaxed);
         }
         out
+    }
+
+    /// Tallies `n` lookups that a signature table answered as store
+    /// hits ([`TileStore::count_hits`]); a disabled broker counts
+    /// nothing.
+    pub(crate) fn count_hits(&self, n: u64) {
+        if let Some(inner) = &self.inner {
+            inner.lookups.fetch_add(n, Ordering::Relaxed);
+            inner.store.count_hits(n);
+        }
     }
 
     /// `(lookups, computes)` this broker has tallied.

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # The one definition of CI: format, lints, tests, docs, experiment
-# smokes and regression gates, in six stages.
+# smokes and regression gates, in seven stages.
 #
 #   scripts/ci.sh            run every stage in order
 #   scripts/ci.sh <stage>    run one stage (each GitHub CI job runs one)
 #
-# Stages: checks, store, events-ledger, verify, faults, chaos. Each
+# Stages: checks, paper, store, events-ledger, verify, faults, chaos. Each
 # stage starts from an empty target/ci/<stage>/ and writes every file
 # it makes there, which is what CI uploads. When GITHUB_RUN_ID is set,
 # the verify, faults and chaos stages also run a pass seeded by it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-stages=(checks store events-ledger verify faults chaos)
+stages=(checks paper store events-ledger verify faults chaos)
 usage() {
     echo "usage: scripts/ci.sh [stage]; stages: ${stages[*]}" >&2
     exit 2
@@ -81,6 +81,22 @@ stage_checks() {
     eureka profile --benchmark mobilenetv1 --arch eureka-p4 --fast --no-ledger \
         --bench-json "$out/BENCH_ci.json"
     python3 -m json.tool "$out/BENCH_ci.json" > /dev/null
+}
+
+stage_paper() {
+    # Every figure at paper sampling: tests/golden's top-level files pin
+    # fast sampling, whose smaller sample counts a change can leave
+    # alone while it moves paper-scale numbers. reproduce writes each
+    # figure's text and CSV, which must equal tests/golden/paper.
+    cargo build --release -q -p eureka-bench --bin reproduce
+    target/release/reproduce "$out" > "$out/reproduce.log"
+    local file
+    for file in "$out"/*.txt "$out"/*.csv; do
+        [ -e "tests/golden/paper/${file##*/}" ] || { echo "no golden for $file" >&2; exit 1; }
+    done
+    for file in tests/golden/paper/*; do
+        cmp "$file" "$out/${file##*/}"
+    done
 }
 
 stage_store() {

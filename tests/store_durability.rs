@@ -409,3 +409,102 @@ fn concurrent_runners_share_one_directory_without_damage() {
     assert_eq!(checkpoint_counts(&runner), (units as u64, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every record line of `dir`'s tile shards, sorted.
+fn shard_records(dir: &Path) -> Vec<String> {
+    let mut records: Vec<String> = shard_files(dir)
+        .iter()
+        .flat_map(|file| {
+            let text = std::fs::read_to_string(file).unwrap();
+            text.lines().skip(1).map(str::to_string).collect::<Vec<_>>()
+        })
+        .collect();
+    records.sort();
+    records
+}
+
+/// `(lookups, hits, misses, inserts)` of `runner`'s `store.*` counters.
+fn store_tally(runner: &Runner) -> (u64, u64, u64, u64) {
+    let (lookups, hits, misses) = store_counts(runner);
+    (lookups, hits, misses, count(runner, "store.inserts"))
+}
+
+/// One architecture per sampled timer at the paper geometry (optimal,
+/// greedy, reach-2 and max-row, at compaction factors 1, 2 and 4), so
+/// each of their signature tables serves part of a run.
+fn tabled_archs() -> Vec<Box<dyn arch::Architecture>> {
+    [
+        "eureka-p4",
+        "eureka-p2",
+        "greedy-suds",
+        "eureka-reach2",
+        "cnvlutin",
+        "eureka-unopt",
+    ]
+    .into_iter()
+    .map(|name| arch::by_name(name).expect("registered"))
+    .collect()
+}
+
+fn jobs_of<'a>(archs: &'a [Box<dyn arch::Architecture>], w: &'a Workload) -> Vec<SimJob<'a>> {
+    archs
+        .iter()
+        .map(|a| SimJob::new(a.as_ref(), w, test_cfg()))
+        .collect()
+}
+
+/// A store-filling run counts the same store lookups, hits, misses and
+/// inserts, and writes the same shard records, at one worker and at
+/// four: each worker's signature table answers only for keys the store
+/// already holds.
+#[test]
+fn store_tally_and_shards_do_not_depend_on_the_worker_count() {
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let archs = tabled_archs();
+    let jobs = jobs_of(&archs, &w);
+    let mut runs = Vec::new();
+    for workers in [1, 4] {
+        let dir = fresh_dir(&format!("workers{workers}"));
+        let runner = Runner::with_jobs(workers).with_store_dir(&dir);
+        let reports = runner.run_all(&jobs);
+        runs.push((reports, store_tally(&runner), shard_records(&dir)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (serial, parallel) = (&runs[0], &runs[1]);
+    assert_eq!(serial.0, parallel.0, "reports");
+    let (lookups, hits, misses, inserts) = serial.1;
+    assert!(misses > 0 && hits > misses, "{:?}", serial.1);
+    assert_eq!((lookups, inserts), (hits + misses, misses));
+    assert_eq!(
+        serial.1, parallel.1,
+        "store.{{lookups,hits,misses,inserts}}"
+    );
+    assert_eq!(serial.2.len() as u64, inserts, "one record per insert");
+    assert_eq!(serial.2, parallel.2, "shard records");
+}
+
+/// A runner that ran without a store and then gained one persists every
+/// key its run resolves: the signature tables it filled before are not
+/// carried over to answer for the new store.
+#[test]
+fn a_runner_that_gains_a_store_persists_every_key() {
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let archs = tabled_archs();
+    let jobs = jobs_of(&archs, &w);
+    let (fresh_dir_, gained_dir) = (fresh_dir("fresh-store"), fresh_dir("gained-store"));
+
+    let fresh = Runner::serial().with_store_dir(&fresh_dir_);
+    let want = fresh.run_all(&jobs);
+
+    let plain = Runner::serial();
+    assert_eq!(plain.run_all(&jobs), want);
+    let gained = plain.with_store_dir(&gained_dir);
+    assert_eq!(gained.run_all(&jobs), want);
+
+    assert_eq!(store_tally(&gained), store_tally(&fresh));
+    let records = shard_records(&fresh_dir_);
+    assert!(!records.is_empty());
+    assert_eq!(shard_records(&gained_dir), records);
+    let _ = std::fs::remove_dir_all(&fresh_dir_);
+    let _ = std::fs::remove_dir_all(&gained_dir);
+}
