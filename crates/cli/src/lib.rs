@@ -2207,7 +2207,8 @@ mod tests {
         .map(ToString::to_string)
         .collect();
         // Each command builds its own runner, so the warm run below
-        // starts with an empty hot tier and can only be served from disk.
+        // starts with empty in-memory records and can only be served from
+        // disk.
         let cold = run(&parse(args.clone()).unwrap()).unwrap();
         let files_with = |ext: &str| -> Vec<std::path::PathBuf> {
             std::fs::read_dir(&dir)

@@ -13,7 +13,7 @@
 //!   byte-identical across reruns of the same work (the `runner.*` /
 //!   `cache.*` / `checkpoint.*` unit accounting and the `store.*`
 //!   tile-store family: `store.lookups` / `hits` / `misses` / `inserts`
-//!   / `evictions` / `errors`).
+//!   / `errors`).
 //! * [`Class::Timing`] — wall-clock derived (exec-time histograms,
 //!   utilization); excluded from the deterministic snapshot **by
 //!   design** so `snapshot_json(false)` can be diffed across runs.

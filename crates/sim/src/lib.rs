@@ -62,9 +62,7 @@ pub use backoff::BackoffPolicy;
 pub use config::{MemoryConfig, SimConfig, TensorCoreConfig};
 pub use journal::{Journal, JournalState};
 pub use ledger::{DiffReport, LedgerRecord};
-pub use outcome::{
-    render_failure_report, FailureKind, JobOutcome, RetryPolicy, TransientKinds, UnitFailure,
-};
+pub use outcome::{render_failure_report, FailureKind, JobOutcome, RetryPolicy, UnitFailure};
 pub use profile::{
     LayerProfile, MacBreakdown, ProfileConfig, RowOccupancy, SimProfile, StallBreakdown, SudsStats,
     TileStat,

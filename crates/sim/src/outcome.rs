@@ -171,44 +171,25 @@ impl JobOutcome {
     }
 }
 
-/// Which failure kinds a [`RetryPolicy`] treats as transient.
-///
-/// [`SimError::Unsupported`] is *never* retried regardless of these
-/// flags: it is a declared permanent incompatibility, and retrying a
-/// pure function on identical inputs cannot change a deterministic
-/// refusal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TransientKinds {
-    /// Retry units that panicked.
-    pub panic: bool,
-    /// Retry units that returned a non-`Unsupported` [`SimError`].
-    pub sim_error: bool,
-}
-
 /// Bounded deterministic retry policy for failed work units.
 ///
 /// Retrying re-executes the same pure unit on the same inputs, so under
 /// real (deterministic) failures a retry reproduces the failure and the
 /// policy only bounds wasted work; its value is for genuinely transient
 /// faults (and the fault-injection layer models exactly those via
-/// per-attempt [`crate::faults::FaultSpec::fail_first`] counters).
+/// per-attempt [`crate::faults::FaultSpec::fail_first`] counters). Panics
+/// and [`SimError`]s are retried; [`SimError::Unsupported`] never is: it
+/// is a declared permanent incompatibility, and retrying a pure function
+/// on identical inputs cannot change a deterministic refusal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per unit, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Which failure kinds are eligible for retry.
-    pub only: TransientKinds,
 }
 
 impl RetryPolicy {
     /// No retries: one attempt per unit (the default).
-    pub const NONE: RetryPolicy = RetryPolicy {
-        max_attempts: 1,
-        only: TransientKinds {
-            panic: false,
-            sim_error: false,
-        },
-    };
+    pub const NONE: RetryPolicy = RetryPolicy { max_attempts: 1 };
 
     /// No retries: one attempt per unit.
     #[must_use]
@@ -216,16 +197,12 @@ impl RetryPolicy {
         Self::NONE
     }
 
-    /// Retry both transient kinds with at most `max_attempts` total
-    /// attempts per unit.
+    /// Retry panics and simulation errors with at most `max_attempts`
+    /// total attempts per unit.
     #[must_use]
     pub fn transient(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            only: TransientKinds {
-                panic: true,
-                sim_error: true,
-            },
         }
     }
 
@@ -237,10 +214,10 @@ impl RetryPolicy {
             return false;
         }
         match kind {
-            FailureKind::Panic => self.only.panic,
-            // Permanent by definition: see `TransientKinds`.
+            FailureKind::Panic => true,
+            // Permanent by definition: see the type's docs.
             FailureKind::Sim(SimError::Unsupported { .. }) => false,
-            FailureKind::Sim(_) => self.only.sim_error,
+            FailureKind::Sim(_) => true,
             // The token stays fired; retrying would observe it again.
             FailureKind::Cancelled => false,
         }
@@ -344,6 +321,11 @@ mod tests {
             "a fired cancel token never un-fires"
         );
         assert!(p.should_retry(&FailureKind::Panic, 1));
+        let injected = FailureKind::Sim(SimError::Injected { site: "l0".into() });
+        assert!(
+            p.should_retry(&injected, 1),
+            "other sim errors are transient"
+        );
         assert!(p.should_retry(&FailureKind::Panic, 4));
         assert!(!p.should_retry(&FailureKind::Panic, 5), "budget exhausted");
         assert!(!RetryPolicy::none().should_retry(&FailureKind::Panic, 1));

@@ -79,8 +79,8 @@
 //! up. With a store directory the broker is enabled, and each sampled
 //! tile that its worker's signature table misses resolves through it,
 //! so tiles with equal canonical row-length signatures are simulated
-//! once per runner and its clones (hot tier) and once *ever* (disk
-//! shards). It serves the units that do execute: those without a record
+//! once per store directory: the shard maps hold each record read or
+//! computed, and a flush appends the new ones. It serves the units that do execute: those without a record
 //! and every profiled unit. A unit whose tiles all came from the store still executes (its
 //! RNG streams advance identically, keeping reports bit-identical to a
 //! cold run) but performs
@@ -652,7 +652,7 @@ impl Runner {
 
     /// Detaches any store directory from this runner, with fresh
     /// in-memory unit records: no records from a directory, and every
-    /// sampled tile is timed directly, with no hot tier and no disk I/O.
+    /// sampled tile is timed directly, with no tile store and no disk I/O.
     /// This is the default. Output is bit-identical either way — the
     /// store only removes redundant work.
     #[must_use]
@@ -670,10 +670,10 @@ impl Runner {
     /// unit replays before any tile sampling, keying or timing runs. The
     /// runner reads the directory's records once, on its first lookup
     /// that misses memory. Tile outcomes go through a fresh
-    /// [`TileStore`] — a hot tier this runner shares with its clones —
-    /// to [`crate::store`] shard files beside them, serving units
-    /// without a record and [`Runner::run_profiled`], which bypasses
-    /// unit records.
+    /// [`TileStore`], shared with this runner's clones, whose shard maps
+    /// load and append [`crate::store`] shard files beside them. It
+    /// serves units without a record and [`Runner::run_profiled`], which
+    /// bypasses unit records.
     #[must_use]
     pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();

@@ -6,20 +6,19 @@
 //! tiles recur constantly — across layers, across workloads, across
 //! architectures that share a timer, and across *processes* in a sweep
 //! campaign. This module caches one [`TileOutcome`] per canonical
-//! [`TileKey`] in two tiers:
-//!
-//! * a **hot tier**: a striped hash map, consulted first by every
-//!   enabled [`TileBroker`]. Concurrent requests for the same missing key
-//!   deduplicate — exactly one computes, the rest block on the entry — so
-//!   hit/miss counts depend only on the multiset of keys, not on
-//!   scheduling;
-//! * a **disk tier** ([`DiskTier`]): 16 shard files under a store
-//!   directory, keyed by the low nibble of the key's FNV-1a hash,
-//!   following the checkpoint layer's durability discipline — versioned
-//!   `eureka-tilestore v1` header, atomic tmp+rename creation with
-//!   append-only growth (see [`DiskTier::flush`]), strict record
-//!   verification on load (a malformed or misplaced record is a
-//!   miss and a `store.errors` tick, never data and never a panic).
+//! [`TileKey`] in one map per shard of a [`DiskTier`]: 16 shard files
+//! under a store directory, keyed by the low nibble of the key's FNV-1a
+//! hash. Each shard holds, in memory, the records read from its file
+//! (once, on first touch) and the records computed since the last flush.
+//! A lookup takes its key's shard lock, checks both, and on a miss runs
+//! the caller's closure under that same lock, so concurrent requests for
+//! one missing key compute it once and hit/miss counts depend only on the
+//! multiset of keys, not on scheduling. The files follow the checkpoint
+//! layer's durability discipline: versioned `eureka-tilestore v1` header,
+//! atomic tmp+rename creation with append-only growth (see
+//! [`DiskTier::flush`]), strict record verification on load (a malformed
+//! or misplaced record is a miss and a `store.errors` tick, never data
+//! and never a panic).
 //!
 //! Keys canonicalize via [`eureka_sparse::canon`]: permutation-invariant
 //! timers collapse row orderings, order-sensitive timers keep them, and
@@ -29,8 +28,9 @@
 //! what lets a warm store skip `suds::optimize` entirely without
 //! perturbing any report.
 //!
-//! Both tiers make up one [`TileStore`], which a runner builds in
-//! [`crate::Runner::with_store_dir`] and shares with its clones. Within
+//! A [`TileStore`] is the `store.*` counters over one [`DiskTier`]; a
+//! runner builds it in [`crate::Runner::with_store_dir`] and shares it
+//! with its clones. Within
 //! one process, keying and looking a tile up costs more than timing it,
 //! so a runner without a store directory has no tile store and plants
 //! disabled brokers: its tiles are never keyed.
@@ -46,7 +46,7 @@
 //!
 //! # Metrics
 //!
-//! `store.lookups/hits/misses/inserts/evictions/errors`, all
+//! `store.lookups/hits/misses/inserts/errors`, all
 //! [`Class::Deterministic`], in the runner's registry, registered on the
 //! store's first lookup or error; `lookups == hits + misses` always, and
 //! on a fully warmed store `hits == lookups` with `misses == 0`.
@@ -54,7 +54,7 @@
 use eureka_obs::metrics::{Class, Counter, Registry};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eureka_obs::applog::fnv1a64;
@@ -76,9 +76,6 @@ const HEADER: &str = "eureka-tilestore v1";
 /// readable; files `10.tiles`..`ff.tiles` are simply never consulted
 /// (their records recompute — degraded, never wrong).
 const SHARDS: usize = 16;
-
-/// Stripe count of the hot tier's hash map.
-const STRIPES: usize = 16;
 
 /// Canonical content key of one timed tile: timer discipline (including
 /// any timer parameter, e.g. the multistep reach) plus the canonical
@@ -150,12 +147,6 @@ fn shard_of(key: &str) -> usize {
     (fnv1a64(key.as_bytes()) & (SHARDS as u64 - 1)) as usize
 }
 
-fn stripe_of(key: &str) -> usize {
-    // Use different bits than `shard_of` so one shard's keys still
-    // spread across hot-tier stripes.
-    ((fnv1a64(key.as_bytes()) >> 8) as usize) % STRIPES
-}
-
 /// The result of timing one canonical tile: everything both the plain
 /// and the profiled simulation paths consume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,25 +163,12 @@ pub struct TileOutcome {
     pub nnz: u64,
 }
 
-/// Where a lookup was satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Served {
-    /// Present in the hot tier (or computed concurrently by another
-    /// worker — the entry deduplicates).
-    Hot,
-    /// Loaded from a disk shard and promoted to the hot tier.
-    Disk,
-    /// Missing everywhere: the caller's closure simulated it.
-    Computed,
-}
-
 /// Handles to the `store.*` counters.
 struct StoreTelemetry {
     lookups: Arc<Counter>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     inserts: Arc<Counter>,
-    evictions: Arc<Counter>,
     errors: Arc<Counter>,
 }
 
@@ -202,7 +180,6 @@ impl StoreTelemetry {
             hits: c("store.hits"),
             misses: c("store.misses"),
             inserts: c("store.inserts"),
-            evictions: c("store.evictions"),
             errors: c("store.errors"),
         }
     }
@@ -214,18 +191,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One hot-tier entry. The `OnceLock` is the deduplication point:
-/// whichever caller reaches an unset entry first initializes it (from
-/// disk or by computing); concurrent callers block and then read it.
-type Cell = Arc<OnceLock<TileOutcome>>;
-
-/// A runner's tile store: the hot tier over the disk tier of its store
-/// directory, counting into the runner's registry.
+/// A runner's tile store: the `store.*` counters over the disk tier of
+/// its store directory.
 pub struct TileStore {
-    stripes: Vec<Mutex<HashMap<TileKey, Cell>>>,
-    entries: AtomicUsize,
-    /// Hot-tier capacity in entries; 0 = unbounded (the default).
-    capacity: AtomicUsize,
     disk: DiskTier,
     metrics: Registry,
     /// The `store.*` counters, registered on first use, so a run that
@@ -242,14 +210,11 @@ impl std::fmt::Debug for TileStore {
 }
 
 impl TileStore {
-    /// An empty hot tier over the disk tier rooted at `dir`, counting
-    /// into `metrics`.
+    /// A store over the disk tier rooted at `dir`, counting into
+    /// `metrics`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, metrics: Registry) -> Self {
         TileStore {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            entries: AtomicUsize::new(0),
-            capacity: AtomicUsize::new(0),
             disk: DiskTier::new(dir),
             metrics,
             tel: OnceLock::new(),
@@ -260,65 +225,27 @@ impl TileStore {
         self.tel.get_or_init(|| StoreTelemetry::new(&self.metrics))
     }
 
-    /// Resolves `key`: hot tier first, then the disk tier (promoting
-    /// hits), then `compute` — which runs at most once per key in this
-    /// store, with concurrent requesters blocking on the in-flight
-    /// entry. Updates the `store.*` counters; exactly one of hit/miss
-    /// fires per call, and misses also count an insert.
-    pub fn lookup_or_compute(
-        &self,
-        key: &TileKey,
-        compute: impl FnOnce() -> TileOutcome,
-    ) -> (TileOutcome, Served) {
-        self.lookup_or_compute_str(key.as_str(), compute)
-    }
-
-    /// [`lookup_or_compute`](Self::lookup_or_compute) over the key's text
-    /// form. The hot path: an owned [`TileKey`] is only materialized when
-    /// the key is genuinely new to the hot tier (first sight of a
-    /// canonical tile), so steady-state resolution performs no
-    /// allocation.
+    /// Resolves the key with text `key` through the disk tier, calling
+    /// `compute` on a miss ([`DiskTier`] runs it at most once per key,
+    /// under the key's shard lock). Returns the outcome and whether
+    /// `compute` ran. Updates the `store.*` counters; exactly one of
+    /// hit/miss fires per call, and misses also count an insert.
     pub fn lookup_or_compute_str(
         &self,
         key: &str,
         compute: impl FnOnce() -> TileOutcome,
-    ) -> (TileOutcome, Served) {
+    ) -> (TileOutcome, bool) {
         let t = self.tel();
         t.lookups.inc();
-        let cell = {
-            let mut map = lock(&self.stripes[stripe_of(key)]);
-            match map.get(key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    let cell = Cell::default();
-                    map.insert(TileKey(key.to_string()), Arc::clone(&cell));
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    cell
-                }
-            }
-        };
-        let mut served = Served::Hot;
-        let out = *cell.get_or_init(|| {
-            let (hit, errors) = self.disk.find(key);
-            t.errors.add(errors);
-            if let Some(hit) = hit {
-                served = Served::Disk;
-                return hit;
-            }
-            served = Served::Computed;
-            let out = compute();
-            self.disk.record_str(key, out);
-            out
-        });
-        match served {
-            Served::Hot | Served::Disk => t.hits.inc(),
-            Served::Computed => {
-                t.misses.inc();
-                t.inserts.inc();
-                self.maybe_evict(key);
-            }
+        let (out, computed, errors) = self.disk.lookup_or_compute(key, compute);
+        t.errors.add(errors);
+        if computed {
+            t.misses.inc();
+            t.inserts.inc();
+        } else {
+            t.hits.inc();
         }
-        (out, served)
+        (out, computed)
     }
 
     /// Counts `n` lookups answered before they reached this store, by a
@@ -342,53 +269,6 @@ impl TileStore {
             self.tel().errors.add(errors);
         }
     }
-
-    /// Bounds the hot tier to `capacity` entries (0 = unbounded).
-    /// Eviction only reclaims memory: evicted keys recompute (or reload
-    /// from disk) with identical results, so correctness is unaffected.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-    }
-
-    /// Evicts settled entries (never `keep`) while over capacity.
-    fn maybe_evict(&self, keep: &str) {
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap == 0 || self.entries.load(Ordering::Relaxed) <= cap {
-            return;
-        }
-        let t = self.tel();
-        for stripe in &self.stripes {
-            if self.entries.load(Ordering::Relaxed) <= cap {
-                break;
-            }
-            let mut map = lock(stripe);
-            let victims: Vec<TileKey> = map
-                .iter()
-                .filter(|(k, cell)| k.as_str() != keep && cell.get().is_some())
-                .map(|(k, _)| k.clone())
-                .collect();
-            for victim in victims {
-                if self.entries.load(Ordering::Relaxed) <= cap {
-                    break;
-                }
-                map.remove(&victim);
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-                t.evictions.inc();
-            }
-        }
-    }
-
-    /// Number of hot-tier entries (including in-flight ones).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    /// Whether the hot tier is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// One shard's in-memory state: records read from disk (lazily, once)
@@ -407,7 +287,7 @@ pub struct DiskTier {
 
 impl std::fmt::Debug for DiskTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // 256 shards of record maps are noise; the directory identifies
+        // 16 shards of record maps are noise; the directory identifies
         // the tier.
         f.debug_struct("DiskTier").field("dir", &self.dir).finish()
     }
@@ -433,44 +313,61 @@ impl DiskTier {
         self.dir.join(format!("{idx:02x}.tiles"))
     }
 
-    /// Looks `key` up in its shard, reading the shard file on first
-    /// access. Dirty (not yet flushed) records are visible too.
-    #[must_use]
-    pub fn lookup(&self, key: &TileKey) -> Option<TileOutcome> {
-        self.lookup_str(key.as_str())
-    }
-
-    /// [`lookup`](Self::lookup) over the key's text form (no owned key
-    /// needed).
+    /// Looks the key with text `key` up in its shard, reading the shard
+    /// file on first access. Dirty (not yet flushed) records are visible
+    /// too.
     #[must_use]
     pub fn lookup_str(&self, key: &str) -> Option<TileOutcome> {
-        self.find(key).0
+        let idx = shard_of(key);
+        self.find(&mut lock(&self.shards[idx]), idx, key).0
     }
 
-    /// [`lookup_str`](Self::lookup_str) plus the damaged records found
-    /// if the lookup read the key's shard file.
-    fn find(&self, key: &str) -> (Option<TileOutcome>, u64) {
+    /// Looks `key` up like [`lookup_str`](Self::lookup_str) and on a miss
+    /// stages `compute()` for the next flush, all under one hold of the
+    /// key's shard lock, so concurrent callers of one missing key compute
+    /// it once. A panicking `compute` leaves the shard as it was. Returns
+    /// the outcome, whether `compute` ran, and the damaged records found
+    /// if the lookup read the shard file.
+    fn lookup_or_compute(
+        &self,
+        key: &str,
+        compute: impl FnOnce() -> TileOutcome,
+    ) -> (TileOutcome, bool, u64) {
         let idx = shard_of(key);
         let mut shard = lock(&self.shards[idx]);
+        let (found, errors) = self.find(&mut shard, idx, key);
+        if let Some(out) = found {
+            return (out, false, errors);
+        }
+        let out = compute();
+        shard.dirty.insert(TileKey(key.to_string()), out);
+        (out, true, errors)
+    }
+
+    /// `key`'s record in `shard` (number `idx`): a dirty one first, then
+    /// the file's, plus the damaged records found if this read the file.
+    fn find(&self, shard: &mut Shard, idx: usize, key: &str) -> (Option<TileOutcome>, u64) {
         if let Some(out) = shard.dirty.get(key) {
             return (Some(*out), 0);
         }
-        let mut errors = 0;
-        let loaded = shard.loaded.get_or_insert_with(|| {
-            let (map, damaged) = self.read_shard(idx);
-            errors = damaged;
-            map
-        });
+        let errors = self.load(shard, idx);
+        let loaded = shard.loaded.as_ref().expect("loaded above");
         (loaded.get(key).copied(), errors)
     }
 
-    /// Stages a freshly computed record for the next [`DiskTier::flush`].
-    pub fn record(&self, key: &TileKey, out: TileOutcome) {
-        self.record_str(key.as_str(), out);
+    /// Reads shard `idx`'s file into `shard` on first access, returning
+    /// the number of damaged records it held (0 once loaded).
+    fn load(&self, shard: &mut Shard, idx: usize) -> u64 {
+        if shard.loaded.is_some() {
+            return 0;
+        }
+        let (map, damaged) = self.read_shard(idx);
+        shard.loaded = Some(map);
+        damaged
     }
 
-    /// [`record`](Self::record) over the key's text form; the owned key
-    /// is materialized here, once, on the cold path.
+    /// Stages a freshly computed record under the key with text `key` for
+    /// the next [`DiskTier::flush`].
     pub fn record_str(&self, key: &str, out: TileOutcome) {
         lock(&self.shards[shard_of(key)])
             .dirty
@@ -496,11 +393,7 @@ impl DiskTier {
             if shard.dirty.is_empty() {
                 continue;
             }
-            if shard.loaded.is_none() {
-                let (map, damaged) = self.read_shard(idx);
-                shard.loaded = Some(map);
-                errors += damaged;
-            }
+            errors += self.load(&mut shard, idx);
             let loaded = shard.loaded.as_ref().expect("loaded above");
             // Sorted (BTreeMap order), deduplicated against disk: the
             // appended bytes are deterministic per flush batch.
@@ -675,20 +568,10 @@ impl TileBroker {
     }
 
     /// Resolves one tile: through the store when enabled and the timer
-    /// is content-addressable (`key` is `Some`), by calling `compute`
-    /// otherwise.
-    pub fn resolve(
-        &self,
-        key: Option<TileKey>,
-        compute: impl FnOnce() -> TileOutcome,
-    ) -> TileOutcome {
-        self.resolve_str(key.as_ref().map(TileKey::as_str), compute)
-    }
-
-    /// [`resolve`](Self::resolve) over a borrowed key text (e.g. a
-    /// scratch buffer filled by [`TileKey::encode_into`]) — the
-    /// zero-allocation hot path: an owned key is only built when the
-    /// store has never seen this canonical tile.
+    /// is content-addressable (`key` is `Some`, e.g. a scratch buffer
+    /// filled by [`TileKey::encode_into`]), by calling `compute`
+    /// otherwise. An owned key is only built when the store has never
+    /// seen this canonical tile.
     pub fn resolve_str(
         &self,
         key: Option<&str>,
@@ -698,8 +581,8 @@ impl TileBroker {
             return compute();
         };
         inner.lookups.fetch_add(1, Ordering::Relaxed);
-        let (out, served) = inner.store.lookup_or_compute_str(key, compute);
-        if served == Served::Computed {
+        let (out, computed) = inner.store.lookup_or_compute_str(key, compute);
+        if computed {
             inner.computes.fetch_add(1, Ordering::Relaxed);
         }
         out
@@ -787,15 +670,19 @@ mod tests {
         let dir = tmp("roundtrip");
         std::fs::remove_dir_all(&dir).ok();
         let tier = DiskTier::new(&dir);
-        assert_eq!(tier.lookup(&key(1)), None);
-        tier.record(&key(1), out(5));
-        tier.record(&key(2), out(6));
-        assert_eq!(tier.lookup(&key(1)), Some(out(5)), "dirty records visible");
+        assert_eq!(tier.lookup_str(key(1).as_str()), None);
+        tier.record_str(key(1).as_str(), out(5));
+        tier.record_str(key(2).as_str(), out(6));
+        assert_eq!(
+            tier.lookup_str(key(1).as_str()),
+            Some(out(5)),
+            "dirty records visible"
+        );
         tier.flush();
         // A fresh tier over the same directory sees the flushed records.
         let fresh = DiskTier::new(&dir);
-        assert_eq!(fresh.lookup(&key(1)), Some(out(5)));
-        assert_eq!(fresh.lookup(&key(2)), Some(out(6)));
+        assert_eq!(fresh.lookup_str(key(1).as_str()), Some(out(5)));
+        assert_eq!(fresh.lookup_str(key(2).as_str()), Some(out(6)));
         assert_eq!(fresh.records_on_disk(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -806,7 +693,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let tier = DiskTier::new(&dir);
         for i in 0..20 {
-            tier.record(&key(i), out(i + 1));
+            tier.record_str(key(i).as_str(), out(i + 1));
         }
         tier.flush();
         let snapshot: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
@@ -820,7 +707,7 @@ mod tests {
         // Re-record identical content and flush again: identical bytes.
         let again = DiskTier::new(&dir);
         for i in 0..20 {
-            again.record(&key(i), out(i + 1));
+            again.record_str(key(i).as_str(), out(i + 1));
         }
         again.flush();
         for (p, bytes) in snapshot {
@@ -849,12 +736,20 @@ mod tests {
         );
         std::fs::write(&shard_file, text).unwrap();
         let tier = DiskTier::new(&dir);
-        assert_eq!(tier.lookup(&k), Some(out(9)), "good record survives");
-        assert_eq!(tier.lookup(&stray), None, "misplaced record is rejected");
+        assert_eq!(
+            tier.lookup_str(k.as_str()),
+            Some(out(9)),
+            "good record survives"
+        );
+        assert_eq!(
+            tier.lookup_str(stray.as_str()),
+            None,
+            "misplaced record is rejected"
+        );
         // A shard with a skewed header is entirely ignored.
         std::fs::write(&shard_file, "eureka-tilestore v9\nwhatever\n").unwrap();
         let tier = DiskTier::new(&dir);
-        assert_eq!(tier.lookup(&k), None);
+        assert_eq!(tier.lookup_str(k.as_str()), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -868,14 +763,14 @@ mod tests {
         for cut in 0..full.len() {
             std::fs::write(dir.join(format!("{:02x}.tiles", k.shard())), &full[..cut]).unwrap();
             let tier = DiskTier::new(&dir);
-            let _ = tier.lookup(&k); // any Option is fine; panicking is not
+            let _ = tier.lookup_str(k.as_str()); // any Option is fine; panicking is not
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn hot_tier_deduplicates_and_capacity_evicts() {
-        let dir = tmp("hot");
+    fn concurrent_misses_of_one_key_compute_once() {
+        let dir = tmp("dedup");
         std::fs::remove_dir_all(&dir).ok();
         let metrics = Registry::new();
         let store = TileStore::new(&dir, metrics.clone());
@@ -884,31 +779,39 @@ mod tests {
             None,
             "no lookup yet"
         );
-        let computes = AtomicUsize::new(0);
-        let compute = || {
-            computes.fetch_add(1, Ordering::Relaxed);
-            out(1)
-        };
-        let (o1, s1) = store.lookup_or_compute(&key(1), compute);
-        let (o2, s2) = store.lookup_or_compute(&key(1), compute);
-        assert_eq!((o1, s1), (out(1), Served::Computed));
-        assert_eq!((o2, s2), (out(1), Served::Hot));
+        let k = key(1);
+        let computes = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let computed: Vec<bool> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let (o, computed) = store.lookup_or_compute_str(k.as_str(), || {
+                            computes.fetch_add(1, Ordering::Relaxed);
+                            // Widen the window in which a second caller
+                            // could slip past an unlocked check.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            out(1)
+                        });
+                        assert_eq!(o, out(1));
+                        computed
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
         assert_eq!(computes.load(Ordering::Relaxed), 1, "one compute per key");
-        assert_eq!(metrics.counter_value("store.lookups"), Some(2));
+        assert_eq!(computed.iter().filter(|c| **c).count(), 1);
+        assert_eq!(metrics.counter_value("store.lookups"), Some(8));
         assert_eq!(metrics.counter_value("store.misses"), Some(1));
-        store.set_capacity(4);
-        for i in 10..40 {
-            store.lookup_or_compute(&key(i), || out(i));
-        }
-        assert!(store.len() <= 5, "capacity bounds the hot tier");
-        // Evicted keys recompute with identical results.
-        let (o, _) = store.lookup_or_compute(&key(12), || out(12));
-        assert_eq!(o, out(12));
+        assert_eq!(metrics.counter_value("store.inserts"), Some(1));
+        assert_eq!(metrics.counter_value("store.hits"), Some(7));
         // Flushed tiles serve a fresh store from disk.
         store.flush();
         let fresh = TileStore::new(&dir, Registry::new());
-        let (o, served) = fresh.lookup_or_compute(&key(12), || unreachable!("on disk"));
-        assert_eq!((o, served), (out(12), Served::Disk));
+        let served = fresh.lookup_or_compute_str(k.as_str(), || unreachable!("on disk"));
+        assert_eq!(served, (out(1), false));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -916,12 +819,12 @@ mod tests {
     fn broker_tallies_lookups_and_computes() {
         let broker = TileBroker::enabled(Arc::new(TileStore::new(tmp("broker"), Registry::new())));
         let k = TileKey::new("tally", "1,2,3");
-        broker.resolve(Some(k.clone()), || out(8));
-        broker.resolve(Some(k.clone()), || out(8));
-        broker.resolve(None, || out(8)); // uniform timer: not tallied
+        broker.resolve_str(Some(k.as_str()), || out(8));
+        broker.resolve_str(Some(k.as_str()), || out(8));
+        broker.resolve_str(None, || out(8)); // uniform timer: not tallied
         let (lookups, computes) = broker.tally();
         assert_eq!(lookups, 2);
-        assert!(computes <= 1, "at most the first resolve computes");
+        assert_eq!(computes, 1, "only the first resolve computes");
         broker.reset_tally();
         assert_eq!(broker.tally(), (0, 0));
         assert_eq!(TileBroker::disabled().tally(), (0, 0));

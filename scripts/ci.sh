@@ -137,7 +137,6 @@ done = [e["det"] for e in map(json.loads, open(sys.argv[1]))
         if e["event"] == "unit-finished"]
 assert done and all(d["source"] == "store" for d in done), done
 EOF
-    scripts/store_smoke.sh
 }
 
 stage_events_ledger() {

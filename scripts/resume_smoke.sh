@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test: a `simulate` with a store directory killed
 # mid-run keeps every unit record it appended, and a re-run on the same
-# directory must produce output byte-identical to an uninterrupted run.
-# Also passes when the run finishes before the kill lands (fast
-# machines) — the re-run is then a pure record replay.
+# directory must produce output byte-identical to an uninterrupted run
+# and leave the directory warm enough that a third run replays every
+# unit from its record and executes none (checkpoint.hits ==
+# runner.units_planned, no tile looked up). Also passes when the run
+# finishes before the kill lands (fast machines) — the re-run is then a
+# pure record replay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,5 +40,19 @@ c = json.load(open(sys.argv[1]))["counters"]
 kept = int(sys.argv[2])
 assert c.get("checkpoint.hits", 0) >= kept - 1, f"{kept} record(s) kept: {c}"
 assert c.get("checkpoint.errors", 0) <= 1, f"more than a torn tail: {c}"
+PY
+
+# By now the directory holds a record of every unit this workload plans:
+# a third run replays them all and executes nothing.
+"$BIN" "${args[@]}" --store-dir "$dir/store" \
+    --metrics-out "$dir/warm.json" > "$dir/warm.csv"
+cmp "$dir/reference.csv" "$dir/warm.csv"
+python3 - "$dir/warm.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c["checkpoint.hits"] == c["runner.units_planned"] > 0, c
+assert c["runner.units_executed"] == 0, f"warm run executed units: {c}"
+assert c["cache.misses"] == 0, f"units escaped the store: {c}"
+assert c.get("store.lookups", 0) == 0, f"warm run looked tiles up: {c}"
 PY
 echo "kill-and-resume smoke OK (${kept:-0} unit record(s) kept by the killed run)"

@@ -153,8 +153,8 @@ fn fresh_runners_are_honest_cold_starts() {
 
     // A fresh runner on a fresh directory is a genuine cold start: same
     // exact counter trajectory as the first run, nothing smuggled
-    // across — neither the first runner's memory, its hot tier, nor its
-    // counts.
+    // across — neither the first runner's memory, its tile store, nor
+    // its counts.
     let other = store_dir("reset-cold");
     let second_runner = Runner::parallel().with_store_dir(&other);
     let second = second_runner.run(&job).expect("supported");

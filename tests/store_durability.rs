@@ -10,7 +10,7 @@
 use eureka_models::{Benchmark, PruningLevel, Workload};
 use eureka_obs::metrics::Registry;
 use eureka_sim::checkpoint;
-use eureka_sim::store::{Served, TileKey, TileOutcome, TileStore};
+use eureka_sim::store::{TileKey, TileOutcome, TileStore};
 use eureka_sim::{arch, Runner, SimConfig, SimJob};
 use std::path::{Path, PathBuf};
 
@@ -115,8 +115,8 @@ fn misplaced_and_foreign_version_records_are_rejected_on_load() {
         nnz: 10,
     };
     assert_eq!(
-        store.lookup_or_compute(&good, || unreachable!("the record is on disk")),
-        (stored, Served::Disk),
+        store.lookup_or_compute_str(good.as_str(), || unreachable!("the record is on disk")),
+        (stored, false),
         "the well-placed record still loads"
     );
     assert_eq!(
@@ -131,8 +131,8 @@ fn misplaced_and_foreign_version_records_are_rejected_on_load() {
         ..stored
     };
     assert_eq!(
-        store.lookup_or_compute(&evicted, || computed),
-        (computed, Served::Computed),
+        store.lookup_or_compute_str(evicted.as_str(), || computed),
+        (computed, true),
         "misplaced records are never served"
     );
     let _ = std::fs::remove_dir_all(&dir);
