@@ -149,8 +149,10 @@ fn profile_overhead(c: &mut Criterion) {
 }
 
 /// Loads a 4,096-record log through fresh [`UnitRecords`], as the first
-/// lookup of a warm `--store-dir` run does, and appends one. Keys have
-/// the shape and length (~330 bytes) of real unit keys.
+/// lookup of a warm `--store-dir` run does (on one thread here), looks
+/// every record up in a loaded log, as a warm run's replays do, and
+/// appends the records to a fresh log. Keys have the shape and length
+/// (~330 bytes) of real unit keys.
 fn checkpoint_load(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("eureka-bench-units-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -195,8 +197,16 @@ fn checkpoint_load(c: &mut Criterion) {
         b.iter(|| {
             UnitRecords::in_dir(&dir)
                 .stored(&probe, &Spans::default(), |_| {})
-                .cloned()
                 .expect("the record loads")
+        })
+    });
+    let loaded = UnitRecords::in_dir(&dir);
+    group.bench_function("replay_4k", |b| {
+        b.iter(|| {
+            for (key, report) in &written {
+                let replayed = loaded.stored(key, &Spans::default(), |_| {});
+                assert_eq!(replayed.as_ref(), Some(report), "the record replays");
+            }
         })
     });
     // The same 4,096 records appended one `append` each to a fresh

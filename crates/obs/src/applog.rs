@@ -15,11 +15,17 @@
 //!
 //! A replayed log is an optional header line, then sealed lines: [`seal`]
 //! prefixes a line with the FNV-1a hash ([`fnv1a64`]) of the rest.
-//! [`replay`] reads the log under a shared lock, up to [`MAX_BYTES`],
-//! checks each seal and hands each intact payload, borrowed, to the
-//! caller's parser. A line that damage changed — a NUL from a torn write,
-//! bytes that are not UTF-8, a flipped bit — fails its seal and, like a
-//! line the parser rejects or an unfinished last line, counts as damage.
+//! [`read`] reads the whole log, up to [`MAX_BYTES`], under a shared lock
+//! into one buffer, and [`unseal_lines`] checks each seal there and hands
+//! each intact payload, borrowed from the buffer, to the caller. The
+//! buffer stays the one copy of the text: [`replay`], the reader of the
+//! journal and the ledger, parses each payload as it is handed over,
+//! while a store directory's unit records keep the buffer resident and
+//! index their records in it, after [`split`] has cut it into runs of
+//! whole lines that workers check apart. A line that damage changed — a
+//! NUL from a torn write, bytes that are not UTF-8, a flipped bit —
+//! fails its seal and, like a line the parser rejects or an unfinished
+//! last line, counts as damage.
 //! [`escape`] keeps any text on one tab-free line, so tabs can separate
 //! fields. There is no fsync: a line survives a SIGKILL once its `write`
 //! returns.
@@ -27,10 +33,11 @@
 use crate::atomic::write_atomic;
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// Largest log [`replay`] reads: room for millions of records, and still
+/// Largest log [`read`] reads: room for millions of records, and still
 /// a bound on the allocation.
 pub const MAX_BYTES: u64 = 1 << 30;
 
@@ -109,19 +116,84 @@ pub fn seal(payload: &str) -> String {
 }
 
 /// The payloads of up to four lines (each with its `\n`), `None` for
-/// each that is unfinished or fails its seal, checked four at a time.
-fn unseal4<'a>(lines: &[&'a str]) -> [Option<&'a str>; 4] {
-    let split = [0, 1, 2, 3].map(|i| {
-        let (sum, payload) = lines.get(i)?.strip_suffix('\n')?.split_once(' ')?;
-        let hex = sum.len() == 16 && sum.bytes().all(|b| b.is_ascii_hexdigit());
-        Some((u64::from_str_radix(sum, 16).ok().filter(|_| hex)?, payload))
+/// each that is unfinished, fails its seal or is not UTF-8, checked four
+/// at a time. A sealed line is UTF-8 as written, so bytes that are not
+/// fail the seal or, on a collision, this check.
+fn unseal4(lines: [&[u8]; 4]) -> [Option<&str>; 4] {
+    let split = lines.map(|line| {
+        let (sum, payload) = line.strip_suffix(b"\n")?.split_at_checked(16)?;
+        let sum = sum.iter().try_fold(0, |h: u64, &b| {
+            Some(h << 4 | u64::from(char::from(b).to_digit(16)?))
+        })?;
+        Some((sum, payload.strip_prefix(b" ")?))
     });
-    let sums = fnv1a64_x4(split.map(|s| s.map_or(&b""[..], |(_, payload)| payload.as_bytes())));
+    let sums = fnv1a64_x4(split.map(|s| s.map_or(&b""[..], |(_, payload)| payload)));
     std::array::from_fn(|i| {
         split[i]
             .filter(|(sum, _)| *sum == sums[i])
-            .map(|(_, payload)| payload)
+            .and_then(|(_, payload)| std::str::from_utf8(payload).ok())
     })
+}
+
+/// The offset of the first `byte` in `bytes`: how log readers find line
+/// ends and field separators. Blocks of 16 bytes are tested at once,
+/// which the compiler vectorizes; a byte-at-a-time scan would cost as
+/// much as checking the seals.
+#[must_use]
+pub fn find(bytes: &[u8], byte: u8) -> Option<usize> {
+    let mut blocks = bytes.chunks_exact(16);
+    let mut at = 0;
+    for block in &mut blocks {
+        if block.iter().fold(false, |any, &b| any | (b == byte)) {
+            break;
+        }
+        at += 16;
+    }
+    bytes[at..].iter().position(|&b| b == byte).map(|i| at + i)
+}
+
+/// Checks the seal of every line of `text` (a log's lines, or a run of
+/// them that [`split`] cut) four at a time, and hands each intact
+/// payload and its offset in `text` to `take`, which says whether it
+/// took it. Returns the number of damaged lines: those that fail their
+/// seal or that `take` rejected, and an unfinished last line.
+pub fn unseal_lines(text: &[u8], mut take: impl FnMut(usize, &str) -> bool) -> u64 {
+    let mut damaged = 0;
+    let mut at = 0;
+    while at < text.len() {
+        let mut lines = [(0, &b""[..]); 4];
+        for line in &mut lines {
+            if at < text.len() {
+                let end = find(&text[at..], b'\n').map_or(text.len(), |i| at + i + 1);
+                *line = (at, &text[at..end]);
+                at = end;
+            }
+        }
+        let payloads = unseal4(lines.map(|(_, line)| line));
+        for ((start, line), payload) in lines.into_iter().zip(payloads) {
+            // The sum and its space lead the payload.
+            if !line.is_empty() && !payload.is_some_and(|p| take(start + 17, p)) {
+                damaged += 1;
+            }
+        }
+    }
+    damaged
+}
+
+/// Splits `text`, a log's lines, into runs of whole lines of at least
+/// `size` bytes each (but the last), so that workers can check them
+/// apart: each run but the last ends with its `\n`.
+#[must_use]
+pub fn split(text: &[u8], size: usize) -> Vec<Range<usize>> {
+    let mut runs = Vec::with_capacity(text.len() / size.max(1) + 1);
+    let mut start = 0;
+    while start < text.len() {
+        let from = (start + size.max(1)).min(text.len()) - 1;
+        let end = find(&text[from..], b'\n').map_or(text.len(), |i| from + i + 1);
+        runs.push(start..end);
+        start = end;
+    }
+    runs
 }
 
 /// An append-only line log at one path (see the [module docs](self)).
@@ -143,6 +215,12 @@ impl AppLog {
             path: path.into(),
             file: None,
         }
+    }
+
+    /// The log's path.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Appends `lines` (whole lines, each ending in `\n`) with one
@@ -216,67 +294,58 @@ fn cut_torn_tail(file: &mut File) -> io::Result<u64> {
     Ok(end)
 }
 
-/// Reads the log at `path` under a shared lock, a block at a time. A log
-/// with a `header` must start with that line, or nothing else is read
-/// and the log counts one damaged line. Every other line must be sealed.
-/// `parser` is called once with the number of lines that follow, so the
-/// caller can size its storage once, and returns the parser that gets
-/// each intact payload and says whether it took it. Returns the
-/// number of damaged lines — those that fail their seal or that the
-/// parser rejected, and an unfinished last line — or `None` when there
-/// is no log. Bytes that are not UTF-8 become U+FFFD, so their line fails
-/// its seal.
+/// Reads the whole log at `path` under a shared lock, into the one
+/// buffer its reader indexes in place; `None` when there is no log.
 ///
 /// # Errors
 ///
-/// Propagates open, lock, read and seek failures, and refuses a log
-/// larger than [`MAX_BYTES`].
+/// Propagates open, lock and read failures, and refuses a log larger
+/// than [`MAX_BYTES`].
+pub fn read(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    let mut file = match File::open(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        file => file?,
+    };
+    file.lock_shared()?;
+    let len = file.metadata()?.len();
+    if len > MAX_BYTES {
+        return Err(io::ErrorKind::FileTooLarge.into());
+    }
+    let mut text = Vec::with_capacity(len as usize);
+    file.read_to_end(&mut text)?;
+    Ok(Some(text))
+}
+
+/// Reads the log at `path` ([`read`]) and replays it. A log with a
+/// `header` must start with that line, or nothing else is parsed and the
+/// log counts one damaged line. Every other line must be sealed.
+/// `parser` is called once with the number of lines that follow, so the
+/// caller can size its storage once, and returns the parser that gets
+/// each intact payload and says whether it took it. Returns the
+/// number of damaged lines ([`unseal_lines`]), or `None` when there is
+/// no log.
+///
+/// # Errors
+///
+/// Propagates [`read`] failures.
 pub fn replay<P: FnMut(&str) -> bool>(
     path: &Path,
     header: Option<&str>,
     parser: impl FnOnce(usize) -> P,
 ) -> io::Result<Option<u64>> {
-    let file = match File::open(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        file => file?,
+    let Some(text) = read(path)? else {
+        return Ok(None);
     };
-    file.lock_shared()?;
-    if file.metadata()?.len() > MAX_BYTES {
-        return Err(io::ErrorKind::FileTooLarge.into());
-    }
-    let mut reader = BufReader::with_capacity(1 << 16, file);
-    let mut lines: [Vec<u8>; 4] = Default::default();
+    let mut body = &text[..];
     if let Some(header) = header {
-        reader.read_until(b'\n', &mut lines[0])?;
-        if !lines[0].is_empty() && lines[0].strip_suffix(b"\n") != Some(header.as_bytes()) {
+        let first = &body[..find(body, b'\n').map_or(body.len(), |i| i + 1)];
+        if !first.is_empty() && first.strip_suffix(b"\n") != Some(header.as_bytes()) {
             return Ok(Some(1));
         }
+        body = &body[first.len()..];
     }
-    let start = reader.stream_position()?;
-    let mut count = 0;
-    while reader.skip_until(b'\n')? > 0 {
-        count += 1;
-    }
-    reader.seek(SeekFrom::Start(start))?;
-    let mut parse = parser(count);
-    let mut damaged = 0;
-    loop {
-        let mut read = 0;
-        for line in &mut lines {
-            line.clear();
-            read += usize::from(reader.read_until(b'\n', line)? > 0);
-        }
-        if read == 0 {
-            return Ok(Some(damaged));
-        }
-        let text = lines.each_ref().map(|line| String::from_utf8_lossy(line));
-        let payloads = unseal4(&text.each_ref().map(AsRef::as_ref)[..read]);
-        for payload in payloads.into_iter().take(read) {
-            if !payload.is_some_and(&mut parse) {
-                damaged += 1;
-            }
-        }
-    }
+    let mut parse = parser(body.iter().filter(|&&b| b == b'\n').count());
+    Ok(Some(unseal_lines(body, |_, payload| parse(payload))))
 }
 
 #[cfg(test)]
@@ -310,7 +379,7 @@ mod tests {
     }
 
     fn unseal(line: &str) -> Option<&str> {
-        unseal4(&[line])[0]
+        unseal4([line.as_bytes(), b"", b"", b""])[0]
     }
 
     fn remove(path: &Path) {
@@ -505,6 +574,62 @@ mod tests {
             }
             prop_assert_eq!(replayed(&path), (want, want_damaged));
             remove(&path);
+        }
+    }
+
+    /// Every payload `unseal_lines` hands over, with its offset, and the
+    /// damage count, for `text` checked run by run as [`split`] cuts it
+    /// at `size`.
+    fn unsealed_in_runs(text: &[u8], size: usize) -> (Vec<(usize, String)>, u64) {
+        let (mut payloads, mut damaged) = (Vec::new(), 0);
+        let mut end = 0;
+        for run in split(text, size) {
+            assert_eq!(run.start, end, "runs cover the text in order");
+            end = run.end;
+            assert!(run.end == text.len() || text[run.end - 1] == b'\n');
+            damaged += unseal_lines(&text[run.clone()], |at, payload| {
+                payloads.push((run.start + at, payload.to_string()));
+                true
+            });
+        }
+        assert_eq!(end, text.len(), "runs cover the whole text");
+        (payloads, damaged)
+    }
+
+    /// A torn line, a NUL line, bytes that are not UTF-8 and an
+    /// unfinished last line count once each wherever a split falls — at
+    /// the start or the end of a run — and every intact payload is
+    /// handed over once, at its offset.
+    #[test]
+    fn damage_counts_once_at_every_split_point() {
+        let mut text = Vec::new();
+        let mut want = Vec::new();
+        let mut push = |text: &mut Vec<u8>, payload: &str| {
+            want.push((text.len() + 17, payload.to_string()));
+            text.extend(seal(payload).into_bytes());
+        };
+        push(&mut text, "first");
+        let torn = seal("torn record");
+        text.extend(&torn.as_bytes()[..torn.len() - 4]);
+        text.push(b'\n');
+        push(&mut text, "second é");
+        text.extend(
+            seal("a torn write's NULs")
+                .replace("NULs", "\0\0\0\0")
+                .into_bytes(),
+        );
+        push(&mut text, "third");
+        let mut invalid = seal("bytes").into_bytes();
+        invalid[18] = 0xff;
+        text.extend(invalid);
+        push(&mut text, "last");
+        text.extend(&seal("unfinished").as_bytes()[..10]);
+        for size in 1..=text.len() + 1 {
+            assert_eq!(
+                unsealed_in_runs(&text, size),
+                (want.clone(), 4),
+                "runs of {size} bytes"
+            );
         }
     }
 

@@ -19,12 +19,13 @@
 //! The records go to one JSONL file per process,
 //! `flightrec-<pid>.jsonl`. The serve loop calls [`export`] after every
 //! connection: it appends, as one [`crate::applog`] line batch, only the
-//! records recorded since the last export. The first export, and any
-//! that grows the file past [`COMPACT_BYTES`], compacts it to the ring's
-//! records through [`dump_to`]. [`dump_to`] is the full rewrite, through
-//! [`crate::atomic::write_atomic`], for the panic hook and the `dump`
-//! verb too. Either way a reader never sees a torn line, and a SIGKILL
-//! leaves every exported record on disk.
+//! records recorded since the last export, through one append handle
+//! that the recorder keeps open from export to export. The first export,
+//! and any that grows the file past [`COMPACT_BYTES`], compacts it to
+//! the ring's records through [`dump_to`]. [`dump_to`] is the full
+//! rewrite, through [`crate::atomic::write_atomic`], for the panic hook
+//! and the `dump` verb too. Either way a reader never sees a torn line,
+//! and a SIGKILL leaves every exported record on disk.
 
 use crate::applog::AppLog;
 use std::fmt::Write;
@@ -130,6 +131,20 @@ pub fn reset() {
     r.start = Instant::now();
 }
 
+/// Runs `f` on the append handle of the file at `path`: the one kept
+/// from the last export or dump when it went to that file, so an export
+/// opens nothing, or a new one that is kept in its place. A compaction
+/// replaces the file, and the handle reopens it on its next append.
+fn with_log<T>(path: PathBuf, f: impl FnOnce(&mut AppLog) -> T) -> T {
+    static LOG: Mutex<Option<AppLog>> = Mutex::new(None);
+    let mut kept = LOG.lock().unwrap_or_else(PoisonError::into_inner);
+    let log = match &mut *kept {
+        Some(log) if log.path() == path => log,
+        slot => slot.insert(AppLog::new(path)),
+    };
+    f(log)
+}
+
 /// The retained records from `seq` on as JSONL, and the total recorded.
 fn render_since(seq: u64) -> (String, u64) {
     let r = ring();
@@ -171,17 +186,19 @@ pub fn dump_path(dir: &Path) -> PathBuf {
 pub fn dump_to(dir: &Path) -> io::Result<PathBuf> {
     let target = dump_path(dir);
     let (text, total) = render_since(0);
-    crate::atomic::write_atomic(&target, text.as_bytes())?;
+    with_log(target.clone(), |log| log.rewrite(text.as_bytes()))?;
     ring().exported = total;
     Ok(target)
 }
 
-/// Appends to `flightrec-<pid>.jsonl` under `dir`, with one write, the
-/// records recorded since the last export or dump; a no-op when there
-/// are none. The first export, and one that grows the file past
-/// [`COMPACT_BYTES`], rewrites it as the ring instead ([`dump_to`]), so
-/// a stale file of an earlier process with this pid is replaced and the
-/// file stays bounded. One process exports to one directory.
+/// Appends to `flightrec-<pid>.jsonl` under `dir`, with one write
+/// through the kept handle, the records recorded since the last export
+/// or dump; a no-op when there are none. The first export, and one that
+/// grows the file past [`COMPACT_BYTES`], rewrites it as the ring
+/// instead ([`dump_to`]), so a stale file of an earlier process with
+/// this pid is replaced and the file stays bounded. One process exports
+/// to one directory, and leaves its file in place: the handle appends to
+/// the file it opened.
 ///
 /// # Errors
 ///
@@ -193,7 +210,8 @@ pub fn export(dir: &Path) -> io::Result<()> {
     if text.is_empty() {
         return Ok(());
     }
-    if exported == 0 || AppLog::new(dump_path(dir)).append(text.as_bytes())? > COMPACT_BYTES {
+    let appended = |log: &mut AppLog| log.append(text.as_bytes());
+    if exported == 0 || with_log(dump_path(dir), appended)? > COMPACT_BYTES {
         return dump_to(dir).map(drop);
     }
     ring().exported = total;

@@ -98,7 +98,15 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &'static [u64]) -> Self {
+    /// An empty histogram over `bounds`, outside any registry: a
+    /// worker's own tally, for example, which it [`merge`](Self::merge)s
+    /// into a registered one when it is done.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` is strictly increasing.
+    #[must_use]
+    pub fn new(bounds: &'static [u64]) -> Self {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"

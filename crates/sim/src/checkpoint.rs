@@ -8,11 +8,21 @@
 //! outlive the process, as the lines of one [`applog`] log,
 //! `<dir>/records-v3.units`:
 //!
-//! * **Loading.** The log is read once, on the first lookup that misses
-//!   memory (a `checkpoint.load` span), and each line is parsed where it
-//!   lies ([`load`]). Only the decoded map stays resident; the
-//!   `checkpoint/load_4k` bench loads 4,096 records in 6.6–7.6 ms on a
-//!   shared 2-vCPU VM (5.5–5.9 ms for v2's unsealed records).
+//! * **Loading.** The log is read once, whole, under its shared lock,
+//!   on the first lookup that misses memory (a `checkpoint.load` span),
+//!   into one buffer that stays resident: the records are indexed where
+//!   they lie, and no decoded copy sits beside the text. The buffer is
+//!   cut into runs of lines that every worker looking a record up claims
+//!   one at a time, checking each line's seal and its 17-number decode
+//!   and hashing its key ([`BuildHasher::hash_one`]); the first worker
+//!   done indexes each key's last record, in log order, and counts the
+//!   damage once. On one thread the `checkpoint/load_4k` bench loads
+//!   4,096 records in 2.7–4.0 ms on a shared 2-vCPU VM (the decoded map
+//!   it replaced: 6.0–10.3 ms in the same runs).
+//! * **Replaying.** A lookup hashes the canonical key text, compares the
+//!   full key with the record's, and only then decodes the report from
+//!   the text. The `checkpoint/replay_4k` bench looks 4,096 keys up in
+//!   1.4–2.1 ms on the same VM.
 //! * **Appending.** Each newly computed unit is appended with one
 //!   `write`, to a handle opened on the first append and kept behind a
 //!   mutex. A killed run keeps every unit it finished, and a run that
@@ -40,14 +50,26 @@ use crate::report::LayerReport;
 use crate::runner::UnitKey;
 use eureka_obs::applog::{self, escape, unescape, AppLog};
 use eureka_obs::span::Spans;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The log's file name inside the store directory.
 const LOG: &str = "records-v3.units";
+
+// A `u32` offset reaches any byte of a log `applog::read` accepts.
+const _: () = assert!(applog::MAX_BYTES <= u32::MAX as u64);
+
+/// Log bytes one worker checks per claim: about 200 records, so the
+/// workers of a run share a log of a few MB evenly, and a claim costs
+/// nothing next to its checks.
+const CHUNK: usize = 64 << 10;
 
 /// The 17 integers a record carries after its key and name, in order:
 /// 9 [`LayerReport`] scalar fields, then its 8 op counts.
@@ -85,42 +107,280 @@ fn encode(key: &str, report: &LayerReport) -> String {
     applog::seal(&payload)
 }
 
-/// Parses one record's payload: its unescaped key and its report; `None`
-/// for a foreign one.
-fn decode(payload: &str) -> Option<(String, LayerReport)> {
-    let mut fields = payload.strip_prefix("v3 ")?.split('\t');
-    let (key, name) = (fields.next()?, fields.next()?);
+/// A record payload's escaped key and name fields and its numbers
+/// field; `None` unless it is a v3 record with all three.
+fn fields(payload: &str) -> Option<(&str, &str, &str)> {
+    let rest = payload.strip_prefix("v3 ")?;
+    let key = applog::find(rest.as_bytes(), b'\t')?;
+    let name = key + 1 + applog::find(&rest.as_bytes()[key + 1..], b'\t')?;
+    Some((&rest[..key], &rest[key + 1..name], &rest[name + 1..]))
+}
+
+/// The 17 numbers of a record's numbers `field`, space-separated; `None`
+/// for any other count or a number `str::parse::<u64>` would refuse
+/// (each is an optional `+` and decimal digits that fit). Read byte by
+/// byte, at half the cost of `parse`, since every record read or
+/// replayed decodes them.
+fn values(field: &[u8]) -> Option<[u64; 17]> {
+    let mut parts = field.split(|&b| b == b' ');
+    let mut values = [0_u64; 17];
+    for value in &mut values {
+        let part = parts.next()?;
+        let digits = part.strip_prefix(b"+").unwrap_or(part);
+        if digits.is_empty() {
+            return None;
+        }
+        for &b in digits {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            *value = (*value).checked_mul(10)?.checked_add(u64::from(digit))?;
+        }
+    }
+    parts.next().is_none().then_some(values)
+}
+
+/// The report a record's escaped `name` and its `values` describe.
+fn report(name: &str, values: [u64; 17]) -> LayerReport {
     let mut report = LayerReport {
         name: unescape(name).into_owned(),
         ..LayerReport::default()
     };
-    let mut parts = fields.next()?.split(' ');
-    for slot in numbers(&mut report) {
-        *slot = parts.next()?.parse().ok()?;
+    for (slot, n) in numbers(&mut report).into_iter().zip(values) {
+        *slot = n;
     }
-    if parts.next().is_some() || fields.next().is_some() {
-        return None;
+    report
+}
+
+/// A checked record in the resident log text, as byte offsets: its key
+/// field, the tab after it and the end of its payload.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    key: u32,
+    tab: u32,
+    end: u32,
+}
+
+impl Record {
+    /// The record's unescaped key.
+    fn key(self, text: &[u8]) -> Option<Cow<'_, str>> {
+        let field = &text[self.key as usize..self.tab as usize];
+        std::str::from_utf8(field).ok().map(unescape)
     }
-    Some((unescape(key).into_owned(), report))
+
+    /// Whether the record's full key is `key`: byte for byte, unless
+    /// the record's key field holds an escape.
+    fn is(self, text: &[u8], key: &str) -> bool {
+        let field = &text[self.key as usize..self.tab as usize];
+        if field.contains(&b'\\') {
+            self.key(text).is_some_and(|k| k == key)
+        } else {
+            field == key.as_bytes()
+        }
+    }
+
+    /// The record's report.
+    fn report(self, text: &[u8]) -> Option<LayerReport> {
+        let rest = &text[self.tab as usize + 1..self.end as usize];
+        let tab = applog::find(rest, b'\t')?;
+        let name = std::str::from_utf8(&rest[..tab]).ok()?;
+        Some(report(name, values(&rest[tab + 1..])?))
+    }
+}
+
+/// A hasher for map keys that are hashes already: it passes the `u64`
+/// through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 hashes are map keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One run of the log's lines, checked: the key hash and place of each
+/// intact record, in line order, and the number of damaged lines.
+#[derive(Debug, Default)]
+struct Part {
+    records: Vec<(u64, Record)>,
+    damaged: u64,
+}
+
+/// Where each key's last record lies in the resident text.
+#[derive(Debug, Default)]
+struct Index {
+    /// The last record of each key, by the key's hash.
+    last: HashMap<u64, Record, BuildHasherDefault<Prehashed>>,
+    /// Records whose key hash another key took first in `last`, in log
+    /// order: empty but for a 64-bit hash collision.
+    collided: Vec<(u64, Record)>,
+}
+
+impl Index {
+    /// Adds `record` of `text`, whose key hashes to `hash`, after every
+    /// record added so far: it replaces an earlier record of its key.
+    fn insert(&mut self, text: &[u8], hash: u64, record: Record) {
+        match self.last.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(record);
+            }
+            Entry::Occupied(mut slot) => {
+                if slot.get().key(text) == record.key(text) {
+                    slot.insert(record);
+                } else {
+                    self.collided.push((hash, record));
+                }
+            }
+        }
+    }
+
+    /// The last record of `text` under the full key `key`, which hashes
+    /// to `hash`.
+    fn find(&self, text: &[u8], hash: u64, key: &str) -> Option<Record> {
+        let collided = self.collided.iter().rev().filter(|(h, _)| *h == hash);
+        let mut candidates = self
+            .last
+            .get(&hash)
+            .into_iter()
+            .chain(collided.map(|(_, r)| r));
+        candidates.find(|record| record.is(text, key)).copied()
+    }
+
+    /// Every key's last record.
+    fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let collided = self.collided.iter().map(|(_, record)| record);
+        self.last.values().chain(collided).copied()
+    }
+}
+
+/// A store directory's log, resident as read: the text, the runs of
+/// lines that workers claim one at a time and check, each run's
+/// checked [`Part`], and the [`Index`] built from them once all are in.
+#[derive(Debug)]
+struct Resident {
+    text: Vec<u8>,
+    /// One damaged record when the log could not be read.
+    unreadable: u64,
+    /// Key hashes, for the index and for lookups.
+    hasher: RandomState,
+    runs: Vec<Range<usize>>,
+    claimed: AtomicUsize,
+    parts: Vec<OnceLock<Part>>,
+    index: OnceLock<Index>,
+}
+
+impl Resident {
+    /// `dir`'s log, read under its shared lock; empty when there is
+    /// none, and one damaged record when it cannot be read.
+    fn read(dir: &Path) -> Self {
+        match applog::read(&dir.join(LOG)) {
+            Ok(text) => Resident::new(text.unwrap_or_default(), 0, CHUNK),
+            Err(_) => Resident::new(Vec::new(), 1, CHUNK),
+        }
+    }
+
+    /// `text` split into runs of at least `chunk` bytes.
+    fn new(text: Vec<u8>, unreadable: u64, chunk: usize) -> Self {
+        let runs = applog::split(&text, chunk);
+        Resident {
+            parts: runs.iter().map(|_| OnceLock::new()).collect(),
+            runs,
+            text,
+            unreadable,
+            hasher: RandomState::new(),
+            claimed: AtomicUsize::new(0),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// Claims runs one at a time and checks each — seals, UTF-8 and the
+    /// 17-number decode — until none is left. Any number of threads may
+    /// call it at once.
+    fn check(&self) {
+        loop {
+            let i = self.claimed.fetch_add(1, Ordering::Relaxed);
+            let Some(run) = self.runs.get(i) else { return };
+            let mut records = Vec::with_capacity(run.len() / 256);
+            let damaged = applog::unseal_lines(&self.text[run.clone()], |at, payload| {
+                let Some((key, _, field)) = fields(payload) else {
+                    return false;
+                };
+                if values(field.as_bytes()).is_none() {
+                    return false;
+                }
+                let start = run.start + at + "v3 ".len();
+                let record = Record {
+                    key: start as u32,
+                    tab: (start + key.len()) as u32,
+                    end: (run.start + at + payload.len()) as u32,
+                };
+                records.push((self.hasher.hash_one(&*unescape(key)), record));
+                true
+            });
+            if self.parts[i].set(Part { records, damaged }).is_err() {
+                unreachable!("run {i} claimed twice");
+            }
+        }
+    }
+
+    /// Checks runs beside any other caller, then the index: the first
+    /// caller to reach it builds it from every run's part, in log order,
+    /// and hands the damage count to `damaged`; later callers wait for it.
+    fn index(&self, damaged: impl FnOnce(u64)) -> &Index {
+        self.check();
+        self.index.get_or_init(|| {
+            let parts: Vec<&Part> = self.parts.iter().map(OnceLock::wait).collect();
+            let mut index = Index::default();
+            let records = parts.iter().map(|part| part.records.len()).sum();
+            index.last.reserve(records);
+            for &(hash, record) in parts.iter().flat_map(|part| &part.records) {
+                index.insert(&self.text, hash, record);
+            }
+            damaged(self.unreadable + parts.iter().map(|part| part.damaged).sum::<u64>());
+            index
+        })
+    }
+
+    /// The report of the last record under the full key `key`, once the
+    /// index is built.
+    fn get(&self, index: &Index, key: &str) -> Option<LayerReport> {
+        let hash = self.hasher.hash_one(key);
+        index.find(&self.text, hash, key)?.report(&self.text)
+    }
+
+    /// Every key's last record, decoded.
+    fn records(&self, index: &Index) -> HashMap<String, LayerReport> {
+        index
+            .records()
+            .filter_map(|record| {
+                let key = record.key(&self.text)?.into_owned();
+                Some((key, record.report(&self.text)?))
+            })
+            .collect()
+    }
 }
 
 /// Every decodable record in `dir`'s log, keyed by their unescaped keys,
 /// and the number of damaged records. A missing directory or log holds
 /// nothing and is no damage; an unreadable or oversized log counts as
-/// one damaged record. The log is read a block at a time, so only the
-/// decoded map is ever resident.
+/// one damaged record. The same reader as a runner's lookups
+/// ([`UnitRecords::stored`]), on one thread, decoded into a map.
 #[must_use]
 pub fn load(dir: &Path) -> (HashMap<String, LayerReport>, u64) {
-    let mut records = HashMap::new();
-    let damaged = applog::replay(&dir.join(LOG), None, |lines| {
-        records.reserve(lines);
-        |payload: &str| {
-            decode(payload)
-                .map(|(key, report)| records.insert(key, report))
-                .is_some()
-        }
-    });
-    (records, damaged.map_or(1, Option::unwrap_or_default))
+    let resident = Resident::read(dir);
+    let mut damaged = 0;
+    let index = resident.index(|count| damaged = count);
+    (resident.records(index), damaged)
 }
 
 /// Locks `m`. Every update under these locks is one map insert or one
@@ -139,10 +399,13 @@ pub struct UnitRecords {
     /// Every result computed through this tier. Records replayed from
     /// the directory stay in `stored` alone, so none is held twice.
     memory: Mutex<HashMap<UnitKey, LayerReport>>,
-    /// The directory's records, by canonical key text, read by the first
-    /// [`UnitRecords::stored`]. Read-only after that, so lookups take no
+    /// Whether `memory` holds anything, so that a run's lookups skip its
+    /// lock while it is empty, as it is all through a warm run.
+    remembered: AtomicBool,
+    /// The directory's log, read by the first [`UnitRecords::stored`]
+    /// and indexed in place. Read-only once indexed, so lookups take no
     /// lock.
-    stored: OnceLock<HashMap<String, LayerReport>>,
+    stored: OnceLock<Resident>,
     /// `<dir>/records-v3.units`, opened by the first [`UnitRecords::append`].
     log: Option<Mutex<AppLog>>,
 }
@@ -167,6 +430,9 @@ impl UnitRecords {
 
     /// The in-memory result for `key`.
     pub(crate) fn get(&self, key: &UnitKey) -> Option<LayerReport> {
+        if !self.remembered.load(Ordering::Acquire) {
+            return None;
+        }
         lock(&self.memory).get(key).cloned()
     }
 
@@ -181,29 +447,36 @@ impl UnitRecords {
     /// held, so of two workers racing on one key only one appends.
     pub(crate) fn insert(&self, key: &UnitKey, report: &LayerReport) -> bool {
         let (key, report) = (key.clone(), report.clone());
-        lock(&self.memory).insert(key, report).is_none()
+        let fresh = lock(&self.memory).insert(key, report).is_none();
+        self.remembered.store(true, Ordering::Release);
+        fresh
     }
 
     /// The directory's record for the canonical key text `key`; `None`
-    /// without a directory. The first call loads the directory under a
-    /// `checkpoint.load` span on `spans` and hands the number of damaged
-    /// records to `damaged`; later calls, through any clone of the
-    /// runner, answer from memory and never call it.
+    /// without a directory. The first call reads the directory's log
+    /// under a `checkpoint.load` span on `spans`; every call until the
+    /// log is indexed checks runs of its lines beside the others, and the
+    /// one that builds the index hands the number of damaged records to
+    /// `damaged`. Later calls, through any clone of the runner, look the
+    /// key up in place and never call it.
     pub fn stored(
         &self,
         key: &str,
         spans: &Spans,
         damaged: impl FnOnce(u64),
-    ) -> Option<&LayerReport> {
+    ) -> Option<LayerReport> {
         let dir = self.dir.as_deref()?;
-        self.stored
-            .get_or_init(|| {
-                let _span = eureka_obs::span!(spans, "checkpoint.load");
-                let (records, count) = load(dir);
-                damaged(count);
-                records
-            })
-            .get(key)
+        let mut span = None;
+        let resident = self.stored.get_or_init(|| {
+            span = Some(eureka_obs::span!(spans, "checkpoint.load"));
+            Resident::read(dir)
+        });
+        let index = match resident.index.get() {
+            Some(index) => index,
+            None => resident.index(damaged),
+        };
+        drop(span);
+        resident.get(index, key)
     }
 
     /// Appends the record of `report` under the canonical key text `key`
@@ -293,10 +566,8 @@ mod tests {
         );
         let fresh = UnitRecords::in_dir(&dir);
         assert_eq!(
-            fresh
-                .stored("b", &Spans::default(), |_| {})
-                .map(|r| r.name.as_str()),
-            Some("layer-b")
+            fresh.stored("b", &Spans::default(), |_| {}).map(|r| r.name),
+            Some("layer-b".to_string())
         );
         std::fs::remove_dir_all(&dir).ok();
         assert!(
@@ -343,6 +614,165 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `(key, report)` records whose names and cycles tell them apart.
+    fn numbered(keys: &[&str]) -> Vec<(String, LayerReport)> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let report = LayerReport {
+                    name: format!("layer {i}"),
+                    compute_cycles: i as u64,
+                    ..sample()
+                };
+                (key.to_string(), report)
+            })
+            .collect()
+    }
+
+    /// What a reader must make of `text`: each whole line that `written`
+    /// encodes replays, the last per key winning, and every other line —
+    /// an unfinished last one too — is one damaged record.
+    fn oracle(
+        text: &[u8],
+        written: &[(String, LayerReport)],
+    ) -> (HashMap<String, LayerReport>, u64) {
+        let (mut records, mut damaged) = (HashMap::new(), 0);
+        for line in text.split_inclusive(|&b| b == b'\n') {
+            match written
+                .iter()
+                .find(|(k, r)| encode(k, r).as_bytes() == line)
+            {
+                Some((key, report)) => drop(records.insert(key.clone(), report.clone())),
+                None => damaged += 1,
+            }
+        }
+        (records, damaged)
+    }
+
+    /// What `workers` threads make of `text` cut into runs of `chunk`
+    /// bytes: each joins the check and asks for the index at once.
+    fn read_with(text: &[u8], chunk: usize, workers: usize) -> (HashMap<String, LayerReport>, u64) {
+        let resident = Resident::new(text.to_vec(), 0, chunk);
+        let damaged = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| resident.index(|n| lock(&damaged).push(n)));
+            }
+        });
+        let damaged = damaged.into_inner().unwrap();
+        assert_eq!(damaged.len(), 1, "one worker hands the damage over");
+        let index = resident.index.get().expect("the index is built");
+        (resident.records(index), damaged[0])
+    }
+
+    /// One to four workers, with a split at every byte, read what one
+    /// reader of the whole log reads: the same records, the last per key
+    /// winning across runs, and each damaged line — a torn one, a NUL
+    /// one, one with bytes that are not UTF-8, an unfinished last one —
+    /// counted once, at the start or the end of a run alike.
+    #[test]
+    fn workers_and_split_points_never_change_what_is_read() {
+        let written = numbered(&["a", "b", "tab\tand\\slash", "a", "c", "b", "d"]);
+        let mut text = Vec::new();
+        for (i, (key, report)) in written.iter().enumerate() {
+            text.extend(encode(key, report).into_bytes());
+            match i {
+                1 => {
+                    let torn = encode("torn", &sample());
+                    text.extend(&torn.as_bytes()[..torn.len() / 2]);
+                    text.push(b'\n');
+                }
+                3 => text.extend(
+                    encode("nul", &sample())
+                        .replacen("nul", "\0\0\0", 1)
+                        .into_bytes(),
+                ),
+                4 => {
+                    let mut bytes = encode("bytes", &sample()).into_bytes();
+                    bytes[20] = 0xff;
+                    text.extend(bytes);
+                }
+                _ => {}
+            }
+        }
+        text.extend(&encode("unfinished", &sample()).as_bytes()[..40]);
+        let want = oracle(&text, &written);
+        assert_eq!(want.1, 4);
+        assert_eq!(
+            want.0["a"].name, "layer 3",
+            "the later record of a key wins"
+        );
+        assert_eq!(want.0["b"].name, "layer 5");
+        for chunk in 1..=text.len() + 1 {
+            assert_eq!(
+                read_with(&text, chunk, 1 + chunk % 4),
+                want,
+                "runs of {chunk} bytes"
+            );
+        }
+        for workers in 1..=4 {
+            for chunk in [1, 97, CHUNK] {
+                assert_eq!(read_with(&text, chunk, workers), want, "{workers} workers");
+            }
+        }
+    }
+
+    /// A kill mid-append leaves an 8-record log cut at any byte: a load
+    /// replays exactly its complete lines and counts a torn one.
+    #[test]
+    fn truncation_at_every_byte_replays_exactly_the_complete_lines() {
+        let dir = case_dir("truncated");
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = numbered(&["k0", "k1", "k\t2", "k3", "k1", "k5", "k6", "k7"]);
+        let text: Vec<u8> = written
+            .iter()
+            .flat_map(|(key, report)| encode(key, report).into_bytes())
+            .collect();
+        for cut in 0..=text.len() {
+            std::fs::write(dir.join(LOG), &text[..cut]).unwrap();
+            assert_eq!(
+                load(&dir),
+                oracle(&text[..cut], &written),
+                "cut at byte {cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Keys whose hashes collide each keep their own last record.
+    #[test]
+    fn colliding_key_hashes_keep_every_key_apart() {
+        let written = numbered(&["x", "y", "x", "y"]);
+        let mut text = Vec::new();
+        for (key, report) in &written {
+            text.extend(encode(key, report).into_bytes());
+        }
+        let mut records = Vec::new();
+        applog::unseal_lines(&text, |at, payload| {
+            let key = fields(payload).unwrap().0;
+            let start = at + 3;
+            records.push(Record {
+                key: start as u32,
+                tab: (start + key.len()) as u32,
+                end: (at + payload.len()) as u32,
+            });
+            true
+        });
+        let mut index = Index::default();
+        for &record in &records {
+            index.insert(&text, 7, record);
+        }
+        let found = |key| {
+            index
+                .find(&text, 7, key)
+                .map(|r| r.report(&text).unwrap().name)
+        };
+        assert_eq!(found("x").as_deref(), Some("layer 2"));
+        assert_eq!(found("y").as_deref(), Some("layer 3"));
+        assert_eq!(found("z"), None);
+        assert_eq!(index.find(&text, 8, "x").map(|r| r.end), None);
+    }
+
     /// Characters that stress the line format: backslashes, newlines,
     /// tabs, carriage returns, spaces, the key separator and non-ASCII
     /// text.
@@ -370,8 +800,52 @@ mod tests {
         })
     }
 
+    /// Number tokens at and past the edges of what `str::parse::<u64>`
+    /// accepts, and separators that break a field.
+    const TOKENS: [&str; 12] = [
+        "0",
+        "42",
+        "+7",
+        "00012",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "+",
+        "",
+        "1 ",
+        "\t9",
+        "x",
+    ];
+
+    /// The numbers field as `str::parse` reads it: the reference for
+    /// [`values`].
+    fn parsed(field: &str) -> Option<[u64; 17]> {
+        let mut parts = field.split(' ');
+        let mut values = [0; 17];
+        for value in &mut values {
+            *value = parts.next()?.parse().ok()?;
+        }
+        parts.next().is_none().then_some(values)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The byte parser reads exactly what `str::parse` reads, so a
+        /// record is damaged exactly when it was before.
+        #[test]
+        fn numbers_decode_as_str_parse_does(
+            tokens in prop::collection::vec(0..TOKENS.len(), 16..18),
+            plain in any::<bool>(),
+        ) {
+            // Mostly plain numbers, so that whole fields decode too.
+            let field = tokens
+                .iter()
+                .map(|&i| if plain { TOKENS[i % 4] } else { TOKENS[i] })
+                .collect::<Vec<_>>()
+                .join(" ");
+            prop_assert_eq!(values(field.as_bytes()), parsed(&field), "{:?}", field);
+        }
 
         #[test]
         fn escaped_keys_and_names_round_trip_through_the_log(records in records()) {
@@ -382,7 +856,7 @@ mod tests {
             }
             let fresh = UnitRecords::in_dir(&dir);
             for (key, report) in &records {
-                prop_assert_eq!(fresh.stored(key, &Spans::default(), |_| {}), Some(report));
+                prop_assert_eq!(fresh.stored(key, &Spans::default(), |_| {}), Some(report.clone()));
             }
             prop_assert_eq!(load(&dir).1, 0);
             std::fs::remove_dir_all(&dir).ok();

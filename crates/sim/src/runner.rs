@@ -68,13 +68,13 @@
 //! rerun replays bit-identically: a unit with a record never samples,
 //! keys or times a tile. Memory hits count as `cache.hits`, directory
 //! records as `checkpoint.hits`. Executing a unit renders its key text
-//! at most once, and only when a directory is attached; the config
-//! segment is rendered once per job.
+//! at most once, into its worker's reused buffer, and only when a
+//! directory is attached; the config segment is rendered once per job.
 //!
 //! Only with [`Runner::with_store_dir`] does a second, finer memoization
 //! layer join in: the content-addressed tile store ([`crate::store`]).
-//! Planning plants a [`TileBroker`] in every unit's [`LayerCtx`]; it is
-//! disabled by default, so tile-timer architectures never key a sampled
+//! Every unit that executes gets a [`TileBroker`] in its [`LayerCtx`];
+//! it is disabled by default, so tile-timer architectures never key a sampled
 //! tile — timing a tile costs less than canonicalizing and looking it
 //! up. With a store directory the broker is enabled, and each sampled
 //! tile that its worker's signature table misses resolves through it,
@@ -128,17 +128,15 @@ use crate::profile::{LayerProfile, ProfileConfig, SimProfile};
 use crate::report::{LayerReport, SimReport};
 use crate::scratch::ScratchPool;
 use crate::store::{TileBroker, TileStore};
-use eureka_models::{activation, workload::LayerGemm, Workload};
+use eureka_models::{activation, workload::LayerGemm, GemmShape, Workload};
 use eureka_obs::applog::fnv1a64;
 use eureka_obs::events::{Event, Events};
 use eureka_obs::metrics::{self, Class, Counter, Gauge, Histogram, Registry};
 use eureka_obs::span::Spans;
 use eureka_sparse::rng::DetRng;
-use std::cell::OnceCell;
-use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One simulation request: an architecture applied to a workload under a
@@ -166,12 +164,13 @@ impl<'a> SimJob<'a> {
 }
 
 /// The smallest schedulable piece of a job: one layer of one workload on
-/// one architecture. Owns everything needed to execute independently.
+/// one architecture. Its key holds every input of its execution: the
+/// layer's GEMM and context are rebuilt from it ([`UnitKey::gemm`],
+/// [`Runner::ctx`]) only when the unit executes, so a replayed unit
+/// never builds them.
 struct WorkUnit<'a> {
-    arch: &'a dyn Architecture,
-    gemm: LayerGemm,
-    ctx: LayerCtx,
-    cfg: SimConfig,
+    /// The job the unit belongs to: its architecture and configuration.
+    job: &'a SimJob<'a>,
     key: UnitKey,
     /// The job's rendered [`CfgKey`], shared by all its units.
     cfg_text: Arc<str>,
@@ -181,9 +180,17 @@ struct WorkUnit<'a> {
 }
 
 impl WorkUnit<'_> {
-    /// The unit's canonical key text ([`UnitKey::render`]).
+    /// Renders the unit's canonical key text ([`UnitKey::render`]) into
+    /// `out`, replacing what it held.
+    fn render(&self, out: &mut String) {
+        self.key.render(&self.cfg_text, out);
+    }
+
+    /// The unit's canonical key text, in a string of its own.
     fn canonical(&self) -> String {
-        self.key.render(&self.cfg_text)
+        let mut out = String::new();
+        self.render(&mut out);
+        out
     }
 }
 
@@ -192,7 +199,8 @@ impl WorkUnit<'_> {
 /// a pure function of exactly these inputs.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct UnitKey {
-    arch: String,
+    /// Shared by every unit of a job.
+    arch: Arc<str>,
     gemm_name: String,
     n: usize,
     k: usize,
@@ -220,41 +228,83 @@ impl UnitKey {
     /// tag, or `--store-dir` replays stale results.
     ///
     /// `cfg` is [`CfgKey::canonical`] of `self.cfg`, which every unit of
-    /// a job shares; the key is written into one buffer sized for it.
-    fn render(&self, cfg: &str) -> String {
-        /// Raw bits as 16 hex digits, or `-` when absent.
-        struct Bits(Option<u64>);
-        impl fmt::Display for Bits {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                match self.0 {
-                    Some(b) => write!(f, "{b:016x}"),
-                    None => f.write_str("-"),
+    /// a job shares. The key is written into `out`, which a worker reuses
+    /// from unit to unit, field by field without formatting machinery.
+    fn render(&self, cfg: &str, out: &mut String) {
+        /// Appends `n` in decimal.
+        fn dec(out: &mut String, mut n: u64) {
+            let mut digits = [0; 20];
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
                 }
             }
+            out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
         }
+        /// Appends raw bits as 16 hex digits.
+        fn hex(out: &mut String, bits: u64) {
+            let digits: [u8; 16] =
+                std::array::from_fn(|i| b"0123456789abcdef"[(bits >> (60 - 4 * i)) as usize & 15]);
+            out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+        }
+        let bits = |out: &mut String, bits: Option<u64>| match bits {
+            Some(b) => hex(out, b),
+            None => out.push('-'),
+        };
+        let flag = |b: bool| if b { "true" } else { "false" };
+        out.clear();
         // Room for the fixed fields at their usual widths.
-        let capacity = 192 + self.arch.len() + self.gemm_name.len() + cfg.len();
-        let mut out = String::with_capacity(capacity);
-        write!(
-            out,
-            "v1|arch={}|gemm={}|nkm={}x{}x{}|uab={}|wd={:016x}|cl={}|dw={}|ad={:016x}|s2a={}|s2f={}|seed={:016x}|stream={}|{cfg}",
-            self.arch,
-            self.gemm_name,
-            self.n,
-            self.k,
-            self.m,
-            self.unique_act_bytes,
-            self.weight_density,
-            self.clustered,
-            self.depthwise,
-            self.act_density,
-            Bits(self.s2ta_act_density),
-            Bits(self.s2ta_fil_density),
-            self.rng_seed,
-            self.rng_stream,
-        )
-        .expect("invariant: writing to a String cannot fail");
-        out
+        out.reserve(192 + self.arch.len() + self.gemm_name.len() + cfg.len());
+        out.push_str("v1|arch=");
+        out.push_str(&self.arch);
+        out.push_str("|gemm=");
+        out.push_str(&self.gemm_name);
+        out.push_str("|nkm=");
+        dec(out, self.n as u64);
+        out.push('x');
+        dec(out, self.k as u64);
+        out.push('x');
+        dec(out, self.m as u64);
+        out.push_str("|uab=");
+        dec(out, self.unique_act_bytes);
+        out.push_str("|wd=");
+        hex(out, self.weight_density);
+        out.push_str("|cl=");
+        out.push_str(flag(self.clustered));
+        out.push_str("|dw=");
+        out.push_str(flag(self.depthwise));
+        out.push_str("|ad=");
+        hex(out, self.act_density);
+        out.push_str("|s2a=");
+        bits(out, self.s2ta_act_density);
+        out.push_str("|s2f=");
+        bits(out, self.s2ta_fil_density);
+        out.push_str("|seed=");
+        hex(out, self.rng_seed);
+        out.push_str("|stream=");
+        dec(out, self.rng_stream);
+        out.push('|');
+        out.push_str(cfg);
+    }
+
+    /// The layer's GEMM, as planned: every field is in the key.
+    fn gemm(&self) -> LayerGemm {
+        LayerGemm {
+            name: self.gemm_name.clone(),
+            shape: GemmShape {
+                n: self.n,
+                k: self.k,
+                m: self.m,
+            },
+            unique_act_bytes: self.unique_act_bytes,
+            weight_density: f64::from_bits(self.weight_density),
+            clustered: self.clustered,
+            depthwise: self.depthwise,
+        }
     }
 }
 
@@ -426,8 +476,8 @@ fn unit_planned(unit: &WorkUnit<'_>, job: usize) -> Event {
     Event::new("unit-planned")
         .det_u64("unit", unit.index as u64)
         .det_u64("job", job as u64)
-        .det_str("arch", unit.key.arch.clone())
-        .det_str("gemm", unit.gemm.name.clone())
+        .det_str("arch", &*unit.key.arch)
+        .det_str("gemm", unit.key.gemm_name.clone())
         .det_str(
             "key",
             format!("{:016x}", fnv1a64(unit.canonical().as_bytes())),
@@ -460,6 +510,28 @@ impl Source {
     }
 }
 
+/// One worker's share of an execute phase, kept to itself so that
+/// workers never contend on shared metrics per unit: its buffer for unit
+/// record keys, its units' queue waits and busy time, and its successful
+/// units per [`Source`].
+struct Worker {
+    key: String,
+    waits: Histogram,
+    busy_us: u64,
+    finished: [u64; 4],
+}
+
+impl Worker {
+    fn new() -> Self {
+        Worker {
+            key: String::new(),
+            waits: Histogram::new(metrics::TIME_BUCKETS_US),
+            busy_us: 0,
+            finished: [0; 4],
+        }
+    }
+}
+
 /// A unit failure as seen by the execute phase, before the reduce phase
 /// attaches job/layer coordinates.
 #[derive(Clone, Debug)]
@@ -470,7 +542,7 @@ struct UnitError {
 }
 
 /// One unit's result: its report and, on a profiled run, its layer's
-/// cycle attribution (boxed, so a plain run's result slots stay small).
+/// cycle attribution (boxed, so a plain run's results stay small).
 type UnitResult = Result<(LayerReport, Option<Box<LayerProfile>>), UnitError>;
 
 /// Cooperative cancellation handle, checked by the runner at unit
@@ -815,13 +887,13 @@ impl Runner {
         self.events
             .emit(|| Event::new("run-started").wall_u64("jobs", jobs.len() as u64));
         // Plan: enumerate every job's per-layer units.
-        let mut units = Vec::new();
+        let mut units = Vec::with_capacity(jobs.iter().map(|job| job.workload.layer_count()).sum());
         let mut ranges = Vec::with_capacity(jobs.len());
         {
             let _plan_span = eureka_obs::span!(&self.spans, "runner.plan");
             for (job_idx, job) in jobs.iter().enumerate() {
                 let start = units.len();
-                plan(job, &mut units, self.tiles.as_ref(), &self.scratch);
+                plan(job, &mut units);
                 for unit in &units[start..] {
                     self.events.emit(|| unit_planned(unit, job_idx));
                 }
@@ -833,7 +905,7 @@ impl Runner {
             self.records.reserve(units.len());
         }
         // Execute: serial order or index-claimed pool, records first.
-        let results = self.execute(&units, pcfg);
+        let mut results = self.execute(&units, pcfg);
         // Persist tile outcomes computed during this run before reducing,
         // so a crash in reduce still leaves the store warm.
         if let Some(store) = &self.tiles {
@@ -843,7 +915,6 @@ impl Runner {
         // Reduce: reassemble per job, in layer-index order.
         let _reduce_span = eureka_obs::span!(&self.spans, "runner.reduce");
         let reduce_started = Instant::now();
-        let mut results = results.into_iter();
         let out: Vec<_> = jobs
             .iter()
             .enumerate()
@@ -871,45 +942,53 @@ impl Runner {
         out
     }
 
-    /// The execute phase: runs every unit — serially or via the
-    /// index-claimed scoped pool — and returns results in unit order
-    /// (slot `i` always holds unit `i`'s result, whichever worker ran it).
-    fn execute(&self, units: &[WorkUnit<'_>], pcfg: Option<&ProfileConfig>) -> Vec<UnitResult> {
+    /// The execute phase: runs every unit — on this thread, or on a
+    /// scoped pool whose workers claim one unit at a time — and yields
+    /// the results in unit order, whichever worker ran each. A worker
+    /// keeps its results, in the order it claimed them, and counts into
+    /// a [`Worker`] of its own, added to the runner's metrics once, when
+    /// no unit is left.
+    fn execute(
+        &self,
+        units: &[WorkUnit<'_>],
+        pcfg: Option<&ProfileConfig>,
+    ) -> impl Iterator<Item = UnitResult> {
         let t = &self.telemetry;
         let workers = self.effective_jobs().min(units.len());
         let wall = Instant::now();
         let busy_us = AtomicU64::new(0);
-        let run = |unit| {
-            t.queue_wait_micros.record(micros(wall.elapsed()));
-            let started = Instant::now();
-            let result = self.run_unit(unit, pcfg);
-            busy_us.fetch_add(micros(started.elapsed()), Ordering::Relaxed);
-            result
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut worker = Worker::new();
+            let mut results = Vec::with_capacity(units.len().div_ceil(workers.max(1)));
+            // One clock read per unit: a unit starts when the last ended.
+            let mut now = Instant::now();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(unit) = units.get(i) else { break };
+                let started = now;
+                worker.waits.record(micros(started.duration_since(wall)));
+                results.push((i, self.run_unit(unit, pcfg, &mut worker)));
+                now = Instant::now();
+                worker.busy_us += micros(now.duration_since(started));
+            }
+            self.count(&worker);
+            busy_us.fetch_add(worker.busy_us, Ordering::Relaxed);
+            results
         };
-        let results: Vec<UnitResult> = if workers <= 1 {
-            units.iter().map(run).collect()
+        let results: Vec<Vec<(usize, UnitResult)>> = if workers <= 1 {
+            vec![work()]
         } else {
-            let slots: Vec<OnceLock<UnitResult>> =
-                (0..units.len()).map(|_| OnceLock::new()).collect();
-            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        if slots[i].set(run(unit)).is_err() {
-                            unreachable!("unit {i} claimed twice");
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("invariant: the worker pool fills every unit slot")
-                })
-                .collect()
+                let pool: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                pool.into_iter()
+                    .map(|worker| {
+                        worker
+                            .join()
+                            .unwrap_or_else(|e| std::panic::resume_unwind(e))
+                    })
+                    .collect()
+            })
         };
         let wall_us = micros(wall.elapsed());
         if !units.is_empty() {
@@ -920,7 +999,57 @@ impl Runner {
                     .set(busy / (workers.max(1) as f64 * wall_us as f64));
             }
         }
-        results
+        // Each worker claimed rising unit indices, so unit `i`'s result
+        // leads one worker's remaining results.
+        let mut results: Vec<_> = results
+            .into_iter()
+            .map(|r| r.into_iter().peekable())
+            .collect();
+        (0..units.len()).map(move |i| {
+            let mut ran = results
+                .iter_mut()
+                .filter_map(|r| r.next_if(|&(unit, _)| unit == i));
+            ran.next().expect("invariant: one worker ran every unit").1
+        })
+    }
+
+    /// Adds what `worker` counted to the runner's metrics: its queue
+    /// waits, and per [`Source`] of its successful units, `cache.hits`
+    /// or `checkpoint.hits` with `runner.units_cached` for replays; for
+    /// executions on a cached runner, `runner.units_from_store` when the
+    /// store served every tile, `cache.misses` otherwise.
+    fn count(&self, worker: &Worker) {
+        let t = &self.telemetry;
+        t.queue_wait_micros.merge(&worker.waits);
+        let [cache, checkpoint, store, computed] = worker.finished;
+        t.cache_hits.add(cache);
+        t.ckpt_hits.add(checkpoint);
+        t.units_cached.add(cache + checkpoint);
+        if self.cached {
+            t.units_from_store.add(store);
+            t.cache_misses.add(computed);
+        }
+    }
+
+    /// The layer context `unit` executes in, rebuilt from its key: the
+    /// workload's densities, the layer's forked RNG stream, a fresh
+    /// broker (wired to the tile store when one is attached, so it
+    /// tallies this unit's lookups alone) and the runner's scratch pool.
+    fn ctx(&self, unit: &WorkUnit<'_>) -> LayerCtx {
+        let key = &unit.key;
+        LayerCtx {
+            act_density: f64::from_bits(key.act_density),
+            s2ta_act_density: key.s2ta_act_density.map(f64::from_bits),
+            s2ta_fil_density: key.s2ta_fil_density.map(f64::from_bits),
+            rng: DetRng::new(key.rng_seed).fork(key.rng_stream),
+            tiles: self
+                .tiles
+                .as_ref()
+                .map_or_else(TileBroker::disabled, |store| {
+                    TileBroker::enabled(Arc::clone(store))
+                }),
+            scratch: self.scratch.clone(),
+        }
     }
 
     /// Executes one unit: the in-memory records first, then the store
@@ -929,14 +1058,19 @@ impl Runner {
     /// `cache.hits`, `checkpoint.hits`, `runner.units_from_store`,
     /// `cache.misses` ([`Runner::finished`]) or `runner.failures.*`
     /// ([`Runner::failed`]) fires per call, for cached runners.
-    fn run_unit(&self, unit: &WorkUnit<'_>, pcfg: Option<&ProfileConfig>) -> UnitResult {
+    fn run_unit(
+        &self,
+        unit: &WorkUnit<'_>,
+        pcfg: Option<&ProfileConfig>,
+        worker: &mut Worker,
+    ) -> UnitResult {
         let t = &self.telemetry;
         let _span = eureka_obs::span!(
             &self.spans,
             "unit.exec",
             "{} {}",
             unit.key.arch,
-            unit.gemm.name
+            unit.key.gemm_name
         );
         self.events
             .emit(|| Event::new("unit-started").det_u64("unit", unit.index as u64));
@@ -964,24 +1098,25 @@ impl Runner {
         // A profiled unit neither replays nor records: a stored report
         // carries no row-level attribution.
         let records = (self.cached && pcfg.is_none()).then_some(self.records.as_ref());
-        // The unit's record key, rendered at most once, on first use,
-        // and only with a store directory.
-        let key = OnceCell::new();
         if let Some(records) = records {
             if let Some(hit) = records.get(&unit.key) {
-                self.finished(unit, Source::Cache, &hit, 0);
+                self.finished(worker, unit, Source::Cache, &hit, 0);
                 return Ok((hit, None));
             }
+            // The record key, rendered once, and only with a store
+            // directory: the lookup and any append below read it.
             if records.dir().is_some() {
-                let key = key.get_or_init(|| unit.canonical());
-                if let Some(report) =
-                    records.stored(key, &self.spans, |damaged| t.ckpt_errors.add(damaged))
-                {
-                    self.finished(unit, Source::Checkpoint, report, 0);
-                    return Ok((report.clone(), None));
+                unit.render(&mut worker.key);
+                let stored = records.stored(&worker.key, &self.spans, |damaged| {
+                    t.ckpt_errors.add(damaged);
+                });
+                if let Some(report) = stored {
+                    self.finished(worker, unit, Source::Checkpoint, &report, 0);
+                    return Ok((report, None));
                 }
             }
         }
+        let (gemm, ctx) = (unit.key.gemm(), self.ctx(unit));
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
@@ -992,16 +1127,17 @@ impl Runner {
                     "unit.retry",
                     "{} {} attempt {}",
                     unit.key.arch,
-                    unit.gemm.name,
+                    unit.key.gemm_name,
                     attempt
                 );
             }
             // A fresh tally per attempt: classification below must
             // reflect the final (successful) attempt only.
-            unit.ctx.tiles.reset_tally();
+            ctx.tiles.reset_tally();
             let started = Instant::now();
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_unit(unit, pcfg)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_unit(unit, &gemm, &ctx, pcfg)
+            }));
             let exec_us = micros(started.elapsed());
             t.exec_micros.record(exec_us);
             t.arch_exec_histogram(&unit.key.arch).record(exec_us);
@@ -1011,7 +1147,7 @@ impl Runner {
                     if attempt > 1 {
                         t.retries_recovered.inc();
                     }
-                    let (tile_lookups, tile_computes) = unit.ctx.tiles.tally();
+                    let (tile_lookups, tile_computes) = ctx.tiles.tally();
                     let source = if tile_lookups > 0 && tile_computes == 0 {
                         Source::Store
                     } else {
@@ -1023,11 +1159,11 @@ impl Runner {
                         if records.insert(&unit.key, &report) {
                             t.cache_inserts.inc();
                             if records.dir().is_some() {
-                                self.append(unit, key.get_or_init(|| unit.canonical()), &report);
+                                self.append(unit, &worker.key, &report);
                             }
                         }
                     }
-                    self.finished(unit, source, &report, exec_us);
+                    self.finished(worker, unit, source, &report, exec_us);
                     return Ok((report, profile));
                 }
                 Ok(Err(e)) => UnitError {
@@ -1064,23 +1200,18 @@ impl Runner {
         }
     }
 
-    /// Records a unit's success: the counter of its `source` (`cache.hits`
-    /// or `checkpoint.hits` with `runner.units_cached` for a replay; for
-    /// an execution on a cached runner, `runner.units_from_store` when
-    /// the store served every tile, `cache.misses` otherwise) and its
-    /// `unit-finished` event, whose `exec_us` is `0` for replays.
-    fn finished(&self, unit: &WorkUnit<'_>, source: Source, report: &LayerReport, exec_us: u64) {
-        let t = &self.telemetry;
-        match source {
-            Source::Cache => t.cache_hits.inc(),
-            Source::Checkpoint => t.ckpt_hits.inc(),
-            Source::Store if self.cached => t.units_from_store.inc(),
-            Source::Computed if self.cached => t.cache_misses.inc(),
-            Source::Store | Source::Computed => {}
-        }
-        if matches!(source, Source::Cache | Source::Checkpoint) {
-            t.units_cached.inc();
-        }
+    /// Records a unit's success: its `source` on `worker`, for
+    /// [`Runner::count`], and its `unit-finished` event, whose `exec_us`
+    /// is `0` for replays.
+    fn finished(
+        &self,
+        worker: &mut Worker,
+        unit: &WorkUnit<'_>,
+        source: Source,
+        report: &LayerReport,
+        exec_us: u64,
+    ) {
+        worker.finished[source as usize] += 1;
         self.events.emit(|| {
             Event::new("unit-finished")
                 .det_u64("unit", unit.index as u64)
@@ -1105,7 +1236,7 @@ impl Runner {
             "unit.failure",
             "{} {}: {} after {} attempt(s)",
             unit.key.arch,
-            unit.gemm.name,
+            unit.key.gemm_name,
             failure.kind.label(),
             failure.attempts
         );
@@ -1152,29 +1283,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Plans one job into per-layer units appended to `units`, each with its
-/// own broker (so each unit tallies its own lookups): wired to the tile
-/// store `tiles` when one is attached, disabled otherwise. Every unit
-/// draws its scratch set from the runner's `scratch` pool.
-fn plan<'a>(
-    job: &SimJob<'a>,
-    units: &mut Vec<WorkUnit<'a>>,
-    tiles: Option<&Arc<TileStore>>,
-    scratch: &ScratchPool,
-) {
+/// Plans one job into per-layer units appended to `units`: one key per
+/// layer, with the job's architecture name and rendered config shared.
+fn plan<'a>(job: &'a SimJob<'a>, units: &mut Vec<WorkUnit<'a>>) {
     let workload = job.workload;
     let bench = workload.benchmark();
-    let base_rng = DetRng::new(workload.seed());
-    let act_density = workload.activation_density();
-    let s2ta_act_density = activation::s2ta_activation_density(bench);
-    let s2ta_fil_density = activation::s2ta_filter_density(bench);
+    let arch: Arc<str> = job.arch.name().into();
+    let act_density = workload.activation_density().to_bits();
+    let s2ta_act_density = activation::s2ta_activation_density(bench).map(f64::to_bits);
+    let s2ta_fil_density = activation::s2ta_filter_density(bench).map(f64::to_bits);
     let cfg_key = Arc::new(CfgKey::of(&job.cfg));
     let cfg_text: Arc<str> = cfg_key.canonical().into();
     for (i, gemm) in workload.gemms().into_iter().enumerate() {
-        let stream = i as u64;
         let key = UnitKey {
-            arch: job.arch.name().to_string(),
-            gemm_name: gemm.name.clone(),
+            arch: Arc::clone(&arch),
+            gemm_name: gemm.name,
             n: gemm.shape.n,
             k: gemm.shape.k,
             m: gemm.shape.m,
@@ -1182,27 +1305,15 @@ fn plan<'a>(
             weight_density: gemm.weight_density.to_bits(),
             clustered: gemm.clustered,
             depthwise: gemm.depthwise,
-            act_density: act_density.to_bits(),
-            s2ta_act_density: s2ta_act_density.map(f64::to_bits),
-            s2ta_fil_density: s2ta_fil_density.map(f64::to_bits),
+            act_density,
+            s2ta_act_density,
+            s2ta_fil_density,
             rng_seed: workload.seed(),
-            rng_stream: stream,
+            rng_stream: i as u64,
             cfg: Arc::clone(&cfg_key),
         };
         units.push(WorkUnit {
-            arch: job.arch,
-            gemm,
-            ctx: LayerCtx {
-                act_density,
-                s2ta_act_density,
-                s2ta_fil_density,
-                rng: base_rng.fork(stream),
-                tiles: tiles.map_or_else(TileBroker::disabled, |store| {
-                    TileBroker::enabled(Arc::clone(store))
-                }),
-                scratch: scratch.clone(),
-            },
-            cfg: job.cfg,
+            job,
             key,
             cfg_text: Arc::clone(&cfg_text),
             index: units.len(),
@@ -1219,31 +1330,25 @@ fn plan<'a>(
 /// `memory` stall bucket keeps matching the report's `mem_cycles`.
 fn execute_unit(
     unit: &WorkUnit<'_>,
+    gemm: &LayerGemm,
+    ctx: &LayerCtx,
     pcfg: Option<&ProfileConfig>,
 ) -> Result<(LayerReport, Option<Box<LayerProfile>>), SimError> {
+    let SimJob { arch, cfg, .. } = unit.job;
     let (mut report, mut profile) = match pcfg {
         Some(pcfg) => {
-            let (report, profile) = unit
-                .arch
-                .simulate_layer_profiled(&unit.gemm, &unit.ctx, &unit.cfg, pcfg)?;
+            let (report, profile) = arch.simulate_layer_profiled(gemm, ctx, cfg, pcfg)?;
             (report, Some(Box::new(profile)))
         }
-        None => (
-            unit.arch.simulate_layer(&unit.gemm, &unit.ctx, &unit.cfg)?,
-            None,
-        ),
+        None => (arch.simulate_layer(gemm, ctx, cfg)?, None),
     };
-    if unit.cfg.detailed_memory {
-        let residency = crate::cachesim::replay_layer(
-            &unit.gemm,
-            &unit.cfg,
-            crate::cachesim::CacheConfig::ampere_l2(),
-            96,
-        )
-        .act_hit_rate;
+    if cfg.detailed_memory {
+        let residency =
+            crate::cachesim::replay_layer(gemm, cfg, crate::cachesim::CacheConfig::ampere_l2(), 96)
+                .act_hit_rate;
         let mem = crate::config::MemoryConfig {
             l2_act_residency: residency,
-            ..unit.cfg.mem
+            ..cfg.mem
         };
         report.mem_cycles = crate::memory::exposed_cycles(&report, &mem);
         if let Some(profile) = &mut profile {
@@ -1280,8 +1385,8 @@ fn reduce(
             Err(e) => failures.push(UnitFailure {
                 job: job_idx,
                 layer: layer_idx,
-                layer_name: unit.gemm.name.clone(),
-                arch: unit.key.arch.clone(),
+                layer_name: unit.key.gemm_name.clone(),
+                arch: unit.key.arch.to_string(),
                 kind: e.kind,
                 payload: e.payload,
                 rng_seed: unit.key.rng_seed,
@@ -1593,7 +1698,7 @@ mod tests {
         let a = arch::dense();
         let job = SimJob::new(&a, &w, tiny_cfg());
         let mut units = Vec::new();
-        plan(&job, &mut units, None, &ScratchPool::default());
+        plan(&job, &mut units);
         let keys: Vec<String> = units.iter().map(WorkUnit::canonical).collect();
         let mut uniq = keys.clone();
         uniq.sort();
@@ -1601,7 +1706,7 @@ mod tests {
         assert_eq!(uniq.len(), keys.len(), "every unit key is distinct");
         // Same plan, same keys (the stability stored records need).
         let mut units2 = Vec::new();
-        plan(&job, &mut units2, None, &ScratchPool::default());
+        plan(&job, &mut units2);
         let keys2: Vec<String> = units2.iter().map(WorkUnit::canonical).collect();
         assert_eq!(keys, keys2);
         assert!(keys[0].starts_with("v1|arch=Dense|"));
@@ -1640,19 +1745,14 @@ mod tests {
         // MobileNetV1 has S2TA densities, InceptionV3 has none.
         let mobilenet = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
         let inception = Workload::new(Benchmark::InceptionV3, PruningLevel::Dense, 1);
+        let jobs = [
+            SimJob::new(&s2ta, &mobilenet, tiny_cfg()),
+            SimJob::new(&dense, &inception, SimConfig::paper_default()),
+        ];
         let mut units = Vec::new();
-        plan(
-            &SimJob::new(&s2ta, &mobilenet, tiny_cfg()),
-            &mut units,
-            None,
-            &ScratchPool::default(),
-        );
-        plan(
-            &SimJob::new(&dense, &inception, SimConfig::paper_default()),
-            &mut units,
-            None,
-            &ScratchPool::default(),
-        );
+        for job in &jobs {
+            plan(job, &mut units);
+        }
         assert!(units.iter().any(|u| u.key.s2ta_act_density.is_some()));
         assert!(units.iter().any(|u| u.key.s2ta_fil_density.is_none()));
         for unit in &units {

@@ -119,6 +119,22 @@ assert c["runner.units_executed"] == 0, f"warm run executed units: {c}"
 assert c["cache.misses"] == 0, f"units escaped the store: {c}"
 assert c.get("store.lookups", 0) == 0, f"warm run looked tiles up: {c}"
 EOF
+    # A four-worker warm fig11 replays every supported unit from the
+    # records a four-worker run filled, with the same bytes, and one
+    # garbage line appended to the log is exactly one damaged record.
+    local fig=(figure fig11 --fast --csv --jobs 4 --no-ledger --store-dir "$out/fig11-store")
+    eureka "${fig[@]}" > "$out/fig11-cold.csv"
+    eureka "${fig[@]}" --metrics-out "$out/fig11-warm.json" > "$out/fig11-warm.csv"
+    cmp "$out/fig11-cold.csv" "$out/fig11-warm.csv"
+    echo "garbage" >> "$out/fig11-store/records-v3.units"
+    eureka "${fig[@]}" --metrics-out "$out/fig11-damaged.json" > "$out/fig11-damaged.csv"
+    cmp "$out/fig11-cold.csv" "$out/fig11-damaged.csv"
+    python3 - "$out/fig11-warm.json" "$out/fig11-damaged.json" <<'EOF'
+import json, sys
+for path, errors in zip(sys.argv[1:], (0, 1)):
+    c = json.load(open(path))["counters"]
+    assert c["checkpoint.hits"] == 4240 and c["checkpoint.errors"] == errors, (path, c)
+EOF
     # The profiler bypasses unit records, so a warm `profile
     # --store-dir` is served by the tile shards alone and its export is
     # byte-identical. `profile` has no --metrics-out; its events say the

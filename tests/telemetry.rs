@@ -345,6 +345,39 @@ fn a_store_dir_load_is_one_span_on_the_runners_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A warm run counts the same at any worker count: each worker's queue
+/// waits and replay counts reach the runner's metrics whole, one wait
+/// per planned unit.
+#[test]
+fn warm_runs_count_the_same_at_any_worker_count() {
+    let dir = std::env::temp_dir().join(format!("eureka-tel-warm-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let w = Workload::new(Benchmark::MobileNetV1, PruningLevel::Moderate, 32);
+    let (dense, eureka) = (arch::dense(), arch::eureka_p4());
+    let jobs = [
+        SimJob::new(&dense, &w, test_cfg()),
+        SimJob::new(&eureka, &w, test_cfg()),
+    ];
+    Runner::with_jobs(2).with_store_dir(&dir).run_all(&jobs);
+    let warm = |workers| {
+        let runner = Runner::with_jobs(workers).with_store_dir(&dir);
+        runner.run_all(&jobs);
+        let waits = runner
+            .metrics()
+            .histogram(
+                "unit.queue_wait_micros",
+                obs::metrics::Class::Timing,
+                obs::metrics::TIME_BUCKETS_US,
+            )
+            .count();
+        assert_eq!(waits, count(&runner, "runner.units_planned"));
+        assert_eq!(waits, count(&runner, "checkpoint.hits"));
+        runner.metrics().snapshot_json(false)
+    };
+    assert_eq!(warm(1), warm(4));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn telemetry_does_not_change_simulation_output() {
     let w = Workload::new(Benchmark::BertSquad, PruningLevel::Moderate, 16);
